@@ -1,37 +1,57 @@
 """Sum-product message passing on the task-worker factor graph.
 
-Messages are normalized probability pairs (component 0 for label +1,
-component 1 for label -1), one pair per edge and direction, updated in
-synchronous sweeps: all task-to-worker messages from the previous
-worker-to-task messages, then all worker-to-task messages from the fresh
-task-to-worker ones.  Every produced pair is clamped to >= 1e-300 before
-normalizing; a pair that is exactly (0, 0) aborts with a degeneracy error
-naming the edge.  Log space is used only inside factor evaluation.
+Every message is one log-likelihood ratio (LLR), log m(+1) - log m(-1),
+per edge and direction, stored in natural edge order.  Sums over a node's
+edges are one ``np.bincount`` over that side's keys and broadcasts back
+are gathers (see :mod:`.segments`), so a sweep costs O(edges) whatever
+the degree profile.  Sweeps are synchronous: all task-to-worker messages
+from the previous worker-to-task messages, then all worker-to-task
+messages from the fresh task-to-worker ones.
 
-The worker update integrates the reliability prior over its support atoms:
-with incoming magnetizations x_j = m(+1) - m(-1) and mu = 2p - 1,
+Task half: nu[i->u] = L_i - lam[u->i] with L_i = sum_u lam[u->i].  The
+positive and negative parts of L_i are summed separately, so incoming
+LLRs that mirror each other cancel to exactly 0 and flipping every
+answer negates every message bitwise.  Infinite LLRs (clamped tasks,
+workers whose reliability prior puts all mass on p = 0 or 1) are counted
+per task rather than subtracted; a message whose other inputs include
+both +inf and -inf has zero mass and raises a degeneracy error naming
+the edge.
 
-    m[u->i](s) ∝ E[ (1 + A_iu * mu * s) / 2 * prod_j (1 + A_ju * mu * x_j) / 2 ]
+Worker half: with incoming magnetizations x_j = tanh(nu[j->u] / 2) and
+mu = 2p - 1 for each support atom p (weight w) of the reliability prior,
+
+    m[u->i](s) ∝ sum_mu w (1 + A_iu mu s) prod_{j != i} (1 + A_ju mu x_j)
 
 which reproduces the literal sum over neighbor label configurations
-weighted by f(c, r) exactly; the ``naive`` kernel computes that sum
+weighted by f(c, r) exactly.  The leave-one-out log product is
+S_mu[u] - log(1 + mu A_iu x_i), with S_mu the per-worker sum of those
+logs; factors that are exactly 0 (mu = ±1 against a certain message) are
+counted per worker instead of divided out.  Atoms are folded in one at a
+time under a running per-edge maximum, so memory stays O(edges) for any
+atom count.  The ``naive`` kernel evaluates the configuration sum
 directly and exists as the independent cross-check.
+
+The pair-valued :class:`BeliefState` API (``bp_init``,
+``bp_update_*_messages``, ``bp_compute_beliefs``) runs the same core and
+converts between normalized pairs and LLRs at its boundary.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import NumericDegeneracyError, ParameterError, SizeError
 from .graph import AnswerMatrix, AssignmentGraph, answer_values
 from .priors import FactorTable, ReliabilityPrior
-from .segments import expand, segment_loo_prod, segment_prod
+from .segments import Grouping, segment_loo_log1p
 
-PAIR_FLOOR = 1e-300
-DIVISION_GUARD = 1e-12
 _NAIVE_DEGREE_GUARD = 14
+# Start of the running maximum over atoms: finite, so that subtracting it
+# from a -inf log product gives -inf rather than NaN.
+_NO_ATOM_YET = -np.finfo(np.float64).max
 
 
 @dataclass(frozen=True)
@@ -69,6 +89,166 @@ def make_report(margins: np.ndarray, iterations_run: int, converged: bool,
                           converged, float(max_delta))
 
 
+# -- LLR core -----------------------------------------------------------------
+
+def _answer_signs(answers: AnswerMatrix | np.ndarray, graph: AssignmentGraph) -> np.ndarray:
+    a = answer_values(answers).astype(np.float64)
+    if a.shape[0] != graph.n_edges:
+        raise ParameterError("answers length does not match graph")
+    return a
+
+
+def _check_edges(llr: np.ndarray, graph: AssignmentGraph, what: str) -> None:
+    """NaN marks a message with zero mass on both labels."""
+    bad = np.isnan(llr)
+    if bad.any():
+        idx = int(np.flatnonzero(bad)[0])
+        task, worker = graph.edges[idx]
+        raise NumericDegeneracyError(
+            f"{what} on edge {idx} (task {task}, worker {worker}) has zero mass"
+        )
+
+
+def _check_beliefs(belief: np.ndarray) -> None:
+    bad = np.isnan(belief)
+    if bad.any():
+        raise NumericDegeneracyError(
+            f"belief for task {int(np.flatnonzero(bad)[0])} has zero mass")
+
+
+def _signed_sum(llr: np.ndarray, grouping: Grouping) -> np.ndarray:
+    """Per segment, the positive parts' sum plus the negative parts' sum.
+
+    Both parts accumulate in edge order, so a segment whose negative LLRs
+    mirror its positive ones (same magnitudes, same relative order; equal
+    magnitudes in any order) sums to exactly 0.
+    """
+    n = grouping.n_segments
+    pos = np.bincount(grouping.keys, np.maximum(llr, 0.0), n)
+    neg = np.bincount(grouping.keys, np.minimum(llr, 0.0), n)
+    return pos + neg
+
+
+def _certain(n_plus: np.ndarray, n_minus: np.ndarray) -> np.ndarray:
+    """+inf, -inf, 0 or NaN (both signs: zero mass) from infinity counts."""
+    return np.where(n_plus > 0, np.inf, 0.0) + np.where(n_minus > 0, -np.inf, 0.0)
+
+
+def _task_llrs(lam: np.ndarray, grouping: Grouping) -> tuple[np.ndarray, np.ndarray]:
+    """Per task the total incoming LLR; per edge that total minus the edge's own.
+
+    NaN marks zero mass.
+    """
+    with np.errstate(invalid="ignore"):
+        total = _signed_sum(lam, grouping)
+        if np.isfinite(total).all():
+            return total, total[grouping.keys] - lam
+        # Certain messages: count the infinities instead of subtracting them.
+        plus = lam == np.inf
+        minus = lam == -np.inf
+        finite = np.where(plus | minus, 0.0, lam)
+        total = _signed_sum(finite, grouping)
+        n_plus = np.bincount(grouping.keys, plus, grouping.n_segments)
+        n_minus = np.bincount(grouping.keys, minus, grouping.n_segments)
+        others = total[grouping.keys] - finite + _certain(
+            n_plus[grouping.keys] - plus, n_minus[grouping.keys] - minus)
+        return total + _certain(n_plus, n_minus), others
+
+
+def _worker_llrs(x: np.ndarray, graph: AssignmentGraph, a: np.ndarray,
+                 atom_mu: np.ndarray, atom_w: np.ndarray) -> np.ndarray:
+    """Worker-to-task LLRs from task-to-worker magnetizations ``x``; NaN marks zero mass."""
+    ax = a * x
+    # Per edge: the largest log leave-one-out product so far and the two
+    # lanes sum_mu w (1 ± mu) exp(loo_mu - top).  A mu = 0 atom has the
+    # product 1 on every edge and stays scalar.
+    top, agree, disagree = _NO_ATOM_YET, 0.0, 0.0
+    for mu, w in zip(atom_mu, atom_w):
+        loo = 0.0 if mu == 0.0 else segment_loo_log1p(mu * ax, graph.by_worker)
+        new_top = np.maximum(top, loo)
+        rescale = np.exp(top - new_top)
+        weight = np.exp(loo - new_top)
+        agree = agree * rescale + (w * (1.0 + mu)) * weight
+        disagree = disagree * rescale + (w * (1.0 - mu)) * weight
+        top = new_top
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return a * np.log(agree / disagree)
+
+
+def _worker_llrs_naive(x: np.ndarray, graph: AssignmentGraph, a: np.ndarray,
+                       table: FactorTable) -> np.ndarray:
+    degrees = graph.worker_degrees
+    if degrees.size and degrees.max() > _NAIVE_DEGREE_GUARD:
+        raise SizeError(
+            f"naive kernel enumerates 2^(r-1) configurations; worker degree "
+            f"{int(degrees.max())} exceeds the guard {_NAIVE_DEGREE_GUARD}"
+        )
+    plus_x, minus_x = (1.0 + x) / 2.0, (1.0 - x) / 2.0
+    grouping = graph.by_worker
+    lam = np.empty(graph.n_edges)
+    for u in range(graph.n_workers):
+        eids = grouping.order[grouping.offsets[u]:grouping.offsets[u + 1]]
+        r = eids.size
+        if r == 0:
+            continue
+        configs = _pm_configs(r - 1)
+        for pos, e in enumerate(eids):
+            others = np.delete(eids, pos)
+            probs = np.where(configs == 1, plus_x[others], minus_x[others])
+            prod_m = probs.prod(axis=1)
+            base_c = (configs == a[others]).sum(axis=1)
+            plus = np.exp(table.log_values[r, base_c + (a[e] == 1)]) @ prod_m
+            minus = np.exp(table.log_values[r, base_c + (a[e] == -1)]) @ prod_m
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lam[e] = np.log(plus) - np.log(minus)
+    return lam
+
+
+def _pm_configs(k: int) -> np.ndarray:
+    bits = (np.arange(2**k)[:, None] >> np.arange(k)[None, :]) & 1
+    return (2 * bits - 1).astype(np.int64)
+
+
+def _worker_kernel(kernel: str, graph: AssignmentGraph, a: np.ndarray,
+                   prior: ReliabilityPrior | None, factors: FactorTable | None,
+                   r_max: int):
+    """The worker half-sweep, magnetizations -> LLRs, of the named kernel."""
+    if kernel == "magnetization":
+        if factors is None:
+            atom_p, atom_w = prior.support_atoms(r_max)
+        else:
+            atom_p, atom_w = factors.atom_p, factors.atom_w
+        return partial(_worker_llrs, graph=graph, a=a,
+                       atom_mu=2.0 * np.asarray(atom_p) - 1.0, atom_w=atom_w)
+    if kernel == "naive":
+        # The only reader of the literal factor table f(c, r).
+        table = factors if factors is not None else FactorTable.build(prior, r_max)
+        return partial(_worker_llrs_naive, graph=graph, a=a, table=table)
+    raise ParameterError(f"unknown kernel {kernel!r}")
+
+
+def _pinned_edges(graph: AssignmentGraph, clamp_tasks: np.ndarray,
+                  clamp_labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge ids of clamped tasks and their fixed outgoing LLRs (±inf)."""
+    pinned = np.full(graph.n_tasks, np.nan)
+    pinned[clamp_tasks] = np.where(clamp_labels == 1, np.inf, -np.inf)
+    per_edge = pinned[graph.by_task.keys]
+    edges = np.flatnonzero(~np.isnan(per_edge))
+    return edges, per_edge[edges]
+
+
+# -- pair-valued sweep pieces ------------------------------------------------
+
+def _pairs_to_llr(pairs: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(pairs[:, 0]) - np.log(pairs[:, 1])
+
+
+def _llr_to_pairs(llr: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return np.column_stack((1.0 / (1.0 + np.exp(-llr)), 1.0 / (1.0 + np.exp(llr))))
+
+
 def bp_init(graph: AssignmentGraph) -> BeliefState:
     """Uninformative start: every message and belief is (1/2, 1/2)."""
     m = graph.n_edges
@@ -80,21 +260,6 @@ def bp_init(graph: AssignmentGraph) -> BeliefState:
     )
 
 
-def _normalize_pairs(pairs: np.ndarray, graph: AssignmentGraph, what: str,
-                     per_task: bool = False) -> np.ndarray:
-    zero = (pairs[:, 0] == 0.0) & (pairs[:, 1] == 0.0)
-    if zero.any():
-        idx = int(np.flatnonzero(zero)[0])
-        if per_task:
-            raise NumericDegeneracyError(f"{what} for task {idx} has zero mass")
-        task, worker = graph.edges[idx]
-        raise NumericDegeneracyError(
-            f"{what} on edge {idx} (task {task}, worker {worker}) has zero mass"
-        )
-    pairs = np.maximum(pairs, PAIR_FLOOR)
-    return pairs / pairs.sum(axis=1, keepdims=True)
-
-
 def bp_update_task_messages(state: BeliefState, graph: AssignmentGraph,
                             answers: AnswerMatrix | np.ndarray) -> BeliefState:
     """Each task tells each worker the product of its other workers' messages.
@@ -103,117 +268,29 @@ def bp_update_task_messages(state: BeliefState, graph: AssignmentGraph,
     symmetry with the worker half-sweep.
     """
     del answers
-    loo = segment_loo_prod(state.msg_worker_to_task, graph.by_task)
-    new = _normalize_pairs(loo, graph, "task message")
-    return replace(state, msg_task_to_worker=new)
-
-
-def _worker_pairs_magnetization(t2w: np.ndarray, graph: AssignmentGraph,
-                                a: np.ndarray, factors: FactorTable) -> np.ndarray:
-    grouping = graph.by_worker
-    x = t2w[:, 0] - t2w[:, 1]
-    ax = a * x
-    plus = np.zeros(graph.n_edges)
-    minus = np.zeros(graph.n_edges)
-    for weight, mu in zip(factors.atom_w, factors.atom_mu):
-        t = 0.5 * (1.0 + mu * ax)
-        full = expand(segment_prod(t, grouping), grouping)
-        small = t < DIVISION_GUARD
-        with np.errstate(divide="ignore", invalid="ignore"):
-            loo = full / t
-        if small.any():
-            # Division is unreliable past the guard: redo those workers exactly.
-            affected = np.unique(graph.edges[small, 1])
-            for u in affected:
-                lo, hi = grouping.offsets[u], grouping.offsets[u + 1]
-                eids = grouping.order[lo:hi]
-                loo[eids] = segment_loo_prod(
-                    t[eids], _singleton_grouping(eids.size)
-                )
-        # Both lanes spell out the same expression so that flipping an answer
-        # swaps the pair bitwise; deriving one lane as 1 - other rounds
-        # differently and leaves sign noise on exact ties.
-        plus += weight * (0.5 * (1.0 + mu * a)) * loo
-        minus += weight * (0.5 * (1.0 - mu * a)) * loo
-    return np.column_stack((plus, minus))
-
-
-def _singleton_grouping(size: int):
-    from .segments import build_grouping
-
-    return build_grouping(np.zeros(size, dtype=np.int64), 1)
-
-
-def _worker_pairs_naive(t2w: np.ndarray, graph: AssignmentGraph,
-                        a: np.ndarray, factors: FactorTable) -> np.ndarray:
-    degrees = graph.worker_degrees
-    if degrees.size and degrees.max() > _NAIVE_DEGREE_GUARD:
-        raise SizeError(
-            f"naive kernel enumerates 2^(r-1) configurations; worker degree "
-            f"{int(degrees.max())} exceeds the guard {_NAIVE_DEGREE_GUARD}"
-        )
-    grouping = graph.by_worker
-    pairs = np.empty((graph.n_edges, 2))
-    for u in range(graph.n_workers):
-        lo, hi = grouping.offsets[u], grouping.offsets[u + 1]
-        eids = grouping.order[lo:hi]
-        r = eids.size
-        for pos, e in enumerate(eids):
-            others = np.delete(eids, pos)
-            k = r - 1
-            configs = _pm_configs(k)
-            probs = np.where(configs == 1, t2w[others, 0], t2w[others, 1])
-            prod_m = probs.prod(axis=1) if k else np.ones(1)
-            base_c = (configs == a[others]).sum(axis=1) if k else np.zeros(1, dtype=int)
-            for col, s in ((0, 1), (1, -1)):
-                c = base_c + (a[e] == s)
-                pairs[e, col] = float(np.exp(factors.log_values[r, c]) @ prod_m)
-    return pairs
-
-
-def _pm_configs(k: int) -> np.ndarray:
-    bits = (np.arange(2**k)[:, None] >> np.arange(k)[None, :]) & 1
-    return (2 * bits - 1).astype(np.int64)
+    _, nu = _task_llrs(_pairs_to_llr(state.msg_worker_to_task), graph.by_task)
+    _check_edges(nu, graph, "task message")
+    return replace(state, msg_task_to_worker=_llr_to_pairs(nu))
 
 
 def bp_update_worker_messages(state: BeliefState, graph: AssignmentGraph,
                               answers: AnswerMatrix | np.ndarray, factors: FactorTable,
                               kernel: str = "magnetization") -> BeliefState:
     """Each worker tells each task how its other answers weigh the label."""
-    a = answer_values(answers).astype(np.float64)
-    if a.shape[0] != graph.n_edges:
-        raise ParameterError("answers length does not match graph")
-    if kernel == "magnetization":
-        pairs = _worker_pairs_magnetization(state.msg_task_to_worker, graph, a, factors)
-    elif kernel == "naive":
-        pairs = _worker_pairs_naive(state.msg_task_to_worker, graph, a, factors)
-    else:
-        raise ParameterError(f"unknown kernel {kernel!r}")
-    new = _normalize_pairs(pairs, graph, "worker message")
-    return replace(state, msg_worker_to_task=new)
+    a = _answer_signs(answers, graph)
+    worker_half = _worker_kernel(kernel, graph, a, None, factors, factors.r_max)
+    lam = worker_half(np.tanh(_pairs_to_llr(state.msg_task_to_worker) / 2.0))
+    _check_edges(lam, graph, "worker message")
+    return replace(state, msg_worker_to_task=_llr_to_pairs(lam))
 
 
 def bp_compute_beliefs(state: BeliefState, graph: AssignmentGraph) -> BeliefState:
-    prod = segment_prod(state.msg_worker_to_task, graph.by_task)
-    beliefs = _normalize_pairs(prod, graph, "belief", per_task=True)
-    return replace(state, beliefs=beliefs)
+    total, _ = _task_llrs(_pairs_to_llr(state.msg_worker_to_task), graph.by_task)
+    _check_beliefs(total)
+    return replace(state, beliefs=_llr_to_pairs(total))
 
 
-def _clamp_rows(graph: AssignmentGraph, clamp_tasks: np.ndarray,
-                clamp_labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edge ids of clamped tasks and their fixed point-mass outgoing pairs."""
-    grouping = graph.by_task
-    edge_ids, pair_rows = [], []
-    for task, label in zip(clamp_tasks, clamp_labels):
-        lo, hi = grouping.offsets[task], grouping.offsets[task + 1]
-        eids = grouping.order[lo:hi]
-        edge_ids.append(eids)
-        point = [1.0, 0.0] if label == 1 else [0.0, 1.0]
-        pair_rows.append(np.tile(point, (eids.size, 1)))
-    if not edge_ids:
-        return np.empty(0, dtype=np.int64), np.empty((0, 2))
-    return np.concatenate(edge_ids), np.concatenate(pair_rows)
-
+# -- driver ------------------------------------------------------------------
 
 def bp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
            prior: ReliabilityPrior, k_max: int = 100, tol: float = 1e-5,
@@ -223,60 +300,64 @@ def bp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
            factors: FactorTable | None = None) -> EstimateReport:
     """Run synchronous sweeps and decode the sign of each task's belief margin.
 
-    Stops early once the largest absolute message change falls below
-    ``tol`` (an exact fixed point always counts as converged, so ``tol=0``
-    runs the full ``k_max`` sweeps unless the messages stop moving
-    entirely).  ``clamp_tasks``/``clamp_labels`` pin the outgoing messages
-    and beliefs of the given tasks to point masses on the given labels,
-    which conditions the run on those labels being known.
+    Stops early once the largest absolute message change, measured on the
+    probability of label +1, falls below ``tol`` (an exact fixed point
+    always counts as converged, so ``tol=0`` runs the full ``k_max`` sweeps
+    unless the messages stop moving entirely).  ``clamp_tasks``/
+    ``clamp_labels`` pin the outgoing messages and beliefs of the given
+    tasks to point masses on the given labels, which conditions the run on
+    those labels being known.  A prebuilt ``factors`` table must cover the
+    largest worker degree; its atoms are used in place of the prior's.
     """
     if k_max < 1:
         raise ParameterError("k_max must be at least 1")
     if tol < 0:
         raise ParameterError("tol must be non-negative")
+    a = _answer_signs(answers, graph)
     r_max = int(graph.worker_degrees.max()) if graph.n_edges else 0
-    if factors is None:
-        factors = FactorTable.build(prior, r_max)
-    elif factors.r_max < r_max:
+    if factors is not None and factors.r_max < r_max:
         raise ParameterError(f"factor table covers r <= {factors.r_max}, graph needs {r_max}")
-    state = bp_init(graph)
+    worker_half = _worker_kernel(kernel, graph, a, prior, factors, r_max)
 
     clamped = clamp_tasks is not None and len(clamp_tasks) > 0
+    pin_edges, pin_llr = np.empty(0, dtype=np.int64), np.empty(0)
     if clamped:
         clamp_tasks = np.asarray(clamp_tasks, dtype=np.int64)
         clamp_labels = np.asarray(clamp_labels, dtype=np.int64)
         if clamp_labels.shape != clamp_tasks.shape:
             raise ParameterError("clamp labels must match clamp tasks")
-        clamp_edges, clamp_pairs = _clamp_rows(graph, clamp_tasks, clamp_labels)
-        t2w = state.msg_task_to_worker.copy()
-        t2w[clamp_edges] = clamp_pairs
-        state = replace(state, msg_task_to_worker=t2w)
+        pin_edges, pin_llr = _pinned_edges(graph, clamp_tasks, clamp_labels)
 
+    lam = np.zeros(graph.n_edges)
+    nu = np.zeros(graph.n_edges)
+    nu[pin_edges] = pin_llr
+    x_prev = np.tanh(nu / 2.0)
+    y_prev = np.zeros(graph.n_edges)
     converged = False
     delta = math.inf
     iterations = 0
     for iteration in range(1, k_max + 1):
-        prev_t2w = state.msg_task_to_worker
-        prev_w2t = state.msg_worker_to_task
-        state = bp_update_task_messages(state, graph, answers)
-        if clamped:
-            t2w = state.msg_task_to_worker
-            t2w[clamp_edges] = clamp_pairs
-        state = bp_update_worker_messages(state, graph, answers, factors, kernel=kernel)
-        state = replace(state, iteration=iteration)
+        _, nu = _task_llrs(lam, graph.by_task)
+        nu[pin_edges] = pin_llr
+        _check_edges(nu, graph, "task message")
+        x = np.tanh(nu / 2.0)
+        lam = worker_half(x)
+        _check_edges(lam, graph, "worker message")
+        y = np.tanh(lam / 2.0)
         iterations = iteration
-        delta = max(
-            float(np.abs(state.msg_task_to_worker - prev_t2w).max(initial=0.0)),
-            float(np.abs(state.msg_worker_to_task - prev_w2t).max(initial=0.0)),
-        )
+        # Changes on the probability scale: |d P(+1)| = |d tanh(llr / 2)| / 2.
+        delta = 0.5 * max(float(np.abs(x - x_prev).max(initial=0.0)),
+                          float(np.abs(y - y_prev).max(initial=0.0)))
+        x_prev, y_prev = x, y
         if delta < tol or delta == 0.0:
             converged = True
             break
 
-    state = bp_compute_beliefs(state, graph)
-    margins = state.beliefs[:, 0] - state.beliefs[:, 1]
+    total, _ = _task_llrs(lam, graph.by_task)
+    margins = np.tanh(total / 2.0)
     if clamped:
         margins[clamp_tasks] = clamp_labels.astype(np.float64)
+    _check_beliefs(margins)
     return make_report(margins, iterations, converged, delta)
 
 

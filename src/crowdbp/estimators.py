@@ -78,7 +78,9 @@ def kos_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(v)
+    # numpy's pairwise sum, not BLAS: the result must not depend on the
+    # number of BLAS threads.
+    norm = np.sqrt(np.sum(v * v))
     return v / norm if norm > 0 else v
 
 

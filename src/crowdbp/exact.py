@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bp import EstimateReport, bp_run, make_report
 from .errors import NumericDegeneracyError, ParameterError, SizeError
@@ -39,6 +38,8 @@ def _label_states(n: int) -> tuple[np.ndarray, np.ndarray]:
 def brute_force_marginals(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
                           prior: ReliabilityPrior) -> np.ndarray:
     """Exact posterior pair (P[+1], P[-1]) per task by joint enumeration."""
+    from scipy.special import logsumexp
+
     n = graph.n_tasks
     if n > _BRUTE_FORCE_TASK_GUARD:
         raise SizeError(f"brute force enumerates 2^{n} states; guard is "
@@ -162,8 +163,6 @@ def oracle_task_estimate(graph: AssignmentGraph, answers: AnswerMatrix | np.ndar
     labels = np.asarray(truth.labels, dtype=np.int64)
     if labels.shape[0] != graph.n_tasks:
         raise ParameterError("truth labels length does not match graph")
-    r_max = int(graph.worker_degrees.max()) if graph.n_edges else 0
-    factors = FactorTable.build(prior, r_max)
     margins = np.zeros(graph.n_tasks)
     iterations = 0
     for root in range(graph.n_tasks):
@@ -176,7 +175,6 @@ def oracle_task_estimate(graph: AssignmentGraph, answers: AnswerMatrix | np.ndar
             k_max=tree.depth // 2 + 2, tol=0.0,
             clamp_tasks=tree.boundary_tasks,
             clamp_labels=labels[tree.boundary_tasks],
-            factors=factors,
         )
         margins[root] = report.margins[root]
         iterations = max(iterations, report.iterations_run)

@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, roots_jacobi
 
 from .errors import ParameterError
 
@@ -82,6 +80,8 @@ class ReliabilityPrior:
         if r < 0 or c < 0 or c > r:
             raise ParameterError(f"need 0 <= c <= r, got c={c}, r={r}")
         if self.kind == "beta":
+            from scipy.special import gammaln
+
             a, b = self.alpha, self.beta
             return float(
                 gammaln(a + c) + gammaln(b + r - c) - gammaln(a + b + r)
@@ -102,6 +102,8 @@ class ReliabilityPrior:
         """
         if self.kind == "atoms":
             return self.atom_p, self.atom_w
+        from scipy.special import roots_jacobi
+
         npts = max(1, degree // 2 + 1)
         # weight (1-x)^(beta-1) (1+x)^(alpha-1) on [-1,1] maps to the Beta
         # density under p = (1+x)/2
@@ -111,6 +113,8 @@ class ReliabilityPrior:
 
 def _atom_log_factor(p: np.ndarray, w: np.ndarray, cs: np.ndarray, r: int) -> np.ndarray:
     """log sum_k w_k p_k^c (1-p_k)^(r-c) for a vector of match counts."""
+    from scipy.special import logsumexp
+
     cs = cs[None, :].astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         logp = np.log(p)[:, None]
@@ -188,6 +192,8 @@ class FactorTable:
 
     @classmethod
     def build(cls, prior: ReliabilityPrior, r_max: int) -> "FactorTable":
+        from scipy.special import gammaln
+
         if r_max < 0:
             raise ParameterError("r_max must be non-negative")
         table = np.full((r_max + 1, r_max + 1), np.nan)
@@ -205,10 +211,6 @@ class FactorTable:
         table.setflags(write=False)
         return cls(r_max=r_max, log_values=table, atom_p=np.asarray(atom_p),
                    atom_w=np.asarray(atom_w))
-
-    @cached_property
-    def atom_mu(self) -> np.ndarray:
-        return 2.0 * self.atom_p - 1.0
 
     def log_value(self, c: int, r: int) -> float:
         if not (0 <= c <= r <= self.r_max):

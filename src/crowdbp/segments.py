@@ -1,17 +1,22 @@
-"""Vectorized per-segment reductions over edge arrays.
+"""Per-node reductions over edge arrays in natural (CSR-keyed) edge order.
 
-Message sweeps repeatedly need "combine all values of the edges incident
-to this node, possibly excluding one edge".  A :class:`Grouping` caches,
-for one side of the bipartite graph, the stable sort order of edges by
-node id together with a padded rectangular layout, so sums, products and
-leave-one-out products run as a handful of dense numpy operations even
-when degrees are irregular.  Leave-one-out products use exclusive
-prefix/suffix products and therefore never divide, which keeps them exact
-even when individual factors underflow the division guard.
+Message sweeps repeatedly need "sum the values of the edges incident to
+this node", "combine all the other edges of this node" and "give every
+edge its node's value".  A :class:`Grouping` keeps, for one side of the
+bipartite graph, the node id of every edge in natural edge order plus
+the node degrees.  Sums are one ``np.bincount`` over those keys and
+broadcasts are one gather, so the cost is O(edges) whatever the degree
+profile: nothing is padded to the widest node.  Leave-one-out products
+are taken in log space as the segment's total minus the edge's own term,
+with exact zero factors counted rather than divided out.
+
+The stable sort order and CSR offsets (edges listed node by node) are
+built on first use only, for the callers that walk nodes one at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,65 +24,52 @@ import numpy as np
 @dataclass(frozen=True)
 class Grouping:
     n_segments: int
-    order: np.ndarray    # edge ids sorted by segment key, stable
-    offsets: np.ndarray  # (n_segments + 1,) slice bounds into `order`
+    keys: np.ndarray     # (m,) segment id of every edge, natural edge order
     lengths: np.ndarray  # (n_segments,)
-    pad_mask: np.ndarray  # (n_segments, max_length) bool
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Edge ids sorted by segment key, stable."""
+        return np.argsort(self.keys, kind="stable")
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """(n_segments + 1,) slice bounds into ``order``."""
+        return np.concatenate(([0], np.cumsum(self.lengths)))
 
 
 def build_grouping(keys: np.ndarray, n_segments: int) -> Grouping:
-    keys = np.asarray(keys)
-    order = np.argsort(keys, kind="stable")
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
     lengths = np.bincount(keys, minlength=n_segments).astype(np.int64)
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    width = int(lengths.max()) if n_segments > 0 and len(keys) > 0 else 0
-    pad_mask = np.arange(width)[None, :] < lengths[:, None]
-    return Grouping(n_segments, order, offsets, lengths, pad_mask)
-
-
-def _pad(values: np.ndarray, grouping: Grouping, fill: float) -> np.ndarray:
-    """Scatter edge values into the (segments, width, ...) padded layout."""
-    tail = values.shape[1:]
-    width = grouping.pad_mask.shape[1]
-    padded = np.full((grouping.n_segments, width) + tail, fill, dtype=values.dtype)
-    padded[grouping.pad_mask] = values[grouping.order]
-    return padded
+    return Grouping(n_segments, keys, lengths)
 
 
 def segment_sum(values: np.ndarray, grouping: Grouping) -> np.ndarray:
-    return _pad(np.asarray(values, dtype=np.float64), grouping, 0.0).sum(axis=1)
+    """Per segment, the sum of its edges' values, accumulated in edge order."""
+    return np.bincount(grouping.keys, weights=np.asarray(values, dtype=np.float64),
+                       minlength=grouping.n_segments)
 
 
-def segment_prod(values: np.ndarray, grouping: Grouping) -> np.ndarray:
-    padded = _pad(np.asarray(values, dtype=np.float64), grouping, 1.0)
-    # Sorting before reduction makes the product depend only on the multiset
-    # of factors, so two segments holding the same values in different edge
-    # orders round identically (ties then cancel bitwise instead of leaving
-    # sign noise).  The 1.0 padding multiplies exactly wherever it lands.
-    return np.sort(padded, axis=1).prod(axis=1)
+def segment_loo_log1p(y: np.ndarray, grouping: Grouping) -> np.ndarray:
+    """Per edge, log of the product of (1 + y) over the other edges of its segment.
 
-
-def segment_loo_prod(values: np.ndarray, grouping: Grouping) -> np.ndarray:
-    """Per edge, the product of all other values in its segment.
-
-    Returned in natural edge order with the same shape as ``values``.
-    Singleton segments get the empty product 1.
+    Returned in natural edge order; singleton segments get log 1 = 0.  A
+    factor 1 + y == 0 is counted per segment instead of summed as -inf, so
+    exactly the other edges of that segment get -inf and the edge holding
+    the zero keeps the product of the rest.
     """
-    values = np.asarray(values, dtype=np.float64)
-    padded = _pad(values, grouping, 1.0)
-    prefix = np.ones_like(padded)
-    prefix[:, 1:] = np.cumprod(padded, axis=1)[:, :-1]
-    suffix = np.ones_like(padded)
-    suffix[:, :-1] = np.cumprod(padded[:, ::-1], axis=1)[:, ::-1][:, 1:]
-    loo = prefix * suffix
-    out = np.empty_like(values)
-    out[grouping.order] = loo[grouping.pad_mask]
-    return out
+    keys, n = grouping.keys, grouping.n_segments
+    with np.errstate(divide="ignore"):
+        logs = np.log1p(y)
+    zero = logs == -np.inf
+    if not zero.any():
+        return np.bincount(keys, logs, n)[keys] - logs
+    logs[zero] = 0.0
+    loo = np.bincount(keys, logs, n)[keys] - logs
+    loo[np.bincount(keys, zero, n)[keys] - zero > 0] = -np.inf
+    return loo
 
 
 def expand(per_segment: np.ndarray, grouping: Grouping) -> np.ndarray:
     """Broadcast one value per segment back onto its edges, natural order."""
-    per_segment = np.asarray(per_segment)
-    out = np.empty((grouping.order.shape[0],) + per_segment.shape[1:], dtype=per_segment.dtype)
-    out[grouping.order] = np.repeat(per_segment, grouping.lengths, axis=0)
-    return out
+    return np.asarray(per_segment)[grouping.keys]

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -193,6 +194,127 @@ class TestDegeneracy:
         with pytest.raises(cb.NumericDegeneracyError, match="edge"):
             cb.bp_run(g, np.array([1, 1]), perfect,
                       clamp_tasks=np.array([0]), clamp_labels=np.array([-1]))
+
+
+class TestLargeDegrees:
+    """Degrees whose message products underflow a probability-scale product."""
+
+    def test_task_with_a_thousand_answers_decodes(self):
+        a = np.where(np.arange(1000) < 600, 1, -1)
+        report = cb.bp_run(star_graph(1000), a, cb.spammer_hammer(), k_max=3)
+        # Each single-answer worker sends the LLR a * log(0.7 / 0.3).
+        assert report.labels[0] == 1
+        assert report.margins[0] == pytest.approx(np.tanh(100 * np.log(7 / 3)), abs=1e-12)
+
+    def test_worker_with_1200_answers_decodes(self):
+        n = 1200
+        g = cb.AssignmentGraph(n, 1, np.column_stack((np.arange(n), np.zeros(n, dtype=int))))
+        a = np.where(np.arange(n) % 3 == 0, -1, 1)
+        report = cb.bp_run(g, a, cb.spammer_hammer(), k_max=3)
+        # Single-answer tasks tell the worker nothing, so every task gets
+        # the prior-mean margin E[2p - 1] = 0.4 in the direction answered.
+        np.testing.assert_array_equal(report.labels, a)
+        np.testing.assert_allclose(report.margins, 0.4 * a, rtol=0, atol=1e-12)
+
+    def test_prolific_worker_on_forty_percent_of_tasks_decodes(self):
+        prior = cb.spammer_hammer()
+        base = cb.generate_regular_bipartite(3000, 3, 3, seed=11)
+        tasks = np.flatnonzero(cb.rng_from(12).random(3000) < 0.4)
+        prolific = np.column_stack((tasks, np.full(tasks.size, base.n_workers)))
+        g = cb.AssignmentGraph(3000, base.n_workers + 1,
+                               np.concatenate((base.edges, prolific)))
+        assert g.worker_degrees.max() > 1100
+        truth = cb.sample_ground_truth(g, prior, seed=13)
+        answers = cb.sample_answers(g, truth, seed=14)
+        report = cb.bp_run(g, answers, prior, k_max=10)
+        assert np.isfinite(report.margins).all()
+        bp_error = cb.error_rate(report, truth.labels)
+        mv_error = cb.error_rate(cb.majority_vote(g, answers), truth.labels)
+        assert bp_error <= mv_error
+
+
+def naive_pair_sweeps(g, a, prior, k, clamp_tasks, clamp_labels):
+    """k sweeps of the pair-valued pieces with the enumerating worker kernel."""
+    table = FactorTable.build(prior, int(g.worker_degrees.max()))
+    label_of = dict(zip(clamp_tasks.tolist(), clamp_labels.tolist()))
+    pinned = np.array([t in label_of for t in g.edges[:, 0]], dtype=bool)
+    point = np.array([[1.0, 0.0] if label_of.get(t) == 1 else [0.0, 1.0]
+                      for t in g.edges[:, 0]])
+    state = bp_init(g)
+    for _ in range(k):
+        state = bp_update_task_messages(state, g, a)
+        t2w = state.msg_task_to_worker.copy()
+        t2w[pinned] = point[pinned]
+        state = replace(state, msg_task_to_worker=t2w)
+        state = bp_update_worker_messages(state, g, a, table, kernel="naive")
+    beliefs = bp_compute_beliefs(state, g).beliefs
+    margins = beliefs[:, 0] - beliefs[:, 1]
+    margins[clamp_tasks] = clamp_labels
+    return margins
+
+
+def random_loopy_graph(rng, max_tasks=8, max_workers=6, max_degree=8):
+    n_tasks = int(rng.integers(3, max_tasks + 1))
+    n_workers = int(rng.integers(2, max_workers + 1))
+    edges = []
+    for u in range(n_workers):
+        degree = int(rng.integers(1, min(max_degree, n_tasks) + 1))
+        edges += [(int(t), u) for t in rng.choice(n_tasks, size=degree, replace=False)]
+    return cb.AssignmentGraph(n_tasks, n_workers, np.array(edges)[rng.permutation(len(edges))])
+
+
+class TestLlrCore:
+    def test_bp_run_matches_naive_pair_sweeps_on_loopy_graphs(self, rng):
+        for case in range(120):
+            g = random_loopy_graph(rng)
+            a = rng.choice([-1, 1], size=g.n_edges)
+            prior = random_prior(rng)
+            k = int(rng.integers(1, 7))
+            n_clamped = int(rng.integers(0, 3)) if case % 2 else 0
+            clamp_tasks = rng.choice(g.n_tasks, size=n_clamped, replace=False)
+            clamp_labels = rng.choice([-1, 1], size=n_clamped)
+            report = cb.bp_run(g, a, prior, k_max=k, tol=0.0,
+                               clamp_tasks=clamp_tasks, clamp_labels=clamp_labels)
+            expected = naive_pair_sweeps(g, a, prior, k, clamp_tasks, clamp_labels)
+            np.testing.assert_allclose(report.margins, expected, rtol=0, atol=1e-12)
+            decisive = np.abs(expected) > 1e-12
+            np.testing.assert_array_equal(report.labels[decisive],
+                                          cb.decode_labels(expected)[decisive])
+
+    def test_mirror_image_llrs_cancel_exactly_in_any_edge_order(self, rng):
+        g = star_graph(4)
+        pairs = np.array([[0.7, 0.3], [0.6, 0.4], [0.3, 0.7], [0.4, 0.6]])
+        for perm in itertools.permutations(range(4)):
+            state = replace(bp_init(g), msg_worker_to_task=pairs[list(perm)])
+            beliefs = bp_compute_beliefs(state, g).beliefs
+            assert beliefs[0, 0] == beliefs[0, 1] == 0.5
+        # Two tasks, each with three single-answer workers per side, their
+        # edges interleaved in random global orders.
+        edges = np.array([(t, 6 * t + j) for t in range(2) for j in range(6)])
+        answers = np.array([1, 1, 1, -1, -1, -1] * 2)
+        for _ in range(20):
+            perm = rng.permutation(12)
+            g = cb.AssignmentGraph(2, 12, edges[perm])
+            report = cb.bp_run(g, answers[perm], cb.spammer_hammer(), k_max=1)
+            np.testing.assert_array_equal(report.margins, [0.0, 0.0])
+            np.testing.assert_array_equal(report.labels, [1, 1])
+
+    def test_certain_atom_gives_exact_zero_factor(self):
+        # Atoms at p = 1 and p = 0 make (1 + mu A x) exactly 0 against the
+        # certain messages below; the magnetization kernel must count those
+        # zeros, not divide by them.
+        g = cb.AssignmentGraph(3, 1, np.array([[0, 0], [1, 0], [2, 0]]))
+        answers = np.array([1, 1, -1])
+        t2w = np.array([[1.0, 0.0], [0.0, 1.0], [0.65, 0.35]])
+        state = replace(bp_init(g), msg_task_to_worker=t2w)
+        for p, w in (([1.0, 0.8], [0.5, 0.5]), ([0.0, 0.6, 1.0], [0.2, 0.3, 0.5])):
+            table = FactorTable.build(cb.ReliabilityPrior.from_atoms(p, w), 3)
+            with np.errstate(invalid="raise"):
+                fast = bp_update_worker_messages(state, g, answers, table).msg_worker_to_task
+            slow = bp_update_worker_messages(state, g, answers, table,
+                                             kernel="naive").msg_worker_to_task
+            assert np.isfinite(fast).all()
+            np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-13)
 
 
 class TestReportShape:

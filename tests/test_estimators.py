@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -64,6 +67,27 @@ class TestKos:
             cb.kos_run(g, np.array([1]), k_max=0)
         with pytest.raises(cb.ParameterError):
             cb.kos_run(g, np.array([1, 1]))
+
+
+    def test_margins_do_not_depend_on_blas_threads(self):
+        # Large enough that a threaded BLAS reduction splits the vector.
+        script = (
+            "import hashlib, crowdbp as cb\n"
+            "g = cb.generate_regular_bipartite(20000, 5, 5, seed=21)\n"
+            "truth = cb.sample_ground_truth(g, cb.spammer_hammer(), seed=22)\n"
+            "a = cb.sample_answers(g, truth, seed=23)\n"
+            "r = cb.kos_run(g, a, k_max=10, tol=0.0, seed=24)\n"
+            "print(hashlib.sha256(r.margins.tobytes()).hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "4"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=300,
+                                  check=True)
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
 
 
 class TestEbp:

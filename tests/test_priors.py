@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -168,3 +170,12 @@ class TestFactorTable:
         broken = dataclasses.replace(table, log_values=values)
         with pytest.raises(cb.ParameterError):
             cb.check_factor_normalization(broken)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special dominates import time; only Beta priors, factor tables
+    # and exact enumeration need it.
+    script = "import sys, crowdbp; print('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

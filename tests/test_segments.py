@@ -1,7 +1,6 @@
 import numpy as np
 
-from crowdbp.segments import (build_grouping, expand, segment_loo_prod,
-                              segment_prod, segment_sum)
+from crowdbp.segments import build_grouping, expand, segment_loo_log1p, segment_sum
 
 
 def reference_reduce(keys, values, n_segments, op, empty):
@@ -11,7 +10,7 @@ def reference_reduce(keys, values, n_segments, op, empty):
     return np.array(out)
 
 
-def test_sum_and_prod_match_loop_reference():
+def test_sum_and_expand_match_loop_reference():
     rng = np.random.default_rng(1)
     for _ in range(50):
         n_seg = int(rng.integers(1, 8))
@@ -22,31 +21,27 @@ def test_sum_and_prod_match_loop_reference():
         np.testing.assert_allclose(
             segment_sum(values, g),
             reference_reduce(keys, values, n_seg, lambda a, b: a + b, 0.0))
-        np.testing.assert_allclose(
-            segment_prod(values, g),
-            reference_reduce(keys, values, n_seg, lambda a, b: a * b, 1.0))
+        per_segment = rng.uniform(size=n_seg)
+        np.testing.assert_array_equal(expand(per_segment, g),
+                                      [per_segment[k] for k in keys])
+        np.testing.assert_array_equal(g.lengths, np.bincount(keys, minlength=n_seg))
+        for s in range(n_seg):
+            listed = g.order[g.offsets[s]:g.offsets[s + 1]]
+            np.testing.assert_array_equal(listed, np.flatnonzero(keys == s))
 
 
 def test_empty_segments_get_identity_elements():
     g = build_grouping(np.array([2, 2]), 4)
     np.testing.assert_array_equal(segment_sum(np.array([3.0, 4.0]), g), [0, 0, 7, 0])
-    np.testing.assert_array_equal(segment_prod(np.array([3.0, 4.0]), g), [1, 1, 12, 1])
-
-
-def test_prod_depends_only_on_value_multiset():
-    # Two segments holding the same values in different orders must round to
-    # bit-identical products; belief ties rely on this.
-    keys = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-    values = np.array([0.7, 0.3, 0.7, 0.3, 0.3, 0.3, 0.7, 0.7])
-    out = segment_prod(values, build_grouping(keys, 2))
-    assert out[0] == out[1]
 
 
 def test_loo_prod_is_exact_with_zero_factors():
-    keys = np.array([0, 0, 0])
-    values = np.array([0.0, 5.0, 2.0])
-    out = segment_loo_prod(values, build_grouping(keys, 1))
-    np.testing.assert_array_equal(out, [10.0, 0.0, 0.0])
+    keys = np.array([0, 0, 0, 1, 1])
+    factors = np.array([0.0, 5.0, 2.0, 0.0, 0.0])
+    with np.errstate(invalid="raise"):
+        out = np.exp(segment_loo_log1p(factors - 1.0, build_grouping(keys, 2)))
+    np.testing.assert_allclose(out[0], 10.0, rtol=1e-15)
+    np.testing.assert_array_equal(out[1:], [0.0, 0.0, 0.0, 0.0])
 
 
 def test_loo_prod_matches_reference_in_natural_edge_order():
@@ -56,21 +51,11 @@ def test_loo_prod_matches_reference_in_natural_edge_order():
         m = int(rng.integers(1, 20))
         keys = rng.integers(0, n_seg, size=m)
         values = rng.uniform(0.5, 1.5, size=m)
-        out = segment_loo_prod(values, build_grouping(keys, n_seg))
+        out = np.exp(segment_loo_log1p(values - 1.0, build_grouping(keys, n_seg)))
         for e in range(m):
             others = values[(keys == keys[e]) & (np.arange(m) != e)]
             np.testing.assert_allclose(out[e], np.prod(others) if others.size else 1.0,
                                        rtol=1e-12)
-
-
-def test_reductions_support_trailing_component_axis():
-    keys = np.array([0, 1, 0])
-    values = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    g = build_grouping(keys, 2)
-    np.testing.assert_array_equal(segment_sum(values, g), [[6, 8], [3, 4]])
-    np.testing.assert_array_equal(segment_prod(values, g), [[5, 12], [3, 4]])
-    loo = segment_loo_prod(values, g)
-    np.testing.assert_array_equal(loo, [[5, 6], [1, 1], [1, 2]])
 
 
 def test_expand_broadcasts_back_in_natural_order():
