@@ -326,6 +326,10 @@ def bp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
         clamp_labels = np.asarray(clamp_labels, dtype=np.int64)
         if clamp_labels.shape != clamp_tasks.shape:
             raise ParameterError("clamp labels must match clamp tasks")
+        if clamp_tasks.min() < 0 or clamp_tasks.max() >= graph.n_tasks:
+            raise ParameterError(f"clamp task ids must lie in [0, {graph.n_tasks})")
+        if not np.isin(clamp_labels, (-1, 1)).all():
+            raise ParameterError("clamp labels must be -1 or +1")
         pin_edges, pin_llr = _pinned_edges(graph, clamp_tasks, clamp_labels)
 
     lam = np.zeros(graph.n_edges)

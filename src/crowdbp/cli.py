@@ -8,17 +8,16 @@ dataset with one estimator), ``bench`` (run a configured sweep to CSV) and
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
 
 from .errors import DataFormatError, GenerationError, NumericDegeneracyError, ParameterError
 from .graph import generate_regular_bipartite, sample_answers, sample_ground_truth
-from .harness import (Dataset, error_rate, load_dataset, load_experiment_config,
-                      run_experiment, run_inference, save_dataset,
-                      subsample_assignments, theoretical_bounds,
-                      tree_probability_bound, write_metrics_csv)
+from .harness import (Dataset, error_rate, formatted_values, load_dataset,
+                      load_experiment_config, run_experiment, run_inference,
+                      save_dataset, subsample_assignments, theoretical_bounds,
+                      tree_probability_bound, write_metrics_csv, write_rows)
 from .priors import parse_prior_spec
 from .seeding import child_seed
 
@@ -44,13 +43,15 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     report = run_inference(dataset, args.estimator, prior_spec=args.prior,
                            k_max=args.kmax, tol=args.tol,
                            seed=child_seed(args.seed, "estimator"))
+    n_tasks = dataset.graph.n_tasks
+    names = dataset.task_names or tuple(str(i) for i in range(n_tasks))
+    rows = np.arange(n_tasks)
+    labels, label_ids = formatted_values(report.labels, "+d")
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("task", "label", "margin"))
-        names = dataset.task_names or tuple(str(i) for i in range(dataset.graph.n_tasks))
-        for i in range(dataset.graph.n_tasks):
-            writer.writerow((names[i], f"{report.labels[i]:+d}", repr(float(report.margins[i]))))
+        out.write("task,label,margin\n")
+        write_rows(out, [(names, rows), (labels, label_ids),
+                         (list(map(repr, report.margins.tolist())), rows)])
     finally:
         if args.out:
             out.close()

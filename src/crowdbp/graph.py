@@ -45,8 +45,8 @@ class AssignmentGraph:
                 raise ParameterError("edge task id out of range")
             if workers.min() < 0 or workers.max() >= self.n_workers:
                 raise ParameterError("edge worker id out of range")
-            encoded = tasks * self.n_workers + workers
-            if np.unique(encoded).size != encoded.size:
+            encoded = np.sort(tasks * self.n_workers + workers)
+            if (encoded[1:] == encoded[:-1]).any():
                 raise ParameterError("duplicate (task, worker) edge")
         edges.setflags(write=False)
 

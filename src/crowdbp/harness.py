@@ -11,11 +11,14 @@ import csv
 import io
 import json
 import math
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import filterfalse
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .bp import EstimateReport
 from .errors import CrowdBPError, DataFormatError, ParameterError
@@ -89,121 +92,430 @@ _ALPHABETS = {
     "pm1": {"+1": 1, "1": 1, "-1": -1},
     "01": {"1": 1, "0": -1},
 }
+_ALPHABET_NAMES = tuple(_ALPHABETS)
+
+# Characters read per block of lines; rows assembled per write.
+_READ_BLOCK = 1 << 21
+_WRITE_BLOCK = 1 << 16
+# Tokens up to this many UTF-8 bytes are grouped as packed integer keys;
+# longer ones, and those holding a NUL, as strings.
+_KEY_BYTES = 32
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# Line kinds: skipped, comment or directive, split by csv.reader, split on commas.
+_BLANK, _COMMENT, _CSV, _PLAIN = range(4)
 
 
-def _parse_label(token: str, alphabet: str, line_no: int, what: str) -> int:
+class _Column:
+    """The tokens of one CSV column, in row order.
+
+    Tokens of up to ``_KEY_BYTES`` bytes are kept as packed keys and
+    grouped by one sort at the end; the others are interned as strings.
+    """
+
+    def __init__(self) -> None:
+        self.keys: list[np.ndarray] = []   # (rows, words) of NUL-padded little-endian bytes
+        self.texts: dict[str, int] = {}    # string tokens, numbered in first-appearance order
+        self.text_rows: list[np.ndarray] = []
+        self.text_ids: list[np.ndarray] = []
+
+    def add_spans(self, data: bytes, words: np.ndarray, starts: np.ndarray,
+                  stops: np.ndarray, row: int) -> None:
+        """Take the tokens ``data[starts[i]:stops[i]]`` of rows ``row + i``.
+
+        ``words[i]`` holds the 8 bytes of ``data`` from offset ``i``.
+        """
+        lengths = stops - starts
+        long = np.flatnonzero(lengths > _KEY_BYTES)
+        if long.size:
+            self.add_texts(row + long, [data[starts[i]:stops[i]].decode("utf-8", "surrogatepass")
+                                        for i in long.tolist()])
+            starts, lengths = np.delete(starts, long), np.delete(lengths, long)
+        n_words = max(1, -(-int(lengths.max(initial=0)) // 8))
+        keys = np.empty((starts.size, n_words), dtype="<u8")
+        for k in range(n_words):
+            keys[:, k] = words[starts + 8 * k] & _LOW_BYTES[np.clip(lengths - 8 * k, 0, 8)]
+        self.keys.append(keys)
+
+    def add_strings(self, texts: list[str], row: int) -> None:
+        """Take string tokens, none holding a line break, of rows ``row + i``."""
+        data = "\n".join(texts).encode("utf-8", "surrogatepass")
+        if b"\0" in data:  # a NUL would read as key padding
+            self.add_texts(np.arange(row, row + len(texts)), texts)
+            return
+        raw, words = _bytes_and_words(data)
+        self.add_spans(data, words, *_line_bounds(raw, len(data)), row)
+
+    def add_texts(self, rows: np.ndarray, texts: list[str]) -> None:
+        fresh = dict.fromkeys(filterfalse(self.texts.__contains__, texts))
+        self.texts.update(zip(fresh, range(len(self.texts), len(self.texts) + len(fresh))))
+        self.text_rows.append(rows)
+        self.text_ids.append(np.fromiter(map(self.texts.__getitem__, texts), np.int64, len(texts)))
+
+    def intern(self, n_rows: int) -> tuple[list[str], np.ndarray]:
+        """Distinct tokens in first-appearance order and each row's index into them."""
+        n_words = max((k.shape[1] for k in self.keys), default=1)
+        keys = np.concatenate([np.pad(k, ((0, 0), (0, n_words - k.shape[1])))
+                               for k in self.keys] or [np.empty((0, n_words), "<u8")])
+        text_rows = np.concatenate(self.text_rows or [np.empty(0, np.int64)])
+        key_rows = np.delete(np.arange(n_rows), text_rows)
+        order = np.lexsort(keys.T) if n_words > 1 else np.argsort(keys[:, 0])
+        ordered = keys[order]
+        head = np.ones(order.size, dtype=bool)
+        head[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        group = np.empty(order.size, dtype=np.int64)
+        group[order] = np.cumsum(head) - 1
+        heads = np.flatnonzero(head)
+        first = key_rows[np.minimum.reduceat(order, heads)] if heads.size else heads
+        packed = np.ascontiguousarray(ordered[heads]).view(f"S{8 * n_words}").ravel()
+        ids = np.empty(n_rows, dtype=np.int64)
+        if not self.texts:
+            order = np.argsort(first)
+            ids[key_rows] = np.argsort(order)[group]
+            return _decode(packed[order]), ids
+        # Merge string tokens into the grouped ones, keeping the earliest row.
+        first_of = dict(zip(_decode(packed), first.tolist()))
+        text_ids = np.concatenate(self.text_ids)
+        for text, row in zip(self.texts, text_rows[_first_rows(text_ids)].tolist()):
+            if first_of.setdefault(text, row) > row:
+                first_of[text] = row
+        tokens = list(first_of)
+        order = np.argsort(np.fromiter(first_of.values(), np.int64, len(tokens)))
+        rank = np.argsort(order)
+        position = dict(zip(tokens, range(len(tokens))))
+        ids[key_rows] = rank[group]
+        ids[text_rows] = rank[np.fromiter(map(position.__getitem__, self.texts), np.int64,
+                                          len(self.texts))][text_ids]
+        return [tokens[i] for i in order.tolist()], ids
+
+
+def _decode(packed: np.ndarray) -> list[str]:
+    """Strings of NUL-padded UTF-8 keys; tokens hold no newline, so one
+    decode covers them all."""
+    if not packed.size:
+        return []
+    return b"\n".join(packed.tolist()).decode("utf-8", "surrogatepass").split("\n")
+
+
+def _strip_names(tokens: list[str], ids: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """Strip each distinct token once and renumber in first-appearance order."""
+    stripped = list(map(str.strip, tokens))
+    if all(map(operator.is_, stripped, tokens)):
+        return tuple(tokens), ids
+    names = dict.fromkeys(stripped)
+    index = dict(zip(names, range(len(names))))
+    remap = np.fromiter(map(index.__getitem__, stripped), np.int64, len(stripped))
+    return tuple(names), remap[ids]
+
+
+def _bytes_and_words(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """``data`` as bytes, and as the 8-byte little-endian words starting at
+    each offset (an unaligned view).  Zero padding lets a key read run up
+    to ``_KEY_BYTES`` past the end."""
+    padded = data + bytes(_KEY_BYTES + -len(data) % 8)
+    words = as_strided(np.frombuffer(padded, "<u8"), (len(padded) - 7,), (1,))
+    return np.frombuffer(padded, np.uint8), words
+
+
+def _line_bounds(raw: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    stops = np.append(np.flatnonzero(raw == ord("\n")), size)
+    return np.concatenate(([0], stops[:-1] + 1)), stops
+
+
+def _csv_split(lines: list[str]) -> tuple[list[list[str]], csv.Error | None]:
+    """Each line split by its own ``csv.reader``; stops at a csv error."""
     try:
-        return _ALPHABETS[alphabet][token.strip()]
-    except KeyError:
-        raise DataFormatError(
-            f"line {line_no}: bad {what} {token!r} for alphabet {alphabet!r}"
-        ) from None
+        rows = list(csv.reader(lines))
+        if len(rows) == len(lines):  # no quoted field ran on into the next line
+            return rows, None
+    except csv.Error:
+        pass
+    rows = []
+    for line in lines:
+        try:
+            rows.append(next(csv.reader([line])))
+        except csv.Error as exc:
+            return rows, exc
+    return rows, None
+
+
+def _first_rows(ids: np.ndarray) -> np.ndarray:
+    """Row of each id's first appearance, for ids numbered in that order."""
+    return np.flatnonzero(np.diff(np.maximum.accumulate(ids), prepend=-1))
+
+
+class _EdgeCsvReader:
+    """Bulk tokenizer and checker behind ``load_dataset``.
+
+    Lines arrive in blocks.  Within a block, the separators of plain lines
+    are found with numpy over the UTF-8 bytes, and each column's tokens are
+    grouped by packed byte keys, so every distinct token is decoded and
+    converted once.  A line holding ``"`` or a NUL is split by
+    ``csv.reader`` as if on its own.  A line that fails whatever follows it (wrong
+    column count, unknown alphabet, csv error) ends the reading; the
+    per-row checks then run as array operations and the earliest failing
+    line wins.
+    """
+
+    def __init__(self) -> None:
+        self.alphabet = 0
+        self.n_cols: int | None = None
+        self.n_rows = 0
+        self.columns = [_Column() for _ in range(5)]
+        self.line_nos: list[np.ndarray] = []
+        self.alphabets: list[np.ndarray] = []
+        self.stop: DataFormatError | csv.Error | None = None
+
+    def feed(self, block: list[str], line_no: int) -> bool:
+        """Take the lines after ``line_no``; False once a line stopped the file."""
+        lines = list(map(str.strip, block))
+        data = "\n".join(lines).encode("utf-8", "surrogatepass")
+        raw, words = _bytes_and_words(data)
+        starts, stops = _line_bounds(raw, len(data))
+        commas = np.flatnonzero(raw == ord(","))
+        quotes = np.flatnonzero((raw == ord('"')) | (raw == 0))
+        kinds = np.select(
+            [starts == stops, raw[starts] == ord("#"),
+             (np.searchsorted(quotes, stops) > np.searchsorted(quotes, starts))
+             | (stops - starts > csv.field_size_limit())],
+            [_BLANK, _COMMENT, _CSV], _PLAIN)
+        cuts = np.flatnonzero(np.diff(kinds)) + 1
+        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(lines)]):
+            number = line_no + 1 + lo
+            if kinds[lo] == _PLAIN:
+                ok = self._plain_rows(data, words, commas, starts[lo:hi], stops[lo:hi], number)
+            elif kinds[lo] == _CSV:
+                ok = self._csv_rows(lines[lo:hi], number)
+            elif kinds[lo] == _COMMENT:
+                ok = all(self._directive(line, number + i) for i, line in enumerate(lines[lo:hi]))
+            else:
+                ok = True
+            if not ok:
+                return False
+        return True
+
+    def _csv_rows(self, lines: list[str], number: int) -> bool:
+        """Take consecutive lines that ``csv.reader`` must split."""
+        rows, error = _csv_split(lines)
+        n = self._check_fields(np.fromiter(map(len, rows), np.int64, len(rows)), number)
+        if n:
+            for j in range(self.n_cols):
+                self.columns[j].add_strings(list(map(operator.itemgetter(j), rows[:n])),
+                                            self.n_rows)
+            self._add_rows(n, number)
+        if self.stop is None:
+            self.stop = error
+        return self.stop is None
+
+    def _plain_rows(self, data: bytes, words: np.ndarray, commas: np.ndarray,
+                    starts: np.ndarray, stops: np.ndarray, number: int) -> bool:
+        """Take consecutive lines without quotes, the first being line ``number``."""
+        first = np.searchsorted(commas, starts[0])
+        fields = np.searchsorted(commas, stops) - np.searchsorted(commas, starts) + 1
+        n = self._check_fields(fields, number)
+        if n:
+            # Token j of a row lies strictly between bounds[:, j] and bounds[:, j + 1].
+            bounds = np.empty((n, self.n_cols + 1), dtype=np.int64)
+            bounds[:, 0] = starts[:n] - 1
+            bounds[:, 1:-1] = commas[first:first + n * (self.n_cols - 1)].reshape(n, -1)
+            bounds[:, -1] = stops[:n]
+            for j in range(self.n_cols):
+                self.columns[j].add_spans(data, words, bounds[:, j] + 1, bounds[:, j + 1],
+                                          self.n_rows)
+            self._add_rows(n, number)
+        return self.stop is None
+
+    def _directive(self, line: str, number: int) -> bool:
+        body = line.lstrip("#").strip()
+        if body.startswith("alphabet="):
+            name = body[len("alphabet="):].strip()
+            if name not in _ALPHABETS:
+                self.stop = DataFormatError(f"line {number}: unknown alphabet {name!r}")
+                return False
+            self.alphabet = _ALPHABET_NAMES.index(name)
+        return True
+
+    def _check_fields(self, fields: np.ndarray, number: int) -> int:
+        """How many of the lines from ``number`` on have the file's column
+        count; sets ``stop`` at the first that does not."""
+        if not fields.size:
+            return 0
+        if self.n_cols is None:
+            self.n_cols = int(fields[0])
+            if self.n_cols not in (3, 4, 5):
+                self.stop = DataFormatError(
+                    f"line {number}: expected 3-5 columns, got {self.n_cols}")
+                return 0
+        wrong = np.flatnonzero(fields != self.n_cols)
+        if not wrong.size:
+            return fields.size
+        n = int(wrong[0])
+        self.stop = DataFormatError(
+            f"line {number + n}: expected {self.n_cols} columns, got {fields[n]}")
+        return n
+
+    def _add_rows(self, n: int, number: int) -> None:
+        self.line_nos.append(np.arange(number, number + n))
+        self.alphabets.append(np.full(n, self.alphabet, dtype=np.int8))
+        self.n_rows += n
+
+    def dataset(self, path: str) -> Dataset:
+        if not self.n_rows:
+            raise self.stop or DataFormatError(f"{path}: no answer rows found")
+        line_nos = np.concatenate(self.line_nos)
+        alphabets = np.concatenate(self.alphabets)
+        tokens, ids = zip(*(column.intern(self.n_rows)
+                            for column in self.columns[:self.n_cols]))
+        task_names, t = _strip_names(tokens[0], ids[0])
+        worker_names, w = _strip_names(tokens[1], ids[1])
+
+        def labels(j: int) -> np.ndarray:
+            values = np.array([[table.get(token.strip(), 0) for token in tokens[j]]
+                               for table in _ALPHABETS.values()], dtype=np.int64)
+            return values[alphabets, ids[j]]
+
+        def bad_label(j: int, what: str):
+            return lambda e: (f"bad {what} {tokens[j][ids[j][e]]!r} "
+                              f"for alphabet {_ALPHABET_NAMES[alphabets[e]]!r}")
+
+        # (mask, message) per check, in the order one line runs them.
+        key = t * len(worker_names) + w
+        ordered = np.sort(key)
+        repeat = np.zeros(key.size, dtype=bool)
+        if (ordered[1:] == ordered[:-1]).any():
+            repeat[:] = True
+            repeat[np.unique(key, return_index=True)[1]] = False
+        answers = labels(2)
+        checks = [
+            (repeat, lambda e: f"duplicate answer for task {task_names[t[e]]!r}, "
+                               f"worker {worker_names[w[e]]!r}"),
+            (answers == 0, bad_label(2, "answer")),
+        ]
+        truth_labels = reliabilities = None
+        if self.n_cols >= 4:
+            truth = labels(3)
+            truth_labels = truth[_first_rows(t)]
+            checks += [
+                (truth == 0, bad_label(3, "truth label")),
+                (truth != truth_labels[t],
+                 lambda e: f"conflicting truth for task {task_names[t[e]]!r}"),
+            ]
+        if self.n_cols == 5:
+            numbers = np.full(len(tokens[4]), np.nan)
+            parsed = np.ones(len(tokens[4]), dtype=bool)
+            for i, token in enumerate(tokens[4]):
+                try:
+                    numbers[i] = float(token)
+                except ValueError:
+                    parsed[i] = False
+            rel, parsed = numbers[ids[4]], parsed[ids[4]]
+            reliabilities = rel[_first_rows(w)]
+            checks += [
+                (~parsed, lambda e: f"bad reliability {tokens[4][ids[4][e]]!r}"),
+                (parsed & ~((rel >= 0.0) & (rel <= 1.0)),
+                 lambda e: f"reliability {float(rel[e])} outside [0, 1]"),
+                (rel != reliabilities[w],
+                 lambda e: f"conflicting reliability for worker {worker_names[w[e]]!r}"),
+            ]
+        failed = None
+        for mask, message in checks:
+            e = int(mask.argmax())
+            if mask[e] and (failed is None or e < failed[0]):
+                failed = (e, message)
+        if failed is not None:
+            e, message = failed
+            raise DataFormatError(f"line {line_nos[e]}: {message(e)}")
+        if self.stop is not None:
+            raise self.stop
+        return Dataset(
+            graph=AssignmentGraph(len(task_names), len(worker_names), np.column_stack((t, w))),
+            answers=AnswerMatrix(answers),
+            truth_labels=truth_labels,
+            reliabilities=reliabilities,
+            task_names=task_names,
+            worker_names=worker_names,
+        )
 
 
 def load_dataset(path: str, fmt: str = "edge-csv") -> Dataset:
     """Read an edge-list CSV: ``task,worker,answer[,truth[,reliability]]``.
 
     Comment lines start with ``#``; a ``# alphabet=pm1`` or ``# alphabet=01``
-    directive selects the answer encoding (0 maps to -1).  The optional
-    fourth column carries the task's true label and the fifth the worker's
-    reliability; repeated values must agree.  Ids are arbitrary strings and
-    are compacted in order of first appearance.
+    directive selects the answer encoding (0 maps to -1) for the rows after
+    it.  The optional fourth column carries the task's true label and the
+    fifth the worker's reliability; repeated values must agree.  Ids are
+    arbitrary strings and are compacted in order of first appearance.  The
+    first malformed line is reported as ``line N: ...``.
     """
     if fmt != "edge-csv":
         raise ParameterError(f"unknown dataset format {fmt!r}")
-    alphabet = "pm1"
-    task_ids: dict[str, int] = {}
-    worker_ids: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
-    answers: list[int] = []
-    truths: dict[int, int] = {}
-    rels: dict[int, float] = {}
-    n_cols: int | None = None
-    seen: set[tuple[int, int]] = set()
-
+    reader = _EdgeCsvReader()
+    line_no = 0
     with open(path, newline="") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("alphabet="):
-                    alphabet = body[len("alphabet="):].strip()
-                    if alphabet not in _ALPHABETS:
-                        raise DataFormatError(f"line {line_no}: unknown alphabet {alphabet!r}")
-                continue
-            row = next(csv.reader([line]))
-            if n_cols is None:
-                n_cols = len(row)
-                if n_cols not in (3, 4, 5):
-                    raise DataFormatError(
-                        f"line {line_no}: expected 3-5 columns, got {len(row)}")
-            elif len(row) != n_cols:
-                raise DataFormatError(
-                    f"line {line_no}: expected {n_cols} columns, got {len(row)}")
-            t_name, w_name = row[0].strip(), row[1].strip()
-            t = task_ids.setdefault(t_name, len(task_ids))
-            w = worker_ids.setdefault(w_name, len(worker_ids))
-            if (t, w) in seen:
-                raise DataFormatError(
-                    f"line {line_no}: duplicate answer for task {t_name!r}, "
-                    f"worker {w_name!r}")
-            seen.add((t, w))
-            edges.append((t, w))
-            answers.append(_parse_label(row[2], alphabet, line_no, "answer"))
-            if n_cols >= 4:
-                truth = _parse_label(row[3], alphabet, line_no, "truth label")
-                if truths.setdefault(t, truth) != truth:
-                    raise DataFormatError(
-                        f"line {line_no}: conflicting truth for task {t_name!r}")
-            if n_cols == 5:
-                try:
-                    rel = float(row[4])
-                except ValueError:
-                    raise DataFormatError(
-                        f"line {line_no}: bad reliability {row[4]!r}") from None
-                if not 0.0 <= rel <= 1.0:
-                    raise DataFormatError(
-                        f"line {line_no}: reliability {rel} outside [0, 1]")
-                if rels.setdefault(w, rel) != rel:
-                    raise DataFormatError(
-                        f"line {line_no}: conflicting reliability for worker {w_name!r}")
+        while block := handle.readlines(_READ_BLOCK):
+            if not reader.feed(block, line_no):
+                break
+            line_no += len(block)
+    return reader.dataset(path)
 
-    if not edges:
-        raise DataFormatError(f"{path}: no answer rows found")
-    graph = AssignmentGraph(len(task_ids), len(worker_ids), np.asarray(edges))
-    truth_labels = None
-    if n_cols >= 4:
-        truth_labels = np.array([truths[t] for t in range(len(task_ids))])
-    reliabilities = None
-    if n_cols == 5:
-        reliabilities = np.array([rels[w] for w in range(len(worker_ids))])
-    return Dataset(
-        graph=graph,
-        answers=AnswerMatrix(np.asarray(answers)),
-        truth_labels=truth_labels,
-        reliabilities=reliabilities,
-        task_names=tuple(task_ids),
-        worker_names=tuple(worker_ids),
-    )
+
+def _csv_fields(texts) -> list[str]:
+    """``texts`` spelled as csv.writer spells fields of a multi-field row."""
+    texts = list(texts)
+    joined = "".join(texts)
+    if not any(c in joined for c in ',"\r\n'):
+        return texts
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    spelled = []
+    for text in texts:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow((text, ""))
+        spelled.append(buffer.getvalue()[:-2])
+    return spelled
+
+
+def formatted_values(values: np.ndarray, spec: str) -> tuple[list[str], np.ndarray]:
+    """Each distinct value formatted once, and every value's index into them."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return [format(v, spec) for v in distinct], inverse
+
+
+def write_rows(handle, columns) -> None:
+    """Write CSV rows whose field j is ``texts_j[ids_j[row]]``.
+
+    ``columns`` holds one ``(texts, ids)`` pair per field.  Each distinct
+    text is quoted once with csv's own rules, rows are assembled from
+    object-array gathers, and lines end in ``\\n``.
+    """
+    ends = [","] * (len(columns) - 1) + ["\n"]
+    tables = [np.array(_csv_fields(texts), dtype=object) + end
+              for (texts, _), end in zip(columns, ends)]
+    n_rows = len(columns[0][1])
+    for lo in range(0, n_rows, _WRITE_BLOCK):
+        cells = np.empty((min(n_rows - lo, _WRITE_BLOCK), len(columns)), dtype=object)
+        for j, (table, (_, ids)) in enumerate(zip(tables, columns)):
+            cells[:, j] = table[ids[lo:lo + cells.shape[0]]]
+        handle.write("".join(cells.ravel().tolist()))
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
     """Write the edge-list CSV; truth/reliability columns when present."""
-    names_t = dataset.task_names or tuple(str(i) for i in range(dataset.graph.n_tasks))
-    names_w = dataset.worker_names or tuple(str(u) for u in range(dataset.graph.n_workers))
-    a = dataset.answers.answers
+    graph = dataset.graph
+    names_t = dataset.task_names or tuple(str(i) for i in range(graph.n_tasks))
+    names_w = dataset.worker_names or tuple(str(u) for u in range(graph.n_workers))
+    tasks, workers = graph.edges[:, 0], graph.edges[:, 1]
+    columns = [(names_t, tasks), (names_w, workers),
+               (("-1", "+1"), (dataset.answers.answers > 0).astype(np.int64))]
+    if dataset.truth_labels is not None:
+        texts, ids = formatted_values(dataset.truth_labels, "+d")
+        columns.append((texts, ids[tasks]))
+        if dataset.reliabilities is not None:
+            rel = np.asarray(dataset.reliabilities, dtype=np.float64)
+            columns.append((list(map(repr, rel.tolist())), workers))
     with open(path, "w", newline="") as handle:
         handle.write("# alphabet=pm1\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        for e, (t, w) in enumerate(dataset.graph.edges):
-            row = [names_t[t], names_w[w], f"{a[e]:+d}"]
-            if dataset.truth_labels is not None:
-                row.append(f"{dataset.truth_labels[t]:+d}")
-                if dataset.reliabilities is not None:
-                    row.append(repr(float(dataset.reliabilities[w])))
-            writer.writerow(row)
+        write_rows(handle, columns)
 
 
 def subsample_assignments(dataset: Dataset, l_target: int, seed: int) -> Dataset:
@@ -228,7 +540,7 @@ def subsample_assignments(dataset: Dataset, l_target: int, seed: int) -> Dataset
             keep[eids[rng.choice(eids.size, size=l_target, replace=False)]] = True
 
     kept_edges = graph.edges[keep]
-    kept_workers = np.unique(kept_edges[:, 1])
+    kept_workers = np.flatnonzero(np.bincount(kept_edges[:, 1], minlength=graph.n_workers))
     remap = np.full(graph.n_workers, -1, dtype=np.int64)
     remap[kept_workers] = np.arange(kept_workers.size)
     new_edges = np.column_stack((kept_edges[:, 0], remap[kept_edges[:, 1]]))

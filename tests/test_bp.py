@@ -178,6 +178,22 @@ class TestClamping:
             cb.bp_run(g, np.array([1]), cb.spammer_hammer(),
                       clamp_tasks=np.array([0]), clamp_labels=np.array([1, 1]))
 
+    @pytest.mark.parametrize("tasks", [[-1], [3], [0, -3]])
+    def test_out_of_range_clamp_tasks_rejected(self, tasks):
+        # A negative id used to wrap around: [-1] clamped the last task.
+        g = cb.AssignmentGraph(3, 1, np.array([[0, 0], [1, 0], [2, 0]]))
+        with pytest.raises(cb.ParameterError, match="clamp task"):
+            cb.bp_run(g, np.array([1, 1, 1]), cb.spammer_hammer(),
+                      clamp_tasks=np.array(tasks), clamp_labels=np.ones(len(tasks), int))
+
+    @pytest.mark.parametrize("label", [0, 2, -2])
+    def test_clamp_labels_outside_plus_minus_one_rejected(self, label):
+        # Any label other than 1 used to pin the task to -1.
+        g = cb.AssignmentGraph(2, 1, np.array([[0, 0], [1, 0]]))
+        with pytest.raises(cb.ParameterError, match="clamp label"):
+            cb.bp_run(g, np.array([1, 1]), cb.spammer_hammer(),
+                      clamp_tasks=np.array([0]), clamp_labels=np.array([label]))
+
 
 class TestDegeneracy:
     def test_contradicted_perfect_workers_name_the_task(self):
