@@ -17,7 +17,7 @@ from .errors import (CrowdBPError, DataFormatError, GenerationError,
 from .estimators import (EstimatorSpec, ebp_run, em_run, kos_run, majority_vote,
                          oracle_work)
 from .exact import (SpanningTree, brute_force_marginals, exact_conditional_gain,
-                    extract_bfs_tree, khop_subgraph, oracle_task_estimate,
+                    extract_bfs_tree, oracle_task_estimate,
                     subset_monotonicity_check)
 from .graph import (AnswerMatrix, AssignmentGraph, GroundTruth,
                     generate_regular_bipartite, sample_answers, sample_ground_truth)
@@ -41,7 +41,7 @@ __all__ = [
     "brute_force_marginals", "check_factor_normalization", "child_seed",
     "decode_labels", "ebp_run", "em_run", "empirical_prior", "error_rate",
     "exact_conditional_gain", "extract_bfs_tree", "generate_regular_bipartite",
-    "khop_subgraph", "kos_run", "load_dataset", "load_experiment_config",
+    "kos_run", "load_dataset", "load_experiment_config",
     "majority_vote", "metrics_csv_text", "nearest_feasible_n", "oracle_task_estimate",
     "oracle_work", "parse_prior_spec", "rng_from", "run_experiment", "run_inference",
     "sample_answers", "sample_ground_truth", "save_dataset", "spammer_hammer",

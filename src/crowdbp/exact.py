@@ -71,6 +71,15 @@ def brute_force_marginals(graph: AssignmentGraph, answers: AnswerMatrix | np.nda
     return pairs
 
 
+# Edge and node visits one block of roots may make: a block holds this many
+# over (edges + tasks + workers) roots.  The block BFS keeps node flags per
+# root and, per level, one candidate per frontier edge, about 60 bytes per
+# visit in all, so this caps its temporaries (about 1 MB) and the forest
+# handed to ``bp_run`` whatever the graph size.  A larger cap saves only
+# per-block overhead, and bench threads each hold a block at once.
+_BLOCK_VISITS = 1 << 14
+
+
 @dataclass(frozen=True)
 class SpanningTree:
     """BFS spanning subtree of one root's component.
@@ -78,76 +87,134 @@ class SpanningTree:
     ``tree_edges`` are edge ids into the parent graph, ascending.
     ``boundary_tasks`` are the component's tasks incident to at least one
     non-tree edge.  ``depth`` is the largest hop distance from the root.
+    ``region_edges`` (ascending) are the tree edges reachable from the root
+    without passing through a boundary task: once the boundary labels are
+    revealed, the root's posterior depends on the answers on these alone.
     """
 
     root: int
     tree_edges: np.ndarray
     boundary_tasks: np.ndarray
     depth: int
+    region_edges: np.ndarray
+
+
+@dataclass(frozen=True)
+class _BfsForest:
+    """BFS spanning trees of a block of roots, one copy of the graph per slot.
+
+    Per tree edge: its root's slot, its edge id and whether it lies in the
+    root's region.  ``boundary`` flags (slot, task) pairs at index
+    ``slot * n_tasks + task``; ``depth`` and ``region_depth`` (the deepest
+    region edge's level plus one) are per slot.
+    """
+
+    slot: np.ndarray
+    edge: np.ndarray
+    in_region: np.ndarray
+    boundary: np.ndarray
+    depth: np.ndarray
+    region_depth: np.ndarray
+
+
+def _adjacency(graph: AssignmentGraph) -> list[tuple[np.ndarray, ...]]:
+    """Per side (tasks, workers): CSR offsets, degrees, and the edge ids and
+    neighbor ids listed node by node with neighbors ascending."""
+    edges = graph.edges
+    sides = []
+    for own, grouping in ((0, graph.by_task), (1, graph.by_worker)):
+        order = np.lexsort((edges[:, 1 - own], edges[:, own]))
+        sides.append((grouping.offsets, grouping.lengths, order, edges[order, 1 - own]))
+    return sides
+
+
+def _bfs_forest(graph: AssignmentGraph, roots: np.ndarray,
+                adjacency: list[tuple[np.ndarray, ...]]) -> _BfsForest:
+    """Level-synchronous BFS from every root of a block at once.
+
+    Each slot reproduces the sequential FIFO BFS that visits neighbors by
+    ascending id: a node is claimed by its earliest-queued neighbor, and a
+    level is queued by (claiming parent's position, node id).  The frontier
+    is kept in queue order slot by slot and expanded over the sorted
+    adjacency, so candidates come out in (slot, parent position, node id)
+    order: a node's claim is its first candidate, and the claims, in
+    candidate order, are the next level's queue.
+    """
+    edges = graph.edges
+    n_nodes = (graph.n_tasks, graph.n_workers)
+    n_slots = roots.size
+    seen = [np.zeros(n_slots * n, dtype=bool) for n in n_nodes]
+    # Per (slot, node): the rank of its first candidate among a level's fresh ones.
+    first = [np.empty(n_slots * n, dtype=np.int64) for n in n_nodes]
+    slot = np.arange(n_slots)
+    node = roots
+    seen[0][slot * n_nodes[0] + node] = True
+    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    side = 0
+    while True:
+        offsets, lengths, adj_edge, adj_node = adjacency[side]
+        other = 1 - side
+        counts = lengths[node]
+        ends = np.cumsum(counts)
+        flat = (np.arange(ends[-1] if ends.size else 0)
+                + np.repeat(offsets[node] - (ends - counts), counts))
+        cand_slot = np.repeat(slot, counts)
+        key = cand_slot * n_nodes[other] + adj_node[flat]
+        fresh = np.flatnonzero(~seen[other][key])
+        if fresh.size == 0:
+            break
+        fresh_key, rank = key[fresh], np.arange(fresh.size)
+        first[other][fresh_key] = fresh.size
+        np.minimum.at(first[other], fresh_key, rank)
+        claim = fresh[first[other][fresh_key] == rank]
+        seen[other][key[claim]] = True
+        slot, node = cand_slot[claim], adj_node[flat[claim]]
+        levels.append((slot, adj_edge[flat[claim]], key[claim]))
+        side = other
+
+    n_tasks = n_nodes[0]
+    if levels:
+        tree_slot = np.concatenate([level[0] for level in levels])
+        tree_edge = np.concatenate([level[1] for level in levels])
+    else:
+        tree_slot = tree_edge = np.empty(0, dtype=np.int64)
+    tree_degree = np.bincount(tree_slot * n_tasks + edges[tree_edge, 0],
+                              minlength=n_slots * n_tasks)
+    boundary = seen[0] & (tree_degree < np.tile(graph.task_degrees, n_slots))
+
+    # A tree edge lies in its root's region when its parent is open: the
+    # root, a region worker, or a region task that is not a boundary task.
+    is_open = [np.zeros(n_slots * n, dtype=bool) for n in n_nodes]
+    is_open[0][np.arange(n_slots) * n_tasks + roots] = True
+    depth = np.zeros(n_slots, dtype=np.int64)
+    region_depth = np.zeros(n_slots, dtype=np.int64)
+    in_region = []
+    for level, (slot, edge, child) in enumerate(levels):
+        parent_side = level % 2
+        inside = is_open[parent_side][slot * n_nodes[parent_side] + edges[edge, parent_side]]
+        opened = child[inside]
+        if parent_side == 1:
+            opened = opened[~boundary[opened]]
+        is_open[1 - parent_side][opened] = True
+        depth[slot] = level + 1
+        region_depth[slot[inside]] = level + 1
+        in_region.append(inside)
+    in_region = np.concatenate(in_region) if in_region else np.empty(0, dtype=bool)
+    return _BfsForest(tree_slot, tree_edge, in_region, boundary, depth, region_depth)
 
 
 def extract_bfs_tree(graph: AssignmentGraph, root: int) -> SpanningTree:
     """Deterministic BFS spanning tree: FIFO queue, neighbors by ascending id.
 
-    Implemented level-synchronously: every undiscovered node adjacent to the
-    current level is claimed by its earliest-queued neighbor, and the new
-    level is queued sorted by (claiming parent's position, node id), which
-    reproduces the sequential ascending-id BFS exactly.
+    The one-root call of the block BFS that ``oracle_task_estimate`` runs.
     """
     if not 0 <= root < graph.n_tasks:
         raise ParameterError(f"root {root} out of range")
-    edges = graph.edges
-    dist_task = np.full(graph.n_tasks, -1, dtype=np.int64)
-    dist_worker = np.full(graph.n_workers, -1, dtype=np.int64)
-    pos_task = np.full(graph.n_tasks, -1, dtype=np.int64)
-    pos_worker = np.full(graph.n_workers, -1, dtype=np.int64)
-    dist_task[root] = 0
-    pos_task[root] = 0
-    counter = 1
-    depth = 0
-    tree_levels: list[np.ndarray] = []
-    while True:
-        task_side = depth % 2 == 0
-        if task_side:
-            cand = np.flatnonzero((dist_task[edges[:, 0]] == depth) & (dist_worker[edges[:, 1]] < 0))
-        else:
-            cand = np.flatnonzero((dist_worker[edges[:, 1]] == depth) & (dist_task[edges[:, 0]] < 0))
-        if cand.size == 0:
-            break
-        if task_side:
-            child = edges[cand, 1]
-            parent_pos = pos_task[edges[cand, 0]]
-        else:
-            child = edges[cand, 0]
-            parent_pos = pos_worker[edges[cand, 1]]
-        order = np.lexsort((parent_pos, child))
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = child[order][1:] != child[order][:-1]
-        chosen = cand[order[first]]
-        new_nodes = child[order[first]]
-        claim_pos = parent_pos[order[first]]
-        enqueue = np.lexsort((new_nodes, claim_pos))
-        new_sorted = new_nodes[enqueue]
-        if task_side:
-            dist_worker[new_sorted] = depth + 1
-            pos_worker[new_sorted] = counter + np.arange(new_sorted.size)
-        else:
-            dist_task[new_sorted] = depth + 1
-            pos_task[new_sorted] = counter + np.arange(new_sorted.size)
-        counter += new_sorted.size
-        tree_levels.append(chosen)
-        depth += 1
-
-    if tree_levels:
-        tree_edges = np.sort(np.concatenate(tree_levels))
-    else:
-        tree_edges = np.empty(0, dtype=np.int64)
-    in_component = dist_task[edges[:, 0]] >= 0
-    in_tree = np.zeros(graph.n_edges, dtype=bool)
-    in_tree[tree_edges] = True
-    boundary_tasks = np.unique(edges[in_component & ~in_tree, 0])
-    return SpanningTree(root=root, tree_edges=tree_edges,
-                        boundary_tasks=boundary_tasks, depth=depth)
+    forest = _bfs_forest(graph, np.array([root], dtype=np.int64), _adjacency(graph))
+    return SpanningTree(root=root, tree_edges=np.sort(forest.edge),
+                        boundary_tasks=np.flatnonzero(forest.boundary),
+                        depth=int(forest.depth[0]),
+                        region_edges=np.sort(forest.edge[forest.in_region]))
 
 
 def oracle_task_estimate(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
@@ -158,63 +225,47 @@ def oracle_task_estimate(graph: AssignmentGraph, answers: AnswerMatrix | np.ndar
     spanning subtree plus the true labels of tasks touching non-tree edges,
     and decodes the root's exact conditional posterior.  Roots never touch
     a non-tree edge themselves, so no root is conditioned on its own label.
+
+    A revealed boundary task screens off everything beyond it, so each root
+    is decoded on its region (see :class:`SpanningTree`) alone.  Roots run
+    in blocks sized to a fixed visit budget: one BFS for the whole block,
+    then one ``bp_run`` on the disjoint forest of its regions with the
+    boundary tasks clamped.  Tasks without answers get margin 0.
     """
     a = answer_values(answers)
+    if a.shape[0] != graph.n_edges:
+        raise ParameterError("answers length does not match graph")
     labels = np.asarray(truth.labels, dtype=np.int64)
     if labels.shape[0] != graph.n_tasks:
         raise ParameterError("truth labels length does not match graph")
-    margins = np.zeros(graph.n_tasks)
+    n_tasks, n_workers = graph.n_tasks, graph.n_workers
+    margins = np.zeros(n_tasks)
     iterations = 0
-    for root in range(graph.n_tasks):
-        tree = extract_bfs_tree(graph, root)
-        if tree.tree_edges.size == 0:
-            continue
-        sub = graph.with_edges(tree.tree_edges)
-        report = bp_run(
-            sub, a[tree.tree_edges], prior,
-            k_max=tree.depth // 2 + 2, tol=0.0,
-            clamp_tasks=tree.boundary_tasks,
-            clamp_labels=labels[tree.boundary_tasks],
-        )
-        margins[root] = report.margins[root]
+    adjacency = _adjacency(graph)
+    roots = np.flatnonzero(graph.task_degrees)
+    block = max(1, _BLOCK_VISITS // max(1, graph.n_edges + n_tasks + n_workers))
+    for start in range(0, roots.size, block):
+        block_roots = roots[start:start + block]
+        forest = _bfs_forest(graph, block_roots, adjacency)
+        slot = forest.slot[forest.in_region]
+        edge = forest.edge[forest.in_region]
+        # Slot by slot in edge order: each node sums its edges in the order
+        # a subgraph of the whole tree would.
+        order = np.lexsort((edge, slot))
+        slot, edge = slot[order], edge[order]
+        task_ids, task_of = np.unique(slot * n_tasks + graph.edges[edge, 0], return_inverse=True)
+        worker_ids, worker_of = np.unique(slot * n_workers + graph.edges[edge, 1],
+                                          return_inverse=True)
+        regions = AssignmentGraph(task_ids.size, worker_ids.size,
+                                  np.column_stack((task_of, worker_of)))
+        clamped = np.flatnonzero(forest.boundary[task_ids])
+        report = bp_run(regions, a[edge], prior,
+                        k_max=int(forest.region_depth.max()) // 2 + 2, tol=0.0,
+                        clamp_tasks=clamped, clamp_labels=labels[task_ids[clamped] % n_tasks])
+        at_root = np.searchsorted(task_ids, np.arange(block_roots.size) * n_tasks + block_roots)
+        margins[block_roots] = report.margins[at_root]
         iterations = max(iterations, report.iterations_run)
     return make_report(margins, iterations, converged=True, max_delta=0.0)
-
-
-def _bfs_distances(graph: AssignmentGraph, root: int) -> tuple[np.ndarray, np.ndarray]:
-    edges = graph.edges
-    dist_task = np.full(graph.n_tasks, -1, dtype=np.int64)
-    dist_worker = np.full(graph.n_workers, -1, dtype=np.int64)
-    dist_task[root] = 0
-    depth = 0
-    while True:
-        if depth % 2 == 0:
-            mask = (dist_task[edges[:, 0]] == depth) & (dist_worker[edges[:, 1]] < 0)
-            new = np.unique(edges[mask, 1])
-            dist_worker[new] = depth + 1
-        else:
-            mask = (dist_worker[edges[:, 1]] == depth) & (dist_task[edges[:, 0]] < 0)
-            new = np.unique(edges[mask, 0])
-            dist_task[new] = depth + 1
-        if new.size == 0:
-            break
-        depth += 1
-    return dist_task, dist_worker
-
-
-def khop_subgraph(graph: AssignmentGraph, root: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Edges within 2k hops of the root and the tasks at exactly 2k hops
-    that still touch an edge outside the ball."""
-    if k < 1:
-        raise ParameterError("k must be at least 1")
-    dist_task, dist_worker = _bfs_distances(graph, root)
-    edges = graph.edges
-    dt = dist_task[edges[:, 0]]
-    dw = dist_worker[edges[:, 1]]
-    inside = (dt >= 0) & (dt <= 2 * k) & (dw >= 0) & (dw <= 2 * k)
-    outside_touch = (dt == 2 * k) & ~inside
-    boundary = np.unique(edges[outside_touch, 0])
-    return np.flatnonzero(inside), boundary
 
 
 def _gain_masses(graph: AssignmentGraph, prior: ReliabilityPrior, root: int,

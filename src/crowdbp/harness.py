@@ -238,6 +238,24 @@ def _csv_split(lines: list[str]) -> tuple[list[list[str]], csv.Error | None]:
     return rows, None
 
 
+def _undecodable_line(data: bytes) -> int | None:
+    """Index of the first line of ``data`` that held an undecodable byte.
+
+    The file is read with ``errors="surrogateescape"``, which turns each
+    such byte into a lone surrogate; decoded text never holds one, and in
+    UTF-8 (with ``surrogatepass``) a surrogate is the lead byte 0xED
+    followed by a byte of at least 0xA0.
+    """
+    at = data.find(b"\xed")
+    if at < 0:
+        return None
+    raw = np.frombuffer(data, np.uint8)[at:]
+    hits = np.flatnonzero((raw[:-1] == 0xED) & (raw[1:] >= 0xA0))
+    if not hits.size:
+        return None
+    return data.count(b"\n", 0, at + int(hits[0]))
+
+
 def _first_rows(ids: np.ndarray) -> np.ndarray:
     """Row of each id's first appearance, for ids numbered in that order."""
     return np.flatnonzero(np.diff(np.maximum.accumulate(ids), prepend=-1))
@@ -256,19 +274,26 @@ class _EdgeCsvReader:
     line wins.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, encoding: str) -> None:
+        self.encoding = encoding
         self.alphabet = 0
         self.n_cols: int | None = None
         self.n_rows = 0
         self.columns = [_Column() for _ in range(5)]
         self.line_nos: list[np.ndarray] = []
         self.alphabets: list[np.ndarray] = []
-        self.stop: DataFormatError | csv.Error | None = None
+        self.stop: DataFormatError | None = None
 
     def feed(self, block: list[str], line_no: int) -> bool:
         """Take the lines after ``line_no``; False once a line stopped the file."""
         lines = list(map(str.strip, block))
         data = "\n".join(lines).encode("utf-8", "surrogatepass")
+        bad = _undecodable_line(data)
+        if bad is not None:
+            if self.feed(block[:bad], line_no):
+                self.stop = DataFormatError(
+                    f"line {line_no + 1 + bad}: not valid {self.encoding} text")
+            return False
         raw, words = _bytes_and_words(data)
         starts, stops = _line_bounds(raw, len(data))
         commas = np.flatnonzero(raw == ord(","))
@@ -302,8 +327,8 @@ class _EdgeCsvReader:
                 self.columns[j].add_strings(list(map(operator.itemgetter(j), rows[:n])),
                                             self.n_rows)
             self._add_rows(n, number)
-        if self.stop is None:
-            self.stop = error
+        if self.stop is None and error is not None:
+            self.stop = DataFormatError(f"line {number + len(rows)}: {error}")
         return self.stop is None
 
     def _plain_rows(self, data: bytes, words: np.ndarray, commas: np.ndarray,
@@ -444,13 +469,15 @@ def load_dataset(path: str, fmt: str = "edge-csv") -> Dataset:
     it.  The optional fourth column carries the task's true label and the
     fifth the worker's reliability; repeated values must agree.  Ids are
     arbitrary strings and are compacted in order of first appearance.  The
-    first malformed line is reported as ``line N: ...``.
+    first malformed line is reported as ``line N: ...``; a line that is not
+    valid text in the file's encoding or that ``csv.reader`` rejects is
+    malformed too.
     """
     if fmt != "edge-csv":
         raise ParameterError(f"unknown dataset format {fmt!r}")
-    reader = _EdgeCsvReader()
     line_no = 0
-    with open(path, newline="") as handle:
+    with open(path, newline="", errors="surrogateescape") as handle:
+        reader = _EdgeCsvReader(handle.encoding)
         while block := handle.readlines(_READ_BLOCK):
             if not reader.feed(block, line_no):
                 break
@@ -499,9 +526,35 @@ def write_rows(handle, columns) -> None:
         handle.write("".join(cells.ravel().tolist()))
 
 
+def _check_names(names: tuple[str, ...], what: str) -> None:
+    """Raise ``ParameterError`` on the first name ``load_dataset`` would not
+    give back: it reads lines before fields, strips names, takes a line
+    whose first field starts with ``#`` as a comment, and merges equal names."""
+    seen: set[str] = set()
+    for name in names:
+        if "\n" in name or "\r" in name:
+            problem = "holds a line break"
+        elif name != name.strip():
+            problem = "has leading or trailing whitespace"
+        elif what == "task" and name.startswith("#") and not any(c in name for c in ',"'):
+            problem = "would turn its rows into comments"
+        elif name in seen:
+            problem = "appears twice"
+        else:
+            seen.add(name)
+            continue
+        raise ParameterError(f"{what} name {name!r} {problem}; the file would not load back")
+
+
 def save_dataset(dataset: Dataset, path: str) -> None:
-    """Write the edge-list CSV; truth/reliability columns when present."""
+    """Write the edge-list CSV; truth/reliability columns when present.
+
+    Names that would load back differently are refused with
+    ``ParameterError`` before anything is written.
+    """
     graph = dataset.graph
+    _check_names(dataset.task_names, "task")
+    _check_names(dataset.worker_names, "worker")
     names_t = dataset.task_names or tuple(str(i) for i in range(graph.n_tasks))
     names_w = dataset.worker_names or tuple(str(u) for u in range(graph.n_workers))
     tasks, workers = graph.edges[:, 0], graph.edges[:, 1]

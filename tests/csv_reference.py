@@ -3,16 +3,22 @@
 These are the original row-at-a-time loops that ``harness.load_dataset``,
 ``harness.save_dataset`` and ``crowdbp infer`` replaced with bulk code.
 The equivalence tests hold the bulk code to them: same ``Dataset`` fields,
-same ``DataFormatError`` text and same output bytes.
+same ``DataFormatError`` text and same output bytes.  Lines that are not
+valid text in the file's encoding, and lines that ``csv.reader`` rejects,
+fail as ``DataFormatError`` with their line number.
 """
 from __future__ import annotations
 
 import csv
+import re
 
 import numpy as np
 
 from crowdbp import AnswerMatrix, AssignmentGraph, DataFormatError, Dataset
 from crowdbp.harness import _ALPHABETS
+
+# What undecodable bytes turn into when read with errors="surrogateescape".
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def _parse_label(token: str, alphabet: str, line_no: int, what: str) -> int:
@@ -35,8 +41,10 @@ def load_dataset_per_line(path: str) -> Dataset:
     n_cols: int | None = None
     seen: set[tuple[int, int]] = set()
 
-    with open(path, newline="") as handle:
+    with open(path, newline="", errors="surrogateescape") as handle:
         for line_no, raw in enumerate(handle, start=1):
+            if _UNDECODED.search(raw):
+                raise DataFormatError(f"line {line_no}: not valid {handle.encoding} text")
             line = raw.strip()
             if not line:
                 continue
@@ -47,7 +55,10 @@ def load_dataset_per_line(path: str) -> Dataset:
                     if alphabet not in _ALPHABETS:
                         raise DataFormatError(f"line {line_no}: unknown alphabet {alphabet!r}")
                 continue
-            row = next(csv.reader([line]))
+            try:
+                row = next(csv.reader([line]))
+            except csv.Error as exc:
+                raise DataFormatError(f"line {line_no}: {exc}") from None
             if n_cols is None:
                 n_cols = len(row)
                 if n_cols not in (3, 4, 5):

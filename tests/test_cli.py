@@ -105,6 +105,17 @@ class TestInfer:
         assert rc == 3
         assert "data error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [
+        b"t,w,+1\ns\xe9,w,-1\n",
+        b't,w,+1\n"' + b"x" * 140_000 + b'",w,-1\n',
+    ], ids=["undecodable-byte", "oversized-field"])
+    def test_unreadable_data_exit_3(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        rc = main(["infer", "--data", str(bad), "--estimator", "mv"])
+        assert rc == 3
+        assert "data error: line 2:" in capsys.readouterr().err
+
     def test_unknown_estimator_exit_2(self, tmp_path):
         data = simulate(tmp_path)
         rc = main(["infer", "--data", str(data), "--estimator", "wat"])

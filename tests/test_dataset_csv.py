@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -112,17 +113,21 @@ def random_csv(rng, n_rows, n_cols, errors=()):
             cells = cells[:-1] if rng.random() < 0.5 else cells + ["extra"]
         elif kind == "alphabet":
             lines.append("# alphabet=spam")
+        elif kind == "undecodable":
+            # written as the lone byte 0xE9 (see write_lines)
+            cells[int(rng.integers(len(cells)))] += "\udce9"
         lines.append(",".join(cells))
     return lines
 
 
 def write_lines(path, rng, lines):
     ends = rng.choice(LINE_ENDS, size=len(lines))
-    path.write_bytes("".join(line + end for line, end in zip(lines, ends)).encode("utf-8"))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
 
 
 ERROR_KINDS = ["duplicate", "answer", "truth", "truth_conflict", "rel_parse", "range",
-               "rel_conflict", "columns", "alphabet"]
+               "rel_conflict", "columns", "alphabet", "undecodable"]
 
 
 class TestReaderMatchesPerLineReference:
@@ -237,8 +242,29 @@ class TestReaderMatchesPerLineReference:
         assert_same_outcome(path)
         path.write_text("a,w,+1\n" + "x" * (csv.field_size_limit() + 1) + ",w,+1\n")
         assert_same_outcome(path)
-        with pytest.raises(csv.Error):
+        with pytest.raises(cb.DataFormatError, match="^line 2: field larger than field limit"):
             cb.load_dataset(str(path))
+        path.write_text('a,w,+1\nb,v,-1\n"' + "y" * 140_000 + '",w,+1\n')
+        assert_same_outcome(path)
+        with pytest.raises(cb.DataFormatError, match="^line 3: field larger than field limit"):
+            cb.load_dataset(str(path))
+
+    def test_undecodable_bytes_are_a_format_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        for content, line in [(b"a,w,+1\nb\xe9,w,-1\nc,w,+1\n", 2),
+                              (b"a,w,+1\r\n# caf\xe9\r\nb,w,-1\r\n", 2),
+                              (b"a,w,+1\n\"b\xe9,c\",w,-1\n", 2),
+                              (b"\xff\xfea,w,+1\n", 1),
+                              # an earlier failing row still wins
+                              (b"a,w,+1\na,w,-1\nb\xe9,w,+1\n", 2)]:
+            path.write_bytes(content)
+            assert_same_outcome(path)
+            with pytest.raises(cb.DataFormatError, match=f"^line {line}: "):
+                cb.load_dataset(str(path))
+        # Valid three-byte characters that share the lead byte 0xED stay names.
+        path.write_text("\ud55c,w,+1\n\ud7a3,w,-1\n")
+        assert cb.load_dataset(str(path)).task_names == ("\ud55c", "\ud7a3")
+        assert_same_outcome(path)
 
     def test_long_name_needs_no_rows_by_width_buffer(self, tmp_path):
         name = "n" * 100_000
@@ -301,6 +327,37 @@ class TestWriters:
         np.testing.assert_array_equal(loaded.answers.answers, dataset.answers.answers)
         np.testing.assert_array_equal(loaded.truth_labels, dataset.truth_labels)
         np.testing.assert_array_equal(loaded.reliabilities, dataset.reliabilities)
+
+    @pytest.mark.parametrize("tasks, workers, refused", [
+        (("#c", "d"), ("w",), ("task", "#c")),
+        (("a", "b\nc"), ("w",), ("task", "b\nc")),
+        ((" e ", "f"), ("w",), ("task", " e ")),
+        (("a", "b"), ("w\r",), ("worker", "w\r")),
+        (("a", "a"), ("w",), ("task", "a")),
+        (("a", "b"), ("w\u2028",), ("worker", "w\u2028")),
+    ])
+    def test_names_that_cannot_round_trip_are_refused(self, tmp_path, tasks, workers,
+                                                      refused):
+        dataset = cb.Dataset(
+            graph=cb.AssignmentGraph(2, 1, np.array([[0, 0], [1, 0]])),
+            answers=cb.AnswerMatrix(np.array([1, -1])),
+            task_names=tasks, worker_names=workers)
+        what, name = refused
+        path = tmp_path / "names.csv"
+        with pytest.raises(cb.ParameterError, match="^" + re.escape(f"{what} name {name!r} ")):
+            cb.save_dataset(dataset, str(path))
+        assert not path.exists()
+
+    def test_names_that_only_look_like_comments_round_trip(self, tmp_path):
+        dataset = cb.Dataset(
+            graph=cb.AssignmentGraph(3, 2, np.array([[0, 0], [1, 0], [2, 1]])),
+            answers=cb.AnswerMatrix(np.array([1, -1, 1])),
+            task_names=("#a,b", 'say "#"', "c#"), worker_names=("#w", "a\x1cb"))
+        path = tmp_path / "hash.csv"
+        cb.save_dataset(dataset, str(path))
+        loaded = cb.load_dataset(str(path))
+        assert loaded.task_names == dataset.task_names
+        assert loaded.worker_names == dataset.worker_names
 
     def test_infer_quotes_task_names_like_csv_writer(self, tmp_path):
         path, out = tmp_path / "tricky.csv", tmp_path / "labels.csv"

@@ -1,10 +1,14 @@
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
 
 import crowdbp as cb
+from crowdbp import exact
 from tests.conftest import random_atom_prior, random_bipartite_tree, random_prior, random_small_graph
+from tests.khop import khop_subgraph
+from tests.oracle_reference import reference_oracle_task_estimate
 
 
 def path_graph():
@@ -53,6 +57,39 @@ def reference_bfs(graph: cb.AssignmentGraph, root: int):
                        if eid not in in_tree and int(graph.edges[eid, 0]) in dist_t})
     return (np.sort(np.array(tree, dtype=np.int64)) if tree else np.empty(0, dtype=np.int64),
             np.array(boundary, dtype=np.int64), depth)
+
+
+def reference_region(graph: cb.AssignmentGraph, tree: cb.SpanningTree) -> np.ndarray:
+    """Tree edges reachable from the root without passing through a boundary task."""
+    boundary = set(tree.boundary_tasks.tolist())
+    adjacent: dict[tuple[str, int], list] = {}
+    for eid in tree.tree_edges.tolist():
+        t, u = graph.edges[eid].tolist()
+        adjacent.setdefault(("t", t), []).append((("w", u), eid))
+        adjacent.setdefault(("w", u), []).append((("t", t), eid))
+    region, seen, stack = [], {("t", tree.root)}, [("t", tree.root)]
+    while stack:
+        for nxt, eid in adjacent.get(stack.pop(), []):
+            if nxt not in seen:
+                seen.add(nxt)
+                region.append(eid)
+                if not (nxt[0] == "t" and nxt[1] in boundary):
+                    stack.append(nxt)
+    return np.array(sorted(region), dtype=np.int64)
+
+
+def oracle_case(rng: np.random.Generator, case: int) -> tuple[str, cb.AssignmentGraph]:
+    """A small graph of one of four kinds, named."""
+    if case % 5 == 0:
+        return "tree", random_bipartite_tree(rng)
+    nt, nw = int(rng.integers(1, 11)), int(rng.integers(1, 7))
+    if case % 5 == 1:
+        # Complete with two or more workers: every non-root task is clamped.
+        nw = max(nw, 2)
+        return "complete", cb.AssignmentGraph(nt, nw, np.argwhere(np.ones((nt, nw), bool)))
+    # Sparse ones fall apart into components and leave tasks without answers.
+    density = rng.uniform(0.1, 0.3) if case % 5 == 2 else rng.uniform(0.3, 0.8)
+    return "random", cb.AssignmentGraph(nt, nw, np.argwhere(rng.random((nt, nw)) < density))
 
 
 class TestBruteForce:
@@ -110,6 +147,22 @@ class TestBfsTree:
                 assert tree.depth == ref_depth
                 assert root not in tree.boundary_tasks
 
+    def test_region_stops_at_boundary_tasks(self):
+        # task1 is clamped (its edge to w1 is a non-tree edge), so the
+        # tree beyond it, w2 and task2, is not part of the root's region.
+        g = cb.AssignmentGraph(3, 3, np.array([[0, 0], [0, 1], [1, 0], [1, 1], [1, 2], [2, 2]]))
+        tree = cb.extract_bfs_tree(g, 0)
+        assert tree.tree_edges.tolist() == [0, 1, 2, 4, 5]
+        assert tree.boundary_tasks.tolist() == [1]
+        assert tree.region_edges.tolist() == [0, 1, 2]
+
+    def test_region_matches_walk_over_the_tree(self, rng):
+        for _ in range(60):
+            g = random_small_graph(rng, max_tasks=8, max_workers=5, max_edges=24)
+            for root in range(g.n_tasks):
+                tree = cb.extract_bfs_tree(g, root)
+                np.testing.assert_array_equal(tree.region_edges, reference_region(g, tree))
+
     def test_other_components_stay_out(self):
         g = cb.AssignmentGraph(2, 2, np.array([[0, 0], [1, 1]]))
         tree = cb.extract_bfs_tree(g, 0)
@@ -136,6 +189,56 @@ class TestOracleTask:
         np.testing.assert_allclose(oracle.margins, plain.margins, atol=1e-10)
         np.testing.assert_array_equal(oracle.labels, plain.labels)
 
+    def test_matches_per_root_reference(self, rng, monkeypatch):
+        kinds = {"tree": 0, "complete": 0, "random": 0}
+        isolated = split = 0
+        for case in range(150):
+            kind, g = oracle_case(rng, case)
+            kinds[kind] += 1
+            isolated += bool((g.task_degrees == 0).any())
+            split += cb.extract_bfs_tree(g, 0).tree_edges.size < g.n_edges
+            if kind == "complete":
+                for root in range(g.n_tasks):
+                    clamped = cb.extract_bfs_tree(g, root).boundary_tasks
+                    assert clamped.tolist() == [t for t in range(g.n_tasks) if t != root]
+            prior = random_prior(rng)
+            truth = cb.sample_ground_truth(g, prior, seed=case)
+            answers = cb.sample_answers(g, truth, seed=case + 1000)
+            want = reference_oracle_task_estimate(g, answers, prior, truth)
+            # One root per block, a few per block, and the default budget.
+            for visits in (1, 3 * (g.n_edges + g.n_tasks + g.n_workers), exact._BLOCK_VISITS):
+                monkeypatch.setattr(exact, "_BLOCK_VISITS", visits)
+                got = cb.oracle_task_estimate(g, answers, prior, truth)
+                np.testing.assert_array_equal(got.labels, want.labels)
+                np.testing.assert_allclose(got.margins, want.margins, rtol=0, atol=1e-12)
+            monkeypatch.undo()
+        assert min(kinds.values()) >= 30 and isolated >= 20 and split >= 20
+
+    def test_matches_per_root_reference_on_a_regular_graph(self):
+        prior = cb.spammer_hammer()
+        g = cb.generate_regular_bipartite(60, 6, 3, seed=5)
+        truth = cb.sample_ground_truth(g, prior, seed=6)
+        answers = cb.sample_answers(g, truth, seed=7)
+        got = cb.oracle_task_estimate(g, answers, prior, truth)
+        want = reference_oracle_task_estimate(g, answers, prior, truth)
+        np.testing.assert_array_equal(got.labels, want.labels)
+        np.testing.assert_allclose(got.margins, want.margins, rtol=0, atol=1e-12)
+
+    def test_peak_memory_is_bounded_by_the_block_budget(self):
+        prior = cb.spammer_hammer()
+        g = cb.generate_regular_bipartite(200, 15, 5, seed=1)
+        truth = cb.sample_ground_truth(g, prior, seed=2)
+        answers = cb.sample_answers(g, truth, seed=3)
+        g.by_task.offsets, g.by_worker.offsets  # the graph's own, built before tracing
+        tracemalloc.start()
+        try:
+            cb.oracle_task_estimate(g, answers, prior, truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # All 200 roots in one block would take several times this.
+        assert peak < 4_000_000
+
     def test_isolated_root_gets_zero_margin(self):
         g = cb.AssignmentGraph(2, 1, np.array([[1, 0]]))
         truth = cb.GroundTruth(np.array([1, -1]), np.array([0.9]))
@@ -143,26 +246,40 @@ class TestOracleTask:
         assert report.margins[0] == 0.0
         assert report.labels[0] == 1
 
+    def test_graphs_without_answers(self):
+        for n_tasks in (0, 3):
+            g = cb.AssignmentGraph(n_tasks, 0, np.empty((0, 2), dtype=np.int64))
+            truth = cb.GroundTruth(np.ones(n_tasks, dtype=np.int64), np.empty(0))
+            report = cb.oracle_task_estimate(g, np.empty(0, dtype=np.int64),
+                                             cb.spammer_hammer(), truth)
+            assert report.margins.tolist() == [0.0] * n_tasks
+
     def test_truth_length_validated(self):
         g = four_cycle()
         bad = cb.GroundTruth(np.ones(3, dtype=np.int64), np.full(2, 0.8))
         with pytest.raises(cb.ParameterError):
             cb.oracle_task_estimate(g, np.ones(4, dtype=int), cb.spammer_hammer(), bad)
 
+    def test_answers_length_validated(self):
+        g = four_cycle()
+        truth = cb.GroundTruth(np.ones(2, dtype=np.int64), np.full(2, 0.8))
+        with pytest.raises(cb.ParameterError, match="answers length"):
+            cb.oracle_task_estimate(g, np.ones(3, dtype=int), cb.spammer_hammer(), truth)
+
 
 class TestKhopSubgraph:
     def test_path_example(self):
         g = path_graph()
-        inside, boundary = cb.khop_subgraph(g, 0, 1)
+        inside, boundary = khop_subgraph(g, 0, 1)
         assert inside.tolist() == [0, 1]
         assert boundary.tolist() == [1]
-        inside2, boundary2 = cb.khop_subgraph(g, 0, 2)
+        inside2, boundary2 = khop_subgraph(g, 0, 2)
         assert inside2.tolist() == [0, 1, 2, 3]
         assert boundary2.size == 0
 
     def test_k_must_be_positive(self):
         with pytest.raises(cb.ParameterError):
-            cb.khop_subgraph(path_graph(), 0, 0)
+            khop_subgraph(path_graph(), 0, 0)
 
 
 class TestExactGain:
@@ -193,7 +310,7 @@ class TestExactGain:
         for _ in range(40):
             g = random_small_graph(rng)
             prior = random_prior(rng)
-            inside, boundary = cb.khop_subgraph(g, 0, 1)
+            inside, boundary = khop_subgraph(g, 0, 1)
             local = cb.exact_conditional_gain(g, prior, 0, inside, boundary)
             full = cb.exact_conditional_gain(g, prior, 0, np.arange(g.n_edges), none)
             assert local >= full - 1e-12
