@@ -120,7 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run a configured sweep to CSV")
     p_bench.add_argument("--config", required=True)
-    p_bench.add_argument("--threads", type=int, default=None)
+    p_bench.add_argument("--threads", type=int, default=None,
+                         help="run trials in up to this many forked processes, capped at "
+                              "the usable CPU count (in process where fork is unavailable); "
+                              "the CSV does not depend on it")
     p_bench.add_argument("--out", default=None)
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -132,18 +132,33 @@ def oracle_work(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
                        max_delta=0.0)
 
 
-def _em_e_step(graph: AssignmentGraph, a: np.ndarray, p_hat: np.ndarray) -> np.ndarray:
-    """Posterior P(label = +1) per task under independent answers."""
+def _em_e_step(graph: AssignmentGraph, a: np.ndarray, p_hat: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Posterior P(label = +1) per task under independent answers.
+
+    ``out`` is an optional float edge buffer for the per-edge terms.
+    """
     log_odds = np.log(p_hat / (1.0 - p_hat))
-    scores = segment_sum(a * log_odds[graph.edges[:, 1]], graph.by_task)
+    # The graph has checked every id; mode="raise" would copy through a
+    # temporary instead of writing into ``out``.
+    terms = np.take(log_odds, graph.by_worker.keys, out=out, mode="clip")
+    terms *= a
+    scores = np.bincount(graph.by_task.keys, terms, graph.n_tasks)
     return 1.0 / (1.0 + np.exp(-scores))
 
 
 def _em_m_step(graph: AssignmentGraph, a: np.ndarray, w: np.ndarray,
-               alpha: float, beta: float) -> np.ndarray:
-    """Beta-MAP reliability update from soft agreement counts."""
-    agree = np.where(a == 1, w[graph.edges[:, 0]], 1.0 - w[graph.edges[:, 0]])
-    soft_matches = segment_sum(agree, graph.by_worker)
+               alpha: float, beta: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Beta-MAP reliability update from soft agreement counts.
+
+    An answer's agreement with its task is ``w`` for a = +1 and ``1 - w``
+    for a = -1, computed as ``(a == -1) + a * w``, which is exact for both;
+    ``out`` is an optional float edge buffer for it.
+    """
+    agree = np.take(w, graph.by_task.keys, out=out, mode="clip")
+    agree *= a
+    agree += a == -1
+    soft_matches = np.bincount(graph.by_worker.keys, agree, graph.n_workers)
     denom = np.maximum(alpha + beta - 2.0 + graph.worker_degrees, _P_CLAMP)
     p_hat = (alpha - 1.0 + soft_matches) / denom
     return np.clip(p_hat, _P_CLAMP, 1.0 - _P_CLAMP)
@@ -156,7 +171,8 @@ def em_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
 
     Initializes the posterior weights from smoothed vote fractions, then
     alternates the posterior (E) and reliability (M) steps until the
-    largest posterior change drops below ``tol``.
+    largest posterior change drops below ``tol``.  Both steps work in one
+    edge buffer allocated per run.
     """
     if prior_alpha <= 0 or prior_beta <= 0:
         raise ParameterError("Beta prior parameters must be positive")
@@ -167,13 +183,14 @@ def em_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
         raise ParameterError("answers length does not match graph")
     plus_votes = segment_sum(a == 1, graph.by_task)
     w = (1.0 + plus_votes) / (2.0 + graph.task_degrees)
+    buffer = np.empty(graph.n_edges)
 
     converged = False
     delta = np.inf
     iterations = 0
     for iteration in range(1, k_max + 1):
-        p_hat = _em_m_step(graph, a, w, prior_alpha, prior_beta)
-        new_w = _em_e_step(graph, a, p_hat)
+        p_hat = _em_m_step(graph, a, w, prior_alpha, prior_beta, out=buffer)
+        new_w = _em_e_step(graph, a, p_hat, out=buffer)
         iterations = iteration
         delta = float(np.abs(new_w - w).max(initial=0.0))
         w = new_w

@@ -63,28 +63,12 @@ class AssignmentGraph:
         return build_grouping(self.edges[:, 1], self.n_workers)
 
     @cached_property
-    def workers_of_task(self) -> tuple[np.ndarray, ...]:
-        g = self.by_task
-        ids = self.edges[g.order, 1]
-        return tuple(ids[g.offsets[i]:g.offsets[i + 1]] for i in range(self.n_tasks))
-
-    @cached_property
-    def tasks_of_worker(self) -> tuple[np.ndarray, ...]:
-        g = self.by_worker
-        ids = self.edges[g.order, 0]
-        return tuple(ids[g.offsets[u]:g.offsets[u + 1]] for u in range(self.n_workers))
-
-    @cached_property
     def task_degrees(self) -> np.ndarray:
         return self.by_task.lengths
 
     @cached_property
     def worker_degrees(self) -> np.ndarray:
         return self.by_worker.lengths
-
-    def with_edges(self, edge_ids: np.ndarray) -> "AssignmentGraph":
-        """Subgraph on a subset of edges, keeping the node id spaces."""
-        return AssignmentGraph(self.n_tasks, self.n_workers, self.edges[np.asarray(edge_ids)])
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@ degree subsampling, and seeded benchmark sweeps with CSV output.
 
 Benchmark results are deterministic for a given config and master seed:
 every (sweep point, trial, stage) derives its own child seed and results
-are aggregated positionally, so thread count never changes the output.
+are aggregated positionally, so the trial process count never changes the
+output.
 """
 from __future__ import annotations
 
@@ -12,8 +13,8 @@ import io
 import json
 import math
 import operator
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import filterfalse
 
@@ -526,10 +527,20 @@ def write_rows(handle, columns) -> None:
         handle.write("".join(cells.ravel().tolist()))
 
 
-def _check_names(names: tuple[str, ...], what: str) -> None:
-    """Raise ``ParameterError`` on the first name ``load_dataset`` would not
-    give back: it reads lines before fields, strips names, takes a line
-    whose first field starts with ``#`` as a comment, and merges equal names."""
+def _check_names(names: tuple[str, ...], what: str, encoding: str) -> None:
+    """Raise ``ParameterError`` on the first name that cannot be written as
+    ``encoding`` text, or that ``load_dataset`` would not give back: it reads
+    lines before fields, strips names, takes a line whose first field starts
+    with ``#`` as a comment, and merges equal names."""
+    try:
+        "".join(names).encode(encoding)
+    except UnicodeEncodeError:
+        for name in names:
+            try:
+                name.encode(encoding)
+            except UnicodeEncodeError:
+                raise ParameterError(
+                    f"{what} name {name!r} cannot be written as {encoding} text") from None
     seen: set[str] = set()
     for name in names:
         if "\n" in name or "\r" in name:
@@ -549,12 +560,16 @@ def _check_names(names: tuple[str, ...], what: str) -> None:
 def save_dataset(dataset: Dataset, path: str) -> None:
     """Write the edge-list CSV; truth/reliability columns when present.
 
-    Names that would load back differently are refused with
-    ``ParameterError`` before anything is written.
+    Names that the locale's encoding cannot hold, or that would load back
+    differently, are refused with ``ParameterError`` before the file is
+    opened.
     """
+    import locale
+
     graph = dataset.graph
-    _check_names(dataset.task_names, "task")
-    _check_names(dataset.worker_names, "worker")
+    encoding = locale.getpreferredencoding(False)
+    _check_names(dataset.task_names, "task", encoding)
+    _check_names(dataset.worker_names, "worker", encoding)
     names_t = dataset.task_names or tuple(str(i) for i in range(graph.n_tasks))
     names_w = dataset.worker_names or tuple(str(u) for u in range(graph.n_workers))
     tasks, workers = graph.edges[:, 0], graph.edges[:, 1]
@@ -566,7 +581,7 @@ def save_dataset(dataset: Dataset, path: str) -> None:
         if dataset.reliabilities is not None:
             rel = np.asarray(dataset.reliabilities, dtype=np.float64)
             columns.append((list(map(repr, rel.tolist())), workers))
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", encoding=encoding, newline="") as handle:
         handle.write("# alphabet=pm1\n")
         write_rows(handle, columns)
 
@@ -807,17 +822,10 @@ def _run_trial(config: ExperimentConfig, specs: list[EstimatorSpec], prior: Reli
     return results
 
 
-def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
-    """Run the configured sweep and return one row per (estimator, point)
-    plus companion rows for the analytic bounds and the tree diagnostic."""
-    prior = parse_prior_spec(config.prior)
-    mu, q = prior.moments()
-    specs = [EstimatorSpec.parse(name, k_max=config.k_max, tol=config.tol)
-             for name in config.estimators]
-    from .bp import theory_iterations
-
-    rows: list[MetricsRow] = []
-    for point, value in enumerate(config.sweep_values):
+def _sweep_points(config: ExperimentConfig) -> list[tuple[int, int, int]]:
+    """``(n, l, r)`` of every sweep point, checked before any trial runs."""
+    points = []
+    for value in config.sweep_values:
         l, r = (value, config.fixed_degree) if config.sweep == "l" else (config.fixed_degree, value)
         n = config.n_tasks
         if (n * l) % r != 0:
@@ -826,19 +834,67 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
                     f"sweep point l={l}, r={r}: n_tasks*l not divisible by r "
                     "(set adjust_n = true to nudge n per point)")
             n = nearest_feasible_n(n, l, r)
+        points.append((n, l, r))
+    return points
 
-        per_trial = [None] * config.trials
 
-        def job(t: int, _n=n, _l=l, _r=r, _pt=point):
-            per_trial[t] = _run_trial(config, specs, prior, _n, _l, _r, _pt, t)
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-        if config.threads == 1:
-            for t in range(config.trials):
-                job(t)
-        else:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                list(pool.map(job, range(config.trials)))
 
+def _run_jobs(config: ExperimentConfig, specs: list[EstimatorSpec], prior: ReliabilityPrior,
+              points: list[tuple[int, int, int]], jobs: list[tuple[int, int]]) -> dict:
+    """Every ``(point, trial)`` job's trial results, keyed by the job.
+
+    With more than one worker (``config.threads`` capped at the job count
+    and the usable CPUs) and the ``fork`` start method available, the jobs
+    run in forked processes, heaviest (largest ``n * l``) first; otherwise
+    they run here, in order.  Forked workers start without importing
+    anything again, which a spawned worker would need most of a small
+    sweep's time for.
+    """
+    workers = min(config.threads, len(jobs), _usable_cpus())
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures.process import ProcessPoolExecutor
+
+            heaviest = sorted(jobs, key=lambda job: -points[job[0]][0] * points[job[0]][1])
+            with ProcessPoolExecutor(max_workers=workers,
+                                     mp_context=multiprocessing.get_context("fork")) as pool:
+                futures = {(point, trial): pool.submit(_run_trial, config, specs, prior,
+                                                       *points[point], point, trial)
+                           for point, trial in heaviest}
+                return {job: future.result() for job, future in futures.items()}
+    return {(point, trial): _run_trial(config, specs, prior, *points[point], point, trial)
+            for point, trial in jobs}
+
+
+def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
+    """Run the configured sweep and return one row per (estimator, point)
+    plus companion rows for the analytic bounds and the tree diagnostic.
+
+    Every sweep point is validated before any trial runs.  Trials run in
+    up to ``config.threads`` forked processes (see :func:`_run_jobs`);
+    results are aggregated by trial position, so the rows do not depend on
+    the process count or on completion order.
+    """
+    prior = parse_prior_spec(config.prior)
+    mu, q = prior.moments()
+    specs = [EstimatorSpec.parse(name, k_max=config.k_max, tol=config.tol)
+             for name in config.estimators]
+    from .bp import theory_iterations
+
+    points = _sweep_points(config)
+    jobs = [(point, trial) for point in range(len(points)) for trial in range(config.trials)]
+    results = _run_jobs(config, specs, prior, points, jobs)
+
+    rows: list[MetricsRow] = []
+    for point, (n, l, r) in enumerate(points):
+        per_trial = [results[point, t] for t in range(config.trials)]
         for idx, spec in enumerate(specs):
             errs = np.array([per_trial[t][idx][0] for t in range(config.trials)])
             iters = np.array([per_trial[t][idx][1] for t in range(config.trials)], dtype=float)

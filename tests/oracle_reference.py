@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from crowdbp import ParameterError, SpanningTree, bp_run
+from crowdbp import AssignmentGraph, ParameterError, SpanningTree, bp_run
 from crowdbp.bp import make_report
 from crowdbp.graph import answer_values
 
@@ -92,7 +92,7 @@ def reference_oracle_task_estimate(graph, answers, prior, truth):
         tree = reference_bfs_tree(graph, root)
         if tree.tree_edges.size == 0:
             continue
-        sub = graph.with_edges(tree.tree_edges)
+        sub = AssignmentGraph(graph.n_tasks, graph.n_workers, graph.edges[tree.tree_edges])
         report = bp_run(
             sub, a[tree.tree_edges], prior,
             k_max=tree.depth // 2 + 2, tol=0.0,

@@ -348,6 +348,20 @@ class TestWriters:
             cb.save_dataset(dataset, str(path))
         assert not path.exists()
 
+    def test_unencodable_names_are_refused_before_the_file_is_opened(self, tmp_path):
+        graph = cb.AssignmentGraph(2, 1, np.array([[0, 0], [1, 0]]))
+        answers = cb.AnswerMatrix(np.array([1, -1]))
+        path = tmp_path / "names.csv"
+        cb.save_dataset(cb.Dataset(graph=graph, answers=answers), str(path))
+        before = path.read_bytes()
+        for tasks, workers, refused in [(("a", "b\udce9"), ("w",), "task name 'b\\udce9' "),
+                                        (("a", "b"), ("\ud800",), "worker name '\\ud800' ")]:
+            dataset = cb.Dataset(graph=graph, answers=answers,
+                                 task_names=tasks, worker_names=workers)
+            with pytest.raises(cb.ParameterError, match="^" + re.escape(refused)):
+                cb.save_dataset(dataset, str(path))
+            assert path.read_bytes() == before
+
     def test_names_that_only_look_like_comments_round_trip(self, tmp_path):
         dataset = cb.Dataset(
             graph=cb.AssignmentGraph(3, 2, np.array([[0, 0], [1, 0], [2, 1]])),

@@ -8,6 +8,7 @@ import pytest
 
 import crowdbp as cb
 from crowdbp.estimators import _em_e_step, _em_m_step
+from tests.em_reference import reference_em_run
 
 
 def star_graph(n_workers: int) -> cb.AssignmentGraph:
@@ -183,6 +184,26 @@ class TestEm:
 
         assert mean["em"] <= mean["mv"] + slack("em", "mv")
         assert mean["bp"] <= mean["em"] + slack("bp", "em")
+
+
+    def test_matches_allocating_reference_bitwise(self, rng):
+        # Random irregular graphs in shuffled edge order, isolated nodes
+        # included, with both tolerance stops and fixed budgets.
+        for case in range(60):
+            n_tasks, n_workers = rng.integers(1, 40, size=2)
+            cells = rng.permutation(n_tasks * n_workers)[:rng.integers(1, n_tasks * n_workers + 1)]
+            g = cb.AssignmentGraph(n_tasks, n_workers,
+                                   np.column_stack((cells // n_workers, cells % n_workers)))
+            answers = rng.choice([-1, 1], size=g.n_edges, p=[0.3, 0.7])
+            kwargs = dict(prior_alpha=float(rng.uniform(0.5, 4.0)),
+                          prior_beta=float(rng.uniform(0.5, 4.0)),
+                          k_max=int(rng.integers(1, 60)), tol=[0.0, 1e-5][case % 2])
+            got = cb.em_run(g, answers, **kwargs)
+            want = reference_em_run(g, answers, **kwargs)
+            assert got.margins.tobytes() == want.margins.tobytes()
+            assert got.iterations_run == want.iterations_run
+            assert got.converged == want.converged
+            assert got.max_delta == want.max_delta
 
 
 class TestEstimatorSpec:

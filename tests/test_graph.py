@@ -20,19 +20,16 @@ class TestAssignmentGraph:
         g = cb.AssignmentGraph(3, 2, np.array([[0, 0], [0, 1], [1, 0], [2, 1]]))
         np.testing.assert_array_equal(g.task_degrees, [2, 1, 1])
         np.testing.assert_array_equal(g.worker_degrees, [2, 2])
-        np.testing.assert_array_equal(g.workers_of_task[0], [0, 1])
-        np.testing.assert_array_equal(g.tasks_of_worker[1], [0, 2])
+        by_task, by_worker = g.by_task, g.by_worker
+        np.testing.assert_array_equal(
+            g.edges[by_task.order[by_task.offsets[0]:by_task.offsets[1]], 1], [0, 1])
+        np.testing.assert_array_equal(
+            g.edges[by_worker.order[by_worker.offsets[1]:by_worker.offsets[2]], 0], [0, 2])
 
     def test_isolated_nodes_allowed(self):
         g = cb.AssignmentGraph(3, 2, np.array([[0, 0]]))
         assert g.task_degrees.tolist() == [1, 0, 0]
         assert g.worker_degrees.tolist() == [1, 0]
-
-    def test_with_edges_keeps_id_spaces(self):
-        g = cb.AssignmentGraph(3, 2, np.array([[0, 0], [1, 1], [2, 0]]))
-        sub = g.with_edges(np.array([0, 2]))
-        assert sub.n_tasks == 3 and sub.n_workers == 2
-        np.testing.assert_array_equal(sub.edges, [[0, 0], [2, 0]])
 
 
 class TestRegularGenerator:

@@ -1,11 +1,21 @@
 import io
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 import crowdbp as cb
+from crowdbp import harness
+
+needs_pool = pytest.mark.skipif(
+    harness._usable_cpus() < 2 or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="trial processes need two usable CPUs and the fork start method")
 
 
 def make_sim_dataset(n=20, l=6, r=4, seed=11, with_truth=True, with_rels=True):
@@ -357,6 +367,76 @@ class TestRunExperiment:
         pooled = cb.run_experiment(self.tiny_config(threads=3))
         assert cb.metrics_csv_text(single) == cb.metrics_csv_text(pooled)
 
+    @pytest.mark.parametrize("trials", [1, 2, 5])
+    def test_process_count_does_not_change_the_csv(self, trials):
+        single = cb.metrics_csv_text(cb.run_experiment(self.tiny_config(trials=trials)))
+        for threads in (2, 3, 8):
+            pooled = cb.run_experiment(self.tiny_config(trials=trials, threads=threads))
+            assert cb.metrics_csv_text(pooled) == single
+
+    @needs_pool
+    def test_failures_in_forked_workers_are_counted_not_fatal(self, monkeypatch):
+        parent, run = os.getpid(), cb.EstimatorSpec.run
+
+        def explode_in_worker(self, graph, answers, **kwargs):
+            if os.getpid() != parent:
+                raise cb.NumericDegeneracyError("synthetic failure")
+            return run(self, graph, answers, **kwargs)
+
+        monkeypatch.setattr(cb.EstimatorSpec, "run", explode_in_worker)
+        rows = cb.run_experiment(self.tiny_config(estimators=("mv",), threads=2))
+        assert [(row.failures, row.mean_error) for row in rows if row.estimator == "mv"] \
+            == [(4, None), (4, None)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_infeasible_later_point_fails_before_any_trial(self, monkeypatch, threads):
+        ran = []
+        monkeypatch.setattr(harness, "_run_trial", lambda *args: ran.append(args))
+        cfg = self.tiny_config(sweep="r", sweep_values=(3, 5), fixed_degree=2,
+                               threads=threads)
+        with pytest.raises(cb.ParameterError, match="l=2, r=5"):
+            cb.run_experiment(cfg)
+        assert ran == []
+
+    def test_pool_never_exceeds_usable_cpus(self, monkeypatch):
+        # A stand-in executor records the pool it was asked for and runs
+        # the jobs here, so no process is started.
+        import concurrent.futures.process
+
+        pools, submitted = [], []
+
+        class RecordingPool:
+            def __init__(self, max_workers, mp_context):
+                pools.append((max_workers, mp_context.get_start_method()))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                submitted.append(args[-2:])
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        serial = cb.metrics_csv_text(cb.run_experiment(self.tiny_config()))
+        for threads, trials, expected in [(8, 4, 3), (64, 4, 3), (2, 4, 2), (8, 1, 2)]:
+            pools.clear()
+            submitted.clear()
+            rows = cb.run_experiment(self.tiny_config(threads=threads, trials=trials))
+            assert pools == [(expected, "fork")]
+            # Point 1 (l=3) has the larger n*l, so its trials go first.
+            assert submitted == [(1, t) for t in range(trials)] + [(0, t) for t in range(trials)]
+            if trials == 4:
+                assert cb.metrics_csv_text(rows) == serial
+        pools.clear()
+        cb.run_experiment(self.tiny_config(threads=8, trials=1, sweep_values=(2,)))
+        assert pools == []
+
     def test_timing_flag_populates_wall_time(self):
         rows = cb.run_experiment(self.tiny_config(timing=True, sweep_values=(2,)))
         assert rows[0].wall_time_ms > 0.0
@@ -412,3 +492,13 @@ class TestCsvOutput:
         cb.write_metrics_csv(self.rows(), buffer)
         assert on_disk == buffer.getvalue()
         assert on_disk == cb.metrics_csv_text(self.rows())
+
+
+def test_cli_import_leaves_process_pools_unloaded():
+    # The process pool is imported only when a sweep forks trial processes.
+    script = ("import sys, crowdbp.cli; "
+              "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+              "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
