@@ -26,10 +26,28 @@ which reproduces the literal sum over neighbor label configurations
 weighted by f(c, r) exactly.  The leave-one-out log product is
 S_mu[u] - log(1 + mu A_iu x_i), with S_mu the per-worker sum of those
 logs; factors that are exactly 0 (mu = ±1 against a certain message) are
-counted per worker instead of divided out.  Atoms are folded in one at a
-time under a running per-edge maximum, so memory stays O(edges) for any
-atom count.  The ``naive`` kernel evaluates the configuration sum
-directly and exists as the independent cross-check.
+counted per worker instead of divided out.  Atoms are folded in under a
+running per-edge maximum, a bounded block of atoms at a time, so memory
+stays O(edges) for any atom count.  The ``naive`` kernel evaluates the
+configuration sum directly and exists as the independent cross-check.
+
+Degree classes: each atom costs a pass over the edges it is applied to,
+but a worker of degree r does not need every atom.  Both lanes of the
+sum above are polynomials of degree r in mu, and a k-node Gauss rule of
+the prior integrates every polynomial of degree <= 2k - 1 exactly, so
+r//2 + 1 nodes give that worker's messages exactly (to rounding).
+Workers are put in power-of-two classes by that node count.  Classes
+that need at least the prior's K distinct atoms merge into one that
+keeps the atoms; every other class runs the Gauss rule of its largest
+count (:func:`.gauss_rules`).  A class whose saving over the next larger
+class, in atom-edge passes, is below a fixed per-class cost folds into
+it.  When the prior's atoms are left alone on the whole graph they fold
+one atom at a time, exactly as before the classes existed, so regular
+graphs under ``sh`` (worker degree >= 2) or ``ash`` (>= 4) and small
+graphs keep their margins bitwise.  Otherwise each class sums blocks of
+atoms, and its messages are shifted so that a worker whose other answers
+carry no information (x = 0) sends bitwise the atoms' prior-mean LLR,
+whichever class it is in; a tie between such workers stays exact.
 
 The pair-valued :class:`BeliefState` API (``bp_init``,
 ``bp_update_*_messages``, ``bp_compute_beliefs``) runs the same core and
@@ -45,10 +63,18 @@ import numpy as np
 
 from .errors import NumericDegeneracyError, ParameterError, SizeError
 from .graph import AnswerMatrix, AssignmentGraph, answer_values
-from .priors import FactorTable, ReliabilityPrior
-from .segments import Grouping, segment_loo_log1p
+from .priors import FactorTable, ReliabilityPrior, gauss_rules
+from .segments import Grouping, build_grouping, segment_loo_log1p
 
 _NAIVE_DEGREE_GUARD = 14
+# What running a degree class on its own costs per sweep beyond its atom
+# passes (the gather and scatter of its edges and numpy's fixed per-call
+# cost), in atom-edge passes.  A class that saves less than this over the
+# next larger class is folded into it.
+_CLASS_OVERHEAD_EDGES = 2_000
+# Atoms times edges in one block of the worker half: each (atoms, edges)
+# temporary stays at 128 KB, in cache, and a block adds well under 1 MB.
+_BLOCK_ELEMENTS = 1 << 14
 # Start of the running maximum over atoms: finite, so that subtracting it
 # from a -inf log product gives -inf rather than NaN.
 _NO_ATOM_YET = -np.finfo(np.float64).max
@@ -155,16 +181,20 @@ def _task_llrs(lam: np.ndarray, grouping: Grouping) -> tuple[np.ndarray, np.ndar
         return total + _certain(n_plus, n_minus), others
 
 
-def _worker_llrs(x: np.ndarray, graph: AssignmentGraph, a: np.ndarray,
+def _worker_llrs(x: np.ndarray, grouping: Grouping, a: np.ndarray,
                  atom_mu: np.ndarray, atom_w: np.ndarray) -> np.ndarray:
-    """Worker-to-task LLRs from task-to-worker magnetizations ``x``; NaN marks zero mass."""
+    """Worker-to-task LLRs from task-to-worker magnetizations ``x``; NaN marks zero mass.
+
+    ``grouping`` groups the edges by worker; the rule (``atom_mu``,
+    ``atom_w``) must be exact up to every worker's degree.
+    """
     ax = a * x
     # Per edge: the largest log leave-one-out product so far and the two
     # lanes sum_mu w (1 ± mu) exp(loo_mu - top).  A mu = 0 atom has the
     # product 1 on every edge and stays scalar.
     top, agree, disagree = _NO_ATOM_YET, 0.0, 0.0
     for mu, w in zip(atom_mu, atom_w):
-        loo = 0.0 if mu == 0.0 else segment_loo_log1p(mu * ax, graph.by_worker)
+        loo = 0.0 if mu == 0.0 else segment_loo_log1p(mu * ax, grouping)
         new_top = np.maximum(top, loo)
         rescale = np.exp(top - new_top)
         weight = np.exp(loo - new_top)
@@ -173,6 +203,39 @@ def _worker_llrs(x: np.ndarray, graph: AssignmentGraph, a: np.ndarray,
         top = new_top
     with np.errstate(divide="ignore", invalid="ignore"):
         return a * np.log(agree / disagree)
+
+
+def _block_worker_llrs(x: np.ndarray, grouping: Grouping, a: np.ndarray,
+                       atom_mu: np.ndarray, atom_w: np.ndarray, block: int) -> np.ndarray:
+    """:func:`_worker_llrs` taking ``block`` atoms at a time as (block, edges) arrays.
+
+    Each block's lanes are summed under the block's per-edge maximum, row
+    after row so that every edge sums in the same order, and then folded
+    into the running lanes; far fewer numpy calls per atom on small
+    classes, at rounding-level differences from the one-atom fold.
+    """
+    ax = a * x
+    c_agree, c_disagree = atom_w * (1.0 + atom_mu), atom_w * (1.0 - atom_mu)
+    top, agree, disagree = _NO_ATOM_YET, 0.0, 0.0
+    for start in range(0, atom_mu.size, block):
+        rows = slice(start, start + block)
+        loo = segment_loo_log1p(np.multiply.outer(atom_mu[rows], ax), grouping)
+        new_top = np.maximum(top, loo.max(axis=0))
+        rescale = np.exp(top - new_top)
+        weight = np.exp(loo - new_top)
+        agree = agree * rescale + _weighted_rows(c_agree[rows], weight)
+        disagree = disagree * rescale + _weighted_rows(c_disagree[rows], weight)
+        top = new_top
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return a * np.log(agree / disagree)
+
+
+def _weighted_rows(c: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_j c_j rows_j, row after row."""
+    total = c[0] * rows[0]
+    for cj, row in zip(c[1:], rows[1:]):
+        total += cj * row
+    return total
 
 
 def _worker_llrs_naive(x: np.ndarray, graph: AssignmentGraph, a: np.ndarray,
@@ -218,13 +281,101 @@ def _worker_kernel(kernel: str, graph: AssignmentGraph, a: np.ndarray,
             atom_p, atom_w = prior.support_atoms(r_max)
         else:
             atom_p, atom_w = factors.atom_p, factors.atom_w
-        return partial(_worker_llrs, graph=graph, a=a,
-                       atom_mu=2.0 * np.asarray(atom_p) - 1.0, atom_w=atom_w)
+        return _class_kernel(graph, a, 2.0 * np.asarray(atom_p) - 1.0,
+                             np.asarray(atom_w))
     if kernel == "naive":
         # The only reader of the literal factor table f(c, r).
         table = factors if factors is not None else FactorTable.build(prior, r_max)
         return partial(_worker_llrs_naive, graph=graph, a=a, table=table)
     raise ParameterError(f"unknown kernel {kernel!r}")
+
+
+def _degree_classes(degrees: np.ndarray, n_atoms: int) -> list[tuple[int, np.ndarray]]:
+    """Node count and member mask of each worker class, ascending by count.
+
+    A class at ``n_atoms`` keeps the prior's atoms.  Workers without edges
+    belong to no class.
+    """
+    need = degrees // 2 + 1
+    # Bucket b holds the needs in [2^(b-1), 2^b); the needs that reach the
+    # atom count share one bucket above every other.
+    full = 64
+    bucket = np.where(need >= n_atoms, full, np.frexp(need)[1])
+    bucket[degrees == 0] = -1
+    classes = []
+    for b in np.unique(bucket[bucket >= 0]):
+        members = bucket == b
+        k = n_atoms if b == full else int(need[members].max())
+        classes.append([k, int(degrees[members].sum()), members])
+    if not classes or classes[-1][0] < n_atoms:
+        classes.append([n_atoms, 0, np.zeros(degrees.size, dtype=bool)])
+    kept = []
+    for small, large in zip(classes, classes[1:]):
+        if (large[0] - small[0]) * small[1] < _CLASS_OVERHEAD_EDGES:
+            large[1] += small[1]
+            large[2] = large[2] | small[2]
+        else:
+            kept.append(small)
+    if classes[-1][1] or not kept:
+        kept.append(classes[-1])
+    return [(k, members) for k, _, members in kept]
+
+
+def _class_kernel(graph: AssignmentGraph, a: np.ndarray, atom_mu: np.ndarray,
+                  atom_w: np.ndarray):
+    """The magnetization worker half, each degree class on its own Gauss rule."""
+    degrees = graph.worker_degrees
+    n_atoms = np.unique(atom_mu).size
+    # On small graphs, or when every worker needs every atom, all classes
+    # would fold into the atoms' class; skip building them.
+    small = (n_atoms - 1) * graph.n_edges < _CLASS_OVERHEAD_EDGES
+    if small or degrees.min(initial=2 * n_atoms) // 2 + 1 >= n_atoms:
+        classes = []
+    else:
+        classes = _degree_classes(degrees, n_atoms)
+    if not classes or (len(classes) == 1 and classes[0][0] == n_atoms):
+        # The prior's own atoms on the whole graph fold one at a time, as
+        # they always have, so those margins stay bitwise the same.
+        return partial(_worker_llrs, grouping=graph.by_worker, a=a, atom_mu=atom_mu,
+                       atom_w=atom_w)
+    reduced = [k for k, _ in classes if k < n_atoms]
+    rules = dict(zip(reduced, gauss_rules(atom_mu, atom_w, reduced)))
+    rules[n_atoms] = (atom_mu, atom_w)
+    prior_mean = _prior_mean_llr(partial(_worker_llrs, atom_mu=atom_mu, atom_w=atom_w))
+    keys = graph.by_worker.keys
+    parts = []
+    for k, members in classes:
+        if len(classes) == 1:
+            edges, grouping = None, graph.by_worker
+        else:
+            edges = np.flatnonzero(members[keys])
+            compact = np.cumsum(members) - 1
+            grouping = build_grouping(compact[keys[edges]], int(members.sum()))
+        half = partial(_block_worker_llrs, atom_mu=rules[k][0], atom_w=rules[k][1],
+                       block=max(1, _BLOCK_ELEMENTS // grouping.keys.size))
+        # Every rule gives a worker whose other answers carry no information
+        # the LLR of the prior's mean, up to rounding; the shift makes it the
+        # atoms' value bitwise, so ties between such workers stay exact.
+        shift = prior_mean - _prior_mean_llr(half)
+        parts.append((edges, grouping, a if edges is None else a[edges], half, shift))
+    return partial(_class_worker_llrs, parts=parts, n_edges=graph.n_edges)
+
+
+def _prior_mean_llr(half) -> float:
+    """What worker half ``half`` sends for a +1 answer whose other answers have x = 0."""
+    one_edge = build_grouping(np.zeros(1, dtype=np.int64), 1)
+    return float(half(np.zeros(1), one_edge, np.ones(1))[0])
+
+
+def _class_worker_llrs(x: np.ndarray, parts: list, n_edges: int) -> np.ndarray:
+    lam = np.empty(n_edges)
+    for edges, grouping, a, half, shift in parts:
+        llr = half(x if edges is None else x[edges], grouping, a)
+        llr += a * shift
+        if edges is None:
+            return llr
+        lam[edges] = llr
+    return lam
 
 
 def _pinned_edges(graph: AssignmentGraph, clamp_tasks: np.ndarray,

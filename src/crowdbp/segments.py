@@ -45,9 +45,10 @@ def build_grouping(keys: np.ndarray, n_segments: int) -> Grouping:
 
 
 def segment_sum(values: np.ndarray, grouping: Grouping) -> np.ndarray:
-    """Per segment, the sum of its edges' values, accumulated in edge order."""
+    """Per segment, the float64 sum of its edges' values, accumulated in edge order."""
+    # bincount returns int64 zeros when there are no edges.
     return np.bincount(grouping.keys, weights=np.asarray(values, dtype=np.float64),
-                       minlength=grouping.n_segments)
+                       minlength=grouping.n_segments).astype(np.float64, copy=False)
 
 
 def segment_loo_log1p(y: np.ndarray, grouping: Grouping) -> np.ndarray:
@@ -56,18 +57,29 @@ def segment_loo_log1p(y: np.ndarray, grouping: Grouping) -> np.ndarray:
     Returned in natural edge order; singleton segments get log 1 = 0.  A
     factor 1 + y == 0 is counted per segment instead of summed as -inf, so
     exactly the other edges of that segment get -inf and the edge holding
-    the zero keeps the product of the rest.
+    the zero keeps the product of the rest.  ``y`` may be (rows, edges);
+    each row is reduced on its own, in the same order as a 1-D call.
     """
-    keys, n = grouping.keys, grouping.n_segments
     with np.errstate(divide="ignore"):
         logs = np.log1p(y)
     zero = logs == -np.inf
     if not zero.any():
-        return np.bincount(keys, logs, n)[keys] - logs
+        return _row_sums(logs, grouping) - logs
     logs[zero] = 0.0
-    loo = np.bincount(keys, logs, n)[keys] - logs
-    loo[np.bincount(keys, zero, n)[keys] - zero > 0] = -np.inf
+    loo = _row_sums(logs, grouping) - logs
+    loo[_row_sums(zero, grouping) - zero > 0] = -np.inf
     return loo
+
+
+def _row_sums(values: np.ndarray, grouping: Grouping) -> np.ndarray:
+    """Each edge's segment total of ``values``, row by row over a leading axis."""
+    keys, n = grouping.keys, grouping.n_segments
+    if values.ndim == 1:
+        return np.bincount(keys, values, n)[keys]
+    rows = values.shape[0]
+    flat = (keys + n * np.arange(rows)[:, None]).ravel()
+    totals = np.bincount(flat, values.ravel(), n * rows).reshape(rows, n)
+    return np.take(totals, keys, axis=1)
 
 
 def expand(per_segment: np.ndarray, grouping: Grouping) -> np.ndarray:

@@ -7,6 +7,7 @@ orderings use a 3-sigma pooled-standard-error slack.
 """
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -21,6 +22,10 @@ from crowdbp.priors import FactorTable
 from tests.conftest import random_atom_prior, random_bipartite_tree, random_small_graph
 
 MASTER = 20260815
+# The sweeps' rows do not depend on the process count (test_10 and
+# TestRunExperiment::test_process_count_does_not_change_the_csv), so they
+# use every CPU.
+SWEEP_THREADS = os.cpu_count() or 1
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -43,7 +48,7 @@ def regular_sweep():
     config = cb.ExperimentConfig(
         n_tasks=1000, sweep_values=(2, 3, 5, 10, 15, 20), fixed_degree=5,
         prior="sh", estimators=("mv", "kos", "bp"), sweep="l",
-        trials=100, seed=MASTER, timing=False)
+        trials=100, seed=MASTER, timing=False, threads=SWEEP_THREADS)
     start = time.perf_counter()
     rows = cb.run_experiment(config)
     return rows, time.perf_counter() - start
@@ -56,7 +61,7 @@ def oracle_sweep():
     config = cb.ExperimentConfig(
         n_tasks=200, sweep_values=(2, 5, 10, 15), fixed_degree=5,
         prior="sh", estimators=("bp", "oracle-task"), sweep="l",
-        trials=100, seed=MASTER + 1, timing=False)
+        trials=100, seed=MASTER + 1, timing=False, threads=SWEEP_THREADS)
     return cb.run_experiment(config)
 
 
@@ -67,7 +72,8 @@ def bootstrap_sweep():
     config = cb.ExperimentConfig(
         n_tasks=200, sweep_values=(3, 5, 9), fixed_degree=5,
         prior="ash", estimators=("bp", "ebp1", "ebp2"), sweep="r",
-        trials=100, seed=MASTER + 2, timing=False, adjust_n=True)
+        trials=100, seed=MASTER + 2, timing=False, adjust_n=True,
+        threads=SWEEP_THREADS)
     return cb.run_experiment(config)
 
 

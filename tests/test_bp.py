@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import crowdbp as cb
+from crowdbp import bp
 from crowdbp.bp import (bp_compute_beliefs, bp_init, bp_update_task_messages,
                         bp_update_worker_messages)
 from crowdbp.priors import FactorTable
 from tests.conftest import random_atom_prior, random_bipartite_tree, random_prior
+from tests.worker_reference import reference_worker_kernel
 
 
 def star_graph(n_workers: int) -> cb.AssignmentGraph:
@@ -146,12 +148,22 @@ class TestRun:
         with pytest.raises(cb.ParameterError):
             cb.bp_run(g2, np.array([1, 1]), cb.spammer_hammer(), factors=small_table)
 
-    def test_prebuilt_factor_table_gives_identical_output(self, rng):
+    def test_prebuilt_factor_table_gives_identical_output(self, rng, monkeypatch):
         g = cb.generate_regular_bipartite(20, 3, 4, seed=2)
         a = rng.choice([-1, 1], size=g.n_edges)
         table = FactorTable.build(cb.spammer_hammer(), 4)
         direct = cb.bp_run(g, a, cb.spammer_hammer())
         shared = cb.bp_run(g, a, cb.spammer_hammer(), factors=table)
+        np.testing.assert_array_equal(direct.margins, shared.margins)
+        # A Beta table's atoms are the prior's own quadrature, so the degree
+        # classes reduce the same atoms either way.
+        monkeypatch.setattr(bp, "_CLASS_OVERHEAD_EDGES", 0)
+        g = skewed_graph(rng, 60, 20)
+        a = rng.choice([-1, 1], size=g.n_edges)
+        prior = cb.ReliabilityPrior.from_beta(2.0, 1.0)
+        table = FactorTable.build(prior, int(g.worker_degrees.max()))
+        direct = cb.bp_run(g, a, prior)
+        shared = cb.bp_run(g, a, prior, factors=table)
         np.testing.assert_array_equal(direct.margins, shared.margins)
 
 
@@ -331,6 +343,153 @@ class TestLlrCore:
                                              kernel="naive").msg_worker_to_task
             assert np.isfinite(fast).all()
             np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-13)
+
+
+def skewed_graph(rng, n_tasks, max_degree, min_degree=1):
+    """Heavy-tailed worker degrees in [min_degree, max_degree], edges shuffled."""
+    degrees = np.clip(rng.zipf(1.6, size=n_tasks), min_degree, min(max_degree, n_tasks))
+    edges = np.concatenate([
+        np.column_stack((rng.choice(n_tasks, size=d, replace=False), np.full(d, u)))
+        for u, d in enumerate(degrees)])
+    return cb.AssignmentGraph(n_tasks, degrees.size, edges[rng.permutation(len(edges))])
+
+
+def empirical_atoms(rng, n_atoms):
+    """An empirical prior with exactly ``n_atoms`` atoms of unequal weight."""
+    values = rng.uniform(0.02, 0.98, size=n_atoms)
+    return cb.empirical_prior(np.repeat(values, rng.integers(1, 5, size=n_atoms)))
+
+
+def reference_run(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as patch:
+        patch.setattr(bp, "_worker_kernel", reference_worker_kernel)
+        return cb.bp_run(*args, **kwargs)
+
+
+def random_clamps(rng, g, case):
+    n_clamped = int(rng.integers(1, 4)) if case % 2 else 0
+    tasks = rng.choice(g.n_tasks, size=n_clamped, replace=False)
+    return tasks, rng.choice([-1, 1], size=n_clamped)
+
+
+class TestDegreeClasses:
+    """Each degree class runs its own Gauss rule; the one-rule kernel is the reference."""
+
+    # Margins of the reduced rules agree with the one-rule kernel's to this
+    # absolute tolerance (the rules match the prior's moments to about 1e-14).
+    ATOL = 1e-12
+
+    PRIORS = ("sh", "ash", "atoms", "beta", "empirical")
+
+    def make_prior(self, rng, kind):
+        if kind == "atoms":
+            return random_atom_prior(rng, max_atoms=6)
+        if kind == "beta":
+            return cb.ReliabilityPrior.from_beta(rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0))
+        if kind == "empirical":
+            return empirical_atoms(rng, int(rng.integers(50, 401)))
+        return cb.parse_prior_spec(kind)
+
+    @pytest.mark.parametrize("overhead", [0, None])
+    def test_matches_one_rule_reference_on_irregular_graphs(self, rng, monkeypatch, overhead):
+        # Overhead 0 splits every class even on small graphs; the default
+        # constant runs larger graphs with the merge rule as shipped.
+        if overhead is not None:
+            monkeypatch.setattr(bp, "_CLASS_OVERHEAD_EDGES", overhead)
+        split = 0
+        for case in range(30):
+            kind = self.PRIORS[case % len(self.PRIORS)]
+            g = (skewed_graph(rng, int(rng.integers(20, 80)), 40) if overhead == 0
+                 else skewed_graph(rng, 1000, 200))
+            a = rng.choice([-1, 1], size=g.n_edges)
+            prior = self.make_prior(rng, kind)
+            clamp_tasks, clamp_labels = random_clamps(rng, g, case)
+            k = int(rng.integers(1, 6))
+            kwargs = dict(k_max=k, tol=0.0, clamp_tasks=clamp_tasks, clamp_labels=clamp_labels)
+            got = cb.bp_run(g, a, prior, **kwargs)
+            ref = reference_run(monkeypatch, g, a, prior, **kwargs)
+            np.testing.assert_allclose(got.margins, ref.margins, rtol=0, atol=self.ATOL)
+            # A margin within rounding of 0 may decode either way: after one
+            # sweep from clamps, workers of different classes whose other
+            # answers carry nothing but a clamp can tie in the reference.
+            decisive = np.abs(ref.margins) > self.ATOL
+            np.testing.assert_array_equal(got.labels[decisive], ref.labels[decisive])
+            if k == 1 and not clamp_tasks.size:
+                # One sweep from x = 0: every message is the prior-mean LLR.
+                assert got.margins.tobytes() == ref.margins.tobytes()
+            split += len(bp._degree_classes(g.worker_degrees, _n_atoms(prior, g))) > 1
+        assert split >= 10
+
+    def test_bitwise_where_every_class_keeps_the_atoms(self, rng, monkeypatch):
+        monkeypatch.setattr(bp, "_CLASS_OVERHEAD_EDGES", 0)
+        for case in range(40):
+            if case % 2:
+                r = int(rng.integers(4, 10))
+                g = cb.generate_regular_bipartite(6 * r, int(rng.integers(2, 5)), r,
+                                                  seed=int(rng.integers(2**32)))
+                prior = cb.parse_prior_spec(("sh", "ash")[case % 4 // 2])
+            else:
+                # Every worker needs r//2 + 1 >= K nodes.
+                prior = random_atom_prior(rng, max_atoms=3)
+                g = skewed_graph(rng, 50, 30, min_degree=2 * prior.atom_p.size - 2)
+            assert [k for k, _ in bp._degree_classes(g.worker_degrees,
+                                                      prior.atom_p.size)] == [prior.atom_p.size]
+            a = rng.choice([-1, 1], size=g.n_edges)
+            clamp_tasks, clamp_labels = random_clamps(rng, g, case)
+            kwargs = dict(k_max=int(rng.integers(1, 8)), tol=0.0,
+                          clamp_tasks=clamp_tasks, clamp_labels=clamp_labels)
+            got = cb.bp_run(g, a, prior, **kwargs)
+            ref = reference_run(monkeypatch, g, a, prior, **kwargs)
+            assert got.margins.tobytes() == ref.margins.tobytes()
+
+    def test_small_graphs_fold_into_the_prior_atoms_bitwise(self, rng, monkeypatch):
+        # Below the per-class cost every class folds into the prior's atoms:
+        # the oracle's forests and the acceptance sweeps run as before.
+        for case in range(20):
+            prior = empirical_atoms(rng, 20) if case % 2 else cb.ReliabilityPrior.from_beta(
+                rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0))
+            g = skewed_graph(rng, 30, 25)
+            assert len(bp._degree_classes(g.worker_degrees, _n_atoms(prior, g))) == 1
+            a = rng.choice([-1, 1], size=g.n_edges)
+            got = cb.bp_run(g, a, prior, k_max=4, tol=0.0)
+            ref = reference_run(monkeypatch, g, a, prior, k_max=4, tol=0.0)
+            assert got.margins.tobytes() == ref.margins.tobytes()
+
+    def test_reduced_rules_match_the_naive_factor_table(self, rng, monkeypatch):
+        # Degrees 1-14 need at most 8 nodes, below the 20+ empirical atoms,
+        # so every class runs a reduced rule against the literal f(c, r).
+        monkeypatch.setattr(bp, "_CLASS_OVERHEAD_EDGES", 0)
+        for case in range(12):
+            prior = empirical_atoms(rng, int(rng.integers(20, 60)))
+            g = skewed_graph(rng, 16, 14)
+            assert max(k for k, _ in bp._degree_classes(g.worker_degrees,
+                                                         prior.atom_p.size)) < prior.atom_p.size
+            a = rng.choice([-1, 1], size=g.n_edges)
+            clamp_tasks, clamp_labels = random_clamps(rng, g, case)
+            kwargs = dict(k_max=int(rng.integers(1, 5)), tol=0.0,
+                          clamp_tasks=clamp_tasks, clamp_labels=clamp_labels)
+            fast = cb.bp_run(g, a, prior, **kwargs)
+            slow = cb.bp_run(g, a, prior, kernel="naive", **kwargs)
+            np.testing.assert_allclose(fast.margins, slow.margins, rtol=0, atol=self.ATOL)
+
+    def test_classes_partition_the_workers(self, rng):
+        for _ in range(50):
+            degrees = np.minimum(rng.zipf(1.5, size=int(rng.integers(1, 400))), 2000) - (
+                rng.random() < 0.3)
+            n_atoms = int(rng.integers(1, 500))
+            classes = bp._degree_classes(degrees, n_atoms)
+            counts = [k for k, _ in classes]
+            assert counts == sorted(set(counts)) and counts[-1] <= n_atoms
+            covered = np.sum([members for _, members in classes], axis=0)
+            np.testing.assert_array_equal(covered, degrees > 0)
+            for k, members in classes:
+                # A reduced rule is exact for its members; the prior's own
+                # atoms are exact for every degree.
+                assert k == n_atoms or (degrees[members] // 2 + 1 <= k).all()
+
+
+def _n_atoms(prior, g):
+    return np.unique(prior.support_atoms(int(g.worker_degrees.max()))[0]).size
 
 
 class TestReportShape:

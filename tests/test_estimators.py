@@ -20,6 +20,45 @@ def full_bipartite(n_tasks: int, n_workers: int) -> cb.AssignmentGraph:
     return cb.AssignmentGraph(n_tasks, n_workers, np.array(edges))
 
 
+@pytest.mark.parametrize("name", ["mv", "kos", "em", "bp", "ebp1", "ebp2"])
+def test_graph_without_edges_decodes_to_zero_margins(name):
+    # mv and ebp used to raise numpy's UFuncTypeError: the per-task sum of
+    # an empty edge array came back as int64.
+    g = cb.AssignmentGraph(3, 2, np.empty((0, 2), dtype=np.int64))
+    report = cb.EstimatorSpec.parse(name).run(g, np.empty(0, dtype=np.int64),
+                                              prior=cb.spammer_hammer())
+    np.testing.assert_array_equal(report.margins, [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(report.labels, [1, 1, 1])
+
+
+def skewed_graph_script(decode: str) -> str:
+    """A child-process script that prints the sha256 of ``decode``'s margins."""
+    return (
+        "import hashlib, numpy as np, crowdbp as cb\n"
+        "rng = np.random.default_rng(31)\n"
+        "degrees = np.minimum(rng.zipf(1.6, size=1200), 300)\n"
+        "stubs = rng.permutation(np.repeat(np.arange(degrees.size), degrees))\n"
+        "tasks = np.arange(stubs.size) % 1000\n"
+        "_, first = np.unique(tasks * degrees.size + stubs, return_index=True)\n"
+        "g = cb.AssignmentGraph(1000, degrees.size,\n"
+        "                       np.column_stack((tasks[first], stubs[first])))\n"
+        "truth = cb.sample_ground_truth(g, cb.adversary_spammer_hammer(), seed=32)\n"
+        "a = cb.sample_answers(g, truth, seed=33)\n"
+        f"r = {decode}\n"
+        "print(hashlib.sha256(r.margins.tobytes()).hexdigest())\n"
+    )
+
+
+def digests_by_blas_threads(script: str) -> list[str]:
+    digests = []
+    for threads in ("1", "4"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        digests.append(proc.stdout.strip())
+    return digests
+
+
 class TestMajorityVote:
     def test_plain_majority(self):
         report = cb.majority_vote(star_graph(3), np.array([1, 1, -1]))
@@ -80,18 +119,19 @@ class TestKos:
             "r = cb.kos_run(g, a, k_max=10, tol=0.0, seed=24)\n"
             "print(hashlib.sha256(r.margins.tobytes()).hexdigest())\n"
         )
-        digests = []
-        for threads in ("1", "4"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads)
-            proc = subprocess.run([sys.executable, "-c", script], env=env,
-                                  capture_output=True, text=True, timeout=300,
-                                  check=True)
-            digests.append(proc.stdout.strip())
+        digests = digests_by_blas_threads(script)
         assert digests[0] == digests[1]
 
 
 class TestEbp:
+    def test_margins_do_not_depend_on_blas_threads(self):
+        # Heavy-tailed degrees: the empirical prior has hundreds of atoms and
+        # most degree classes run a reduced Gauss rule, whose eigensystem
+        # comes from LAPACK.
+        script = skewed_graph_script("cb.ebp_run(g, a, rounds=2, k_max=5, tol=0.0)")
+        digests = digests_by_blas_threads(script)
+        assert digests[0] == digests[1]
+
     def test_perfect_workers_recover_truth_in_one_round(self, rng):
         g = cb.generate_regular_bipartite(30, 4, 4, seed=6)
         truth = rng.choice([-1, 1], size=30)

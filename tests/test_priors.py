@@ -8,7 +8,7 @@ from scipy import integrate
 from scipy.stats import beta as beta_dist
 
 import crowdbp as cb
-from crowdbp.priors import FactorTable
+from crowdbp.priors import FactorTable, gauss_rules
 from tests.conftest import random_prior
 
 
@@ -99,6 +99,48 @@ class TestSupportAtoms:
                                                  rel=1e-12, abs=1e-14)
 
 
+class TestGaussRules:
+    """The reduced rules the degree classes run: k nodes exact to degree 2k - 1."""
+
+    def check_moments(self, p, w, sizes):
+        mu = 2.0 * p - 1.0
+        for k, (nodes, weights) in zip(sizes, gauss_rules(mu, w, sizes)):
+            assert nodes.size == weights.size == k
+            assert (weights > 0).all() and (nodes >= mu.min()).all() and (nodes <= mu.max()).all()
+            powers = np.arange(2 * k)
+            exact = np.sum(w[:, None] * mu[:, None] ** powers, axis=0)
+            rule = np.sum(weights[:, None] * nodes[:, None] ** powers, axis=0)
+            np.testing.assert_allclose(rule, exact, rtol=0, atol=1e-13, err_msg=f"k={k}")
+
+    def test_empirical_prior_of_400_atoms(self, rng):
+        degrees = rng.integers(1, 900, size=4000)
+        scores = (0.25 + rng.binomial(degrees, rng.uniform(0.1, 0.95, size=4000))) / (
+            0.5 + degrees)
+        values = rng.choice(np.unique(scores), size=400, replace=False)
+        prior = cb.empirical_prior(np.repeat(values, rng.integers(1, 9, size=400)))
+        assert prior.atom_p.size == 400
+        self.check_moments(prior.atom_p, prior.atom_w,
+                           [1, 2, 3, 4, 7, 8, 15, 16, 31, 64, 127, 200, 255, 399])
+
+    def test_beta_quadrature_at_r_max_862(self):
+        # The skewed benchmark graph's largest degree: a 432-node
+        # Gauss-Jacobi rule for the U-shaped Beta(1/2, 1/2), reduced again.
+        p, w = cb.ReliabilityPrior.from_beta(0.5, 0.5).support_atoms(862)
+        assert p.size == 432
+        self.check_moments(p, w, [1, 2, 3, 5, 8, 16, 32, 63, 128, 255, 300, 431])
+
+    def test_reduced_beta_rule_is_the_smaller_gauss_jacobi_rule(self, rng):
+        for _ in range(10):
+            prior = cb.ReliabilityPrior.from_beta(*rng.uniform(0.5, 5.0, size=2))
+            p, w = prior.support_atoms(200)
+            k = int(rng.integers(1, 100))
+            nodes, weights = gauss_rules(2.0 * p - 1.0, w, [k])[0]
+            small_p, small_w = prior.support_atoms(2 * k - 1)
+            # Two computations of one rule: SciPy's and the reduction's.
+            np.testing.assert_allclose(nodes, 2.0 * small_p - 1.0, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(weights, small_w, rtol=0, atol=1e-12)
+
+
 class TestValidationAndParsing:
     def test_prior_validation(self):
         with pytest.raises(cb.ParameterError):
@@ -174,8 +216,10 @@ class TestFactorTable:
 
 def test_import_leaves_scipy_special_unloaded():
     # scipy.special dominates import time; only Beta priors, factor tables
-    # and exact enumeration need it.
-    script = "import sys, crowdbp; print('scipy.special' in sys.modules)"
+    # and exact enumeration need it.  scipy.linalg would also load SciPy's
+    # own BLAS; the degree-class Gauss rules use numpy's.
+    script = ("import sys, crowdbp; "
+              "print([m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

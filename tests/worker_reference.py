@@ -1,0 +1,48 @@
+"""The one-rule magnetization worker half: the reference for the degree classes.
+
+Every edge folds in every atom of the prior's support, one atom at a time,
+over the whole graph; the package gives each degree class its own Gauss
+rule and sums reduced rules in blocks.  Labels must be equal and margins
+equal within a stated tolerance, and bitwise equal wherever every class
+keeps the prior's atoms.
+
+``reference_worker_kernel`` has the signature of ``crowdbp.bp._worker_kernel``
+so that a test can run ``bp_run`` on it by patching that name.
+"""
+from __future__ import annotations
+
+from functools import partial
+
+import numpy as np
+
+from crowdbp import bp
+from crowdbp.segments import segment_loo_log1p
+
+_NO_ATOM_YET = -np.finfo(np.float64).max
+_PACKAGE_KERNEL = bp._worker_kernel
+
+
+def reference_worker_llrs(x, graph, a, atom_mu, atom_w):
+    ax = a * x
+    top, agree, disagree = _NO_ATOM_YET, 0.0, 0.0
+    for mu, w in zip(atom_mu, atom_w):
+        loo = 0.0 if mu == 0.0 else segment_loo_log1p(mu * ax, graph.by_worker)
+        new_top = np.maximum(top, loo)
+        rescale = np.exp(top - new_top)
+        weight = np.exp(loo - new_top)
+        agree = agree * rescale + (w * (1.0 + mu)) * weight
+        disagree = disagree * rescale + (w * (1.0 - mu)) * weight
+        top = new_top
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return a * np.log(agree / disagree)
+
+
+def reference_worker_kernel(kernel, graph, a, prior, factors, r_max):
+    if kernel != "magnetization":
+        return _PACKAGE_KERNEL(kernel, graph, a, prior, factors, r_max)
+    if factors is None:
+        atom_p, atom_w = prior.support_atoms(r_max)
+    else:
+        atom_p, atom_w = factors.atom_p, factors.atom_w
+    return partial(reference_worker_llrs, graph=graph, a=a,
+                   atom_mu=2.0 * np.asarray(atom_p) - 1.0, atom_w=atom_w)
