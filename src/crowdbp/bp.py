@@ -68,10 +68,11 @@ from .segments import Grouping, build_grouping, segment_loo_log1p
 
 _NAIVE_DEGREE_GUARD = 14
 # What running a degree class on its own costs per sweep beyond its atom
-# passes (the gather and scatter of its edges and numpy's fixed per-call
-# cost), in atom-edge passes.  A class that saves less than this over the
-# next larger class is folded into it.
-_CLASS_OVERHEAD_EDGES = 2_000
+# passes, in atom-edge passes (about 15 ns each): the gather and scatter
+# of its edges and numpy's fixed per-call cost (40-60 us), plus building
+# its Gauss rule, spread over the sweeps of a run.  A class that saves
+# less than this over the next larger class is folded into it.
+_CLASS_OVERHEAD_EDGES = 10_000
 # Atoms times edges in one block of the worker half: each (atoms, edges)
 # temporary stays at 128 KB, in cache, and a block adds well under 1 MB.
 _BLOCK_ELEMENTS = 1 << 14
@@ -303,7 +304,7 @@ def _degree_classes(degrees: np.ndarray, n_atoms: int) -> list[tuple[int, np.nda
     bucket = np.where(need >= n_atoms, full, np.frexp(need)[1])
     bucket[degrees == 0] = -1
     classes = []
-    for b in np.unique(bucket[bucket >= 0]):
+    for b in np.flatnonzero(np.bincount(bucket[bucket >= 0], minlength=full + 1)):
         members = bucket == b
         k = n_atoms if b == full else int(need[members].max())
         classes.append([k, int(degrees[members].sum()), members])
@@ -325,7 +326,7 @@ def _class_kernel(graph: AssignmentGraph, a: np.ndarray, atom_mu: np.ndarray,
                   atom_w: np.ndarray):
     """The magnetization worker half, each degree class on its own Gauss rule."""
     degrees = graph.worker_degrees
-    n_atoms = np.unique(atom_mu).size
+    n_atoms = np.count_nonzero(np.diff(np.sort(atom_mu))) + 1
     # On small graphs, or when every worker needs every atom, all classes
     # would fold into the atoms' class; skip building them.
     small = (n_atoms - 1) * graph.n_edges < _CLASS_OVERHEAD_EDGES
