@@ -331,10 +331,10 @@ def _class_kernel(graph: AssignmentGraph, a: np.ndarray, atom_mu: np.ndarray,
     # would fold into the atoms' class; skip building them.
     small = (n_atoms - 1) * graph.n_edges < _CLASS_OVERHEAD_EDGES
     if small or degrees.min(initial=2 * n_atoms) // 2 + 1 >= n_atoms:
-        classes = []
+        classes = [(n_atoms, None)]
     else:
         classes = _degree_classes(degrees, n_atoms)
-    if not classes or (len(classes) == 1 and classes[0][0] == n_atoms):
+    if len(classes) == 1 and classes[0][0] == n_atoms:
         # The prior's own atoms on the whole graph fold one at a time, as
         # they always have, so those margins stay bitwise the same.
         return partial(_worker_llrs, grouping=graph.by_worker, a=a, atom_mu=atom_mu,
