@@ -26,28 +26,31 @@ which reproduces the literal sum over neighbor label configurations
 weighted by f(c, r) exactly.  The leave-one-out log product is
 S_mu[u] - log(1 + mu A_iu x_i), with S_mu the per-worker sum of those
 logs; factors that are exactly 0 (mu = ±1 against a certain message) are
-counted per worker instead of divided out.  Atoms are folded in under a
-running per-edge maximum, a bounded block of atoms at a time, so memory
-stays O(edges) for any atom count.  The ``naive`` kernel evaluates the
-configuration sum directly and exists as the independent cross-check.
+counted per worker instead of divided out.  Atoms are folded in one at a
+time under a running per-edge maximum, so memory stays O(edges) for any
+atom count.  The ``naive`` kernel evaluates the configuration sum
+directly and exists as the independent cross-check.
 
 Degree classes: each atom costs a pass over the edges it is applied to,
 but a worker of degree r does not need every atom.  Both lanes of the
 sum above are polynomials of degree r in mu, and a k-node Gauss rule of
 the prior integrates every polynomial of degree <= 2k - 1 exactly, so
 r//2 + 1 nodes give that worker's messages exactly (to rounding).
-Workers are put in power-of-two classes by that node count.  Classes
-that need at least the prior's K distinct atoms merge into one that
-keeps the atoms; every other class runs the Gauss rule of its largest
-count (:func:`.gauss_rules`).  A class whose saving over the next larger
-class, in atom-edge passes, is below a fixed per-class cost folds into
-it.  When the prior's atoms are left alone on the whole graph they fold
-one atom at a time, exactly as before the classes existed, so regular
-graphs under ``sh`` (worker degree >= 2) or ``ash`` (>= 4) and small
-graphs keep their margins bitwise.  Otherwise each class sums blocks of
-atoms, and its messages are shifted so that a worker whose other answers
-carry no information (x = 0) sends bitwise the atoms' prior-mean LLR,
-whichever class it is in; a tie between such workers stays exact.
+Workers are put in power-of-two classes by that node count k.  Workers
+that need at least the prior's K distinct atoms, or whose k times K
+exceeds the edge count, share one class that keeps the atoms; every
+other class runs the Gauss rule of its largest count
+(:func:`.gauss_rules`).  Building a k-node rule takes a k x K Lanczos
+basis and O(k^2 K) work, so that cap keeps memory O(edges) here too.  A
+class whose saving over the next larger class, in atom-edge passes, is
+below a fixed per-class cost folds into it.  When the prior's atoms are
+left alone on the whole graph they run with no gather or scatter,
+exactly as before the classes existed, so regular graphs under ``sh``
+(worker degree >= 2) or ``ash`` (>= 4) and small graphs keep their
+margins bitwise.  Otherwise each class runs on its own edges, and its
+messages are shifted so that a worker whose other answers carry no
+information (x = 0) sends bitwise the atoms' prior-mean LLR, whichever
+class it is in; a tie between such workers stays exact.
 
 The pair-valued :class:`BeliefState` API (``bp_init``,
 ``bp_update_*_messages``, ``bp_compute_beliefs``) runs the same core and
@@ -73,9 +76,6 @@ _NAIVE_DEGREE_GUARD = 14
 # its Gauss rule, spread over the sweeps of a run.  A class that saves
 # less than this over the next larger class is folded into it.
 _CLASS_OVERHEAD_EDGES = 10_000
-# Atoms times edges in one block of the worker half: each (atoms, edges)
-# temporary stays at 128 KB, in cache, and a block adds well under 1 MB.
-_BLOCK_ELEMENTS = 1 << 14
 # Start of the running maximum over atoms: finite, so that subtracting it
 # from a -inf log product gives -inf rather than NaN.
 _NO_ATOM_YET = -np.finfo(np.float64).max
@@ -206,39 +206,6 @@ def _worker_llrs(x: np.ndarray, grouping: Grouping, a: np.ndarray,
         return a * np.log(agree / disagree)
 
 
-def _block_worker_llrs(x: np.ndarray, grouping: Grouping, a: np.ndarray,
-                       atom_mu: np.ndarray, atom_w: np.ndarray, block: int) -> np.ndarray:
-    """:func:`_worker_llrs` taking ``block`` atoms at a time as (block, edges) arrays.
-
-    Each block's lanes are summed under the block's per-edge maximum, row
-    after row so that every edge sums in the same order, and then folded
-    into the running lanes; far fewer numpy calls per atom on small
-    classes, at rounding-level differences from the one-atom fold.
-    """
-    ax = a * x
-    c_agree, c_disagree = atom_w * (1.0 + atom_mu), atom_w * (1.0 - atom_mu)
-    top, agree, disagree = _NO_ATOM_YET, 0.0, 0.0
-    for start in range(0, atom_mu.size, block):
-        rows = slice(start, start + block)
-        loo = segment_loo_log1p(np.multiply.outer(atom_mu[rows], ax), grouping)
-        new_top = np.maximum(top, loo.max(axis=0))
-        rescale = np.exp(top - new_top)
-        weight = np.exp(loo - new_top)
-        agree = agree * rescale + _weighted_rows(c_agree[rows], weight)
-        disagree = disagree * rescale + _weighted_rows(c_disagree[rows], weight)
-        top = new_top
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return a * np.log(agree / disagree)
-
-
-def _weighted_rows(c: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_j c_j rows_j, row after row."""
-    total = c[0] * rows[0]
-    for cj, row in zip(c[1:], rows[1:]):
-        total += cj * row
-    return total
-
-
 def _worker_llrs_naive(x: np.ndarray, graph: AssignmentGraph, a: np.ndarray,
                        table: FactorTable) -> np.ndarray:
     degrees = graph.worker_degrees
@@ -298,10 +265,15 @@ def _degree_classes(degrees: np.ndarray, n_atoms: int) -> list[tuple[int, np.nda
     belong to no class.
     """
     need = degrees // 2 + 1
-    # Bucket b holds the needs in [2^(b-1), 2^b); the needs that reach the
-    # atom count share one bucket above every other.
+    # A k-node rule is built from a k x K Lanczos basis in O(k^2 K) work.
+    # Needs with k K above the edge count keep the atoms, so the basis is
+    # never larger than one edge array and its build costs at most k flops
+    # per edge, well under one sweep of the K atoms.
+    keep_atoms = (need >= n_atoms) | (need * n_atoms > degrees.sum())
+    # Bucket b holds the needs in [2^(b-1), 2^b); the atoms' class is a
+    # bucket above every other.
     full = 64
-    bucket = np.where(need >= n_atoms, full, np.frexp(need)[1])
+    bucket = np.where(keep_atoms, full, np.frexp(need)[1])
     bucket[degrees == 0] = -1
     classes = []
     for b in np.flatnonzero(np.bincount(bucket[bucket >= 0], minlength=full + 1)):
@@ -325,56 +297,43 @@ def _degree_classes(degrees: np.ndarray, n_atoms: int) -> list[tuple[int, np.nda
 def _class_kernel(graph: AssignmentGraph, a: np.ndarray, atom_mu: np.ndarray,
                   atom_w: np.ndarray):
     """The magnetization worker half, each degree class on its own Gauss rule."""
-    degrees = graph.worker_degrees
-    n_atoms = np.count_nonzero(np.diff(np.sort(atom_mu))) + 1
-    # On small graphs, or when every worker needs every atom, all classes
-    # would fold into the atoms' class; skip building them.
-    small = (n_atoms - 1) * graph.n_edges < _CLASS_OVERHEAD_EDGES
-    if small or degrees.min(initial=2 * n_atoms) // 2 + 1 >= n_atoms:
-        classes = [(n_atoms, None)]
-    else:
-        classes = _degree_classes(degrees, n_atoms)
-    if len(classes) == 1 and classes[0][0] == n_atoms:
-        # The prior's own atoms on the whole graph fold one at a time, as
-        # they always have, so those margins stay bitwise the same.
+    n_atoms = int(np.count_nonzero(np.diff(np.sort(atom_mu)))) + 1
+    classes = _degree_classes(graph.worker_degrees, n_atoms)
+    if [k for k, _ in classes] == [n_atoms]:
+        # The prior's own atoms on the whole graph run with no gather or
+        # scatter, as they always have, so those margins stay bitwise the same.
         return partial(_worker_llrs, grouping=graph.by_worker, a=a, atom_mu=atom_mu,
                        atom_w=atom_w)
     reduced = [k for k, _ in classes if k < n_atoms]
     rules = dict(zip(reduced, gauss_rules(atom_mu, atom_w, reduced)))
     rules[n_atoms] = (atom_mu, atom_w)
-    prior_mean = _prior_mean_llr(partial(_worker_llrs, atom_mu=atom_mu, atom_w=atom_w))
+    prior_mean = _prior_mean_llr(atom_mu, atom_w)
     keys = graph.by_worker.keys
     parts = []
     for k, members in classes:
-        if len(classes) == 1:
-            edges, grouping = None, graph.by_worker
-        else:
-            edges = np.flatnonzero(members[keys])
-            compact = np.cumsum(members) - 1
-            grouping = build_grouping(compact[keys[edges]], int(members.sum()))
-        half = partial(_block_worker_llrs, atom_mu=rules[k][0], atom_w=rules[k][1],
-                       block=max(1, _BLOCK_ELEMENTS // grouping.keys.size))
+        edges = np.flatnonzero(members[keys])
+        compact = np.cumsum(members) - 1
+        grouping = build_grouping(compact[keys[edges]], int(members.sum()))
+        mu, w = rules[k]
         # Every rule gives a worker whose other answers carry no information
         # the LLR of the prior's mean, up to rounding; the shift makes it the
         # atoms' value bitwise, so ties between such workers stay exact.
-        shift = prior_mean - _prior_mean_llr(half)
-        parts.append((edges, grouping, a if edges is None else a[edges], half, shift))
+        shift = prior_mean - _prior_mean_llr(mu, w)
+        parts.append((edges, grouping, a[edges], mu, w, shift))
     return partial(_class_worker_llrs, parts=parts, n_edges=graph.n_edges)
 
 
-def _prior_mean_llr(half) -> float:
-    """What worker half ``half`` sends for a +1 answer whose other answers have x = 0."""
+def _prior_mean_llr(atom_mu: np.ndarray, atom_w: np.ndarray) -> float:
+    """What the rule sends for a +1 answer whose other answers have x = 0."""
     one_edge = build_grouping(np.zeros(1, dtype=np.int64), 1)
-    return float(half(np.zeros(1), one_edge, np.ones(1))[0])
+    return float(_worker_llrs(np.zeros(1), one_edge, np.ones(1), atom_mu, atom_w)[0])
 
 
 def _class_worker_llrs(x: np.ndarray, parts: list, n_edges: int) -> np.ndarray:
     lam = np.empty(n_edges)
-    for edges, grouping, a, half, shift in parts:
-        llr = half(x if edges is None else x[edges], grouping, a)
+    for edges, grouping, a, atom_mu, atom_w, shift in parts:
+        llr = _worker_llrs(x[edges], grouping, a, atom_mu, atom_w)
         llr += a * shift
-        if edges is None:
-            return llr
         lam[edges] = llr
     return lam
 

@@ -146,7 +146,8 @@ def gauss_rules(mu: np.ndarray, w: np.ndarray,
     k-node rule is the eigensystem of its leading k x k block (nodes are
     the eigenvalues, weights the squared first eigenvector components).
     Moment-based Golub-Welsch would be ill-conditioned at hundreds of
-    atoms.  Nodes lie in [min mu, max mu] (strictly inside, up to rounding).
+    atoms.  For K atoms and largest size k the run holds a k x K basis and
+    costs O(k^2 K) work.  Nodes lie in [min mu, max mu] (strictly inside, up to rounding).
 
     The eigensystem comes from ``numpy.linalg.eigh``: SciPy's tridiagonal
     solver would load SciPy's own BLAS, about 25 MB of resident memory.

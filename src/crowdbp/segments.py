@@ -57,29 +57,18 @@ def segment_loo_log1p(y: np.ndarray, grouping: Grouping) -> np.ndarray:
     Returned in natural edge order; singleton segments get log 1 = 0.  A
     factor 1 + y == 0 is counted per segment instead of summed as -inf, so
     exactly the other edges of that segment get -inf and the edge holding
-    the zero keeps the product of the rest.  ``y`` may be (rows, edges);
-    each row is reduced on its own, in the same order as a 1-D call.
+    the zero keeps the product of the rest.
     """
+    keys, n = grouping.keys, grouping.n_segments
     with np.errstate(divide="ignore"):
         logs = np.log1p(y)
     zero = logs == -np.inf
     if not zero.any():
-        return _row_sums(logs, grouping) - logs
+        return np.bincount(keys, logs, n)[keys] - logs
     logs[zero] = 0.0
-    loo = _row_sums(logs, grouping) - logs
-    loo[_row_sums(zero, grouping) - zero > 0] = -np.inf
+    loo = np.bincount(keys, logs, n)[keys] - logs
+    loo[np.bincount(keys, zero, n)[keys] - zero > 0] = -np.inf
     return loo
-
-
-def _row_sums(values: np.ndarray, grouping: Grouping) -> np.ndarray:
-    """Each edge's segment total of ``values``, row by row over a leading axis."""
-    keys, n = grouping.keys, grouping.n_segments
-    if values.ndim == 1:
-        return np.bincount(keys, values, n)[keys]
-    rows = values.shape[0]
-    flat = (keys + n * np.arange(rows)[:, None]).ravel()
-    totals = np.bincount(flat, values.ravel(), n * rows).reshape(rows, n)
-    return np.take(totals, keys, axis=1)
 
 
 def expand(per_segment: np.ndarray, grouping: Grouping) -> np.ndarray:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -348,6 +349,11 @@ class TestLlrCore:
 def skewed_graph(rng, n_tasks, max_degree, min_degree=1):
     """Heavy-tailed worker degrees in [min_degree, max_degree], edges shuffled."""
     degrees = np.clip(rng.zipf(1.6, size=n_tasks), min_degree, min(max_degree, n_tasks))
+    return graph_of_degrees(rng, n_tasks, degrees)
+
+
+def graph_of_degrees(rng, n_tasks, degrees):
+    """Worker u answers ``degrees[u]`` distinct random tasks; edges shuffled."""
     edges = np.concatenate([
         np.column_stack((rng.choice(n_tasks, size=d, replace=False), np.full(d, u)))
         for u, d in enumerate(degrees)])
@@ -457,11 +463,14 @@ class TestDegreeClasses:
 
     def test_reduced_rules_match_the_naive_factor_table(self, rng, monkeypatch):
         # Degrees 1-14 need at most 8 nodes, below the 20+ empirical atoms,
-        # so every class runs a reduced rule against the literal f(c, r).
+        # and 8 K stays within the edge count (the many degree-2 and -3
+        # workers), so every class runs a reduced rule against the literal
+        # f(c, r).
         monkeypatch.setattr(bp, "_CLASS_OVERHEAD_EDGES", 0)
         for case in range(12):
-            prior = empirical_atoms(rng, int(rng.integers(20, 60)))
-            g = skewed_graph(rng, 16, 14)
+            prior = empirical_atoms(rng, int(rng.integers(20, 30)))
+            degrees = np.concatenate([np.arange(1, 15), rng.integers(2, 4, size=80)])
+            g = graph_of_degrees(rng, 40, rng.permutation(degrees))
             assert max(k for k, _ in bp._degree_classes(g.worker_degrees,
                                                          prior.atom_p.size)) < prior.atom_p.size
             a = rng.choice([-1, 1], size=g.n_edges)
@@ -483,9 +492,34 @@ class TestDegreeClasses:
             covered = np.sum([members for _, members in classes], axis=0)
             np.testing.assert_array_equal(covered, degrees > 0)
             for k, members in classes:
-                # A reduced rule is exact for its members; the prior's own
+                # A reduced rule is exact for its members, and its k x K
+                # Lanczos basis is no larger than the edges; the prior's own
                 # atoms are exact for every degree.
                 assert k == n_atoms or (degrees[members] // 2 + 1 <= k).all()
+                assert k == n_atoms or k * n_atoms <= degrees.sum()
+
+    def test_prolific_workers_keep_the_rule_build_small(self, rng):
+        # Workers of degree 3,000 and 2,400 under a 3,000-atom empirical
+        # prior need 1,501 and 1,201 nodes: a reduced rule would take a
+        # 1,501 x 3,000 Lanczos basis (36 MB) and about 3e10 flops.  k K
+        # above the edge count keeps the atoms for them instead.
+        prior = empirical_atoms(rng, 3000)
+        degrees = np.concatenate([[3000, 2400], rng.integers(1, 6, size=400)])
+        g = graph_of_degrees(rng, 3000, rng.permutation(degrees))
+        n_atoms = prior.atom_p.size
+        classes = bp._degree_classes(g.worker_degrees, n_atoms)
+        assert len(classes) > 1 and classes[-1][0] == n_atoms
+        assert all(k * n_atoms <= g.n_edges for k, _ in classes[:-1])
+        a = rng.choice([-1, 1], size=g.n_edges)
+        tracemalloc.start()
+        try:
+            report = cb.bp_run(g, a, prior, k_max=1, tol=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(report.margins).all()
+        # About 8 edge arrays of 8 bytes per edge are live in a sweep.
+        assert peak < 4 * 2**20
 
 
 def _n_atoms(prior, g):

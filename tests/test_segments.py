@@ -41,19 +41,6 @@ def test_sum_over_no_edges_is_float_zeros():
     np.testing.assert_array_equal(out, [0.0, 0.0, 0.0])
 
 
-def test_loo_rows_match_one_row_calls_bitwise():
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        n_seg = int(rng.integers(1, 6))
-        m = int(rng.integers(1, 25))
-        g = build_grouping(rng.integers(0, n_seg, size=m), n_seg)
-        y = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 5)), m))
-        y[rng.random(y.shape) < 0.1] = -1.0
-        rows = segment_loo_log1p(y.copy(), g)
-        for row, values in zip(rows, y):
-            assert row.tobytes() == segment_loo_log1p(values.copy(), g).tobytes()
-
-
 def test_loo_prod_is_exact_with_zero_factors():
     keys = np.array([0, 0, 0, 1, 1])
     factors = np.array([0.0, 5.0, 2.0, 0.0, 0.0])
