@@ -482,6 +482,7 @@ class TestDegreeClasses:
             np.testing.assert_allclose(fast.margins, slow.margins, rtol=0, atol=self.ATOL)
 
     def test_classes_partition_the_workers(self, rng):
+        split = 0
         for _ in range(50):
             degrees = np.minimum(rng.zipf(1.5, size=int(rng.integers(1, 400))), 2000) - (
                 rng.random() < 0.3)
@@ -497,6 +498,11 @@ class TestDegreeClasses:
                 # atoms are exact for every degree.
                 assert k == n_atoms or (degrees[members] // 2 + 1 <= k).all()
                 assert k == n_atoms or k * n_atoms <= degrees.sum()
+            for (k, members), (k_next, _) in zip(classes, classes[1:]):
+                # A class kept apart saves at least its cost over the next one.
+                assert (k_next - k) * degrees[members].sum() >= bp._CLASS_OVERHEAD_EDGES
+            split += len(classes) > 1
+        assert split >= 10
 
     def test_prolific_workers_keep_the_rule_build_small(self, rng):
         # Workers of degree 3,000 and 2,400 under a 3,000-atom empirical
