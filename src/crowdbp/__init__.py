@@ -27,8 +27,7 @@ from .harness import (CSV_COLUMNS, Dataset, ExperimentConfig, MetricsRow, error_
                       subsample_assignments, theoretical_bounds, tree_probability_bound,
                       write_metrics_csv)
 from .priors import (FactorTable, ReliabilityPrior, adversary_spammer_hammer,
-                     check_factor_normalization, empirical_prior, parse_prior_spec,
-                     spammer_hammer)
+                     empirical_prior, parse_prior_spec, spammer_hammer)
 from .seeding import child_seed, rng_from
 
 __all__ = [
@@ -38,7 +37,7 @@ __all__ = [
     "NumericDegeneracyError", "ParameterError", "ReliabilityPrior", "SizeError",
     "SpanningTree", "adversary_spammer_hammer", "bp_compute_beliefs", "bp_init",
     "bp_run", "bp_update_task_messages", "bp_update_worker_messages",
-    "brute_force_marginals", "check_factor_normalization", "child_seed",
+    "brute_force_marginals", "child_seed",
     "decode_labels", "ebp_run", "em_run", "empirical_prior", "error_rate",
     "exact_conditional_gain", "extract_bfs_tree", "generate_regular_bipartite",
     "kos_run", "load_dataset", "load_experiment_config",

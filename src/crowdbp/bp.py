@@ -6,7 +6,9 @@ edges are one ``np.bincount`` over that side's keys and broadcasts back
 are gathers (see :mod:`.segments`), so a sweep costs O(edges) whatever
 the degree profile.  Sweeps are synchronous: all task-to-worker messages
 from the previous worker-to-task messages, then all worker-to-task
-messages from the fresh task-to-worker ones.
+messages from the fresh task-to-worker ones.  ``bp_run`` is one sweep
+function handed to :func:`_iterate`, the loop and stop rule that the kos
+and EM decoders of :mod:`.estimators` share.
 
 Task half: nu[i->u] = L_i - lam[u->i] with L_i = sum_u lam[u->i].  The
 positive and negative parts of L_i are summed separately, so incoming
@@ -116,14 +118,29 @@ def make_report(margins: np.ndarray, iterations_run: int, converged: bool,
                           converged, float(max_delta))
 
 
+def _iterate(step, state, k_max: int, tol: float) -> tuple[object, int, bool, float]:
+    """Apply ``step(state) -> (state, delta)`` until ``delta`` falls below ``tol``.
+
+    Runs at most ``k_max`` steps.  An exact fixed point (``delta == 0``)
+    always counts as converged, so ``tol=0`` runs the full budget unless
+    the state stops moving entirely.  Returns the last state, the steps
+    run, whether they converged and the last ``delta``.  Pass the start
+    state inline: the driver drops it after the first step, while a name
+    for it in the caller would keep its arrays alive for the whole run.
+    """
+    if k_max < 1:
+        raise ParameterError("k_max must be at least 1")
+    if tol < 0:
+        raise ParameterError("tol must be non-negative")
+    delta = math.inf
+    for iteration in range(1, k_max + 1):
+        state, delta = step(state)
+        if delta < tol or delta == 0.0:
+            return state, iteration, True, delta
+    return state, k_max, False, delta
+
+
 # -- LLR core -----------------------------------------------------------------
-
-def _answer_signs(answers: AnswerMatrix | np.ndarray, graph: AssignmentGraph) -> np.ndarray:
-    a = answer_values(answers).astype(np.float64)
-    if a.shape[0] != graph.n_edges:
-        raise ParameterError("answers length does not match graph")
-    return a
-
 
 def _check_edges(llr: np.ndarray, graph: AssignmentGraph, what: str) -> None:
     """NaN marks a message with zero mass on both labels."""
@@ -354,6 +371,14 @@ def _pinned_edges(graph: AssignmentGraph, clamp_tasks: np.ndarray,
     return edges, per_edge[edges]
 
 
+def _start_state(n_edges: int, pin_edges: np.ndarray,
+                 pin_llr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zero LLRs and magnetizations, except the clamped tasks' pinned messages."""
+    x = np.zeros(n_edges)
+    x[pin_edges] = np.tanh(pin_llr / 2.0)
+    return np.zeros(n_edges), x, np.zeros(n_edges)
+
+
 # -- pair-valued sweep pieces ------------------------------------------------
 
 def _pairs_to_llr(pairs: np.ndarray) -> np.ndarray:
@@ -394,7 +419,7 @@ def bp_update_worker_messages(state: BeliefState, graph: AssignmentGraph,
                               answers: AnswerMatrix | np.ndarray, factors: FactorTable,
                               kernel: str = "magnetization") -> BeliefState:
     """Each worker tells each task how its other answers weigh the label."""
-    a = _answer_signs(answers, graph)
+    a = answer_values(answers, graph)
     worker_half = _worker_kernel(kernel, graph, a, None, factors, factors.r_max)
     lam = worker_half(np.tanh(_pairs_to_llr(state.msg_task_to_worker) / 2.0))
     _check_edges(lam, graph, "worker message")
@@ -413,8 +438,7 @@ def bp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
            prior: ReliabilityPrior, k_max: int = 100, tol: float = 1e-5,
            *, kernel: str = "magnetization",
            clamp_tasks: np.ndarray | None = None,
-           clamp_labels: np.ndarray | None = None,
-           factors: FactorTable | None = None) -> EstimateReport:
+           clamp_labels: np.ndarray | None = None) -> EstimateReport:
     """Run synchronous sweeps and decode the sign of each task's belief margin.
 
     Stops early once the largest absolute message change, measured on the
@@ -423,18 +447,11 @@ def bp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     unless the messages stop moving entirely).  ``clamp_tasks``/
     ``clamp_labels`` pin the outgoing messages and beliefs of the given
     tasks to point masses on the given labels, which conditions the run on
-    those labels being known.  A prebuilt ``factors`` table must cover the
-    largest worker degree; its atoms are used in place of the prior's.
+    those labels being known.
     """
-    if k_max < 1:
-        raise ParameterError("k_max must be at least 1")
-    if tol < 0:
-        raise ParameterError("tol must be non-negative")
-    a = _answer_signs(answers, graph)
+    a = answer_values(answers, graph)
     r_max = int(graph.worker_degrees.max()) if graph.n_edges else 0
-    if factors is not None and factors.r_max < r_max:
-        raise ParameterError(f"factor table covers r <= {factors.r_max}, graph needs {r_max}")
-    worker_half = _worker_kernel(kernel, graph, a, prior, factors, r_max)
+    worker_half = _worker_kernel(kernel, graph, a, prior, None, r_max)
 
     clamped = clamp_tasks is not None and len(clamp_tasks) > 0
     pin_edges, pin_llr = np.empty(0, dtype=np.int64), np.empty(0)
@@ -449,15 +466,8 @@ def bp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
             raise ParameterError("clamp labels must be -1 or +1")
         pin_edges, pin_llr = _pinned_edges(graph, clamp_tasks, clamp_labels)
 
-    lam = np.zeros(graph.n_edges)
-    nu = np.zeros(graph.n_edges)
-    nu[pin_edges] = pin_llr
-    x_prev = np.tanh(nu / 2.0)
-    y_prev = np.zeros(graph.n_edges)
-    converged = False
-    delta = math.inf
-    iterations = 0
-    for iteration in range(1, k_max + 1):
+    def sweep(state):
+        lam, x_prev, y_prev = state
         _, nu = _task_llrs(lam, graph.by_task)
         nu[pin_edges] = pin_llr
         _check_edges(nu, graph, "task message")
@@ -465,14 +475,13 @@ def bp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
         lam = worker_half(x)
         _check_edges(lam, graph, "worker message")
         y = np.tanh(lam / 2.0)
-        iterations = iteration
         # Changes on the probability scale: |d P(+1)| = |d tanh(llr / 2)| / 2.
         delta = 0.5 * max(float(np.abs(x - x_prev).max(initial=0.0)),
                           float(np.abs(y - y_prev).max(initial=0.0)))
-        x_prev, y_prev = x, y
-        if delta < tol or delta == 0.0:
-            converged = True
-            break
+        return (lam, x, y), delta
+
+    (lam, _, _), iterations, converged, delta = _iterate(
+        sweep, _start_state(graph.n_edges, pin_edges, pin_llr), k_max, tol)
 
     total, _ = _task_llrs(lam, graph.by_task)
     margins = np.tanh(total / 2.0)

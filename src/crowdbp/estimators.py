@@ -1,7 +1,9 @@
 """Baseline label estimators: majority vote, spectral-style message passing,
 bootstrapped belief propagation, known-reliability weighting, and EM.
 
-All return an :class:`~crowdbp.bp.EstimateReport`; ties decode to +1.
+All return an :class:`~crowdbp.bp.EstimateReport`; ties decode to +1.  The
+iterative ones (kos, EM) are a start state plus a step function run by
+:func:`crowdbp.bp._iterate`, the loop and stop rule ``bp_run`` uses too.
 """
 from __future__ import annotations
 
@@ -10,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import EstimateReport, bp_run, make_report
+from .bp import EstimateReport, _iterate, bp_run, make_report
 from .errors import ParameterError
 from .graph import AnswerMatrix, AssignmentGraph, answer_values
-from .priors import ReliabilityPrior, empirical_prior
+from .priors import ReliabilityPrior, empirical_prior, spammer_hammer
 from .segments import expand, segment_sum
 from .seeding import rng_from
 
@@ -22,7 +24,7 @@ _P_CLAMP = 1e-9
 
 def majority_vote(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray) -> EstimateReport:
     """Sign of the plain answer sum per task; margin is the mean answer."""
-    a = answer_values(answers).astype(np.float64)
+    a = answer_values(answers, graph)
     scores = segment_sum(a, graph.by_task)
     degrees = graph.task_degrees
     margins = np.divide(scores, degrees, out=np.zeros_like(scores),
@@ -43,34 +45,18 @@ def kos_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     """
     if init not in ("random-normal", "ones"):
         raise ParameterError(f"unknown init {init!r}")
-    if k_max < 1:
-        raise ParameterError("k_max must be at least 1")
-    a = answer_values(answers).astype(np.float64)
-    if a.shape[0] != graph.n_edges:
-        raise ParameterError("answers length does not match graph")
+    a = answer_values(answers, graph)
     m = graph.n_edges
-    if init == "ones":
-        y = np.ones(m)
-    else:
-        y = rng_from(seed).standard_normal(m) + 1.0
-    y = _unit(y)
 
-    converged = False
-    delta = np.inf
-    iterations = 0
-    for iteration in range(1, k_max + 1):
-        prev_y = y
-        ay = a * y
+    def step(prev_y):
+        ay = a * prev_y
         x = expand(segment_sum(ay, graph.by_task), graph.by_task) - ay
         ax = a * x
-        y = expand(segment_sum(ax, graph.by_worker), graph.by_worker) - ax
-        y = _unit(y)
-        iterations = iteration
-        delta = float(np.abs(y - prev_y).max(initial=0.0))
-        if delta < tol or delta == 0.0:
-            converged = True
-            break
+        y = _unit(expand(segment_sum(ax, graph.by_worker), graph.by_worker) - ax)
+        return y, float(np.abs(y - prev_y).max(initial=0.0))
 
+    y, iterations, converged, delta = _iterate(step, _unit(
+        np.ones(m) if init == "ones" else rng_from(seed).standard_normal(m) + 1.0), k_max, tol)
     scores = segment_sum(a * y, graph.by_task)
     peak = np.abs(scores).max(initial=0.0)
     margins = scores / peak if peak > 0 else scores
@@ -100,13 +86,16 @@ def ebp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     """
     if rounds < 1:
         raise ParameterError("rounds must be at least 1")
-    a = answer_values(answers)
-    labels = majority_vote(graph, a).labels
+    a = answer_values(answers, graph)
+    labels = majority_vote(graph, answers).labels
     report = None
     for _ in range(rounds):
         matches = segment_sum(a == labels[graph.edges[:, 0]], graph.by_worker)
         p_hat = (0.25 + matches) / (0.5 + graph.worker_degrees)
-        report = bp_run(graph, a, empirical_prior(p_hat), k_max=k_max, tol=tol)
+        # With no worker there is nothing to score and no answer for any
+        # prior to weigh: every margin is 0.
+        prior = empirical_prior(p_hat) if p_hat.size else spammer_hammer()
+        report = bp_run(graph, answers, prior, k_max=k_max, tol=tol)
         labels = report.labels
     return report
 
@@ -126,7 +115,7 @@ def oracle_work(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
                       stacklevel=2)
         p = np.clip(p, _P_CLAMP, 1.0 - _P_CLAMP)
     weights = np.log(p / (1.0 - p))
-    a = answer_values(answers).astype(np.float64)
+    a = answer_values(answers, graph)
     scores = segment_sum(a * weights[graph.edges[:, 1]], graph.by_task)
     return make_report(np.tanh(scores / 2.0), iterations_run=0, converged=True,
                        max_delta=0.0)
@@ -176,27 +165,17 @@ def em_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     """
     if prior_alpha <= 0 or prior_beta <= 0:
         raise ParameterError("Beta prior parameters must be positive")
-    if k_max < 1:
-        raise ParameterError("k_max must be at least 1")
-    a = answer_values(answers).astype(np.float64)
-    if a.shape[0] != graph.n_edges:
-        raise ParameterError("answers length does not match graph")
+    a = answer_values(answers, graph)
     plus_votes = segment_sum(a == 1, graph.by_task)
-    w = (1.0 + plus_votes) / (2.0 + graph.task_degrees)
     buffer = np.empty(graph.n_edges)
 
-    converged = False
-    delta = np.inf
-    iterations = 0
-    for iteration in range(1, k_max + 1):
+    def step(w):
         p_hat = _em_m_step(graph, a, w, prior_alpha, prior_beta, out=buffer)
         new_w = _em_e_step(graph, a, p_hat, out=buffer)
-        iterations = iteration
-        delta = float(np.abs(new_w - w).max(initial=0.0))
-        w = new_w
-        if delta < tol or delta == 0.0:
-            converged = True
-            break
+        return new_w, float(np.abs(new_w - w).max(initial=0.0))
+
+    w, iterations, converged, delta = _iterate(
+        step, (1.0 + plus_votes) / (2.0 + graph.task_degrees), k_max, tol)
     return make_report(2.0 * w - 1.0, iterations, converged, delta)
 
 
@@ -208,9 +187,6 @@ class EstimatorSpec:
     rounds: int = 0
     k_max: int = 100
     tol: float = 1e-5
-    kos_init: str = "random-normal"
-    em_alpha: float = 2.0
-    em_beta: float = 1.0
 
     _KINDS = ("mv", "kos", "bp", "ebp", "oracle-work", "oracle-task", "em")
 
@@ -247,8 +223,7 @@ class EstimatorSpec:
         if self.kind == "mv":
             return majority_vote(graph, answers)
         if self.kind == "kos":
-            return kos_run(graph, answers, k_max=self.k_max, seed=seed,
-                           init=self.kos_init, tol=self.tol)
+            return kos_run(graph, answers, k_max=self.k_max, seed=seed, tol=self.tol)
         if self.kind == "bp":
             if prior is None:
                 raise ParameterError("estimator 'bp' needs a reliability prior")
@@ -265,6 +240,5 @@ class EstimatorSpec:
                 raise ParameterError("estimator 'oracle-task' needs a prior and truth labels")
             return oracle_task_estimate(graph, answers, prior, truth)
         if self.kind == "em":
-            return em_run(graph, answers, prior_alpha=self.em_alpha,
-                          prior_beta=self.em_beta, k_max=self.k_max, tol=self.tol)
+            return em_run(graph, answers, k_max=self.k_max, tol=self.tol)
         raise ParameterError(f"unknown estimator kind {self.kind!r}")

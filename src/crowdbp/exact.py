@@ -44,9 +44,7 @@ def brute_force_marginals(graph: AssignmentGraph, answers: AnswerMatrix | np.nda
     if n > _BRUTE_FORCE_TASK_GUARD:
         raise SizeError(f"brute force enumerates 2^{n} states; guard is "
                         f"n_tasks <= {_BRUTE_FORCE_TASK_GUARD}")
-    a = answer_values(answers)
-    if a.shape[0] != graph.n_edges:
-        raise ParameterError("answers length does not match graph")
+    a = answer_values(answers, graph)
     r_max = int(graph.worker_degrees.max()) if graph.n_edges else 0
     factors = FactorTable.build(prior, r_max)
     bits, s = _label_states(n)
@@ -232,9 +230,7 @@ def oracle_task_estimate(graph: AssignmentGraph, answers: AnswerMatrix | np.ndar
     then one ``bp_run`` on the disjoint forest of its regions with the
     boundary tasks clamped.  Tasks without answers get margin 0.
     """
-    a = answer_values(answers)
-    if a.shape[0] != graph.n_edges:
-        raise ParameterError("answers length does not match graph")
+    a = answer_values(answers, graph)
     labels = np.asarray(truth.labels, dtype=np.int64)
     if labels.shape[0] != graph.n_tasks:
         raise ParameterError("truth labels length does not match graph")

@@ -102,10 +102,13 @@ class AnswerMatrix:
         object.__setattr__(self, "answers", answers)
 
 
-def answer_values(answers: "AnswerMatrix | np.ndarray") -> np.ndarray:
-    if isinstance(answers, AnswerMatrix):
-        return answers.answers
-    return AnswerMatrix(np.asarray(answers)).answers
+def answer_values(answers: "AnswerMatrix | np.ndarray", graph: AssignmentGraph) -> np.ndarray:
+    """The answers as float signs, one per edge of ``graph`` in edge order."""
+    if not isinstance(answers, AnswerMatrix):
+        answers = AnswerMatrix(np.asarray(answers))
+    if answers.answers.shape != (graph.n_edges,):
+        raise ParameterError("answers length does not match graph")
+    return answers.answers.astype(np.float64)
 
 
 def generate_regular_bipartite(n_tasks: int, l: int, r: int, seed: int) -> AssignmentGraph:

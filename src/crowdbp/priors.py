@@ -21,7 +21,6 @@ all take that one path.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,13 +281,3 @@ class FactorTable:
         if not (0 <= c <= r <= self.r_max):
             raise ParameterError(f"need 0 <= c <= r <= {self.r_max}, got c={c}, r={r}")
         return float(self.log_values[r, c])
-
-
-def check_factor_normalization(table: FactorTable, atol: float = 1e-9) -> None:
-    """sum_c binom(r, c) f(c, r) must be 1 for every r: answers are a distribution."""
-    for r in range(table.r_max + 1):
-        total = sum(
-            math.comb(r, c) * math.exp(table.log_values[r, c]) for c in range(r + 1)
-        )
-        if not math.isclose(total, 1.0, abs_tol=atol, rel_tol=0.0):
-            raise ParameterError(f"factor table row r={r} sums to {total!r}")

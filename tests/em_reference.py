@@ -31,7 +31,7 @@ def reference_m_step(graph, a, w, alpha, beta):
 
 
 def reference_em_run(graph, answers, prior_alpha=2.0, prior_beta=1.0, k_max=100, tol=1e-5):
-    a = answer_values(answers).astype(np.float64)
+    a = answer_values(answers, graph)
     plus_votes = segment_sum(a == 1, graph.by_task)
     w = (1.0 + plus_votes) / (2.0 + graph.task_degrees)
     converged = False

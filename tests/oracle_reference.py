@@ -82,7 +82,7 @@ def reference_bfs_tree(graph, root: int) -> SpanningTree:
 
 def reference_oracle_task_estimate(graph, answers, prior, truth):
     """Per-root exact tree inference with true labels revealed on the boundary."""
-    a = answer_values(answers)
+    a = answer_values(answers, graph)
     labels = np.asarray(truth.labels, dtype=np.int64)
     if labels.shape[0] != graph.n_tasks:
         raise ParameterError("truth labels length does not match graph")

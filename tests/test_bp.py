@@ -18,6 +18,14 @@ def star_graph(n_workers: int) -> cb.AssignmentGraph:
     return cb.AssignmentGraph(1, n_workers, np.array([[0, u] for u in range(n_workers)]))
 
 
+# The iterative decoders, which share one loop and stop rule.
+DECODERS = {
+    "bp": lambda g, a, **kw: cb.bp_run(g, a, cb.spammer_hammer(), **kw),
+    "kos": cb.kos_run,
+    "em": cb.em_run,
+}
+
+
 class TestSweepPieces:
     def test_init_is_uninformative(self):
         g = star_graph(3)
@@ -123,49 +131,30 @@ class TestRun:
         assert first.iterations_run == second.iterations_run
         assert first.converged == second.converged
 
-    def test_exact_fixed_point_counts_as_converged_at_tol_zero(self):
+    @pytest.mark.parametrize("decoder", DECODERS)
+    def test_exact_fixed_point_counts_as_converged_at_tol_zero(self, decoder):
         g = star_graph(1)
-        report = cb.bp_run(g, np.array([1]), cb.spammer_hammer(), k_max=50, tol=0.0)
+        report = DECODERS[decoder](g, np.array([1]), k_max=50, tol=0.0)
         assert report.converged
         assert report.iterations_run < 50
         assert report.max_delta == 0.0
 
-    def test_k_max_is_respected_without_convergence(self, rng):
+    @pytest.mark.parametrize("decoder", DECODERS)
+    def test_k_max_is_respected_without_convergence(self, rng, decoder):
         g = cb.generate_regular_bipartite(20, 4, 4, seed=1)
         a = rng.choice([-1, 1], size=g.n_edges)
-        report = cb.bp_run(g, a, cb.spammer_hammer(), k_max=3, tol=1e-12)
+        report = DECODERS[decoder](g, a, k_max=3, tol=1e-12)
         assert report.iterations_run == 3
+        assert not report.converged
 
-    def test_parameter_validation(self):
+    @pytest.mark.parametrize("decoder", DECODERS)
+    def test_parameter_validation(self, decoder):
+        # kos and em used to accept a negative tol.
         g = star_graph(1)
-        with pytest.raises(cb.ParameterError):
-            cb.bp_run(g, np.array([1]), cb.spammer_hammer(), k_max=0)
-        with pytest.raises(cb.ParameterError):
-            cb.bp_run(g, np.array([1]), cb.spammer_hammer(), tol=-1.0)
-        with pytest.raises(cb.ParameterError):
-            cb.bp_run(g, np.array([1, 1]), cb.spammer_hammer())
-        small_table = FactorTable.build(cb.spammer_hammer(), 1)
-        g2 = cb.AssignmentGraph(2, 1, np.array([[0, 0], [1, 0]]))
-        with pytest.raises(cb.ParameterError):
-            cb.bp_run(g2, np.array([1, 1]), cb.spammer_hammer(), factors=small_table)
-
-    def test_prebuilt_factor_table_gives_identical_output(self, rng, monkeypatch):
-        g = cb.generate_regular_bipartite(20, 3, 4, seed=2)
-        a = rng.choice([-1, 1], size=g.n_edges)
-        table = FactorTable.build(cb.spammer_hammer(), 4)
-        direct = cb.bp_run(g, a, cb.spammer_hammer())
-        shared = cb.bp_run(g, a, cb.spammer_hammer(), factors=table)
-        np.testing.assert_array_equal(direct.margins, shared.margins)
-        # A Beta table's atoms are the prior's own quadrature, so the degree
-        # classes reduce the same atoms either way.
-        monkeypatch.setattr(bp, "_CLASS_OVERHEAD_EDGES", 0)
-        g = skewed_graph(rng, 60, 20)
-        a = rng.choice([-1, 1], size=g.n_edges)
-        prior = cb.ReliabilityPrior.from_beta(2.0, 1.0)
-        table = FactorTable.build(prior, int(g.worker_degrees.max()))
-        direct = cb.bp_run(g, a, prior)
-        shared = cb.bp_run(g, a, prior, factors=table)
-        np.testing.assert_array_equal(direct.margins, shared.margins)
+        with pytest.raises(cb.ParameterError, match="k_max"):
+            DECODERS[decoder](g, np.array([1]), k_max=0)
+        with pytest.raises(cb.ParameterError, match="tol"):
+            DECODERS[decoder](g, np.array([1]), tol=-1.0)
 
 
 class TestClamping:

@@ -121,6 +121,13 @@ class TestInfer:
         rc = main(["infer", "--data", str(data), "--estimator", "wat"])
         assert rc == 2
 
+    def test_negative_tol_exit_2(self, tmp_path, capsys):
+        # kos used to accept it and exit 0.
+        data = simulate(tmp_path)
+        rc = main(["infer", "--data", str(data), "--estimator", "kos", "--tol", "-1"])
+        assert rc == 2
+        assert "tol must be non-negative" in capsys.readouterr().err
+
     def test_conflicting_evidence_under_certain_prior_exit_4(self, tmp_path, capsys):
         data = tmp_path / "split.csv"
         data.write_text("t0,wa,+1\nt0,wb,+1\nt0,wc,-1\nt0,wd,-1\n")

@@ -12,6 +12,16 @@ from crowdbp.priors import FactorTable, gauss_rules
 from tests.conftest import random_prior
 
 
+def check_factor_normalization(table: FactorTable, atol: float = 1e-9) -> None:
+    """sum_c binom(r, c) f(c, r) must be 1 for every r: answers are a distribution."""
+    for r in range(table.r_max + 1):
+        total = sum(
+            math.comb(r, c) * math.exp(table.log_values[r, c]) for c in range(r + 1)
+        )
+        assert math.isclose(total, 1.0, abs_tol=atol, rel_tol=0.0), (
+            f"factor table row r={r} sums to {total!r}")
+
+
 class TestMoments:
     def test_spammer_hammer(self):
         mu, q = cb.spammer_hammer().moments()
@@ -200,9 +210,20 @@ class TestFactorTable:
         with pytest.raises(cb.ParameterError):
             FactorTable.build(cb.spammer_hammer(), -1)
 
+    def test_carries_the_prior_support_atoms(self, rng):
+        # The pair API's worker half reads its atoms from the table, so they
+        # must be the ones bp_run takes from the prior.
+        for _ in range(20):
+            prior = random_prior(rng)
+            r = int(rng.integers(0, 15))
+            table = FactorTable.build(prior, r)
+            p, w = prior.support_atoms(r)
+            assert table.atom_p.tobytes() == np.asarray(p).tobytes()
+            assert table.atom_w.tobytes() == np.asarray(w).tobytes()
+
     def test_normalization_holds_for_random_priors(self, rng):
         for _ in range(20):
-            cb.check_factor_normalization(FactorTable.build(random_prior(rng), 12))
+            check_factor_normalization(FactorTable.build(random_prior(rng), 12))
 
     def test_normalization_flags_a_broken_table(self):
         table = FactorTable.build(cb.spammer_hammer(), 2)
@@ -210,8 +231,8 @@ class TestFactorTable:
         values[2, 1] += 0.05
         import dataclasses
         broken = dataclasses.replace(table, log_values=values)
-        with pytest.raises(cb.ParameterError):
-            cb.check_factor_normalization(broken)
+        with pytest.raises(AssertionError, match="r=2"):
+            check_factor_normalization(broken)
 
 
 def test_import_leaves_scipy_special_unloaded():
