@@ -406,10 +406,10 @@ def bp_update_task_messages(state: BeliefState, graph: AssignmentGraph,
                             answers: AnswerMatrix | np.ndarray) -> BeliefState:
     """Each task tells each worker the product of its other workers' messages.
 
-    Answers do not enter this half-sweep; the argument is kept for signature
-    symmetry with the worker half-sweep.
+    Answers do not enter this half-sweep; they are checked against the graph
+    like the worker half-sweep's.
     """
-    del answers
+    answer_values(answers, graph)
     _, nu = _task_llrs(_pairs_to_llr(state.msg_worker_to_task), graph.by_task)
     _check_edges(nu, graph, "task message")
     return replace(state, msg_task_to_worker=_llr_to_pairs(nu))

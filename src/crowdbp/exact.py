@@ -22,7 +22,7 @@ import numpy as np
 from .bp import EstimateReport, bp_run, make_report
 from .errors import NumericDegeneracyError, ParameterError, SizeError
 from .graph import AnswerMatrix, AssignmentGraph, GroundTruth, answer_values
-from .priors import FactorTable, ReliabilityPrior
+from .priors import FactorTable, ReliabilityPrior, _logsumexp
 
 _BRUTE_FORCE_TASK_GUARD = 20
 _GAIN_EDGE_GUARD = 10
@@ -38,8 +38,6 @@ def _label_states(n: int) -> tuple[np.ndarray, np.ndarray]:
 def brute_force_marginals(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
                           prior: ReliabilityPrior) -> np.ndarray:
     """Exact posterior pair (P[+1], P[-1]) per task by joint enumeration."""
-    from scipy.special import logsumexp
-
     n = graph.n_tasks
     if n > _BRUTE_FORCE_TASK_GUARD:
         raise SizeError(f"brute force enumerates 2^{n} states; guard is "
@@ -57,15 +55,15 @@ def brute_force_marginals(graph: AssignmentGraph, answers: AnswerMatrix | np.nda
             continue
         c = (s[:, graph.edges[eids, 0]] == a[eids][None, :]).sum(axis=1)
         logw += factors.log_values[eids.size, c]
-    total = float(logsumexp(logw))
+    total = float(_logsumexp(logw))
     if total == -np.inf:
         raise NumericDegeneracyError("every label configuration has zero probability")
     pairs = np.empty((n, 2))
     for i in range(n):
         plus = bits[:, i] == 1
         with np.errstate(divide="ignore"):
-            pairs[i, 0] = np.exp(logsumexp(logw[plus]) - total) if plus.any() else 0.0
-            pairs[i, 1] = np.exp(logsumexp(logw[~plus]) - total) if (~plus).any() else 0.0
+            pairs[i, 0] = np.exp(_logsumexp(logw[plus]) - total) if plus.any() else 0.0
+            pairs[i, 1] = np.exp(_logsumexp(logw[~plus]) - total) if (~plus).any() else 0.0
     return pairs
 
 

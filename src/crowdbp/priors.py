@@ -14,13 +14,13 @@ polynomials in p of degree at most r, so a Beta prior is represented there
 by its Gauss-Jacobi quadrature atoms, which are exact for those degrees.
 
 A worker of degree r needs only r//2 + 1 nodes, so the engine also asks
-:func:`gauss_rules` for the smaller Gauss rules of an atom set: one Lanczos
-reduction of the atoms (the Jacobi matrix of the discrete measure) serves
-every rule size, and atom priors, empirical priors and Beta quadratures
-all take that one path.
+:func:`gauss_rules` for the smaller Gauss rules of an atom set.  Every rule
+is the eigensystem of a Jacobi matrix: closed-form for a Beta prior, and for
+atoms the one Lanczos reduction that serves every rule size.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,20 +80,6 @@ class ReliabilityPrior:
         ep2 = a * (a + 1.0) / ((a + b) * (a + b + 1.0))
         return 2.0 * ep - 1.0, 4.0 * ep2 - 4.0 * ep + 1.0
 
-    def log_factor(self, c: int, r: int) -> float:
-        """log E[p^c (1-p)^(r-c)]; -inf when the expectation is exactly 0."""
-        if r < 0 or c < 0 or c > r:
-            raise ParameterError(f"need 0 <= c <= r, got c={c}, r={r}")
-        if self.kind == "beta":
-            from scipy.special import gammaln
-
-            a, b = self.alpha, self.beta
-            return float(
-                gammaln(a + c) + gammaln(b + r - c) - gammaln(a + b + r)
-                - (gammaln(a) + gammaln(b) - gammaln(a + b))
-            )
-        return float(_atom_log_factor(self.atom_p, self.atom_w, np.array([c]), r)[0])
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "atoms":
             return rng.choice(self.atom_p, size=size, p=self.atom_w)
@@ -110,27 +96,46 @@ class ReliabilityPrior:
         """
         if self.kind == "atoms":
             return self.atom_p, self.atom_w
-        from scipy.special import roots_jacobi
-
         npts = max(1, degree // 2 + 1)
-        # weight (1-x)^(beta-1) (1+x)^(alpha-1) on [-1,1] maps to the Beta
-        # density under p = (1+x)/2
-        x, w = roots_jacobi(npts, self.beta - 1.0, self.alpha - 1.0)
-        return (x + 1.0) / 2.0, w / w.sum()
+        mu, w = _jacobi_rule(*_beta_jacobi(self.alpha, self.beta, npts), npts, -1.0, 1.0)
+        return (mu + 1.0) / 2.0, w
+
+
+def _beta_jacobi(alpha: float, beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the n x n Jacobi matrix of Beta(alpha, beta) in mu.
+
+    The density in mu = 2p - 1 is the Jacobi weight (1 - mu)^a (1 + mu)^b with
+    a = beta - 1, b = alpha - 1 (Gautschi, *Orthogonal Polynomials*, 2004).
+    Both index-0 terms take their reduced forms: the general ones are 0/0
+    when a + b is 0 (diagonal) or -1 (off-diagonal).
+    """
+    a, b = beta - 1.0, alpha - 1.0
+    j = np.arange(n, dtype=np.float64)
+    s = 2.0 * j + a + b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = (b * b - a * a) / (s * (s + 2.0))
+        off2 = 4.0 * j * (j + a) * (j + b) * (j + a + b) / (s * s * (s + 1.0) * (s - 1.0))
+    diag[0] = (b - a) / (a + b + 2.0)
+    off2[1:2] = 4.0 * (1.0 + a) * (1.0 + b) / ((a + b + 2.0) ** 2 * (a + b + 3.0))
+    return diag, np.sqrt(off2[1:])
+
+
+def _logsumexp(terms: np.ndarray) -> np.ndarray:
+    """log sum exp of ``terms`` over axis 0; -inf where every term is -inf."""
+    top = np.max(terms, axis=0)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(terms - shift), axis=0)) + shift
 
 
 def _atom_log_factor(p: np.ndarray, w: np.ndarray, cs: np.ndarray, r: int) -> np.ndarray:
     """log sum_k w_k p_k^c (1-p_k)^(r-c) for a vector of match counts."""
-    from scipy.special import logsumexp
-
     cs = cs[None, :].astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         logp = np.log(p)[:, None]
         log1mp = np.log1p(-p)[:, None]
         terms = np.where(cs > 0, cs * logp, 0.0) + np.where(r - cs > 0, (r - cs) * log1mp, 0.0)
-    terms = terms + np.log(w)[:, None]
-    with np.errstate(divide="ignore"):
-        return logsumexp(terms, axis=0)
+    return _logsumexp(terms + np.log(w)[:, None])
 
 
 def gauss_rules(mu: np.ndarray, w: np.ndarray,
@@ -141,27 +146,31 @@ def gauss_rules(mu: np.ndarray, w: np.ndarray,
     against the discrete measure sum_i w_i delta(mu_i).  Each k must be
     below the number of distinct atoms.  The rules share one Lanczos run
     on diag(mu) from the start vector sqrt(w), with full
-    reorthogonalization, which yields the measure's Jacobi matrix; the
-    k-node rule is the eigensystem of its leading k x k block (nodes are
-    the eigenvalues, weights the squared first eigenvector components).
+    reorthogonalization, which yields the measure's Jacobi matrix.
     Moment-based Golub-Welsch would be ill-conditioned at hundreds of
     atoms.  For K atoms and largest size k the run holds a k x K basis and
     costs O(k^2 K) work.  Nodes lie in [min mu, max mu] (strictly inside, up to rounding).
-
-    The eigensystem comes from ``numpy.linalg.eigh``: SciPy's tridiagonal
-    solver would load SciPy's own BLAS, about 25 MB of resident memory.
-    On a tridiagonal input LAPACK's Householder reduction is the identity;
-    the tests check that ebp margins are the same at 1 and 4 BLAS threads.
     """
     alpha, beta = _lanczos(np.asarray(mu, dtype=np.float64),
                            np.asarray(w, dtype=np.float64), max(sizes))
-    rules = []
-    for k in sizes:
-        jacobi = np.diag(alpha[:k]) + np.diag(beta[:k - 1], 1) + np.diag(beta[:k - 1], -1)
-        nodes, vectors = np.linalg.eigh(jacobi)
-        weights = vectors[0] ** 2
-        rules.append((np.clip(nodes, np.min(mu), np.max(mu)), weights / np.sum(weights)))
-    return rules
+    return [_jacobi_rule(alpha, beta, k, np.min(mu), np.max(mu)) for k in sizes]
+
+
+def _jacobi_rule(diag: np.ndarray, off: np.ndarray, k: int,
+                 lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The k-node Gauss rule of the leading k x k block of a Jacobi matrix.
+
+    Nodes are the block's eigenvalues, clipped to the support [lo, hi]
+    against rounding; weights are the squared first eigenvector components
+    (Golub-Welsch, *Math. Comp.* 1969).  ``numpy.linalg.eigh`` loads no
+    second BLAS, and on a tridiagonal input LAPACK's Householder reduction
+    is the identity; the tests check that ebp margins are the same at 1 and
+    4 BLAS threads.
+    """
+    jacobi = np.diag(diag[:k]) + np.diag(off[:k - 1], 1) + np.diag(off[:k - 1], -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    weights = vectors[0] ** 2
+    return np.clip(nodes, lo, hi), weights / np.sum(weights)
 
 
 def _lanczos(mu: np.ndarray, w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -257,27 +266,20 @@ class FactorTable:
 
     @classmethod
     def build(cls, prior: ReliabilityPrior, r_max: int) -> "FactorTable":
-        from scipy.special import gammaln
-
         if r_max < 0:
             raise ParameterError("r_max must be non-negative")
+        if prior.kind == "beta":  # f(c, r) = B(a + c, b + r - c) / B(a, b)
+            a, b = prior.alpha, prior.beta
+            lg_a, lg_b, lg_ab = (np.array([math.lgamma(x + k) - math.lgamma(x)
+                                           for k in range(r_max + 1)]) for x in (a, b, a + b))
         table = np.full((r_max + 1, r_max + 1), np.nan)
         for r in range(r_max + 1):
             cs = np.arange(r + 1)
             if prior.kind == "atoms":
                 table[r, : r + 1] = _atom_log_factor(prior.atom_p, prior.atom_w, cs, r)
             else:
-                a, b = prior.alpha, prior.beta
-                table[r, : r + 1] = (
-                    gammaln(a + cs) + gammaln(b + r - cs) - gammaln(a + b + r)
-                    - (gammaln(a) + gammaln(b) - gammaln(a + b))
-                )
+                table[r, : r + 1] = lg_a[: r + 1] + lg_b[r::-1] - lg_ab[r]
         atom_p, atom_w = prior.support_atoms(r_max)
         table.setflags(write=False)
         return cls(r_max=r_max, log_values=table, atom_p=np.asarray(atom_p),
                    atom_w=np.asarray(atom_w))
-
-    def log_value(self, c: int, r: int) -> float:
-        if not (0 <= c <= r <= self.r_max):
-            raise ParameterError(f"need 0 <= c <= r <= {self.r_max}, got c={c}, r={r}")
-        return float(self.log_values[r, c])

@@ -43,6 +43,11 @@ class TestSweepPieces:
         # message to worker 2 multiplies the pairs from workers 0 and 1
         np.testing.assert_allclose(out.msg_task_to_worker[2], [7 / 9, 2 / 9], rtol=1e-12)
 
+    def test_task_half_checks_the_answers(self):
+        g = star_graph(2)
+        with pytest.raises(cb.ParameterError, match="answers length"):
+            bp_update_task_messages(bp_init(g), g, np.ones(99))
+
     def test_beliefs_multiply_all_incoming_pairs(self):
         g = star_graph(2)
         state = bp_init(g)

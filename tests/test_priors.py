@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import logsumexp, roots_jacobi
 from scipy.stats import beta as beta_dist
 
 import crowdbp as cb
@@ -50,17 +51,29 @@ class TestMoments:
             assert q == pytest.approx(q_ref, abs=1e-9)
 
 
+def log_factor(prior: cb.ReliabilityPrior, c: int, r: int) -> float:
+    return float(FactorTable.build(prior, r).log_values[r, c])
+
+
+def closed_form_log_factors(alpha: float, beta: float, r: int) -> np.ndarray:
+    """log f(c, r) = log B(alpha + c, beta + r - c) - log B(alpha, beta), c = 0..r."""
+    return np.array([
+        math.lgamma(alpha + c) + math.lgamma(beta + r - c) - math.lgamma(alpha + beta + r)
+        - (math.lgamma(alpha) + math.lgamma(beta) - math.lgamma(alpha + beta))
+        for c in range(r + 1)])
+
+
 class TestLogFactor:
     def test_spammer_hammer_values(self):
         sh = cb.spammer_hammer()
-        assert math.exp(sh.log_factor(2, 2)) == pytest.approx(0.53, abs=1e-12)
-        assert math.exp(sh.log_factor(1, 2)) == pytest.approx(0.17, abs=1e-12)
-        assert math.exp(sh.log_factor(0, 2)) == pytest.approx(0.13, abs=1e-12)
+        assert math.exp(log_factor(sh, 2, 2)) == pytest.approx(0.53, abs=1e-12)
+        assert math.exp(log_factor(sh, 1, 2)) == pytest.approx(0.17, abs=1e-12)
+        assert math.exp(log_factor(sh, 0, 2)) == pytest.approx(0.13, abs=1e-12)
 
     def test_beta_mean_and_empty_pattern(self):
-        assert math.exp(cb.ReliabilityPrior.from_beta(2, 1).log_factor(1, 1)) == \
+        assert math.exp(log_factor(cb.ReliabilityPrior.from_beta(2, 1), 1, 1)) == \
             pytest.approx(2 / 3, rel=1e-12)
-        assert cb.spammer_hammer().log_factor(0, 0) == 0.0
+        assert log_factor(cb.spammer_hammer(), 0, 0) == 0.0
 
     def test_beta_against_numeric_integration(self, rng):
         # Independent oracle: integrate p^c (1-p)^(r-c) against the density.
@@ -72,18 +85,12 @@ class TestLogFactor:
             density = beta_dist(a, b).pdf
             ref, _ = integrate.quad(
                 lambda p: p**c * (1 - p) ** (r - c) * density(p), 0, 1)
-            assert math.exp(prior.log_factor(c, r)) == pytest.approx(ref, abs=1e-8)
+            assert math.exp(log_factor(prior, c, r)) == pytest.approx(ref, abs=1e-8)
 
     def test_zero_mass_pattern_is_minus_inf(self):
         perfect = cb.ReliabilityPrior.from_atoms([1.0], [1.0])
-        assert perfect.log_factor(0, 1) == -math.inf
-        assert perfect.log_factor(1, 1) == 0.0
-
-    def test_rejects_bad_counts(self):
-        with pytest.raises(cb.ParameterError):
-            cb.spammer_hammer().log_factor(3, 2)
-        with pytest.raises(cb.ParameterError):
-            cb.spammer_hammer().log_factor(-1, 2)
+        assert log_factor(perfect, 0, 1) == -math.inf
+        assert log_factor(perfect, 1, 1) == 0.0
 
 
 class TestSupportAtoms:
@@ -102,11 +109,27 @@ class TestSupportAtoms:
             degree = int(rng.integers(1, 13))
             prior = cb.ReliabilityPrior.from_beta(a, b)
             p, w = prior.support_atoms(degree)
+            table = FactorTable.build(prior, degree)
             for r in range(degree + 1):
                 for c in range(r + 1):
                     quad = float(w @ (p**c * (1 - p) ** (r - c)))
-                    assert quad == pytest.approx(math.exp(prior.log_factor(c, r)),
+                    assert quad == pytest.approx(math.exp(table.log_values[r, c]),
                                                  rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("degree", [63, 863, 1601])
+    @pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (2, 1), (0.5, 5), (5, 0.5), (5, 5),
+                                            (1.5, 0.5)])
+    def test_beta_atoms_give_every_factor_at_high_degree(self, alpha, beta, degree):
+        # log f(c, degree) from the atoms against the lgamma closed form, for
+        # every c: the largest worker's factors, where the rule is largest.
+        # alpha + beta = 1 and 2 reach the 0/0 terms of the Jacobi matrix.
+        p, w = cb.ReliabilityPrior.from_beta(alpha, beta).support_atoms(degree)
+        assert p.size == degree // 2 + 1 and (p > 0).all() and (p < 1).all()
+        c = np.arange(degree + 1)[None, :]
+        terms = c * np.log(p)[:, None] + (degree - c) * np.log1p(-p)[:, None]
+        np.testing.assert_allclose(logsumexp(terms + np.log(w)[:, None], axis=0),
+                                   closed_form_log_factors(alpha, beta, degree),
+                                   rtol=0, atol=1e-10)
 
 
 class TestGaussRules:
@@ -145,10 +168,11 @@ class TestGaussRules:
             p, w = prior.support_atoms(200)
             k = int(rng.integers(1, 100))
             nodes, weights = gauss_rules(2.0 * p - 1.0, w, [k])[0]
-            small_p, small_w = prior.support_atoms(2 * k - 1)
             # Two computations of one rule: SciPy's and the reduction's.
-            np.testing.assert_allclose(nodes, 2.0 * small_p - 1.0, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(weights, small_w, rtol=0, atol=1e-12)
+            ref_nodes, ref_weights = roots_jacobi(k, prior.beta - 1.0, prior.alpha - 1.0)
+            np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(weights, ref_weights / ref_weights.sum(),
+                                       rtol=0, atol=1e-12)
 
 
 class TestValidationAndParsing:
@@ -201,12 +225,9 @@ class TestFactorTable:
     def test_layout_and_lookup(self):
         table = FactorTable.build(cb.spammer_hammer(), 3)
         assert table.r_max == 3
-        assert math.exp(table.log_value(2, 2)) == pytest.approx(0.53, abs=1e-12)
+        assert table.log_values.shape == (4, 4)
+        assert math.exp(table.log_values[2, 2]) == pytest.approx(0.53, abs=1e-12)
         assert np.isnan(table.log_values[1, 2])
-        with pytest.raises(cb.ParameterError):
-            table.log_value(3, 2)
-        with pytest.raises(cb.ParameterError):
-            table.log_value(1, 4)
         with pytest.raises(cb.ParameterError):
             FactorTable.build(cb.spammer_hammer(), -1)
 
@@ -235,12 +256,24 @@ class TestFactorTable:
             check_factor_normalization(broken)
 
 
-def test_import_leaves_scipy_special_unloaded():
-    # scipy.special dominates import time; only Beta priors, factor tables
-    # and exact enumeration need it.  scipy.linalg would also load SciPy's
-    # own BLAS; the degree-class Gauss rules use numpy's.
-    script = ("import sys, crowdbp; "
-              "print([m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules])")
+def test_runtime_never_loads_scipy():
+    # SciPy is a test dependency only: a Beta prior's atoms, the factor
+    # tables, exact enumeration and ebp's empirical rules all run on NumPy.
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import crowdbp as cb\n"
+        "from crowdbp.priors import FactorTable\n"
+        "g = cb.AssignmentGraph(3, 4, np.array([[0, 0], [1, 0], [1, 1], [2, 1], [2, 2],\n"
+        "                                       [0, 2], [0, 3], [1, 3], [2, 3]]))\n"
+        "a = np.array([1, 1, -1, 1, -1, 1, 1, -1, 1])\n"
+        "beta = cb.ReliabilityPrior.from_beta(2, 1)\n"
+        "cb.bp_run(g, a, beta)\n"
+        "cb.brute_force_marginals(g, a, beta)\n"
+        "FactorTable.build(beta, 40)\n"
+        "cb.ebp_run(g, a)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
