@@ -30,8 +30,8 @@ S_mu[u] - log(1 + mu A_iu x_i), with S_mu the per-worker sum of those
 logs; factors that are exactly 0 (mu = ±1 against a certain message) are
 counted per worker instead of divided out.  Atoms are folded in one at a
 time under a running per-edge maximum, so memory stays O(edges) for any
-atom count.  The ``naive`` kernel evaluates the configuration sum
-directly and exists as the independent cross-check.
+atom count.  The ``naive`` kernel of the pair API below evaluates the
+configuration sum directly and exists as the independent cross-check.
 
 Degree classes: each atom costs a pass over the edges it is applied to,
 but a worker of degree r does not need every atom.  Both lanes of the
@@ -90,7 +90,6 @@ class BeliefState:
     msg_task_to_worker: np.ndarray  # (m, 2)
     msg_worker_to_task: np.ndarray  # (m, 2)
     beliefs: np.ndarray             # (n_tasks, 2)
-    iteration: int
 
 
 @dataclass(frozen=True)
@@ -257,24 +256,6 @@ def _pm_configs(k: int) -> np.ndarray:
     return (2 * bits - 1).astype(np.int64)
 
 
-def _worker_kernel(kernel: str, graph: AssignmentGraph, a: np.ndarray,
-                   prior: ReliabilityPrior | None, factors: FactorTable | None,
-                   r_max: int):
-    """The worker half-sweep, magnetizations -> LLRs, of the named kernel."""
-    if kernel == "magnetization":
-        if factors is None:
-            atom_p, atom_w = prior.support_atoms(r_max)
-        else:
-            atom_p, atom_w = factors.atom_p, factors.atom_w
-        return _class_kernel(graph, a, 2.0 * np.asarray(atom_p) - 1.0,
-                             np.asarray(atom_w))
-    if kernel == "naive":
-        # The only reader of the literal factor table f(c, r).
-        table = factors if factors is not None else FactorTable.build(prior, r_max)
-        return partial(_worker_llrs_naive, graph=graph, a=a, table=table)
-    raise ParameterError(f"unknown kernel {kernel!r}")
-
-
 def _degree_classes(degrees: np.ndarray, n_atoms: int) -> list[tuple[int, np.ndarray]]:
     """Node count and member mask of each worker class, ascending by count.
 
@@ -398,7 +379,6 @@ def bp_init(graph: AssignmentGraph) -> BeliefState:
         msg_task_to_worker=np.full((m, 2), 0.5),
         msg_worker_to_task=np.full((m, 2), 0.5),
         beliefs=np.full((graph.n_tasks, 2), 0.5),
-        iteration=0,
     )
 
 
@@ -415,12 +395,24 @@ def bp_update_task_messages(state: BeliefState, graph: AssignmentGraph,
     return replace(state, msg_task_to_worker=_llr_to_pairs(nu))
 
 
+def _worker_kernel(kernel: str, graph: AssignmentGraph, a: np.ndarray,
+                   factors: FactorTable):
+    """The pair API's worker half-sweep, magnetizations -> LLRs, of the named kernel."""
+    if kernel == "magnetization":
+        return _class_kernel(graph, a, 2.0 * np.asarray(factors.atom_p) - 1.0,
+                             np.asarray(factors.atom_w))
+    if kernel == "naive":
+        # The only reader of the literal factor table f(c, r).
+        return partial(_worker_llrs_naive, graph=graph, a=a, table=factors)
+    raise ParameterError(f"unknown kernel {kernel!r}")
+
+
 def bp_update_worker_messages(state: BeliefState, graph: AssignmentGraph,
                               answers: AnswerMatrix | np.ndarray, factors: FactorTable,
                               kernel: str = "magnetization") -> BeliefState:
     """Each worker tells each task how its other answers weigh the label."""
     a = answer_values(answers, graph)
-    worker_half = _worker_kernel(kernel, graph, a, None, factors, factors.r_max)
+    worker_half = _worker_kernel(kernel, graph, a, factors)
     lam = worker_half(np.tanh(_pairs_to_llr(state.msg_task_to_worker) / 2.0))
     _check_edges(lam, graph, "worker message")
     return replace(state, msg_worker_to_task=_llr_to_pairs(lam))
@@ -436,8 +428,7 @@ def bp_compute_beliefs(state: BeliefState, graph: AssignmentGraph) -> BeliefStat
 
 def bp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
            prior: ReliabilityPrior, k_max: int = 100, tol: float = 1e-5,
-           *, kernel: str = "magnetization",
-           clamp_tasks: np.ndarray | None = None,
+           *, clamp_tasks: np.ndarray | None = None,
            clamp_labels: np.ndarray | None = None) -> EstimateReport:
     """Run synchronous sweeps and decode the sign of each task's belief margin.
 
@@ -451,7 +442,9 @@ def bp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     """
     a = answer_values(answers, graph)
     r_max = int(graph.worker_degrees.max()) if graph.n_edges else 0
-    worker_half = _worker_kernel(kernel, graph, a, prior, None, r_max)
+    atom_p, atom_w = prior.support_atoms(r_max)
+    worker_half = _class_kernel(graph, a, 2.0 * np.asarray(atom_p) - 1.0,
+                                np.asarray(atom_w))
 
     clamped = clamp_tasks is not None and len(clamp_tasks) > 0
     pin_edges, pin_llr = np.empty(0, dtype=np.int64), np.empty(0)

@@ -152,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericDegeneracyError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

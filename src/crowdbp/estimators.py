@@ -16,7 +16,7 @@ from .bp import EstimateReport, _iterate, bp_run, make_report
 from .errors import ParameterError
 from .graph import AnswerMatrix, AssignmentGraph, answer_values
 from .priors import ReliabilityPrior, empirical_prior, spammer_hammer
-from .segments import expand, segment_sum
+from .segments import segment_sum
 from .seeding import rng_from
 
 _P_CLAMP = 1e-9
@@ -33,30 +33,28 @@ def majority_vote(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray) ->
 
 
 def kos_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
-            k_max: int = 100, seed: int = 0, init: str = "random-normal",
-            tol: float = 1e-5) -> EstimateReport:
+            k_max: int = 100, seed: int = 0, tol: float = 1e-5) -> EstimateReport:
     """Linear message passing that weighs workers by agreement.
 
     Task messages x[i->u] sum the other workers' answer-weighted messages;
     worker messages y[u->i] sum the other tasks' answer-weighted ones.
     Messages grow geometrically, so y is L2-renormalized each iteration
     (decoding only uses signs and is scale invariant) and convergence is
-    judged on the normalized vector.  Decode: sign of sum_u A_iu y[u->i].
+    judged on the normalized vector.  The start is y ~ N(1, 1) per edge,
+    drawn from ``seed`` (Karger-Oh-Shah).  Decode: sign of sum_u A_iu y[u->i].
     """
-    if init not in ("random-normal", "ones"):
-        raise ParameterError(f"unknown init {init!r}")
     a = answer_values(answers, graph)
-    m = graph.n_edges
+    tasks, workers = graph.by_task, graph.by_worker
 
     def step(prev_y):
         ay = a * prev_y
-        x = expand(segment_sum(ay, graph.by_task), graph.by_task) - ay
+        x = segment_sum(ay, tasks)[tasks.keys] - ay
         ax = a * x
-        y = _unit(expand(segment_sum(ax, graph.by_worker), graph.by_worker) - ax)
+        y = _unit(segment_sum(ax, workers)[workers.keys] - ax)
         return y, float(np.abs(y - prev_y).max(initial=0.0))
 
-    y, iterations, converged, delta = _iterate(step, _unit(
-        np.ones(m) if init == "ones" else rng_from(seed).standard_normal(m) + 1.0), k_max, tol)
+    y, iterations, converged, delta = _iterate(
+        step, _unit(rng_from(seed).standard_normal(graph.n_edges) + 1.0), k_max, tol)
     scores = segment_sum(a * y, graph.by_task)
     peak = np.abs(scores).max(initial=0.0)
     margins = scores / peak if peak > 0 else scores

@@ -66,8 +66,12 @@ def tree_probability_bound(n_tasks: int, l: int, r: int, k: int) -> float:
     """Upper bound on the chance that a root's 2k-hop neighborhood is not a tree."""
     if n_tasks < 1 or l < 1 or r < 1 or k < 0:
         raise ParameterError("n_tasks, l, r must be positive and k non-negative")
-    value = 3.0 * l * r / n_tasks * float((l - 1) * (r - 1)) ** (2 * k)
-    return min(1.0, value)
+    scale = 3.0 * l * r / n_tasks
+    growth = (l - 1) * (r - 1)
+    # growth ** (2k) alone can exceed every float; past e the cap decides.
+    if growth > 1 and math.log(scale) + 2 * k * math.log(growth) > 1.0:
+        return 1.0
+    return min(1.0, scale * float(growth) ** (2 * k))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +466,7 @@ class _EdgeCsvReader:
         )
 
 
-def load_dataset(path: str, fmt: str = "edge-csv") -> Dataset:
+def load_dataset(path: str) -> Dataset:
     """Read an edge-list CSV: ``task,worker,answer[,truth[,reliability]]``.
 
     Comment lines start with ``#``; a ``# alphabet=pm1`` or ``# alphabet=01``
@@ -474,8 +478,6 @@ def load_dataset(path: str, fmt: str = "edge-csv") -> Dataset:
     valid text in the file's encoding or that ``csv.reader`` rejects is
     malformed too.
     """
-    if fmt != "edge-csv":
-        raise ParameterError(f"unknown dataset format {fmt!r}")
     line_no = 0
     with open(path, newline="", errors="surrogateescape") as handle:
         reader = _EdgeCsvReader(handle.encoding)
@@ -738,38 +740,45 @@ def load_experiment_config(path: str) -> ExperimentConfig:
 
 
 def _config_from_dict(raw: dict, source: str) -> ExperimentConfig:
-    known = {f.name: f for f in fields(ExperimentConfig)}
+    known = {f.name for f in fields(ExperimentConfig)}
     kwargs = {}
     for key, value in raw.items():
         if key not in known:
             raise ParameterError(f"{source}: unknown config key {key!r}")
-        if key in _CONFIG_LIST_KEYS:
-            if isinstance(value, str):
-                value = tuple(item.strip() for item in value.split(",") if item.strip())
-            value = tuple(value)
-            if key == "sweep_values":
-                try:
-                    value = tuple(int(v) for v in value)
-                except ValueError as exc:
-                    raise ParameterError(f"{source}: bad {key}: {exc}") from exc
-        elif key in _CONFIG_BOOL_KEYS:
-            if isinstance(value, str):
-                if value.lower() not in ("true", "false"):
-                    raise ParameterError(f"{source}: {key} must be true or false")
-                value = value.lower() == "true"
-            value = bool(value)
-        elif key in ("tol",):
-            value = float(value)
-        elif key in ("n_tasks", "fixed_degree", "trials", "k_max", "seed", "threads"):
-            try:
-                value = int(value)
-            except ValueError as exc:
-                raise ParameterError(f"{source}: bad {key}: {exc}") from exc
-        kwargs[key] = value
+        try:
+            kwargs[key] = _config_value(key, value)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"{source}: bad {key}: {exc}") from exc
     missing = {"n_tasks", "sweep_values", "fixed_degree", "prior", "estimators"} - set(kwargs)
     if missing:
         raise ParameterError(f"{source}: missing config keys {sorted(missing)}")
     return ExperimentConfig(**kwargs)
+
+
+def _config_value(key: str, value):
+    """A raw config value as its field's type; TypeError or ValueError if it is none."""
+    if key in _CONFIG_LIST_KEYS:
+        if isinstance(value, str):
+            value = [item.strip() for item in value.split(",") if item.strip()]
+        convert = int if key == "sweep_values" else _config_text
+        return tuple(convert(item) for item in value)
+    if key in _CONFIG_BOOL_KEYS:
+        if isinstance(value, str):
+            if value.lower() not in ("true", "false"):
+                raise ValueError("must be true or false")
+            return value.lower() == "true"
+        return bool(value)
+    if key == "tol":
+        return float(value)
+    if key in ("n_tasks", "fixed_degree", "trials", "k_max", "seed", "threads"):
+        return int(value)
+    return None if key == "out" and value is None else _config_text(value)
+
+
+def _config_text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected text, got {json.dumps(value)}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -936,9 +945,3 @@ def _write_rows(rows: list[MetricsRow], handle) -> None:
     writer.writerow(CSV_COLUMNS)
     for row in rows:
         writer.writerow(row.as_csv())
-
-
-def metrics_csv_text(rows: list[MetricsRow]) -> str:
-    buffer = io.StringIO(newline="")
-    _write_rows(rows, buffer)
-    return buffer.getvalue()

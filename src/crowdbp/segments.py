@@ -69,8 +69,3 @@ def segment_loo_log1p(y: np.ndarray, grouping: Grouping) -> np.ndarray:
     loo = np.bincount(keys, logs, n)[keys] - logs
     loo[np.bincount(keys, zero, n)[keys] - zero > 0] = -np.inf
     return loo
-
-
-def expand(per_segment: np.ndarray, grouping: Grouping) -> np.ndarray:
-    """Broadcast one value per segment back onto its edges, natural order."""
-    return np.asarray(per_segment)[grouping.keys]

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from crowdbp import AssignmentGraph, ParameterError, SpanningTree, bp_run
+from crowdbp import AssignmentGraph, ParameterError, bp_run
 from crowdbp.bp import make_report
+from crowdbp.exact import SpanningTree
 from crowdbp.graph import answer_values
 
 

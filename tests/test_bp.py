@@ -361,9 +361,19 @@ def empirical_atoms(rng, n_atoms):
 
 
 def reference_run(monkeypatch, *args, **kwargs):
+    """``bp_run`` with the one-rule reference as its worker half."""
+    built = []
+
+    def kernel(*kernel_args):
+        built.append(kernel_args)
+        return reference_worker_kernel(*kernel_args)
+
     with monkeypatch.context() as patch:
-        patch.setattr(bp, "_worker_kernel", reference_worker_kernel)
-        return cb.bp_run(*args, **kwargs)
+        patch.setattr(bp, "_class_kernel", kernel)
+        report = cb.bp_run(*args, **kwargs)
+    # A seam bp_run no longer calls would leave every comparison trivially true.
+    assert len(built) == 1, "bp_run did not build its worker half through the reference"
+    return report
 
 
 def random_clamps(rng, g, case):
@@ -472,8 +482,8 @@ class TestDegreeClasses:
             kwargs = dict(k_max=int(rng.integers(1, 5)), tol=0.0,
                           clamp_tasks=clamp_tasks, clamp_labels=clamp_labels)
             fast = cb.bp_run(g, a, prior, **kwargs)
-            slow = cb.bp_run(g, a, prior, kernel="naive", **kwargs)
-            np.testing.assert_allclose(fast.margins, slow.margins, rtol=0, atol=self.ATOL)
+            slow = naive_pair_sweeps(g, a, prior, kwargs["k_max"], clamp_tasks, clamp_labels)
+            np.testing.assert_allclose(fast.margins, slow, rtol=0, atol=self.ATOL)
 
     def test_classes_partition_the_workers(self, rng):
         split = 0

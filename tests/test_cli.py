@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,9 @@ trials = 3
 seed = 5
 timing = false
 """
+
+BENCH_JSON = {"n_tasks": 12, "sweep_values": [2, 3], "fixed_degree": 3, "prior": "sh",
+              "estimators": ["mv", "kos"], "trials": 3, "seed": 5, "timing": False}
 
 
 def simulate(tmp_path, name="sim.csv", n=30, l=4, r=4, seed=3):
@@ -50,6 +55,12 @@ class TestSimulate:
         rc = main(["simulate", "--n", "10", "--l", "2", "--r", "2",
                    "--prior", "nope", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    def test_out_directory_exit_2(self, tmp_path, capsys):
+        rc = main(["simulate", "--n", "10", "--l", "2", "--r", "2",
+                   "--prior", "sh", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestInfer:
@@ -97,6 +108,11 @@ class TestInfer:
         rc = main(["infer", "--data", str(tmp_path / "absent.csv"),
                    "--estimator", "mv"])
         assert rc == 2
+
+    def test_data_directory_exit_2(self, tmp_path, capsys):
+        rc = main(["infer", "--data", str(tmp_path), "--estimator", "mv"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_malformed_data_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -167,6 +183,24 @@ class TestBench:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["bench", "--config", str(tmp_path / "none.txt")]) == 2
 
+    def test_config_directory_exit_2(self, tmp_path, capsys):
+        assert main(["bench", "--config", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,text", [
+        ("tol", BENCH_CONFIG + "tol = abc\n"),
+        ("sweep_values", json.dumps({**BENCH_JSON, "sweep_values": 2})),
+        ("n_tasks", json.dumps({**BENCH_JSON, "n_tasks": None})),
+        ("prior", json.dumps({**BENCH_JSON, "prior": 5})),
+        ("estimators", json.dumps({**BENCH_JSON, "estimators": [5]})),
+    ], ids=["tol-abc", "sweep_values-2", "n_tasks-null", "prior-5", "estimators-5"])
+    def test_malformed_config_value_exit_2(self, tmp_path, capsys, key, text):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        assert main(["bench", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: bad {key}: ")
+
 
 class TestBounds:
     def test_frozen_values(self, capsys):
@@ -190,6 +224,12 @@ class TestBounds:
                    "--n", "100", "--k", "1"])
         assert rc == 0
         assert "tree_prob_bound 0.12" in capsys.readouterr().out
+
+    def test_tree_bound_past_the_float_range_is_one(self, capsys):
+        rc = main(["bounds", "--l", "15", "--r", "5", "--mu", "0.4", "--q", "0.32",
+                   "--n", "100", "--k", "200"])
+        assert rc == 0
+        assert "tree_prob_bound 1.0\n" in capsys.readouterr().out
 
     def test_validation_exit_2(self, capsys):
         assert main(["bounds", "--l", "0", "--r", "2", "--mu", "0.4",

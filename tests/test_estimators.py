@@ -92,13 +92,6 @@ class TestMajorityVote:
 
 
 class TestKos:
-    def test_unanimous_two_by_two_converges_immediately(self):
-        g = full_bipartite(2, 2)
-        report = cb.kos_run(g, np.ones(4, dtype=int), init="ones")
-        assert report.labels.tolist() == [1, 1]
-        assert report.iterations_run == 1
-        assert report.converged
-
     def test_deterministic_given_seed(self, rng):
         g = cb.generate_regular_bipartite(50, 5, 5, seed=4)
         a = rng.choice([-1, 1], size=g.n_edges)
@@ -112,11 +105,6 @@ class TestKos:
         pos = cb.kos_run(g, a, seed=3)
         neg = cb.kos_run(g, -a, seed=3)
         np.testing.assert_array_equal(pos.margins, -neg.margins)
-
-    def test_validation(self):
-        g = star_graph(1)
-        with pytest.raises(cb.ParameterError):
-            cb.kos_run(g, np.array([1]), init="bogus")
 
 
     def test_margins_do_not_depend_on_blas_threads(self):

@@ -6,6 +6,7 @@ import pytest
 
 import crowdbp as cb
 from crowdbp import exact
+from crowdbp.exact import SpanningTree, extract_bfs_tree
 from tests.conftest import random_atom_prior, random_bipartite_tree, random_prior, random_small_graph
 from tests.khop import khop_subgraph
 from tests.oracle_reference import reference_oracle_task_estimate
@@ -59,7 +60,7 @@ def reference_bfs(graph: cb.AssignmentGraph, root: int):
             np.array(boundary, dtype=np.int64), depth)
 
 
-def reference_region(graph: cb.AssignmentGraph, tree: cb.SpanningTree) -> np.ndarray:
+def reference_region(graph: cb.AssignmentGraph, tree: SpanningTree) -> np.ndarray:
     """Tree edges reachable from the root without passing through a boundary task."""
     boundary = set(tree.boundary_tasks.tolist())
     adjacent: dict[tuple[str, int], list] = {}
@@ -130,7 +131,7 @@ class TestBruteForce:
 
 class TestBfsTree:
     def test_four_cycle_frozen(self):
-        tree = cb.extract_bfs_tree(four_cycle(), 0)
+        tree = extract_bfs_tree(four_cycle(), 0)
         assert tree.root == 0
         assert tree.tree_edges.tolist() == [0, 1, 2]
         assert tree.boundary_tasks.tolist() == [1]
@@ -140,7 +141,7 @@ class TestBfsTree:
         for _ in range(30):
             g = random_small_graph(rng, max_tasks=6, max_workers=4, max_edges=18)
             for root in range(g.n_tasks):
-                tree = cb.extract_bfs_tree(g, root)
+                tree = extract_bfs_tree(g, root)
                 ref_edges, ref_boundary, ref_depth = reference_bfs(g, root)
                 np.testing.assert_array_equal(tree.tree_edges, ref_edges)
                 np.testing.assert_array_equal(tree.boundary_tasks, ref_boundary)
@@ -151,7 +152,7 @@ class TestBfsTree:
         # task1 is clamped (its edge to w1 is a non-tree edge), so the
         # tree beyond it, w2 and task2, is not part of the root's region.
         g = cb.AssignmentGraph(3, 3, np.array([[0, 0], [0, 1], [1, 0], [1, 1], [1, 2], [2, 2]]))
-        tree = cb.extract_bfs_tree(g, 0)
+        tree = extract_bfs_tree(g, 0)
         assert tree.tree_edges.tolist() == [0, 1, 2, 4, 5]
         assert tree.boundary_tasks.tolist() == [1]
         assert tree.region_edges.tolist() == [0, 1, 2]
@@ -160,12 +161,12 @@ class TestBfsTree:
         for _ in range(60):
             g = random_small_graph(rng, max_tasks=8, max_workers=5, max_edges=24)
             for root in range(g.n_tasks):
-                tree = cb.extract_bfs_tree(g, root)
+                tree = extract_bfs_tree(g, root)
                 np.testing.assert_array_equal(tree.region_edges, reference_region(g, tree))
 
     def test_other_components_stay_out(self):
         g = cb.AssignmentGraph(2, 2, np.array([[0, 0], [1, 1]]))
-        tree = cb.extract_bfs_tree(g, 0)
+        tree = extract_bfs_tree(g, 0)
         assert tree.tree_edges.tolist() == [0]
         assert tree.boundary_tasks.size == 0
         assert tree.depth == 1
@@ -173,9 +174,9 @@ class TestBfsTree:
     def test_root_out_of_range(self):
         g = four_cycle()
         with pytest.raises(cb.ParameterError):
-            cb.extract_bfs_tree(g, -1)
+            extract_bfs_tree(g, -1)
         with pytest.raises(cb.ParameterError):
-            cb.extract_bfs_tree(g, 2)
+            extract_bfs_tree(g, 2)
 
 
 class TestOracleTask:
@@ -196,10 +197,10 @@ class TestOracleTask:
             kind, g = oracle_case(rng, case)
             kinds[kind] += 1
             isolated += bool((g.task_degrees == 0).any())
-            split += cb.extract_bfs_tree(g, 0).tree_edges.size < g.n_edges
+            split += extract_bfs_tree(g, 0).tree_edges.size < g.n_edges
             if kind == "complete":
                 for root in range(g.n_tasks):
-                    clamped = cb.extract_bfs_tree(g, root).boundary_tasks
+                    clamped = extract_bfs_tree(g, root).boundary_tasks
                     assert clamped.tolist() == [t for t in range(g.n_tasks) if t != root]
             prior = random_prior(rng)
             truth = cb.sample_ground_truth(g, prior, seed=case)

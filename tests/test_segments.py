@@ -1,6 +1,6 @@
 import numpy as np
 
-from crowdbp.segments import build_grouping, expand, segment_loo_log1p, segment_sum
+from crowdbp.segments import build_grouping, segment_loo_log1p, segment_sum
 
 
 def reference_reduce(keys, values, n_segments, op, empty):
@@ -10,7 +10,7 @@ def reference_reduce(keys, values, n_segments, op, empty):
     return np.array(out)
 
 
-def test_sum_and_expand_match_loop_reference():
+def test_sum_and_grouping_match_loop_reference():
     rng = np.random.default_rng(1)
     for _ in range(50):
         n_seg = int(rng.integers(1, 8))
@@ -21,9 +21,6 @@ def test_sum_and_expand_match_loop_reference():
         np.testing.assert_allclose(
             segment_sum(values, g),
             reference_reduce(keys, values, n_seg, lambda a, b: a + b, 0.0))
-        per_segment = rng.uniform(size=n_seg)
-        np.testing.assert_array_equal(expand(per_segment, g),
-                                      [per_segment[k] for k in keys])
         np.testing.assert_array_equal(g.lengths, np.bincount(keys, minlength=n_seg))
         for s in range(n_seg):
             listed = g.order[g.offsets[s]:g.offsets[s + 1]]
@@ -62,10 +59,3 @@ def test_loo_prod_matches_reference_in_natural_edge_order():
             others = values[(keys == keys[e]) & (np.arange(m) != e)]
             np.testing.assert_allclose(out[e], np.prod(others) if others.size else 1.0,
                                        rtol=1e-12)
-
-
-def test_expand_broadcasts_back_in_natural_order():
-    keys = np.array([1, 0, 1, 2])
-    g = build_grouping(keys, 3)
-    np.testing.assert_array_equal(expand(np.array([10.0, 20.0, 30.0]), g),
-                                  [20, 10, 20, 30])

@@ -6,8 +6,9 @@ rule and sums reduced rules in blocks.  Labels must be equal and margins
 equal within a stated tolerance, and bitwise equal wherever every class
 keeps the prior's atoms.
 
-``reference_worker_kernel`` has the signature of ``crowdbp.bp._worker_kernel``
-so that a test can run ``bp_run`` on it by patching that name.
+``reference_worker_kernel`` has the signature of ``crowdbp.bp._class_kernel``,
+the worker half ``bp_run`` builds, so that a test can run ``bp_run`` on it by
+patching that name.
 """
 from __future__ import annotations
 
@@ -15,11 +16,9 @@ from functools import partial
 
 import numpy as np
 
-from crowdbp import bp
 from crowdbp.segments import segment_loo_log1p
 
 _NO_ATOM_YET = -np.finfo(np.float64).max
-_PACKAGE_KERNEL = bp._worker_kernel
 
 
 def reference_worker_llrs(x, graph, a, atom_mu, atom_w):
@@ -37,12 +36,5 @@ def reference_worker_llrs(x, graph, a, atom_mu, atom_w):
         return a * np.log(agree / disagree)
 
 
-def reference_worker_kernel(kernel, graph, a, prior, factors, r_max):
-    if kernel != "magnetization":
-        return _PACKAGE_KERNEL(kernel, graph, a, prior, factors, r_max)
-    if factors is None:
-        atom_p, atom_w = prior.support_atoms(r_max)
-    else:
-        atom_p, atom_w = factors.atom_p, factors.atom_w
-    return partial(reference_worker_llrs, graph=graph, a=a,
-                   atom_mu=2.0 * np.asarray(atom_p) - 1.0, atom_w=atom_w)
+def reference_worker_kernel(graph, a, atom_mu, atom_w):
+    return partial(reference_worker_llrs, graph=graph, a=a, atom_mu=atom_mu, atom_w=atom_w)
