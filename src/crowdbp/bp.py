@@ -29,9 +29,15 @@ weighted by f(c, r) exactly.  The leave-one-out log product is
 S_mu[u] - log(1 + mu A_iu x_i), with S_mu the per-worker sum of those
 logs; factors that are exactly 0 (mu = ±1 against a certain message) are
 counted per worker instead of divided out.  Atoms are folded in one at a
-time under a running per-edge maximum, so memory stays O(edges) for any
-atom count.  The ``naive`` kernel of the pair API below evaluates the
-configuration sum directly and exists as the independent cross-check.
+time under a running per-edge maximum, in five edge buffers.  A run
+allocates its buffers once and writes every sweep into them, so it holds
+nine float edge arrays whatever the atom count and the sweep count: the
+answers, the magnetizations in both directions, one spare, and the fold's
+five, one of which holds the worker messages.  When the degree classes
+below split, three more hold the gathered magnetizations, the scattered
+messages and the per-class answers.  The ``naive`` kernel of the pair API
+below evaluates the configuration sum directly and exists as the
+independent cross-check.
 
 Degree classes: each atom costs a pass over the edges it is applied to,
 but a worker of degree r does not need every atom.  Both lanes of the
@@ -49,10 +55,11 @@ below a fixed per-class cost folds into it.  When the prior's atoms are
 left alone on the whole graph they run with no gather or scatter,
 exactly as before the classes existed, so regular graphs under ``sh``
 (worker degree >= 2) or ``ash`` (>= 4) and small graphs keep their
-margins bitwise.  Otherwise each class runs on its own edges, and its
-messages are shifted so that a worker whose other answers carry no
-information (x = 0) sends bitwise the atoms' prior-mean LLR, whichever
-class it is in; a tie between such workers stays exact.
+margins bitwise.  Otherwise each class runs on its own edges, in the
+leading columns of the same buffers, and its messages are shifted so that
+a worker whose other answers carry no information (x = 0) sends bitwise
+the atoms' prior-mean LLR, whichever class it is in; a tie between such
+workers stays exact.
 
 The pair-valued :class:`BeliefState` API (``bp_init``,
 ``bp_update_*_messages``, ``bp_compute_beliefs``) runs the same core and
@@ -69,7 +76,7 @@ import numpy as np
 from .errors import NumericDegeneracyError, ParameterError, SizeError
 from .graph import AnswerMatrix, AssignmentGraph, answer_values
 from .priors import FactorTable, ReliabilityPrior, gauss_rules
-from .segments import Grouping, build_grouping, segment_loo_log1p
+from .segments import Grouping, build_grouping, segment_loo_log1p, segment_sum
 
 _NAIVE_DEGREE_GUARD = 14
 # What running a degree class on its own costs per sweep beyond its atom
@@ -129,7 +136,7 @@ def _iterate(step, state, k_max: int, tol: float) -> tuple[object, int, bool, fl
     """
     if k_max < 1:
         raise ParameterError("k_max must be at least 1")
-    if tol < 0:
+    if not tol >= 0:
         raise ParameterError("tol must be non-negative")
     delta = math.inf
     for iteration in range(1, k_max + 1):
@@ -159,16 +166,17 @@ def _check_beliefs(belief: np.ndarray) -> None:
             f"belief for task {int(np.flatnonzero(bad)[0])} has zero mass")
 
 
-def _signed_sum(llr: np.ndarray, grouping: Grouping) -> np.ndarray:
+def _signed_sum(llr: np.ndarray, grouping: Grouping,
+                scratch: np.ndarray | None = None) -> np.ndarray:
     """Per segment, the positive parts' sum plus the negative parts' sum.
 
     Both parts accumulate in edge order, so a segment whose negative LLRs
     mirror its positive ones (same magnitudes, same relative order; equal
-    magnitudes in any order) sums to exactly 0.
+    magnitudes in any order) sums to exactly 0.  ``scratch`` is an optional
+    float edge buffer for the parts.
     """
-    n = grouping.n_segments
-    pos = np.bincount(grouping.keys, np.maximum(llr, 0.0), n)
-    neg = np.bincount(grouping.keys, np.minimum(llr, 0.0), n)
+    pos = segment_sum(np.maximum(llr, 0.0, out=scratch), grouping)
+    neg = segment_sum(np.minimum(llr, 0.0, out=scratch), grouping)
     return pos + neg
 
 
@@ -177,15 +185,21 @@ def _certain(n_plus: np.ndarray, n_minus: np.ndarray) -> np.ndarray:
     return np.where(n_plus > 0, np.inf, 0.0) + np.where(n_minus > 0, -np.inf, 0.0)
 
 
-def _task_llrs(lam: np.ndarray, grouping: Grouping) -> tuple[np.ndarray, np.ndarray]:
+def _task_llrs(lam: np.ndarray, grouping: Grouping,
+               out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per task the total incoming LLR; per edge that total minus the edge's own.
 
-    NaN marks zero mass.
+    NaN marks zero mass.  ``out`` is an optional float edge buffer, other
+    than ``lam``, for the per-edge LLRs; it also serves as the scratch of
+    the sums.
     """
     with np.errstate(invalid="ignore"):
-        total = _signed_sum(lam, grouping)
+        total = _signed_sum(lam, grouping, scratch=out)
         if np.isfinite(total).all():
-            return total, total[grouping.keys] - lam
+            # The keys are valid; mode="raise" would copy through a temporary.
+            others = np.take(total, grouping.keys, out=out, mode="clip")
+            others -= lam
+            return total, others
         # Certain messages: count the infinities instead of subtracting them.
         plus = lam == np.inf
         minus = lam == -np.inf
@@ -193,33 +207,63 @@ def _task_llrs(lam: np.ndarray, grouping: Grouping) -> tuple[np.ndarray, np.ndar
         total = _signed_sum(finite, grouping)
         n_plus = np.bincount(grouping.keys, plus, grouping.n_segments)
         n_minus = np.bincount(grouping.keys, minus, grouping.n_segments)
-        others = total[grouping.keys] - finite + _certain(
-            n_plus[grouping.keys] - plus, n_minus[grouping.keys] - minus)
+        others = np.add(total[grouping.keys] - finite, _certain(
+            n_plus[grouping.keys] - plus, n_minus[grouping.keys] - minus), out=out)
         return total + _certain(n_plus, n_minus), others
 
 
+# The float edge buffers of one worker-half fold: the current atom's logs,
+# its leave-one-out sums, the running maximum, and the two lanes.
+_FOLD_BUFFERS = 5
+
+
 def _worker_llrs(x: np.ndarray, grouping: Grouping, a: np.ndarray,
-                 atom_mu: np.ndarray, atom_w: np.ndarray) -> np.ndarray:
+                 atom_mu: np.ndarray, atom_w: np.ndarray,
+                 work: np.ndarray | None = None) -> np.ndarray:
     """Worker-to-task LLRs from task-to-worker magnetizations ``x``; NaN marks zero mass.
 
     ``grouping`` groups the edges by worker; the rule (``atom_mu``,
-    ``atom_w``) must be exact up to every worker's degree.
+    ``atom_w``) must be exact up to every worker's degree.  ``work`` holds
+    ``_FOLD_BUFFERS`` float rows of the edge count, allocated here when not
+    given; the result is written in one of them.
     """
-    ax = a * x
+    if work is None:
+        work = np.empty((_FOLD_BUFFERS, x.size))
+    logs, loo_buf, top_buf, agree_buf, disagree_buf = work
     # Per edge: the largest log leave-one-out product so far and the two
     # lanes sum_mu w (1 ± mu) exp(loo_mu - top).  A mu = 0 atom has the
-    # product 1 on every edge and stays scalar.
-    top, agree, disagree = _NO_ATOM_YET, 0.0, 0.0
+    # product 1 on every edge and stays scalar, and so does the state until
+    # the first atom with mu != 0.
+    top, agree, disagree, agree_out = _NO_ATOM_YET, 0.0, 0.0, None
     for mu, w in zip(atom_mu, atom_w):
-        loo = 0.0 if mu == 0.0 else segment_loo_log1p(mu * ax, grouping)
-        new_top = np.maximum(top, loo)
-        rescale = np.exp(top - new_top)
-        weight = np.exp(loo - new_top)
-        agree = agree * rescale + (w * (1.0 + mu)) * weight
-        disagree = disagree * rescale + (w * (1.0 - mu)) * weight
+        if mu == 0.0:
+            loo = 0.0
+        else:
+            np.multiply(a, x, out=logs)
+            logs *= mu
+            loo = segment_loo_log1p(logs, grouping, out=loo_buf)
+        if np.ndim(top) == np.ndim(loo) == 0:
+            new_buf = rescale_buf = weight_buf = agree_out = disagree_out = None
+        else:
+            # logs is spent; rescale overwrites the old top and weight the loo.
+            new_buf, rescale_buf, weight_buf = logs, top_buf, loo_buf
+            agree_out, disagree_out = agree_buf, disagree_buf
+        new_top = np.maximum(top, loo, out=new_buf)
+        rescale = np.exp(np.subtract(top, new_top, out=rescale_buf), out=rescale_buf)
+        weight = np.exp(np.subtract(loo, new_top, out=weight_buf), out=weight_buf)
+        agree = np.multiply(agree, rescale, out=agree_out)
+        disagree = np.multiply(disagree, rescale, out=disagree_out)
+        # rescale is spent: it takes each lane's increment in turn.
+        agree = np.add(agree, np.multiply(w * (1.0 + mu), weight, out=rescale_buf),
+                       out=agree_out)
+        disagree = np.add(disagree, np.multiply(w * (1.0 - mu), weight, out=rescale_buf),
+                          out=disagree_out)
         top = new_top
+        if new_buf is not None:
+            logs, top_buf = top_buf, logs
     with np.errstate(divide="ignore", invalid="ignore"):
-        return a * np.log(agree / disagree)
+        ratio = np.log(np.divide(agree, disagree, out=agree_out), out=agree_out)
+        return np.multiply(a, ratio, out=agree_buf)
 
 
 def _worker_llrs_naive(x: np.ndarray, graph: AssignmentGraph, a: np.ndarray,
@@ -300,14 +344,18 @@ def _degree_classes(degrees: np.ndarray, n_atoms: int) -> list[tuple[int, np.nda
 
 def _class_kernel(graph: AssignmentGraph, a: np.ndarray, atom_mu: np.ndarray,
                   atom_w: np.ndarray):
-    """The magnetization worker half, each degree class on its own Gauss rule."""
+    """The magnetization worker half, each degree class on its own Gauss rule.
+
+    The returned function writes its messages into buffers allocated here,
+    once per run, and returns the same array on every call.
+    """
     n_atoms = int(np.count_nonzero(np.diff(np.sort(atom_mu)))) + 1
     classes = _degree_classes(graph.worker_degrees, n_atoms)
     if [k for k, _ in classes] == [n_atoms]:
         # The prior's own atoms on the whole graph run with no gather or
         # scatter, as they always have, so those margins stay bitwise the same.
         return partial(_worker_llrs, grouping=graph.by_worker, a=a, atom_mu=atom_mu,
-                       atom_w=atom_w)
+                       atom_w=atom_w, work=np.empty((_FOLD_BUFFERS, graph.n_edges)))
     reduced = [k for k, _ in classes if k < n_atoms]
     rules = dict(zip(reduced, gauss_rules(atom_mu, atom_w, reduced)))
     rules[n_atoms] = (atom_mu, atom_w)
@@ -324,7 +372,10 @@ def _class_kernel(graph: AssignmentGraph, a: np.ndarray, atom_mu: np.ndarray,
         # atoms' value bitwise, so ties between such workers stay exact.
         shift = prior_mean - _prior_mean_llr(mu, w)
         parts.append((edges, grouping, a[edges], mu, w, shift))
-    return partial(_class_worker_llrs, parts=parts, n_edges=graph.n_edges)
+    # Each class folds in the leading columns of the same rows, after its
+    # magnetizations are gathered into the last row.
+    work = np.empty((_FOLD_BUFFERS + 1, graph.n_edges))
+    return partial(_class_worker_llrs, parts=parts, work=work, lam=np.empty(graph.n_edges))
 
 
 def _prior_mean_llr(atom_mu: np.ndarray, atom_w: np.ndarray) -> float:
@@ -333,11 +384,14 @@ def _prior_mean_llr(atom_mu: np.ndarray, atom_w: np.ndarray) -> float:
     return float(_worker_llrs(np.zeros(1), one_edge, np.ones(1), atom_mu, atom_w)[0])
 
 
-def _class_worker_llrs(x: np.ndarray, parts: list, n_edges: int) -> np.ndarray:
-    lam = np.empty(n_edges)
+def _class_worker_llrs(x: np.ndarray, parts: list, work: np.ndarray,
+                       lam: np.ndarray) -> np.ndarray:
     for edges, grouping, a, atom_mu, atom_w, shift in parts:
-        llr = _worker_llrs(x[edges], grouping, a, atom_mu, atom_w)
-        llr += a * shift
+        rows = work[:, :edges.size]
+        x_class = np.take(x, edges, out=rows[-1], mode="clip")
+        llr = _worker_llrs(x_class, grouping, a, atom_mu, atom_w, rows[:_FOLD_BUFFERS])
+        # The fold returns one of its lanes; its leave-one-out row is free.
+        llr += np.multiply(a, shift, out=rows[1])
         lam[edges] = llr
     return lam
 
@@ -354,10 +408,15 @@ def _pinned_edges(graph: AssignmentGraph, clamp_tasks: np.ndarray,
 
 def _start_state(n_edges: int, pin_edges: np.ndarray,
                  pin_llr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zero LLRs and magnetizations, except the clamped tasks' pinned messages."""
+    """Zero LLRs and magnetizations, except the clamped tasks' pinned messages.
+
+    The LLRs and their magnetizations, tanh(0 / 2) = 0, are one array: the
+    first sweep reads the LLRs before it overwrites the magnetizations.
+    """
     x = np.zeros(n_edges)
     x[pin_edges] = np.tanh(pin_llr / 2.0)
-    return np.zeros(n_edges), x, np.zeros(n_edges)
+    zeros = np.zeros(n_edges)
+    return zeros, x, zeros
 
 
 # -- pair-valued sweep pieces ------------------------------------------------
@@ -459,29 +518,41 @@ def bp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
             raise ParameterError("clamp labels must be -1 or +1")
         pin_edges, pin_llr = _pinned_edges(graph, clamp_tasks, clamp_labels)
 
+    # The run's one free edge buffer: each sweep's task half writes into it,
+    # and the previous magnetizations' buffer takes its place.
+    spare = np.empty(graph.n_edges)
+
     def sweep(state):
+        nonlocal spare
         lam, x_prev, y_prev = state
-        _, nu = _task_llrs(lam, graph.by_task)
+        _, nu = _task_llrs(lam, graph.by_task, out=spare)
         nu[pin_edges] = pin_llr
         _check_edges(nu, graph, "task message")
-        x = np.tanh(nu / 2.0)
+        x = np.tanh(np.divide(nu, 2.0, out=nu), out=nu)
+        dx = _max_change(x, x_prev)
         lam = worker_half(x)
         _check_edges(lam, graph, "worker message")
-        y = np.tanh(lam / 2.0)
+        y = np.tanh(np.divide(lam, 2.0, out=x_prev), out=x_prev)
+        dy = _max_change(y, y_prev)
+        spare = y_prev
         # Changes on the probability scale: |d P(+1)| = |d tanh(llr / 2)| / 2.
-        delta = 0.5 * max(float(np.abs(x - x_prev).max(initial=0.0)),
-                          float(np.abs(y - y_prev).max(initial=0.0)))
-        return (lam, x, y), delta
+        return (lam, x, y), 0.5 * max(dx, dy)
 
     (lam, _, _), iterations, converged, delta = _iterate(
         sweep, _start_state(graph.n_edges, pin_edges, pin_llr), k_max, tol)
 
-    total, _ = _task_llrs(lam, graph.by_task)
+    total, _ = _task_llrs(lam, graph.by_task, out=spare)
     margins = np.tanh(total / 2.0)
     if clamped:
         margins[clamp_tasks] = clamp_labels.astype(np.float64)
     _check_beliefs(margins)
     return make_report(margins, iterations, converged, delta)
+
+
+def _max_change(new: np.ndarray, old: np.ndarray) -> float:
+    """The largest |new - old|, computed over ``old``, which it overwrites."""
+    change = np.abs(np.subtract(new, old, out=old), out=old)
+    return float(change.max(initial=0.0))
 
 
 def theory_iterations(n_tasks: int) -> int:

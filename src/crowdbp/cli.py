@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from .errors import DataFormatError, GenerationError, NumericDegeneracyError, ParameterError
+from .estimators import EstimatorSpec
 from .graph import generate_regular_bipartite, sample_answers, sample_ground_truth
 from .harness import (Dataset, error_rate, formatted_values, load_dataset,
                       load_experiment_config, run_experiment, run_inference,
@@ -36,6 +37,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
+    if args.prior is not None and not EstimatorSpec.parse(args.estimator).needs_prior():
+        # run_inference reads no prior for it, so the flag would go unread.
+        raise ParameterError(f"estimator {args.estimator!r} takes no --prior")
     dataset = load_dataset(args.data)
     if args.subsample_l is not None:
         dataset = subsample_assignments(dataset, args.subsample_l,

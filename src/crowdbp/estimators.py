@@ -16,7 +16,7 @@ from .bp import EstimateReport, _iterate, bp_run, make_report
 from .errors import ParameterError
 from .graph import AnswerMatrix, AssignmentGraph, answer_values
 from .priors import ReliabilityPrior, empirical_prior, spammer_hammer
-from .segments import segment_sum
+from .segments import Grouping, segment_sum
 from .seeding import rng_from
 
 _P_CLAMP = 1e-9
@@ -45,27 +45,45 @@ def kos_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     """
     a = answer_values(answers, graph)
     tasks, workers = graph.by_task, graph.by_worker
+    # Per run: two scratch edge buffers, and a free one that receives each
+    # step's y while the previous y's buffer takes its place.
+    work = np.empty((2, graph.n_edges))
+    spare = np.empty(graph.n_edges)
 
     def step(prev_y):
-        ay = a * prev_y
-        x = segment_sum(ay, tasks)[tasks.keys] - ay
-        ax = a * x
-        y = _unit(segment_sum(ax, workers)[workers.keys] - ax)
-        return y, float(np.abs(y - prev_y).max(initial=0.0))
+        nonlocal spare
+        ay = np.multiply(a, prev_y, out=work[0])
+        x = _others_sum(ay, tasks, out=work[1])
+        ax = np.multiply(a, x, out=work[0])
+        y = _unit(_others_sum(ax, workers, out=work[1]), out=spare, scratch=work[0])
+        change = np.abs(np.subtract(y, prev_y, out=work[0]), out=work[0])
+        spare = prev_y
+        return y, float(change.max(initial=0.0))
 
+    start = rng_from(seed).standard_normal(graph.n_edges)
+    start += 1.0
     y, iterations, converged, delta = _iterate(
-        step, _unit(rng_from(seed).standard_normal(graph.n_edges) + 1.0), k_max, tol)
-    scores = segment_sum(a * y, graph.by_task)
+        step, _unit(start, out=start, scratch=work[0]), k_max, tol)
+    scores = segment_sum(np.multiply(a, y, out=work[0]), graph.by_task)
     peak = np.abs(scores).max(initial=0.0)
     margins = scores / peak if peak > 0 else scores
     return make_report(margins, iterations, converged, delta)
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
+def _others_sum(v: np.ndarray, grouping: Grouping, out: np.ndarray) -> np.ndarray:
+    """Per edge, the sum of ``v`` over the other edges of its segment, into ``out``."""
+    # The keys are valid; mode="raise" would copy through a temporary.
+    others = np.take(segment_sum(v, grouping), grouping.keys, out=out, mode="clip")
+    others -= v
+    return others
+
+
+def _unit(v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``v`` scaled to unit L2 norm, or as it is if that is not positive."""
     # numpy's pairwise sum, not BLAS: the result must not depend on the
     # number of BLAS threads.
-    norm = np.sqrt(np.sum(v * v))
-    return v / norm if norm > 0 else v
+    norm = np.sqrt(np.sum(np.multiply(v, v, out=scratch)))
+    return np.divide(v, norm if norm > 0 else 1.0, out=out)
 
 
 def ebp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,

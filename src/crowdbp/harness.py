@@ -703,7 +703,7 @@ class ExperimentConfig:
             raise ParameterError("sweep values must be positive")
         if self.trials < 1 or self.k_max < 1 or self.threads < 1:
             raise ParameterError("trials, k_max and threads must be at least 1")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ParameterError("tol must be non-negative")
         parse_prior_spec(self.prior)
         for name in self.estimators:
@@ -760,7 +760,7 @@ def _config_value(key: str, value):
     if key in _CONFIG_LIST_KEYS:
         if isinstance(value, str):
             value = [item.strip() for item in value.split(",") if item.strip()]
-        convert = int if key == "sweep_values" else _config_text
+        convert = _config_int if key == "sweep_values" else _config_text
         return tuple(convert(item) for item in value)
     if key in _CONFIG_BOOL_KEYS:
         if isinstance(value, str):
@@ -771,8 +771,15 @@ def _config_value(key: str, value):
     if key == "tol":
         return float(value)
     if key in ("n_tasks", "fixed_degree", "trials", "k_max", "seed", "threads"):
-        return int(value)
+        return _config_int(value)
     return None if key == "out" and value is None else _config_text(value)
+
+
+def _config_int(value) -> int:
+    """An integer, or text of one; a fraction or a boolean is refused, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
 
 
 def _config_text(value) -> str:

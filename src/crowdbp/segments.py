@@ -51,21 +51,27 @@ def segment_sum(values: np.ndarray, grouping: Grouping) -> np.ndarray:
                        minlength=grouping.n_segments).astype(np.float64, copy=False)
 
 
-def segment_loo_log1p(y: np.ndarray, grouping: Grouping) -> np.ndarray:
+def segment_loo_log1p(y: np.ndarray, grouping: Grouping,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Per edge, log of the product of (1 + y) over the other edges of its segment.
 
     Returned in natural edge order; singleton segments get log 1 = 0.  A
     factor 1 + y == 0 is counted per segment instead of summed as -inf, so
     exactly the other edges of that segment get -inf and the edge holding
-    the zero keeps the product of the rest.
+    the zero keeps the product of the rest.  With ``out``, the result is
+    written there and ``y`` is overwritten by its logs, so that the call
+    allocates no float edge array.
     """
     keys, n = grouping.keys, grouping.n_segments
     with np.errstate(divide="ignore"):
-        logs = np.log1p(y)
+        logs = np.log1p(y, out=None if out is None else y)
     zero = logs == -np.inf
-    if not zero.any():
-        return np.bincount(keys, logs, n)[keys] - logs
-    logs[zero] = 0.0
-    loo = np.bincount(keys, logs, n)[keys] - logs
-    loo[np.bincount(keys, zero, n)[keys] - zero > 0] = -np.inf
+    has_zero = zero.any()
+    if has_zero:
+        logs[zero] = 0.0
+    # The keys are valid; mode="raise" would copy through a temporary.
+    loo = np.take(segment_sum(logs, grouping), keys, out=out, mode="clip")
+    loo -= logs
+    if has_zero:
+        loo[np.bincount(keys, zero, n)[keys] - zero > 0] = -np.inf
     return loo

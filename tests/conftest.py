@@ -48,6 +48,18 @@ def random_small_graph(rng: np.random.Generator, max_tasks: int = 5,
     return cb.AssignmentGraph(nt, nw, np.array(edges))
 
 
+def regular_sh_instance(n_tasks: int = 20_000):
+    """A (10, 5)-regular graph, 200k edges by default, with ``sh`` answers.
+
+    Its groupings are built here, so that a traced call does not count them.
+    """
+    g = cb.generate_regular_bipartite(n_tasks, 10, 5, seed=31)
+    truth = cb.sample_ground_truth(g, cb.spammer_hammer(), seed=32)
+    answers = cb.sample_answers(g, truth, seed=33)
+    g.by_task.keys, g.by_worker.keys
+    return g, answers
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260815)

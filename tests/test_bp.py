@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +9,10 @@ from crowdbp import bp
 from crowdbp.bp import (bp_compute_beliefs, bp_init, bp_update_task_messages,
                         bp_update_worker_messages)
 from crowdbp.priors import FactorTable
-from tests.conftest import random_atom_prior, random_bipartite_tree, random_prior
+from tests.conftest import (random_atom_prior, random_bipartite_tree, random_prior,
+                            regular_sh_instance)
+from tests.memory import traced_peak
+from tests.sweep_reference import reference_bp_run
 from tests.worker_reference import reference_worker_kernel
 
 
@@ -160,6 +162,9 @@ class TestRun:
             DECODERS[decoder](g, np.array([1]), k_max=0)
         with pytest.raises(cb.ParameterError, match="tol"):
             DECODERS[decoder](g, np.array([1]), tol=-1.0)
+        # A NaN tol used to pass: no delta is ever below it.
+        with pytest.raises(cb.ParameterError, match="tol"):
+            DECODERS[decoder](g, np.array([1]), tol=float("nan"))
 
 
 class TestClamping:
@@ -521,15 +526,70 @@ class TestDegreeClasses:
         assert len(classes) > 1 and classes[-1][0] == n_atoms
         assert all(k * n_atoms <= g.n_edges for k, _ in classes[:-1])
         a = rng.choice([-1, 1], size=g.n_edges)
-        tracemalloc.start()
-        try:
-            report = cb.bp_run(g, a, prior, k_max=1, tol=0.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, report = traced_peak(lambda: cb.bp_run(g, a, prior, k_max=1, tol=0.0))
         assert np.isfinite(report.margins).all()
         # About 8 edge arrays of 8 bytes per edge are live in a sweep.
         assert peak < 4 * 2**20
+
+
+def outcome(decoder, *args, **kwargs):
+    """A report's margin bytes and diagnostics, or the degeneracy error it raised."""
+    try:
+        report = decoder(*args, **kwargs)
+    except cb.NumericDegeneracyError as exc:
+        return str(exc)
+    return (report.margins.tobytes(), report.iterations_run, report.converged,
+            report.max_delta)
+
+
+class TestBufferedSweeps:
+    """Each run writes its sweeps into fixed edge buffers; the allocating sweep is the reference."""
+
+    PRIORS = ("sh", "ash", "beta", "empirical", "certain")
+
+    def make_prior(self, rng, kind):
+        if kind == "certain":
+            # Workers certain to be right or wrong send infinite LLRs once a
+            # clamped task decides which.
+            return cb.ReliabilityPrior.from_atoms([0.0, 1.0], rng.dirichlet(np.ones(2)))
+        return TestDegreeClasses().make_prior(rng, kind)
+
+    @pytest.mark.parametrize("overhead", [0, None])
+    def test_bp_matches_the_allocating_sweeps(self, rng, monkeypatch, overhead):
+        # Overhead 0 splits the classes of small graphs; the shipped constant
+        # keeps the atoms' class alone on them.
+        if overhead is not None:
+            monkeypatch.setattr(bp, "_CLASS_OVERHEAD_EDGES", overhead)
+        split = infinite = 0
+        for case in range(40):
+            kind = self.PRIORS[case % len(self.PRIORS)]
+            g = (skewed_graph(rng, int(rng.integers(20, 80)), 40) if overhead == 0
+                 else skewed_graph(rng, 1000, 200))
+            a = rng.choice([-1, 1], size=g.n_edges)
+            prior = self.make_prior(rng, kind)
+            clamp_tasks, clamp_labels = random_clamps(rng, g, case)
+            kwargs = dict(k_max=int(rng.integers(1, 12)), tol=[0.0, 1e-5][case % 3 == 0],
+                          clamp_tasks=clamp_tasks, clamp_labels=clamp_labels)
+            got = outcome(cb.bp_run, g, a, prior, **kwargs)
+            assert got == outcome(reference_bp_run, g, a, prior, **kwargs)
+            split += len(bp._degree_classes(g.worker_degrees, _n_atoms(prior, g))) > 1
+            infinite += kind == "certain" and clamp_tasks.size > 0
+        assert split >= 5 and infinite >= 2
+
+    def test_bp_matches_the_allocating_sweeps_on_a_regular_graph(self):
+        g, answers = regular_sh_instance(2_000)
+        for prior in ("sh", "ash", "beta:2,1"):
+            prior = cb.parse_prior_spec(prior)
+            assert (outcome(cb.bp_run, g, answers, prior, k_max=30)
+                    == outcome(reference_bp_run, g, answers, prior, k_max=30))
+
+    def test_bp_peak_memory_is_ten_edge_arrays(self):
+        # The allocating sweeps peaked at 15.1 edge arrays here.
+        g, answers = regular_sh_instance()
+        peak, report = traced_peak(
+            lambda: cb.bp_run(g, answers, cb.spammer_hammer(), k_max=3, tol=0.0))
+        assert report.iterations_run == 3
+        assert peak <= 10 * 8 * g.n_edges
 
 
 def _n_atoms(prior, g):

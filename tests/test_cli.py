@@ -144,6 +144,25 @@ class TestInfer:
         assert rc == 2
         assert "tol must be non-negative" in capsys.readouterr().err
 
+    def test_nan_tol_exit_2(self, tmp_path, capsys):
+        # kos used to run to k_max and exit 0.
+        data = simulate(tmp_path)
+        rc = main(["infer", "--data", str(data), "--estimator", "kos", "--tol", "nan"])
+        assert rc == 2
+        assert "tol must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("estimator", ["mv", "kos", "em", "ebp2", "oracle-work"])
+    def test_prior_for_an_estimator_without_one_exit_2(self, tmp_path, capsys, estimator):
+        # The flag used to be ignored, misspelt or not, and infer exited 0.
+        data = simulate(tmp_path)
+        capsys.readouterr()
+        rc = main(["infer", "--data", str(data), "--estimator", estimator,
+                   "--prior", "nope"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: estimator {estimator!r} takes no --prior" in captured.err
+
     def test_conflicting_evidence_under_certain_prior_exit_4(self, tmp_path, capsys):
         data = tmp_path / "split.csv"
         data.write_text("t0,wa,+1\nt0,wb,+1\nt0,wc,-1\nt0,wd,-1\n")
@@ -193,13 +212,27 @@ class TestBench:
         ("n_tasks", json.dumps({**BENCH_JSON, "n_tasks": None})),
         ("prior", json.dumps({**BENCH_JSON, "prior": 5})),
         ("estimators", json.dumps({**BENCH_JSON, "estimators": [5]})),
-    ], ids=["tol-abc", "sweep_values-2", "n_tasks-null", "prior-5", "estimators-5"])
+        # Integer keys used to truncate a fraction and take a boolean as 1.
+        ("n_tasks", json.dumps({**BENCH_JSON, "n_tasks": 12.7})),
+        ("trials", json.dumps({**BENCH_JSON, "trials": True})),
+        ("sweep_values", json.dumps({**BENCH_JSON, "sweep_values": [2, 3.5]})),
+        ("seed", json.dumps({**BENCH_JSON, "seed": False})),
+    ], ids=["tol-abc", "sweep_values-2", "n_tasks-null", "prior-5", "estimators-5",
+            "n_tasks-12.7", "trials-true", "sweep_values-3.5", "seed-false"])
     def test_malformed_config_value_exit_2(self, tmp_path, capsys, key, text):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(text)
         assert main(["bench", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: bad {key}: ")
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_tol_outside_the_non_negatives_exit_2(self, tmp_path, capsys, tol):
+        # A NaN tol used to pass, and every trial ran to k_max.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(BENCH_CONFIG + f"tol = {tol}\n")
+        assert main(["bench", "--config", str(cfg)]) == 2
+        assert "tol must be non-negative" in capsys.readouterr().err
 
 
 class TestBounds:

@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ import crowdbp as cb
 from crowdbp import harness
 from crowdbp.cli import main
 from tests.csv_reference import load_dataset_per_line, save_dataset_per_row
+from tests.memory import traced_peak
 
 # Distinct after stripping; some need csv quoting, some exceed the packed-key width.
 NAMES = ["t1", "w2", "17", "", "a,b", 'q"x', "x, \"y\"", "ünï", "#tag", "a#b",
@@ -272,12 +272,7 @@ class TestReaderMatchesPerLineReference:
         rows[500] = f"{name},w0,-1"
         path = tmp_path / "long.csv"
         path.write_text("\n".join(rows) + "\n")
-        tracemalloc.start()
-        try:
-            loaded = cb.load_dataset(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, loaded = traced_peak(lambda: cb.load_dataset(str(path)))
         assert loaded.task_names[500] == name
         # A (rows x longest name) buffer would be 100 MB.
         assert peak < 5_000_000

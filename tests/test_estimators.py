@@ -8,7 +8,10 @@ import pytest
 
 import crowdbp as cb
 from crowdbp.estimators import _em_e_step, _em_m_step
+from tests.conftest import regular_sh_instance
 from tests.em_reference import reference_em_run
+from tests.memory import traced_peak
+from tests.sweep_reference import reference_kos_run
 
 
 def star_graph(n_workers: int) -> cb.AssignmentGraph:
@@ -106,6 +109,31 @@ class TestKos:
         neg = cb.kos_run(g, -a, seed=3)
         np.testing.assert_array_equal(pos.margins, -neg.margins)
 
+    def test_matches_allocating_reference_bitwise(self, rng):
+        # Random irregular graphs in shuffled edge order, isolated nodes
+        # included, over several seeds, with both tolerance stops and
+        # fixed budgets.
+        for case in range(40):
+            n_tasks, n_workers = rng.integers(1, 40, size=2)
+            cells = rng.permutation(n_tasks * n_workers)[:rng.integers(1, n_tasks * n_workers + 1)]
+            g = cb.AssignmentGraph(n_tasks, n_workers,
+                                   np.column_stack((cells // n_workers, cells % n_workers)))
+            answers = rng.choice([-1, 1], size=g.n_edges, p=[0.3, 0.7])
+            kwargs = dict(k_max=int(rng.integers(1, 60)), seed=int(rng.integers(2**32)),
+                          tol=[0.0, 1e-5][case % 2])
+            got = cb.kos_run(g, answers, **kwargs)
+            want = reference_kos_run(g, answers, **kwargs)
+            assert got.margins.tobytes() == want.margins.tobytes()
+            assert got.iterations_run == want.iterations_run
+            assert got.converged == want.converged
+            assert got.max_delta == want.max_delta
+
+    def test_peak_memory_is_six_edge_arrays(self):
+        # The allocating steps peaked at 8.0 edge arrays here.
+        g, answers = regular_sh_instance()
+        peak, report = traced_peak(lambda: cb.kos_run(g, answers, k_max=3, tol=0.0))
+        assert report.iterations_run == 3
+        assert peak <= 6 * 8 * g.n_edges
 
     def test_margins_do_not_depend_on_blas_threads(self):
         # Large enough that a threaded BLAS reduction splits the vector.

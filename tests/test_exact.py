@@ -1,4 +1,3 @@
-import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -9,6 +8,7 @@ from crowdbp import exact
 from crowdbp.exact import SpanningTree, extract_bfs_tree
 from tests.conftest import random_atom_prior, random_bipartite_tree, random_prior, random_small_graph
 from tests.khop import khop_subgraph
+from tests.memory import traced_peak
 from tests.oracle_reference import reference_oracle_task_estimate
 
 
@@ -231,12 +231,7 @@ class TestOracleTask:
         truth = cb.sample_ground_truth(g, prior, seed=2)
         answers = cb.sample_answers(g, truth, seed=3)
         g.by_task.offsets, g.by_worker.offsets  # the graph's own, built before tracing
-        tracemalloc.start()
-        try:
-            cb.oracle_task_estimate(g, answers, prior, truth)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(lambda: cb.oracle_task_estimate(g, answers, prior, truth))
         # All 200 roots in one block would take several times this.
         assert peak < 4_000_000
 

@@ -59,3 +59,24 @@ def test_loo_prod_matches_reference_in_natural_edge_order():
             others = values[(keys == keys[e]) & (np.arange(m) != e)]
             np.testing.assert_allclose(out[e], np.prod(others) if others.size else 1.0,
                                        rtol=1e-12)
+
+
+def test_loo_into_a_buffer_matches_the_fresh_result_bitwise():
+    # With ``out`` the logs overwrite the input and nothing of edge size is
+    # allocated; exact zero factors are counted the same way.
+    rng = np.random.default_rng(3)
+    for case in range(30):
+        n_seg = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 20))
+        keys = rng.integers(0, n_seg, size=m)
+        y = rng.uniform(-0.5, 0.5, size=m)
+        if case % 2:
+            y[rng.integers(m)] = -1.0
+        grouping = build_grouping(keys, n_seg)
+        fresh = segment_loo_log1p(y, grouping)
+        work, out = y.copy(), np.empty(m)
+        assert segment_loo_log1p(work, grouping, out=out) is out
+        assert out.tobytes() == fresh.tobytes()
+        with np.errstate(divide="ignore"):
+            logs = np.log1p(y)
+        np.testing.assert_array_equal(work, np.where(logs == -np.inf, 0.0, logs))
