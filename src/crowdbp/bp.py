@@ -44,22 +44,26 @@ but a worker of degree r does not need every atom.  Both lanes of the
 sum above are polynomials of degree r in mu, and a k-node Gauss rule of
 the prior integrates every polynomial of degree <= 2k - 1 exactly, so
 r//2 + 1 nodes give that worker's messages exactly (to rounding).
-Workers are put in power-of-two classes by that node count k.  Workers
-that need at least the prior's K distinct atoms, or whose k times K
-exceeds the edge count, share one class that keeps the atoms; every
-other class runs the Gauss rule of its largest count
-(:func:`.gauss_rules`).  Building a k-node rule takes a k x K Lanczos
-basis and O(k^2 K) work, so that cap keeps memory O(edges) here too.  A
-class whose saving over the next larger class, in atom-edge passes, is
-below a fixed per-class cost folds into it.  When the prior's atoms are
-left alone on the whole graph they run with no gather or scatter,
-exactly as before the classes existed, so regular graphs under ``sh``
-(worker degree >= 2) or ``ash`` (>= 4) and small graphs keep their
+Workers are put in power-of-two classes by that node count k, and each
+class runs the Gauss rule of its largest count, which the prior gives
+(:meth:`.ReliabilityPrior.gauss_rules`).  The top class runs an atom
+prior's K distinct atoms, or a Beta prior's rule for the largest degree.
+An atom prior builds each smaller rule from a k x K Lanczos basis in
+O(k^2 K) work, so its workers whose k times K exceeds the edge count
+join the atoms' class, which keeps memory O(edges) here too.  A Beta
+prior's rules are leading blocks of its closed-form Jacobi matrix, so it
+takes no such cap.  A class whose saving over the next larger class, in
+atom-edge passes, is below a fixed per-class cost folds into it.  When
+the top rule is left alone on the whole graph it runs with no gather or
+scatter, exactly as before the classes existed, so regular graphs under
+``sh`` (worker degree >= 2) or ``ash`` (>= 4) and small graphs keep their
 margins bitwise.  Otherwise each class runs on its own edges, in the
 leading columns of the same buffers, and its messages are shifted so that
-a worker whose other answers carry no information (x = 0) sends bitwise
-the atoms' prior-mean LLR, whichever class it is in; a tie between such
-workers stays exact.
+a worker whose other answers carry no information (x = 0) sends the top
+rule's prior-mean LLR, whichever class it is in; a tie between such
+workers stays exact.  That holds bitwise unless the prior's mean is 0,
+where the two rules' values, both rounding, need not lie within a factor
+of two of each other.
 
 The pair-valued :class:`BeliefState` API (``bp_init``,
 ``bp_update_*_messages``, ``bp_compute_beliefs``) runs the same core and
@@ -75,7 +79,7 @@ import numpy as np
 
 from .errors import NumericDegeneracyError, ParameterError, SizeError
 from .graph import AnswerMatrix, AssignmentGraph, answer_values
-from .priors import FactorTable, ReliabilityPrior, gauss_rules
+from .priors import FactorTable, ReliabilityPrior
 from .segments import Grouping, build_grouping, segment_loo_log1p, segment_sum
 
 _NAIVE_DEGREE_GUARD = 14
@@ -300,11 +304,13 @@ def _pm_configs(k: int) -> np.ndarray:
     return (2 * bits - 1).astype(np.int64)
 
 
-def _degree_classes(degrees: np.ndarray, n_atoms: int) -> list[tuple[int, np.ndarray]]:
+def _degree_classes(degrees: np.ndarray, n_atoms: int,
+                    capped: bool = True) -> list[tuple[int, np.ndarray]]:
     """Node count and member mask of each worker class, ascending by count.
 
-    A class at ``n_atoms`` keeps the prior's atoms.  Workers without edges
-    belong to no class.
+    A class at ``n_atoms`` runs the prior's top rule.  ``capped`` marks
+    smaller rules built from a Lanczos basis over ``n_atoms`` atoms.
+    Workers without edges belong to no class.
     """
     n_edges = int(degrees.sum())
     if (n_atoms - 1) * n_edges < _CLASS_OVERHEAD_EDGES:
@@ -313,11 +319,11 @@ def _degree_classes(degrees: np.ndarray, n_atoms: int) -> list[tuple[int, np.nda
         # about 50 us per call, 3% of a sweep-small pass.
         return [(n_atoms, degrees > 0)]
     need = degrees // 2 + 1
-    # A k-node rule is built from a k x K Lanczos basis in O(k^2 K) work.
-    # Needs with k K above the edge count keep the atoms, so the basis is
-    # never larger than one edge array and its build costs at most k flops
-    # per edge, well under one sweep of the K atoms.
-    keep_atoms = (need >= n_atoms) | (need * n_atoms > n_edges)
+    # A capped k-node rule is built from a k x K Lanczos basis in O(k^2 K)
+    # work.  Needs with k K above the edge count keep the atoms, so the basis
+    # is never larger than one edge array and its build costs at most k
+    # flops per edge, well under one sweep of the K atoms.
+    keep_atoms = (need >= n_atoms) | (capped & (need * n_atoms > n_edges))
     # Bucket b holds the needs in [2^(b-1), 2^b); the atoms' class is a
     # bucket above every other.
     full = 64
@@ -342,23 +348,24 @@ def _degree_classes(degrees: np.ndarray, n_atoms: int) -> list[tuple[int, np.nda
     return [(k, members) for k, _, members in kept]
 
 
-def _class_kernel(graph: AssignmentGraph, a: np.ndarray, atom_mu: np.ndarray,
-                  atom_w: np.ndarray):
-    """The magnetization worker half, each degree class on its own Gauss rule.
+def _class_kernel(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior):
+    """The magnetization worker half, each degree class on its prior's Gauss rule.
 
     The returned function writes its messages into buffers allocated here,
     once per run, and returns the same array on every call.
     """
-    n_atoms = int(np.count_nonzero(np.diff(np.sort(atom_mu)))) + 1
-    classes = _degree_classes(graph.worker_degrees, n_atoms)
+    # The top rule is an atom prior's own atoms, whose smaller rules take a
+    # Lanczos basis, or a Beta prior's rule for the largest degree.
+    n_atoms = prior.n_atoms or int(graph.worker_degrees.max(initial=0)) // 2 + 1
+    classes = _degree_classes(graph.worker_degrees, n_atoms, prior.kind == "atoms")
+    sizes = sorted({k for k, _ in classes} | {n_atoms})
+    rules = dict(zip(sizes, prior.gauss_rules(sizes)))
+    atom_mu, atom_w = rules[n_atoms]
     if [k for k, _ in classes] == [n_atoms]:
-        # The prior's own atoms on the whole graph run with no gather or
-        # scatter, as they always have, so those margins stay bitwise the same.
+        # The top rule on the whole graph runs with no gather or scatter, as
+        # it always has, so those margins stay bitwise the same.
         return partial(_worker_llrs, grouping=graph.by_worker, a=a, atom_mu=atom_mu,
                        atom_w=atom_w, work=np.empty((_FOLD_BUFFERS, graph.n_edges)))
-    reduced = [k for k, _ in classes if k < n_atoms]
-    rules = dict(zip(reduced, gauss_rules(atom_mu, atom_w, reduced)))
-    rules[n_atoms] = (atom_mu, atom_w)
     prior_mean = _prior_mean_llr(atom_mu, atom_w)
     keys = graph.by_worker.keys
     parts = []
@@ -369,7 +376,7 @@ def _class_kernel(graph: AssignmentGraph, a: np.ndarray, atom_mu: np.ndarray,
         mu, w = rules[k]
         # Every rule gives a worker whose other answers carry no information
         # the LLR of the prior's mean, up to rounding; the shift makes it the
-        # atoms' value bitwise, so ties between such workers stay exact.
+        # top rule's value, bitwise when the two are within a factor of two.
         shift = prior_mean - _prior_mean_llr(mu, w)
         parts.append((edges, grouping, a[edges], mu, w, shift))
     # Each class folds in the leading columns of the same rows, after its
@@ -458,8 +465,7 @@ def _worker_kernel(kernel: str, graph: AssignmentGraph, a: np.ndarray,
                    factors: FactorTable):
     """The pair API's worker half-sweep, magnetizations -> LLRs, of the named kernel."""
     if kernel == "magnetization":
-        return _class_kernel(graph, a, 2.0 * np.asarray(factors.atom_p) - 1.0,
-                             np.asarray(factors.atom_w))
+        return _class_kernel(graph, a, factors.prior)
     if kernel == "naive":
         # The only reader of the literal factor table f(c, r).
         return partial(_worker_llrs_naive, graph=graph, a=a, table=factors)
@@ -500,10 +506,7 @@ def bp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     those labels being known.
     """
     a = answer_values(answers, graph)
-    r_max = int(graph.worker_degrees.max()) if graph.n_edges else 0
-    atom_p, atom_w = prior.support_atoms(r_max)
-    worker_half = _class_kernel(graph, a, 2.0 * np.asarray(atom_p) - 1.0,
-                                np.asarray(atom_w))
+    worker_half = _class_kernel(graph, a, prior)
 
     clamped = clamp_tasks is not None and len(clamp_tasks) > 0
     pin_edges, pin_llr = np.empty(0, dtype=np.int64), np.empty(0)

@@ -9,14 +9,12 @@ task labels:
     f(c, r) = E_p[ p^c (1 - p)^(r - c) ]
 
 computed in log space (atoms: log-sum-exp over the mixture; Beta: ratio of
-Beta functions via lgamma).  For message updates the engine integrates
-polynomials in p of degree at most r, so a Beta prior is represented there
-by its Gauss-Jacobi quadrature atoms, which are exact for those degrees.
-
-A worker of degree r needs only r//2 + 1 nodes, so the engine also asks
-:func:`gauss_rules` for the smaller Gauss rules of an atom set.  Every rule
-is the eigensystem of a Jacobi matrix: closed-form for a Beta prior, and for
-atoms the one Lanczos reduction that serves every rule size.
+Beta functions via lgamma).  For message updates a worker of degree r
+integrates polynomials of degree r in mu = 2p - 1, which the prior's
+r//2 + 1-node Gauss rule does exactly.  Every such rule comes from
+:meth:`ReliabilityPrior.gauss_rules`, as the eigensystem of a Jacobi
+matrix: a leading block of a Beta prior's closed-form one, or for atoms
+one Lanczos reduction that serves every size below the atom count.
 """
 from __future__ import annotations
 
@@ -46,19 +44,21 @@ class ReliabilityPrior:
             w = np.asarray(self.atom_w, dtype=np.float64)
             if p.ndim != 1 or p.shape != w.shape or p.size == 0:
                 raise ParameterError("atoms require matching non-empty value/weight vectors")
-            if p.min() < 0.0 or p.max() > 1.0:
+            # Each check is written so that a NaN fails it.
+            if not (np.all(p >= 0.0) and np.all(p <= 1.0)):
                 raise ParameterError("atom locations must lie in [0, 1]")
-            if w.min() <= 0.0:
+            if not np.all(w > 0.0):
                 raise ParameterError("atom weights must be positive")
-            if abs(w.sum() - 1.0) > _WEIGHT_TOL:
+            if not abs(w.sum() - 1.0) <= _WEIGHT_TOL:
                 raise ParameterError(f"atom weights sum to {w.sum()!r}, expected 1")
             p.setflags(write=False)
             w.setflags(write=False)
             object.__setattr__(self, "atom_p", p)
             object.__setattr__(self, "atom_w", w)
         elif self.kind == "beta":
-            if self.alpha is None or self.beta is None or self.alpha <= 0 or self.beta <= 0:
-                raise ParameterError("beta prior requires alpha > 0 and beta > 0")
+            if self.alpha is None or self.beta is None or not (
+                    0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
+                raise ParameterError("beta prior requires finite alpha > 0 and beta > 0")
         else:
             raise ParameterError(f"unknown prior kind {self.kind!r}")
 
@@ -85,20 +85,32 @@ class ReliabilityPrior:
             return rng.choice(self.atom_p, size=size, p=self.atom_w)
         return rng.beta(self.alpha, self.beta, size=size)
 
-    def support_atoms(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
-        """Atom representation exact for polynomial integrands up to ``degree``.
+    @property
+    def n_atoms(self) -> int | None:
+        """The number of distinct atoms in mu = 2p - 1; None for a Beta prior."""
+        if self.kind == "beta":
+            return None
+        return int(np.count_nonzero(np.diff(np.sort(2.0 * self.atom_p - 1.0)))) + 1
 
-        Atom priors return their own atoms; a Beta prior returns the
-        Gauss-Jacobi rule with ``degree // 2 + 1`` nodes, which is exact up
-        to degree ``2 (degree // 2) + 1 >= degree``.  Either set is the
-        largest rule the message kernel uses; it derives the rule for each
-        smaller worker degree from these atoms with :func:`gauss_rules`.
+    def gauss_rules(self, sizes: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The k-node Gauss rule (nodes in mu = 2p - 1, weights) for each k in ``sizes``.
+
+        It integrates every polynomial in mu of degree <= 2k - 1 exactly.  A
+        Beta prior's rule is the leading k x k block of its closed-form
+        Jacobi matrix.  An atom prior gives its own atoms once k reaches
+        :attr:`n_atoms`, and below that the rules of one Lanczos run on
+        diag(mu) from sqrt(w), fully reorthogonalized (moment-based
+        Golub-Welsch is ill-conditioned at hundreds of atoms).  For K atoms
+        and largest reduced size k it holds a k x K basis and costs O(k^2 K).
         """
-        if self.kind == "atoms":
-            return self.atom_p, self.atom_w
-        npts = max(1, degree // 2 + 1)
-        mu, w = _jacobi_rule(*_beta_jacobi(self.alpha, self.beta, npts), npts, -1.0, 1.0)
-        return (mu + 1.0) / 2.0, w
+        if self.kind == "beta":
+            jacobi = _beta_jacobi(self.alpha, self.beta, max(sizes))
+            return [_jacobi_rule(*jacobi, k, -1.0, 1.0) for k in sizes]
+        mu, n_atoms = 2.0 * self.atom_p - 1.0, self.n_atoms
+        reduced = [k for k in sizes if k < n_atoms]
+        jacobi = _lanczos(mu, self.atom_w, max(reduced)) if reduced else None
+        return [(mu, self.atom_w) if k >= n_atoms
+                else _jacobi_rule(*jacobi, k, np.min(mu), np.max(mu)) for k in sizes]
 
 
 def _beta_jacobi(alpha: float, beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -136,24 +148,6 @@ def _atom_log_factor(p: np.ndarray, w: np.ndarray, cs: np.ndarray, r: int) -> np
         log1mp = np.log1p(-p)[:, None]
         terms = np.where(cs > 0, cs * logp, 0.0) + np.where(r - cs > 0, (r - cs) * log1mp, 0.0)
     return _logsumexp(terms + np.log(w)[:, None])
-
-
-def gauss_rules(mu: np.ndarray, w: np.ndarray,
-                sizes: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The k-node Gauss rule of the atoms (``mu``, ``w``) for each k in ``sizes``.
-
-    A k-node rule integrates every polynomial of degree <= 2k - 1 exactly
-    against the discrete measure sum_i w_i delta(mu_i).  Each k must be
-    below the number of distinct atoms.  The rules share one Lanczos run
-    on diag(mu) from the start vector sqrt(w), with full
-    reorthogonalization, which yields the measure's Jacobi matrix.
-    Moment-based Golub-Welsch would be ill-conditioned at hundreds of
-    atoms.  For K atoms and largest size k the run holds a k x K basis and
-    costs O(k^2 K) work.  Nodes lie in [min mu, max mu] (strictly inside, up to rounding).
-    """
-    alpha, beta = _lanczos(np.asarray(mu, dtype=np.float64),
-                           np.asarray(w, dtype=np.float64), max(sizes))
-    return [_jacobi_rule(alpha, beta, k, np.min(mu), np.max(mu)) for k in sizes]
 
 
 def _jacobi_rule(diag: np.ndarray, off: np.ndarray, k: int,
@@ -252,17 +246,16 @@ def parse_prior_spec(text: str) -> ReliabilityPrior:
 
 @dataclass(frozen=True)
 class FactorTable:
-    """Precomputed log f(c, r) for 0 <= c <= r <= r_max plus engine atoms.
+    """Precomputed log f(c, r) for 0 <= c <= r <= r_max, and the prior they integrate.
 
     ``log_values[r, c]`` holds the factor; entries with c > r are NaN.  The
-    atom arrays carry the prior's support (quadrature nodes for Beta priors)
-    used by the magnetization message kernel.
+    magnetization message kernel of the pair API takes its Gauss rules from
+    ``prior``; the table builds none.
     """
 
     r_max: int
     log_values: np.ndarray
-    atom_p: np.ndarray
-    atom_w: np.ndarray
+    prior: ReliabilityPrior
 
     @classmethod
     def build(cls, prior: ReliabilityPrior, r_max: int) -> "FactorTable":
@@ -279,7 +272,5 @@ class FactorTable:
                 table[r, : r + 1] = _atom_log_factor(prior.atom_p, prior.atom_w, cs, r)
             else:
                 table[r, : r + 1] = lg_a[: r + 1] + lg_b[r::-1] - lg_ab[r]
-        atom_p, atom_w = prior.support_atoms(r_max)
         table.setflags(write=False)
-        return cls(r_max=r_max, log_values=table, atom_p=np.asarray(atom_p),
-                   atom_w=np.asarray(atom_w))
+        return cls(r_max=r_max, log_values=table, prior=prior)

@@ -15,7 +15,6 @@ import numpy as np
 from crowdbp import bp
 from crowdbp.bp import _check_beliefs, _check_edges, _iterate, make_report
 from crowdbp.graph import answer_values
-from crowdbp.priors import gauss_rules
 from crowdbp.segments import build_grouping, segment_sum
 from crowdbp.seeding import rng_from
 
@@ -82,15 +81,15 @@ def reference_prior_mean_llr(atom_mu, atom_w):
     return float(reference_fold(np.zeros(1), one_edge, np.ones(1), atom_mu, atom_w)[0])
 
 
-def reference_class_kernel(graph, a, atom_mu, atom_w):
+def reference_class_kernel(graph, a, prior):
     """The worker half as a function of ``x``, one fold per degree class."""
-    n_atoms = int(np.count_nonzero(np.diff(np.sort(atom_mu)))) + 1
-    classes = bp._degree_classes(graph.worker_degrees, n_atoms)
+    n_atoms = prior.n_atoms or int(graph.worker_degrees.max(initial=0)) // 2 + 1
+    classes = bp._degree_classes(graph.worker_degrees, n_atoms, prior.kind == "atoms")
+    sizes = sorted({k for k, _ in classes} | {n_atoms})
+    rules = dict(zip(sizes, prior.gauss_rules(sizes)))
+    atom_mu, atom_w = rules[n_atoms]
     if [k for k, _ in classes] == [n_atoms]:
         return lambda x: reference_fold(x, graph.by_worker, a, atom_mu, atom_w)
-    reduced = [k for k, _ in classes if k < n_atoms]
-    rules = dict(zip(reduced, gauss_rules(atom_mu, atom_w, reduced)))
-    rules[n_atoms] = (atom_mu, atom_w)
     prior_mean = reference_prior_mean_llr(atom_mu, atom_w)
     keys = graph.by_worker.keys
     parts = []
@@ -116,10 +115,7 @@ def reference_class_kernel(graph, a, atom_mu, atom_w):
 def reference_bp_run(graph, answers, prior, k_max=100, tol=1e-5, *,
                      clamp_tasks=None, clamp_labels=None):
     a = answer_values(answers, graph)
-    r_max = int(graph.worker_degrees.max()) if graph.n_edges else 0
-    atom_p, atom_w = prior.support_atoms(r_max)
-    worker_half = reference_class_kernel(graph, a, 2.0 * np.asarray(atom_p) - 1.0,
-                                         np.asarray(atom_w))
+    worker_half = reference_class_kernel(graph, a, prior)
     clamped = clamp_tasks is not None and len(clamp_tasks) > 0
     pin_edges, pin_llr = np.empty(0, dtype=np.int64), np.empty(0)
     if clamped:

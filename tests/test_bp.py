@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import crowdbp as cb
-from crowdbp import bp
+from crowdbp import bp, priors
 from crowdbp.bp import (bp_compute_beliefs, bp_init, bp_update_task_messages,
                         bp_update_worker_messages)
 from crowdbp.priors import FactorTable
@@ -432,7 +432,7 @@ class TestDegreeClasses:
             if k == 1 and not clamp_tasks.size:
                 # One sweep from x = 0: every message is the prior-mean LLR.
                 assert got.margins.tobytes() == ref.margins.tobytes()
-            split += len(bp._degree_classes(g.worker_degrees, _n_atoms(prior, g))) > 1
+            split += len(_classes(prior, g)) > 1
         assert split >= 10
 
     def test_bitwise_where_every_class_keeps_the_atoms(self, rng, monkeypatch):
@@ -464,7 +464,7 @@ class TestDegreeClasses:
             prior = empirical_atoms(rng, 20) if case % 2 else cb.ReliabilityPrior.from_beta(
                 rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0))
             g = skewed_graph(rng, 30, 25)
-            assert len(bp._degree_classes(g.worker_degrees, _n_atoms(prior, g))) == 1
+            assert len(_classes(prior, g)) == 1
             a = rng.choice([-1, 1], size=g.n_edges)
             got = cb.bp_run(g, a, prior, k_max=4, tol=0.0)
             ref = reference_run(monkeypatch, g, a, prior, k_max=4, tol=0.0)
@@ -490,28 +490,58 @@ class TestDegreeClasses:
             slow = naive_pair_sweeps(g, a, prior, kwargs["k_max"], clamp_tasks, clamp_labels)
             np.testing.assert_allclose(fast.margins, slow, rtol=0, atol=self.ATOL)
 
-    def test_classes_partition_the_workers(self, rng):
+    @pytest.mark.parametrize("capped", [True, False])
+    def test_classes_partition_the_workers(self, rng, capped):
         split = 0
         for _ in range(50):
             degrees = np.minimum(rng.zipf(1.5, size=int(rng.integers(1, 400))), 2000) - (
                 rng.random() < 0.3)
             n_atoms = int(rng.integers(1, 500))
-            classes = bp._degree_classes(degrees, n_atoms)
+            classes = bp._degree_classes(degrees, n_atoms, capped)
             counts = [k for k, _ in classes]
             assert counts == sorted(set(counts)) and counts[-1] <= n_atoms
             covered = np.sum([members for _, members in classes], axis=0)
             np.testing.assert_array_equal(covered, degrees > 0)
             for k, members in classes:
-                # A reduced rule is exact for its members, and its k x K
-                # Lanczos basis is no larger than the edges; the prior's own
-                # atoms are exact for every degree.
+                # A reduced rule is exact for its members, and a capped one's
+                # k x K Lanczos basis is no larger than the edges; the top
+                # rule is exact for every degree.
                 assert k == n_atoms or (degrees[members] // 2 + 1 <= k).all()
-                assert k == n_atoms or k * n_atoms <= degrees.sum()
+                assert k == n_atoms or not capped or k * n_atoms <= degrees.sum()
             for (k, members), (k_next, _) in zip(classes, classes[1:]):
                 # A class kept apart saves at least its cost over the next one.
                 assert (k_next - k) * degrees[members].sum() >= bp._CLASS_OVERHEAD_EDGES
             split += len(classes) > 1
         assert split >= 10
+
+    def test_beta_rules_build_no_lanczos_basis_and_take_no_cap(self, rng, monkeypatch):
+        # Workers of degree 100-130 need 51-66 nodes of the 201-node top
+        # rule.  Under a cap of k * 201 <= edges they would join the top
+        # class; a Beta prior's rules are leading blocks of its Jacobi
+        # matrix, so they run their own.
+        def no_lanczos(*args):
+            raise AssertionError("a Beta prior built a Lanczos basis")
+
+        monkeypatch.setattr(priors, "_lanczos", no_lanczos)
+        prior = cb.ReliabilityPrior.from_beta(2, 1)
+        degrees = np.concatenate([[400], rng.integers(100, 131, size=4),
+                                  rng.integers(1, 4, size=3000)])
+        g = graph_of_degrees(rng, 500, rng.permutation(degrees))
+        capped, classes = bp._degree_classes(g.worker_degrees, 201, True), _classes(prior, g)
+        top = capped[-1][1]
+        assert capped[-1][0] == classes[-1][0] == 201 and (g.worker_degrees[top] >= 100).sum() == 5
+        assert len(classes) > len(capped) and classes[-1][1].sum() == 1
+        a = rng.choice([-1, 1], size=g.n_edges)
+        clamp_tasks, clamp_labels = random_clamps(rng, g, 1)
+        kwargs = dict(k_max=5, tol=0.0, clamp_tasks=clamp_tasks, clamp_labels=clamp_labels)
+        ran = []
+        degree_classes = bp._degree_classes
+        monkeypatch.setattr(bp, "_degree_classes",
+                            lambda *args: ran.append(degree_classes(*args)) or ran[-1])
+        got = cb.bp_run(g, a, prior, **kwargs)
+        assert [k for k, _ in ran[0]] == [k for k, _ in classes]
+        ref = reference_run(monkeypatch, g, a, prior, **kwargs)
+        np.testing.assert_allclose(got.margins, ref.margins, rtol=0, atol=self.ATOL)
 
     def test_prolific_workers_keep_the_rule_build_small(self, rng):
         # Workers of degree 3,000 and 2,400 under a 3,000-atom empirical
@@ -572,7 +602,7 @@ class TestBufferedSweeps:
                           clamp_tasks=clamp_tasks, clamp_labels=clamp_labels)
             got = outcome(cb.bp_run, g, a, prior, **kwargs)
             assert got == outcome(reference_bp_run, g, a, prior, **kwargs)
-            split += len(bp._degree_classes(g.worker_degrees, _n_atoms(prior, g))) > 1
+            split += len(_classes(prior, g)) > 1
             infinite += kind == "certain" and clamp_tasks.size > 0
         assert split >= 5 and infinite >= 2
 
@@ -592,8 +622,10 @@ class TestBufferedSweeps:
         assert peak <= 10 * 8 * g.n_edges
 
 
-def _n_atoms(prior, g):
-    return np.unique(prior.support_atoms(int(g.worker_degrees.max()))[0]).size
+def _classes(prior, g):
+    """The degree classes of ``g`` under ``prior``: capped for atom priors only."""
+    top = prior.n_atoms or int(g.worker_degrees.max()) // 2 + 1
+    return bp._degree_classes(g.worker_degrees, top, prior.kind == "atoms")
 
 
 class TestReportShape:

@@ -56,6 +56,17 @@ class TestSimulate:
                    "--prior", "nope", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("prior", ["beta:nan,1", "beta:inf,2", "atoms:nan=1",
+                                       "atoms:0.5=nan,0.9=1"])
+    def test_non_finite_prior_exit_2(self, tmp_path, capsys, prior):
+        # NaN parameters used to pass, and simulate wrote a dataset.
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", "--n", "20", "--l", "3", "--r", "3",
+                   "--prior", prior, "--out", str(out)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_directory_exit_2(self, tmp_path, capsys):
         rc = main(["simulate", "--n", "10", "--l", "2", "--r", "2",
                    "--prior", "sh", "--out", str(tmp_path)])
@@ -163,6 +174,17 @@ class TestInfer:
         assert captured.out == ""
         assert f"error: estimator {estimator!r} takes no --prior" in captured.err
 
+    @pytest.mark.parametrize("prior", ["beta:nan,1", "beta:1,inf", "atoms:nan=1"])
+    def test_non_finite_prior_exit_2(self, tmp_path, capsys, prior):
+        # beta:nan,1 used to reach bp_run and exit 4 on a zero-mass message.
+        data = simulate(tmp_path)
+        capsys.readouterr()
+        rc = main(["infer", "--data", str(data), "--estimator", "bp", "--prior", prior])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_conflicting_evidence_under_certain_prior_exit_4(self, tmp_path, capsys):
         data = tmp_path / "split.csv"
         data.write_text("t0,wa,+1\nt0,wb,+1\nt0,wc,-1\nt0,wd,-1\n")
@@ -225,6 +247,18 @@ class TestBench:
         assert main(["bench", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: bad {key}: ")
+
+    @pytest.mark.parametrize("prior,message", [
+        ("beta:nan,1", "requires finite alpha > 0 and beta > 0"),
+        ("atoms:nan=1", "atom locations must lie in [0, 1]"),
+    ])
+    def test_non_finite_prior_exit_2(self, tmp_path, capsys, prior, message):
+        # The config used to pass, and the run failed later on NaN moments.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(BENCH_CONFIG.replace("prior = sh", f"prior = {prior}"))
+        assert main(["bench", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize("tol", ["-1", "nan"])
     def test_tol_outside_the_non_negatives_exit_2(self, tmp_path, capsys, tol):

@@ -1,16 +1,20 @@
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import logsumexp, roots_jacobi
+from scipy.special import eval_jacobi, logsumexp, roots_jacobi
 from scipy.stats import beta as beta_dist
 
 import crowdbp as cb
-from crowdbp.priors import FactorTable, gauss_rules
+from crowdbp import bp
+from crowdbp.bp import bp_init, bp_update_worker_messages
+from crowdbp.priors import FactorTable
 from tests.conftest import random_prior
+from tests.worker_reference import reference_worker_llrs
 
 
 def check_factor_normalization(table: FactorTable, atol: float = 1e-9) -> None:
@@ -93,12 +97,16 @@ class TestLogFactor:
         assert log_factor(perfect, 1, 1) == 0.0
 
 
-class TestSupportAtoms:
-    def test_atom_priors_return_their_own_support(self):
+class TestFactorQuadrature:
+    """The prior's rules integrate every answer factor its workers need."""
+
+    def test_atom_priors_return_their_own_atoms(self):
         sh = cb.spammer_hammer()
-        p, w = sh.support_atoms(12)
-        np.testing.assert_array_equal(p, [0.5, 0.9])
-        np.testing.assert_array_equal(w, [0.5, 0.5])
+        for k in (2, 3, 7):
+            (mu, w), = sh.gauss_rules([k])
+            np.testing.assert_array_equal(mu, [0.0, 0.8])
+            np.testing.assert_array_equal(w, [0.5, 0.5])
+        assert sh.n_atoms == 2 and cb.ReliabilityPrior.from_beta(2, 1).n_atoms is None
 
     def test_beta_quadrature_reproduces_factors_exactly(self, rng):
         # The quadrature rule must integrate every p^c (1-p)^(r-c) with
@@ -108,36 +116,38 @@ class TestSupportAtoms:
             a, b = rng.uniform(0.5, 6, size=2)
             degree = int(rng.integers(1, 13))
             prior = cb.ReliabilityPrior.from_beta(a, b)
-            p, w = prior.support_atoms(degree)
+            (mu, w), = prior.gauss_rules([degree // 2 + 1])
             table = FactorTable.build(prior, degree)
             for r in range(degree + 1):
                 for c in range(r + 1):
-                    quad = float(w @ (p**c * (1 - p) ** (r - c)))
+                    quad = float(w @ (((1 + mu) / 2) ** c * ((1 - mu) / 2) ** (r - c)))
                     assert quad == pytest.approx(math.exp(table.log_values[r, c]),
                                                  rel=1e-12, abs=1e-14)
 
     @pytest.mark.parametrize("degree", [63, 863, 1601])
     @pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (2, 1), (0.5, 5), (5, 0.5), (5, 5),
-                                            (1.5, 0.5)])
-    def test_beta_atoms_give_every_factor_at_high_degree(self, alpha, beta, degree):
-        # log f(c, degree) from the atoms against the lgamma closed form, for
-        # every c: the largest worker's factors, where the rule is largest.
-        # alpha + beta = 1 and 2 reach the 0/0 terms of the Jacobi matrix.
-        p, w = cb.ReliabilityPrior.from_beta(alpha, beta).support_atoms(degree)
-        assert p.size == degree // 2 + 1 and (p > 0).all() and (p < 1).all()
+                                            (1.5, 0.5), (0.3, 0.7)])
+    def test_beta_rule_gives_every_factor_at_high_degree(self, alpha, beta, degree):
+        # log f(c, degree) = log sum w ((1 + mu)/2)^c ((1 - mu)/2)^(degree - c)
+        # against the lgamma closed form, for every c: the largest worker's
+        # factors, where the rule is largest.  alpha + beta = 1 and 2 reach
+        # the 0/0 terms of the Jacobi matrix.
+        (mu, w), = cb.ReliabilityPrior.from_beta(alpha, beta).gauss_rules([degree // 2 + 1])
+        assert mu.size == degree // 2 + 1 and (mu > -1).all() and (mu < 1).all()
         c = np.arange(degree + 1)[None, :]
-        terms = c * np.log(p)[:, None] + (degree - c) * np.log1p(-p)[:, None]
+        terms = (c * np.log1p(mu)[:, None] + (degree - c) * np.log1p(-mu)[:, None]
+                 - degree * math.log(2.0))
         np.testing.assert_allclose(logsumexp(terms + np.log(w)[:, None], axis=0),
                                    closed_form_log_factors(alpha, beta, degree),
                                    rtol=0, atol=1e-10)
 
 
 class TestGaussRules:
-    """The reduced rules the degree classes run: k nodes exact to degree 2k - 1."""
+    """The rules the degree classes run: k nodes exact to degree 2k - 1."""
 
-    def check_moments(self, p, w, sizes):
-        mu = 2.0 * p - 1.0
-        for k, (nodes, weights) in zip(sizes, gauss_rules(mu, w, sizes)):
+    def check_moments(self, prior, mu, w, sizes):
+        # (mu, w) is a rule that integrates every power checked exactly.
+        for k, (nodes, weights) in zip(sizes, prior.gauss_rules(sizes)):
             assert nodes.size == weights.size == k
             assert (weights > 0).all() and (nodes >= mu.min()).all() and (nodes <= mu.max()).all()
             powers = np.arange(2 * k)
@@ -151,28 +161,47 @@ class TestGaussRules:
             0.5 + degrees)
         values = rng.choice(np.unique(scores), size=400, replace=False)
         prior = cb.empirical_prior(np.repeat(values, rng.integers(1, 9, size=400)))
-        assert prior.atom_p.size == 400
-        self.check_moments(prior.atom_p, prior.atom_w,
+        assert prior.atom_p.size == prior.n_atoms == 400
+        self.check_moments(prior, 2.0 * prior.atom_p - 1.0, prior.atom_w,
                            [1, 2, 3, 4, 7, 8, 15, 16, 31, 64, 127, 200, 255, 399])
 
-    def test_beta_quadrature_at_r_max_862(self):
-        # The skewed benchmark graph's largest degree: a 432-node
-        # Gauss-Jacobi rule for the U-shaped Beta(1/2, 1/2), reduced again.
-        p, w = cb.ReliabilityPrior.from_beta(0.5, 0.5).support_atoms(862)
-        assert p.size == 432
-        self.check_moments(p, w, [1, 2, 3, 5, 8, 16, 32, 63, 128, 255, 300, 431])
+    def test_beta_rules_up_to_r_max_862(self):
+        # The skewed benchmark graph's largest degree: the 432-node rule of
+        # the U-shaped Beta(1/2, 1/2) integrates every power the smaller
+        # rules must get right.
+        prior = cb.ReliabilityPrior.from_beta(0.5, 0.5)
+        (mu, w), = prior.gauss_rules([432])
+        self.check_moments(prior, mu, w, [1, 2, 3, 5, 8, 16, 32, 63, 128, 255, 300, 431])
 
-    def test_reduced_beta_rule_is_the_smaller_gauss_jacobi_rule(self, rng):
-        for _ in range(10):
-            prior = cb.ReliabilityPrior.from_beta(*rng.uniform(0.5, 5.0, size=2))
-            p, w = prior.support_atoms(200)
-            k = int(rng.integers(1, 100))
-            nodes, weights = gauss_rules(2.0 * p - 1.0, w, [k])[0]
-            # Two computations of one rule: SciPy's and the reduction's.
-            ref_nodes, ref_weights = roots_jacobi(k, prior.beta - 1.0, prior.alpha - 1.0)
-            np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (0.3, 0.7), (1, 1), (1.5, 0.5),
+                                            (2, 1), (0.5, 5), (5, 0.5), (4.2, 3.1)])
+    def test_beta_rule_is_scipys_gauss_jacobi_rule(self, alpha, beta):
+        # alpha + beta = 1 and 2 are the 0/0 terms of the closed-form matrix;
+        # roots_jacobi warns on the first.  The reference weights are
+        # w ~ 1 / ((1 - x^2) P_k'(x)^2) at SciPy's nodes, with P_k' ~ P_(k-1)
+        # of parameters one higher.  roots_jacobi's own weights are off by up
+        # to 2.4e-11 at k = 200 when alpha or beta is below 1, measured
+        # against 40-digit Christoffel weights.
+        sizes = [1, 2, 8, 64, 200]
+        rules = cb.ReliabilityPrior.from_beta(alpha, beta).gauss_rules(sizes)
+        for k, (nodes, weights) in zip(sizes, rules):
+            with np.errstate(invalid="ignore"):
+                ref_nodes, _ = roots_jacobi(k, beta - 1.0, alpha - 1.0)
+            ref_weights = 1.0 / ((1.0 - ref_nodes**2) * eval_jacobi(k - 1, beta, alpha,
+                                                                   ref_nodes) ** 2)
+            np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-12, err_msg=f"k={k}")
             np.testing.assert_allclose(weights, ref_weights / ref_weights.sum(),
-                                       rtol=0, atol=1e-12)
+                                       rtol=0, atol=1e-12, err_msg=f"k={k}")
+
+    def test_an_atom_prior_reduces_below_its_atom_count(self):
+        ash = cb.adversary_spammer_hammer()
+        (nodes, weights), (mu, w) = ash.gauss_rules([2, 3])
+        np.testing.assert_array_equal(mu, 2.0 * ash.atom_p - 1.0)
+        # Two nodes integrate every polynomial of degree <= 3 against the
+        # three atoms, which are the rule of three or more nodes.
+        powers = np.arange(4)
+        np.testing.assert_allclose(weights @ nodes[:, None] ** powers,
+                                   w @ mu[:, None] ** powers, rtol=0, atol=1e-15)
 
 
 class TestValidationAndParsing:
@@ -190,6 +219,22 @@ class TestValidationAndParsing:
         with pytest.raises(cb.ParameterError):
             cb.ReliabilityPrior(kind="gamma")
 
+    @pytest.mark.parametrize("alpha,beta", [(math.nan, 1.0), (1.0, math.nan),
+                                            (math.inf, 2.0), (2.0, math.inf)])
+    def test_beta_parameters_must_be_finite(self, alpha, beta):
+        # NaN slipped through the old "<= 0" checks, and bp_run then failed
+        # with a zero-mass message instead.
+        with pytest.raises(cb.ParameterError, match="finite"):
+            cb.ReliabilityPrior.from_beta(alpha, beta)
+
+    @pytest.mark.parametrize("p,w", [([math.nan], [1.0]), ([math.inf], [1.0]),
+                                     ([0.5, math.nan], [0.5, 0.5]),
+                                     ([0.5, 0.9], [math.nan, 1.0]),
+                                     ([0.5, 0.9], [math.inf, 1.0])])
+    def test_atoms_must_be_finite(self, p, w):
+        with pytest.raises(cb.ParameterError):
+            cb.ReliabilityPrior.from_atoms(p, w)
+
     def test_parse_prior_spec(self):
         assert cb.parse_prior_spec("sh").atom_p.tolist() == [0.5, 0.9]
         assert cb.parse_prior_spec("ASH").atom_w.tolist() == [0.25, 0.25, 0.5]
@@ -200,7 +245,9 @@ class TestValidationAndParsing:
         np.testing.assert_allclose(atoms.atom_w, [0.25, 0.75])
 
     @pytest.mark.parametrize("bad", ["", "bogus", "beta:1", "beta:a,b",
-                                     "atoms:", "atoms:0.5", "atoms:x=y"])
+                                     "atoms:", "atoms:0.5", "atoms:x=y",
+                                     "beta:nan,1", "beta:inf,2", "beta:1,-inf",
+                                     "atoms:nan=1", "atoms:inf=1", "atoms:0.5=nan,0.9=1"])
     def test_parse_prior_spec_rejects(self, bad):
         with pytest.raises(cb.ParameterError):
             cb.parse_prior_spec(bad)
@@ -231,16 +278,34 @@ class TestFactorTable:
         with pytest.raises(cb.ParameterError):
             FactorTable.build(cb.spammer_hammer(), -1)
 
-    def test_carries_the_prior_support_atoms(self, rng):
-        # The pair API's worker half reads its atoms from the table, so they
-        # must be the ones bp_run takes from the prior.
+    def test_drives_the_magnetization_kernel_with_the_prior_rules(self, rng, monkeypatch):
+        # The pair API's worker half takes its rules from the table's prior,
+        # as bp_run does, whatever the table's own r_max.
+        asked = []
+
+        def gauss_rules(prior, sizes):
+            asked.append(prior)
+            return original(prior, sizes)
+
+        original = cb.ReliabilityPrior.gauss_rules
+        monkeypatch.setattr(cb.ReliabilityPrior, "gauss_rules", gauss_rules)
         for _ in range(20):
             prior = random_prior(rng)
-            r = int(rng.integers(0, 15))
-            table = FactorTable.build(prior, r)
-            p, w = prior.support_atoms(r)
-            assert table.atom_p.tobytes() == np.asarray(p).tobytes()
-            assert table.atom_w.tobytes() == np.asarray(w).tobytes()
+            r = int(rng.integers(1, 9))
+            table = FactorTable.build(prior, r + int(rng.integers(0, 20)))
+            assert table.prior is prior
+            g = cb.AssignmentGraph(r, 1, np.array([[t, 0] for t in range(r)]))
+            a = rng.choice([-1, 1], size=r)
+            x = rng.uniform(-0.99, 0.99, size=r)
+            state = replace(bp_init(g), msg_task_to_worker=np.column_stack(((1 + x) / 2,
+                                                                            (1 - x) / 2)))
+            asked.clear()
+            got = bp_update_worker_messages(state, g, a, table).msg_worker_to_task
+            assert asked and all(p is prior for p in asked)
+            (mu, w), = original(prior, [prior.n_atoms or r // 2 + 1])
+            llr = reference_worker_llrs(np.tanh(bp._pairs_to_llr(state.msg_task_to_worker) / 2),
+                                        g, a.astype(np.float64), mu, w)
+            assert got.tobytes() == bp._llr_to_pairs(llr).tobytes()
 
     def test_normalization_holds_for_random_priors(self, rng):
         for _ in range(20):

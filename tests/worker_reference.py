@@ -1,10 +1,11 @@
 """The one-rule magnetization worker half: the reference for the degree classes.
 
-Every edge folds in every atom of the prior's support, one atom at a time,
-over the whole graph; the package gives each degree class its own Gauss
-rule and sums reduced rules in blocks.  Labels must be equal and margins
-equal within a stated tolerance, and bitwise equal wherever every class
-keeps the prior's atoms.
+Every edge folds in every node of the prior's top rule, one node at a
+time, over the whole graph: an atom prior's own atoms, or a Beta prior's
+rule for the largest degree.  The package gives each degree class its own
+Gauss rule and sums reduced rules in blocks.  Labels must be equal and
+margins equal within a stated tolerance, and bitwise equal wherever every
+class runs the top rule.
 
 ``reference_worker_kernel`` has the signature of ``crowdbp.bp._class_kernel``,
 the worker half ``bp_run`` builds, so that a test can run ``bp_run`` on it by
@@ -36,5 +37,7 @@ def reference_worker_llrs(x, graph, a, atom_mu, atom_w):
         return a * np.log(agree / disagree)
 
 
-def reference_worker_kernel(graph, a, atom_mu, atom_w):
+def reference_worker_kernel(graph, a, prior):
+    top = prior.n_atoms or int(graph.worker_degrees.max(initial=0)) // 2 + 1
+    (atom_mu, atom_w), = prior.gauss_rules([top])
     return partial(reference_worker_llrs, graph=graph, a=a, atom_mu=atom_mu, atom_w=atom_w)
