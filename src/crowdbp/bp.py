@@ -29,15 +29,15 @@ weighted by f(c, r) exactly.  The leave-one-out log product is
 S_mu[u] - log(1 + mu A_iu x_i), with S_mu the per-worker sum of those
 logs; factors that are exactly 0 (mu = ±1 against a certain message) are
 counted per worker instead of divided out.  Atoms are folded in one at a
-time under a running per-edge maximum, in five edge buffers.  A run
-allocates its buffers once and writes every sweep into them, so it holds
-nine float edge arrays whatever the atom count and the sweep count: the
-answers, the magnetizations in both directions, one spare, and the fold's
-five, one of which holds the worker messages.  When the degree classes
-below split, three more hold the gathered magnetizations, the scattered
-messages and the per-class answers.  The ``naive`` kernel of the pair API
-below evaluates the configuration sum directly and exists as the
-independent cross-check.
+time under a running per-edge maximum, in five edge buffers.  A run reads
+the int64 answers in place, allocates its buffers once and writes every
+sweep into them, so it holds eight float edge arrays whatever the atom
+count and the sweep count: the magnetizations in both directions, one
+spare, and the fold's five, one of which holds the worker messages.  When
+the degree classes below split, three more hold the gathered
+magnetizations, the scattered messages and the per-class answers, as
+floats.  The ``naive`` kernel of the pair API below evaluates the
+configuration sum directly and exists as the independent cross-check.
 
 Degree classes: each atom costs a pass over the edges it is applied to,
 but a worker of degree r does not need every atom.  Both lanes of the
@@ -77,7 +77,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import NumericDegeneracyError, ParameterError, SizeError
+from .errors import (NumericDegeneracyError, ParameterError, SizeError, check_count,
+                     check_ids, check_signs)
 from .graph import AnswerMatrix, AssignmentGraph, answer_values
 from .priors import FactorTable, ReliabilityPrior
 from .segments import Grouping, build_grouping, segment_loo_log1p, segment_sum
@@ -138,8 +139,7 @@ def _iterate(step, state, k_max: int, tol: float) -> tuple[object, int, bool, fl
     state inline: the driver drops it after the first step, while a name
     for it in the caller would keep its arrays alive for the whole run.
     """
-    if k_max < 1:
-        raise ParameterError("k_max must be at least 1")
+    k_max = check_count(k_max, "k_max", 1)
     if not tol >= 0:
         raise ParameterError("tol must be non-negative")
     delta = math.inf
@@ -378,7 +378,9 @@ def _class_kernel(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior
         # the LLR of the prior's mean, up to rounding; the shift makes it the
         # top rule's value, bitwise when the two are within a factor of two.
         shift = prior_mean - _prior_mean_llr(mu, w)
-        parts.append((edges, grouping, a[edges], mu, w, shift))
+        # The class's answers are a copy anyway; as floats, each atom's pass
+        # multiplies without an int-to-float cast.
+        parts.append((edges, grouping, a[edges].astype(np.float64), mu, w, shift))
     # Each class folds in the leading columns of the same rows, after its
     # magnetizations are gathered into the last row.
     work = np.empty((_FOLD_BUFFERS + 1, graph.n_edges))
@@ -511,14 +513,10 @@ def bp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     clamped = clamp_tasks is not None and len(clamp_tasks) > 0
     pin_edges, pin_llr = np.empty(0, dtype=np.int64), np.empty(0)
     if clamped:
-        clamp_tasks = np.asarray(clamp_tasks, dtype=np.int64)
-        clamp_labels = np.asarray(clamp_labels, dtype=np.int64)
+        clamp_tasks = check_ids(clamp_tasks, graph.n_tasks, "clamp task ids")
+        clamp_labels = check_signs(clamp_labels, "clamp labels")
         if clamp_labels.shape != clamp_tasks.shape:
             raise ParameterError("clamp labels must match clamp tasks")
-        if clamp_tasks.min() < 0 or clamp_tasks.max() >= graph.n_tasks:
-            raise ParameterError(f"clamp task ids must lie in [0, {graph.n_tasks})")
-        if not np.isin(clamp_labels, (-1, 1)).all():
-            raise ParameterError("clamp labels must be -1 or +1")
         pin_edges, pin_llr = _pinned_edges(graph, clamp_tasks, clamp_labels)
 
     # The run's one free edge buffer: each sweep's task half writes into it,
@@ -547,7 +545,7 @@ def bp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     total, _ = _task_llrs(lam, graph.by_task, out=spare)
     margins = np.tanh(total / 2.0)
     if clamped:
-        margins[clamp_tasks] = clamp_labels.astype(np.float64)
+        margins[clamp_tasks] = clamp_labels
     _check_beliefs(margins)
     return make_report(margins, iterations, converged, delta)
 
@@ -560,8 +558,7 @@ def _max_change(new: np.ndarray, old: np.ndarray) -> float:
 
 def theory_iterations(n_tasks: int) -> int:
     """The doubly-logarithmic sweep count used by the asymptotic analysis."""
-    if n_tasks < 1:
-        raise ParameterError("n_tasks must be positive")
+    n_tasks = check_count(n_tasks, "n_tasks", 1)
     if n_tasks <= math.e:
         return 1
     return max(1, math.ceil(math.log(math.log(n_tasks))))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -67,8 +68,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     config = load_experiment_config(args.config)
     if args.threads is not None:
-        from dataclasses import replace
-
         config = replace(config, threads=args.threads)
     rows = run_experiment(config)
     destination = args.out or config.out

@@ -1,8 +1,16 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the checks of its inputs.
 
 The CLI maps these onto process exit codes: parameter/validation problems
-exit 2, malformed data files exit 3, and numeric degeneracies exit 4.
+exit 2, malformed data files exit 3, and numeric degeneracies exit 4.  The
+checks of counts, ids, ±1 signs and probabilities return what they accept
+as int, int64 or float64 (an array of that dtype without a copy).  A whole
+float such as 3.0 passes; a boolean, a fraction or a NaN fails them.
 """
+from __future__ import annotations
+
+import numbers
+
+import numpy as np
 
 
 class CrowdBPError(Exception):
@@ -27,3 +35,43 @@ class DataFormatError(CrowdBPError, ValueError):
 
 class NumericDegeneracyError(CrowdBPError, ArithmeticError):
     """A message, belief, or posterior lost all probability mass."""
+
+
+def check_count(value, name: str, minimum: int = 0) -> int:
+    """``value`` as an int of at least ``minimum``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer() or value < minimum):
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value}")
+    return int(value)
+
+
+def check_ids(values, n: int, name: str) -> np.ndarray:
+    """``values`` as int64 ids in [0, n)."""
+    return _checked(values, np.int64, f"{name}: expected integers in [0, {n})",
+                    lambda ids: ids.min() >= 0 and ids.max() < n)
+
+
+def check_signs(values, name: str) -> np.ndarray:
+    """``values`` as int64 signs, each -1 or +1."""
+    return _checked(values, np.int64, f"{name} must be -1 or +1",
+                    lambda signs: np.isin(signs, (-1, 1)).all())
+
+
+def check_probabilities(values, name: str) -> np.ndarray:
+    """``values`` as float64 probabilities in [0, 1]."""
+    # min and max carry a NaN through, so that it fails the comparison.
+    return _checked(values, np.float64, f"{name} must lie in [0, 1]",
+                    lambda p: p.min() >= 0.0 and p.max() <= 1.0)
+
+
+def _checked(values, dtype, message: str, valid) -> np.ndarray:
+    """Numeric ``values`` as ``dtype`` if the conversion changes none and ``valid`` holds."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise ParameterError(message)
+    with np.errstate(invalid="ignore"):
+        converted = array.astype(dtype, copy=False)
+    if (converted is not array and not np.array_equal(converted, array)
+            or converted.size and not valid(converted)):
+        raise ParameterError(message)
+    return converted

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bp import EstimateReport, _iterate, bp_run, make_report
-from .errors import ParameterError
+from .errors import ParameterError, check_count, check_probabilities
+from .exact import oracle_task_estimate
 from .graph import AnswerMatrix, AssignmentGraph, answer_values
 from .priors import ReliabilityPrior, empirical_prior, spammer_hammer
 from .segments import Grouping, segment_sum
@@ -100,8 +101,7 @@ def ebp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     shrinking low-degree workers toward ½, which would wash out the very
     reliability signal the next round of belief propagation depends on.
     """
-    if rounds < 1:
-        raise ParameterError("rounds must be at least 1")
+    rounds = check_count(rounds, "rounds", 1)
     a = answer_values(answers, graph)
     labels = majority_vote(graph, answers).labels
     report = None
@@ -123,7 +123,7 @@ def oracle_work(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     Each answer is weighted by its worker's log-odds log(p/(1-p)); the
     margin is the exact posterior margin tanh(score / 2).
     """
-    p = np.asarray(reliabilities, dtype=np.float64)
+    p = check_probabilities(reliabilities, "reliabilities")
     if p.shape[0] != graph.n_workers:
         raise ParameterError("reliabilities length does not match graph")
     if (p < _P_CLAMP).any() or (p > 1.0 - _P_CLAMP).any():
@@ -176,17 +176,17 @@ def em_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
 
     Initializes the posterior weights from smoothed vote fractions, then
     alternates the posterior (E) and reliability (M) steps until the
-    largest posterior change drops below ``tol``.  Both steps work in one
+    largest posterior change drops below ``tol``.  Both steps read a float
+    copy of the answers, cheaper than int/float passes, and work in one
     edge buffer allocated per run.
     """
-    if prior_alpha <= 0 or prior_beta <= 0:
-        raise ParameterError("Beta prior parameters must be positive")
-    a = answer_values(answers, graph)
+    prior = ReliabilityPrior.from_beta(prior_alpha, prior_beta)
+    a = answer_values(answers, graph).astype(np.float64)
     plus_votes = segment_sum(a == 1, graph.by_task)
     buffer = np.empty(graph.n_edges)
 
     def step(w):
-        p_hat = _em_m_step(graph, a, w, prior_alpha, prior_beta, out=buffer)
+        p_hat = _em_m_step(graph, a, w, prior.alpha, prior.beta, out=buffer)
         new_w = _em_e_step(graph, a, p_hat, out=buffer)
         return new_w, float(np.abs(new_w - w).max(initial=0.0))
 
@@ -234,8 +234,6 @@ class EstimatorSpec:
     def run(self, graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
             *, prior: ReliabilityPrior | None = None, truth=None,
             reliabilities: np.ndarray | None = None, seed: int = 0) -> EstimateReport:
-        from .exact import oracle_task_estimate
-
         if self.kind == "mv":
             return majority_vote(graph, answers)
         if self.kind == "kos":

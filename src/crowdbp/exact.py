@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bp import EstimateReport, bp_run, make_report
-from .errors import NumericDegeneracyError, ParameterError, SizeError
+from .errors import NumericDegeneracyError, ParameterError, SizeError, check_ids
 from .graph import AnswerMatrix, AssignmentGraph, GroundTruth, answer_values
 from .priors import FactorTable, ReliabilityPrior, _logsumexp
 
@@ -43,8 +43,7 @@ def brute_force_marginals(graph: AssignmentGraph, answers: AnswerMatrix | np.nda
         raise SizeError(f"brute force enumerates 2^{n} states; guard is "
                         f"n_tasks <= {_BRUTE_FORCE_TASK_GUARD}")
     a = answer_values(answers, graph)
-    r_max = int(graph.worker_degrees.max()) if graph.n_edges else 0
-    factors = FactorTable.build(prior, r_max)
+    factors = FactorTable.build(prior, graph.worker_degrees.max(initial=0))
     bits, s = _label_states(n)
     logw = np.zeros(2**n)
     grouping = graph.by_worker
@@ -204,8 +203,7 @@ def extract_bfs_tree(graph: AssignmentGraph, root: int) -> SpanningTree:
 
     The one-root call of the block BFS that ``oracle_task_estimate`` runs.
     """
-    if not 0 <= root < graph.n_tasks:
-        raise ParameterError(f"root {root} out of range")
+    root = int(check_ids(root, graph.n_tasks, "root"))
     forest = _bfs_forest(graph, np.array([root], dtype=np.int64), _adjacency(graph))
     return SpanningTree(root=root, tree_edges=np.sort(forest.edge),
                         boundary_tasks=np.flatnonzero(forest.boundary),
@@ -229,8 +227,7 @@ def oracle_task_estimate(graph: AssignmentGraph, answers: AnswerMatrix | np.ndar
     boundary tasks clamped.  Tasks without answers get margin 0.
     """
     a = answer_values(answers, graph)
-    labels = np.asarray(truth.labels, dtype=np.int64)
-    if labels.shape[0] != graph.n_tasks:
+    if truth.labels.shape[0] != graph.n_tasks:
         raise ParameterError("truth labels length does not match graph")
     n_tasks, n_workers = graph.n_tasks, graph.n_workers
     margins = np.zeros(n_tasks)
@@ -253,9 +250,9 @@ def oracle_task_estimate(graph: AssignmentGraph, answers: AnswerMatrix | np.ndar
         regions = AssignmentGraph(task_ids.size, worker_ids.size,
                                   np.column_stack((task_of, worker_of)))
         clamped = np.flatnonzero(forest.boundary[task_ids])
-        report = bp_run(regions, a[edge], prior,
-                        k_max=int(forest.region_depth.max()) // 2 + 2, tol=0.0,
-                        clamp_tasks=clamped, clamp_labels=labels[task_ids[clamped] % n_tasks])
+        report = bp_run(regions, a[edge], prior, k_max=forest.region_depth.max() // 2 + 2,
+                        tol=0.0, clamp_tasks=clamped,
+                        clamp_labels=truth.labels[task_ids[clamped] % n_tasks])
         at_root = np.searchsorted(task_ids, np.arange(block_roots.size) * n_tasks + block_roots)
         margins[block_roots] = report.margins[at_root]
         iterations = max(iterations, report.iterations_run)
@@ -278,19 +275,17 @@ def _gain_masses(graph: AssignmentGraph, prior: ReliabilityPrior, root: int,
         raise SizeError(f"gain enumeration guard is n_tasks <= {_GAIN_TASK_GUARD}")
     if edge_ids.size > _GAIN_EDGE_GUARD:
         raise SizeError(f"gain enumeration guard is |edges| <= {_GAIN_EDGE_GUARD}")
-    if not 0 <= root < n:
-        raise ParameterError(f"root {root} out of range")
+    root = int(check_ids(root, n, "root"))
     if np.isin(root, clamp_tasks):
         raise ParameterError("the root's own label cannot be revealed")
 
     e = edge_ids.size
     bits, s = _label_states(n)
     a_bits, a_vals = _label_states(e)
-    r_max = int(graph.worker_degrees.max()) if graph.n_edges else 0
-    factors = FactorTable.build(prior, r_max)
+    factors = FactorTable.build(prior, graph.worker_degrees.max(initial=0))
 
     logw = np.zeros((2**n, 2**e))
-    sub_workers = graph.edges[edge_ids, 1] if e else np.empty(0, dtype=np.int64)
+    sub_workers = graph.edges[edge_ids, 1]
     for u in np.unique(sub_workers):
         positions = np.flatnonzero(sub_workers == u)
         c = np.zeros((2**n, 2**e), dtype=np.int64)
@@ -318,8 +313,8 @@ def exact_conditional_gain(graph: AssignmentGraph, prior: ReliabilityPrior, root
     that observes the answers on ``edge_ids`` and the true labels of
     ``clamp_tasks``, under the full generative model.
     """
-    edge_ids = np.asarray(edge_ids, dtype=np.int64)
-    clamp_tasks = np.asarray(clamp_tasks, dtype=np.int64)
+    edge_ids = check_ids(edge_ids, graph.n_edges, "edge ids")
+    clamp_tasks = check_ids(clamp_tasks, graph.n_tasks, "clamp tasks")
     mass_plus, mass_minus = _gain_masses(graph, prior, root, edge_ids, clamp_tasks)
     p_err = float(np.minimum(mass_plus, mass_minus).sum())
     return 0.5 - p_err
@@ -337,10 +332,8 @@ def subset_monotonicity_check(graph: AssignmentGraph, prior: ReliabilityPrior,
     ``delta_full >= delta_subset`` true in floating point, not just in
     exact arithmetic.
     """
-    edge_subset = np.asarray(edge_subset, dtype=np.int64)
+    edge_subset = check_ids(edge_subset, graph.n_edges, "edge subset")
     all_edges = np.arange(graph.n_edges, dtype=np.int64)
-    if edge_subset.size and (edge_subset.min() < 0 or edge_subset.max() >= graph.n_edges):
-        raise ParameterError("edge subset contains out-of-range ids")
     if np.unique(edge_subset).size != edge_subset.size:
         raise ParameterError("edge subset contains duplicates")
     none = np.empty(0, dtype=np.int64)

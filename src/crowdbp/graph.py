@@ -14,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GenerationError, ParameterError
+from .errors import (GenerationError, ParameterError, check_count, check_ids,
+                     check_probabilities, check_signs)
 from .segments import Grouping, build_grouping
 from .seeding import rng_from
 
@@ -35,20 +36,20 @@ class AssignmentGraph:
     edges: np.ndarray
 
     def __post_init__(self) -> None:
-        edges = np.ascontiguousarray(np.asarray(self.edges, dtype=np.int64).reshape(-1, 2))
-        object.__setattr__(self, "edges", edges)
-        if self.n_tasks < 0 or self.n_workers < 0:
-            raise ParameterError("node counts must be non-negative")
-        if edges.size:
-            tasks, workers = edges[:, 0], edges[:, 1]
-            if tasks.min() < 0 or tasks.max() >= self.n_tasks:
-                raise ParameterError("edge task id out of range")
-            if workers.min() < 0 or workers.max() >= self.n_workers:
-                raise ParameterError("edge worker id out of range")
-            encoded = np.sort(tasks * self.n_workers + workers)
-            if (encoded[1:] == encoded[:-1]).any():
-                raise ParameterError("duplicate (task, worker) edge")
+        n_tasks = check_count(self.n_tasks, "n_tasks")
+        n_workers = check_count(self.n_workers, "n_workers")
+        edges = np.asarray(self.edges).reshape(-1, 2)
+        tasks = check_ids(edges[:, 0], n_tasks, "edge task ids")
+        workers = check_ids(edges[:, 1], n_workers, "edge worker ids")
+        edges = np.ascontiguousarray(edges if edges.dtype == np.int64
+                                     else np.column_stack((tasks, workers)))
+        encoded = np.sort(tasks * n_workers + workers)
+        if (encoded[1:] == encoded[:-1]).any():
+            raise ParameterError("duplicate (task, worker) edge")
         edges.setflags(write=False)
+        object.__setattr__(self, "n_tasks", n_tasks)
+        object.__setattr__(self, "n_workers", n_workers)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def n_edges(self) -> int:
@@ -79,14 +80,9 @@ class GroundTruth:
     reliabilities: np.ndarray
 
     def __post_init__(self) -> None:
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if labels.size and not np.isin(labels, (-1, 1)).all():
-            raise ParameterError("truth labels must be -1 or +1")
-        rel = np.asarray(self.reliabilities, dtype=np.float64)
-        if rel.size and (rel.min() < 0.0 or rel.max() > 1.0):
-            raise ParameterError("reliabilities must lie in [0, 1]")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "reliabilities", rel)
+        object.__setattr__(self, "labels", check_signs(self.labels, "truth labels"))
+        object.__setattr__(self, "reliabilities",
+                           check_probabilities(self.reliabilities, "reliabilities"))
 
 
 @dataclass(frozen=True)
@@ -96,19 +92,16 @@ class AnswerMatrix:
     answers: np.ndarray
 
     def __post_init__(self) -> None:
-        answers = np.asarray(self.answers, dtype=np.int64)
-        if answers.size and not np.isin(answers, (-1, 1)).all():
-            raise ParameterError("answers must be -1 or +1")
-        object.__setattr__(self, "answers", answers)
+        object.__setattr__(self, "answers", check_signs(self.answers, "answers"))
 
 
 def answer_values(answers: "AnswerMatrix | np.ndarray", graph: AssignmentGraph) -> np.ndarray:
-    """The answers as float signs, one per edge of ``graph`` in edge order."""
+    """The checked int64 answers, one per edge of ``graph`` in edge order, not copied."""
     if not isinstance(answers, AnswerMatrix):
-        answers = AnswerMatrix(np.asarray(answers))
+        answers = AnswerMatrix(answers)
     if answers.answers.shape != (graph.n_edges,):
         raise ParameterError("answers length does not match graph")
-    return answers.answers.astype(np.float64)
+    return answers.answers
 
 
 def generate_regular_bipartite(n_tasks: int, l: int, r: int, seed: int) -> AssignmentGraph:
@@ -124,8 +117,8 @@ def generate_regular_bipartite(n_tasks: int, l: int, r: int, seed: int) -> Assig
         ParameterError: on non-positive degrees or a non-integral worker count.
         GenerationError: if the repair budget is exhausted (e.g. r > n_tasks).
     """
-    if n_tasks < 1 or l < 1 or r < 1:
-        raise ParameterError("n_tasks, l and r must be positive")
+    n_tasks = check_count(n_tasks, "n_tasks", 1)
+    l, r = check_count(l, "l", 1), check_count(r, "r", 1)
     if (n_tasks * l) % r != 0:
         raise ParameterError(
             f"n_tasks * l = {n_tasks * l} is not divisible by r = {r}; "

@@ -21,8 +21,8 @@ from itertools import filterfalse
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .bp import EstimateReport
-from .errors import CrowdBPError, DataFormatError, ParameterError
+from .bp import EstimateReport, theory_iterations
+from .errors import CrowdBPError, DataFormatError, ParameterError, check_count
 from .estimators import EstimatorSpec
 from .graph import AnswerMatrix, AssignmentGraph, GroundTruth, \
     generate_regular_bipartite, sample_answers, sample_ground_truth
@@ -50,8 +50,7 @@ def theoretical_bounds(l: int, r: int, mu: float, q: float) -> tuple[float, floa
     The second bound only exists above the spectral barrier
     q^2 (l-1)(r-1) > 1 and is ``None`` below it.
     """
-    if l < 1 or r < 1:
-        raise ParameterError("degrees must be positive")
+    l, r = check_count(l, "l", 1), check_count(r, "r", 1)
     if not -1.0 <= mu <= 1.0 or not 0.0 <= q <= 1.0:
         raise ParameterError("need mu in [-1, 1] and q in [0, 1]")
     mv_bound = math.exp(-l * mu * mu / 2.0)
@@ -64,8 +63,8 @@ def theoretical_bounds(l: int, r: int, mu: float, q: float) -> tuple[float, floa
 
 def tree_probability_bound(n_tasks: int, l: int, r: int, k: int) -> float:
     """Upper bound on the chance that a root's 2k-hop neighborhood is not a tree."""
-    if n_tasks < 1 or l < 1 or r < 1 or k < 0:
-        raise ParameterError("n_tasks, l, r must be positive and k non-negative")
+    n_tasks = check_count(n_tasks, "n_tasks", 1)
+    l, r, k = check_count(l, "l", 1), check_count(r, "r", 1), check_count(k, "k")
     scale = 3.0 * l * r / n_tasks
     growth = (l - 1) * (r - 1)
     # growth ** (2k) alone can exceed every float; past e the cap decides.
@@ -596,8 +595,7 @@ def subsample_assignments(dataset: Dataset, l_target: int, seed: int) -> Dataset
     left without answers are dropped and worker ids compacted; task ids and
     truth columns are untouched.
     """
-    if l_target < 1:
-        raise ParameterError("l_target must be at least 1")
+    l_target = check_count(l_target, "l_target", 1)
     graph = dataset.graph
     rng = rng_from(seed)
     keep = np.zeros(graph.n_edges, dtype=bool)
@@ -693,16 +691,16 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sweep_values", tuple(int(v) for v in self.sweep_values))
+        for name in ("n_tasks", "fixed_degree", "trials", "k_max", "threads"):
+            object.__setattr__(self, name, check_count(getattr(self, name), name, 1))
+        object.__setattr__(self, "seed", check_count(self.seed, "seed"))
+        object.__setattr__(self, "sweep_values", tuple(
+            check_count(v, "sweep_values", 1) for v in self.sweep_values))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.sweep not in ("l", "r"):
             raise ParameterError(f"sweep must be 'l' or 'r', got {self.sweep!r}")
-        if self.n_tasks < 1 or self.fixed_degree < 1 or not self.sweep_values:
-            raise ParameterError("n_tasks, fixed_degree and sweep_values must be positive")
-        if min(self.sweep_values) < 1:
-            raise ParameterError("sweep values must be positive")
-        if self.trials < 1 or self.k_max < 1 or self.threads < 1:
-            raise ParameterError("trials, k_max and threads must be at least 1")
+        if not self.sweep_values:
+            raise ParameterError("sweep_values must not be empty")
         if not self.tol >= 0:
             raise ParameterError("tol must be non-negative")
         parse_prior_spec(self.prior)
@@ -777,9 +775,7 @@ def _config_value(key: str, value):
 
 def _config_int(value) -> int:
     """An integer, or text of one; a fraction or a boolean is refused, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {json.dumps(value)}")
-    return int(value)
+    return check_count(int(value) if isinstance(value, str) else value, "value")
 
 
 def _config_text(value) -> str:
@@ -902,8 +898,6 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
     mu, q = prior.moments()
     specs = [EstimatorSpec.parse(name, k_max=config.k_max, tol=config.tol)
              for name in config.estimators]
-    from .bp import theory_iterations
-
     points = _sweep_points(config)
     jobs = [(point, trial) for point in range(len(points)) for trial in range(config.trials)]
     results = _run_jobs(config, specs, prior, points, jobs)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_count, check_probabilities
 
 _WEIGHT_TOL = 1e-12
 
@@ -40,13 +40,11 @@ class ReliabilityPrior:
 
     def __post_init__(self) -> None:
         if self.kind == "atoms":
-            p = np.asarray(self.atom_p, dtype=np.float64)
+            p = check_probabilities(self.atom_p, "atom locations")
             w = np.asarray(self.atom_w, dtype=np.float64)
             if p.ndim != 1 or p.shape != w.shape or p.size == 0:
                 raise ParameterError("atoms require matching non-empty value/weight vectors")
             # Each check is written so that a NaN fails it.
-            if not (np.all(p >= 0.0) and np.all(p <= 1.0)):
-                raise ParameterError("atom locations must lie in [0, 1]")
             if not np.all(w > 0.0):
                 raise ParameterError("atom weights must be positive")
             if not abs(w.sum() - 1.0) <= _WEIGHT_TOL:
@@ -205,11 +203,9 @@ def adversary_spammer_hammer() -> ReliabilityPrior:
 
 def empirical_prior(estimates: np.ndarray) -> ReliabilityPrior:
     """Atom prior putting equal weight on each estimate; duplicates merge."""
-    values = np.asarray(estimates, dtype=np.float64).ravel()
+    values = check_probabilities(estimates, "reliability estimates").ravel()
     if values.size == 0:
         raise ParameterError("empirical prior needs at least one estimate")
-    if values.min() < 0.0 or values.max() > 1.0:
-        raise ParameterError("reliability estimates must lie in [0, 1]")
     uniq, counts = np.unique(values, return_counts=True)
     return ReliabilityPrior.from_atoms(uniq, counts / values.size)
 
@@ -259,8 +255,7 @@ class FactorTable:
 
     @classmethod
     def build(cls, prior: ReliabilityPrior, r_max: int) -> "FactorTable":
-        if r_max < 0:
-            raise ParameterError("r_max must be non-negative")
+        r_max = check_count(r_max, "r_max")
         if prior.kind == "beta":  # f(c, r) = B(a + c, b + r - c) / B(a, b)
             a, b = prior.alpha, prior.beta
             lg_a, lg_b, lg_ab = (np.array([math.lgamma(x + k) - math.lgamma(x)

@@ -11,24 +11,16 @@ import zlib
 
 import numpy as np
 
-from .errors import ParameterError
-
-
-def _key_part(part: int | str) -> int:
-    if isinstance(part, str):
-        return zlib.crc32(part.encode("utf-8"))
-    if isinstance(part, (int, np.integer)):
-        if part < 0:
-            raise ParameterError(f"seed key parts must be non-negative, got {part}")
-        return int(part)
-    raise ParameterError(f"seed key parts must be int or str, got {type(part).__name__}")
+from .errors import check_count
 
 
 def child_seed(master: int, *parts: int | str) -> int:
-    """Derive a 64-bit child seed from a master seed and a key path."""
-    seq = np.random.SeedSequence(int(master), spawn_key=tuple(_key_part(p) for p in parts))
+    """Derive a 64-bit child seed from a master seed and a key path of counts and text."""
+    key = tuple(zlib.crc32(part.encode("utf-8")) if isinstance(part, str)
+                else check_count(part, "seed key part") for part in parts)
+    seq = np.random.SeedSequence(check_count(master, "seed"), spawn_key=key)
     return int(seq.generate_state(1, np.uint64)[0])
 
 
 def rng_from(seed: int) -> np.random.Generator:
-    return np.random.default_rng(int(seed))
+    return np.random.default_rng(check_count(seed, "seed"))

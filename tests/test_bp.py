@@ -613,13 +613,14 @@ class TestBufferedSweeps:
             assert (outcome(cb.bp_run, g, answers, prior, k_max=30)
                     == outcome(reference_bp_run, g, answers, prior, k_max=30))
 
-    def test_bp_peak_memory_is_ten_edge_arrays(self):
-        # The allocating sweeps peaked at 15.1 edge arrays here.
+    def test_bp_peak_memory_is_nine_edge_arrays(self):
+        # The allocating sweeps peaked at 15.1 edge arrays here, and the
+        # buffered ones at 9.4 while they copied the answers to floats.
         g, answers = regular_sh_instance()
         peak, report = traced_peak(
             lambda: cb.bp_run(g, answers, cb.spammer_hammer(), k_max=3, tol=0.0))
         assert report.iterations_run == 3
-        assert peak <= 10 * 8 * g.n_edges
+        assert peak <= 9 * 8 * g.n_edges
 
 
 def _classes(prior, g):

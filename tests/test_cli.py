@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -301,3 +304,40 @@ class TestBounds:
     def test_validation_exit_2(self, capsys):
         assert main(["bounds", "--l", "0", "--r", "2", "--mu", "0.4",
                      "--q", "0.32"]) == 2
+
+
+class TestMalformedInvocations:
+    """``python -m crowdbp`` on bad input: the documented exit code and message, no traceback."""
+
+    @staticmethod
+    def run(tmp_path, args):
+        src = os.path.dirname(os.path.dirname(cb.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "crowdbp", *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("args,code,prefix", [
+        # A negative seed used to end in a ValueError traceback from SeedSequence, exit 1.
+        (["simulate", "--n", "8", "--l", "2", "--r", "2", "--prior", "sh", "--seed", "-1",
+          "--out", "x.csv"], 2, "error: seed must be"),
+        (["infer", "--data", "data.csv", "--estimator", "mv", "--seed", "-1"], 2,
+         "error: seed must be"),
+        (["bench", "--config", "seed.json"], 2, "error: seed.json: bad seed: "),
+        (["simulate", "--n", "10", "--l", "3", "--r", "7", "--prior", "sh", "--out", "x.csv"],
+         2, "error: "),
+        (["infer", "--data", "absent.csv", "--estimator", "mv"], 2, "error: "),
+        (["infer", "--data", "bad.csv", "--estimator", "mv"], 3, "data error: line 2: "),
+        (["bench", "--config", "fraction.json"], 2, "error: fraction.json: bad n_tasks: "),
+        (["bounds", "--l", "0", "--r", "2", "--mu", "0.4", "--q", "0.32"], 2, "error: "),
+    ], ids=["simulate-seed", "infer-seed", "bench-seed", "infeasible-degrees", "missing-data",
+            "duplicate-answer", "bench-fraction", "bounds-degree"])
+    def test_exit_code_and_message(self, tmp_path, args, code, prefix):
+        (tmp_path / "data.csv").write_text("t0,w0,+1\nt0,w1,-1\n")
+        (tmp_path / "bad.csv").write_text("t,w,+1\nt,w,-1\n")
+        (tmp_path / "seed.json").write_text(json.dumps({**BENCH_JSON, "seed": -3}))
+        (tmp_path / "fraction.json").write_text(json.dumps({**BENCH_JSON, "n_tasks": 12.7}))
+        proc = self.run(tmp_path, args)
+        assert proc.returncode == code
+        assert proc.stderr.startswith(prefix)
+        assert "Traceback" not in proc.stderr
