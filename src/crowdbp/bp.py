@@ -81,7 +81,8 @@ from .errors import (NumericDegeneracyError, ParameterError, SizeError, check_co
                      check_ids, check_signs)
 from .graph import AnswerMatrix, AssignmentGraph, answer_values
 from .priors import FactorTable, ReliabilityPrior
-from .segments import Grouping, build_grouping, segment_loo_log1p, segment_sum
+from .segments import (Grouping, build_grouping, gather, segment_loo_log1p, segment_others,
+                       segment_sum)
 
 _NAIVE_DEGREE_GUARD = 14
 # What running a degree class on its own costs per sweep beyond its atom
@@ -200,19 +201,16 @@ def _task_llrs(lam: np.ndarray, grouping: Grouping,
     with np.errstate(invalid="ignore"):
         total = _signed_sum(lam, grouping, scratch=out)
         if np.isfinite(total).all():
-            # The keys are valid; mode="raise" would copy through a temporary.
-            others = np.take(total, grouping.keys, out=out, mode="clip")
-            others -= lam
-            return total, others
+            return total, segment_others(lam, grouping, totals=total, out=out)
         # Certain messages: count the infinities instead of subtracting them.
         plus = lam == np.inf
         minus = lam == -np.inf
         finite = np.where(plus | minus, 0.0, lam)
         total = _signed_sum(finite, grouping)
-        n_plus = np.bincount(grouping.keys, plus, grouping.n_segments)
-        n_minus = np.bincount(grouping.keys, minus, grouping.n_segments)
-        others = np.add(total[grouping.keys] - finite, _certain(
-            n_plus[grouping.keys] - plus, n_minus[grouping.keys] - minus), out=out)
+        n_plus, n_minus = segment_sum(plus, grouping), segment_sum(minus, grouping)
+        others = np.add(segment_others(finite, grouping, totals=total), _certain(
+            segment_others(plus, grouping, totals=n_plus),
+            segment_others(minus, grouping, totals=n_minus)), out=out)
         return total + _certain(n_plus, n_minus), others
 
 
@@ -367,12 +365,11 @@ def _class_kernel(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior
         return partial(_worker_llrs, grouping=graph.by_worker, a=a, atom_mu=atom_mu,
                        atom_w=atom_w, work=np.empty((_FOLD_BUFFERS, graph.n_edges)))
     prior_mean = _prior_mean_llr(atom_mu, atom_w)
-    keys = graph.by_worker.keys
     parts = []
     for k, members in classes:
-        edges = np.flatnonzero(members[keys])
+        edges = np.flatnonzero(gather(members, graph.by_worker))
         compact = np.cumsum(members) - 1
-        grouping = build_grouping(compact[keys[edges]], int(members.sum()))
+        grouping = build_grouping(gather(compact, graph.by_worker)[edges], int(members.sum()))
         mu, w = rules[k]
         # Every rule gives a worker whose other answers carry no information
         # the LLR of the prior's mean, up to rounding; the shift makes it the
@@ -410,7 +407,7 @@ def _pinned_edges(graph: AssignmentGraph, clamp_tasks: np.ndarray,
     """Edge ids of clamped tasks and their fixed outgoing LLRs (±inf)."""
     pinned = np.full(graph.n_tasks, np.nan)
     pinned[clamp_tasks] = np.where(clamp_labels == 1, np.inf, -np.inf)
-    per_edge = pinned[graph.by_task.keys]
+    per_edge = gather(pinned, graph.by_task)
     edges = np.flatnonzero(~np.isnan(per_edge))
     return edges, per_edge[edges]
 

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import EstimateReport, _iterate, bp_run, make_report
+from .bp import EstimateReport, _iterate, _max_change, bp_run, make_report
 from .errors import ParameterError, check_count, check_probabilities
 from .exact import oracle_task_estimate
 from .graph import AnswerMatrix, AssignmentGraph, answer_values
 from .priors import ReliabilityPrior, empirical_prior, spammer_hammer
-from .segments import Grouping, segment_sum
+from .segments import gather, segment_others, segment_sum
 from .seeding import rng_from
 
 _P_CLAMP = 1e-9
@@ -45,7 +45,6 @@ def kos_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     drawn from ``seed`` (Karger-Oh-Shah).  Decode: sign of sum_u A_iu y[u->i].
     """
     a = answer_values(answers, graph)
-    tasks, workers = graph.by_task, graph.by_worker
     # Per run: two scratch edge buffers, and a free one that receives each
     # step's y while the previous y's buffer takes its place.
     work = np.empty((2, graph.n_edges))
@@ -54,12 +53,11 @@ def kos_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     def step(prev_y):
         nonlocal spare
         ay = np.multiply(a, prev_y, out=work[0])
-        x = _others_sum(ay, tasks, out=work[1])
+        x = segment_others(ay, graph.by_task, out=work[1])
         ax = np.multiply(a, x, out=work[0])
-        y = _unit(_others_sum(ax, workers, out=work[1]), out=spare, scratch=work[0])
-        change = np.abs(np.subtract(y, prev_y, out=work[0]), out=work[0])
+        y = _unit(segment_others(ax, graph.by_worker, out=work[1]), out=spare, scratch=work[0])
         spare = prev_y
-        return y, float(change.max(initial=0.0))
+        return y, _max_change(y, prev_y)
 
     start = rng_from(seed).standard_normal(graph.n_edges)
     start += 1.0
@@ -69,14 +67,6 @@ def kos_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     peak = np.abs(scores).max(initial=0.0)
     margins = scores / peak if peak > 0 else scores
     return make_report(margins, iterations, converged, delta)
-
-
-def _others_sum(v: np.ndarray, grouping: Grouping, out: np.ndarray) -> np.ndarray:
-    """Per edge, the sum of ``v`` over the other edges of its segment, into ``out``."""
-    # The keys are valid; mode="raise" would copy through a temporary.
-    others = np.take(segment_sum(v, grouping), grouping.keys, out=out, mode="clip")
-    others -= v
-    return others
 
 
 def _unit(v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -102,11 +92,13 @@ def ebp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     reliability signal the next round of belief propagation depends on.
     """
     rounds = check_count(rounds, "rounds", 1)
+    # Checked once here, not again by majority vote and every round's bp.
+    answers = answers if isinstance(answers, AnswerMatrix) else AnswerMatrix(answers)
     a = answer_values(answers, graph)
     labels = majority_vote(graph, answers).labels
     report = None
     for _ in range(rounds):
-        matches = segment_sum(a == labels[graph.edges[:, 0]], graph.by_worker)
+        matches = segment_sum(a == gather(labels, graph.by_task), graph.by_worker)
         p_hat = (0.25 + matches) / (0.5 + graph.worker_degrees)
         # With no worker there is nothing to score and no answer for any
         # prior to weigh: every margin is 0.
@@ -144,11 +136,9 @@ def _em_e_step(graph: AssignmentGraph, a: np.ndarray, p_hat: np.ndarray,
     ``out`` is an optional float edge buffer for the per-edge terms.
     """
     log_odds = np.log(p_hat / (1.0 - p_hat))
-    # The graph has checked every id; mode="raise" would copy through a
-    # temporary instead of writing into ``out``.
-    terms = np.take(log_odds, graph.by_worker.keys, out=out, mode="clip")
+    terms = gather(log_odds, graph.by_worker, out=out)
     terms *= a
-    scores = np.bincount(graph.by_task.keys, terms, graph.n_tasks)
+    scores = segment_sum(terms, graph.by_task)
     return 1.0 / (1.0 + np.exp(-scores))
 
 
@@ -160,10 +150,10 @@ def _em_m_step(graph: AssignmentGraph, a: np.ndarray, w: np.ndarray,
     for a = -1, computed as ``(a == -1) + a * w``, which is exact for both;
     ``out`` is an optional float edge buffer for it.
     """
-    agree = np.take(w, graph.by_task.keys, out=out, mode="clip")
+    agree = gather(w, graph.by_task, out=out)
     agree *= a
     agree += a == -1
-    soft_matches = np.bincount(graph.by_worker.keys, agree, graph.n_workers)
+    soft_matches = segment_sum(agree, graph.by_worker)
     denom = np.maximum(alpha + beta - 2.0 + graph.worker_degrees, _P_CLAMP)
     p_hat = (alpha - 1.0 + soft_matches) / denom
     return np.clip(p_hat, _P_CLAMP, 1.0 - _P_CLAMP)
@@ -188,7 +178,7 @@ def em_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     def step(w):
         p_hat = _em_m_step(graph, a, w, prior.alpha, prior.beta, out=buffer)
         new_w = _em_e_step(graph, a, p_hat, out=buffer)
-        return new_w, float(np.abs(new_w - w).max(initial=0.0))
+        return new_w, _max_change(new_w, w)
 
     w, iterations, converged, delta = _iterate(
         step, (1.0 + plus_votes) / (2.0 + graph.task_degrees), k_max, tol)

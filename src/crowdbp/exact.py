@@ -314,6 +314,8 @@ def exact_conditional_gain(graph: AssignmentGraph, prior: ReliabilityPrior, root
     ``clamp_tasks``, under the full generative model.
     """
     edge_ids = check_ids(edge_ids, graph.n_edges, "edge ids")
+    if np.unique(edge_ids).size != edge_ids.size:
+        raise ParameterError("edge ids contain duplicates")
     clamp_tasks = check_ids(clamp_tasks, graph.n_tasks, "clamp tasks")
     mass_plus, mass_minus = _gain_masses(graph, prior, root, edge_ids, clamp_tasks)
     p_err = float(np.minimum(mass_plus, mass_minus).sum())

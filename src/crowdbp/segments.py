@@ -1,14 +1,14 @@
 """Per-node reductions over edge arrays in natural (CSR-keyed) edge order.
 
 Message sweeps repeatedly need "sum the values of the edges incident to
-this node", "combine all the other edges of this node" and "give every
-edge its node's value".  A :class:`Grouping` keeps, for one side of the
-bipartite graph, the node id of every edge in natural edge order plus
-the node degrees.  Sums are one ``np.bincount`` over those keys and
-broadcasts are one gather, so the cost is O(edges) whatever the degree
-profile: nothing is padded to the widest node.  Leave-one-out products
-are taken in log space as the segment's total minus the edge's own term,
-with exact zero factors counted rather than divided out.
+this node" (:func:`segment_sum`, one ``np.bincount`` over the keys), "give
+every edge its node's value" (:func:`gather`, one ``np.take`` by them) and
+"sum all the other edges of this node" (:func:`segment_others`, the node's
+total minus the edge's own value).  A :class:`Grouping` keeps, for one side
+of the bipartite graph, the node id of every edge in natural edge order plus
+the node degrees, so each costs O(edges) whatever the degree profile.
+:func:`segment_loo_log1p` takes leave-one-out products the same way in log
+space, with exact zero factors counted rather than divided out.
 
 The stable sort order and CSR offsets (edges listed node by node) are
 built on first use only, for the callers that walk nodes one at a time.
@@ -51,6 +51,20 @@ def segment_sum(values: np.ndarray, grouping: Grouping) -> np.ndarray:
                        minlength=grouping.n_segments).astype(np.float64, copy=False)
 
 
+def gather(values: np.ndarray, grouping: Grouping, out: np.ndarray | None = None) -> np.ndarray:
+    """Per edge, its segment's entry of ``values``, in natural edge order."""
+    # The keys are valid; mode="raise" would copy through a temporary.
+    return np.take(values, grouping.keys, out=out, mode="clip")
+
+
+def segment_others(values: np.ndarray, grouping: Grouping, totals: np.ndarray | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Per edge, its segment's total of ``values`` (``totals`` if given) minus its own value."""
+    totals = segment_sum(values, grouping) if totals is None else totals
+    others = gather(totals, grouping, out=out)
+    return np.subtract(others, values, out=others)
+
+
 def segment_loo_log1p(y: np.ndarray, grouping: Grouping,
                       out: np.ndarray | None = None) -> np.ndarray:
     """Per edge, log of the product of (1 + y) over the other edges of its segment.
@@ -62,16 +76,13 @@ def segment_loo_log1p(y: np.ndarray, grouping: Grouping,
     written there and ``y`` is overwritten by its logs, so that the call
     allocates no float edge array.
     """
-    keys, n = grouping.keys, grouping.n_segments
     with np.errstate(divide="ignore"):
         logs = np.log1p(y, out=None if out is None else y)
     zero = logs == -np.inf
     has_zero = zero.any()
     if has_zero:
         logs[zero] = 0.0
-    # The keys are valid; mode="raise" would copy through a temporary.
-    loo = np.take(segment_sum(logs, grouping), keys, out=out, mode="clip")
-    loo -= logs
+    loo = segment_others(logs, grouping, out=out)
     if has_zero:
-        loo[np.bincount(keys, zero, n)[keys] - zero > 0] = -np.inf
+        loo[segment_others(zero, grouping) > 0] = -np.inf
     return loo

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import crowdbp as cb
+from crowdbp import graph as graph_module
 from crowdbp.estimators import _em_e_step, _em_m_step
 from tests.conftest import regular_sh_instance
 from tests.em_reference import reference_em_run
@@ -175,6 +176,17 @@ class TestEbp:
     def test_rejects_zero_rounds(self):
         with pytest.raises(cb.ParameterError):
             cb.ebp_run(star_graph(1), np.array([1]), rounds=0)
+
+    def test_checks_raw_answers_once(self, monkeypatch):
+        # Each check is one np.isin pass over the answers; majority vote and
+        # every round's bp used to repeat it, four passes at two rounds.
+        calls = []
+        check = graph_module.check_signs
+        monkeypatch.setattr(graph_module, "check_signs",
+                            lambda *args: calls.append(args[1]) or check(*args))
+        g = cb.generate_regular_bipartite(30, 4, 4, seed=6)
+        cb.ebp_run(g, np.ones(g.n_edges, dtype=np.int64), rounds=2)
+        assert calls == ["answers"]
 
 
 class TestOracleWork:

@@ -311,6 +311,15 @@ class TestExactGain:
             full = cb.exact_conditional_gain(g, prior, 0, np.arange(g.n_edges), none)
             assert local >= full - 1e-12
 
+    @pytest.mark.parametrize("edge_ids", [[0, 0], [0, 0, 0]])
+    def test_repeated_edge_ids_rejected(self, edge_ids):
+        # [0, 0] used to read answer 0 twice and return 0.2 against
+        # 0.19999999999999996 for [0]; [0, 0, 0] ended in an IndexError.
+        g = cb.generate_regular_bipartite(4, 2, 2, seed=1)
+        with pytest.raises(cb.ParameterError, match="edge ids"):
+            cb.exact_conditional_gain(g, cb.spammer_hammer(), 0, np.array(edge_ids),
+                                      np.empty(0, dtype=np.int64))
+
     def test_root_clamp_rejected(self):
         g = path_graph()
         with pytest.raises(cb.ParameterError, match="root"):

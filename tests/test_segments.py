@@ -1,6 +1,7 @@
 import numpy as np
 
-from crowdbp.segments import build_grouping, segment_loo_log1p, segment_sum
+from crowdbp.segments import (build_grouping, gather, segment_loo_log1p, segment_others,
+                              segment_sum)
 
 
 def reference_reduce(keys, values, n_segments, op, empty):
@@ -12,9 +13,10 @@ def reference_reduce(keys, values, n_segments, op, empty):
 
 def test_sum_and_grouping_match_loop_reference():
     rng = np.random.default_rng(1)
-    for _ in range(50):
+    for case in range(50):
+        # Case 0 has no edges; most others leave some segment empty.
         n_seg = int(rng.integers(1, 8))
-        m = int(rng.integers(0, 30))
+        m = int(rng.integers(0, 30)) if case else 0
         keys = rng.integers(0, n_seg, size=m)
         values = rng.uniform(0.1, 2.0, size=m)
         g = build_grouping(keys, n_seg)
@@ -25,6 +27,24 @@ def test_sum_and_grouping_match_loop_reference():
         for s in range(n_seg):
             listed = g.order[g.offsets[s]:g.offsets[s + 1]]
             np.testing.assert_array_equal(listed, np.flatnonzero(keys == s))
+        node_values = rng.uniform(size=n_seg)
+        for per_node in (node_values, node_values > 0.5):
+            expected = np.array([per_node[k] for k in keys], dtype=per_node.dtype)
+            np.testing.assert_array_equal(gather(per_node, g), expected)
+            out = np.empty(m, dtype=per_node.dtype)
+            assert gather(per_node, g, out=out) is out
+            np.testing.assert_array_equal(out, expected)
+        for per_edge in (values, values > 1.0):
+            expected = [sum(float(per_edge[j]) for j in range(m) if keys[j] == keys[e] and j != e)
+                        for e in range(m)]
+            # Given totals are used as they are: these are one above the sums.
+            totals = reference_reduce(keys, per_edge, n_seg, lambda a, b: a + b, 1.0)
+            for given, shift in ((None, 0.0), (totals, 1.0)):
+                np.testing.assert_allclose(segment_others(per_edge, g, totals=given),
+                                           np.add(expected, shift), atol=1e-12)
+                out = np.empty(m)
+                assert segment_others(per_edge, g, totals=given, out=out) is out
+                np.testing.assert_allclose(out, np.add(expected, shift), atol=1e-12)
 
 
 def test_empty_segments_get_identity_elements():
