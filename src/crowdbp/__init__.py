@@ -10,7 +10,7 @@ analytic bounds and a benchmark harness with a CLI.
 """
 
 from .bp import (BeliefState, EstimateReport, bp_init, bp_run, bp_update_worker_messages,
-                 decode_labels, theory_iterations)
+                 decode_labels)
 from .errors import (CrowdBPError, DataFormatError, GenerationError,
                      NumericDegeneracyError, ParameterError, SizeError)
 from .estimators import (EstimatorSpec, ebp_run, em_run, kos_run, majority_vote,
@@ -22,10 +22,11 @@ from .graph import (AnswerMatrix, AssignmentGraph, GroundTruth,
 from .harness import (CSV_COLUMNS, Dataset, ExperimentConfig, MetricsRow, error_rate,
                       load_dataset, load_experiment_config, nearest_feasible_n,
                       run_experiment, run_inference, save_dataset, subsample_assignments,
-                      theoretical_bounds, tree_probability_bound, write_metrics_csv)
+                      write_metrics_csv)
 from .priors import (FactorTable, ReliabilityPrior, adversary_spammer_hammer,
                      empirical_prior, parse_prior_spec, spammer_hammer)
 from .seeding import child_seed, rng_from
+from .theory import theoretical_bounds, theory_iterations, tree_probability_bound
 
 __all__ = [
     "AnswerMatrix", "AssignmentGraph", "BeliefState", "CSV_COLUMNS", "CrowdBPError",

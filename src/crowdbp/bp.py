@@ -55,9 +55,9 @@ prior's rules are leading blocks of its closed-form Jacobi matrix, so it
 takes no such cap.  A class whose saving over the next larger class, in
 atom-edge passes, is below a fixed per-class cost folds into it.  When
 the top rule is left alone on the whole graph it runs with no gather or
-scatter, exactly as before the classes existed, so regular graphs under
-``sh`` (worker degree >= 2) or ``ash`` (>= 4) and small graphs keep their
-margins bitwise.  Otherwise each class runs on its own edges, in the
+scatter, so regular graphs under ``sh`` (worker degree >= 2) or ``ash``
+(>= 4) and small graphs keep the margins of one fold over the top rule,
+bitwise.  Otherwise each class runs on its own edges, in the
 leading columns of the same buffers, and its messages are shifted so that
 a worker whose other answers carry no information (x = 0) sends the top
 rule's prior-mean LLR, whichever class it is in; a tie between such
@@ -298,8 +298,12 @@ def _worker_llrs_naive(x: np.ndarray, graph: AssignmentGraph, a: np.ndarray,
 
 
 def _pm_configs(k: int) -> np.ndarray:
-    bits = (np.arange(2**k)[:, None] >> np.arange(k)[None, :]) & 1
-    return (2 * bits - 1).astype(np.int64)
+    """All 2^k sign vectors as int8 rows, +1 where bit j of the row number is set."""
+    rows = np.arange(2**k, dtype="<u8").view(np.uint8).reshape(2**k, 8)
+    s = np.unpackbits(rows, axis=1, count=k, bitorder="little").view(np.int8)
+    s *= 2
+    s -= 1
+    return s
 
 
 def _degree_classes(degrees: np.ndarray, n_atoms: int,
@@ -360,8 +364,8 @@ def _class_kernel(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior
     rules = dict(zip(sizes, prior.gauss_rules(sizes)))
     atom_mu, atom_w = rules[n_atoms]
     if [k for k, _ in classes] == [n_atoms]:
-        # The top rule on the whole graph runs with no gather or scatter, as
-        # it always has, so those margins stay bitwise the same.
+        # The top rule on the whole graph runs with no gather or scatter, so
+        # its margins are bitwise those of one fold over that rule.
         return partial(_worker_llrs, grouping=graph.by_worker, a=a, atom_mu=atom_mu,
                        atom_w=atom_w, work=np.empty((_FOLD_BUFFERS, graph.n_edges)))
     prior_mean = _prior_mean_llr(atom_mu, atom_w)
@@ -551,11 +555,3 @@ def _max_change(new: np.ndarray, old: np.ndarray) -> float:
     """The largest |new - old|, computed over ``old``, which it overwrites."""
     change = np.abs(np.subtract(new, old, out=old), out=old)
     return float(change.max(initial=0.0))
-
-
-def theory_iterations(n_tasks: int) -> int:
-    """The doubly-logarithmic sweep count used by the asymptotic analysis."""
-    n_tasks = check_count(n_tasks, "n_tasks", 1)
-    if n_tasks <= math.e:
-        return 1
-    return max(1, math.ceil(math.log(math.log(n_tasks))))

@@ -18,10 +18,10 @@ from .estimators import EstimatorSpec
 from .graph import generate_regular_bipartite, sample_answers, sample_ground_truth
 from .harness import (Dataset, error_rate, formatted_values, load_dataset,
                       load_experiment_config, run_experiment, run_inference,
-                      save_dataset, subsample_assignments, theoretical_bounds,
-                      tree_probability_bound, write_metrics_csv, write_rows)
+                      save_dataset, subsample_assignments, write_metrics_csv, write_rows)
 from .priors import parse_prior_spec
 from .seeding import child_seed
+from .theory import theoretical_bounds, tree_probability_bound
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -60,6 +60,8 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     finally:
         if args.out:
             out.close()
+    print(f"iterations {report.iterations_run} converged {report.converged} "
+          f"max_delta {report.max_delta!r}", file=sys.stderr)
     if dataset.truth_labels is not None:
         print(f"error_rate {error_rate(report, dataset.truth_labels)!r}", file=sys.stderr)
     return 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import EstimateReport, bp_run, make_report
+from .bp import EstimateReport, _pm_configs, bp_run, make_report
 from .errors import NumericDegeneracyError, ParameterError, SizeError, check_ids
 from .graph import AnswerMatrix, AssignmentGraph, GroundTruth, answer_values
 from .priors import FactorTable, ReliabilityPrior, _logsumexp
@@ -29,10 +29,21 @@ _GAIN_EDGE_GUARD = 10
 _GAIN_TASK_GUARD = 12
 
 
-def _label_states(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All 2^n label vectors as (bits, +-1 values)."""
-    bits = ((np.arange(2**n, dtype=np.int64)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
-    return bits, (2 * bits - 1).astype(np.int8)
+def _log_weights(graph: AssignmentGraph, prior: ReliabilityPrior, s: np.ndarray,
+                 edge_ids: np.ndarray, answers: np.ndarray) -> np.ndarray:
+    """log prod_u f(c_u, r_u) per label configuration (row of ``s``) and answer
+    configuration (column of ``answers``, one row per edge of ``edge_ids``);
+    r_u and c_u count only worker u's answers on those edges."""
+    factors = FactorTable.build(prior, graph.worker_degrees.max(initial=0))
+    logw = np.zeros((s.shape[0], answers.shape[1]))
+    workers = graph.edges[edge_ids, 1]
+    for u in np.unique(workers):
+        rows = np.flatnonzero(workers == u)
+        c = np.zeros(logw.shape, dtype=np.int64)
+        for row in rows:
+            c += s[:, graph.edges[edge_ids[row], 0], None] == answers[row]
+        logw += factors.log_values[rows.size, c]
+    return logw
 
 
 def brute_force_marginals(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
@@ -43,26 +54,17 @@ def brute_force_marginals(graph: AssignmentGraph, answers: AnswerMatrix | np.nda
         raise SizeError(f"brute force enumerates 2^{n} states; guard is "
                         f"n_tasks <= {_BRUTE_FORCE_TASK_GUARD}")
     a = answer_values(answers, graph)
-    factors = FactorTable.build(prior, graph.worker_degrees.max(initial=0))
-    bits, s = _label_states(n)
-    logw = np.zeros(2**n)
-    grouping = graph.by_worker
-    for u in range(graph.n_workers):
-        lo, hi = grouping.offsets[u], grouping.offsets[u + 1]
-        eids = grouping.order[lo:hi]
-        if eids.size == 0:
-            continue
-        c = (s[:, graph.edges[eids, 0]] == a[eids][None, :]).sum(axis=1)
-        logw += factors.log_values[eids.size, c]
+    s = _pm_configs(n)
+    logw = _log_weights(graph, prior, s, np.arange(graph.n_edges), a[:, None])[:, 0]
     total = float(_logsumexp(logw))
     if total == -np.inf:
         raise NumericDegeneracyError("every label configuration has zero probability")
     pairs = np.empty((n, 2))
     for i in range(n):
-        plus = bits[:, i] == 1
+        plus = s[:, i] > 0
         with np.errstate(divide="ignore"):
-            pairs[i, 0] = np.exp(_logsumexp(logw[plus]) - total) if plus.any() else 0.0
-            pairs[i, 1] = np.exp(_logsumexp(logw[~plus]) - total) if (~plus).any() else 0.0
+            pairs[i, 0] = np.exp(_logsumexp(logw[plus]) - total)
+            pairs[i, 1] = np.exp(_logsumexp(logw[~plus]) - total)
     return pairs
 
 
@@ -279,29 +281,14 @@ def _gain_masses(graph: AssignmentGraph, prior: ReliabilityPrior, root: int,
     if np.isin(root, clamp_tasks):
         raise ParameterError("the root's own label cannot be revealed")
 
-    e = edge_ids.size
-    bits, s = _label_states(n)
-    a_bits, a_vals = _label_states(e)
-    factors = FactorTable.build(prior, graph.worker_degrees.max(initial=0))
-
-    logw = np.zeros((2**n, 2**e))
-    sub_workers = graph.edges[edge_ids, 1]
-    for u in np.unique(sub_workers):
-        positions = np.flatnonzero(sub_workers == u)
-        c = np.zeros((2**n, 2**e), dtype=np.int64)
-        for pos in positions:
-            task = graph.edges[edge_ids[pos], 0]
-            c += s[:, task][:, None] == a_vals[None, :, pos]
-        logw += factors.log_values[positions.size, c]
-
+    s = _pm_configs(n)
+    logw = _log_weights(graph, prior, s, edge_ids, _pm_configs(edge_ids.size).T)
     weights = np.exp(logw) * 2.0 ** (-n)
-    clamp_key = np.zeros(2**n, dtype=np.int64)
-    for j, task in enumerate(clamp_tasks):
-        clamp_key += bits[:, task].astype(np.int64) << j
+    clamp_key = (s[:, clamp_tasks] > 0) @ (1 << np.arange(clamp_tasks.size))
     n_keys = 2 ** clamp_tasks.size
-    plus_rows = bits[:, root] == 1
-    mass_plus = np.zeros((n_keys, 2**e))
-    mass_minus = np.zeros((n_keys, 2**e))
+    plus_rows = s[:, root] > 0
+    mass_plus = np.zeros((n_keys, weights.shape[1]))
+    mass_minus = np.zeros((n_keys, weights.shape[1]))
     np.add.at(mass_plus, clamp_key[plus_rows], weights[plus_rows])
     np.add.at(mass_minus, clamp_key[~plus_rows], weights[~plus_rows])
     return mass_plus, mass_minus
@@ -343,10 +330,8 @@ def subset_monotonicity_check(graph: AssignmentGraph, prior: ReliabilityPrior,
     mass_plus, mass_minus = mass_plus[0], mass_minus[0]
 
     # Project full answer configurations onto the subset's coordinates.
-    configs = np.arange(mass_plus.size, dtype=np.int64)
-    key = np.zeros_like(configs)
-    for j, eid in enumerate(np.sort(edge_subset)):
-        key += ((configs >> eid) & 1) << j
+    subset_bits = _pm_configs(graph.n_edges)[:, np.sort(edge_subset)] > 0
+    key = subset_bits @ (1 << np.arange(edge_subset.size))
     n_groups = 2 ** edge_subset.size
     group_plus = np.bincount(key, weights=mass_plus, minlength=n_groups)
     group_minus = np.bincount(key, weights=mass_minus, minlength=n_groups)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (GenerationError, ParameterError, check_count, check_ids,
+from .errors import (GenerationError, ParameterError, SizeError, check_count, check_ids,
                      check_probabilities, check_signs)
 from .segments import Grouping, build_grouping
 from .seeding import rng_from
@@ -38,6 +38,9 @@ class AssignmentGraph:
     def __post_init__(self) -> None:
         n_tasks = check_count(self.n_tasks, "n_tasks")
         n_workers = check_count(self.n_workers, "n_workers")
+        if n_tasks * n_workers > 2**63:
+            raise SizeError(f"{n_tasks} tasks x {n_workers} workers: (task, worker) "
+                            f"pairs do not fit int64 keys")
         edges = np.asarray(self.edges).reshape(-1, 2)
         tasks = check_ids(edges[:, 0], n_tasks, "edge task ids")
         workers = check_ids(edges[:, 1], n_workers, "edge worker ids")

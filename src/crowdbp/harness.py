@@ -1,5 +1,5 @@
-"""Experiment harness: error metrics, theoretical bounds, dataset files,
-degree subsampling, and seeded benchmark sweeps with CSV output.
+"""Experiment harness: error metrics, dataset files, degree subsampling,
+and seeded benchmark sweeps with CSV output.
 
 Benchmark results are deterministic for a given config and master seed:
 every (sweep point, trial, stage) derives its own child seed and results
@@ -21,13 +21,14 @@ from itertools import filterfalse
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .bp import EstimateReport, theory_iterations
+from .bp import EstimateReport
 from .errors import CrowdBPError, DataFormatError, ParameterError, check_count
 from .estimators import EstimatorSpec
 from .graph import AnswerMatrix, AssignmentGraph, GroundTruth, \
     generate_regular_bipartite, sample_answers, sample_ground_truth
 from .priors import ReliabilityPrior, empirical_prior, parse_prior_spec
 from .seeding import child_seed, rng_from
+from .theory import theoretical_bounds, theory_iterations, tree_probability_bound
 
 CSV_COLUMNS = ("estimator", "l", "r", "mean_error", "std_error", "trials",
                "mean_iterations", "wall_time_ms", "failures")
@@ -42,35 +43,6 @@ def error_rate(estimate: EstimateReport | np.ndarray, truth_labels: np.ndarray) 
     if labels.size == 0:
         raise ParameterError("cannot score an empty label vector")
     return float(np.mean(labels != truth_labels))
-
-
-def theoretical_bounds(l: int, r: int, mu: float, q: float) -> tuple[float, float | None]:
-    """Upper bounds on majority vote and on agreement-weighted message passing.
-
-    The second bound only exists above the spectral barrier
-    q^2 (l-1)(r-1) > 1 and is ``None`` below it.
-    """
-    l, r = check_count(l, "l", 1), check_count(r, "r", 1)
-    if not -1.0 <= mu <= 1.0 or not 0.0 <= q <= 1.0:
-        raise ParameterError("need mu in [-1, 1] and q in [0, 1]")
-    mv_bound = math.exp(-l * mu * mu / 2.0)
-    barrier = q * q * (l - 1) * (r - 1)
-    if barrier <= 1.0:
-        return mv_bound, None
-    kos_bound = math.exp(-(l * q / 2.0) * (barrier - 1.0) / (3.0 * barrier + q * (l - 1)))
-    return mv_bound, kos_bound
-
-
-def tree_probability_bound(n_tasks: int, l: int, r: int, k: int) -> float:
-    """Upper bound on the chance that a root's 2k-hop neighborhood is not a tree."""
-    n_tasks = check_count(n_tasks, "n_tasks", 1)
-    l, r, k = check_count(l, "l", 1), check_count(r, "r", 1), check_count(k, "k")
-    scale = 3.0 * l * r / n_tasks
-    growth = (l - 1) * (r - 1)
-    # growth ** (2k) alone can exceed every float; past e the cap decides.
-    if growth > 1 and math.log(scale) + 2 * k * math.log(growth) > 1.0:
-        return 1.0
-    return min(1.0, scale * float(growth) ** (2 * k))
 
 
 # ---------------------------------------------------------------------------

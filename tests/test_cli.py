@@ -92,6 +92,15 @@ class TestInfer:
         float(margin)
         assert "error_rate " in captured.err
 
+    def test_reports_convergence_on_stderr(self, tmp_path, capsys):
+        data = simulate(tmp_path)
+        capsys.readouterr()
+        assert main(["infer", "--data", str(data), "--estimator", "em", "--kmax", "1"]) == 0
+        err = capsys.readouterr().err
+        assert "iterations 1 converged False max_delta " in err
+        assert main(["infer", "--data", str(data), "--estimator", "mv"]) == 0
+        assert "iterations 0 converged True max_delta 0.0\n" in capsys.readouterr().err
+
     def test_bp_with_prior_flag(self, tmp_path):
         data = simulate(tmp_path)
         assert main(["infer", "--data", str(data), "--estimator", "bp",

@@ -112,6 +112,17 @@ class TestBruteForce:
             worst = max(worst, np.abs((pairs[:, 0] - pairs[:, 1]) - report.margins).max())
         assert worst < 1e-10
 
+    def test_memory_at_the_guard(self):
+        # At n = 20 the 2^20 x 20 table of label signs is 20 MB as int8; a
+        # wider temporary while building it would cost 160 MB.
+        n = 20
+        g = cb.AssignmentGraph(n, 2, np.array([[t, t % 2] for t in range(n)]))
+        answers = np.where(np.arange(n) % 3 == 0, -1, 1)
+        peak, pairs = traced_peak(lambda: cb.brute_force_marginals(g, answers,
+                                                                   cb.spammer_hammer()))
+        assert peak < 100 * 2**20
+        assert pairs.shape == (n, 2)
+
     def test_task_count_guard(self):
         g = cb.AssignmentGraph(21, 1, np.array([[t, 0] for t in range(21)]))
         with pytest.raises(cb.SizeError):

@@ -16,6 +16,13 @@ class TestAssignmentGraph:
         with pytest.raises(cb.ParameterError):
             cb.AssignmentGraph(-1, 2, np.empty((0, 2), dtype=np.int64))
 
+    def test_pair_keys_that_would_wrap_are_refused(self):
+        # 2**24 * 2**40 wraps to 0 in int64, so the two edges would share a key.
+        with pytest.raises(cb.SizeError):
+            cb.AssignmentGraph(2**40, 2**40, np.array([[0, 0], [2**24, 0]]))
+        g = cb.AssignmentGraph(2**32, 2**31, np.array([[0, 0], [2**32 - 1, 2**31 - 1]]))
+        assert g.n_edges == 2
+
     def test_degrees_and_adjacency(self):
         g = cb.AssignmentGraph(3, 2, np.array([[0, 0], [0, 1], [1, 0], [2, 1]]))
         np.testing.assert_array_equal(g.task_degrees, [2, 1, 1])
