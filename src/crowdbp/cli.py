@@ -38,7 +38,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
-    if args.prior is not None and not EstimatorSpec.parse(args.estimator).needs_prior():
+    if args.prior is not None and "prior" not in EstimatorSpec.parse(args.estimator).needs:
         # run_inference reads no prior for it, so the flag would go unread.
         raise ParameterError(f"estimator {args.estimator!r} takes no --prior")
     dataset = load_dataset(args.data)

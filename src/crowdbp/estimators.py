@@ -194,7 +194,9 @@ class EstimatorSpec:
     k_max: int = 100
     tol: float = 1e-5
 
-    _KINDS = ("mv", "kos", "bp", "ebp", "oracle-work", "oracle-task", "em")
+    # What each kind reads besides the graph and its answers.
+    _NEEDS = {"mv": (), "kos": (), "bp": ("prior",), "ebp": (), "oracle-work": ("reliabilities",),
+              "oracle-task": ("prior", "truth"), "em": ()}
 
     @classmethod
     def parse(cls, name: str, k_max: int = 100, tol: float = 1e-5) -> "EstimatorSpec":
@@ -204,7 +206,7 @@ class EstimatorSpec:
             if not suffix.isdigit() or int(suffix) < 1:
                 raise ParameterError(f"unknown estimator {name!r}")
             return cls(kind="ebp", rounds=int(suffix), k_max=k_max, tol=tol)
-        if name not in cls._KINDS:
+        if name not in cls._NEEDS:
             raise ParameterError(f"unknown estimator {name!r}")
         return cls(kind=name, k_max=k_max, tol=tol)
 
@@ -212,37 +214,31 @@ class EstimatorSpec:
     def name(self) -> str:
         return f"ebp{self.rounds}" if self.kind == "ebp" else self.kind
 
-    def needs_prior(self) -> bool:
-        return self.kind in ("bp", "oracle-task")
-
-    def needs_truth(self) -> bool:
-        return self.kind == "oracle-task"
-
-    def needs_reliabilities(self) -> bool:
-        return self.kind == "oracle-work"
+    @property
+    def needs(self) -> tuple[str, ...]:
+        """The inputs ``run`` reads for this kind: "prior", "truth", "reliabilities"."""
+        if self.kind not in self._NEEDS:
+            raise ParameterError(f"unknown estimator kind {self.kind!r}")
+        return self._NEEDS[self.kind]
 
     def run(self, graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
             *, prior: ReliabilityPrior | None = None, truth=None,
             reliabilities: np.ndarray | None = None, seed: int = 0) -> EstimateReport:
+        given = {"prior": prior, "truth": truth, "reliabilities": reliabilities}
+        missing = [need for need in self.needs if given[need] is None]
+        if missing:
+            raise ParameterError(f"estimator {self.name!r} needs {' and '.join(missing)}")
         if self.kind == "mv":
             return majority_vote(graph, answers)
         if self.kind == "kos":
             return kos_run(graph, answers, k_max=self.k_max, seed=seed, tol=self.tol)
         if self.kind == "bp":
-            if prior is None:
-                raise ParameterError("estimator 'bp' needs a reliability prior")
             return bp_run(graph, answers, prior, k_max=self.k_max, tol=self.tol)
         if self.kind == "ebp":
             return ebp_run(graph, answers, rounds=self.rounds, k_max=self.k_max,
                            tol=self.tol)
         if self.kind == "oracle-work":
-            if reliabilities is None:
-                raise ParameterError("estimator 'oracle-work' needs true reliabilities")
             return oracle_work(graph, answers, reliabilities)
         if self.kind == "oracle-task":
-            if prior is None or truth is None:
-                raise ParameterError("estimator 'oracle-task' needs a prior and truth labels")
             return oracle_task_estimate(graph, answers, prior, truth)
-        if self.kind == "em":
-            return em_run(graph, answers, k_max=self.k_max, tol=self.tol)
-        raise ParameterError(f"unknown estimator kind {self.kind!r}")
+        return em_run(graph, answers, k_max=self.k_max, tol=self.tol)

@@ -38,16 +38,12 @@ class AssignmentGraph:
     def __post_init__(self) -> None:
         n_tasks = check_count(self.n_tasks, "n_tasks")
         n_workers = check_count(self.n_workers, "n_workers")
-        if n_tasks * n_workers > 2**63:
-            raise SizeError(f"{n_tasks} tasks x {n_workers} workers: (task, worker) "
-                            f"pairs do not fit int64 keys")
         edges = np.asarray(self.edges).reshape(-1, 2)
         tasks = check_ids(edges[:, 0], n_tasks, "edge task ids")
         workers = check_ids(edges[:, 1], n_workers, "edge worker ids")
         edges = np.ascontiguousarray(edges if edges.dtype == np.int64
                                      else np.column_stack((tasks, workers)))
-        encoded = np.sort(tasks * n_workers + workers)
-        if (encoded[1:] == encoded[:-1]).any():
+        if repeated_pairs(tasks, workers, n_tasks, n_workers).size:
             raise ParameterError("duplicate (task, worker) edge")
         edges.setflags(write=False)
         object.__setattr__(self, "n_tasks", n_tasks)
@@ -98,6 +94,34 @@ class AnswerMatrix:
         object.__setattr__(self, "answers", check_signs(self.answers, "answers"))
 
 
+def _check_pair_keys(n_tasks: int, n_workers: int) -> None:
+    """Raise ``SizeError`` unless every (task, worker) pair has its own int64 key."""
+    if n_tasks * n_workers > 2**63:
+        raise SizeError(f"{n_tasks} tasks x {n_workers} workers: (task, worker) "
+                        f"pairs do not fit int64 keys")
+
+
+def repeated_pairs(tasks: np.ndarray, workers: np.ndarray, n_tasks: int,
+                   n_workers: int) -> np.ndarray:
+    """Ids, ascending, of the entries whose (task, worker) pair already
+    appeared at a lower id; ``SizeError`` if ``n_tasks * n_workers > 2**63``.
+
+    One ``np.sort`` of the pair keys settles the common case of no repeat.
+    """
+    _check_pair_keys(n_tasks, n_workers)
+    keys = tasks * n_workers + workers
+    ordered = np.sort(keys)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if not repeated.size:
+        return np.empty(0, dtype=np.int64)
+    # Not np.isin: its sort path imports numpy.ma, 0.8 MB in every forked bench worker.
+    at = np.searchsorted(repeated, keys).clip(max=repeated.size - 1)
+    ids = np.flatnonzero(repeated[at] == keys)
+    later = np.ones(ids.size, dtype=bool)
+    later[np.unique(keys[ids], return_index=True)[1]] = False
+    return ids[later]
+
+
 def answer_values(answers: "AnswerMatrix | np.ndarray", graph: AssignmentGraph) -> np.ndarray:
     """The checked int64 answers, one per edge of ``graph`` in edge order, not copied."""
     if not isinstance(answers, AnswerMatrix):
@@ -118,6 +142,7 @@ def generate_regular_bipartite(n_tasks: int, l: int, r: int, seed: int) -> Assig
 
     Raises:
         ParameterError: on non-positive degrees or a non-integral worker count.
+        SizeError: if ``n_tasks * n_workers > 2**63``, before any array is built.
         GenerationError: if the repair budget is exhausted (e.g. r > n_tasks).
     """
     n_tasks = check_count(n_tasks, "n_tasks", 1)
@@ -130,19 +155,18 @@ def generate_regular_bipartite(n_tasks: int, l: int, r: int, seed: int) -> Assig
     n_workers = n_tasks * l // r
     if r > n_tasks:
         raise ParameterError(f"r = {r} exceeds n_tasks = {n_tasks}; simple graph impossible")
+    _check_pair_keys(n_tasks, n_workers)
     m = n_tasks * l
     task_stubs = np.repeat(np.arange(n_tasks, dtype=np.int64), l)
     rng = rng_from(seed)
     worker_stubs = rng.permutation(np.repeat(np.arange(n_workers, dtype=np.int64), r))
 
     for _ in range(_REPAIR_ROUNDS):
-        encoded = task_stubs * n_workers + worker_stubs
-        order = np.argsort(encoded, kind="stable")
-        dup = np.flatnonzero(encoded[order][1:] == encoded[order][:-1])
-        if dup.size == 0:
+        repeats = repeated_pairs(task_stubs, worker_stubs, n_tasks, n_workers)
+        if not repeats.size:
             return AssignmentGraph(n_tasks, n_workers, np.column_stack((task_stubs, worker_stubs)))
         # Swap each later occurrence of a duplicated pair with a random stub.
-        for pos in np.sort(order[dup + 1]):
+        for pos in repeats.tolist():
             partner = int(rng.integers(m))
             worker_stubs[pos], worker_stubs[partner] = worker_stubs[partner], worker_stubs[pos]
     raise GenerationError(

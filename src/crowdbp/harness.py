@@ -15,7 +15,8 @@ import math
 import operator
 import os
 import time
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import MISSING, dataclass, fields
 from itertools import filterfalse
 
 import numpy as np
@@ -25,7 +26,7 @@ from .bp import EstimateReport
 from .errors import CrowdBPError, DataFormatError, ParameterError, check_count
 from .estimators import EstimatorSpec
 from .graph import AnswerMatrix, AssignmentGraph, GroundTruth, \
-    generate_regular_bipartite, sample_answers, sample_ground_truth
+    generate_regular_bipartite, repeated_pairs, sample_answers, sample_ground_truth
 from .priors import ReliabilityPrior, empirical_prior, parse_prior_spec
 from .seeding import child_seed, rng_from
 from .theory import theoretical_bounds, theory_iterations, tree_probability_bound
@@ -379,12 +380,8 @@ class _EdgeCsvReader:
                               f"for alphabet {_ALPHABET_NAMES[alphabets[e]]!r}")
 
         # (mask, message) per check, in the order one line runs them.
-        key = t * len(worker_names) + w
-        ordered = np.sort(key)
-        repeat = np.zeros(key.size, dtype=bool)
-        if (ordered[1:] == ordered[:-1]).any():
-            repeat[:] = True
-            repeat[np.unique(key, return_index=True)[1]] = False
+        repeat = np.zeros(t.size, dtype=bool)
+        repeat[repeated_pairs(t, w, len(task_names), len(worker_names))] = True
         answers = labels(2)
         checks = [
             (repeat, lambda e: f"duplicate answer for task {task_names[t[e]]!r}, "
@@ -606,31 +603,24 @@ def run_inference(dataset: Dataset, estimator: str, prior_spec: str | None = Non
     dataset lacks them.
     """
     spec = EstimatorSpec.parse(estimator, k_max=k_max, tol=tol)
-    prior: ReliabilityPrior | None = None
-    if spec.needs_prior():
-        if prior_spec:
-            prior = parse_prior_spec(prior_spec)
-        elif dataset.reliabilities is not None:
-            prior = empirical_prior(dataset.reliabilities)
-        else:
+    rel = dataset.reliabilities
+    inputs = {}
+    if "prior" in spec.needs:
+        if not prior_spec and rel is None:
             raise ParameterError(
                 f"estimator {estimator!r} needs --prior or a dataset reliability column")
-    truth = None
-    if spec.needs_truth():
+        inputs["prior"] = parse_prior_spec(prior_spec) if prior_spec else empirical_prior(rel)
+    if "truth" in spec.needs:
         if dataset.truth_labels is None:
             raise ParameterError(f"estimator {estimator!r} needs truth labels in the dataset")
-        rel = dataset.reliabilities
+        # The oracle reads the labels only; 0.5 stands in for a missing column.
+        inputs["truth"] = GroundTruth(dataset.truth_labels, np.full(dataset.graph.n_workers, 0.5)
+                                      if rel is None else rel)
+    if "reliabilities" in spec.needs:
         if rel is None:
-            rel = np.full(dataset.graph.n_workers, 0.5)
-        truth = GroundTruth(dataset.truth_labels, rel)
-    reliabilities = None
-    if spec.needs_reliabilities():
-        if dataset.reliabilities is None:
-            raise ParameterError(
-                f"estimator {estimator!r} needs a dataset reliability column")
-        reliabilities = dataset.reliabilities
-    return spec.run(dataset.graph, dataset.answers, prior=prior, truth=truth,
-                    reliabilities=reliabilities, seed=seed)
+            raise ParameterError(f"estimator {estimator!r} needs a dataset reliability column")
+        inputs["reliabilities"] = rel
+    return spec.run(dataset.graph, dataset.answers, seed=seed, **inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -682,10 +672,6 @@ class ExperimentConfig:
             raise ParameterError("at least one estimator is required")
 
 
-_CONFIG_LIST_KEYS = {"sweep_values", "estimators"}
-_CONFIG_BOOL_KEYS = {"timing", "adjust_n"}
-
-
 def load_experiment_config(path: str) -> ExperimentConfig:
     """Read a config file: JSON object or flat ``key = value`` lines."""
     with open(path) as handle:
@@ -710,50 +696,43 @@ def load_experiment_config(path: str) -> ExperimentConfig:
 
 
 def _config_from_dict(raw: dict, source: str) -> ExperimentConfig:
-    known = {f.name for f in fields(ExperimentConfig)}
+    types = typing.get_type_hints(ExperimentConfig)
     kwargs = {}
     for key, value in raw.items():
-        if key not in known:
+        if key not in types:
             raise ParameterError(f"{source}: unknown config key {key!r}")
         try:
-            kwargs[key] = _config_value(key, value)
+            kwargs[key] = _config_value(types[key], value)
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"{source}: bad {key}: {exc}") from exc
-    missing = {"n_tasks", "sweep_values", "fixed_degree", "prior", "estimators"} - set(kwargs)
+    missing = {f.name for f in fields(ExperimentConfig) if f.default is MISSING} - set(kwargs)
     if missing:
         raise ParameterError(f"{source}: missing config keys {sorted(missing)}")
     return ExperimentConfig(**kwargs)
 
 
-def _config_value(key: str, value):
-    """A raw config value as its field's type; TypeError or ValueError if it is none."""
-    if key in _CONFIG_LIST_KEYS:
+def _config_value(kind, value):
+    """A raw config value as ``kind``, its field's declared type; TypeError
+    or ValueError if it is none.  Text lists items with commas."""
+    if typing.get_origin(kind) is tuple:
         if isinstance(value, str):
             value = [item.strip() for item in value.split(",") if item.strip()]
-        convert = _config_int if key == "sweep_values" else _config_text
-        return tuple(convert(item) for item in value)
-    if key in _CONFIG_BOOL_KEYS:
-        if isinstance(value, str):
-            if value.lower() not in ("true", "false"):
-                raise ValueError("must be true or false")
+        return tuple(_config_value(typing.get_args(kind)[0], item) for item in value)
+    if typing.get_args(kind):  # ``T | None``
+        return None if value is None else _config_value(typing.get_args(kind)[0], value)
+    if kind is bool:
+        if isinstance(value, str) and value.lower() in ("true", "false"):
             return value.lower() == "true"
-        return bool(value)
-    if key == "tol":
-        return float(value)
-    if key in ("n_tasks", "fixed_degree", "trials", "k_max", "seed", "threads"):
-        return _config_int(value)
-    return None if key == "out" and value is None else _config_text(value)
-
-
-def _config_int(value) -> int:
-    """An integer, or text of one; a fraction or a boolean is refused, not truncated."""
-    return check_count(int(value) if isinstance(value, str) else value, "value")
-
-
-def _config_text(value) -> str:
-    if not isinstance(value, str):
+        if not isinstance(value, bool):
+            raise ValueError("must be true or false")
+        return value
+    if kind is int:  # a fraction or a boolean is refused, not truncated
+        return check_count(int(value) if isinstance(value, str) else value, "value")
+    if kind is str and not isinstance(value, str):
         raise TypeError(f"expected text, got {json.dumps(value)}")
-    return value
+    if kind is float and isinstance(value, bool):
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    return kind(value)
 
 
 @dataclass(frozen=True)

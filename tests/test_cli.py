@@ -110,6 +110,25 @@ class TestInfer:
         data = simulate(tmp_path)
         assert main(["infer", "--data", str(data), "--estimator", "bp"]) == 0
 
+    def test_oracle_task_on_a_file_without_reliabilities(self, tmp_path, capsys):
+        # Four columns: the truth the oracle clamps, and no reliability column,
+        # so run_inference fills in placeholder reliabilities.
+        full = cb.load_dataset(str(simulate(tmp_path, n=40, l=3, r=3)))
+        data = tmp_path / "four.csv"
+        cb.save_dataset(cb.Dataset(graph=full.graph, answers=full.answers,
+                                   truth_labels=full.truth_labels,
+                                   task_names=full.task_names,
+                                   worker_names=full.worker_names), str(data))
+        loaded = cb.load_dataset(str(data))
+        assert loaded.reliabilities is None
+        capsys.readouterr()
+        assert main(["infer", "--data", str(data), "--estimator", "oracle-task",
+                     "--prior", "sh"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        truth = cb.GroundTruth(loaded.truth_labels, np.full(loaded.graph.n_workers, 0.5))
+        want = cb.oracle_task_estimate(loaded.graph, loaded.answers, cb.spammer_hammer(), truth)
+        assert [float(margin) for _, _, margin in rows] == want.margins.tolist()
+
     def test_subsample_flag(self, tmp_path, capsys):
         data = simulate(tmp_path)
         capsys.readouterr()
@@ -251,8 +270,14 @@ class TestBench:
         ("trials", json.dumps({**BENCH_JSON, "trials": True})),
         ("sweep_values", json.dumps({**BENCH_JSON, "sweep_values": [2, 3.5]})),
         ("seed", json.dumps({**BENCH_JSON, "seed": False})),
+        # Boolean keys used to take any JSON value by truth, and tol a boolean as 1.0.
+        ("timing", json.dumps({**BENCH_JSON, "timing": 5})),
+        ("adjust_n", json.dumps({**BENCH_JSON, "adjust_n": None})),
+        ("tol", json.dumps({**BENCH_JSON, "tol": True})),
+        ("timing", BENCH_CONFIG + "timing = 5\n"),
     ], ids=["tol-abc", "sweep_values-2", "n_tasks-null", "prior-5", "estimators-5",
-            "n_tasks-12.7", "trials-true", "sweep_values-3.5", "seed-false"])
+            "n_tasks-12.7", "trials-true", "sweep_values-3.5", "seed-false",
+            "timing-5", "adjust_n-null", "tol-true", "timing-5-flat"])
     def test_malformed_config_value_exit_2(self, tmp_path, capsys, key, text):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(text)

@@ -221,6 +221,16 @@ class TestReaderMatchesPerLineReference:
         assert_same_outcome(path)
         assert cb.load_dataset(str(path)).task_names == ("a", "a\x00", "a\x00\x00")
 
+    def test_string_token_before_its_packed_twin_keeps_its_row(self, tmp_path):
+        # The NUL sends the quoted run's task tokens to the string table, so
+        # "y" is interned as a string on line 3 before its packed twin on line 4.
+        path = tmp_path / "twin.csv"
+        path.write_text('b,u,+1\n"x\0",w,+1\n"y",v,-1\ny,u,+1\n')
+        assert_same_outcome(path)
+        loaded = cb.load_dataset(str(path))
+        assert loaded.task_names == ("b", "x\0", "y")
+        assert loaded.graph.edges[:, 0].tolist() == [0, 1, 2, 2]
+
     def test_alphabet_directive_applies_to_later_rows_only(self, tmp_path):
         path = tmp_path / "switch.csv"
         path.write_text("a,w,1\n# alphabet=01\nb,w,0\n #  alphabet = pm1\nc,w,0\n")

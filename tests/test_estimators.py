@@ -295,11 +295,11 @@ class TestEstimatorSpec:
             cb.EstimatorSpec.parse(bad)
 
     def test_requirement_flags(self):
-        assert cb.EstimatorSpec.parse("bp").needs_prior()
-        assert cb.EstimatorSpec.parse("oracle-task").needs_prior()
-        assert cb.EstimatorSpec.parse("oracle-task").needs_truth()
-        assert cb.EstimatorSpec.parse("oracle-work").needs_reliabilities()
-        assert not cb.EstimatorSpec.parse("mv").needs_prior()
+        assert "prior" in cb.EstimatorSpec.parse("bp").needs
+        assert "prior" in cb.EstimatorSpec.parse("oracle-task").needs
+        assert "truth" in cb.EstimatorSpec.parse("oracle-task").needs
+        assert "reliabilities" in cb.EstimatorSpec.parse("oracle-work").needs
+        assert "prior" not in cb.EstimatorSpec.parse("mv").needs
 
     def test_run_reports_missing_inputs(self):
         g = star_graph(1)
@@ -308,8 +308,10 @@ class TestEstimatorSpec:
             cb.EstimatorSpec.parse("bp").run(g, a)
         with pytest.raises(cb.ParameterError):
             cb.EstimatorSpec.parse("oracle-work").run(g, a)
-        with pytest.raises(cb.ParameterError):
+        with pytest.raises(cb.ParameterError, match="^estimator 'oracle-task' needs truth$"):
             cb.EstimatorSpec.parse("oracle-task").run(g, a, prior=cb.spammer_hammer())
+        with pytest.raises(cb.ParameterError, match="'oracle-task' needs prior and truth$"):
+            cb.EstimatorSpec.parse("oracle-task").run(g, a)
 
     def test_run_dispatches_every_kind(self, rng):
         g = cb.generate_regular_bipartite(12, 3, 3, seed=8)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import crowdbp as cb
+from crowdbp import graph as graph_module
+from crowdbp.cli import main
 from crowdbp.seeding import child_seed
 
 
@@ -22,6 +24,16 @@ class TestAssignmentGraph:
             cb.AssignmentGraph(2**40, 2**40, np.array([[0, 0], [2**24, 0]]))
         g = cb.AssignmentGraph(2**32, 2**31, np.array([[0, 0], [2**32 - 1, 2**31 - 1]]))
         assert g.n_edges == 2
+
+    def test_repeated_pairs_are_the_later_occurrences_in_id_order(self):
+        tasks = np.array([1, 0, 1, 0, 1, 2, 0])
+        workers = np.array([0, 0, 0, 0, 1, 0, 0])
+        repeats = graph_module.repeated_pairs(tasks, workers, 3, 2)
+        assert repeats.dtype == np.int64
+        assert repeats.tolist() == [2, 3, 6]
+        assert graph_module.repeated_pairs(tasks[:2], workers[:2], 3, 2).tolist() == []
+        with pytest.raises(cb.SizeError):
+            graph_module.repeated_pairs(tasks, workers, 2**32, 2**31 + 1)
 
     def test_degrees_and_adjacency(self):
         g = cb.AssignmentGraph(3, 2, np.array([[0, 0], [0, 1], [1, 0], [2, 1]]))
@@ -68,6 +80,27 @@ class TestRegularGenerator:
             cb.generate_regular_bipartite(3, 5, 5, seed=0)  # r > n_tasks
         with pytest.raises(cb.ParameterError):
             cb.generate_regular_bipartite(0, 1, 1, seed=0)
+
+    def test_pair_keys_that_would_wrap_are_refused_before_any_array(self, monkeypatch):
+        # 2**32 tasks x 2**32 workers: the stub arrays alone would take about 32 GB.
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} reached before the pair-key guard")
+
+        monkeypatch.setattr(graph_module, "np", NoNumpy())
+        with pytest.raises(cb.SizeError):
+            cb.generate_regular_bipartite(2**32, 1, 1, seed=0)
+
+    def test_exhausted_repair_budget(self, monkeypatch, tmp_path, capsys):
+        # With (l-1)(r-1)/2 = 38 expected repeats, the first pairing is never simple.
+        monkeypatch.setattr(graph_module, "_REPAIR_ROUNDS", 1)
+        with pytest.raises(cb.GenerationError, match="within 1 repair rounds"):
+            cb.generate_regular_bipartite(100, 20, 5, seed=3)
+        rc = main(["simulate", "--n", "100", "--l", "20", "--r", "5", "--prior", "sh",
+                   "--out", str(tmp_path / "sim.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: could not build")
+        assert not (tmp_path / "sim.csv").exists()
 
 
 class TestSampling:
