@@ -71,10 +71,11 @@ def brute_force_marginals(graph: AssignmentGraph, answers: AnswerMatrix | np.nda
 # Edge and node visits one block of roots may make: a block holds this many
 # over (edges + tasks + workers) roots.  The block BFS keeps node flags per
 # root and, per level, one candidate per frontier edge, about 60 bytes per
-# visit in all, so this caps its temporaries (about 1 MB) and the forest
-# handed to ``bp_run`` whatever the graph size.  A larger cap saves only
-# per-block overhead, and bench threads each hold a block at once.
-_BLOCK_VISITS = 1 << 14
+# visit in all, so this caps its temporaries (about 2 MB) whatever the graph
+# size.  A quarter of it caps the region edges of a batch, the forest that
+# one ``bp_run`` decodes.  A larger cap saves only per-block overhead, and
+# each bench worker process holds a block at once.
+_BLOCK_VISITS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -153,10 +154,10 @@ def _bfs_forest(graph: AssignmentGraph, roots: np.ndarray,
         other = 1 - side
         counts = lengths[node]
         ends = np.cumsum(counts)
-        flat = (np.arange(ends[-1] if ends.size else 0)
-                + np.repeat(offsets[node] - (ends - counts), counts))
-        cand_slot = np.repeat(slot, counts)
-        key = cand_slot * n_nodes[other] + adj_node[flat]
+        flat = np.arange(ends[-1] if ends.size else 0)
+        flat += np.repeat(offsets[node] - (ends - counts), counts)
+        key = np.repeat(slot * n_nodes[other], counts)
+        key += adj_node[flat]
         fresh = np.flatnonzero(~seen[other][key])
         if fresh.size == 0:
             break
@@ -164,9 +165,10 @@ def _bfs_forest(graph: AssignmentGraph, roots: np.ndarray,
         first[other][fresh_key] = fresh.size
         np.minimum.at(first[other], fresh_key, rank)
         claim = fresh[first[other][fresh_key] == rank]
-        seen[other][key[claim]] = True
-        slot, node = cand_slot[claim], adj_node[flat[claim]]
-        levels.append((slot, adj_edge[flat[claim]], key[claim]))
+        child = key[claim]
+        seen[other][child] = True
+        slot, node = np.divmod(child, n_nodes[other])
+        levels.append((slot, adj_edge[flat[claim]], child))
         side = other
 
     n_tasks = n_nodes[0]
@@ -213,6 +215,12 @@ def extract_bfs_tree(graph: AssignmentGraph, root: int) -> SpanningTree:
                         region_edges=np.sort(forest.edge[forest.in_region]))
 
 
+# One BFS block of a batch: its roots; per region edge, the root's slot in
+# the block times the graph's edge count plus the edge id, and whether the
+# edge's task is a boundary task; and the block's deepest region depth.
+_Block = tuple[np.ndarray, np.ndarray, np.ndarray, int]
+
+
 def oracle_task_estimate(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
                          prior: ReliabilityPrior, truth: GroundTruth) -> EstimateReport:
     """Per-root exact tree inference with true labels revealed on the boundary.
@@ -224,41 +232,81 @@ def oracle_task_estimate(graph: AssignmentGraph, answers: AnswerMatrix | np.ndar
 
     A revealed boundary task screens off everything beyond it, so each root
     is decoded on its region (see :class:`SpanningTree`) alone.  Roots run
-    in blocks sized to a fixed visit budget: one BFS for the whole block,
-    then one ``bp_run`` on the disjoint forest of its regions with the
-    boundary tasks clamped.  Tasks without answers get margin 0.
+    the BFS in blocks sized to a fixed visit budget, one BFS per block.
+    Consecutive blocks' region forests then gather into batches of at most
+    a quarter of that budget in edges, and each batch runs one ``bp_run``
+    on its disjoint forest with the boundary tasks clamped.  Tasks without
+    answers get margin 0.
     """
     a = answer_values(answers, graph)
     if truth.labels.shape[0] != graph.n_tasks:
         raise ParameterError("truth labels length does not match graph")
-    n_tasks, n_workers = graph.n_tasks, graph.n_workers
+    n_tasks, n_edges = graph.n_tasks, graph.n_edges
     margins = np.zeros(n_tasks)
     iterations = 0
     adjacency = _adjacency(graph)
     roots = np.flatnonzero(graph.task_degrees)
-    block = max(1, _BLOCK_VISITS // max(1, graph.n_edges + n_tasks + n_workers))
+    block = max(1, _BLOCK_VISITS // max(1, n_edges + n_tasks + graph.n_workers))
+    batch: list[_Block] = []
     for start in range(0, roots.size, block):
         block_roots = roots[start:start + block]
         forest = _bfs_forest(graph, block_roots, adjacency)
-        slot = forest.slot[forest.in_region]
-        edge = forest.edge[forest.in_region]
-        # Slot by slot in edge order: each node sums its edges in the order
-        # a subgraph of the whole tree would.
-        order = np.lexsort((edge, slot))
-        slot, edge = slot[order], edge[order]
-        task_ids, task_of = np.unique(slot * n_tasks + graph.edges[edge, 0], return_inverse=True)
-        worker_ids, worker_of = np.unique(slot * n_workers + graph.edges[edge, 1],
-                                          return_inverse=True)
-        regions = AssignmentGraph(task_ids.size, worker_ids.size,
-                                  np.column_stack((task_of, worker_of)))
-        clamped = np.flatnonzero(forest.boundary[task_ids])
-        report = bp_run(regions, a[edge], prior, k_max=forest.region_depth.max() // 2 + 2,
-                        tol=0.0, clamp_tasks=clamped,
-                        clamp_labels=truth.labels[task_ids[clamped] % n_tasks])
-        at_root = np.searchsorted(task_ids, np.arange(block_roots.size) * n_tasks + block_roots)
-        margins[block_roots] = report.margins[at_root]
-        iterations = max(iterations, report.iterations_run)
+        slot, edge = forest.slot[forest.in_region], forest.edge[forest.in_region]
+        # The batch runs before this block would take it past its edge cap.
+        if batch and sum(keys.size for _, keys, _, _ in batch) + edge.size > _BLOCK_VISITS // 4:
+            iterations = max(iterations, _decode_batch(graph, a, prior, truth.labels, batch,
+                                                       margins))
+            batch = []
+        batch.append((block_roots, slot * n_edges + edge,
+                      forest.boundary[slot * n_tasks + graph.edges[edge, 0]],
+                      int(forest.region_depth.max())))
+    if batch:
+        iterations = max(iterations, _decode_batch(graph, a, prior, truth.labels, batch,
+                                                   margins))
     return make_report(margins, iterations, converged=True, max_delta=0.0)
+
+
+def _decode_batch(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior,
+                  labels: np.ndarray, blocks: list[_Block], margins: np.ndarray) -> int:
+    """Decode a batch of blocks' regions in one ``bp_run`` of as many sweeps
+    as its deepest region needs; write each root's margin into ``margins``
+    and return the sweeps run."""
+    roots, at_root, regions, edge, clamped, clamped_tasks = _batch_forest(graph, blocks)
+    depth = max(block[3] for block in blocks)
+    report = bp_run(regions, a[edge], prior, k_max=depth // 2 + 2, tol=0.0,
+                    clamp_tasks=clamped, clamp_labels=labels[clamped_tasks])
+    margins[roots] = report.margins[at_root]
+    return report.iterations_run
+
+
+def _batch_forest(graph: AssignmentGraph, blocks: list[_Block]) -> tuple:
+    """The disjoint union of a batch's region forests, one tree per root.
+
+    Returns the batch's roots, their tasks in the union, the union as a
+    graph, its edges' ids in ``graph``, and its boundary tasks' ids in the
+    union and in ``graph``.  The caller's ``bp_run`` then holds none of the
+    arrays that built them.
+    """
+    n_tasks, n_workers, n_edges = graph.n_tasks, graph.n_workers, graph.n_edges
+    # Number the slots across the batch and go slot by slot in edge order:
+    # each node then sums its edges in the order its own tree would.
+    first_slot = np.cumsum([0] + [block[0].size for block in blocks[:-1]])
+    key = np.concatenate([keys + first * n_edges
+                          for (_, keys, _, _), first in zip(blocks, first_slot)])
+    order = np.argsort(key)
+    slot, edge = np.divmod(key[order], n_edges)
+    at_boundary = np.concatenate([block[2] for block in blocks])[order]
+    task_ids, task_of = np.unique(slot * n_tasks + graph.edges[edge, 0], return_inverse=True)
+    worker_ids, worker_of = np.unique(slot * n_workers + graph.edges[edge, 1],
+                                      return_inverse=True)
+    regions = AssignmentGraph(task_ids.size, worker_ids.size,
+                              np.column_stack((task_of, worker_of)))
+    is_clamped = np.zeros(task_ids.size, dtype=bool)
+    is_clamped[task_of[at_boundary]] = True
+    clamped = np.flatnonzero(is_clamped)
+    roots = np.concatenate([block[0] for block in blocks])
+    at_root = np.searchsorted(task_ids, np.arange(roots.size) * n_tasks + roots)
+    return roots, at_root, regions, edge, clamped, task_ids[clamped] % n_tasks
 
 
 def _gain_masses(graph: AssignmentGraph, prior: ReliabilityPrior, root: int,
@@ -305,8 +353,9 @@ def exact_conditional_gain(graph: AssignmentGraph, prior: ReliabilityPrior, root
         raise ParameterError("edge ids contain duplicates")
     clamp_tasks = check_ids(clamp_tasks, graph.n_tasks, "clamp tasks")
     mass_plus, mass_minus = _gain_masses(graph, prior, root, edge_ids, clamp_tasks)
-    p_err = float(np.minimum(mass_plus, mass_minus).sum())
-    return 0.5 - p_err
+    # 1/2 - sum min(+, -) when the masses sum to 1, but a sum of magnitudes
+    # cannot round below 0.
+    return 0.5 * float(np.abs(mass_plus - mass_minus).sum())
 
 
 def subset_monotonicity_check(graph: AssignmentGraph, prior: ReliabilityPrior,

@@ -653,12 +653,16 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
+        # The declared types, by the rule the config files are read with.
+        for name, kind in typing.get_type_hints(ExperimentConfig).items():
+            try:
+                object.__setattr__(self, name, _config_value(kind, getattr(self, name)))
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"bad {name}: {exc}") from exc
         for name in ("n_tasks", "fixed_degree", "trials", "k_max", "threads"):
-            object.__setattr__(self, name, check_count(getattr(self, name), name, 1))
-        object.__setattr__(self, "seed", check_count(self.seed, "seed"))
-        object.__setattr__(self, "sweep_values", tuple(
-            check_count(v, "sweep_values", 1) for v in self.sweep_values))
-        object.__setattr__(self, "estimators", tuple(self.estimators))
+            check_count(getattr(self, name), name, 1)
+        for value in self.sweep_values:
+            check_count(value, "sweep_values", 1)
         if self.sweep not in ("l", "r"):
             raise ParameterError(f"sweep must be 'l' or 'r', got {self.sweep!r}")
         if not self.sweep_values:
@@ -696,23 +700,21 @@ def load_experiment_config(path: str) -> ExperimentConfig:
 
 
 def _config_from_dict(raw: dict, source: str) -> ExperimentConfig:
-    types = typing.get_type_hints(ExperimentConfig)
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in types:
+    names = {f.name for f in fields(ExperimentConfig)}
+    for key in raw:
+        if key not in names:
             raise ParameterError(f"{source}: unknown config key {key!r}")
-        try:
-            kwargs[key] = _config_value(types[key], value)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"{source}: bad {key}: {exc}") from exc
-    missing = {f.name for f in fields(ExperimentConfig) if f.default is MISSING} - set(kwargs)
+    missing = {f.name for f in fields(ExperimentConfig) if f.default is MISSING} - set(raw)
     if missing:
         raise ParameterError(f"{source}: missing config keys {sorted(missing)}")
-    return ExperimentConfig(**kwargs)
+    try:
+        return ExperimentConfig(**raw)
+    except ParameterError as exc:
+        raise ParameterError(f"{source}: {exc}") from exc
 
 
 def _config_value(kind, value):
-    """A raw config value as ``kind``, its field's declared type; TypeError
+    """A config value as ``kind``, its field's declared type; TypeError
     or ValueError if it is none.  Text lists items with commas."""
     if typing.get_origin(kind) is tuple:
         if isinstance(value, str):
@@ -729,9 +731,9 @@ def _config_value(kind, value):
     if kind is int:  # a fraction or a boolean is refused, not truncated
         return check_count(int(value) if isinstance(value, str) else value, "value")
     if kind is str and not isinstance(value, str):
-        raise TypeError(f"expected text, got {json.dumps(value)}")
+        raise TypeError(f"expected text, got {value!r}")
     if kind is float and isinstance(value, bool):
-        raise TypeError(f"expected a number, got {json.dumps(value)}")
+        raise TypeError(f"expected a number, got {value!r}")
     return kind(value)
 
 

@@ -226,6 +226,48 @@ class TestOracleTask:
             monkeypatch.undo()
         assert min(kinds.values()) >= 30 and isolated >= 20 and split >= 20
 
+    def test_batch_of_blocks_with_different_region_depths(self, monkeypatch):
+        # The (2, 5)-regular part has regions 8 to 12 levels deep, the
+        # (15, 5)-regular part 4; one batch holds blocks of both.
+        deep = cb.generate_regular_bipartite(200, 2, 5, seed=1)
+        shallow = cb.generate_regular_bipartite(100, 15, 5, seed=2)
+        g = cb.AssignmentGraph(300, deep.n_workers + shallow.n_workers, np.concatenate(
+            [deep.edges, shallow.edges + [deep.n_tasks, deep.n_workers]]))
+        prior = cb.spammer_hammer()
+        truth = cb.sample_ground_truth(g, prior, seed=3)
+        answers = cb.sample_answers(g, truth, seed=4)
+        depths = []
+        decode = exact._decode_batch
+
+        def recording(graph, a, prior, labels, blocks, margins):
+            depths.append({depth for *_, depth in blocks})
+            return decode(graph, a, prior, labels, blocks, margins)
+
+        monkeypatch.setattr(exact, "_decode_batch", recording)
+        got = cb.oracle_task_estimate(g, answers, prior, truth)
+        assert any(4 in batch and max(batch) >= 8 for batch in depths)
+        want = reference_oracle_task_estimate(g, answers, prior, truth)
+        np.testing.assert_array_equal(got.labels, want.labels)
+        np.testing.assert_allclose(got.margins, want.margins, rtol=0, atol=1e-12)
+
+    def test_forests_run_in_a_few_batches(self, monkeypatch):
+        prior = cb.spammer_hammer()
+        g = cb.generate_regular_bipartite(200, 15, 5, seed=1)
+        truth = cb.sample_ground_truth(g, prior, seed=2)
+        answers = cb.sample_answers(g, truth, seed=3)
+        calls = []
+        run = exact.bp_run
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].n_edges)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(exact, "bp_run", counting)
+        cb.oracle_task_estimate(g, answers, prior, truth)
+        # One run per block of 8 roots would be 25.
+        assert 1 <= len(calls) <= 6
+        assert max(calls) <= exact._BLOCK_VISITS // 4
+
     def test_matches_per_root_reference_on_a_regular_graph(self):
         prior = cb.spammer_hammer()
         g = cb.generate_regular_bipartite(60, 6, 3, seed=5)
@@ -321,6 +363,14 @@ class TestExactGain:
             local = cb.exact_conditional_gain(g, prior, 0, inside, boundary)
             full = cb.exact_conditional_gain(g, prior, 0, np.arange(g.n_edges), none)
             assert local >= full - 1e-12
+
+    def test_gain_without_information_is_not_negative(self):
+        # Root 11 has no answers, so the exact gain is 0.  Summing 2^12 x 2^10
+        # error masses used to carry rounding past 1/2 and return -1.55e-15.
+        g = cb.AssignmentGraph(12, 3, np.array([(t, t % 3) for t in range(10)]))
+        gain = cb.exact_conditional_gain(g, cb.spammer_hammer(), 11, np.arange(10),
+                                         np.array([10]))
+        assert 0.0 <= gain <= 1e-15
 
     @pytest.mark.parametrize("edge_ids", [[0, 0], [0, 0, 0]])
     def test_repeated_edge_ids_rejected(self, edge_ids):

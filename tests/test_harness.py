@@ -276,6 +276,29 @@ class TestExperimentConfig:
         with pytest.raises(cb.ParameterError):
             cb.ExperimentConfig(**{**self.base_kwargs(), **patch})
 
+    def test_api_checks_the_declared_types(self):
+        # Only the config file loader refused these before; the API kept them.
+        with pytest.raises(cb.ParameterError):
+            cb.ExperimentConfig(n_tasks=12, sweep_values=(3,), fixed_degree=3, prior="sh",
+                                estimators=("mv",), timing=5, adjust_n=None, tol=True, out=7)
+
+    @pytest.mark.parametrize("name, value", [
+        ("timing", 5), ("timing", None), ("adjust_n", None), ("adjust_n", 1),
+        ("tol", True), ("tol", None), ("out", 7), ("prior", 3), ("sweep", 1),
+        ("estimators", ("mv", 2)),
+    ])
+    def test_api_rejects_each_wrong_type_by_name(self, name, value):
+        with pytest.raises(cb.ParameterError, match=name):
+            cb.ExperimentConfig(**{**self.base_kwargs(), name: value})
+
+    def test_api_and_file_share_one_rule(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**self.base_kwargs(), "tol": 0, "out": None,
+                                    "sweep_values": [2, 3], "estimators": ["mv"]}))
+        from_file = cb.load_experiment_config(str(path))
+        from_api = cb.ExperimentConfig(**{**self.base_kwargs(), "tol": 0, "out": None})
+        assert from_file == from_api and type(from_api.tol) is float
+
 
 class TestConfigFiles:
     FLAT = """

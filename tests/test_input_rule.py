@@ -31,7 +31,8 @@ def ids(n):
     return (0.5, 2.5, True, NAN, n, -1)
 
 
-SIGNS = (2.5, True, NAN, 0, 1.7, -1.5)
+# np.abs leaves the int64 minimum negative, so it is not a sign either.
+SIGNS = (2.5, True, NAN, 0, 2, -2, 1.7, -1.5, np.iinfo(np.int64).min)
 PROBABILITIES = (2.5, True, NAN, -0.5)
 
 
