@@ -17,7 +17,7 @@ from .errors import DataFormatError, GenerationError, NumericDegeneracyError, Pa
 from .estimators import EstimatorSpec
 from .graph import generate_regular_bipartite, sample_answers, sample_ground_truth
 from .harness import (Dataset, error_rate, formatted_values, load_dataset,
-                      load_experiment_config, run_experiment, run_inference,
+                      load_experiment_config, names_or_ids, run_experiment, run_inference,
                       save_dataset, subsample_assignments, write_metrics_csv, write_rows)
 from .priors import parse_prior_spec
 from .seeding import child_seed
@@ -49,7 +49,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
                            k_max=args.kmax, tol=args.tol,
                            seed=child_seed(args.seed, "estimator"))
     n_tasks = dataset.graph.n_tasks
-    names = dataset.task_names or tuple(str(i) for i in range(n_tasks))
+    names = names_or_ids(dataset.task_names, n_tasks)
     rows = np.arange(n_tasks)
     labels, label_ids = formatted_values(report.labels, "+d")
     out = open(args.out, "w", newline="") if args.out else sys.stdout

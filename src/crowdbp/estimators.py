@@ -124,7 +124,7 @@ def oracle_work(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
         p = np.clip(p, _P_CLAMP, 1.0 - _P_CLAMP)
     weights = np.log(p / (1.0 - p))
     a = answer_values(answers, graph)
-    scores = segment_sum(a * weights[graph.edges[:, 1]], graph.by_task)
+    scores = segment_sum(a * gather(weights, graph.by_worker), graph.by_task)
     return make_report(np.tanh(scores / 2.0), iterations_run=0, converged=True,
                        max_delta=0.0)
 

@@ -17,7 +17,7 @@ import os
 import time
 import typing
 from dataclasses import MISSING, dataclass, fields
-from itertools import filterfalse
+from itertools import count, filterfalse
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -65,6 +65,11 @@ class Dataset:
     worker_names: tuple[str, ...] = ()
 
 
+def names_or_ids(names: tuple[str, ...], n: int) -> tuple[str, ...]:
+    """``names``, or for a dataset without names the ids ``"0"`` to ``str(n - 1)``."""
+    return names or tuple(map(str, range(n)))
+
+
 _ALPHABETS = {
     "pm1": {"+1": 1, "1": 1, "-1": -1},
     "01": {"1": 1, "0": -1},
@@ -74,8 +79,8 @@ _ALPHABET_NAMES = tuple(_ALPHABETS)
 # Characters read per block of lines; rows assembled per write.
 _READ_BLOCK = 1 << 21
 _WRITE_BLOCK = 1 << 16
-# Tokens up to this many UTF-8 bytes are grouped as packed integer keys;
-# longer ones, and those holding a NUL, as strings.
+# Tokens up to this many UTF-8 bytes are their own packed key; longer ones,
+# and those holding a NUL, are numbered and keyed by the number.
 _KEY_BYTES = 32
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 # Line kinds: skipped, comment or directive, split by csv.reader, split on commas.
@@ -83,94 +88,81 @@ _BLANK, _COMMENT, _CSV, _PLAIN = range(4)
 
 
 class _Column:
-    """The tokens of one CSV column, in row order.
+    """The tokens of one CSV column, in row order, as one packed key per row.
 
-    Tokens of up to ``_KEY_BYTES`` bytes are kept as packed keys and
-    grouped by one sort at the end; the others are interned as strings.
+    A key depends on its token's text alone.  A NUL-free token of up to
+    ``_KEY_BYTES`` bytes is its own NUL-padded bytes.  Any other token is
+    numbered in ``numbers`` and keyed by the byte 0xFF, which UTF-8 text
+    never holds, followed by its number.  One sort at the end groups the rows.
     """
 
     def __init__(self) -> None:
-        self.keys: list[np.ndarray] = []   # (rows, words) of NUL-padded little-endian bytes
-        self.texts: dict[str, int] = {}    # string tokens, numbered in first-appearance order
-        self.text_rows: list[np.ndarray] = []
-        self.text_ids: list[np.ndarray] = []
+        self.keys: list[np.ndarray] = []       # (rows, words) of little-endian key bytes
+        self.numbers: dict[bytes, int] = {}    # UTF-8 of the numbered tokens, in arrival order
 
     def add_spans(self, data: bytes, words: np.ndarray, starts: np.ndarray,
-                  stops: np.ndarray, row: int) -> None:
-        """Take the tokens ``data[starts[i]:stops[i]]`` of rows ``row + i``.
+                  stops: np.ndarray) -> None:
+        """Take the tokens ``data[starts[i]:stops[i]]`` of the next rows.
 
         ``words[i]`` holds the 8 bytes of ``data`` from offset ``i``.
         """
         lengths = stops - starts
-        long = np.flatnonzero(lengths > _KEY_BYTES)
-        if long.size:
-            self.add_texts(row + long, [data[starts[i]:stops[i]].decode("utf-8", "surrogatepass")
-                                        for i in long.tolist()])
-            starts, lengths = np.delete(starts, long), np.delete(lengths, long)
+        numbered = lengths > _KEY_BYTES
+        if data.find(b"\0", starts[0], stops[-1]) >= 0:  # a NUL would read as key padding
+            nuls = np.flatnonzero(np.frombuffer(data, np.uint8) == 0)
+            numbered |= np.searchsorted(nuls, stops) > np.searchsorted(nuls, starts)
+        lengths[numbered] = 0
         n_words = max(1, -(-int(lengths.max(initial=0)) // 8))
         keys = np.empty((starts.size, n_words), dtype="<u8")
         for k in range(n_words):
             keys[:, k] = words[starts + 8 * k] & _LOW_BYTES[np.clip(lengths - 8 * k, 0, 8)]
+        rows = np.flatnonzero(numbered)
+        if rows.size:
+            tokens = list(map(data.__getitem__, map(slice, starts[rows].tolist(),
+                                                    stops[rows].tolist())))
+            fresh = dict.fromkeys(filterfalse(self.numbers.__contains__, tokens))
+            self.numbers.update(zip(fresh, count(len(self.numbers))))
+            keys[rows, 0] = np.fromiter(map(self.numbers.__getitem__, tokens), np.uint64,
+                                        rows.size) << 8 | 0xFF
         self.keys.append(keys)
 
-    def add_strings(self, texts: list[str], row: int) -> None:
-        """Take string tokens, none holding a line break, of rows ``row + i``."""
+    def add_strings(self, texts: list[str]) -> None:
+        """Take string tokens, none holding a line break, of the next rows."""
         data = "\n".join(texts).encode("utf-8", "surrogatepass")
-        if b"\0" in data:  # a NUL would read as key padding
-            self.add_texts(np.arange(row, row + len(texts)), texts)
-            return
         raw, words = _bytes_and_words(data)
-        self.add_spans(data, words, *_line_bounds(raw, len(data)), row)
+        self.add_spans(data, words, *_line_bounds(raw, len(data)))
 
-    def add_texts(self, rows: np.ndarray, texts: list[str]) -> None:
-        fresh = dict.fromkeys(filterfalse(self.texts.__contains__, texts))
-        self.texts.update(zip(fresh, range(len(self.texts), len(self.texts) + len(fresh))))
-        self.text_rows.append(rows)
-        self.text_ids.append(np.fromiter(map(self.texts.__getitem__, texts), np.int64, len(texts)))
-
-    def intern(self, n_rows: int) -> tuple[list[str], np.ndarray]:
-        """Distinct tokens in first-appearance order and each row's index into them."""
-        n_words = max((k.shape[1] for k in self.keys), default=1)
+    def intern(self) -> tuple[list[str], np.ndarray]:
+        """Distinct tokens in first-appearance order and each row's index into
+        them.  The column gives up its keys: the result is allocated before
+        the temporaries and the blocks are freed once they are one array, so
+        that the heap keeps less of what the loader frees."""
+        ids = np.empty(sum(k.shape[0] for k in self.keys), dtype=np.int64)
+        n_words = max(k.shape[1] for k in self.keys)
         keys = np.concatenate([np.pad(k, ((0, 0), (0, n_words - k.shape[1])))
-                               for k in self.keys] or [np.empty((0, n_words), "<u8")])
-        text_rows = np.concatenate(self.text_rows or [np.empty(0, np.int64)])
-        key_rows = np.delete(np.arange(n_rows), text_rows)
+                               for k in self.keys])
+        self.keys.clear()
         order = np.lexsort(keys.T) if n_words > 1 else np.argsort(keys[:, 0])
         ordered = keys[order]
         head = np.ones(order.size, dtype=bool)
         head[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        group = np.empty(order.size, dtype=np.int64)
-        group[order] = np.cumsum(head) - 1
         heads = np.flatnonzero(head)
-        first = key_rows[np.minimum.reduceat(order, heads)] if heads.size else heads
-        packed = np.ascontiguousarray(ordered[heads]).view(f"S{8 * n_words}").ravel()
-        ids = np.empty(n_rows, dtype=np.int64)
-        if not self.texts:
-            order = np.argsort(first)
-            ids[key_rows] = np.argsort(order)[group]
-            return _decode(packed[order]), ids
-        # Merge string tokens into the grouped ones, keeping the earliest row.
-        first_of = dict(zip(_decode(packed), first.tolist()))
-        text_ids = np.concatenate(self.text_ids)
-        for text, row in zip(self.texts, text_rows[_first_rows(text_ids)].tolist()):
-            if first_of.setdefault(text, row) > row:
-                first_of[text] = row
-        tokens = list(first_of)
-        order = np.argsort(np.fromiter(first_of.values(), np.int64, len(tokens)))
-        rank = np.argsort(order)
-        position = dict(zip(tokens, range(len(tokens))))
-        ids[key_rows] = rank[group]
-        ids[text_rows] = rank[np.fromiter(map(position.__getitem__, self.texts), np.int64,
-                                          len(self.texts))][text_ids]
-        return [tokens[i] for i in order.tolist()], ids
+        first = np.argsort(np.minimum.reduceat(order, heads))
+        ids[order] = np.argsort(first)[np.cumsum(head) - 1]
+        return self._decode(ordered[heads[first]]), ids
 
-
-def _decode(packed: np.ndarray) -> list[str]:
-    """Strings of NUL-padded UTF-8 keys; tokens hold no newline, so one
-    decode covers them all."""
-    if not packed.size:
-        return []
-    return b"\n".join(packed.tolist()).decode("utf-8", "surrogatepass").split("\n")
+    def _decode(self, keys: np.ndarray) -> list[str]:
+        """The token of each key; tokens hold no newline, so one decode
+        covers the packed ones."""
+        numbered = np.flatnonzero(keys[:, 0] & 0xFF == 0xFF)
+        numbers = (keys[numbered, 0] >> 8).tolist()
+        keys[numbered] = 0  # decoded as empty text, then replaced
+        packed = keys.view(f"S{8 * keys.shape[1]}").ravel().tolist()
+        tokens = b"\n".join(packed).decode("utf-8", "surrogatepass").split("\n")
+        texts = list(self.numbers)
+        for i, number in zip(numbered.tolist(), numbers):
+            tokens[i] = texts[number].decode("utf-8", "surrogatepass")
+        return tokens
 
 
 def _strip_names(tokens: list[str], ids: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
@@ -301,8 +293,7 @@ class _EdgeCsvReader:
         n = self._check_fields(np.fromiter(map(len, rows), np.int64, len(rows)), number)
         if n:
             for j in range(self.n_cols):
-                self.columns[j].add_strings(list(map(operator.itemgetter(j), rows[:n])),
-                                            self.n_rows)
+                self.columns[j].add_strings(list(map(operator.itemgetter(j), rows[:n])))
             self._add_rows(n, number)
         if self.stop is None and error is not None:
             self.stop = DataFormatError(f"line {number + len(rows)}: {error}")
@@ -321,8 +312,7 @@ class _EdgeCsvReader:
             bounds[:, 1:-1] = commas[first:first + n * (self.n_cols - 1)].reshape(n, -1)
             bounds[:, -1] = stops[:n]
             for j in range(self.n_cols):
-                self.columns[j].add_spans(data, words, bounds[:, j] + 1, bounds[:, j + 1],
-                                          self.n_rows)
+                self.columns[j].add_spans(data, words, bounds[:, j] + 1, bounds[:, j + 1])
             self._add_rows(n, number)
         return self.stop is None
 
@@ -365,8 +355,7 @@ class _EdgeCsvReader:
             raise self.stop or DataFormatError(f"{path}: no answer rows found")
         line_nos = np.concatenate(self.line_nos)
         alphabets = np.concatenate(self.alphabets)
-        tokens, ids = zip(*(column.intern(self.n_rows)
-                            for column in self.columns[:self.n_cols]))
+        tokens, ids = zip(*(column.intern() for column in self.columns[:self.n_cols]))
         task_names, t = _strip_names(tokens[0], ids[0])
         worker_names, w = _strip_names(tokens[1], ids[1])
 
@@ -540,8 +529,8 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     encoding = locale.getpreferredencoding(False)
     _check_names(dataset.task_names, "task", encoding)
     _check_names(dataset.worker_names, "worker", encoding)
-    names_t = dataset.task_names or tuple(str(i) for i in range(graph.n_tasks))
-    names_w = dataset.worker_names or tuple(str(u) for u in range(graph.n_workers))
+    names_t = names_or_ids(dataset.task_names, graph.n_tasks)
+    names_w = names_or_ids(dataset.worker_names, graph.n_workers)
     tasks, workers = graph.edges[:, 0], graph.edges[:, 1]
     columns = [(names_t, tasks), (names_w, workers),
                (("-1", "+1"), (dataset.answers.answers > 0).astype(np.int64))]
@@ -581,7 +570,7 @@ def subsample_assignments(dataset: Dataset, l_target: int, seed: int) -> Dataset
     remap = np.full(graph.n_workers, -1, dtype=np.int64)
     remap[kept_workers] = np.arange(kept_workers.size)
     new_edges = np.column_stack((kept_edges[:, 0], remap[kept_edges[:, 1]]))
-    names_w = dataset.worker_names or tuple(str(u) for u in range(graph.n_workers))
+    names_w = names_or_ids(dataset.worker_names, graph.n_workers)
     return Dataset(
         graph=AssignmentGraph(graph.n_tasks, kept_workers.size, new_edges),
         answers=AnswerMatrix(dataset.answers.answers[keep]),
@@ -760,6 +749,8 @@ class MetricsRow:
 
 def nearest_feasible_n(n_tasks: int, l: int, r: int) -> int:
     """Smallest adjustment of n_tasks so that n*l is divisible by r."""
+    n_tasks = check_count(n_tasks, "n_tasks", 1)
+    l, r = check_count(l, "l", 1), check_count(r, "r", 1)
     for delta in range(r + 1):
         for candidate in (n_tasks + delta, n_tasks - delta):
             if candidate >= 1 and (candidate * l) % r == 0:
@@ -887,7 +878,7 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
 
 def write_metrics_csv(rows: list[MetricsRow], destination) -> None:
     """Write rows in the fixed column order; RFC-4180 (CRLF, headers first)."""
-    if isinstance(destination, (str,)):
+    if isinstance(destination, (str, os.PathLike)):
         with open(destination, "w", newline="") as handle:
             _write_rows(rows, handle)
     else:

@@ -13,6 +13,7 @@ import pytest
 
 import crowdbp as cb
 from crowdbp import harness
+from tests.test_dataset_csv import assert_same_outcome
 
 def csv_text(rows) -> str:
     """The bytes ``write_metrics_csv`` writes for ``rows``, as text."""
@@ -153,6 +154,23 @@ class TestDatasetFiles:
         assert loaded.task_names == ("beta", "alpha")
         assert loaded.worker_names == ("w9", "w2")
         assert loaded.graph.edges.tolist() == [[0, 0], [1, 1], [0, 1]]
+
+    def test_each_text_gets_one_id_whatever_its_key(self, tmp_path):
+        # A name over 32 bytes or holding a NUL is keyed by a number, on a
+        # quoted line as on a plain one; the UTF-8 bytes of "\xff" and
+        # "\U0010ffff" lie next to the byte 0xFF that marks such keys.
+        long, nul, ff, top = "L" * 40, "n\0ul", "\xff", "\U0010ffff"
+        path = tmp_path / "keys.csv"
+        path.write_text("\n".join([
+            f'"{long}",{ff},+1', f"{long},{top},-1", f'"{nul}","{ff}",-1', f"{ff},{long},+1",
+            f"{top},{ff},+1", f'"{top}","{nul}",-1', f"{nul},{long},+1", f'{long},"{long}",-1',
+        ]) + "\n")
+        assert_same_outcome(path)
+        loaded = cb.load_dataset(str(path))
+        assert loaded.task_names == (long, nul, ff, top)
+        assert loaded.worker_names == (ff, top, long, nul)
+        assert loaded.graph.edges.tolist() == [[0, 0], [0, 1], [1, 0], [2, 2], [3, 0], [3, 3],
+                                               [1, 2], [0, 2]]
 
     @pytest.mark.parametrize("content, line, fragment", [
         ("# alphabet=spam\nt,w,+1\n", 1, "unknown alphabet"),
@@ -522,6 +540,9 @@ class TestCsvOutput:
     def test_write_to_path_and_handle(self, tmp_path):
         path = tmp_path / "out.csv"
         cb.write_metrics_csv(self.rows(), str(path))
+        assert path.read_bytes().decode() == csv_text(self.rows())
+        path.unlink()
+        cb.write_metrics_csv(self.rows(), path)
         assert path.read_bytes().decode() == csv_text(self.rows())
 
 

@@ -102,6 +102,10 @@ RULE_TABLE = [
      count(1)),
     ("tree_probability_bound.k", lambda v: cb.tree_probability_bound(9, 2, 2, v), "k",
      count()),
+    ("nearest_feasible_n.n_tasks", lambda v: cb.nearest_feasible_n(v, 2, 3), "n_tasks",
+     count(1)),
+    ("nearest_feasible_n.l", lambda v: cb.nearest_feasible_n(10, v, 3), "l", count(1)),
+    ("nearest_feasible_n.r", lambda v: cb.nearest_feasible_n(10, 2, v), "r", count(1)),
     ("subsample_assignments.l_target", lambda v: cb.subsample_assignments(DATASET, v, 0),
      "l_target", count(1)),
     ("subsample_assignments.seed", lambda v: cb.subsample_assignments(DATASET, 1, v), "seed",
