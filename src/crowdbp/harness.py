@@ -17,13 +17,13 @@ import os
 import time
 import typing
 from dataclasses import MISSING, dataclass, fields
-from itertools import count, filterfalse
+from itertools import chain, count, filterfalse
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .bp import EstimateReport
-from .errors import CrowdBPError, DataFormatError, ParameterError, check_count
+from .errors import CrowdBPError, DataFormatError, ParameterError, SizeError, check_count
 from .estimators import EstimatorSpec
 from .graph import AnswerMatrix, AssignmentGraph, GroundTruth, \
     generate_regular_bipartite, repeated_pairs, sample_answers, sample_ground_truth
@@ -108,7 +108,7 @@ class _Column:
         """
         lengths = stops - starts
         numbered = lengths > _KEY_BYTES
-        if data.find(b"\0", starts[0], stops[-1]) >= 0:  # a NUL would read as key padding
+        if b"\0" in data:  # a NUL would read as key padding
             nuls = np.flatnonzero(np.frombuffer(data, np.uint8) == 0)
             numbered |= np.searchsorted(nuls, stops) > np.searchsorted(nuls, starts)
         lengths[numbered] = 0
@@ -125,12 +125,6 @@ class _Column:
             keys[rows, 0] = np.fromiter(map(self.numbers.__getitem__, tokens), np.uint64,
                                         rows.size) << 8 | 0xFF
         self.keys.append(keys)
-
-    def add_strings(self, texts: list[str]) -> None:
-        """Take string tokens, none holding a line break, of the next rows."""
-        data = "\n".join(texts).encode("utf-8", "surrogatepass")
-        raw, words = _bytes_and_words(data)
-        self.add_spans(data, words, *_line_bounds(raw, len(data)))
 
     def intern(self) -> tuple[list[str], np.ndarray]:
         """Distinct tokens in first-appearance order and each row's index into
@@ -185,11 +179,6 @@ def _bytes_and_words(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     return np.frombuffer(padded, np.uint8), words
 
 
-def _line_bounds(raw: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    stops = np.append(np.flatnonzero(raw == ord("\n")), size)
-    return np.concatenate(([0], stops[:-1] + 1)), stops
-
-
 def _csv_split(lines: list[str]) -> tuple[list[list[str]], csv.Error | None]:
     """Each line split by its own ``csv.reader``; stops at a csv error."""
     try:
@@ -233,14 +222,17 @@ def _first_rows(ids: np.ndarray) -> np.ndarray:
 class _EdgeCsvReader:
     """Bulk tokenizer and checker behind ``load_dataset``.
 
-    Lines arrive in blocks.  Within a block, the separators of plain lines
-    are found with numpy over the UTF-8 bytes, and each column's tokens are
-    grouped by packed byte keys, so every distinct token is decoded and
-    converted once.  A line holding ``"`` or a NUL is split by
-    ``csv.reader`` as if on its own.  A line that fails whatever follows it (wrong
-    column count, unknown alphabet, csv error) ends the reading; the
-    per-row checks then run as array operations and the earliest failing
-    line wins.
+    Lines arrive in blocks, and each block is read in one pass.  A line
+    holding ``"`` or a NUL is split by ``csv.reader`` as if on its own, and
+    its fields are appended to the block's UTF-8 bytes, each after a line
+    break; the other lines are split on the commas that numpy finds in
+    those bytes.  So every token is a span of one buffer, one span table
+    per block gives each column one key array, and how quoted and plain
+    lines interleave costs nothing.  Tokens are grouped by packed byte
+    keys, so every distinct token is decoded and converted once.  A line
+    that fails whatever follows it (unknown alphabet, csv error, wrong
+    column count) ends the reading; the per-row checks then run as array
+    operations and the earliest failing line wins.
     """
 
     def __init__(self, encoding: str) -> None:
@@ -264,7 +256,8 @@ class _EdgeCsvReader:
                     f"line {line_no + 1 + bad}: not valid {self.encoding} text")
             return False
         raw, words = _bytes_and_words(data)
-        starts, stops = _line_bounds(raw, len(data))
+        stops = np.append(np.flatnonzero(raw == ord("\n")), len(data))
+        starts = np.concatenate(([0], stops[:-1] + 1))
         commas = np.flatnonzero(raw == ord(","))
         quotes = np.flatnonzero((raw == ord('"')) | (raw == 0))
         kinds = np.select(
@@ -272,62 +265,60 @@ class _EdgeCsvReader:
              (np.searchsorted(quotes, stops) > np.searchsorted(quotes, starts))
              | (stops - starts > csv.field_size_limit())],
             [_BLANK, _COMMENT, _CSV], _PLAIN)
-        cuts = np.flatnonzero(np.diff(kinds)) + 1
-        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(lines)]):
-            number = line_no + 1 + lo
-            if kinds[lo] == _PLAIN:
-                ok = self._plain_rows(data, words, commas, starts[lo:hi], stops[lo:hi], number)
-            elif kinds[lo] == _CSV:
-                ok = self._csv_rows(lines[lo:hi], number)
-            elif kinds[lo] == _COMMENT:
-                ok = all(self._directive(line, number + i) for i, line in enumerate(lines[lo:hi]))
-            else:
-                ok = True
-            if not ok:
-                return False
-        return True
-
-    def _csv_rows(self, lines: list[str], number: int) -> bool:
-        """Take consecutive lines that ``csv.reader`` must split."""
-        rows, error = _csv_split(lines)
-        n = self._check_fields(np.fromiter(map(len, rows), np.int64, len(rows)), number)
-        if n:
-            for j in range(self.n_cols):
-                self.columns[j].add_strings(list(map(operator.itemgetter(j), rows[:n])))
-            self._add_rows(n, number)
-        if self.stop is None and error is not None:
-            self.stop = DataFormatError(f"line {number + len(rows)}: {error}")
+        # Each check looks only at the lines before the earliest failure so far.
+        end, set_at, set_to = len(lines), [], [self.alphabet]
+        for i in np.flatnonzero(kinds == _COMMENT).tolist():
+            body = lines[i].lstrip("#").strip()
+            if body.startswith("alphabet="):
+                name = body[len("alphabet="):].strip()
+                if name not in _ALPHABETS:
+                    self.stop = DataFormatError(
+                        f"line {line_no + 1 + i}: unknown alphabet {name!r}")
+                    end = i
+                    break
+                set_at.append(i)
+                set_to.append(_ALPHABET_NAMES.index(name))
+        self.alphabet = set_to[-1]
+        quoted = np.flatnonzero(kinds[:end] == _CSV)
+        split, error = _csv_split(list(map(lines.__getitem__, quoted.tolist())))
+        if error is not None:
+            end = int(quoted[len(split)])
+            self.stop = DataFormatError(f"line {line_no + 1 + end}: {error}")
+        rows = np.flatnonzero(kinds[:end] >= _CSV)
+        first = np.searchsorted(commas, starts[rows])
+        fields = np.searchsorted(commas, stops[rows]) - first + 1
+        is_csv = kinds[rows] == _CSV
+        fields[is_csv] = list(map(len, split))
+        numbers = line_no + 1 + rows
+        n = self._check_fields(fields, numbers)
+        if not n:
+            return self.stop is None
+        rows, first, is_csv = rows[:n], first[:n], is_csv[:n]
+        # Token j of row i lies strictly between bounds[j, i] and bounds[j + 1, i].
+        bounds = np.empty((self.n_cols + 1, n), dtype=np.int64)
+        bounds[0] = starts[rows] - 1
+        for j in range(1, self.n_cols):
+            np.take(commas, first + (j - 1), out=bounds[j], mode="clip")
+        bounds[-1] = stops[rows]
+        k = np.count_nonzero(is_csv)
+        if k:
+            tail = ("\n" + "\n".join(chain.from_iterable(split[:k]))).encode(
+                "utf-8", "surrogatepass")
+            breaks = np.append(np.flatnonzero(np.frombuffer(tail, np.uint8) == ord("\n")),
+                               len(tail)) + len(data)
+            bounds[:, is_csv] = breaks[np.arange(self.n_cols + 1)[:, None]
+                                       + self.n_cols * np.arange(k)]
+            data += tail
+            words = _bytes_and_words(data)[1]
+        for j in range(self.n_cols):
+            self.columns[j].add_spans(data, words, bounds[j] + 1, bounds[j + 1])
+        self.line_nos.append(numbers[:n])
+        self.alphabets.append(np.array(set_to, dtype=np.int8)[np.searchsorted(set_at, rows)])
+        self.n_rows += n
         return self.stop is None
 
-    def _plain_rows(self, data: bytes, words: np.ndarray, commas: np.ndarray,
-                    starts: np.ndarray, stops: np.ndarray, number: int) -> bool:
-        """Take consecutive lines without quotes, the first being line ``number``."""
-        first = np.searchsorted(commas, starts[0])
-        fields = np.searchsorted(commas, stops) - np.searchsorted(commas, starts) + 1
-        n = self._check_fields(fields, number)
-        if n:
-            # Token j of a row lies strictly between bounds[:, j] and bounds[:, j + 1].
-            bounds = np.empty((n, self.n_cols + 1), dtype=np.int64)
-            bounds[:, 0] = starts[:n] - 1
-            bounds[:, 1:-1] = commas[first:first + n * (self.n_cols - 1)].reshape(n, -1)
-            bounds[:, -1] = stops[:n]
-            for j in range(self.n_cols):
-                self.columns[j].add_spans(data, words, bounds[:, j] + 1, bounds[:, j + 1])
-            self._add_rows(n, number)
-        return self.stop is None
-
-    def _directive(self, line: str, number: int) -> bool:
-        body = line.lstrip("#").strip()
-        if body.startswith("alphabet="):
-            name = body[len("alphabet="):].strip()
-            if name not in _ALPHABETS:
-                self.stop = DataFormatError(f"line {number}: unknown alphabet {name!r}")
-                return False
-            self.alphabet = _ALPHABET_NAMES.index(name)
-        return True
-
-    def _check_fields(self, fields: np.ndarray, number: int) -> int:
-        """How many of the lines from ``number`` on have the file's column
+    def _check_fields(self, fields: np.ndarray, numbers: np.ndarray) -> int:
+        """How many of the rows on lines ``numbers`` have the file's column
         count; sets ``stop`` at the first that does not."""
         if not fields.size:
             return 0
@@ -335,20 +326,15 @@ class _EdgeCsvReader:
             self.n_cols = int(fields[0])
             if self.n_cols not in (3, 4, 5):
                 self.stop = DataFormatError(
-                    f"line {number}: expected 3-5 columns, got {self.n_cols}")
+                    f"line {numbers[0]}: expected 3-5 columns, got {self.n_cols}")
                 return 0
         wrong = np.flatnonzero(fields != self.n_cols)
         if not wrong.size:
             return fields.size
         n = int(wrong[0])
         self.stop = DataFormatError(
-            f"line {number + n}: expected {self.n_cols} columns, got {fields[n]}")
+            f"line {numbers[n]}: expected {self.n_cols} columns, got {fields[n]}")
         return n
-
-    def _add_rows(self, n: int, number: int) -> None:
-        self.line_nos.append(np.arange(number, number + n))
-        self.alphabets.append(np.full(n, self.alphabet, dtype=np.int8))
-        self.n_rows += n
 
     def dataset(self, path: str) -> Dataset:
         if not self.n_rows:
@@ -369,14 +355,8 @@ class _EdgeCsvReader:
                               f"for alphabet {_ALPHABET_NAMES[alphabets[e]]!r}")
 
         # (mask, message) per check, in the order one line runs them.
-        repeat = np.zeros(t.size, dtype=bool)
-        repeat[repeated_pairs(t, w, len(task_names), len(worker_names))] = True
         answers = labels(2)
-        checks = [
-            (repeat, lambda e: f"duplicate answer for task {task_names[t[e]]!r}, "
-                               f"worker {worker_names[w[e]]!r}"),
-            (answers == 0, bad_label(2, "answer")),
-        ]
+        checks = [(answers == 0, bad_label(2, "answer"))]
         truth_labels = reliabilities = None
         if self.n_cols >= 4:
             truth = labels(3)
@@ -403,6 +383,17 @@ class _EdgeCsvReader:
                 (rel != reliabilities[w],
                  lambda e: f"conflicting reliability for worker {worker_names[w[e]]!r}"),
             ]
+        # Built last, as the graph's edges would add to the checks' peak.
+        try:
+            graph = AssignmentGraph(len(task_names), len(worker_names), np.column_stack((t, w)))
+        except SizeError:
+            raise
+        except ParameterError:  # a repeated (task, worker) pair: find its rows
+            repeat = np.zeros(t.size, dtype=bool)
+            repeat[repeated_pairs(t, w, len(task_names), len(worker_names))] = True
+            checks.insert(0, (repeat, lambda e: f"duplicate answer for task "
+                                                f"{task_names[t[e]]!r}, worker "
+                                                f"{worker_names[w[e]]!r}"))
         failed = None
         for mask, message in checks:
             e = int(mask.argmax())
@@ -414,7 +405,7 @@ class _EdgeCsvReader:
         if self.stop is not None:
             raise self.stop
         return Dataset(
-            graph=AssignmentGraph(len(task_names), len(worker_names), np.column_stack((t, w))),
+            graph=graph,
             answers=AnswerMatrix(answers),
             truth_labels=truth_labels,
             reliabilities=reliabilities,

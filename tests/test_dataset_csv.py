@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import crowdbp as cb
+from crowdbp import graph as graph_module
 from crowdbp import harness
 from crowdbp.cli import main
 from tests.csv_reference import load_dataset_per_line, save_dataset_per_row
@@ -222,8 +223,9 @@ class TestReaderMatchesPerLineReference:
         assert cb.load_dataset(str(path)).task_names == ("a", "a\x00", "a\x00\x00")
 
     def test_string_token_before_its_packed_twin_keeps_its_row(self, tmp_path):
-        # The NUL sends the quoted run's task tokens to the string table, so
-        # "y" is interned as a string on line 3 before its packed twin on line 4.
+        # Line 3's quoted "y" is keyed from the fields appended after the
+        # block's lines, its plain twin on line 4 from the line itself, and
+        # line 2's NUL makes "x\0" a numbered token; "y" keeps line 3's id.
         path = tmp_path / "twin.csv"
         path.write_text('b,u,+1\n"x\0",w,+1\n"y",v,-1\ny,u,+1\n')
         assert_same_outcome(path)
@@ -287,6 +289,52 @@ class TestReaderMatchesPerLineReference:
         # A (rows x longest name) buffer would be 100 MB.
         assert peak < 5_000_000
         assert_same_outcome(path)
+
+
+class TestReaderWork:
+    @pytest.mark.parametrize("n_cols, task", [
+        (3, lambda i: f'"t,{i}"' if i % 2 else f"t{i}"),
+        (5, lambda i: f"t{i}\0" if i % 2 else f"t{i}"),
+    ], ids=["quoted", "nul"])
+    def test_interleaved_line_kinds_cost_one_span_table_per_block(
+            self, tmp_path, monkeypatch, n_cols, task):
+        rows = [",".join([task(i), f"w{i % 7}", "+1", "-1", "0.5"][:n_cols])
+                for i in range(4000)]
+        path = tmp_path / "alternating.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with open(path, newline="") as handle:
+            blocks = sum(1 for _ in iter(lambda: handle.readlines(harness._READ_BLOCK), []))
+        calls = []
+        add_spans = harness._Column.add_spans
+        monkeypatch.setattr(harness._Column, "add_spans",
+                            lambda column, *args: calls.append(1) or add_spans(column, *args))
+        assert_same_outcome(path)
+        assert len(calls) == n_cols * blocks
+
+    def test_valid_file_searches_its_pair_keys_once(self, tmp_path, monkeypatch):
+        calls = []
+        search = graph_module.repeated_pairs
+
+        def counted(*args):
+            calls.append(1)
+            return search(*args)
+
+        monkeypatch.setattr(harness, "repeated_pairs", counted)
+        monkeypatch.setattr(graph_module, "repeated_pairs", counted)
+        path = tmp_path / "pairs.csv"
+        path.write_text("a,w,+1\nb,w,-1\na,v,+1\n")
+        assert cb.load_dataset(str(path)).graph.n_edges == 3
+        assert len(calls) == 1
+
+    def test_pair_key_overflow_stays_a_size_error(self, tmp_path, monkeypatch):
+        def refuse(n_tasks, n_workers):
+            raise cb.SizeError("pairs do not fit int64 keys")
+
+        monkeypatch.setattr(graph_module, "_check_pair_keys", refuse)
+        path = tmp_path / "pairs.csv"
+        path.write_text("a,w,+1\nb,w,-1\n")
+        with pytest.raises(cb.SizeError):
+            cb.load_dataset(str(path))
 
 
 def tricky_dataset():
