@@ -11,14 +11,12 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .errors import DataFormatError, GenerationError, NumericDegeneracyError, ParameterError
 from .estimators import EstimatorSpec
 from .graph import generate_regular_bipartite, sample_answers, sample_ground_truth
-from .harness import (Dataset, error_rate, formatted_values, load_dataset,
-                      load_experiment_config, names_or_ids, run_experiment, run_inference,
-                      save_dataset, subsample_assignments, write_metrics_csv, write_rows)
+from .harness import (Dataset, error_rate, load_dataset, load_experiment_config,
+                      run_experiment, run_inference, save_dataset, subsample_assignments,
+                      write_estimates, write_metrics_csv)
 from .priors import parse_prior_spec
 from .seeding import child_seed
 from .theory import theoretical_bounds, tree_probability_bound
@@ -48,15 +46,9 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     report = run_inference(dataset, args.estimator, prior_spec=args.prior,
                            k_max=args.kmax, tol=args.tol,
                            seed=child_seed(args.seed, "estimator"))
-    n_tasks = dataset.graph.n_tasks
-    names = names_or_ids(dataset.task_names, n_tasks)
-    rows = np.arange(n_tasks)
-    labels, label_ids = formatted_values(report.labels, "+d")
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        out.write("task,label,margin\n")
-        write_rows(out, [(names, rows), (labels, label_ids),
-                         (list(map(repr, report.margins.tolist())), rows)])
+        write_estimates(out, report, dataset.task_names)
     finally:
         if args.out:
             out.close()

@@ -8,6 +8,7 @@ output.
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import json
@@ -76,9 +77,10 @@ _ALPHABETS = {
 }
 _ALPHABET_NAMES = tuple(_ALPHABETS)
 
-# Characters read per block of lines; rows assembled per write.
-_READ_BLOCK = 1 << 21
-_WRITE_BLOCK = 1 << 16
+# Characters read per block of lines; rows per block of the writers and of
+# the reader's row checks.
+_READ_BLOCK = 1 << 20
+_ROW_BLOCK = 1 << 16
 # Tokens up to this many UTF-8 bytes are their own packed key; longer ones,
 # and those holding a NUL, are numbered and keyed by the number.
 _KEY_BYTES = 32
@@ -87,17 +89,69 @@ _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 _BLANK, _COMMENT, _CSV, _PLAIN = range(4)
 
 
-class _Column:
-    """The tokens of one CSV column, in row order, as one packed key per row.
+def _row_blocks(n_rows: int) -> list[slice]:
+    """Slices of at most ``_ROW_BLOCK`` rows that cover ``range(n_rows)`` in order."""
+    return [slice(lo, min(lo + _ROW_BLOCK, n_rows)) for lo in range(0, n_rows, _ROW_BLOCK)]
 
-    A key depends on its token's text alone.  A NUL-free token of up to
+
+# Odd multipliers, one per key word, that fold a key's words into its lead word.
+_MIX = np.array([1, 0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9], dtype=np.uint64)
+
+
+def _lead(keys: np.ndarray) -> np.ndarray:
+    """Each key's lead word: a one-word key itself, a longer key's words
+    folded into one.  A zero word adds nothing, so padding keeps a lead."""
+    lead = keys[:, 0].copy()
+    for j in range(1, keys.shape[1]):
+        lead ^= keys[:, j] * _MIX[j]
+    return lead
+
+
+def _sortable(keys: np.ndarray, lead: np.ndarray) -> np.ndarray:
+    """Each key as one value that sorts by its lead word, then by its words
+    in turn: a one-word key itself, or a longer key's lead and words stored
+    big-endian as one void value, which compares by memcmp."""
+    if keys.shape[1] == 1:
+        return keys[:, 0]
+    both = np.column_stack((lead, keys)).byteswap()
+    return both.view(f"V{both.itemsize * both.shape[1]}").ravel()
+
+
+def _leads(values: np.ndarray) -> np.ndarray:
+    """The lead word of each ``_sortable`` value."""
+    if values.dtype == np.uint64:
+        return values
+    return values.view(">u8")[::values.itemsize // 8].astype(np.uint64)
+
+
+def _key_words(values: np.ndarray) -> np.ndarray:
+    """The (rows, words) key words of ``_sortable`` values."""
+    if values.dtype == np.uint64:
+        return values[:, None]
+    both = values.view(">u8").reshape(values.size, values.itemsize // 8)
+    return both[:, 1:].astype(np.uint64, order="C")
+
+
+class _Column:
+    """The tokens of one CSV column, turned into ids as each block arrives.
+
+    A token's key depends on its text alone.  A NUL-free token of up to
     ``_KEY_BYTES`` bytes is its own NUL-padded bytes.  Any other token is
     numbered in ``numbers`` and keyed by the byte 0xFF, which UTF-8 text
-    never holds, followed by its number.  One sort at the end groups the rows.
+    never holds, followed by its number.  ``table`` holds the distinct keys
+    seen so far, sorted.  Each block's keys are sorted once and looked up
+    in it; those it lacks are merged in and take the next ids in order of
+    first appearance.  A row keeps only its id, in the narrowest unsigned
+    type that holds the ids so far, so a column of a few distinct tokens
+    costs a byte per row.
     """
 
     def __init__(self) -> None:
-        self.keys: list[np.ndarray] = []       # (rows, words) of little-endian key bytes
+        self.table = np.empty(0, dtype=np.uint64)    # distinct keys as ``_sortable`` values, sorted
+        self.table_ids = np.empty(0, dtype=np.int64)  # the id of each key in ``table``
+        self.ids: list[np.ndarray] = []          # per block, each row's id
+        self.first_rows: list[np.ndarray] = []   # per block, the row where each new id appears
+        self.n_rows = 0
         self.numbers: dict[bytes, int] = {}    # UTF-8 of the numbered tokens, in arrival order
 
     def add_spans(self, data: bytes, words: np.ndarray, starts: np.ndarray,
@@ -124,26 +178,80 @@ class _Column:
             self.numbers.update(zip(fresh, count(len(self.numbers))))
             keys[rows, 0] = np.fromiter(map(self.numbers.__getitem__, tokens), np.uint64,
                                         rows.size) << 8 | 0xFF
-        self.keys.append(keys)
+        self._add_keys(keys)
 
-    def intern(self) -> tuple[list[str], np.ndarray]:
-        """Distinct tokens in first-appearance order and each row's index into
-        them.  The column gives up its keys: the result is allocated before
-        the temporaries and the blocks are freed once they are one array, so
-        that the heap keeps less of what the loader frees."""
-        ids = np.empty(sum(k.shape[0] for k in self.keys), dtype=np.int64)
-        n_words = max(k.shape[1] for k in self.keys)
-        keys = np.concatenate([np.pad(k, ((0, 0), (0, n_words - k.shape[1])))
-                               for k in self.keys])
-        self.keys.clear()
-        order = np.lexsort(keys.T) if n_words > 1 else np.argsort(keys[:, 0])
-        ordered = keys[order]
+    def _add_keys(self, keys: np.ndarray) -> None:
+        """Give the rows of ``keys`` (rows, words) their ids."""
+        table = self.table
+        width = 1 if table.dtype == np.uint64 else table.itemsize // 8 - 1
+        if keys.shape[1] > width:  # a wider key: pad the table, in the same order
+            words = np.pad(_key_words(table), ((0, 0), (0, keys.shape[1] - width)))
+            table = self.table = _sortable(words, _leads(table))
+        elif keys.shape[1] < width:
+            keys = np.pad(keys, ((0, 0), (0, width - keys.shape[1])))
+        lead = _lead(keys)
+        flat = _sortable(keys, lead)
+        order = np.argsort(lead)
+        ordered = flat[order]
         head = np.ones(order.size, dtype=bool)
-        head[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        head[1:] = ordered[1:] != ordered[:-1]
+        if keys.shape[1] > 1 and (head[1:] & (lead[order[1:]] == lead[order[:-1]])).any():
+            order = np.argsort(flat)  # two keys share a lead: sort by the whole keys
+            ordered = flat[order]
+            head[1:] = ordered[1:] != ordered[:-1]
         heads = np.flatnonzero(head)
-        first = np.argsort(np.minimum.reduceat(order, heads))
-        ids[order] = np.argsort(first)[np.cumsum(head) - 1]
-        return self._decode(ordered[heads[first]]), ids
+        distinct, distinct_lead = ordered[heads], lead[order[heads]]
+        table_lead = _leads(table)
+        at = np.searchsorted(table_lead, distinct_lead)
+        known = at < table.size
+        known[known] = table[at[known]] == distinct[known]
+        # A lead that the table holds for another key: search by the whole key.
+        shared = np.flatnonzero(~known & (at < table.size))
+        shared = shared[table_lead[at[shared]] == distinct_lead[shared]]
+        if shared.size:
+            at[shared] = np.searchsorted(table, distinct[shared])
+            found = shared[at[shared] < table.size]
+            known[found] = table[at[found]] == distinct[found]
+        ids = np.empty(distinct.size, dtype=np.int64)
+        ids[known] = self.table_ids[at[known]]
+        new = np.flatnonzero(~known)
+        first = np.minimum.reduceat(order, heads)[new]
+        fresh = np.zeros(order.size, dtype=bool)
+        fresh[first] = True
+        n = self.table_ids.size + new.size
+        ids[new] = self.table_ids.size - 1 + np.cumsum(fresh)[first]
+        row_ids = np.empty(order.size, dtype=np.min_scalar_type(n - 1))
+        row_ids[order] = np.repeat(ids, np.diff(heads, append=order.size))
+        if new.size:  # merge the new keys into the table
+            slots = at[new] + np.arange(new.size)
+            old = np.ones(n, dtype=bool)
+            old[slots] = False
+            table, table_ids = np.empty(n, dtype=flat.dtype), np.empty(n, dtype=np.int64)
+            table[slots], table[old] = distinct[new], self.table
+            table_ids[slots], table_ids[old] = ids[new], self.table_ids
+            self.table, self.table_ids = table, table_ids
+        self.ids.append(row_ids)
+        self.first_rows.append(self.n_rows + np.flatnonzero(fresh))
+        self.n_rows += order.size
+
+    def tokens(self) -> list[str]:
+        """The distinct tokens in id order, that is, in order of first
+        appearance; the column gives up its table."""
+        keys = _key_words(self.table[np.argsort(self.table_ids)])
+        self.table = self.table_ids = None
+        return self._decode(keys)
+
+    def row_ids(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Each row's id, in ``out`` if given; the column gives up its
+        blocks one at a time."""
+        if out is None:
+            out = np.empty(self.n_rows, dtype=self.ids[-1].dtype)
+        lo = 0
+        while self.ids:
+            block = self.ids.pop(0)
+            out[lo:lo + block.size] = block
+            lo += block.size
+        return out
 
     def _decode(self, keys: np.ndarray) -> list[str]:
         """The token of each key; tokens hold no newline, so one decode
@@ -159,15 +267,21 @@ class _Column:
         return tokens
 
 
-def _strip_names(tokens: list[str], ids: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
-    """Strip each distinct token once and renumber in first-appearance order."""
+def _strip_names(column: _Column) -> tuple[tuple[str, ...], np.ndarray | None, np.ndarray]:
+    """Strip each distinct token of ``column`` once and number the names in
+    first-appearance order.  Returns the names, each token's name id (None
+    when stripping changed no token) and the row where each name first
+    appears."""
+    tokens = column.tokens()
+    first_rows = np.concatenate(column.first_rows)
+    column.first_rows.clear()
     stripped = list(map(str.strip, tokens))
     if all(map(operator.is_, stripped, tokens)):
-        return tuple(tokens), ids
+        return tuple(tokens), None, first_rows
     names = dict.fromkeys(stripped)
     index = dict(zip(names, range(len(names))))
     remap = np.fromiter(map(index.__getitem__, stripped), np.int64, len(stripped))
-    return tuple(names), remap[ids]
+    return tuple(names), remap, first_rows[_first_rows(remap)]
 
 
 def _bytes_and_words(data: bytes) -> tuple[np.ndarray, np.ndarray]:
@@ -228,11 +342,13 @@ class _EdgeCsvReader:
     break; the other lines are split on the commas that numpy finds in
     those bytes.  So every token is a span of one buffer, one span table
     per block gives each column one key array, and how quoted and plain
-    lines interleave costs nothing.  Tokens are grouped by packed byte
-    keys, so every distinct token is decoded and converted once.  A line
-    that fails whatever follows it (unknown alphabet, csv error, wrong
-    column count) ends the reading; the per-row checks then run as array
-    operations and the earliest failing line wins.
+    lines interleave costs nothing.  Each column turns its keys into ids
+    as the block arrives (see ``_Column``), so every distinct token is
+    decoded and converted once, and a row keeps only its ids, its alphabet
+    and its line.  A line that fails whatever follows it (unknown alphabet,
+    csv error, wrong column count) ends the reading; the per-row checks
+    then run as array operations over ``_ROW_BLOCK`` rows at a time, and
+    the earliest failing line wins.
     """
 
     def __init__(self, encoding: str) -> None:
@@ -241,14 +357,16 @@ class _EdgeCsvReader:
         self.n_cols: int | None = None
         self.n_rows = 0
         self.columns = [_Column() for _ in range(5)]
-        self.line_nos: list[np.ndarray] = []
+        # Per block: its first row, the number of its first line, and each
+        # row's line within the block.
+        self.lines: list[tuple[int, int, np.ndarray]] = []
         self.alphabets: list[np.ndarray] = []
         self.stop: DataFormatError | None = None
 
     def feed(self, block: list[str], line_no: int) -> bool:
         """Take the lines after ``line_no``; False once a line stopped the file."""
-        lines = list(map(str.strip, block))
-        data = "\n".join(lines).encode("utf-8", "surrogatepass")
+        # The stripped lines live only while they are joined.
+        data = "\n".join(map(str.strip, block)).encode("utf-8", "surrogatepass")
         bad = _undecodable_line(data)
         if bad is not None:
             if self.feed(block[:bad], line_no):
@@ -266,9 +384,9 @@ class _EdgeCsvReader:
              | (stops - starts > csv.field_size_limit())],
             [_BLANK, _COMMENT, _CSV], _PLAIN)
         # Each check looks only at the lines before the earliest failure so far.
-        end, set_at, set_to = len(lines), [], [self.alphabet]
+        end, set_at, set_to = len(block), [], [self.alphabet]
         for i in np.flatnonzero(kinds == _COMMENT).tolist():
-            body = lines[i].lstrip("#").strip()
+            body = block[i].strip().lstrip("#").strip()
             if body.startswith("alphabet="):
                 name = body[len("alphabet="):].strip()
                 if name not in _ALPHABETS:
@@ -280,7 +398,7 @@ class _EdgeCsvReader:
                 set_to.append(_ALPHABET_NAMES.index(name))
         self.alphabet = set_to[-1]
         quoted = np.flatnonzero(kinds[:end] == _CSV)
-        split, error = _csv_split(list(map(lines.__getitem__, quoted.tolist())))
+        split, error = _csv_split([block[i].strip() for i in quoted.tolist()])
         if error is not None:
             end = int(quoted[len(split)])
             self.stop = DataFormatError(f"line {line_no + 1 + end}: {error}")
@@ -312,7 +430,8 @@ class _EdgeCsvReader:
             words = _bytes_and_words(data)[1]
         for j in range(self.n_cols):
             self.columns[j].add_spans(data, words, bounds[j] + 1, bounds[j + 1])
-        self.line_nos.append(numbers[:n])
+        self.lines.append((self.n_rows, line_no + 1,
+                           rows.astype(np.min_scalar_type(len(block)))))
         self.alphabets.append(np.array(set_to, dtype=np.int8)[np.searchsorted(set_at, rows)])
         self.n_rows += n
         return self.stop is None
@@ -339,31 +458,52 @@ class _EdgeCsvReader:
     def dataset(self, path: str) -> Dataset:
         if not self.n_rows:
             raise self.stop or DataFormatError(f"{path}: no answer rows found")
-        line_nos = np.concatenate(self.line_nos)
+        n = self.n_rows
+        # The per-row arrays the Dataset keeps come first, so that the
+        # allocator does not place them above the temporaries freed below.
+        edges = np.empty((n, 2), dtype=np.int64)
+        answers = np.empty(n, dtype=np.int64)
+        self.columns[0].row_ids(edges[:, 0])
+        self.columns[1].row_ids(edges[:, 1])
+        task_names, task_of, task_rows = _strip_names(self.columns[0])
+        worker_names, worker_of, worker_rows = _strip_names(self.columns[1])
+        for j, remap in ((0, task_of), (1, worker_of)):
+            if remap is not None:
+                for rows in _row_blocks(n):
+                    edges[rows, j] = remap[edges[rows, j]]
+        tokens = {j: self.columns[j].tokens() for j in range(2, self.n_cols)}
+        ids = {j: self.columns[j].row_ids() for j in range(2, self.n_cols)}
         alphabets = np.concatenate(self.alphabets)
-        tokens, ids = zip(*(column.intern() for column in self.columns[:self.n_cols]))
-        task_names, t = _strip_names(tokens[0], ids[0])
-        worker_names, w = _strip_names(tokens[1], ids[1])
+        self.alphabets.clear()
+        t, w = edges[:, 0], edges[:, 1]
 
-        def labels(j: int) -> np.ndarray:
-            values = np.array([[table.get(token.strip(), 0) for token in tokens[j]]
-                               for table in _ALPHABETS.values()], dtype=np.int64)
-            return values[alphabets, ids[j]]
+        def values(j: int) -> np.ndarray:
+            """Each alphabet's value of each distinct token of column ``j``; 0 if none."""
+            return np.array([[table.get(token.strip(), 0) for token in tokens[j]]
+                             for table in _ALPHABETS.values()], dtype=np.int64)
 
         def bad_label(j: int, what: str):
             return lambda e: (f"bad {what} {tokens[j][ids[j][e]]!r} "
                               f"for alphabet {_ALPHABET_NAMES[alphabets[e]]!r}")
 
-        # (mask, message) per check, in the order one line runs them.
-        answers = labels(2)
-        checks = [(answers == 0, bad_label(2, "answer"))]
+        answer_values = values(2)
+        for rows in _row_blocks(n):
+            answers[rows] = answer_values[alphabets[rows], ids[2][rows]]
+        # (test, message) per check, in the order one line runs them.  A test
+        # flags the failing rows of a block of rows; per-row values exist
+        # only a block at a time.
+        checks = [(lambda rows: answers[rows] == 0, bad_label(2, "answer"))]
         truth_labels = reliabilities = None
         if self.n_cols >= 4:
-            truth = labels(3)
-            truth_labels = truth[_first_rows(t)]
+            truth_values = values(3)
+            truth_labels = truth_values[alphabets[task_rows], ids[3][task_rows]]
+
+            def truth(rows: slice) -> np.ndarray:
+                return truth_values[alphabets[rows], ids[3][rows]]
+
             checks += [
-                (truth == 0, bad_label(3, "truth label")),
-                (truth != truth_labels[t],
+                (lambda rows: truth(rows) == 0, bad_label(3, "truth label")),
+                (lambda rows: truth(rows) != truth_labels[t[rows]],
                  lambda e: f"conflicting truth for task {task_names[t[e]]!r}"),
             ]
         if self.n_cols == 5:
@@ -374,34 +514,33 @@ class _EdgeCsvReader:
                     numbers[i] = float(token)
                 except ValueError:
                     parsed[i] = False
-            rel, parsed = numbers[ids[4]], parsed[ids[4]]
-            reliabilities = rel[_first_rows(w)]
+            outside = parsed & ~((numbers >= 0.0) & (numbers <= 1.0))
+            reliabilities = numbers[ids[4][worker_rows]]
             checks += [
-                (~parsed, lambda e: f"bad reliability {tokens[4][ids[4][e]]!r}"),
-                (parsed & ~((rel >= 0.0) & (rel <= 1.0)),
-                 lambda e: f"reliability {float(rel[e])} outside [0, 1]"),
-                (rel != reliabilities[w],
+                (lambda rows: ~parsed[ids[4][rows]],
+                 lambda e: f"bad reliability {tokens[4][ids[4][e]]!r}"),
+                (lambda rows: outside[ids[4][rows]],
+                 lambda e: f"reliability {float(numbers[ids[4][e]])} outside [0, 1]"),
+                (lambda rows: numbers[ids[4][rows]] != reliabilities[w[rows]],
                  lambda e: f"conflicting reliability for worker {worker_names[w[e]]!r}"),
             ]
-        # Built last, as the graph's edges would add to the checks' peak.
+        failed = _earliest_failure(checks, n)
+        ids.clear()
+        del alphabets
+        # Built last, so that no per-row array but the Dataset's lies under
+        # its pair-key sort.
         try:
-            graph = AssignmentGraph(len(task_names), len(worker_names), np.column_stack((t, w)))
+            graph = AssignmentGraph(len(task_names), len(worker_names), edges)
         except SizeError:
             raise
-        except ParameterError:  # a repeated (task, worker) pair: find its rows
-            repeat = np.zeros(t.size, dtype=bool)
-            repeat[repeated_pairs(t, w, len(task_names), len(worker_names))] = True
-            checks.insert(0, (repeat, lambda e: f"duplicate answer for task "
-                                                f"{task_names[t[e]]!r}, worker "
-                                                f"{worker_names[w[e]]!r}"))
-        failed = None
-        for mask, message in checks:
-            e = int(mask.argmax())
-            if mask[e] and (failed is None or e < failed[0]):
-                failed = (e, message)
+        except ParameterError:  # a repeated (task, worker) pair: the first comes first
+            e = int(repeated_pairs(t, w, len(task_names), len(worker_names))[0])
+            if failed is None or e <= failed[0]:
+                failed = (e, f"duplicate answer for task {task_names[t[e]]!r}, "
+                             f"worker {worker_names[w[e]]!r}")
         if failed is not None:
             e, message = failed
-            raise DataFormatError(f"line {line_nos[e]}: {message(e)}")
+            raise DataFormatError(f"line {self._line(e)}: {message}")
         if self.stop is not None:
             raise self.stop
         return Dataset(
@@ -412,6 +551,31 @@ class _EdgeCsvReader:
             task_names=task_names,
             worker_names=worker_names,
         )
+
+    def _line(self, row: int) -> int:
+        """The number of the line that holds answer row ``row``."""
+        start, line_no, lines = self.lines[
+            bisect.bisect_right(self.lines, row, key=operator.itemgetter(0)) - 1]
+        return line_no + int(lines[row - start])
+
+
+def _earliest_failure(checks, n_rows: int) -> tuple[int, str] | None:
+    """The earliest of ``n_rows`` rows that fails one of ``checks``, with the
+    message of the first check it fails; None if every row passes.
+
+    ``checks`` holds (test, message) pairs: a test flags the failing rows of
+    a slice of rows, and a message takes a row.
+    """
+    for rows in _row_blocks(n_rows):
+        failures = []
+        for test, message in checks:
+            mask = test(rows)
+            if mask.any():
+                failures.append((rows.start + int(mask.argmax()), message))
+        if failures:
+            e, message = min(failures, key=operator.itemgetter(0))
+            return e, message(e)
+    return None
 
 
 def load_dataset(path: str) -> Dataset:
@@ -424,12 +588,15 @@ def load_dataset(path: str) -> Dataset:
     arbitrary strings and are compacted in order of first appearance.  The
     first malformed line is reported as ``line N: ...``; a line that is not
     valid text in the file's encoding or that ``csv.reader`` rejects is
-    malformed too.
+    malformed too.  One U+FEFF at the very start of the file, a UTF-8
+    byte-order mark, is dropped.
     """
     line_no = 0
     with open(path, newline="", errors="surrogateescape") as handle:
         reader = _EdgeCsvReader(handle.encoding)
         while block := handle.readlines(_READ_BLOCK):
+            if not line_no and block[0].startswith("\ufeff"):
+                block[0] = block[0][1:]
             if not reader.feed(block, line_no):
                 break
             line_no += len(block)
@@ -453,28 +620,56 @@ def _csv_fields(texts) -> list[str]:
     return spelled
 
 
-def formatted_values(values: np.ndarray, spec: str) -> tuple[list[str], np.ndarray]:
-    """Each distinct value formatted once, and every value's index into them."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return [format(v, spec) for v in distinct], inverse
+def _spelled(values: np.ndarray, spell) -> np.ndarray:
+    """``spell(value)`` of each value, as an object array in which equal
+    values share one text: each distinct value is spelled once.  Floats are
+    told apart by bit pattern, so that ``-0.0`` keeps its own spelling."""
+    values = np.asarray(values)
+    keys = values.view(np.uint64) if values.dtype == np.float64 else values
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return np.array(list(map(spell, values[first].tolist())), dtype=object)[inverse]
 
 
-def write_rows(handle, columns) -> None:
-    """Write CSV rows whose field j is ``texts_j[ids_j[row]]``.
+def _gathered(texts: np.ndarray, ids: np.ndarray):
+    """The column whose field in row i is ``texts[ids[i]]``."""
+    return lambda rows: texts[ids[rows]]
 
-    ``columns`` holds one ``(texts, ids)`` pair per field.  Each distinct
-    text is quoted once with csv's own rules, rows are assembled from
-    object-array gathers, and lines end in ``\\n``.
+
+def _named(names: tuple[str, ...], ids: np.ndarray):
+    """The column whose field in row i names ``ids[i]``: its name, quoted
+    once as csv.writer quotes it, or without names the id itself, spelled
+    a block at a time."""
+    if not names:
+        return lambda rows: list(map(str, ids[rows].tolist()))
+    return _gathered(np.array(_csv_fields(names), dtype=object), ids)
+
+
+def write_rows(handle, n_rows: int, columns) -> None:
+    """Write ``n_rows`` CSV rows, ``_ROW_BLOCK`` at a time; lines end in ``\\n``.
+
+    Each column is a function from a slice of rows to their fields, spelled
+    as csv.writer spells fields of a multi-field row.  The separators are
+    interleaved with the fields, so no text is copied to append one.
     """
-    ends = [","] * (len(columns) - 1) + ["\n"]
-    tables = [np.array(_csv_fields(texts), dtype=object) + end
-              for (texts, _), end in zip(columns, ends)]
-    n_rows = len(columns[0][1])
-    for lo in range(0, n_rows, _WRITE_BLOCK):
-        cells = np.empty((min(n_rows - lo, _WRITE_BLOCK), len(columns)), dtype=object)
-        for j, (table, (_, ids)) in enumerate(zip(tables, columns)):
-            cells[:, j] = table[ids[lo:lo + cells.shape[0]]]
+    for rows in _row_blocks(n_rows):
+        cells = np.empty((rows.stop - rows.start, 2 * len(columns)), dtype=object)
+        cells[:, 1::2] = ","
+        cells[:, -1] = "\n"
+        for j, column in enumerate(columns):
+            cells[:, 2 * j] = column(rows)
         handle.write("".join(cells.ravel().tolist()))
+
+
+def write_estimates(handle, report: EstimateReport, task_names: tuple[str, ...]) -> None:
+    """Write ``task,label,margin`` rows, one per task in id order.  Tasks
+    without names are named by their ids."""
+    tasks = np.arange(report.labels.size)
+    handle.write("task,label,margin\n")
+    write_rows(handle, tasks.size, [
+        _named(task_names, tasks),
+        _gathered(_spelled(report.labels, "{:+d}".format), tasks),
+        lambda rows: list(map(repr, report.margins[rows].tolist())),
+    ])
 
 
 def _check_names(names: tuple[str, ...], what: str, encoding: str) -> None:
@@ -520,20 +715,18 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     encoding = locale.getpreferredencoding(False)
     _check_names(dataset.task_names, "task", encoding)
     _check_names(dataset.worker_names, "worker", encoding)
-    names_t = names_or_ids(dataset.task_names, graph.n_tasks)
-    names_w = names_or_ids(dataset.worker_names, graph.n_workers)
     tasks, workers = graph.edges[:, 0], graph.edges[:, 1]
-    columns = [(names_t, tasks), (names_w, workers),
-               (("-1", "+1"), (dataset.answers.answers > 0).astype(np.int64))]
+    # Indexed by the answer itself: +1 picks "+1" and -1 the last text.
+    columns = [_named(dataset.task_names, tasks), _named(dataset.worker_names, workers),
+               _gathered(np.array(["", "+1", "-1"], dtype=object), dataset.answers.answers)]
     if dataset.truth_labels is not None:
-        texts, ids = formatted_values(dataset.truth_labels, "+d")
-        columns.append((texts, ids[tasks]))
+        columns.append(_gathered(_spelled(dataset.truth_labels, "{:+d}".format), tasks))
         if dataset.reliabilities is not None:
             rel = np.asarray(dataset.reliabilities, dtype=np.float64)
-            columns.append((list(map(repr, rel.tolist())), workers))
+            columns.append(_gathered(_spelled(rel, repr), workers))
     with open(path, "w", encoding=encoding, newline="") as handle:
         handle.write("# alphabet=pm1\n")
-        write_rows(handle, columns)
+        write_rows(handle, graph.n_edges, columns)
 
 
 def subsample_assignments(dataset: Dataset, l_target: int, seed: int) -> Dataset:

@@ -5,7 +5,8 @@ These are the original row-at-a-time loops that ``harness.load_dataset``,
 The equivalence tests hold the bulk code to them: same ``Dataset`` fields,
 same ``DataFormatError`` text and same output bytes.  Lines that are not
 valid text in the file's encoding, and lines that ``csv.reader`` rejects,
-fail as ``DataFormatError`` with their line number.
+fail as ``DataFormatError`` with their line number.  One U+FEFF at the very
+start of a file, a UTF-8 byte-order mark, is dropped before line 1 is read.
 """
 from __future__ import annotations
 
@@ -43,6 +44,8 @@ def load_dataset_per_line(path: str) -> Dataset:
 
     with open(path, newline="", errors="surrogateescape") as handle:
         for line_no, raw in enumerate(handle, start=1):
+            if line_no == 1 and raw.startswith("\ufeff"):  # a byte-order mark
+                raw = raw[1:]
             if _UNDECODED.search(raw):
                 raise DataFormatError(f"line {line_no}: not valid {handle.encoding} text")
             line = raw.strip()

@@ -466,3 +466,117 @@ def test_cli_child_processes_match_in_process_majority_vote(tmp_path):
                                   expected.labels[ids])
     margins = np.array([float(row[2]) for row in rows[1:]])
     assert margins.tobytes() == expected.margins[ids].tobytes()
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark (Excel's "CSV UTF-8" writes one) is not text."""
+
+    def test_mark_before_a_directive(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf# alphabet=pm1\nt0,w0,+1\nt1,w0,-1\n")
+        loaded = cb.load_dataset(str(path))
+        assert loaded.task_names == ("t0", "t1")
+        assert loaded.answers.answers.tolist() == [1, -1]
+        assert_same_outcome(path)
+
+    def test_mark_before_the_first_row_names_no_task(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbft0,w0,1\n# alphabet=01\nt1,w0,0\n")
+        loaded = cb.load_dataset(str(path))
+        assert loaded.task_names == ("t0", "t1")
+        assert loaded.answers.answers.tolist() == [1, -1]
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize("content, names, line", [
+        # only one mark, and only at the very start of the file
+        (b"\xef\xbb\xbf\xef\xbb\xbft0,w0,+1\n", ("\ufefft0",), None),
+        (b"t0,w0,+1\n\xef\xbb\xbft1,w0,+1\n", ("t0", "\ufefft1"), None),
+        (b"\xef\xbb\xbf\n\nt0,w0,+1\nt0,w0,-1\n", None, 4),
+        (b"\xef\xbb\xbf", None, None),
+    ])
+    def test_only_the_leading_mark_is_dropped(self, tmp_path, content, names, line):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(content)
+        assert_same_outcome(path)
+        if names is not None:
+            assert cb.load_dataset(str(path)).task_names == names
+        elif line is not None:
+            with pytest.raises(cb.DataFormatError, match=f"^line {line}: duplicate"):
+                cb.load_dataset(str(path))
+        else:
+            with pytest.raises(cb.DataFormatError, match="no answer rows found"):
+                cb.load_dataset(str(path))
+
+    def test_mark_with_a_small_read_block(self, tmp_path, monkeypatch):
+        # Every line is a block of its own: only the first block's mark goes.
+        monkeypatch.setattr(harness, "_READ_BLOCK", 8)
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf# alphabet=01\n" + b"".join(
+            b"t%d,w%d,%d\n" % (i, i % 3, i % 2) for i in range(40)) + b"\xef\xbb\xbfx,w0,1\n")
+        assert cb.load_dataset(str(path)).task_names[:2] == ("t0", "t1")
+        assert cb.load_dataset(str(path)).task_names[-1] == "\ufeffx"
+        assert_same_outcome(path)
+
+
+class TestRunningTokenTable:
+    """Ids are given block by block; the numbering must not depend on the blocks."""
+
+    @pytest.mark.parametrize("block", [64, 997])
+    @pytest.mark.parametrize("lead", ["folded", "first word"])
+    def test_keys_that_widen_and_ids_that_outgrow_a_byte(self, tmp_path, monkeypatch, block,
+                                                         lead):
+        monkeypatch.setattr(harness, "_READ_BLOCK", block)
+        if lead == "first word":  # many keys share a lead word: the whole keys decide
+            monkeypatch.setattr(harness, "_MIX", np.array([1, 0, 0, 0], dtype=np.uint64))
+        rng = np.random.default_rng(block)
+        # Worker names of 1, 2 and 3 key words, numbered ones (over 32 bytes)
+        # and NUL-holding ones arrive in that order, then all of them again,
+        # so that the table widens between blocks and narrow blocks follow
+        # wide ones.  More than 256 tasks make the task ids outgrow a byte.
+        short = [f"w{i}" for i in range(12)]
+        mid = [f"worker-{i:04d}" for i in range(12)]
+        wide = [f"worker-name-{i:010d}-x" for i in range(12)]
+        numbered = [f"worker-{'z' * 30}-{i}" for i in range(6)] + ["w\0", "w\0\0"]
+        # First words rising while second words fall: the order of the words matters.
+        twisted = [chr(97 + i) * 8 + chr(90 - i) for i in range(12)]
+        order = short + mid + twisted + wide + numbered
+        again = [order[i] for i in rng.permutation(7 * len(order)) % len(order)]
+        rows = [f't{i},"{worker}",+1' if "\0" in worker else f"t{i},{worker},-1"
+                for i, worker in enumerate(order + again)]
+        path = tmp_path / "widen.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert_same_outcome(path)
+        loaded = cb.load_dataset(str(path))
+        assert loaded.worker_names == tuple(order)
+        assert len(loaded.task_names) == 8 * len(order)
+
+    def test_widening_keeps_the_keys_already_in_the_table(self, tmp_path, monkeypatch):
+        # One-word keys sort as little-endian numbers, so "w2" comes before
+        # "w10", though its bytes come after; a longer name that widens the
+        # table must leave both where later blocks look for them.
+        monkeypatch.setattr(harness, "_READ_BLOCK", 16)
+        workers = ["w2", "w10", "w9", "w100", "w3", "worker-with-a-long-name"]
+        path = tmp_path / "widen.csv"
+        path.write_text("".join(f"t{i},{workers[i % 6]},+1\n" for i in range(24)))
+        loaded = cb.load_dataset(str(path))
+        assert loaded.worker_names == tuple(workers)
+        assert_same_outcome(path)
+
+    def test_blocks_split_a_run_of_first_appearances(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_READ_BLOCK", 50)
+        names = [f"n{i}" for i in range(40)]
+        rows = [f"{names[i // 2]},{names[(7 * i) % 40]},+1,+1,0.5" for i in range(80)]
+        path = tmp_path / "runs.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert_same_outcome(path)
+
+    def test_more_than_65536_distinct_tasks(self, tmp_path):
+        n = 70_000
+        path = tmp_path / "many.csv"
+        path.write_text("".join(f"task-{(i * 7919) % n},w{i % 13},+1\n" for i in range(n)))
+        loaded = cb.load_dataset(str(path))
+        assert len(loaded.task_names) == n
+        assert loaded.task_names[:3] == ("task-0", "task-7919", "task-15838")
+        np.testing.assert_array_equal(loaded.graph.edges[:, 0], np.arange(n))
+        assert loaded.graph.edges.dtype == np.int64
+
