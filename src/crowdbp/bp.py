@@ -6,9 +6,10 @@ edges are one ``np.bincount`` over that side's keys and broadcasts back
 are gathers (see :mod:`.segments`), so a sweep costs O(edges) whatever
 the degree profile.  Sweeps are synchronous: all task-to-worker messages
 from the previous worker-to-task messages, then all worker-to-task
-messages from the fresh task-to-worker ones.  ``bp_run`` is one sweep
-function handed to :func:`_iterate`, the loop and stop rule that the kos
-and EM decoders of :mod:`.estimators` share.
+messages from the fresh task-to-worker ones.  ``bp_run`` checks its
+inputs for ``_run``, the core that the oracle of :mod:`.exact` calls too,
+whose sweep function goes to :func:`_iterate`, the loop and stop rule
+that the kos and EM decoders of :mod:`.estimators` share.
 
 Task half: nu[i->u] = L_i - lam[u->i] with L_i = sum_u lam[u->i].  The
 positive and negative parts of L_i are summed separately, so incoming
@@ -416,19 +417,6 @@ def _pinned_edges(graph: AssignmentGraph, clamp_tasks: np.ndarray,
     return edges, per_edge[edges]
 
 
-def _start_state(n_edges: int, pin_edges: np.ndarray,
-                 pin_llr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zero LLRs and magnetizations, except the clamped tasks' pinned messages.
-
-    The LLRs and their magnetizations, tanh(0 / 2) = 0, are one array: the
-    first sweep reads the LLRs before it overwrites the magnetizations.
-    """
-    x = np.zeros(n_edges)
-    x[pin_edges] = np.tanh(pin_llr / 2.0)
-    zeros = np.zeros(n_edges)
-    return zeros, x, zeros
-
-
 # -- pair-valued sweep pieces ------------------------------------------------
 
 def _pairs_to_llr(pairs: np.ndarray) -> np.ndarray:
@@ -509,20 +497,30 @@ def bp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     those labels being known.
     """
     a = answer_values(answers, graph)
-    worker_half = _class_kernel(graph, a, prior)
-
-    clamped = clamp_tasks is not None and len(clamp_tasks) > 0
-    pin_edges, pin_llr = np.empty(0, dtype=np.int64), np.empty(0)
-    if clamped:
+    if clamp_tasks is None or len(clamp_tasks) == 0:
+        clamp_tasks = clamp_labels = np.empty(0, dtype=np.int64)
+    else:
         clamp_tasks = check_ids(clamp_tasks, graph.n_tasks, "clamp task ids")
         clamp_labels = check_signs(clamp_labels, "clamp labels")
         if clamp_labels.shape != clamp_tasks.shape:
             raise ParameterError("clamp labels must match clamp tasks")
-        pin_edges, pin_llr = _pinned_edges(graph, clamp_tasks, clamp_labels)
+    margins, _, _, *run = _run(graph, a, prior, k_max, tol, clamp_tasks, clamp_labels)
+    return make_report(margins, *run)
 
-    # The run's one free edge buffer: each sweep's task half writes into it,
-    # and the previous magnetizations' buffer takes its place.
-    spare = np.empty(graph.n_edges)
+
+def _run(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior, k_max: int,
+         tol: float, clamp_tasks: np.ndarray, clamp_labels: np.ndarray) -> tuple:
+    """``bp_run``'s sweeps and decode on checked inputs: int64 answers and
+    clamps (int64 task ids and ±1 labels, both empty for none).  Returns the
+    margins, the final worker-to-task LLRs and task-to-worker magnetizations,
+    the sweeps run, whether they converged and the last change."""
+    worker_half = _class_kernel(graph, a, prior)
+    pin_edges, pin_llr = _pinned_edges(graph, clamp_tasks, clamp_labels)
+    # The sweeps pass three edge buffers around, so naming the start state
+    # keeps nothing extra alive.  Its LLRs and magnetizations, tanh(0 / 2) = 0,
+    # are one array, which the first sweep reads before it overwrites.
+    spare, x, lam = np.empty(graph.n_edges), np.zeros(graph.n_edges), np.zeros(graph.n_edges)
+    x[pin_edges] = np.tanh(pin_llr / 2.0)
 
     def sweep(state):
         nonlocal spare
@@ -540,15 +538,12 @@ def bp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
         # Changes on the probability scale: |d P(+1)| = |d tanh(llr / 2)| / 2.
         return (lam, x, y), 0.5 * max(dx, dy)
 
-    (lam, _, _), iterations, converged, delta = _iterate(
-        sweep, _start_state(graph.n_edges, pin_edges, pin_llr), k_max, tol)
-
+    (lam, x, _), iterations, converged, delta = _iterate(sweep, (lam, x, lam), k_max, tol)
     total, _ = _task_llrs(lam, graph.by_task, out=spare)
     margins = np.tanh(total / 2.0)
-    if clamped:
-        margins[clamp_tasks] = clamp_labels
+    margins[clamp_tasks] = clamp_labels
     _check_beliefs(margins)
-    return make_report(margins, iterations, converged, delta)
+    return margins, lam, x, iterations, converged, delta
 
 
 def _max_change(new: np.ndarray, old: np.ndarray) -> float:

@@ -54,7 +54,7 @@ def check_ids(values, n: int, name: str) -> np.ndarray:
 def check_signs(values, name: str) -> np.ndarray:
     """``values`` as int64 signs, each -1 or +1."""
     return _checked(values, np.int64, f"{name} must be -1 or +1",
-                    lambda signs: (np.abs(signs) == 1).all())
+                    lambda signs: ((signs == 1) | (signs == -1)).all())
 
 
 def check_probabilities(values, name: str) -> np.ndarray:

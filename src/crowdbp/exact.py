@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import EstimateReport, _pm_configs, bp_run, make_report
+from .bp import EstimateReport, _pm_configs, _run, make_report
 from .errors import NumericDegeneracyError, ParameterError, SizeError, check_ids
 from .graph import AnswerMatrix, AssignmentGraph, GroundTruth, answer_values
 from .priors import FactorTable, ReliabilityPrior, _logsumexp
@@ -73,7 +73,7 @@ def brute_force_marginals(graph: AssignmentGraph, answers: AnswerMatrix | np.nda
 # root and, per level, one candidate per frontier edge, about 60 bytes per
 # visit in all, so this caps its temporaries (about 2 MB) whatever the graph
 # size.  A quarter of it caps the region edges of a batch, the forest that
-# one ``bp_run`` decodes.  A larger cap saves only per-block overhead, and
+# one BP run decodes.  A larger cap saves only per-block overhead, and
 # each bench worker process holds a block at once.
 _BLOCK_VISITS = 1 << 15
 
@@ -234,8 +234,8 @@ def oracle_task_estimate(graph: AssignmentGraph, answers: AnswerMatrix | np.ndar
     is decoded on its region (see :class:`SpanningTree`) alone.  Roots run
     the BFS in blocks sized to a fixed visit budget, one BFS per block.
     Consecutive blocks' region forests then gather into batches of at most
-    a quarter of that budget in edges, and each batch runs one ``bp_run``
-    on its disjoint forest with the boundary tasks clamped.  Tasks without
+    a quarter of that budget in edges, and each batch runs BP once on its
+    disjoint forest with the boundary tasks clamped.  Tasks without
     answers get margin 0.
     """
     a = answer_values(answers, graph)
@@ -268,15 +268,15 @@ def oracle_task_estimate(graph: AssignmentGraph, answers: AnswerMatrix | np.ndar
 
 def _decode_batch(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior,
                   labels: np.ndarray, blocks: list[_Block], margins: np.ndarray) -> int:
-    """Decode a batch of blocks' regions in one ``bp_run`` of as many sweeps
-    as its deepest region needs; write each root's margin into ``margins``
-    and return the sweeps run."""
+    """Decode a batch of blocks' regions in one run of BP's unchecked core,
+    of as many sweeps as its deepest region needs; write each root's margin
+    into ``margins`` and return the sweeps run."""
     roots, at_root, regions, edge, clamped, clamped_tasks = _batch_forest(graph, blocks)
     depth = max(block[3] for block in blocks)
-    report = bp_run(regions, a[edge], prior, k_max=depth // 2 + 2, tol=0.0,
-                    clamp_tasks=clamped, clamp_labels=labels[clamped_tasks])
-    margins[roots] = report.margins[at_root]
-    return report.iterations_run
+    forest_margins, _, _, iterations, _, _ = _run(
+        regions, a[edge], prior, depth // 2 + 2, 0.0, clamped, labels[clamped_tasks])
+    margins[roots] = forest_margins[at_root]
+    return iterations
 
 
 def _batch_forest(graph: AssignmentGraph, blocks: list[_Block]) -> tuple:
@@ -284,7 +284,7 @@ def _batch_forest(graph: AssignmentGraph, blocks: list[_Block]) -> tuple:
 
     Returns the batch's roots, their tasks in the union, the union as a
     graph, its edges' ids in ``graph``, and its boundary tasks' ids in the
-    union and in ``graph``.  The caller's ``bp_run`` then holds none of the
+    union and in ``graph``.  The caller's BP run then holds none of the
     arrays that built them.
     """
     n_tasks, n_workers, n_edges = graph.n_tasks, graph.n_workers, graph.n_edges

@@ -106,14 +106,17 @@ def repeated_pairs(tasks: np.ndarray, workers: np.ndarray, n_tasks: int,
     """Ids, ascending, of the entries whose (task, worker) pair already
     appeared at a lower id; ``SizeError`` if ``n_tasks * n_workers > 2**63``.
 
-    One ``np.sort`` of the pair keys settles the common case of no repeat.
+    One in-place sort of the pair keys settles the common case of no
+    repeat; only a repeat builds them again.
     """
     _check_pair_keys(n_tasks, n_workers)
-    keys = tasks * n_workers + workers
-    ordered = np.sort(keys)
+    ordered = tasks * n_workers + workers
+    ordered.sort()
     repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    del ordered
     if not repeated.size:
         return np.empty(0, dtype=np.int64)
+    keys = tasks * n_workers + workers
     # Not np.isin: its sort path imports numpy.ma, 0.8 MB in every forked bench worker.
     at = np.searchsorted(repeated, keys).clip(max=repeated.size - 1)
     ids = np.flatnonzero(repeated[at] == keys)
@@ -157,14 +160,18 @@ def generate_regular_bipartite(n_tasks: int, l: int, r: int, seed: int) -> Assig
         raise ParameterError(f"r = {r} exceeds n_tasks = {n_tasks}; simple graph impossible")
     _check_pair_keys(n_tasks, n_workers)
     m = n_tasks * l
-    task_stubs = np.repeat(np.arange(n_tasks, dtype=np.int64), l)
+    # The stubs are the two columns of the graph's own edge array.
+    edges = np.empty((m, 2), dtype=np.int64)
+    edges.reshape(n_tasks, l, 2)[:, :, 0] = np.arange(n_tasks)[:, None]
+    edges.reshape(n_workers, r, 2)[:, :, 1] = np.arange(n_workers)[:, None]
+    task_stubs, worker_stubs = edges[:, 0], edges[:, 1]
     rng = rng_from(seed)
-    worker_stubs = rng.permutation(np.repeat(np.arange(n_workers, dtype=np.int64), r))
+    rng.shuffle(worker_stubs)
 
     for _ in range(_REPAIR_ROUNDS):
         repeats = repeated_pairs(task_stubs, worker_stubs, n_tasks, n_workers)
         if not repeats.size:
-            return AssignmentGraph(n_tasks, n_workers, np.column_stack((task_stubs, worker_stubs)))
+            return AssignmentGraph(n_tasks, n_workers, edges)
         # Swap each later occurrence of a duplicated pair with a random stub.
         for pos in repeats.tolist():
             partner = int(rng.integers(m))

@@ -256,13 +256,13 @@ class TestOracleTask:
         truth = cb.sample_ground_truth(g, prior, seed=2)
         answers = cb.sample_answers(g, truth, seed=3)
         calls = []
-        run = exact.bp_run
+        run = exact._run
 
         def counting(*args, **kwargs):
             calls.append(args[0].n_edges)
             return run(*args, **kwargs)
 
-        monkeypatch.setattr(exact, "bp_run", counting)
+        monkeypatch.setattr(exact, "_run", counting)
         cb.oracle_task_estimate(g, answers, prior, truth)
         # One run per block of 8 roots would be 25.
         assert 1 <= len(calls) <= 6
@@ -302,6 +302,32 @@ class TestOracleTask:
             report = cb.oracle_task_estimate(g, np.empty(0, dtype=np.int64),
                                              cb.spammer_hammer(), truth)
             assert report.margins.tolist() == [0.0] * n_tasks
+
+    ZERO_MASS = r"worker message on edge \d+ \(task \d+, worker \d+\) has zero mass"
+
+    def test_worker_contradicting_revealed_labels_names_an_edge(self):
+        # Under atoms at p = 0 and 1 a worker is always right or always wrong.
+        # In K(3, 3) rooted at task 0, worker 0 also answers the revealed
+        # tasks 1 and 2, one rightly and one wrongly: its message has no mass.
+        g = cb.AssignmentGraph(3, 3, np.array([[t, u] for t in range(3) for u in range(3)]))
+        truth = cb.GroundTruth(np.ones(3, dtype=np.int64), np.array([1.0, 1.0, 0.0]))
+        answers = np.ones(9, dtype=np.int64)
+        answers[6] = -1  # task 2, worker 0
+        certain = cb.ReliabilityPrior.from_atoms([0.0, 1.0], [0.5, 0.5])
+        with pytest.raises(cb.NumericDegeneracyError, match=self.ZERO_MASS):
+            cb.oracle_task_estimate(g, answers, certain, truth)
+
+    def test_certain_atoms_decode_consistent_answers_and_name_an_edge_otherwise(self, rng):
+        certain = cb.ReliabilityPrior.from_atoms([0.0, 1.0], [0.5, 0.5])
+        for seed in range(20):
+            g = cb.generate_regular_bipartite(int(rng.integers(6, 30)), 3, 3, seed=seed)
+            truth = cb.sample_ground_truth(g, certain, seed=seed)
+            # Each worker always right or always wrong, as the prior allows.
+            report = cb.oracle_task_estimate(g, cb.sample_answers(g, truth, seed=seed),
+                                             certain, truth)
+            assert np.all(np.abs(report.margins) <= 1.0)
+            with pytest.raises(cb.NumericDegeneracyError, match=self.ZERO_MASS):
+                cb.oracle_task_estimate(g, rng.choice([-1, 1], g.n_edges), certain, truth)
 
     def test_truth_length_validated(self):
         g = four_cycle()

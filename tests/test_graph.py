@@ -5,6 +5,7 @@ import crowdbp as cb
 from crowdbp import graph as graph_module
 from crowdbp.cli import main
 from crowdbp.seeding import child_seed
+from tests.memory import traced_peak
 
 
 class TestAssignmentGraph:
@@ -34,6 +35,13 @@ class TestAssignmentGraph:
         assert graph_module.repeated_pairs(tasks[:2], workers[:2], 3, 2).tolist() == []
         with pytest.raises(cb.SizeError):
             graph_module.repeated_pairs(tasks, workers, 2**32, 2**31 + 1)
+
+    def test_checks_keep_one_pair_key_per_edge(self):
+        # The pair keys and a sorted copy of them took 17 bytes per edge.
+        g = cb.generate_regular_bipartite(20_000, 10, 5, seed=0)
+        edges = g.edges.copy()
+        peak, _ = traced_peak(lambda: cb.AssignmentGraph(g.n_tasks, g.n_workers, edges))
+        assert peak / g.n_edges < 12
 
     def test_degrees_and_adjacency(self):
         g = cb.AssignmentGraph(3, 2, np.array([[0, 0], [0, 1], [1, 0], [2, 1]]))
@@ -72,6 +80,13 @@ class TestRegularGenerator:
         c = cb.generate_regular_bipartite(50, 4, 4, seed=12)
         np.testing.assert_array_equal(a.edges, b.edges)
         assert not np.array_equal(a.edges, c.edges)
+
+    def test_peak_memory_is_about_five_edge_arrays(self):
+        # The returned edges are two int64 edge arrays, and a repair round's
+        # pair keys and lookups three more.  Pairing two stub arrays and
+        # stacking them peaked at 6.13.
+        peak, g = traced_peak(lambda: cb.generate_regular_bipartite(20_000, 10, 5, seed=1))
+        assert peak / (8 * g.n_edges) < 5.6
 
     def test_parameter_errors(self):
         with pytest.raises(cb.ParameterError):
@@ -126,6 +141,13 @@ class TestSampling:
         truth = cb.GroundTruth(np.ones(3, dtype=int), np.full(4, 0.9))
         with pytest.raises(cb.ParameterError):
             cb.sample_answers(g, truth, seed=0)
+
+    def test_answer_check_takes_no_int64_copy(self):
+        # An int64 np.abs of the answers took 9 bytes per edge; each
+        # comparison takes one.
+        signs = np.random.default_rng(0).choice(np.array([-1, 1]), 400_000)
+        peak, _ = traced_peak(lambda: cb.AnswerMatrix(signs))
+        assert peak / signs.size < 4
 
     def test_truth_and_answer_validation(self):
         with pytest.raises(cb.ParameterError):
