@@ -9,8 +9,7 @@ references and the clamped-spanning-tree oracle, plus a simulator,
 analytic bounds and a benchmark harness with a CLI.
 """
 
-from .bp import (BeliefState, EstimateReport, bp_init, bp_run, bp_update_worker_messages,
-                 decode_labels)
+from .bp import EstimateReport, bp_run, decode_labels
 from .errors import (CrowdBPError, DataFormatError, GenerationError,
                      NumericDegeneracyError, ParameterError, SizeError)
 from .estimators import (EstimatorSpec, ebp_run, em_run, kos_run, majority_vote,
@@ -23,18 +22,18 @@ from .harness import (CSV_COLUMNS, Dataset, ExperimentConfig, MetricsRow, error_
                       load_dataset, load_experiment_config, nearest_feasible_n,
                       run_experiment, run_inference, save_dataset, subsample_assignments,
                       write_metrics_csv)
-from .priors import (FactorTable, ReliabilityPrior, adversary_spammer_hammer,
-                     empirical_prior, parse_prior_spec, spammer_hammer)
+from .priors import (ReliabilityPrior, adversary_spammer_hammer, empirical_prior,
+                     parse_prior_spec, spammer_hammer)
 from .seeding import child_seed, rng_from
 from .theory import theoretical_bounds, theory_iterations, tree_probability_bound
 
 __all__ = [
-    "AnswerMatrix", "AssignmentGraph", "BeliefState", "CSV_COLUMNS", "CrowdBPError",
+    "AnswerMatrix", "AssignmentGraph", "CSV_COLUMNS", "CrowdBPError",
     "DataFormatError", "Dataset", "EstimateReport", "EstimatorSpec", "ExperimentConfig",
-    "FactorTable", "GenerationError", "GroundTruth", "MetricsRow",
+    "GenerationError", "GroundTruth", "MetricsRow",
     "NumericDegeneracyError", "ParameterError", "ReliabilityPrior", "SizeError",
-    "adversary_spammer_hammer", "bp_init", "bp_run", "bp_update_worker_messages",
-    "brute_force_marginals", "child_seed", "decode_labels", "ebp_run", "em_run",
+    "adversary_spammer_hammer", "bp_run", "brute_force_marginals", "child_seed",
+    "decode_labels", "ebp_run", "em_run",
     "empirical_prior", "error_rate", "exact_conditional_gain",
     "generate_regular_bipartite", "kos_run", "load_dataset", "load_experiment_config",
     "majority_vote", "nearest_feasible_n", "oracle_task_estimate",

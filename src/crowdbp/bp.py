@@ -154,22 +154,28 @@ def _iterate(step, state, k_max: int, tol: float) -> tuple[object, int, bool, fl
 
 # -- LLR core -----------------------------------------------------------------
 
-def _check_edges(llr: np.ndarray, graph: AssignmentGraph, what: str) -> None:
-    """NaN marks a message with zero mass on both labels."""
+def _check_edges(llr: np.ndarray, graph: AssignmentGraph, what: str,
+                 origin: tuple | None = None) -> None:
+    """NaN marks a message with zero mass on both labels.  The error names
+    the edge of ``graph``, or its edge in ``origin`` (see ``_run``)."""
     bad = np.isnan(llr)
     if bad.any():
         idx = int(np.flatnonzero(bad)[0])
+        if origin is not None:
+            graph, idx = origin[0], int(origin[1][idx])
         task, worker = graph.edges[idx]
         raise NumericDegeneracyError(
             f"{what} on edge {idx} (task {task}, worker {worker}) has zero mass"
         )
 
 
-def _check_beliefs(belief: np.ndarray) -> None:
+def _check_beliefs(belief: np.ndarray, origin: tuple | None = None) -> None:
     bad = np.isnan(belief)
     if bad.any():
-        raise NumericDegeneracyError(
-            f"belief for task {int(np.flatnonzero(bad)[0])} has zero mass")
+        task = int(np.flatnonzero(bad)[0])
+        if origin is not None:
+            task = int(origin[2][task])
+        raise NumericDegeneracyError(f"belief for task {task} has zero mass")
 
 
 def _signed_sum(llr: np.ndarray, grouping: Grouping,
@@ -316,11 +322,6 @@ def _degree_classes(degrees: np.ndarray, n_atoms: int,
     Workers without edges belong to no class.
     """
     n_edges = int(degrees.sum())
-    if (n_atoms - 1) * n_edges < _CLASS_OVERHEAD_EDGES:
-        # No class can save its cost, so all fold into the atoms' class.
-        # This spares the small graphs of the bench and the oracle's forests
-        # about 50 us per call, 3% of a sweep-small pass.
-        return [(n_atoms, degrees > 0)]
     need = degrees // 2 + 1
     # A capped k-node rule is built from a k x K Lanczos basis in O(k^2 K)
     # work.  Needs with k K above the edge count keep the atoms, so the basis
@@ -452,24 +453,19 @@ def bp_update_task_messages(state: BeliefState, graph: AssignmentGraph,
     return replace(state, msg_task_to_worker=_llr_to_pairs(nu))
 
 
-def _worker_kernel(kernel: str, graph: AssignmentGraph, a: np.ndarray,
-                   factors: FactorTable):
-    """The pair API's worker half-sweep, magnetizations -> LLRs, of the named kernel."""
-    if kernel == "magnetization":
-        return _class_kernel(graph, a, factors.prior)
-    if kernel == "naive":
-        # The only reader of the literal factor table f(c, r).
-        return partial(_worker_llrs_naive, graph=graph, a=a, table=factors)
-    raise ParameterError(f"unknown kernel {kernel!r}")
-
-
 def bp_update_worker_messages(state: BeliefState, graph: AssignmentGraph,
                               answers: AnswerMatrix | np.ndarray, factors: FactorTable,
                               kernel: str = "magnetization") -> BeliefState:
     """Each worker tells each task how its other answers weigh the label."""
     a = answer_values(answers, graph)
-    worker_half = _worker_kernel(kernel, graph, a, factors)
-    lam = worker_half(np.tanh(_pairs_to_llr(state.msg_task_to_worker) / 2.0))
+    x = np.tanh(_pairs_to_llr(state.msg_task_to_worker) / 2.0)
+    if kernel == "magnetization":
+        lam = _class_kernel(graph, a, factors.prior)(x)
+    elif kernel == "naive":
+        # The only reader of the literal factor table f(c, r).
+        lam = _worker_llrs_naive(x, graph, a, factors)
+    else:
+        raise ParameterError(f"unknown kernel {kernel!r}")
     _check_edges(lam, graph, "worker message")
     return replace(state, msg_worker_to_task=_llr_to_pairs(lam))
 
@@ -509,11 +505,15 @@ def bp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
 
 
 def _run(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior, k_max: int,
-         tol: float, clamp_tasks: np.ndarray, clamp_labels: np.ndarray) -> tuple:
+         tol: float, clamp_tasks: np.ndarray, clamp_labels: np.ndarray,
+         origin: tuple | None = None) -> tuple:
     """``bp_run``'s sweeps and decode on checked inputs: int64 answers and
     clamps (int64 task ids and ±1 labels, both empty for none).  Returns the
     margins, the final worker-to-task LLRs and task-to-worker magnetizations,
-    the sweeps run, whether they converged and the last change."""
+    the sweeps run, whether they converged and the last change.  With
+    ``origin = (caller, edge_ids, task_ids)``, a zero-mass error at edge e
+    or task t of ``graph`` names edge ``edge_ids[e]`` or task
+    ``task_ids[t]`` of ``caller``."""
     worker_half = _class_kernel(graph, a, prior)
     pin_edges, pin_llr = _pinned_edges(graph, clamp_tasks, clamp_labels)
     # The sweeps pass three edge buffers around, so naming the start state
@@ -527,11 +527,11 @@ def _run(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior, k_max: 
         lam, x_prev, y_prev = state
         _, nu = _task_llrs(lam, graph.by_task, out=spare)
         nu[pin_edges] = pin_llr
-        _check_edges(nu, graph, "task message")
+        _check_edges(nu, graph, "task message", origin)
         x = np.tanh(np.divide(nu, 2.0, out=nu), out=nu)
         dx = _max_change(x, x_prev)
         lam = worker_half(x)
-        _check_edges(lam, graph, "worker message")
+        _check_edges(lam, graph, "worker message", origin)
         y = np.tanh(np.divide(lam, 2.0, out=x_prev), out=x_prev)
         dy = _max_change(y, y_prev)
         spare = y_prev
@@ -542,7 +542,7 @@ def _run(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior, k_max: 
     total, _ = _task_llrs(lam, graph.by_task, out=spare)
     margins = np.tanh(total / 2.0)
     margins[clamp_tasks] = clamp_labels
-    _check_beliefs(margins)
+    _check_beliefs(margins, origin)
     return margins, lam, x, iterations, converged, delta
 
 

@@ -122,11 +122,18 @@ def oracle_work(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
         warnings.warn("reliabilities at 0 or 1 clamped for log-odds weighting",
                       stacklevel=2)
         p = np.clip(p, _P_CLAMP, 1.0 - _P_CLAMP)
-    weights = np.log(p / (1.0 - p))
-    a = answer_values(answers, graph)
-    scores = segment_sum(a * gather(weights, graph.by_worker), graph.by_task)
+    scores = _log_odds_vote(graph, answer_values(answers, graph), p)
     return make_report(np.tanh(scores / 2.0), iterations_run=0, converged=True,
                        max_delta=0.0)
+
+
+def _log_odds_vote(graph: AssignmentGraph, a: np.ndarray, p: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Per task, the sum of its answers ``a`` weighted by their workers'
+    log-odds log(p / (1 - p)); ``out`` is an optional float edge buffer."""
+    terms = gather(np.log(p / (1.0 - p)), graph.by_worker, out=out)
+    terms *= a
+    return segment_sum(terms, graph.by_task)
 
 
 def _em_e_step(graph: AssignmentGraph, a: np.ndarray, p_hat: np.ndarray,
@@ -135,11 +142,7 @@ def _em_e_step(graph: AssignmentGraph, a: np.ndarray, p_hat: np.ndarray,
 
     ``out`` is an optional float edge buffer for the per-edge terms.
     """
-    log_odds = np.log(p_hat / (1.0 - p_hat))
-    terms = gather(log_odds, graph.by_worker, out=out)
-    terms *= a
-    scores = segment_sum(terms, graph.by_task)
-    return 1.0 / (1.0 + np.exp(-scores))
+    return 1.0 / (1.0 + np.exp(-_log_odds_vote(graph, a, p_hat, out)))
 
 
 def _em_m_step(graph: AssignmentGraph, a: np.ndarray, w: np.ndarray,

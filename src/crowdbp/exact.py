@@ -270,11 +270,13 @@ def _decode_batch(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior
                   labels: np.ndarray, blocks: list[_Block], margins: np.ndarray) -> int:
     """Decode a batch of blocks' regions in one run of BP's unchecked core,
     of as many sweeps as its deepest region needs; write each root's margin
-    into ``margins`` and return the sweeps run."""
-    roots, at_root, regions, edge, clamped, clamped_tasks = _batch_forest(graph, blocks)
+    into ``margins`` and return the sweeps run.  Zero-mass errors name the
+    edges and tasks of ``graph``."""
+    roots, at_root, regions, edge, tasks, clamped = _batch_forest(graph, blocks)
     depth = max(block[3] for block in blocks)
     forest_margins, _, _, iterations, _, _ = _run(
-        regions, a[edge], prior, depth // 2 + 2, 0.0, clamped, labels[clamped_tasks])
+        regions, a[edge], prior, depth // 2 + 2, 0.0, clamped, labels[tasks[clamped]],
+        origin=(graph, edge, tasks))
     margins[roots] = forest_margins[at_root]
     return iterations
 
@@ -283,9 +285,8 @@ def _batch_forest(graph: AssignmentGraph, blocks: list[_Block]) -> tuple:
     """The disjoint union of a batch's region forests, one tree per root.
 
     Returns the batch's roots, their tasks in the union, the union as a
-    graph, its edges' ids in ``graph``, and its boundary tasks' ids in the
-    union and in ``graph``.  The caller's BP run then holds none of the
-    arrays that built them.
+    graph, its edges' and tasks' ids in ``graph``, and its boundary tasks.
+    The caller's BP run then holds none of the arrays that built them.
     """
     n_tasks, n_workers, n_edges = graph.n_tasks, graph.n_workers, graph.n_edges
     # Number the slots across the batch and go slot by slot in edge order:
@@ -306,7 +307,7 @@ def _batch_forest(graph: AssignmentGraph, blocks: list[_Block]) -> tuple:
     clamped = np.flatnonzero(is_clamped)
     roots = np.concatenate([block[0] for block in blocks])
     at_root = np.searchsorted(task_ids, np.arange(roots.size) * n_tasks + roots)
-    return roots, at_root, regions, edge, clamped, task_ids[clamped] % n_tasks
+    return roots, at_root, regions, edge, task_ids % n_tasks, clamped
 
 
 def _gain_masses(graph: AssignmentGraph, prior: ReliabilityPrior, root: int,

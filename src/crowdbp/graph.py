@@ -106,8 +106,8 @@ def repeated_pairs(tasks: np.ndarray, workers: np.ndarray, n_tasks: int,
     """Ids, ascending, of the entries whose (task, worker) pair already
     appeared at a lower id; ``SizeError`` if ``n_tasks * n_workers > 2**63``.
 
-    One in-place sort of the pair keys settles the common case of no
-    repeat; only a repeat builds them again.
+    One in-place sort of the pair keys, int64 like the ids, settles the
+    common case of no repeat; only a repeat builds them again.
     """
     _check_pair_keys(n_tasks, n_workers)
     ordered = tasks * n_workers + workers
@@ -118,8 +118,9 @@ def repeated_pairs(tasks: np.ndarray, workers: np.ndarray, n_tasks: int,
         return np.empty(0, dtype=np.int64)
     keys = tasks * n_workers + workers
     # Not np.isin: its sort path imports numpy.ma, 0.8 MB in every forked bench worker.
-    at = np.searchsorted(repeated, keys).clip(max=repeated.size - 1)
-    ids = np.flatnonzero(repeated[at] == keys)
+    # The gather reuses the positions' buffer; "clip" maps past-the-end to the last key.
+    at = np.searchsorted(repeated, keys)
+    ids = np.flatnonzero(np.take(repeated, at, out=at, mode="clip") == keys)
     later = np.ones(ids.size, dtype=bool)
     later[np.unique(keys[ids], return_index=True)[1]] = False
     return ids[later]

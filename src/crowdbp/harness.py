@@ -223,13 +223,8 @@ class _Column:
         row_ids = np.empty(order.size, dtype=np.min_scalar_type(n - 1))
         row_ids[order] = np.repeat(ids, np.diff(heads, append=order.size))
         if new.size:  # merge the new keys into the table
-            slots = at[new] + np.arange(new.size)
-            old = np.ones(n, dtype=bool)
-            old[slots] = False
-            table, table_ids = np.empty(n, dtype=flat.dtype), np.empty(n, dtype=np.int64)
-            table[slots], table[old] = distinct[new], self.table
-            table_ids[slots], table_ids[old] = ids[new], self.table_ids
-            self.table, self.table_ids = table, table_ids
+            self.table = np.insert(self.table, at[new], distinct[new])
+            self.table_ids = np.insert(self.table_ids, at[new], ids[new])
         self.ids.append(row_ids)
         self.first_rows.append(self.n_rows + np.flatnonzero(fresh))
         self.n_rows += order.size

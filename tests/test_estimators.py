@@ -208,6 +208,21 @@ class TestOracleWork:
             report = cb.oracle_work(star_graph(1), np.array([1]), np.array([1.0]))
         assert report.labels[0] == 1
 
+    def test_margins_are_the_tanh_of_half_the_log_odds_vote(self, rng):
+        # Bitwise, on irregular graphs, against the formula written out.
+        for _ in range(30):
+            n_tasks, n_workers = int(rng.integers(1, 40)), int(rng.integers(1, 30))
+            g = cb.AssignmentGraph(n_tasks, n_workers,
+                                   np.argwhere(rng.random((n_tasks, n_workers)) < 0.3))
+            a = rng.choice([-1, 1], g.n_edges)
+            p = rng.uniform(0.01, 0.99, n_workers)
+            weights = np.log(p / (1.0 - p))
+            scores = np.bincount(g.edges[:, 0], weights=a * weights[g.edges[:, 1]],
+                                 minlength=n_tasks)
+            margins = cb.oracle_work(g, a, p).margins
+            np.testing.assert_array_equal(margins.view(np.int64),
+                                          np.tanh(scores / 2.0).view(np.int64))
+
     def test_validation(self):
         with pytest.raises(cb.ParameterError):
             cb.oracle_work(star_graph(2), np.array([1, 1]), np.array([0.9]))

@@ -1,3 +1,4 @@
+import re
 from collections import deque
 
 import numpy as np
@@ -328,6 +329,27 @@ class TestOracleTask:
             assert np.all(np.abs(report.margins) <= 1.0)
             with pytest.raises(cb.NumericDegeneracyError, match=self.ZERO_MASS):
                 cb.oracle_task_estimate(g, rng.choice([-1, 1], g.n_edges), certain, truth)
+
+    def test_zero_mass_errors_name_the_callers_edge_and_task(self, rng):
+        # The batch decodes a union of forests with ids of its own; an error
+        # names the edge and task of the graph the caller passed.
+        certain = cb.parse_prior_spec("atoms:0=0.5,1=0.5")
+        for seed in range(20):
+            g = cb.generate_regular_bipartite(30, 3, 3, seed=seed)
+            truth = cb.sample_ground_truth(g, certain, seed=seed)
+            with pytest.raises(cb.NumericDegeneracyError, match=self.ZERO_MASS) as error:
+                cb.oracle_task_estimate(g, rng.choice([-1, 1], g.n_edges), certain, truth)
+            edge, task, worker = map(int, re.findall(r"\d+", str(error.value)))
+            assert edge < g.n_edges and g.edges[edge].tolist() == [task, worker]
+        # Rooted at task 1, workers 0 and 2 each answer one revealed task as
+        # well (tasks 0 and 2): worker 0 wrongly, so it is always wrong, and
+        # worker 2 rightly, so it is always right.  Both answer task 1 with
+        # +1, so its belief holds +inf and -inf.
+        g = cb.AssignmentGraph(3, 3, np.array([[0, 0], [0, 1], [0, 2], [1, 0], [1, 2],
+                                               [2, 1], [2, 2]]))
+        truth = cb.GroundTruth(np.ones(3, dtype=np.int64), np.full(3, 0.5))
+        with pytest.raises(cb.NumericDegeneracyError, match="^belief for task 1 has zero mass$"):
+            cb.oracle_task_estimate(g, np.array([-1, -1, 1, 1, 1, 1, 1]), certain, truth)
 
     def test_truth_length_validated(self):
         g = four_cycle()
