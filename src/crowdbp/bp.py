@@ -30,12 +30,16 @@ weighted by f(c, r) exactly.  The leave-one-out log product is
 S_mu[u] - log(1 + mu A_iu x_i), with S_mu the per-worker sum of those
 logs; factors that are exactly 0 (mu = ±1 against a certain message) are
 counted per worker instead of divided out.  Atoms are folded in one at a
-time under a running per-edge maximum, in five edge buffers.  A run reads
-the int64 answers in place, allocates its buffers once and writes every
-sweep into them, so it holds eight float edge arrays whatever the atom
-count and the sweep count: the magnetizations in both directions, one
-spare, and the fold's five, one of which holds the worker messages.  When
-the degree classes below split, three more hold the gathered
+time under a running per-edge maximum.  Only an atom's logs and their
+per-worker sums take the whole edge array; the rest of the fold is
+elementwise and runs over fixed-size blocks of edges.  A run reads the
+int64 answers in place, allocates its buffers once and writes every sweep
+into them, so it holds a fixed number of float edge arrays whatever the
+atom count and the sweep count: the magnetizations in both directions, one
+spare, and the logs, which end as the worker messages.  That is four when
+at most one atom has mu != 0 (``sh``), and seven when two or more do
+(``ash``, a Beta prior), whose running maximum and two lanes then span the
+edges.  When the degree classes below split, three more hold the gathered
 magnetizations, the scattered messages and the per-class answers, as
 floats.  The ``naive`` kernel of the pair API below evaluates the
 configuration sum directly and exists as the independent cross-check.
@@ -82,8 +86,7 @@ from .errors import (NumericDegeneracyError, ParameterError, SizeError, check_co
                      check_ids, check_signs)
 from .graph import AnswerMatrix, AssignmentGraph, answer_values
 from .priors import FactorTable, ReliabilityPrior
-from .segments import (Grouping, build_grouping, gather, segment_loo_log1p, segment_others,
-                       segment_sum)
+from .segments import Grouping, build_grouping, gather, segment_others, segment_sum
 
 _NAIVE_DEGREE_GUARD = 14
 # What running a degree class on its own costs per sweep beyond its atom
@@ -221,58 +224,80 @@ def _task_llrs(lam: np.ndarray, grouping: Grouping,
         return total + _certain(n_plus, n_minus), others
 
 
-# The float edge buffers of one worker-half fold: the current atom's logs,
-# its leave-one-out sums, the running maximum, and the two lanes.
-_FOLD_BUFFERS = 5
+# Edges per block of the fold's elementwise steps, whose temporaries are
+# sized to one block.
+_CHUNK = 2**14
+
+
+def _fold_rows(atom_mu: np.ndarray) -> int:
+    """Float edge rows of a fold: the logs, which end as the messages, and the
+    running maximum and two lanes when two or more atoms have mu != 0."""
+    return 1 if np.count_nonzero(atom_mu) < 2 else 4
 
 
 def _worker_llrs(x: np.ndarray, grouping: Grouping, a: np.ndarray,
-                 atom_mu: np.ndarray, atom_w: np.ndarray,
-                 work: np.ndarray | None = None) -> np.ndarray:
+                 atom_mu: np.ndarray, atom_w: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Worker-to-task LLRs from task-to-worker magnetizations ``x``; NaN marks zero mass.
 
     ``grouping`` groups the edges by worker; the rule (``atom_mu``,
     ``atom_w``) must be exact up to every worker's degree.  ``work`` holds
-    ``_FOLD_BUFFERS`` float rows of the edge count, allocated here when not
-    given; the result is written in one of them.
+    at least ``_fold_rows(atom_mu)`` float rows of the edge count; the
+    result is written in the first.
     """
-    if work is None:
-        work = np.empty((_FOLD_BUFFERS, x.size))
-    logs, loo_buf, top_buf, agree_buf, disagree_buf = work
+    logs, starts = work[0], np.flatnonzero(atom_mu)
+    if not starts.size:
+        return np.multiply(a, _prior_mean_llr(atom_mu, atom_w), out=logs)
+    plus, minus = atom_w * (1.0 + atom_mu), atom_w * (1.0 - atom_mu)
     # Per edge: the largest log leave-one-out product so far and the two
-    # lanes sum_mu w (1 ± mu) exp(loo_mu - top).  A mu = 0 atom has the
-    # product 1 on every edge and stays scalar, and so does the state until
-    # the first atom with mu != 0.
-    top, agree, disagree, agree_out = _NO_ATOM_YET, 0.0, 0.0, None
-    for mu, w in zip(atom_mu, atom_w):
-        if mu == 0.0:
-            loo = 0.0
-        else:
-            np.multiply(a, x, out=logs)
-            logs *= mu
-            loo = segment_loo_log1p(logs, grouping, out=loo_buf)
-        if np.ndim(top) == np.ndim(loo) == 0:
-            new_buf = rescale_buf = weight_buf = agree_out = disagree_out = None
-        else:
-            # logs is spent; rescale overwrites the old top and weight the loo.
-            new_buf, rescale_buf, weight_buf = logs, top_buf, loo_buf
-            agree_out, disagree_out = agree_buf, disagree_buf
-        new_top = np.maximum(top, loo, out=new_buf)
-        rescale = np.exp(np.subtract(top, new_top, out=rescale_buf), out=rescale_buf)
-        weight = np.exp(np.subtract(loo, new_top, out=weight_buf), out=weight_buf)
-        agree = np.multiply(agree, rescale, out=agree_out)
-        disagree = np.multiply(disagree, rescale, out=disagree_out)
-        # rescale is spent: it takes each lane's increment in turn.
-        agree = np.add(agree, np.multiply(w * (1.0 + mu), weight, out=rescale_buf),
-                       out=agree_out)
-        disagree = np.add(disagree, np.multiply(w * (1.0 - mu), weight, out=rescale_buf),
-                          out=disagree_out)
-        top = new_top
-        if new_buf is not None:
-            logs, top_buf = top_buf, logs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.log(np.divide(agree, disagree, out=agree_out), out=agree_out)
-        return np.multiply(a, ratio, out=agree_buf)
+    # lanes sum_mu w (1 ± mu) exp(loo_mu - top).  Until the first atom with
+    # mu != 0 every product is 1 and the state is scalar (see _prior_mean_llr).
+    first, full = starts[0], starts.size > 1
+    state = (0.0, np.cumsum(plus[:first])[-1], np.cumsum(minus[:first])[-1]) if first else (
+        _NO_ATOM_YET, 0.0, 0.0)
+    temp, blocks = np.empty((2 if full else 5, min(_CHUNK, x.size))), []
+    for lo in range(0, x.size, _CHUNK):
+        at = slice(lo, lo + _CHUNK)
+        new_top, loo, *lanes = temp[:, :min(_CHUNK, x.size - lo)]
+        blocks.append((at, new_top, loo, tuple(work[1:4, at]) if full else lanes))
+    # Each atom with mu != 0 takes its logs and their per-worker sums over
+    # all edges, then folds in a block at a time with the mu = 0 atoms after it.
+    for k0, k1 in zip(starts, [*starts[1:], atom_mu.size]):
+        np.multiply(a, x, out=logs)
+        logs *= atom_mu[k0]
+        with np.errstate(divide="ignore"):
+            np.log1p(logs, out=logs)
+        # A factor 1 + y == 0 is counted per worker instead of summed as
+        # -inf, so exactly the worker's other edges get a -inf product.
+        zero, n_zero = logs == -np.inf, None
+        if zero.any():
+            logs[zero] = 0.0
+            n_zero = np.bincount(grouping.keys[zero], minlength=grouping.n_segments)
+        totals = segment_sum(logs, grouping)
+        for at, new_top, loo, (top_out, agree_out, disagree_out) in blocks:
+            keys = grouping.keys[at]
+            np.subtract(np.take(totals, keys, out=loo, mode="clip"), logs[at], out=loo)
+            if n_zero is not None:
+                loo[np.take(n_zero, keys, mode="clip") > zero[at]] = -np.inf
+            for k in range(k0, k1):
+                top, agree, disagree = state if k == first else (top_out, agree_out,
+                                                                 disagree_out)
+                loo_k = loo if k == k0 else 0.0
+                np.maximum(top, loo_k, out=new_top)
+                rescale = np.exp(np.subtract(top, new_top, out=top_out), out=top_out)
+                weight = np.exp(np.subtract(loo_k, new_top, out=loo), out=loo)
+                np.multiply(agree, rescale, out=agree_out)
+                np.multiply(disagree, rescale, out=disagree_out)
+                # rescale is spent: its buffer takes each lane's increment in turn.
+                agree_out += np.multiply(plus[k], weight, out=top_out)
+                disagree_out += np.multiply(minus[k], weight, out=top_out)
+                np.copyto(top_out, new_top)
+            if k1 == atom_mu.size:
+                # A lane ratio beyond the float range overflows to an infinite LLR.
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    ratio = np.log(np.divide(agree_out, disagree_out, out=agree_out),
+                                   out=agree_out)
+                np.multiply(a[at], ratio, out=logs[at])
+    return logs
 
 
 def _worker_llrs_naive(x: np.ndarray, graph: AssignmentGraph, a: np.ndarray,
@@ -369,7 +394,7 @@ def _class_kernel(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior
         # The top rule on the whole graph runs with no gather or scatter, so
         # its margins are bitwise those of one fold over that rule.
         return partial(_worker_llrs, grouping=graph.by_worker, a=a, atom_mu=atom_mu,
-                       atom_w=atom_w, work=np.empty((_FOLD_BUFFERS, graph.n_edges)))
+                       atom_w=atom_w, work=np.empty((_fold_rows(atom_mu), graph.n_edges)))
     prior_mean = _prior_mean_llr(atom_mu, atom_w)
     parts = []
     for k, members in classes:
@@ -386,14 +411,20 @@ def _class_kernel(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior
         parts.append((edges, grouping, a[edges].astype(np.float64), mu, w, shift))
     # Each class folds in the leading columns of the same rows, after its
     # magnetizations are gathered into the last row.
-    work = np.empty((_FOLD_BUFFERS + 1, graph.n_edges))
+    work = np.empty((max(_fold_rows(part[3]) for part in parts) + 1, graph.n_edges))
     return partial(_class_worker_llrs, parts=parts, work=work, lam=np.empty(graph.n_edges))
 
 
 def _prior_mean_llr(atom_mu: np.ndarray, atom_w: np.ndarray) -> float:
-    """What the rule sends for a +1 answer whose other answers have x = 0."""
-    one_edge = build_grouping(np.zeros(1, dtype=np.int64), 1)
-    return float(_worker_llrs(np.zeros(1), one_edge, np.ones(1), atom_mu, atom_w)[0])
+    """What the rule sends for a +1 answer whose other answers have x = 0.
+
+    Every leave-one-out product is then 1, so each lane of the fold is the
+    running sum of w (1 ± mu) in atom order.
+    """
+    agree = np.cumsum(atom_w * (1.0 + atom_mu))[-1]
+    disagree = np.cumsum(atom_w * (1.0 - atom_mu))[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.log(agree / disagree))
 
 
 def _class_worker_llrs(x: np.ndarray, parts: list, work: np.ndarray,
@@ -401,9 +432,9 @@ def _class_worker_llrs(x: np.ndarray, parts: list, work: np.ndarray,
     for edges, grouping, a, atom_mu, atom_w, shift in parts:
         rows = work[:, :edges.size]
         x_class = np.take(x, edges, out=rows[-1], mode="clip")
-        llr = _worker_llrs(x_class, grouping, a, atom_mu, atom_w, rows[:_FOLD_BUFFERS])
-        # The fold returns one of its lanes; its leave-one-out row is free.
-        llr += np.multiply(a, shift, out=rows[1])
+        llr = _worker_llrs(x_class, grouping, a, atom_mu, atom_w, rows[:-1])
+        # The fold has read the magnetizations; their row takes the shift.
+        llr += np.multiply(a, shift, out=x_class)
         lam[edges] = llr
     return lam
 

@@ -7,8 +7,6 @@ every edge its node's value" (:func:`gather`, one ``np.take`` by them) and
 total minus the edge's own value).  A :class:`Grouping` keeps, for one side
 of the bipartite graph, the node id of every edge in natural edge order plus
 the node degrees, so each costs O(edges) whatever the degree profile.
-:func:`segment_loo_log1p` takes leave-one-out products the same way in log
-space, with exact zero factors counted rather than divided out.
 
 The stable sort order and CSR offsets (edges listed node by node) are
 built on first use only, for the callers that walk nodes one at a time.
@@ -64,25 +62,3 @@ def segment_others(values: np.ndarray, grouping: Grouping, totals: np.ndarray | 
     others = gather(totals, grouping, out=out)
     return np.subtract(others, values, out=others)
 
-
-def segment_loo_log1p(y: np.ndarray, grouping: Grouping,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """Per edge, log of the product of (1 + y) over the other edges of its segment.
-
-    Returned in natural edge order; singleton segments get log 1 = 0.  A
-    factor 1 + y == 0 is counted per segment instead of summed as -inf, so
-    exactly the other edges of that segment get -inf and the edge holding
-    the zero keeps the product of the rest.  With ``out``, the result is
-    written there and ``y`` is overwritten by its logs, so that the call
-    allocates no float edge array.
-    """
-    with np.errstate(divide="ignore"):
-        logs = np.log1p(y, out=None if out is None else y)
-    zero = logs == -np.inf
-    has_zero = zero.any()
-    if has_zero:
-        logs[zero] = 0.0
-    loo = segment_others(logs, grouping, out=out)
-    if has_zero:
-        loo[segment_others(zero, grouping) > 0] = -np.inf
-    return loo

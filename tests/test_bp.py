@@ -558,7 +558,9 @@ class TestDegreeClasses:
         a = rng.choice([-1, 1], size=g.n_edges)
         peak, report = traced_peak(lambda: cb.bp_run(g, a, prior, k_max=1, tol=0.0))
         assert np.isfinite(report.margins).all()
-        # About 8 edge arrays of 8 bytes per edge are live in a sweep.
+        # A sweep holds at most ten edge arrays of 8 bytes per edge, plus the
+        # fold's block temporaries, five more rows on a graph smaller than
+        # one block: 0.9 MB here.
         assert peak < 4 * 2**20
 
 
@@ -613,14 +615,48 @@ class TestBufferedSweeps:
             assert (outcome(cb.bp_run, g, answers, prior, k_max=30)
                     == outcome(reference_bp_run, g, answers, prior, k_max=30))
 
-    def test_bp_peak_memory_is_nine_edge_arrays(self):
-        # The allocating sweeps peaked at 15.1 edge arrays here, and the
-        # buffered ones at 9.4 while they copied the answers to floats.
+    @pytest.mark.parametrize("spec, edge_arrays", [("sh", 5.5), ("ash", 8.5)])
+    def test_bp_peak_memory_in_edge_arrays(self, spec, edge_arrays):
+        # The allocating sweeps peaked at 15.1 edge arrays here under sh, and
+        # the buffered ones at 8.4 with five fold rows.  The fold keeps one
+        # row, plus the running maximum and the two lanes when two or more
+        # atoms have mu != 0 (ash), and block-sized temporaries.
         g, answers = regular_sh_instance()
         peak, report = traced_peak(
-            lambda: cb.bp_run(g, answers, cb.spammer_hammer(), k_max=3, tol=0.0))
+            lambda: cb.bp_run(g, answers, cb.parse_prior_spec(spec), k_max=3, tol=0.0))
         assert report.iterations_run == 3
-        assert peak <= 9 * 8 * g.n_edges
+        assert peak <= edge_arrays * 8 * g.n_edges
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_bp_matches_the_allocating_sweeps_across_fold_blocks(self, rng, monkeypatch,
+                                                                  chunk):
+        # The fold's elementwise steps run a block of edges at a time; blocks
+        # of 1, 5 and 64 edges split workers and degree classes at every
+        # offset.  certain takes the per-worker count of zero factors, ash
+        # has a mu = 0 atom between two others, sh one atom with mu != 0 after
+        # a mu = 0 one, and the empirical priors 50 to 400 atoms.
+        monkeypatch.setattr(bp, "_CHUNK", chunk)
+        kinds = ("certain", "ash", "empirical", "sh")
+        infinite = 0
+        for case in range(16):
+            kind = kinds[case % len(kinds)]
+            with monkeypatch.context() as patch:
+                if case % 8 < 4:
+                    patch.setattr(bp, "_CLASS_OVERHEAD_EDGES", 0)
+                g = skewed_graph(rng, int(rng.integers(20, 80)), 40)
+                a = rng.choice([-1, 1], size=g.n_edges)
+                prior = self.make_prior(rng, kind)
+                clamp_tasks, clamp_labels = random_clamps(rng, g, case // 4)
+                kwargs = dict(k_max=int(rng.integers(1, 8)), tol=0.0,
+                              clamp_tasks=clamp_tasks, clamp_labels=clamp_labels)
+                got = outcome(cb.bp_run, g, a, prior, **kwargs)
+                assert got == outcome(reference_bp_run, g, a, prior, **kwargs)
+            infinite += kind == "certain" and clamp_tasks.size > 0
+        assert infinite >= 2
+        no_edges = cb.AssignmentGraph(3, 2, np.empty((0, 2), dtype=np.int64))
+        for spec in ("sh", "ash"):
+            report = cb.bp_run(no_edges, np.empty(0, dtype=np.int64), cb.parse_prior_spec(spec))
+            assert report.margins.tobytes() == np.zeros(3).tobytes()
 
 
 def _classes(prior, g):

@@ -1,7 +1,7 @@
 import numpy as np
 
-from crowdbp.segments import (build_grouping, gather, segment_loo_log1p, segment_others,
-                              segment_sum)
+from crowdbp.segments import build_grouping, gather, segment_others, segment_sum
+from tests.sweep_reference import reference_segment_loo_log1p
 
 
 def reference_reduce(keys, values, n_segments, op, empty):
@@ -58,11 +58,13 @@ def test_sum_over_no_edges_is_float_zeros():
     np.testing.assert_array_equal(out, [0.0, 0.0, 0.0])
 
 
+# The sweep references' leave-one-out log products, which bp's worker-half
+# fold takes a block of edges at a time and must match bitwise.
 def test_loo_prod_is_exact_with_zero_factors():
     keys = np.array([0, 0, 0, 1, 1])
     factors = np.array([0.0, 5.0, 2.0, 0.0, 0.0])
     with np.errstate(invalid="raise"):
-        out = np.exp(segment_loo_log1p(factors - 1.0, build_grouping(keys, 2)))
+        out = np.exp(reference_segment_loo_log1p(factors - 1.0, build_grouping(keys, 2)))
     np.testing.assert_allclose(out[0], 10.0, rtol=1e-15)
     np.testing.assert_array_equal(out[1:], [0.0, 0.0, 0.0, 0.0])
 
@@ -74,29 +76,9 @@ def test_loo_prod_matches_reference_in_natural_edge_order():
         m = int(rng.integers(1, 20))
         keys = rng.integers(0, n_seg, size=m)
         values = rng.uniform(0.5, 1.5, size=m)
-        out = np.exp(segment_loo_log1p(values - 1.0, build_grouping(keys, n_seg)))
+        out = np.exp(reference_segment_loo_log1p(values - 1.0, build_grouping(keys, n_seg)))
         for e in range(m):
             others = values[(keys == keys[e]) & (np.arange(m) != e)]
             np.testing.assert_allclose(out[e], np.prod(others) if others.size else 1.0,
                                        rtol=1e-12)
 
-
-def test_loo_into_a_buffer_matches_the_fresh_result_bitwise():
-    # With ``out`` the logs overwrite the input and nothing of edge size is
-    # allocated; exact zero factors are counted the same way.
-    rng = np.random.default_rng(3)
-    for case in range(30):
-        n_seg = int(rng.integers(1, 6))
-        m = int(rng.integers(1, 20))
-        keys = rng.integers(0, n_seg, size=m)
-        y = rng.uniform(-0.5, 0.5, size=m)
-        if case % 2:
-            y[rng.integers(m)] = -1.0
-        grouping = build_grouping(keys, n_seg)
-        fresh = segment_loo_log1p(y, grouping)
-        work, out = y.copy(), np.empty(m)
-        assert segment_loo_log1p(work, grouping, out=out) is out
-        assert out.tobytes() == fresh.tobytes()
-        with np.errstate(divide="ignore"):
-            logs = np.log1p(y)
-        np.testing.assert_array_equal(work, np.where(logs == -np.inf, 0.0, logs))

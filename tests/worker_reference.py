@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from crowdbp.segments import segment_loo_log1p
+from tests.sweep_reference import reference_segment_loo_log1p
 
 _NO_ATOM_YET = -np.finfo(np.float64).max
 
@@ -26,7 +26,7 @@ def reference_worker_llrs(x, graph, a, atom_mu, atom_w):
     ax = a * x
     top, agree, disagree = _NO_ATOM_YET, 0.0, 0.0
     for mu, w in zip(atom_mu, atom_w):
-        loo = 0.0 if mu == 0.0 else segment_loo_log1p(mu * ax, graph.by_worker)
+        loo = 0.0 if mu == 0.0 else reference_segment_loo_log1p(mu * ax, graph.by_worker)
         new_top = np.maximum(top, loo)
         rescale = np.exp(top - new_top)
         weight = np.exp(loo - new_top)
