@@ -377,31 +377,36 @@ def _degree_classes(degrees: np.ndarray, n_atoms: int,
     return [(k, members) for k, _, members in kept]
 
 
+def _class_rules(degrees: np.ndarray, prior: ReliabilityPrior) -> tuple[int, tuple, list]:
+    """The top rule's node count and rule, and each worker class's node count,
+    Gauss rule and member mask, ascending by count.  The top rule is an atom
+    prior's own atoms, whose smaller rules take a Lanczos basis, or a Beta
+    prior's rule for the largest degree."""
+    n_atoms = prior.n_atoms or int(degrees.max(initial=0)) // 2 + 1
+    classes = _degree_classes(degrees, n_atoms, prior.kind == "atoms")
+    sizes = sorted({k for k, _ in classes} | {n_atoms})
+    rules = dict(zip(sizes, prior.gauss_rules(sizes)))
+    return n_atoms, rules[n_atoms], [(k, rules[k], members) for k, members in classes]
+
+
 def _class_kernel(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior):
     """The magnetization worker half, each degree class on its prior's Gauss rule.
 
     The returned function writes its messages into buffers allocated here,
     once per run, and returns the same array on every call.
     """
-    # The top rule is an atom prior's own atoms, whose smaller rules take a
-    # Lanczos basis, or a Beta prior's rule for the largest degree.
-    n_atoms = prior.n_atoms or int(graph.worker_degrees.max(initial=0)) // 2 + 1
-    classes = _degree_classes(graph.worker_degrees, n_atoms, prior.kind == "atoms")
-    sizes = sorted({k for k, _ in classes} | {n_atoms})
-    rules = dict(zip(sizes, prior.gauss_rules(sizes)))
-    atom_mu, atom_w = rules[n_atoms]
-    if [k for k, _ in classes] == [n_atoms]:
+    n_atoms, (atom_mu, atom_w), classes = _class_rules(graph.worker_degrees, prior)
+    if [k for k, _, _ in classes] == [n_atoms]:
         # The top rule on the whole graph runs with no gather or scatter, so
         # its margins are bitwise those of one fold over that rule.
         return partial(_worker_llrs, grouping=graph.by_worker, a=a, atom_mu=atom_mu,
                        atom_w=atom_w, work=np.empty((_fold_rows(atom_mu), graph.n_edges)))
     prior_mean = _prior_mean_llr(atom_mu, atom_w)
     parts = []
-    for k, members in classes:
+    for _, (mu, w), members in classes:
         edges = np.flatnonzero(gather(members, graph.by_worker))
         compact = np.cumsum(members) - 1
         grouping = build_grouping(gather(compact, graph.by_worker)[edges], int(members.sum()))
-        mu, w = rules[k]
         # Every rule gives a worker whose other answers carry no information
         # the LLR of the prior's mean, up to rounding; the shift makes it the
         # top rule's value, bitwise when the two are within a factor of two.

@@ -332,7 +332,7 @@ class _EdgeCsvReader:
     """Bulk tokenizer and checker behind ``load_dataset``.
 
     Lines arrive in blocks, and each block is read in one pass.  A line
-    holding ``"`` or a NUL is split by ``csv.reader`` as if on its own, and
+    holding ``"`` is split by ``csv.reader`` as if on its own, and
     its fields are appended to the block's UTF-8 bytes, each after a line
     break; the other lines are split on the commas that numpy finds in
     those bytes.  So every token is a span of one buffer, one span table
@@ -372,7 +372,7 @@ class _EdgeCsvReader:
         stops = np.append(np.flatnonzero(raw == ord("\n")), len(data))
         starts = np.concatenate(([0], stops[:-1] + 1))
         commas = np.flatnonzero(raw == ord(","))
-        quotes = np.flatnonzero((raw == ord('"')) | (raw == 0))
+        quotes = np.flatnonzero(raw == ord('"'))
         kinds = np.select(
             [starts == stops, raw[starts] == ord("#"),
              (np.searchsorted(quotes, stops) > np.searchsorted(quotes, starts))

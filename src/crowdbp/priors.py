@@ -48,7 +48,7 @@ class ReliabilityPrior:
             if not np.all(w > 0.0):
                 raise ParameterError("atom weights must be positive")
             if not abs(w.sum() - 1.0) <= _WEIGHT_TOL:
-                raise ParameterError(f"atom weights sum to {w.sum()!r}, expected 1")
+                raise ParameterError(f"atom weights sum to {float(w.sum())!r}, expected 1")
             p.setflags(write=False)
             w.setflags(write=False)
             object.__setattr__(self, "atom_p", p)

@@ -48,6 +48,11 @@ def random_small_graph(rng: np.random.Generator, max_tasks: int = 5,
     return cb.AssignmentGraph(nt, nw, np.array(edges))
 
 
+def star_graph(n_workers: int) -> cb.AssignmentGraph:
+    """One task answered by ``n_workers`` workers."""
+    return cb.AssignmentGraph(1, n_workers, np.array([[0, u] for u in range(n_workers)]))
+
+
 def regular_sh_instance(n_tasks: int = 20_000):
     """A (10, 5)-regular graph, 200k edges by default, with ``sh`` answers.
 

@@ -83,21 +83,16 @@ def reference_prior_mean_llr(atom_mu, atom_w):
 
 def reference_class_kernel(graph, a, prior):
     """The worker half as a function of ``x``, one fold per degree class."""
-    n_atoms = prior.n_atoms or int(graph.worker_degrees.max(initial=0)) // 2 + 1
-    classes = bp._degree_classes(graph.worker_degrees, n_atoms, prior.kind == "atoms")
-    sizes = sorted({k for k, _ in classes} | {n_atoms})
-    rules = dict(zip(sizes, prior.gauss_rules(sizes)))
-    atom_mu, atom_w = rules[n_atoms]
-    if [k for k, _ in classes] == [n_atoms]:
+    n_atoms, (atom_mu, atom_w), classes = bp._class_rules(graph.worker_degrees, prior)
+    if [k for k, _, _ in classes] == [n_atoms]:
         return lambda x: reference_fold(x, graph.by_worker, a, atom_mu, atom_w)
     prior_mean = reference_prior_mean_llr(atom_mu, atom_w)
     keys = graph.by_worker.keys
     parts = []
-    for k, members in classes:
+    for _, (mu, w), members in classes:
         edges = np.flatnonzero(members[keys])
         compact = np.cumsum(members) - 1
         grouping = build_grouping(compact[keys[edges]], int(members.sum()))
-        mu, w = rules[k]
         parts.append((edges, grouping, a[edges], mu, w,
                       prior_mean - reference_prior_mean_llr(mu, w)))
 

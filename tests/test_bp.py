@@ -10,14 +10,10 @@ from crowdbp.bp import (bp_compute_beliefs, bp_init, bp_update_task_messages,
                         bp_update_worker_messages)
 from crowdbp.priors import FactorTable
 from tests.conftest import (random_atom_prior, random_bipartite_tree, random_prior,
-                            regular_sh_instance)
+                            regular_sh_instance, star_graph)
 from tests.memory import traced_peak
-from tests.sweep_reference import reference_bp_run
+from tests.sweep_reference import reference_bp_run, reference_class_kernel
 from tests.worker_reference import reference_worker_kernel
-
-
-def star_graph(n_workers: int) -> cb.AssignmentGraph:
-    return cb.AssignmentGraph(1, n_workers, np.array([[0, u] for u in range(n_workers)]))
 
 
 # The iterative decoders, which share one loop and stop rule.
@@ -634,7 +630,8 @@ class TestBufferedSweeps:
         # of 1, 5 and 64 edges split workers and degree classes at every
         # offset.  certain takes the per-worker count of zero factors, ash
         # has a mu = 0 atom between two others, sh one atom with mu != 0 after
-        # a mu = 0 one, and the empirical priors 50 to 400 atoms.
+        # a mu = 0 one, and the empirical priors 50 to 400 atoms; at one edge
+        # per block, where every atom folds edge by edge, 4 to 8 atoms.
         monkeypatch.setattr(bp, "_CHUNK", chunk)
         kinds = ("certain", "ash", "empirical", "sh")
         infinite = 0
@@ -645,12 +642,22 @@ class TestBufferedSweeps:
                     patch.setattr(bp, "_CLASS_OVERHEAD_EDGES", 0)
                 g = skewed_graph(rng, int(rng.integers(20, 80)), 40)
                 a = rng.choice([-1, 1], size=g.n_edges)
-                prior = self.make_prior(rng, kind)
+                if kind == "empirical" and chunk == 1:
+                    prior = empirical_atoms(rng, int(rng.integers(4, 9)))
+                    assert case % 8 >= 4 or len(_classes(prior, g)) > 1
+                else:
+                    prior = self.make_prior(rng, kind)
                 clamp_tasks, clamp_labels = random_clamps(rng, g, case // 4)
                 kwargs = dict(k_max=int(rng.integers(1, 8)), tol=0.0,
                               clamp_tasks=clamp_tasks, clamp_labels=clamp_labels)
                 got = outcome(cb.bp_run, g, a, prior, **kwargs)
                 assert got == outcome(reference_bp_run, g, a, prior, **kwargs)
+                if kind == "certain":
+                    # x = ±1 on a fifth of the edges: zero factors at every block offset.
+                    x = np.where(rng.random(g.n_edges) < 0.2, rng.choice([-1.0, 1.0], g.n_edges),
+                                 rng.uniform(-0.9, 0.9, g.n_edges))
+                    np.testing.assert_array_equal(bp._class_kernel(g, a, prior)(x),
+                                                  reference_class_kernel(g, a, prior)(x))
             infinite += kind == "certain" and clamp_tasks.size > 0
         assert infinite >= 2
         no_edges = cb.AssignmentGraph(3, 2, np.empty((0, 2), dtype=np.int64))
@@ -660,9 +667,8 @@ class TestBufferedSweeps:
 
 
 def _classes(prior, g):
-    """The degree classes of ``g`` under ``prior``: capped for atom priors only."""
-    top = prior.n_atoms or int(g.worker_degrees.max()) // 2 + 1
-    return bp._degree_classes(g.worker_degrees, top, prior.kind == "atoms")
+    """The node count and member mask of each degree class of ``g`` under ``prior``."""
+    return [(k, members) for k, _, members in bp._class_rules(g.worker_degrees, prior)[2]]
 
 
 class TestReportShape:

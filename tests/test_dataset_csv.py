@@ -222,6 +222,18 @@ class TestReaderMatchesPerLineReference:
         assert_same_outcome(path)
         assert cb.load_dataset(str(path)).task_names == ("a", "a\x00", "a\x00\x00")
 
+    def test_unquoted_nul_lines_are_split_on_their_commas(self, tmp_path, monkeypatch):
+        # A NUL needs no quoting, so only the line holding a quote goes to
+        # the csv module; the others are plain lines, and every name, NULs
+        # kept, matches the per-line reader's.
+        path = tmp_path / "nul-plain.csv"
+        path.write_text('a\x00,w,+1\nb,\x00v\x00,-1\n"c\x00",w,+1\na\x00,\x00,+1\n')
+        split, seen = harness._csv_split, []
+        monkeypatch.setattr(harness, "_csv_split",
+                            lambda lines: seen.extend(lines) or split(lines))
+        assert_same_outcome(path)
+        assert seen == ['"c\x00",w,+1']
+
     def test_string_token_before_its_packed_twin_keeps_its_row(self, tmp_path):
         # Line 3's quoted "y" is keyed from the fields appended after the
         # block's lines, its plain twin on line 4 from the line itself, and

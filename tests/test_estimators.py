@@ -9,14 +9,10 @@ import pytest
 import crowdbp as cb
 from crowdbp import graph as graph_module
 from crowdbp.estimators import _em_e_step, _em_m_step
-from tests.conftest import regular_sh_instance
+from tests.conftest import regular_sh_instance, star_graph
 from tests.em_reference import reference_em_run
 from tests.memory import traced_peak
 from tests.sweep_reference import reference_kos_run
-
-
-def star_graph(n_workers: int) -> cb.AssignmentGraph:
-    return cb.AssignmentGraph(1, n_workers, np.array([[0, u] for u in range(n_workers)]))
 
 
 def full_bipartite(n_tasks: int, n_workers: int) -> cb.AssignmentGraph:

@@ -14,7 +14,7 @@ from crowdbp import bp
 from crowdbp.bp import bp_init, bp_update_worker_messages
 from crowdbp.priors import FactorTable
 from tests.conftest import random_prior
-from tests.worker_reference import reference_worker_llrs
+from tests.worker_reference import reference_worker_kernel
 
 
 def check_factor_normalization(table: FactorTable, atol: float = 1e-9) -> None:
@@ -252,6 +252,12 @@ class TestValidationAndParsing:
         with pytest.raises(cb.ParameterError):
             cb.parse_prior_spec(bad)
 
+    def test_atom_weights_that_do_not_sum_to_one_name_their_sum(self):
+        # The weights are checked, not normalized; the message prints the sum
+        # as a plain float rather than numpy's repr of a float64.
+        with pytest.raises(cb.ParameterError, match=r"atom weights sum to 2\.0, expected 1$"):
+            cb.parse_prior_spec("atoms:0.9=1,0.5=1")
+
     def test_empirical_prior_merges_duplicates(self):
         prior = cb.empirical_prior(np.array([0.6, 0.6, 0.9, 0.6]))
         np.testing.assert_allclose(prior.atom_p, [0.6, 0.9])
@@ -302,9 +308,8 @@ class TestFactorTable:
             asked.clear()
             got = bp_update_worker_messages(state, g, a, table).msg_worker_to_task
             assert asked and all(p is prior for p in asked)
-            (mu, w), = original(prior, [prior.n_atoms or r // 2 + 1])
-            llr = reference_worker_llrs(np.tanh(bp._pairs_to_llr(state.msg_task_to_worker) / 2),
-                                        g, a.astype(np.float64), mu, w)
+            llr = reference_worker_kernel(g, a.astype(np.float64), prior)(
+                np.tanh(bp._pairs_to_llr(state.msg_task_to_worker) / 2))
             assert got.tobytes() == bp._llr_to_pairs(llr).tobytes()
 
     def test_normalization_holds_for_random_priors(self, rng):
