@@ -134,6 +134,10 @@ def make_report(margins: np.ndarray, iterations_run: int, converged: bool,
                           converged, float(max_delta))
 
 
+# The default sweep budget and stop tolerance of every iterative decoder.
+_K_MAX, _TOL = 100, 1e-5
+
+
 def _iterate(step, state, k_max: int, tol: float) -> tuple[object, int, bool, float]:
     """Apply ``step(state) -> (state, delta)`` until ``delta`` falls below ``tol``.
 
@@ -515,7 +519,7 @@ def bp_compute_beliefs(state: BeliefState, graph: AssignmentGraph) -> BeliefStat
 # -- driver ------------------------------------------------------------------
 
 def bp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
-           prior: ReliabilityPrior, k_max: int = 100, tol: float = 1e-5,
+           prior: ReliabilityPrior, k_max: int = _K_MAX, tol: float = _TOL,
            *, clamp_tasks: np.ndarray | None = None,
            clamp_labels: np.ndarray | None = None) -> EstimateReport:
     """Run synchronous sweeps and decode the sign of each task's belief margin.

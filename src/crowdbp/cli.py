@@ -11,6 +11,7 @@ import argparse
 import sys
 from dataclasses import replace
 
+from .bp import _K_MAX, _TOL
 from .errors import DataFormatError, GenerationError, NumericDegeneracyError, ParameterError
 from .estimators import EstimatorSpec
 from .graph import generate_regular_bipartite, sample_answers, sample_ground_truth
@@ -107,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_inf.add_argument("--estimator", required=True,
                        help="mv | kos | bp | ebp1 | ebp2 | oracle-work | oracle-task | em")
     p_inf.add_argument("--prior", default=None)
-    p_inf.add_argument("--kmax", type=int, default=100)
-    p_inf.add_argument("--tol", type=float, default=1e-5)
+    p_inf.add_argument("--kmax", type=int, default=_K_MAX)
+    p_inf.add_argument("--tol", type=float, default=_TOL)
     p_inf.add_argument("--seed", type=int, default=0)
     p_inf.add_argument("--subsample-l", type=int, default=None,
                        help="keep at most this many answers per task first")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import EstimateReport, _iterate, _max_change, bp_run, make_report
+from .bp import _K_MAX, _TOL, EstimateReport, _iterate, _max_change, bp_run, make_report
 from .errors import ParameterError, check_count, check_probabilities
 from .exact import oracle_task_estimate
 from .graph import AnswerMatrix, AssignmentGraph, answer_values
@@ -34,7 +34,7 @@ def majority_vote(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray) ->
 
 
 def kos_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
-            k_max: int = 100, seed: int = 0, tol: float = 1e-5) -> EstimateReport:
+            k_max: int = _K_MAX, seed: int = 0, tol: float = _TOL) -> EstimateReport:
     """Linear message passing that weighs workers by agreement.
 
     Task messages x[i->u] sum the other workers' answer-weighted messages;
@@ -78,7 +78,7 @@ def _unit(v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
 
 def ebp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
-            rounds: int = 2, k_max: int = 100, tol: float = 1e-5) -> EstimateReport:
+            rounds: int = 2, k_max: int = _K_MAX, tol: float = _TOL) -> EstimateReport:
     """Belief propagation with a bootstrapped empirical reliability prior.
 
     Round 0 labels come from majority vote.  Each round then scores every
@@ -164,7 +164,7 @@ def _em_m_step(graph: AssignmentGraph, a: np.ndarray, w: np.ndarray,
 
 def em_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
            prior_alpha: float = 2.0, prior_beta: float = 1.0,
-           k_max: int = 100, tol: float = 1e-5) -> EstimateReport:
+           k_max: int = _K_MAX, tol: float = _TOL) -> EstimateReport:
     """One-coin EM with a Beta MAP update for worker reliabilities.
 
     Initializes the posterior weights from smoothed vote fractions, then
@@ -194,15 +194,15 @@ class EstimatorSpec:
 
     kind: str
     rounds: int = 0
-    k_max: int = 100
-    tol: float = 1e-5
+    k_max: int = _K_MAX
+    tol: float = _TOL
 
     # What each kind reads besides the graph and its answers.
     _NEEDS = {"mv": (), "kos": (), "bp": ("prior",), "ebp": (), "oracle-work": ("reliabilities",),
               "oracle-task": ("prior", "truth"), "em": ()}
 
     @classmethod
-    def parse(cls, name: str, k_max: int = 100, tol: float = 1e-5) -> "EstimatorSpec":
+    def parse(cls, name: str, k_max: int = _K_MAX, tol: float = _TOL) -> "EstimatorSpec":
         name = name.strip().lower()
         if name.startswith("ebp"):
             suffix = name[len("ebp"):]

@@ -135,6 +135,21 @@ def answer_values(answers: "AnswerMatrix | np.ndarray", graph: AssignmentGraph) 
     return answers.answers
 
 
+def _regular_shape(n_tasks: int, l: int, r: int) -> tuple[int, int, int, int]:
+    """``(n_tasks, l, r, n_workers)`` of (l, r)-regular graphs on ``n_tasks``
+    tasks, checked; raises as ``generate_regular_bipartite`` documents."""
+    n_tasks = check_count(n_tasks, "n_tasks", 1)
+    l, r = check_count(l, "l", 1), check_count(r, "r", 1)
+    if (n_tasks * l) % r != 0:
+        raise ParameterError(f"n_tasks * l = {n_tasks * l} is not divisible by r = {r}; "
+                             "no regular assignment exists")
+    n_workers = n_tasks * l // r
+    if r > n_tasks:
+        raise ParameterError(f"r = {r} exceeds n_tasks = {n_tasks}; simple graph impossible")
+    _check_pair_keys(n_tasks, n_workers)
+    return n_tasks, l, r, n_workers
+
+
 def generate_regular_bipartite(n_tasks: int, l: int, r: int, seed: int) -> AssignmentGraph:
     """Simple (l, r)-regular bipartite graph via configuration-model pairing.
 
@@ -145,21 +160,12 @@ def generate_regular_bipartite(n_tasks: int, l: int, r: int, seed: int) -> Assig
     uniformly chosen partners until the graph is simple.
 
     Raises:
-        ParameterError: on non-positive degrees or a non-integral worker count.
+        ParameterError: on non-positive degrees, a non-integral worker count
+            or r > n_tasks.
         SizeError: if ``n_tasks * n_workers > 2**63``, before any array is built.
-        GenerationError: if the repair budget is exhausted (e.g. r > n_tasks).
+        GenerationError: if the repair budget is exhausted.
     """
-    n_tasks = check_count(n_tasks, "n_tasks", 1)
-    l, r = check_count(l, "l", 1), check_count(r, "r", 1)
-    if (n_tasks * l) % r != 0:
-        raise ParameterError(
-            f"n_tasks * l = {n_tasks * l} is not divisible by r = {r}; "
-            "no regular assignment exists"
-        )
-    n_workers = n_tasks * l // r
-    if r > n_tasks:
-        raise ParameterError(f"r = {r} exceeds n_tasks = {n_tasks}; simple graph impossible")
-    _check_pair_keys(n_tasks, n_workers)
+    n_tasks, l, r, n_workers = _regular_shape(n_tasks, l, r)
     m = n_tasks * l
     # The stubs are the two columns of the graph's own edge array.
     edges = np.empty((m, 2), dtype=np.int64)

@@ -23,17 +23,15 @@ from itertools import chain, count, filterfalse
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .bp import EstimateReport
-from .errors import CrowdBPError, DataFormatError, ParameterError, SizeError, check_count
+from .bp import _K_MAX, _TOL, EstimateReport
+from .errors import (CrowdBPError, DataFormatError, ParameterError, SizeError, check_count,
+                     check_signs)
 from .estimators import EstimatorSpec
-from .graph import AnswerMatrix, AssignmentGraph, GroundTruth, \
+from .graph import AnswerMatrix, AssignmentGraph, GroundTruth, _regular_shape, \
     generate_regular_bipartite, repeated_pairs, sample_answers, sample_ground_truth
 from .priors import ReliabilityPrior, empirical_prior, parse_prior_spec
 from .seeding import child_seed, rng_from
 from .theory import theoretical_bounds, theory_iterations, tree_probability_bound
-
-CSV_COLUMNS = ("estimator", "l", "r", "mean_error", "std_error", "trials",
-               "mean_iterations", "wall_time_ms", "failures")
 
 
 def error_rate(estimate: EstimateReport | np.ndarray, truth_labels: np.ndarray) -> float:
@@ -66,16 +64,13 @@ class Dataset:
     worker_names: tuple[str, ...] = ()
 
 
-def names_or_ids(names: tuple[str, ...], n: int) -> tuple[str, ...]:
-    """``names``, or for a dataset without names the ids ``"0"`` to ``str(n - 1)``."""
-    return names or tuple(map(str, range(n)))
-
-
 _ALPHABETS = {
     "pm1": {"+1": 1, "1": 1, "-1": -1},
     "01": {"1": 1, "0": -1},
 }
 _ALPHABET_NAMES = tuple(_ALPHABETS)
+# The text the writers give each ±1 value, indexed by the value: -1 picks the last.
+_SIGNS = np.array(["", "+1", "-1"], dtype=object)
 
 # Characters read per block of lines; rows per block of the writers and of
 # the reader's row checks.
@@ -615,14 +610,13 @@ def _csv_fields(texts) -> list[str]:
     return spelled
 
 
-def _spelled(values: np.ndarray, spell) -> np.ndarray:
-    """``spell(value)`` of each value, as an object array in which equal
-    values share one text: each distinct value is spelled once.  Floats are
-    told apart by bit pattern, so that ``-0.0`` keeps its own spelling."""
-    values = np.asarray(values)
-    keys = values.view(np.uint64) if values.dtype == np.float64 else values
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return np.array(list(map(spell, values[first].tolist())), dtype=object)[inverse]
+def _spelled(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each float, as an object array in which equal values
+    share one text: each distinct value is spelled once.  Values are told
+    apart by bit pattern, so that ``-0.0`` keeps its own spelling."""
+    values = np.asarray(values, dtype=np.float64)
+    _, first, inverse = np.unique(values.view(np.uint64), return_index=True, return_inverse=True)
+    return np.array(list(map(repr, values[first].tolist())), dtype=object)[inverse]
 
 
 def _gathered(texts: np.ndarray, ids: np.ndarray):
@@ -662,7 +656,7 @@ def write_estimates(handle, report: EstimateReport, task_names: tuple[str, ...])
     handle.write("task,label,margin\n")
     write_rows(handle, tasks.size, [
         _named(task_names, tasks),
-        _gathered(_spelled(report.labels, "{:+d}".format), tasks),
+        _gathered(_SIGNS, report.labels),
         lambda rows: list(map(repr, report.margins[rows].tolist())),
     ])
 
@@ -711,14 +705,12 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     _check_names(dataset.task_names, "task", encoding)
     _check_names(dataset.worker_names, "worker", encoding)
     tasks, workers = graph.edges[:, 0], graph.edges[:, 1]
-    # Indexed by the answer itself: +1 picks "+1" and -1 the last text.
     columns = [_named(dataset.task_names, tasks), _named(dataset.worker_names, workers),
-               _gathered(np.array(["", "+1", "-1"], dtype=object), dataset.answers.answers)]
+               _gathered(_SIGNS, dataset.answers.answers)]
     if dataset.truth_labels is not None:
-        columns.append(_gathered(_spelled(dataset.truth_labels, "{:+d}".format), tasks))
+        columns.append(_gathered(_SIGNS[check_signs(dataset.truth_labels, "truth labels")], tasks))
         if dataset.reliabilities is not None:
-            rel = np.asarray(dataset.reliabilities, dtype=np.float64)
-            columns.append(_gathered(_spelled(rel, repr), workers))
+            columns.append(_gathered(_spelled(dataset.reliabilities), workers))
     with open(path, "w", encoding=encoding, newline="") as handle:
         handle.write("# alphabet=pm1\n")
         write_rows(handle, graph.n_edges, columns)
@@ -749,7 +741,7 @@ def subsample_assignments(dataset: Dataset, l_target: int, seed: int) -> Dataset
     remap = np.full(graph.n_workers, -1, dtype=np.int64)
     remap[kept_workers] = np.arange(kept_workers.size)
     new_edges = np.column_stack((kept_edges[:, 0], remap[kept_edges[:, 1]]))
-    names_w = names_or_ids(dataset.worker_names, graph.n_workers)
+    names_w = dataset.worker_names or tuple(map(str, range(graph.n_workers)))
     return Dataset(
         graph=AssignmentGraph(graph.n_tasks, kept_workers.size, new_edges),
         answers=AnswerMatrix(dataset.answers.answers[keep]),
@@ -762,7 +754,7 @@ def subsample_assignments(dataset: Dataset, l_target: int, seed: int) -> Dataset
 
 
 def run_inference(dataset: Dataset, estimator: str, prior_spec: str | None = None,
-                  k_max: int = 100, tol: float = 1e-5, seed: int = 0) -> EstimateReport:
+                  k_max: int = _K_MAX, tol: float = _TOL, seed: int = 0) -> EstimateReport:
     """Run one estimator on a dataset, resolving its required inputs.
 
     A prior comes from ``prior_spec`` when given, otherwise from the
@@ -812,8 +804,8 @@ class ExperimentConfig:
     estimators: tuple[str, ...]
     sweep: str = "l"
     trials: int = 100
-    k_max: int = 100
-    tol: float = 1e-5
+    k_max: int = _K_MAX
+    tol: float = _TOL
     seed: int = 0
     threads: int = 1
     timing: bool = True
@@ -918,12 +910,14 @@ class MetricsRow:
     failures: int
 
     def as_csv(self) -> list[str]:
+        """The fields in order: floats by ``repr`` (None and NaN empty), the rest by ``str``."""
         def num(x):
             return "" if x is None or (isinstance(x, float) and math.isnan(x)) else repr(float(x))
 
-        return [self.estimator, str(self.l), str(self.r), num(self.mean_error),
-                num(self.std_error), str(self.trials), num(self.mean_iterations),
-                num(self.wall_time_ms), str(self.failures)]
+        return [(num if "float" in f.type else str)(getattr(self, f.name)) for f in fields(self)]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRow))
 
 
 def nearest_feasible_n(n_tasks: int, l: int, r: int) -> int:
@@ -958,17 +952,16 @@ def _run_trial(config: ExperimentConfig, specs: list[EstimatorSpec], prior: Reli
 
 
 def _sweep_points(config: ExperimentConfig) -> list[tuple[int, int, int]]:
-    """``(n, l, r)`` of every sweep point, checked before any trial runs."""
+    """``(n, l, r)`` of every sweep point, checked by the generator's rule before any trial."""
     points = []
     for value in config.sweep_values:
         l, r = (value, config.fixed_degree) if config.sweep == "l" else (config.fixed_degree, value)
-        n = config.n_tasks
-        if (n * l) % r != 0:
-            if not config.adjust_n:
-                raise ParameterError(
-                    f"sweep point l={l}, r={r}: n_tasks*l not divisible by r "
-                    "(set adjust_n = true to nudge n per point)")
-            n = nearest_feasible_n(n, l, r)
+        n = nearest_feasible_n(config.n_tasks, l, r) if config.adjust_n else config.n_tasks
+        try:
+            _regular_shape(n, l, r)
+        except ParameterError as exc:
+            remedy = "" if config.adjust_n else " (adjust_n = true nudges n_tasks per point)"
+            raise type(exc)(f"sweep point l={l}, r={r}: {exc}{remedy}") from exc
         points.append((n, l, r))
     return points
 
@@ -1059,13 +1052,7 @@ def write_metrics_csv(rows: list[MetricsRow], destination) -> None:
     """Write rows in the fixed column order; RFC-4180 (CRLF, headers first)."""
     if isinstance(destination, (str, os.PathLike)):
         with open(destination, "w", newline="") as handle:
-            _write_rows(rows, handle)
-    else:
-        _write_rows(rows, destination)
-
-
-def _write_rows(rows: list[MetricsRow], handle) -> None:
-    writer = csv.writer(handle)
+            return write_metrics_csv(rows, handle)
+    writer = csv.writer(destination)
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(row.as_csv())
+    writer.writerows(row.as_csv() for row in rows)

@@ -427,6 +427,16 @@ class TestWriters:
                 cb.save_dataset(dataset, str(path))
             assert path.read_bytes() == before
 
+    @pytest.mark.parametrize("truth", [[1, 0], [2, 1], [-1, -2]])
+    def test_truth_labels_other_than_signs_are_refused(self, tmp_path, truth):
+        dataset = cb.Dataset(graph=cb.AssignmentGraph(2, 1, np.array([[0, 0], [1, 0]])),
+                             answers=cb.AnswerMatrix(np.array([1, -1])),
+                             truth_labels=np.array(truth))
+        path = tmp_path / "truth.csv"
+        with pytest.raises(cb.ParameterError, match="truth labels must be -1 or \\+1"):
+            cb.save_dataset(dataset, str(path))
+        assert not path.exists()
+
     def test_names_that_only_look_like_comments_round_trip(self, tmp_path):
         dataset = cb.Dataset(
             graph=cb.AssignmentGraph(3, 2, np.array([[0, 0], [1, 0], [2, 1]])),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import crowdbp as cb
-from crowdbp import harness
+from crowdbp import graph as graph_module, harness
 from tests.test_dataset_csv import assert_same_outcome
 
 def csv_text(rows) -> str:
@@ -450,6 +450,46 @@ class TestRunExperiment:
         with pytest.raises(cb.ParameterError, match="l=2, r=5"):
             cb.run_experiment(cfg)
         assert ran == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("overrides, point, reason, error", [
+        (dict(n_tasks=10, sweep="r", sweep_values=(2, 20), fixed_degree=2),
+         "l=2, r=20", "r = 20 exceeds n_tasks = 10", cb.ParameterError),
+        # adjust_n nudges n_tasks = 3 to 4 for r = 8, still below r.
+        (dict(n_tasks=3, sweep="r", sweep_values=(2, 8), fixed_degree=2, adjust_n=True),
+         "l=2, r=8", "r = 8 exceeds n_tasks = 4", cb.ParameterError),
+        (dict(n_tasks=2**32, sweep="r", sweep_values=(2, 1), fixed_degree=1),
+         "l=1, r=1", "do not fit int64 keys", cb.SizeError),
+    ])
+    def test_point_the_generator_refuses_fails_before_any_trial(
+            self, monkeypatch, threads, overrides, point, reason, error):
+        ran = []
+        monkeypatch.setattr(harness, "_run_trial", lambda *args: ran.append(args))
+        with pytest.raises(cb.ParameterError) as info:
+            cb.run_experiment(self.tiny_config(threads=threads, **overrides))
+        message = str(info.value)
+        assert type(info.value) is error and point in message and reason in message
+        assert ("adjust_n" in message) is not overrides.get("adjust_n", False)
+        assert ran == []
+
+    @pytest.mark.parametrize("adjust_n", [False, True])
+    def test_planner_refuses_exactly_what_the_generator_refuses(self, monkeypatch, adjust_n):
+        # With no repair round the generator ends every shape it accepts in
+        # GenerationError at once; the shapes it refuses it refuses first.
+        monkeypatch.setattr(graph_module, "_REPAIR_ROUNDS", 0)
+        for n, l, r in itertools.product(range(1, 31), range(1, 13), range(1, 13)):
+            config = self.tiny_config(n_tasks=n, sweep="r", sweep_values=(r,), fixed_degree=l,
+                                      adjust_n=adjust_n)
+            nudged = cb.nearest_feasible_n(n, l, r) if adjust_n else n
+            with pytest.raises(cb.CrowdBPError) as refused:
+                cb.generate_regular_bipartite(nudged, l, r, seed=0)
+            if type(refused.value) is cb.GenerationError:
+                assert harness._sweep_points(config) == [(nudged, l, r)]
+                continue
+            with pytest.raises(cb.ParameterError) as planned:
+                harness._sweep_points(config)
+            assert type(planned.value) is type(refused.value)
+            assert str(refused.value) in str(planned.value)
 
     def test_pool_never_exceeds_usable_cpus(self, monkeypatch):
         # A stand-in executor records the pool it was asked for and runs
