@@ -14,8 +14,7 @@ from .errors import (CrowdBPError, DataFormatError, GenerationError,
                      NumericDegeneracyError, ParameterError, SizeError)
 from .estimators import (EstimatorSpec, ebp_run, em_run, kos_run, majority_vote,
                          oracle_work)
-from .exact import (brute_force_marginals, exact_conditional_gain, oracle_task_estimate,
-                    subset_monotonicity_check)
+from .exact import brute_force_marginals, oracle_task_estimate, subset_monotonicity_check
 from .graph import (AnswerMatrix, AssignmentGraph, GroundTruth,
                     generate_regular_bipartite, sample_answers, sample_ground_truth)
 from .harness import (CSV_COLUMNS, Dataset, ExperimentConfig, MetricsRow, error_rate,
@@ -34,7 +33,7 @@ __all__ = [
     "NumericDegeneracyError", "ParameterError", "ReliabilityPrior", "SizeError",
     "adversary_spammer_hammer", "bp_run", "brute_force_marginals", "child_seed",
     "decode_labels", "ebp_run", "em_run",
-    "empirical_prior", "error_rate", "exact_conditional_gain",
+    "empirical_prior", "error_rate",
     "generate_regular_bipartite", "kos_run", "load_dataset", "load_experiment_config",
     "majority_vote", "nearest_feasible_n", "oracle_task_estimate",
     "oracle_work", "parse_prior_spec", "rng_from", "run_experiment", "run_inference",

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 from .bp import _K_MAX, _TOL
 from .errors import DataFormatError, GenerationError, NumericDegeneracyError, ParameterError
 from .estimators import EstimatorSpec
-from .graph import generate_regular_bipartite, sample_answers, sample_ground_truth
+from .graph import draw_instance
 from .harness import (Dataset, error_rate, load_dataset, load_experiment_config,
                       run_experiment, run_inference, save_dataset, subsample_assignments,
                       write_estimates, write_metrics_csv)
@@ -23,11 +24,19 @@ from .seeding import child_seed
 from .theory import theoretical_bounds, tree_probability_bound
 
 
+@contextmanager
+def _output(path: str | None):
+    """``path`` opened for CSV text, or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as handle:
+        yield handle
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     prior = parse_prior_spec(args.prior)
-    graph = generate_regular_bipartite(args.n, args.l, args.r, child_seed(args.seed, "graph"))
-    truth = sample_ground_truth(graph, prior, child_seed(args.seed, "truth"))
-    answers = sample_answers(graph, truth, child_seed(args.seed, "answers"))
+    graph, truth, answers = draw_instance(args.n, args.l, args.r, prior, args.seed)
     dataset = Dataset(graph=graph, answers=answers, truth_labels=truth.labels,
                       reliabilities=truth.reliabilities)
     save_dataset(dataset, args.out)
@@ -47,12 +56,8 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     report = run_inference(dataset, args.estimator, prior_spec=args.prior,
                            k_max=args.kmax, tol=args.tol,
                            seed=child_seed(args.seed, "estimator"))
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        write_estimates(out, report, dataset.task_names)
-    finally:
-        if args.out:
-            out.close()
+    with _output(args.out) as handle:
+        write_estimates(handle, report, dataset.task_names)
     print(f"iterations {report.iterations_run} converged {report.converged} "
           f"max_delta {report.max_delta!r}", file=sys.stderr)
     if dataset.truth_labels is not None:
@@ -65,12 +70,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.threads is not None:
         config = replace(config, threads=args.threads)
     rows = run_experiment(config)
-    destination = args.out or config.out
-    if destination:
-        write_metrics_csv(rows, destination)
-        print(f"wrote {len(rows)} rows to {destination}", file=sys.stderr)
-    else:
-        write_metrics_csv(rows, sys.stdout)
+    with _output(args.out) as handle:
+        write_metrics_csv(rows, handle)
+    if args.out:
+        print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return 0
 
 

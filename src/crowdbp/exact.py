@@ -9,9 +9,8 @@ enumeration tractable for small instances and yields three tools:
 * the clamped-tree estimator, which for each root takes the BFS spanning
   subtree of its component, conditions every task touching a non-tree edge
   on its true label, and reads off the root's exact tree posterior;
-* exact error-gain computations for estimators that see only a subset of
-  answers and a set of revealed labels, used to verify that withholding
-  information never helps.
+* the exact gains of the optimal root decoder on all answers and on a
+  subset of them, used to verify that withholding answers never helps.
 """
 from __future__ import annotations
 
@@ -310,55 +309,6 @@ def _batch_forest(graph: AssignmentGraph, blocks: list[_Block]) -> tuple:
     return roots, at_root, regions, edge, task_ids % n_tasks, clamped
 
 
-def _gain_masses(graph: AssignmentGraph, prior: ReliabilityPrior, root: int,
-                 edge_ids: np.ndarray, clamp_tasks: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Joint mass of (root label, observation) per observation outcome.
-
-    An observation outcome is one answer configuration on ``edge_ids``
-    combined with one revealed-label configuration on ``clamp_tasks``;
-    the returned arrays have shape (2^|clamp|, 2^|edges|).  Unobserved
-    answers integrate out exactly because each worker's answer
-    distribution is a probability measure for any fixed labels.
-    """
-    n = graph.n_tasks
-    if n > _GAIN_TASK_GUARD:
-        raise SizeError(f"gain enumeration guard is n_tasks <= {_GAIN_TASK_GUARD}")
-    if edge_ids.size > _GAIN_EDGE_GUARD:
-        raise SizeError(f"gain enumeration guard is |edges| <= {_GAIN_EDGE_GUARD}")
-    root = int(check_ids(root, n, "root"))
-    if np.isin(root, clamp_tasks):
-        raise ParameterError("the root's own label cannot be revealed")
-
-    s = _pm_configs(n)
-    logw = _log_weights(graph, prior, s, edge_ids, _pm_configs(edge_ids.size).T)
-    weights = np.exp(logw) * 2.0 ** (-n)
-    clamp_key = (s[:, clamp_tasks] > 0) @ (1 << np.arange(clamp_tasks.size))
-    n_keys = 2 ** clamp_tasks.size
-    plus_rows = s[:, root] > 0
-    mass_plus = np.zeros((n_keys, weights.shape[1]))
-    mass_minus = np.zeros((n_keys, weights.shape[1]))
-    np.add.at(mass_plus, clamp_key[plus_rows], weights[plus_rows])
-    np.add.at(mass_minus, clamp_key[~plus_rows], weights[~plus_rows])
-    return mass_plus, mass_minus
-
-
-def exact_conditional_gain(graph: AssignmentGraph, prior: ReliabilityPrior, root: int,
-                           edge_ids: np.ndarray, clamp_tasks: np.ndarray) -> float:
-    """Exact gain (1/2 minus error probability) of the optimal root decoder
-    that observes the answers on ``edge_ids`` and the true labels of
-    ``clamp_tasks``, under the full generative model.
-    """
-    edge_ids = check_ids(edge_ids, graph.n_edges, "edge ids")
-    if np.unique(edge_ids).size != edge_ids.size:
-        raise ParameterError("edge ids contain duplicates")
-    clamp_tasks = check_ids(clamp_tasks, graph.n_tasks, "clamp tasks")
-    mass_plus, mass_minus = _gain_masses(graph, prior, root, edge_ids, clamp_tasks)
-    # 1/2 - sum min(+, -) when the masses sum to 1, but a sum of magnitudes
-    # cannot round below 0.
-    return 0.5 * float(np.abs(mass_plus - mass_minus).sum())
-
-
 def subset_monotonicity_check(graph: AssignmentGraph, prior: ReliabilityPrior,
                               edge_subset: np.ndarray, root: int = 0) -> tuple[float, float]:
     """Exact gains of the optimal root decoder on all answers vs. a subset.
@@ -372,15 +322,27 @@ def subset_monotonicity_check(graph: AssignmentGraph, prior: ReliabilityPrior,
     exact arithmetic.
     """
     edge_subset = check_ids(edge_subset, graph.n_edges, "edge subset")
-    all_edges = np.arange(graph.n_edges, dtype=np.int64)
     if np.unique(edge_subset).size != edge_subset.size:
         raise ParameterError("edge subset contains duplicates")
-    none = np.empty(0, dtype=np.int64)
-    mass_plus, mass_minus = _gain_masses(graph, prior, root, all_edges, none)
-    mass_plus, mass_minus = mass_plus[0], mass_minus[0]
+    n = graph.n_tasks
+    if n > _GAIN_TASK_GUARD:
+        raise SizeError(f"gain enumeration guard is n_tasks <= {_GAIN_TASK_GUARD}")
+    if graph.n_edges > _GAIN_EDGE_GUARD:
+        raise SizeError(f"gain enumeration guard is |edges| <= {_GAIN_EDGE_GUARD}")
+    root = int(check_ids(root, n, "root"))
+
+    # Joint mass of (root label, answer configuration), answers on every
+    # edge; a column per configuration, summed over the other labels.
+    s = _pm_configs(n)
+    configs = _pm_configs(graph.n_edges)
+    weights = np.exp(_log_weights(graph, prior, s, np.arange(graph.n_edges), configs.T))
+    weights *= 2.0 ** (-n)
+    plus_rows = s[:, root] > 0
+    mass_plus = weights[plus_rows].sum(axis=0)
+    mass_minus = weights[~plus_rows].sum(axis=0)
 
     # Project full answer configurations onto the subset's coordinates.
-    subset_bits = _pm_configs(graph.n_edges)[:, np.sort(edge_subset)] > 0
+    subset_bits = configs[:, np.sort(edge_subset)] > 0
     key = subset_bits @ (1 << np.arange(edge_subset.size))
     n_groups = 2 ** edge_subset.size
     group_plus = np.bincount(key, weights=mass_plus, minlength=n_groups)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (GenerationError, ParameterError, SizeError, check_count, check_ids,
                      check_probabilities, check_signs)
 from .segments import Grouping, build_grouping
-from .seeding import rng_from
+from .seeding import child_seed, rng_from
 
 _REPAIR_ROUNDS = 1000
 
@@ -207,3 +207,17 @@ def sample_answers(graph: AssignmentGraph, truth: GroundTruth, seed: int) -> Ans
     correct = rng.random(graph.n_edges) < truth.reliabilities[graph.edges[:, 1]]
     signs = np.where(correct, 1, -1)
     return AnswerMatrix(signs * truth.labels[graph.edges[:, 0]])
+
+
+def draw_instance(n_tasks: int, l: int, r: int, prior, seed: int,
+                  *key: int) -> tuple[AssignmentGraph, GroundTruth, AnswerMatrix]:
+    """A seeded (l, r)-regular instance: its graph, ground truth and answers.
+
+    Each step draws from its own child seed of ``seed``, keyed by the
+    step's name ("graph", "truth", "answers") followed by ``key``, such as
+    a bench trial's (point, trial).
+    """
+    graph = generate_regular_bipartite(n_tasks, l, r, child_seed(seed, "graph", *key))
+    truth = sample_ground_truth(graph, prior, child_seed(seed, "truth", *key))
+    answers = sample_answers(graph, truth, child_seed(seed, "answers", *key))
+    return graph, truth, answers

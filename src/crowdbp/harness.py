@@ -27,8 +27,8 @@ from .bp import _K_MAX, _TOL, EstimateReport
 from .errors import (CrowdBPError, DataFormatError, ParameterError, SizeError, check_count,
                      check_signs)
 from .estimators import EstimatorSpec
-from .graph import AnswerMatrix, AssignmentGraph, GroundTruth, _regular_shape, \
-    generate_regular_bipartite, repeated_pairs, sample_answers, sample_ground_truth
+from .graph import (AnswerMatrix, AssignmentGraph, GroundTruth, _regular_shape, draw_instance,
+                    repeated_pairs)
 from .priors import ReliabilityPrior, empirical_prior, parse_prior_spec
 from .seeding import child_seed, rng_from
 from .theory import theoretical_bounds, theory_iterations, tree_probability_bound
@@ -810,7 +810,6 @@ class ExperimentConfig:
     threads: int = 1
     timing: bool = True
     adjust_n: bool = False
-    out: str | None = None
 
     def __post_init__(self) -> None:
         # The declared types, by the rule the config files are read with.
@@ -880,8 +879,6 @@ def _config_value(kind, value):
         if isinstance(value, str):
             value = [item.strip() for item in value.split(",") if item.strip()]
         return tuple(_config_value(typing.get_args(kind)[0], item) for item in value)
-    if typing.get_args(kind):  # ``T | None``
-        return None if value is None else _config_value(typing.get_args(kind)[0], value)
     if kind is bool:
         if isinstance(value, str) and value.lower() in ("true", "false"):
             return value.lower() == "true"
@@ -921,21 +918,19 @@ CSV_COLUMNS = tuple(f.name for f in fields(MetricsRow))
 
 
 def nearest_feasible_n(n_tasks: int, l: int, r: int) -> int:
-    """Smallest adjustment of n_tasks so that n*l is divisible by r."""
+    """Smallest adjustment of n_tasks so that n*l is divisible by r, tie
+    toward larger.  That holds exactly for the multiples n of
+    ``r // gcd(l, r)``."""
     n_tasks = check_count(n_tasks, "n_tasks", 1)
     l, r = check_count(l, "l", 1), check_count(r, "r", 1)
-    for delta in range(r + 1):
-        for candidate in (n_tasks + delta, n_tasks - delta):
-            if candidate >= 1 and (candidate * l) % r == 0:
-                return candidate
-    raise ParameterError(f"no feasible task count near {n_tasks} for l={l}, r={r}")
+    step = r // math.gcd(l, r)
+    below, above = n_tasks - n_tasks % step, -(-n_tasks // step) * step
+    return below if below >= 1 and n_tasks - below < above - n_tasks else above
 
 
 def _run_trial(config: ExperimentConfig, specs: list[EstimatorSpec], prior: ReliabilityPrior,
                n: int, l: int, r: int, point: int, trial: int) -> list[tuple]:
-    graph = generate_regular_bipartite(n, l, r, child_seed(config.seed, "graph", point, trial))
-    truth = sample_ground_truth(graph, prior, child_seed(config.seed, "truth", point, trial))
-    answers = sample_answers(graph, truth, child_seed(config.seed, "answers", point, trial))
+    graph, truth, answers = draw_instance(n, l, r, prior, config.seed, point, trial)
     results = []
     for spec in specs:
         start = time.perf_counter()
@@ -1048,11 +1043,9 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
     return rows
 
 
-def write_metrics_csv(rows: list[MetricsRow], destination) -> None:
-    """Write rows in the fixed column order; RFC-4180 (CRLF, headers first)."""
-    if isinstance(destination, (str, os.PathLike)):
-        with open(destination, "w", newline="") as handle:
-            return write_metrics_csv(rows, handle)
-    writer = csv.writer(destination)
+def write_metrics_csv(rows: list[MetricsRow], handle) -> None:
+    """Write rows to an open text handle in the fixed column order;
+    RFC-4180 (CRLF, headers first)."""
+    writer = csv.writer(handle)
     writer.writerow(CSV_COLUMNS)
     writer.writerows(row.as_csv() for row in rows)

@@ -68,6 +68,17 @@ class TestSweepPieces:
             np.testing.assert_allclose(fast.msg_worker_to_task,
                                        slow.msg_worker_to_task, atol=1e-13)
 
+    def test_naive_kernel_skips_an_edgeless_worker(self):
+        # Worker 1 answers nothing; both kernels give workers 0 and 2 the same messages.
+        g = cb.AssignmentGraph(2, 3, np.array([[0, 0], [1, 0], [1, 2]]))
+        a = np.array([1, -1, 1])
+        table = FactorTable.build(cb.spammer_hammer(), 2)
+        state = replace(bp_init(g), msg_task_to_worker=np.array([[0.8, 0.2], [0.3, 0.7],
+                                                                 [0.6, 0.4]]))
+        fast = bp_update_worker_messages(state, g, a, table, kernel="magnetization")
+        slow = bp_update_worker_messages(state, g, a, table, kernel="naive")
+        np.testing.assert_allclose(fast.msg_worker_to_task, slow.msg_worker_to_task, atol=1e-13)
+
     def test_naive_kernel_guards_large_degrees(self):
         g = cb.AssignmentGraph(15, 1, np.array([[t, 0] for t in range(15)]))
         table = FactorTable.build(cb.spammer_hammer(), 15)

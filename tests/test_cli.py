@@ -146,6 +146,15 @@ class TestInfer:
         assert capsys.readouterr().out == ""
         assert out.read_text().splitlines()[0] == "task,label,margin"
 
+    def test_stdout_matches_out_file(self, tmp_path, capsys):
+        data = simulate(tmp_path)
+        out = tmp_path / "labels.csv"
+        assert main(["infer", "--data", str(data), "--estimator", "bp", "--prior", "sh",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["infer", "--data", str(data), "--estimator", "bp", "--prior", "sh"]) == 0
+        assert capsys.readouterr().out == out.read_bytes().decode()
+
     def test_missing_file_exit_2(self, tmp_path):
         rc = main(["infer", "--data", str(tmp_path / "absent.csv"),
                    "--estimator", "mv"])
@@ -251,6 +260,23 @@ class TestBench:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(BENCH_CONFIG + "mystery = 1\n")
         assert main(["bench", "--config", str(cfg)]) == 2
+
+    def test_out_key_in_config_exit_2(self, tmp_path, capsys):
+        # Only --out chooses the file; the config key used to write there.
+        cfg, target = tmp_path / "cfg.txt", tmp_path / "x.csv"
+        cfg.write_text(BENCH_CONFIG + f"out = {target}\n")
+        assert main(["bench", "--config", str(cfg)]) == 2
+        assert "unknown config key 'out'" in capsys.readouterr().err
+        assert not target.exists()
+
+    def test_stdout_matches_out_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(BENCH_CONFIG)
+        out = tmp_path / "rows.csv"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["bench", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == out.read_bytes().decode()
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["bench", "--config", str(tmp_path / "none.txt")]) == 2

@@ -312,6 +312,11 @@ class TestEstimatorSpec:
         assert "reliabilities" in cb.EstimatorSpec.parse("oracle-work").needs
         assert "prior" not in cb.EstimatorSpec.parse("mv").needs
 
+    def test_unknown_kind_has_no_needs(self):
+        # Built directly, not through parse, the kind is checked when read.
+        with pytest.raises(cb.ParameterError, match="unknown estimator kind 'bogus'"):
+            cb.EstimatorSpec("bogus").needs
+
     def test_run_reports_missing_inputs(self):
         g = star_graph(1)
         a = np.array([1])

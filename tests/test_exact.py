@@ -8,6 +8,7 @@ import crowdbp as cb
 from crowdbp import exact
 from crowdbp.exact import SpanningTree, extract_bfs_tree
 from tests.conftest import random_atom_prior, random_bipartite_tree, random_prior, random_small_graph
+from tests.gain_reference import exact_conditional_gain
 from tests.khop import khop_subgraph
 from tests.memory import traced_peak
 from tests.oracle_reference import reference_oracle_task_estimate
@@ -383,8 +384,8 @@ class TestExactGain:
     def test_single_answer_gain_frozen(self):
         g = cb.AssignmentGraph(1, 1, np.array([[0, 0]]))
         none = np.empty(0, dtype=np.int64)
-        gain = cb.exact_conditional_gain(g, cb.spammer_hammer(), 0,
-                                         np.array([0]), none)
+        gain = exact_conditional_gain(g, cb.spammer_hammer(), 0,
+                                      np.array([0]), none)
         assert gain == pytest.approx(0.2, rel=1e-12)
 
     def test_revealing_a_label_never_hurts(self, rng):
@@ -393,10 +394,10 @@ class TestExactGain:
             g = random_small_graph(rng)
             prior = random_prior(rng)
             all_edges = np.arange(g.n_edges)
-            base = cb.exact_conditional_gain(g, prior, 0, all_edges, none)
+            base = exact_conditional_gain(g, prior, 0, all_edges, none)
             other = int(rng.integers(1, g.n_tasks))
-            more = cb.exact_conditional_gain(g, prior, 0, all_edges,
-                                             np.array([other]))
+            more = exact_conditional_gain(g, prior, 0, all_edges,
+                                          np.array([other]))
             assert more >= base - 1e-12
 
     def test_local_view_with_revealed_ring_beats_full_view(self, rng):
@@ -408,16 +409,16 @@ class TestExactGain:
             g = random_small_graph(rng)
             prior = random_prior(rng)
             inside, boundary = khop_subgraph(g, 0, 1)
-            local = cb.exact_conditional_gain(g, prior, 0, inside, boundary)
-            full = cb.exact_conditional_gain(g, prior, 0, np.arange(g.n_edges), none)
+            local = exact_conditional_gain(g, prior, 0, inside, boundary)
+            full = exact_conditional_gain(g, prior, 0, np.arange(g.n_edges), none)
             assert local >= full - 1e-12
 
     def test_gain_without_information_is_not_negative(self):
         # Root 11 has no answers, so the exact gain is 0.  Summing 2^12 x 2^10
         # error masses used to carry rounding past 1/2 and return -1.55e-15.
         g = cb.AssignmentGraph(12, 3, np.array([(t, t % 3) for t in range(10)]))
-        gain = cb.exact_conditional_gain(g, cb.spammer_hammer(), 11, np.arange(10),
-                                         np.array([10]))
+        gain = exact_conditional_gain(g, cb.spammer_hammer(), 11, np.arange(10),
+                                      np.array([10]))
         assert 0.0 <= gain <= 1e-15
 
     @pytest.mark.parametrize("edge_ids", [[0, 0], [0, 0, 0]])
@@ -426,25 +427,25 @@ class TestExactGain:
         # 0.19999999999999996 for [0]; [0, 0, 0] ended in an IndexError.
         g = cb.generate_regular_bipartite(4, 2, 2, seed=1)
         with pytest.raises(cb.ParameterError, match="edge ids"):
-            cb.exact_conditional_gain(g, cb.spammer_hammer(), 0, np.array(edge_ids),
-                                      np.empty(0, dtype=np.int64))
+            exact_conditional_gain(g, cb.spammer_hammer(), 0, np.array(edge_ids),
+                                   np.empty(0, dtype=np.int64))
 
     def test_root_clamp_rejected(self):
         g = path_graph()
         with pytest.raises(cb.ParameterError, match="root"):
-            cb.exact_conditional_gain(g, cb.spammer_hammer(), 0,
-                                      np.arange(g.n_edges), np.array([0]))
+            exact_conditional_gain(g, cb.spammer_hammer(), 0,
+                                   np.arange(g.n_edges), np.array([0]))
 
     def test_enumeration_guards(self):
         wide = cb.AssignmentGraph(13, 1, np.array([[t, 0] for t in range(13)]))
         with pytest.raises(cb.SizeError):
-            cb.exact_conditional_gain(wide, cb.spammer_hammer(), 0,
-                                      np.array([0]), np.empty(0, dtype=np.int64))
+            exact_conditional_gain(wide, cb.spammer_hammer(), 0,
+                                   np.array([0]), np.empty(0, dtype=np.int64))
         edges = [(t, u) for t in range(4) for u in range(3)][:11]
         many = cb.AssignmentGraph(4, 3, np.array(edges))
         with pytest.raises(cb.SizeError):
-            cb.exact_conditional_gain(many, cb.spammer_hammer(), 0,
-                                      np.arange(11), np.empty(0, dtype=np.int64))
+            exact_conditional_gain(many, cb.spammer_hammer(), 0,
+                                   np.arange(11), np.empty(0, dtype=np.int64))
 
 
 class TestSubsetMonotonicity:
@@ -477,10 +478,10 @@ class TestSubsetMonotonicity:
             subset = rng.choice(g.n_edges, size=size, replace=False)
             root = int(rng.integers(g.n_tasks))
             df, ds = cb.subset_monotonicity_check(g, prior, subset, root=root)
-            direct_full = cb.exact_conditional_gain(g, prior, root,
-                                                    np.arange(g.n_edges), none)
-            direct_sub = cb.exact_conditional_gain(g, prior, root,
-                                                   np.sort(subset), none)
+            direct_full = exact_conditional_gain(g, prior, root,
+                                                 np.arange(g.n_edges), none)
+            direct_sub = exact_conditional_gain(g, prior, root,
+                                                np.sort(subset), none)
             assert abs(df - direct_full) <= 1e-12
             assert abs(ds - direct_sub) <= 1e-12
 

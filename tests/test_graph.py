@@ -155,7 +155,10 @@ class TestSampling:
     def test_sample_answers_validates_shapes(self):
         g = cb.generate_regular_bipartite(4, 2, 2, seed=0)
         truth = cb.GroundTruth(np.ones(3, dtype=int), np.full(4, 0.9))
-        with pytest.raises(cb.ParameterError):
+        with pytest.raises(cb.ParameterError, match="truth labels length"):
+            cb.sample_answers(g, truth, seed=0)
+        truth = cb.GroundTruth(np.ones(4, dtype=int), np.full(3, 0.9))
+        with pytest.raises(cb.ParameterError, match="reliabilities length"):
             cb.sample_answers(g, truth, seed=0)
 
     def test_answer_check_takes_no_int64_copy(self):

@@ -298,11 +298,11 @@ class TestExperimentConfig:
         # Only the config file loader refused these before; the API kept them.
         with pytest.raises(cb.ParameterError):
             cb.ExperimentConfig(n_tasks=12, sweep_values=(3,), fixed_degree=3, prior="sh",
-                                estimators=("mv",), timing=5, adjust_n=None, tol=True, out=7)
+                                estimators=("mv",), timing=5, adjust_n=None, tol=True)
 
     @pytest.mark.parametrize("name, value", [
         ("timing", 5), ("timing", None), ("adjust_n", None), ("adjust_n", 1),
-        ("tol", True), ("tol", None), ("out", 7), ("prior", 3), ("sweep", 1),
+        ("tol", True), ("tol", None), ("prior", 3), ("sweep", 1),
         ("estimators", ("mv", 2)),
     ])
     def test_api_rejects_each_wrong_type_by_name(self, name, value):
@@ -311,10 +311,10 @@ class TestExperimentConfig:
 
     def test_api_and_file_share_one_rule(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**self.base_kwargs(), "tol": 0, "out": None,
+        path.write_text(json.dumps({**self.base_kwargs(), "tol": 0,
                                     "sweep_values": [2, 3], "estimators": ["mv"]}))
         from_file = cb.load_experiment_config(str(path))
-        from_api = cb.ExperimentConfig(**{**self.base_kwargs(), "tol": 0, "out": None})
+        from_api = cb.ExperimentConfig(**{**self.base_kwargs(), "tol": 0})
         assert from_file == from_api and type(from_api.tol) is float
 
 
@@ -394,6 +394,18 @@ class TestNearestFeasibleN:
     ])
     def test_values(self, n, l, r, expected):
         assert cb.nearest_feasible_n(n, l, r) == expected
+
+    def test_matches_the_nearest_first_search(self):
+        def search(n, l, r):
+            """Distance 0, 1, ... from n, the larger candidate first."""
+            for delta in range(r + 1):
+                for candidate in (n + delta, n - delta):
+                    if candidate >= 1 and (candidate * l) % r == 0:
+                        return candidate
+
+        mismatches = [(n, l, r) for n in range(1, 151) for l in range(1, 31)
+                      for r in range(1, 31) if cb.nearest_feasible_n(n, l, r) != search(n, l, r)]
+        assert mismatches == []
 
 
 class TestRunExperiment:
@@ -578,11 +590,10 @@ class TestCsvOutput:
         assert row.as_csv() == ["x", "1", "1", "", "", "0", "0.0", "0.0", "0"]
 
     def test_write_to_path_and_handle(self, tmp_path):
+        # A file opened with newline="" holds the same bytes as the buffer.
         path = tmp_path / "out.csv"
-        cb.write_metrics_csv(self.rows(), str(path))
-        assert path.read_bytes().decode() == csv_text(self.rows())
-        path.unlink()
-        cb.write_metrics_csv(self.rows(), path)
+        with open(path, "w", newline="") as handle:
+            cb.write_metrics_csv(self.rows(), handle)
         assert path.read_bytes().decode() == csv_text(self.rows())
 
 

@@ -82,12 +82,6 @@ RULE_TABLE = [
     ("oracle_work.reliabilities", lambda v: cb.oracle_work(G, A, np.full(4, v)),
      "reliabilities", PROBABILITIES),
     ("extract_bfs_tree.root", lambda v: extract_bfs_tree(G, v), "root", ids(4)),
-    ("exact_conditional_gain.root", lambda v: cb.exact_conditional_gain(G, SH, v, [0], []),
-     "root", ids(4)),
-    ("exact_conditional_gain.edge_ids",
-     lambda v: cb.exact_conditional_gain(G, SH, 0, [v], []), "edge ids", ids(8)),
-    ("exact_conditional_gain.clamp_tasks",
-     lambda v: cb.exact_conditional_gain(G, SH, 0, [0], [v]), "clamp tasks", ids(4)),
     ("subset_monotonicity_check.edge_subset",
      lambda v: cb.subset_monotonicity_check(G, SH, [v]), "edge subset", ids(8)),
     ("subset_monotonicity_check.root",
