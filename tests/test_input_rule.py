@@ -5,7 +5,9 @@ NaN and an out-of-range value, and must raise a ``ParameterError`` naming
 it.  Before the rule lived in ``crowdbp.errors``, most of these were
 truncated (1.7 answered +1, clamp task 0.5 clamped task 0), wrapped (id -1
 read the last task), accepted (NaN reliabilities, boolean counts) or ended
-in a ``TypeError`` or NumPy's ``ValueError``.
+in a ``TypeError`` or NumPy's ``ValueError``.  The test reference
+``exact_conditional_gain`` keeps the package's checks and is held to the
+rule too.
 """
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import crowdbp as cb
 from crowdbp.exact import extract_bfs_tree
 from crowdbp.graph import answer_values
 from crowdbp.priors import FactorTable
+from tests.gain_reference import exact_conditional_gain
 
 NAN = float("nan")
 G = cb.generate_regular_bipartite(4, 2, 2, seed=1)  # 4 tasks, 4 workers, 8 edges
@@ -82,6 +85,12 @@ RULE_TABLE = [
     ("oracle_work.reliabilities", lambda v: cb.oracle_work(G, A, np.full(4, v)),
      "reliabilities", PROBABILITIES),
     ("extract_bfs_tree.root", lambda v: extract_bfs_tree(G, v), "root", ids(4)),
+    ("exact_conditional_gain.root", lambda v: exact_conditional_gain(G, SH, v, [0], []),
+     "root", ids(4)),
+    ("exact_conditional_gain.edge_ids",
+     lambda v: exact_conditional_gain(G, SH, 0, [v], []), "edge ids", ids(8)),
+    ("exact_conditional_gain.clamp_tasks",
+     lambda v: exact_conditional_gain(G, SH, 0, [0], [v]), "clamp tasks", ids(4)),
     ("subset_monotonicity_check.edge_subset",
      lambda v: cb.subset_monotonicity_check(G, SH, [v]), "edge subset", ids(8)),
     ("subset_monotonicity_check.root",
