@@ -70,7 +70,9 @@ _ALPHABETS = {
 }
 _ALPHABET_NAMES = tuple(_ALPHABETS)
 # The text the writers give each ±1 value, indexed by the value: -1 picks the last.
-_SIGNS = np.array(["", "+1", "-1"], dtype=object)
+_SIGNS = ["", "+1", "-1"]
+# The writers pad texts to whole 8-byte words with this byte, which UTF-8 never holds.
+_PAD = 0xFF
 
 # Characters read per block of lines; rows per block of the writers and of
 # the reader's row checks.
@@ -610,55 +612,116 @@ def _csv_fields(texts) -> list[str]:
     return spelled
 
 
-def _spelled(values: np.ndarray) -> np.ndarray:
-    """``repr`` of each float, as an object array in which equal values
-    share one text: each distinct value is spelled once.  Values are told
-    apart by bit pattern, so that ``-0.0`` keeps its own spelling."""
+def _spelled(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The ``repr`` of each distinct float, and each value's index into
+    them in the narrowest unsigned type.  Values are told apart by bit
+    pattern, so that ``-0.0`` keeps its own spelling."""
     values = np.asarray(values, dtype=np.float64)
     _, first, inverse = np.unique(values.view(np.uint64), return_index=True, return_inverse=True)
-    return np.array(list(map(repr, values[first].tolist())), dtype=object)[inverse]
+    return list(map(repr, values[first].tolist())), inverse.astype(np.min_scalar_type(first.size))
 
 
-def _gathered(texts: np.ndarray, ids: np.ndarray):
-    """The column whose field in row i is ``texts[ids[i]]``."""
-    return lambda rows: texts[ids[rows]]
+def _table(texts: list[str], end: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """``texts``, each with ``end`` appended, as UTF-8 in 8-byte words padded
+    with ``_PAD``: one text per row of a 2-D array, unless padding all to
+    the longest would more than double the words.  Then the words run on
+    in one array, returned with each text's first word and a last end."""
+    joined = end.join(texts) + end if texts else ""
+    data = np.frombuffer(joined.encode("utf-8", "surrogatepass"), np.uint8)
+    if data.size == len(joined):
+        lengths = np.fromiter(map(len, texts), np.int64, len(texts)) + len(end)
+    else:
+        lengths = np.fromiter((len((t + end).encode("utf-8", "surrogatepass")) for t in texts),
+                              np.int64, len(texts))
+    counts = -(-lengths // 8)
+    width, size = int(counts.max(initial=1)), int(counts.sum())
+    if width * counts.size <= 2 * size:
+        starts, first, size = None, np.arange(counts.size) * width, width * counts.size
+    else:
+        first = np.cumsum(counts) - counts
+        starts = np.append(first, size).astype(np.min_scalar_type(size))
+    words = np.full(8 * size, _PAD, np.uint8)
+    at = np.repeat(8 * first - (np.cumsum(lengths) - lengths), lengths)
+    at += np.arange(data.size)
+    words[at] = data
+    words = words.view(np.uint64)
+    return (words.reshape(-1, width) if starts is None else words), starts
 
 
-def _named(names: tuple[str, ...], ids: np.ndarray):
-    """The column whose field in row i names ``ids[i]``: its name, quoted
-    once as csv.writer quotes it, or without names the id itself, spelled
-    a block at a time."""
-    if not names:
-        return lambda rows: list(map(str, ids[rows].tolist()))
-    return _gathered(np.array(_csv_fields(names), dtype=object), ids)
+def _id_table(n: int, end: str) -> tuple[np.ndarray, None]:
+    """``_table`` of the texts ``str(i) + end`` for ``i < n``, spelled by
+    arithmetic: the ids with d digits are one range."""
+    digits = len(str(max(n - 1, 0)))
+    text = np.full((n, 8 * (digits // 8 + 1)), _PAD, np.uint8)
+    for d in range(1, digits + 1):
+        lo, hi = 10 ** (d - 1) if d > 1 else 0, min(n, 10 ** d)
+        value = np.arange(lo, hi)
+        for k in reversed(range(d)):
+            value, text[lo:hi, k] = np.divmod(value, 10)
+        text[lo:hi, :d] += ord("0")
+        text[lo:hi, d] = ord(end)
+    return text.view(np.uint64), None
 
 
 def write_rows(handle, n_rows: int, columns) -> None:
     """Write ``n_rows`` CSV rows, ``_ROW_BLOCK`` at a time; lines end in ``\\n``.
 
-    Each column is a function from a slice of rows to their fields, spelled
-    as csv.writer spells fields of a multi-field row.  The separators are
-    interleaved with the fields, so no text is copied to append one.
+    Column j is ``(texts, ids, via)``: its field in row i is
+    ``texts[ids[via[i]]]``, or ``texts[ids[i]]`` when ``via`` is None.
+    ``texts`` are the distinct fields, spelled as csv.writer spells fields
+    of a multi-field row, or an int n that stands for the ids below n.
+    Each text is laid out once as words, with its separator; a block is one
+    word gather per column and one drop of the pad bytes.
     """
+    ends = [","] * (len(columns) - 1) + ["\n"]
+    tables = [_id_table(texts, end) if isinstance(texts, int) else _table(texts, end)
+              for (texts, _, _), end in zip(columns, ends)]
     for rows in _row_blocks(n_rows):
-        cells = np.empty((rows.stop - rows.start, 2 * len(columns)), dtype=object)
-        cells[:, 1::2] = ","
-        cells[:, -1] = "\n"
-        for j, column in enumerate(columns):
-            cells[:, 2 * j] = column(rows)
-        handle.write("".join(cells.ravel().tolist()))
+        picks = [(words, starts, ids[rows] if via is None else ids[via[rows]])
+                 for (words, starts), (_, ids, via) in zip(tables, columns)]
+        if any(starts is not None for _, starts, _ in picks):
+            data = _run_on(picks).view(np.uint8)
+        else:
+            data = np.hstack([words[i] for words, _, i in picks]).view(np.uint8).ravel()
+        data = data[data != _PAD]
+        handle.write(str(data, "utf-8", "surrogatepass"))
+        del picks, data  # so that no block's arrays live on beside the next
+
+
+def _run_on(picks) -> np.ndarray:
+    """The picked texts' words in row order when a table runs its texts on:
+    each column's words are gathered through an index over them."""
+    spans = []
+    for words, starts, i in picks:
+        i = i.astype(np.intp)
+        if starts is None:
+            spans.append((words.ravel(), i * words.shape[1], np.full(i.size, words.shape[1])))
+        else:
+            first = starts[i].astype(np.intp)
+            spans.append((words, first, starts[i + 1] - first))
+    counts = np.column_stack([c for _, _, c in spans])
+    stops = counts.cumsum().reshape(counts.shape)
+    block = np.empty(int(stops[-1, -1]), np.uint64)
+    for j, (words, first, c) in enumerate(spans):
+        within = np.arange(c.sum())
+        within -= np.repeat(np.cumsum(c) - c, c)
+        at = np.repeat(stops[:, j] - c, c)
+        at += within
+        first = np.repeat(first, c)
+        first += within
+        del within
+        block[at] = words[first]
+    return block
 
 
 def write_estimates(handle, report: EstimateReport, task_names: tuple[str, ...]) -> None:
     """Write ``task,label,margin`` rows, one per task in id order.  Tasks
     without names are named by their ids."""
-    tasks = np.arange(report.labels.size)
+    n_tasks = report.labels.size
     handle.write("task,label,margin\n")
-    write_rows(handle, tasks.size, [
-        _named(task_names, tasks),
-        _gathered(_SIGNS, report.labels),
-        lambda rows: list(map(repr, report.margins[rows].tolist())),
-    ])
+    write_rows(handle, n_tasks, [(_csv_fields(task_names) or n_tasks, np.arange(n_tasks), None),
+                                  (_SIGNS, report.labels, None),
+                                  (*_spelled(report.margins), None)])
 
 
 def _check_names(names: tuple[str, ...], what: str, encoding: str) -> None:
@@ -705,12 +768,13 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     _check_names(dataset.task_names, "task", encoding)
     _check_names(dataset.worker_names, "worker", encoding)
     tasks, workers = graph.edges[:, 0], graph.edges[:, 1]
-    columns = [_named(dataset.task_names, tasks), _named(dataset.worker_names, workers),
-               _gathered(_SIGNS, dataset.answers.answers)]
+    columns = [(_csv_fields(dataset.task_names) or graph.n_tasks, tasks, None),
+               (_csv_fields(dataset.worker_names) or graph.n_workers, workers, None),
+               (_SIGNS, dataset.answers.answers, None)]
     if dataset.truth_labels is not None:
-        columns.append(_gathered(_SIGNS[check_signs(dataset.truth_labels, "truth labels")], tasks))
+        columns.append((_SIGNS, check_signs(dataset.truth_labels, "truth labels"), tasks))
         if dataset.reliabilities is not None:
-            columns.append(_gathered(_spelled(dataset.reliabilities), workers))
+            columns.append((*_spelled(dataset.reliabilities), workers))
     with open(path, "w", encoding=encoding, newline="") as handle:
         handle.write("# alphabet=pm1\n")
         write_rows(handle, graph.n_edges, columns)

@@ -1,6 +1,7 @@
 """Block-bounded memory of the dataset CSV reader and writers, and the block
 writers' bytes against the whole-file writers they replaced."""
 import io
+import locale
 
 import numpy as np
 import pytest
@@ -42,6 +43,23 @@ class TestMemory:
         # Whole-file tables grew by 17 MB between these sizes; the block
         # writer keeps a few bytes per task and per worker.
         assert peaks[1] < peaks[0] + 2_000_000
+
+    def test_save_peak_with_one_very_long_name(self, tmp_path):
+        # 100k rows and 10k workers, one named by 1,000,000 characters: its
+        # text must not set the width of every other text.
+        g = cb.generate_regular_bipartite(20_000, 5, 10, seed=4)
+        truth = cb.sample_ground_truth(g, cb.parse_prior_spec("sh"), seed=5)
+        names = [f"w{i}" for i in range(g.n_workers)]
+        names[g.edges[70_000, 1]] = "x" * 1_000_000  # 7 of its 10 rows in the first block
+        dataset = cb.Dataset(graph=g, answers=cb.sample_answers(g, truth, seed=6),
+                             truth_labels=truth.labels, reliabilities=truth.reliabilities,
+                             worker_names=tuple(names))
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        peak, _ = traced_peak(lambda: cb.save_dataset(dataset, str(got)))
+        assert g.n_edges == 100_000 and g.n_workers == 10_000
+        assert peak < 64_000_000
+        save_dataset_whole_file(dataset, str(want))
+        assert got.read_bytes() == want.read_bytes()
 
 
 def random_names(rng, n, prefix):
@@ -94,6 +112,79 @@ class TestBlockWriters:
             assert data == want.read_bytes()
             assert b",-0.0\n" in data and b",0.0\n" in data
             assert (b'\n"t,a",' in data) == named
+
+    @pytest.mark.parametrize("row_block", [harness._ROW_BLOCK, 7])
+    @pytest.mark.parametrize("names", [
+        ("a\x00b", "\xff", "\xffy", "\U0001F600", ""),  # NUL; C3 BF; a 4-byte emoji
+        ("a,b", 'say "hi"', '"', "#c,d", "x" * 300),  # quoted; one text of 38 words
+    ])
+    def test_save_dataset_bytes_of_edge_texts(self, tmp_path, monkeypatch, row_block, names):
+        monkeypatch.setattr(harness, "_ROW_BLOCK", row_block)
+        g = cb.AssignmentGraph(5, 5, np.array([(t, (t + k) % 5) for t in range(5)
+                                               for k in range(3)]))
+        rel = np.array([-0.0, 5e-324, 0.1 + 0.2, 0.0, 1.0])
+        dataset = cb.Dataset(graph=g, answers=cb.AnswerMatrix(np.resize([1, -1, -1], 15)),
+                             truth_labels=np.array([1, -1, 1, 1, -1]), reliabilities=rel,
+                             task_names=names, worker_names=names[::-1])
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        cb.save_dataset(dataset, str(got))
+        save_dataset_whole_file(dataset, str(want))
+        assert got.read_bytes() == want.read_bytes()
+        assert b",-0.0\n" in got.read_bytes() and b",5e-324\n" in got.read_bytes()
+        assert b",0.30000000000000004\n" in got.read_bytes()
+        loaded = cb.load_dataset(str(got))
+        assert set(loaded.task_names) == set(names)
+        assert set(loaded.worker_names) == set(names)
+
+    @pytest.mark.parametrize("row_block", [harness._ROW_BLOCK, 7])
+    @pytest.mark.parametrize("n", [1, 10, 11, 100_001])
+    def test_ids_at_digit_boundaries(self, tmp_path, monkeypatch, row_block, n):
+        monkeypatch.setattr(harness, "_ROW_BLOCK", row_block)
+        # Task i answered by worker n - 1 - i, so both columns run through every id.
+        g = cb.AssignmentGraph(n, n, np.column_stack([np.arange(n), np.arange(n)[::-1]]))
+        dataset = cb.Dataset(graph=g, answers=cb.AnswerMatrix(np.ones(n, dtype=np.int64)))
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        cb.save_dataset(dataset, str(got))
+        save_dataset_whole_file(dataset, str(want))
+        assert got.read_bytes() == want.read_bytes()
+        assert got.read_bytes().endswith(f"\n{n - 1},0,+1\n".encode())
+
+    def test_dataset_without_edges_writes_only_the_header(self, tmp_path):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        for names in ((), ("a", "b")):
+            dataset = cb.Dataset(graph=cb.AssignmentGraph(2, 2, np.zeros((0, 2), np.int64)),
+                                 answers=cb.AnswerMatrix(np.zeros(0, np.int64)),
+                                 truth_labels=np.array([1, -1]), reliabilities=np.ones(2),
+                                 task_names=names, worker_names=names)
+            cb.save_dataset(dataset, str(got))
+            save_dataset_whole_file(dataset, str(want))
+            assert got.read_bytes() == want.read_bytes() == b"# alphabet=pm1\n"
+
+    def test_locale_encoding_is_kept(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True: "latin-1")
+        g = cb.AssignmentGraph(2, 1, np.array([[0, 0], [1, 0]]))
+        answers = cb.AnswerMatrix(np.array([1, -1]))
+        path = tmp_path / "latin1.csv"
+        cb.save_dataset(cb.Dataset(graph=g, answers=answers, task_names=("\xfc", "b"),
+                                   worker_names=("w",)), str(path))
+        assert path.read_bytes() == b"# alphabet=pm1\n\xfc,w,+1\nb,w,-1\n"
+        with pytest.raises(cb.ParameterError, match="cannot be written as latin-1 text"):
+            cb.save_dataset(cb.Dataset(graph=g, answers=answers, task_names=("a", "\U0001F600"),
+                                       worker_names=("w",)), str(tmp_path / "emoji.csv"))
+        assert not (tmp_path / "emoji.csv").exists()
+
+    def test_each_distinct_float_is_spelled_once(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "repr", lambda x: calls.append(x) or repr(x),
+                            raising=False)
+        dataset = simulated_dataset(2000, 10)
+        cb.save_dataset(dataset, str(tmp_path / "sim.csv"))
+        assert len(calls) == np.unique(dataset.reliabilities).size < 10
+        calls.clear()
+        margins = np.resize([0.5, -0.25, 0.0, -0.0], 3000)
+        report = cb.EstimateReport(np.where(margins >= 0, 1, -1), margins, 0, True, 0.0)
+        harness.write_estimates(io.StringIO(), report, ())
+        assert sorted(map(str, calls)) == ["-0.0", "-0.25", "0.0", "0.5"]
 
     @pytest.mark.parametrize("row_block", [harness._ROW_BLOCK, 5])
     def test_infer_output_bytes(self, monkeypatch, row_block):

@@ -1,9 +1,11 @@
-"""The whole-file bulk writers that ``harness.write_rows``, ``save_dataset``
-and ``crowdbp infer`` used before they wrote in row blocks.
+"""The whole-file bulk writers that ``save_dataset`` and ``crowdbp infer``
+used before they wrote in row blocks.
 
-They build one quoted table per column with its separator appended, spell
-every reliability, and gather whole-file index arrays.  The tests hold the
-block writers to their bytes.
+They build one quoted table of Python strings per column with its separator
+appended, spell every id with ``str`` and every reliability with ``repr``,
+and gather whole-file index arrays.  The tests hold ``harness.write_rows``,
+which lays each distinct field out once as UTF-8 words and writes a block
+of rows from one word gather per column, to their bytes.
 """
 from __future__ import annotations
 
