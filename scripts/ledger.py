@@ -5,7 +5,7 @@ From the repository root::
     python scripts/ledger.py --parent ../copy-a --change ../copy-b \\
         --workloads file-1m regular-1m --seeds 1-10 \\
         --claim file-1m --fresh-seeds 201-210 \\
-        --change-text "what the change does" --out BENCH_28.json
+        --change-text "what the change does" --out BENCH_new.json
 
 ``--parent`` and ``--change`` are two checkouts at paths of equal length:
 the path is part of what a process loads, so unequal paths can move peak
