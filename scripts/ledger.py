@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-METHOD = ("python3 perfbench/run.py --workload W --seed S --trace 0{seconds}, run from "
+METHOD = ("python3 perfbench/run.py --workload W --seed S --trace 0, run from "
           "checkouts of the parent and the change at paths of equal length, one pair per "
           "seed, alternating which side runs first; medians and quartiles over the seeds")
 
@@ -45,12 +45,10 @@ def seed_range(text: str) -> list[int]:
     return seeds
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float | None) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One benchmark run in ``checkout``: its result line and its environment."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--trace", "0"]
-    if seconds is not None:
-        argv += ["--seconds", str(seconds)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv[1:])} in {checkout} exited {proc.returncode}:\n"
@@ -61,13 +59,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float | None) ->
     return result
 
 
-def run_pairs(parent: Path, change: Path, workload: str, seeds: list[int],
-              seconds: float | None) -> list[tuple[dict, dict]]:
+def run_pairs(parent: Path, change: Path, workload: str,
+              seeds: list[int]) -> list[tuple[dict, dict]]:
     """One (parent, change) pair of runs per seed, alternating which runs first."""
     pairs = []
     for k, seed in enumerate(seeds):
         order = (parent, change) if k % 2 == 0 else (change, parent)
-        runs = {side: run_once(side, workload, seed, seconds) for side in order}
+        runs = {side: run_once(side, workload, seed) for side in order}
         pairs.append((runs[parent], runs[change]))
         print(f"{workload} seed {seed}: " + ", ".join(
             f"{side} pass_s {runs[path]['metrics']['pass_s']['value']:.4f}"
@@ -103,14 +101,14 @@ def fold(pairs: list[tuple[dict, dict]], seeds: list[int]) -> dict:
     }
 
 
-def ledger(change_text: str, seconds: float | None, runs: dict, fresh: dict | None) -> dict:
+def ledger(change_text: str, runs: dict, fresh: dict | None) -> dict:
     """The whole ledger from ``{workload: (seeds, pairs)}`` and, optionally,
     the claimed workload's fresh-seed runs in the same form."""
     parent, change = next(iter(runs.values()))[1][0]
     environment = {k: v for k, v in change["environment"].items() if k != "commit"}
     out = {
         "change": change_text,
-        "method": METHOD.format(seconds="" if seconds is None else f" --seconds {seconds}"),
+        "method": METHOD,
         "environment": environment,
         "commits": {"parent": parent["environment"].get("commit", "unknown"),
                     "change": change["environment"].get("commit", "unknown")},
@@ -132,8 +130,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--claim", help="the workload whose gain the change claims")
     parser.add_argument("--fresh-seeds", type=seed_range,
                         help="run --claim again at these seeds")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="measuring time per run; default: run_seconds of BENCHMARK.json")
     parser.add_argument("--change-text", required=True, help="what the change does")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
@@ -142,14 +138,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"checkout paths differ in length: {parent} and {change}")
     if args.fresh_seeds and not args.claim:
         parser.error("--fresh-seeds needs --claim")
-    runs = {name: (args.seeds, run_pairs(parent, change, name, args.seeds, args.seconds))
+    runs = {name: (args.seeds, run_pairs(parent, change, name, args.seeds))
             for name in args.workloads}
     fresh = None
     if args.fresh_seeds:
-        fresh = {args.claim: (args.fresh_seeds, run_pairs(parent, change, args.claim,
-                                                          args.fresh_seeds, args.seconds))}
+        fresh = {args.claim: (args.fresh_seeds,
+                              run_pairs(parent, change, args.claim, args.fresh_seeds))}
     with open(args.out, "w") as handle:
-        json.dump(ledger(args.change_text, args.seconds, runs, fresh), handle, indent=1)
+        json.dump(ledger(args.change_text, runs, fresh), handle, indent=1)
         handle.write("\n")
     return 0
 

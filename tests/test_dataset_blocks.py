@@ -1,5 +1,6 @@
 """Block-bounded memory of the dataset CSV reader and writers, and the block
 writers' bytes against the whole-file writers they replaced."""
+import dataclasses
 import io
 import locale
 
@@ -43,6 +44,19 @@ class TestMemory:
         # Whole-file tables grew by 17 MB between these sizes; the block
         # writer keeps a few bytes per task and per worker.
         assert peaks[1] < peaks[0] + 2_000_000
+
+    def test_save_peak_with_names(self, tmp_path):
+        # 400k rows, 40k tasks and 80k workers named t{i} and w{i}.  An int64
+        # index per byte of the names' texts, and its arange, cost 46 bytes
+        # per name beyond the unnamed file's peak; a mark per byte, 9.
+        dataset = simulated_dataset(40_000, 10)
+        graph = dataset.graph
+        named = dataclasses.replace(
+            dataset, task_names=tuple(f"t{i}" for i in range(graph.n_tasks)),
+            worker_names=tuple(f"w{i}" for i in range(graph.n_workers)))
+        peaks = [traced_peak(lambda: cb.save_dataset(d, str(tmp_path / "out.csv")))[0]
+                 for d in (dataset, named)]
+        assert peaks[1] < peaks[0] + 16 * (graph.n_tasks + graph.n_workers)
 
     def test_save_peak_with_one_very_long_name(self, tmp_path):
         # 100k rows and 10k workers, one named by 1,000,000 characters: its

@@ -36,7 +36,7 @@ def test_fold_medians_quartiles_wins_and_failures():
 
 def test_ledger_has_bench_18_schema():
     pairs = [(result(2.0, commit="p"), result(1.0, commit="c"))] * 3
-    out = ledger.ledger("a faster writer", None, {"file-1m": ([1, 2, 3], pairs)},
+    out = ledger.ledger("a faster writer", {"file-1m": ([1, 2, 3], pairs)},
                         {"file-1m": ([201, 202, 203], pairs)})
     bench_18 = json.loads((SCRIPT.parents[1] / "BENCH_18.json").read_text())
     for key in ("change", "method", "environment", "commits", "workloads", "fresh_seeds"):
@@ -47,7 +47,7 @@ def test_ledger_has_bench_18_schema():
     assert set(got) == set(want)
     assert set(got["parent"]) == set(want["parent"]) - {"peak_rss_mb"}
     assert out["fresh_seeds"]["file-1m"]["seeds"] == [201, 203]
-    assert "--seconds" not in out["method"]
+    assert out["method"] == ledger.METHOD
 
 
 @pytest.mark.parametrize("text, seeds", [("1-3", [1, 2, 3]), ("7", [7]), ("201-201", [201])])
