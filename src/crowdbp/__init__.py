@@ -10,8 +10,8 @@ analytic bounds and a benchmark harness with a CLI.
 """
 
 from .bp import EstimateReport, bp_run, decode_labels
-from .errors import (CrowdBPError, DataFormatError, GenerationError,
-                     NumericDegeneracyError, ParameterError, SizeError)
+from .errors import (CrowdBPError, DataFormatError, NumericDegeneracyError, ParameterError,
+                     SizeError)
 from .estimators import (EstimatorSpec, ebp_run, em_run, kos_run, majority_vote,
                          oracle_work)
 from .exact import brute_force_marginals, oracle_task_estimate, subset_monotonicity_check
@@ -29,7 +29,7 @@ from .theory import theoretical_bounds, theory_iterations, tree_probability_boun
 __all__ = [
     "AnswerMatrix", "AssignmentGraph", "CSV_COLUMNS", "CrowdBPError",
     "DataFormatError", "Dataset", "EstimateReport", "EstimatorSpec", "ExperimentConfig",
-    "GenerationError", "GroundTruth", "MetricsRow",
+    "GroundTruth", "MetricsRow",
     "NumericDegeneracyError", "ParameterError", "ReliabilityPrior", "SizeError",
     "adversary_spammer_hammer", "bp_run", "brute_force_marginals", "child_seed",
     "decode_labels", "ebp_run", "em_run",

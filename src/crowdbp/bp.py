@@ -82,7 +82,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import (NumericDegeneracyError, ParameterError, SizeError, check_count,
+from .errors import (NumericDegeneracyError, ParameterError, SizeError, check_budget,
                      check_ids, check_signs)
 from .graph import AnswerMatrix, AssignmentGraph, answer_values
 from .priors import FactorTable, ReliabilityPrior
@@ -148,9 +148,7 @@ def _iterate(step, state, k_max: int, tol: float) -> tuple[object, int, bool, fl
     state inline: the driver drops it after the first step, while a name
     for it in the caller would keep its arrays alive for the whole run.
     """
-    k_max = check_count(k_max, "k_max", 1)
-    if not tol >= 0:
-        raise ParameterError("tol must be non-negative")
+    k_max = check_budget(k_max, tol)
     delta = math.inf
     for iteration in range(1, k_max + 1):
         state, delta = step(state)

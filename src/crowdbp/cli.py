@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from .bp import _K_MAX, _TOL
-from .errors import DataFormatError, GenerationError, NumericDegeneracyError, ParameterError
+from .errors import DataFormatError, NumericDegeneracyError, ParameterError
 from .estimators import EstimatorSpec
 from .graph import draw_instance
 from .harness import (Dataset, error_rate, load_dataset, load_experiment_config,
@@ -78,14 +78,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    # Every bound is computed before any is printed, so a bad --n or --k prints none.
+    tree = [] if args.n is None else [
+        f"tree_prob_bound {tree_probability_bound(args.n, args.l, args.r, args.k)!r}"]
     mv_bound, kos_bound = theoretical_bounds(args.l, args.r, args.mu, args.q)
-    print(f"mv_bound {mv_bound!r}")
-    if kos_bound is None:
-        print("kos_bound undefined (below the spectral barrier)")
-    else:
-        print(f"kos_bound {kos_bound!r}")
-    if args.n is not None:
-        print(f"tree_prob_bound {tree_probability_bound(args.n, args.l, args.r, args.k)!r}")
+    kos = "undefined (below the spectral barrier)" if kos_bound is None else repr(kos_bound)
+    print(f"mv_bound {mv_bound!r}", f"kos_bound {kos}", *tree, sep="\n")
     return 0
 
 
@@ -144,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, GenerationError) as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DataFormatError as exc:
@@ -153,9 +151,6 @@ def main(argv: list[str] | None = None) -> int:
     except NumericDegeneracyError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

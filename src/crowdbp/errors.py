@@ -25,10 +25,6 @@ class SizeError(ParameterError):
     """An input exceeds an enumeration or safety guard."""
 
 
-class GenerationError(CrowdBPError, RuntimeError):
-    """Random-instance generation exhausted its retry budget."""
-
-
 class DataFormatError(CrowdBPError, ValueError):
     """A dataset file is malformed."""
 
@@ -43,6 +39,14 @@ def check_count(value, name: str, minimum: int = 0) -> int:
             or not float(value).is_integer() or value < minimum):
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value}")
     return int(value)
+
+
+def check_budget(k_max, tol) -> int:
+    """An iterative decoder's sweep budget ``k_max`` as an int, with ``tol`` >= 0."""
+    k_max = check_count(k_max, "k_max", 1)
+    if not tol >= 0:
+        raise ParameterError("tol must be non-negative")
+    return k_max
 
 
 def check_ids(values, n: int, name: str) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bp import _K_MAX, _TOL, EstimateReport, _iterate, _max_change, bp_run, make_report
-from .errors import ParameterError, check_count, check_probabilities
+from .errors import ParameterError, check_budget, check_count, check_probabilities
 from .exact import oracle_task_estimate
 from .graph import AnswerMatrix, AssignmentGraph, answer_values
 from .priors import ReliabilityPrior, empirical_prior, spammer_hammer
@@ -190,7 +190,7 @@ def em_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """A named estimator plus the knobs the harness threads through."""
+    """A named estimator and the knobs the harness threads through, checked when built."""
 
     kind: str
     rounds: int = 0
@@ -200,6 +200,9 @@ class EstimatorSpec:
     # What each kind reads besides the graph and its answers.
     _NEEDS = {"mv": (), "kos": (), "bp": ("prior",), "ebp": (), "oracle-work": ("reliabilities",),
               "oracle-task": ("prior", "truth"), "em": ()}
+
+    def __post_init__(self) -> None:
+        check_budget(self.k_max, self.tol)
 
     @classmethod
     def parse(cls, name: str, k_max: int = _K_MAX, tol: float = _TOL) -> "EstimatorSpec":

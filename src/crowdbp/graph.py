@@ -3,9 +3,9 @@
 Each task carries a hidden label in {-1, +1}; each worker answers every
 task assigned to her correctly with a fixed per-worker probability drawn
 from a reliability prior.  Assignments are bipartite graphs; the regular
-generator pairs task and worker half-edge stubs uniformly and then repairs
-parallel edges with seeded stub swaps, so it stays feasible in regimes
-where a simple pairing is exponentially unlikely.
+generator pairs task and worker half-edge stubs uniformly and repairs
+parallel edges with seeded stub swaps; a dense shape that the swaps cannot
+settle gets a seeded circulant graph instead.
 """
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (GenerationError, ParameterError, SizeError, check_count, check_ids,
-                     check_probabilities, check_signs)
+from .errors import (ParameterError, SizeError, check_count, check_ids, check_probabilities,
+                     check_signs)
 from .segments import Grouping, build_grouping
 from .seeding import child_seed, rng_from
 
@@ -157,13 +157,14 @@ def generate_regular_bipartite(n_tasks: int, l: int, r: int, seed: int) -> Assig
     count is ``n_tasks * l / r``, which must be integral.  The uniform stub
     pairing almost always contains parallel edges once (l-1)(r-1) is large,
     so duplicates are repaired by swapping the offending worker stubs with
-    uniformly chosen partners until the graph is simple.
+    uniformly chosen partners until the graph is simple.  Should the budget
+    run out, as it can near the complete graph, stub p goes to seeded worker
+    ``perm[p % n_workers]``: simple, since r <= n_tasks gives l <= n_workers.
 
     Raises:
         ParameterError: on non-positive degrees, a non-integral worker count
             or r > n_tasks.
         SizeError: if ``n_tasks * n_workers > 2**63``, before any array is built.
-        GenerationError: if the repair budget is exhausted.
     """
     n_tasks, l, r, n_workers = _regular_shape(n_tasks, l, r)
     m = n_tasks * l
@@ -183,10 +184,8 @@ def generate_regular_bipartite(n_tasks: int, l: int, r: int, seed: int) -> Assig
         for pos in repeats.tolist():
             partner = int(rng.integers(m))
             worker_stubs[pos], worker_stubs[partner] = worker_stubs[partner], worker_stubs[pos]
-    raise GenerationError(
-        f"could not build a simple ({l},{r})-regular graph on {n_tasks} tasks "
-        f"within {_REPAIR_ROUNDS} repair rounds"
-    )
+    worker_stubs[:] = rng.permutation(n_workers)[np.arange(m) % n_workers]
+    return AssignmentGraph(n_tasks, n_workers, edges)
 
 
 def sample_ground_truth(graph: AssignmentGraph, prior, seed: int) -> GroundTruth:

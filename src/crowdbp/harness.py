@@ -883,7 +883,7 @@ class ExperimentConfig:
                 object.__setattr__(self, name, _config_value(kind, getattr(self, name)))
             except (TypeError, ValueError) as exc:
                 raise ParameterError(f"bad {name}: {exc}") from exc
-        for name in ("n_tasks", "fixed_degree", "trials", "k_max", "threads"):
+        for name in ("n_tasks", "fixed_degree", "trials", "threads"):
             check_count(getattr(self, name), name, 1)
         for value in self.sweep_values:
             check_count(value, "sweep_values", 1)
@@ -891,11 +891,9 @@ class ExperimentConfig:
             raise ParameterError(f"sweep must be 'l' or 'r', got {self.sweep!r}")
         if not self.sweep_values:
             raise ParameterError("sweep_values must not be empty")
-        if not self.tol >= 0:
-            raise ParameterError("tol must be non-negative")
         parse_prior_spec(self.prior)
-        for name in self.estimators:
-            EstimatorSpec.parse(name)
+        for name in self.estimators:  # each spec checks k_max and tol
+            EstimatorSpec.parse(name, k_max=self.k_max, tol=self.tol)
         if not self.estimators:
             raise ParameterError("at least one estimator is required")
 

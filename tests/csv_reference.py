@@ -1,7 +1,8 @@
 """Per-line reference implementations of the dataset CSV reader and writers.
 
 These are the original row-at-a-time loops that ``harness.load_dataset``,
-``harness.save_dataset`` and ``crowdbp infer`` replaced with bulk code.
+``harness.save_dataset`` and ``harness.write_estimates`` (the output of
+``crowdbp infer``) replaced with bulk code.
 The equivalence tests hold the bulk code to them: same ``Dataset`` fields,
 same ``DataFormatError`` text and same output bytes.  Lines that are not
 valid text in the file's encoding, and lines that ``csv.reader`` rejects,
@@ -15,7 +16,7 @@ import re
 
 import numpy as np
 
-from crowdbp import AnswerMatrix, AssignmentGraph, DataFormatError, Dataset
+from crowdbp import AnswerMatrix, AssignmentGraph, DataFormatError, Dataset, EstimateReport
 from crowdbp.harness import _ALPHABETS
 
 # What undecodable bytes turn into when read with errors="surrogateescape".
@@ -131,3 +132,11 @@ def save_dataset_per_row(dataset: Dataset, path: str) -> None:
                 if dataset.reliabilities is not None:
                     row.append(repr(float(dataset.reliabilities[w])))
             writer.writerow(row)
+
+
+def write_estimates_per_row(handle, report: EstimateReport, task_names: tuple[str, ...]) -> None:
+    names = task_names or tuple(str(i) for i in range(report.labels.size))
+    handle.write("task,label,margin\n")
+    writer = csv.writer(handle, lineterminator="\n")
+    for name, label, margin in zip(names, report.labels, report.margins):
+        writer.writerow([name, f"{label:+d}", repr(float(margin))])

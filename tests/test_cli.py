@@ -202,6 +202,22 @@ class TestInfer:
         assert rc == 2
         assert "tol must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("estimator", ["mv", "oracle-work", "kos"])
+    @pytest.mark.parametrize("budget,message", [
+        (["--kmax", "0"], "k_max must be an integer >= 1, got 0"),
+        (["--tol", "nan"], "tol must be non-negative"),
+    ], ids=["kmax-0", "tol-nan"])
+    def test_budget_refused_whatever_the_estimator(self, tmp_path, capsys, estimator, budget,
+                                                   message):
+        # mv and oracle-work read no budget, and used to exit 0 on one kos refuses.
+        data = simulate(tmp_path)
+        capsys.readouterr()
+        rc = main(["infer", "--data", str(data), "--estimator", estimator, *budget])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("estimator", ["mv", "kos", "em", "ebp2", "oracle-work"])
     def test_prior_for_an_estimator_without_one_exit_2(self, tmp_path, capsys, estimator):
         # The flag used to be ignored, misspelt or not, and infer exited 0.
@@ -364,6 +380,15 @@ class TestBounds:
     def test_validation_exit_2(self, capsys):
         assert main(["bounds", "--l", "0", "--r", "2", "--mu", "0.4",
                      "--q", "0.32"]) == 2
+
+    @pytest.mark.parametrize("bad", [["--n", "0"], ["--n", "100", "--k", "-1"]])
+    def test_bad_tree_arguments_print_no_bound(self, capsys, bad):
+        # The mv and kos bounds used to reach stdout before --n was checked.
+        assert main(["bounds", "--l", "5", "--r", "5", "--mu", "0.3", "--q", "0.3",
+                     *bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestMalformedInvocations:

@@ -1,5 +1,5 @@
 """Block-bounded memory of the dataset CSV reader and writers, and the block
-writers' bytes against the whole-file writers they replaced."""
+writers' bytes against per-row ``csv.writer`` references."""
 import dataclasses
 import io
 import locale
@@ -11,7 +11,7 @@ import crowdbp as cb
 from crowdbp import harness
 from crowdbp.cli import main
 from tests.memory import traced_peak
-from tests.writer_reference import save_dataset_whole_file, write_estimates_whole_file
+from tests.csv_reference import save_dataset_per_row, write_estimates_per_row
 
 
 def simulated_dataset(n, l, seed=3):
@@ -72,7 +72,7 @@ class TestMemory:
         peak, _ = traced_peak(lambda: cb.save_dataset(dataset, str(got)))
         assert g.n_edges == 100_000 and g.n_workers == 10_000
         assert peak < 64_000_000
-        save_dataset_whole_file(dataset, str(want))
+        save_dataset_per_row(dataset, str(want))
         assert got.read_bytes() == want.read_bytes()
 
 
@@ -112,7 +112,7 @@ class TestBlockWriters:
             dataset = random_dataset(rng, n_tasks, n_workers, n_rows, named=case % 2 == 0,
                                      columns=3 + case % 3)
             cb.save_dataset(dataset, str(got))
-            save_dataset_whole_file(dataset, str(want))
+            save_dataset_per_row(dataset, str(want))
             assert got.read_bytes() == want.read_bytes(), case
 
     def test_more_rows_than_a_block(self, tmp_path):
@@ -121,7 +121,7 @@ class TestBlockWriters:
         for named in (True, False):
             dataset = random_dataset(rng, 700, 300, harness._ROW_BLOCK + 4321, named, 5)
             cb.save_dataset(dataset, str(got))
-            save_dataset_whole_file(dataset, str(want))
+            save_dataset_per_row(dataset, str(want))
             data = got.read_bytes()
             assert data == want.read_bytes()
             assert b",-0.0\n" in data and b",0.0\n" in data
@@ -142,13 +142,31 @@ class TestBlockWriters:
                              task_names=names, worker_names=names[::-1])
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         cb.save_dataset(dataset, str(got))
-        save_dataset_whole_file(dataset, str(want))
+        save_dataset_per_row(dataset, str(want))
         assert got.read_bytes() == want.read_bytes()
         assert b",-0.0\n" in got.read_bytes() and b",5e-324\n" in got.read_bytes()
         assert b",0.30000000000000004\n" in got.read_bytes()
         loaded = cb.load_dataset(str(got))
         assert set(loaded.task_names) == set(names)
         assert set(loaded.worker_names) == set(names)
+
+    def test_a_quote_without_a_comma_is_quoted(self, tmp_path):
+        # No text holds a comma or a line break, so the quote alone must
+        # send the names through csv.writer's quoting.
+        g = cb.AssignmentGraph(2, 1, np.array([[0, 0], [1, 0]]))
+        dataset = cb.Dataset(graph=g, answers=cb.AnswerMatrix(np.array([1, -1])),
+                             task_names=('say "hi"', "b"), worker_names=("w",))
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        cb.save_dataset(dataset, str(got))
+        save_dataset_per_row(dataset, str(want))
+        assert got.read_bytes() == want.read_bytes()
+        assert got.read_bytes() == b'# alphabet=pm1\n"say ""hi""",w,+1\nb,w,-1\n'
+        report = cb.EstimateReport(np.array([1, -1]), np.array([0.5, -0.5]), 0, True, 0.0)
+        out, reference = io.StringIO(), io.StringIO()
+        harness.write_estimates(out, report, dataset.task_names)
+        write_estimates_per_row(reference, report, dataset.task_names)
+        assert out.getvalue() == reference.getvalue()
+        assert out.getvalue().splitlines()[1] == '"say ""hi""",+1,0.5'
 
     @pytest.mark.parametrize("row_block", [harness._ROW_BLOCK, 7])
     @pytest.mark.parametrize("n", [1, 10, 11, 100_001])
@@ -159,7 +177,7 @@ class TestBlockWriters:
         dataset = cb.Dataset(graph=g, answers=cb.AnswerMatrix(np.ones(n, dtype=np.int64)))
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         cb.save_dataset(dataset, str(got))
-        save_dataset_whole_file(dataset, str(want))
+        save_dataset_per_row(dataset, str(want))
         assert got.read_bytes() == want.read_bytes()
         assert got.read_bytes().endswith(f"\n{n - 1},0,+1\n".encode())
 
@@ -171,7 +189,7 @@ class TestBlockWriters:
                                  truth_labels=np.array([1, -1]), reliabilities=np.ones(2),
                                  task_names=names, worker_names=names)
             cb.save_dataset(dataset, str(got))
-            save_dataset_whole_file(dataset, str(want))
+            save_dataset_per_row(dataset, str(want))
             assert got.read_bytes() == want.read_bytes() == b"# alphabet=pm1\n"
 
     def test_locale_encoding_is_kept(self, tmp_path, monkeypatch):
@@ -212,7 +230,7 @@ class TestBlockWriters:
             names = random_names(rng, n, "t") if case % 2 else ()
             got, want = io.StringIO(), io.StringIO()
             harness.write_estimates(got, report, names)
-            write_estimates_whole_file(want, report, names)
+            write_estimates_per_row(want, report, names)
             assert got.getvalue() == want.getvalue(), case
 
     def test_infer_cli_output_bytes(self, tmp_path):
@@ -225,6 +243,6 @@ class TestBlockWriters:
             report = cb.run_inference(loaded, argv[1], prior_spec=argv[3] if len(argv) > 2
                                       else None, seed=cb.child_seed(0, "estimator"))
             want = io.StringIO()
-            write_estimates_whole_file(want, report, loaded.task_names)
+            write_estimates_per_row(want, report, loaded.task_names)
             with open(out, newline="") as handle:
                 assert handle.read() == want.getvalue()

@@ -312,6 +312,23 @@ class TestEstimatorSpec:
         assert "reliabilities" in cb.EstimatorSpec.parse("oracle-work").needs
         assert "prior" not in cb.EstimatorSpec.parse("mv").needs
 
+    @pytest.mark.parametrize("budget,message", [
+        (dict(k_max=0), "k_max must be an integer >= 1, got 0"),
+        (dict(k_max=2.5), "k_max must be an integer >= 1, got 2.5"),
+        (dict(tol=-1.0), "tol must be non-negative"),
+        (dict(tol=float("nan")), "tol must be non-negative"),
+    ], ids=["kmax-0", "kmax-2.5", "tol-negative", "tol-nan"])
+    def test_budget_is_checked_when_built(self, budget, message):
+        # The same messages as the decoders' own check, for every kind.
+        for build in (lambda: cb.EstimatorSpec.parse("mv", **budget),
+                      lambda: cb.EstimatorSpec("oracle-task", **budget)):
+            with pytest.raises(cb.ParameterError) as refused:
+                build()
+            assert str(refused.value) == message
+        with pytest.raises(cb.ParameterError) as decoder:
+            cb.kos_run(star_graph(1), np.array([1]), **budget)
+        assert str(decoder.value) == message
+
     def test_unknown_kind_has_no_needs(self):
         # Built directly, not through parse, the kind is checked when read.
         with pytest.raises(cb.ParameterError, match="unknown estimator kind 'bogus'"):

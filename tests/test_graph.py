@@ -122,16 +122,33 @@ class TestRegularGenerator:
         with pytest.raises(cb.SizeError):
             cb.generate_regular_bipartite(2**32, 1, 1, seed=0)
 
-    def test_exhausted_repair_budget(self, monkeypatch, tmp_path, capsys):
-        # With (l-1)(r-1)/2 = 38 expected repeats, the first pairing is never simple.
+    def test_exhausted_repair_budget(self, monkeypatch, tmp_path):
+        # With (l-1)(r-1)/2 = 38 expected repeats, the first pairing is never
+        # simple, so stub p goes to worker perm[p % n_workers].
         monkeypatch.setattr(graph_module, "_REPAIR_ROUNDS", 1)
-        with pytest.raises(cb.GenerationError, match="within 1 repair rounds"):
-            cb.generate_regular_bipartite(100, 20, 5, seed=3)
-        rc = main(["simulate", "--n", "100", "--l", "20", "--r", "5", "--prior", "sh",
-                   "--out", str(tmp_path / "sim.csv")])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error: could not build")
-        assert not (tmp_path / "sim.csv").exists()
+        g = cb.generate_regular_bipartite(100, 20, 5, seed=3)
+        assert_simple_regular(g, 20, 5)
+        np.testing.assert_array_equal(g.edges[:, 1], np.resize(g.edges[:g.n_workers, 1], 2000))
+        again = cb.generate_regular_bipartite(100, 20, 5, seed=3)
+        np.testing.assert_array_equal(g.edges, again.edges)
+        other = cb.generate_regular_bipartite(100, 20, 5, seed=4)
+        assert not np.array_equal(g.edges, other.edges)
+        assert main(["simulate", "--n", "100", "--l", "20", "--r", "5", "--prior", "sh",
+                     "--out", str(tmp_path / "sim.csv")]) == 0
+        assert cb.load_dataset(str(tmp_path / "sim.csv")).graph.n_edges == 2000
+
+    @pytest.mark.parametrize("n,l,r", [(9, 8, 9), (10, 9, 9)])
+    def test_dense_shapes_build_within_the_real_budget(self, n, l, r):
+        # At seed 0 the stub swaps find no simple pairing in their budget;
+        # n=9, l=8, r=9 is the complete bipartite graph.
+        assert_simple_regular(cb.generate_regular_bipartite(n, l, r, seed=0), l, r)
+
+
+def assert_simple_regular(g, l, r):
+    # AssignmentGraph refuses a repeated (task, worker) pair; this checks it again.
+    keys = g.edges[:, 0] * g.n_workers + g.edges[:, 1]
+    assert np.unique(keys).size == g.n_edges
+    assert (g.task_degrees == l).all() and (g.worker_degrees == r).all()
 
 
 class TestSampling:

@@ -486,22 +486,32 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("adjust_n", [False, True])
     def test_planner_refuses_exactly_what_the_generator_refuses(self, monkeypatch, adjust_n):
-        # With no repair round the generator ends every shape it accepts in
-        # GenerationError at once; the shapes it refuses it refuses first.
+        # With no repair round the generator builds every shape it accepts
+        # by its circulant fallback at once.
         monkeypatch.setattr(graph_module, "_REPAIR_ROUNDS", 0)
         for n, l, r in itertools.product(range(1, 31), range(1, 13), range(1, 13)):
             config = self.tiny_config(n_tasks=n, sweep="r", sweep_values=(r,), fixed_degree=l,
                                       adjust_n=adjust_n)
             nudged = cb.nearest_feasible_n(n, l, r) if adjust_n else n
-            with pytest.raises(cb.CrowdBPError) as refused:
-                cb.generate_regular_bipartite(nudged, l, r, seed=0)
-            if type(refused.value) is cb.GenerationError:
-                assert harness._sweep_points(config) == [(nudged, l, r)]
+            try:
+                g = cb.generate_regular_bipartite(nudged, l, r, seed=0)
+            except cb.ParameterError as refused:
+                with pytest.raises(cb.ParameterError) as planned:
+                    harness._sweep_points(config)
+                assert type(planned.value) is type(refused)
+                assert str(refused) in str(planned.value)
                 continue
-            with pytest.raises(cb.ParameterError) as planned:
-                harness._sweep_points(config)
-            assert type(planned.value) is type(refused.value)
-            assert str(refused.value) in str(planned.value)
+            assert (g.task_degrees == l).all() and (g.worker_degrees == r).all()
+            assert harness._sweep_points(config) == [(nudged, l, r)]
+
+    def test_dense_sweep_runs_every_point(self):
+        # At r = 9 on 9 tasks, l = 8 is the complete bipartite graph, which
+        # the stub swaps do not reach: the sweep used to stop there.
+        rows = cb.run_experiment(self.tiny_config(n_tasks=9, sweep="l", sweep_values=(3, 8),
+                                                  fixed_degree=9, estimators=("mv",)))
+        mv = [row for row in rows if row.estimator == "mv"]
+        assert [(row.l, row.r) for row in mv] == [(3, 9), (8, 9)]
+        assert all(row.failures == 0 for row in mv)
 
     def test_pool_never_exceeds_usable_cpus(self, monkeypatch):
         # A stand-in executor records the pool it was asked for and runs
