@@ -7,9 +7,11 @@ From the repository root::
         --claim file-1m --fresh-seeds 201-210 \\
         --change-text "what the change does" --out BENCH_new.json
 
-``--parent`` and ``--change`` are two checkouts at paths of equal length:
-the path is part of what a process loads, so unequal paths can move peak
-RSS by more than a change does.  For each workload and seed the script runs
+``--parent`` and ``--change`` are two git checkouts at paths of equal
+length: the path is part of what a process loads, so unequal paths can move
+peak RSS by more than a change does.  A checkout with uncommitted changes to
+tracked files is refused before any run, so that the commit the ledger
+records is the code that was measured.  For each workload and seed the script runs
 ``python3 perfbench/run.py --workload W --seed S --trace 0`` once in each
 checkout, the parent first in even pairs and the change first in odd ones,
 and reads the result line that the run prints last.
@@ -43,6 +45,14 @@ def seed_range(text: str) -> list[int]:
     if not seeds:
         raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
     return seeds
+
+
+def uncommitted(checkout: Path) -> str:
+    """What keeps ``checkout`` from being exactly its commit: its changed
+    tracked files, or git's error; empty when there is nothing."""
+    proc = subprocess.run(["git", "-C", str(checkout), "status", "--porcelain",
+                           "--untracked-files=no"], capture_output=True, text=True)
+    return proc.stdout if proc.returncode == 0 else proc.stderr or "git status failed"
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -138,6 +148,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"checkout paths differ in length: {parent} and {change}")
     if args.fresh_seeds and not args.claim:
         parser.error("--fresh-seeds needs --claim")
+    for checkout in (parent, change):
+        if status := uncommitted(checkout):
+            parser.error(f"{checkout} is not its commit as checked in:\n{status}")
     runs = {name: (args.seeds, run_pairs(parent, change, name, args.seeds))
             for name in args.workloads}
     fresh = None

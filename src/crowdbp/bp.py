@@ -11,14 +11,16 @@ inputs for ``_run``, the core that the oracle of :mod:`.exact` calls too,
 whose sweep function goes to :func:`_iterate`, the loop and stop rule
 that the kos and EM decoders of :mod:`.estimators` share.
 
-Task half: nu[i->u] = L_i - lam[u->i] with L_i = sum_u lam[u->i].  The
-positive and negative parts of L_i are summed separately, so incoming
-LLRs that mirror each other cancel to exactly 0 and flipping every
-answer negates every message bitwise.  Infinite LLRs (clamped tasks,
-workers whose reliability prior puts all mass on p = 0 or 1) are counted
-per task rather than subtracted; a message whose other inputs include
-both +inf and -inf has zero mass and raises a degeneracy error naming
-the edge.
+Task half: nu[i->u] = L_i - lam[u->i] with L_i = h_i + sum_u lam[u->i].
+The field h_i is -0.0, the exact additive identity, or ±inf for a task
+clamped to a known label.  The positive and negative parts of the sum are
+taken separately, so incoming LLRs that mirror each other cancel to
+exactly 0 and flipping every answer negates every message bitwise.
+Infinite LLRs (clamps, workers whose reliability prior puts all mass on
+p = 0 or 1) are counted per task rather than subtracted; a message or
+belief whose inputs include both +inf and -inf, as where a certain worker
+contradicts a clamp, has zero mass and raises a degeneracy error naming
+the edge or task.
 
 Worker half: with incoming magnetizations x_j = tanh(nu[j->u] / 2) and
 mu = 2p - 1 for each support atom p (weight w) of the reliability prior,
@@ -202,9 +204,10 @@ def _certain(n_plus: np.ndarray, n_minus: np.ndarray) -> np.ndarray:
     return np.where(n_plus > 0, np.inf, 0.0) + np.where(n_minus > 0, -np.inf, 0.0)
 
 
-def _task_llrs(lam: np.ndarray, grouping: Grouping,
+def _task_llrs(lam: np.ndarray, grouping: Grouping, field: np.ndarray | float = -0.0,
                out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per task the total incoming LLR; per edge that total minus the edge's own.
+    """Per task the total incoming LLR plus its ``field`` (-0.0 or ±inf); per
+    edge that total minus the edge's own.
 
     NaN marks zero mass.  ``out`` is an optional float edge buffer, other
     than ``lam``, for the per-edge LLRs; it also serves as the scratch of
@@ -213,13 +216,15 @@ def _task_llrs(lam: np.ndarray, grouping: Grouping,
     with np.errstate(invalid="ignore"):
         total = _signed_sum(lam, grouping, scratch=out)
         if np.isfinite(total).all():
+            total += field
             return total, segment_others(lam, grouping, totals=total, out=out)
         # Certain messages: count the infinities instead of subtracting them.
         plus = lam == np.inf
         minus = lam == -np.inf
         finite = np.where(plus | minus, 0.0, lam)
         total = _signed_sum(finite, grouping)
-        n_plus, n_minus = segment_sum(plus, grouping), segment_sum(minus, grouping)
+        n_plus = segment_sum(plus, grouping) + (field == np.inf)
+        n_minus = segment_sum(minus, grouping) + (field == -np.inf)
         others = np.add(segment_others(finite, grouping, totals=total), _certain(
             segment_others(plus, grouping, totals=n_plus),
             segment_others(minus, grouping, totals=n_minus)), out=out)
@@ -446,16 +451,6 @@ def _class_worker_llrs(x: np.ndarray, parts: list, work: np.ndarray,
     return lam
 
 
-def _pinned_edges(graph: AssignmentGraph, clamp_tasks: np.ndarray,
-                  clamp_labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edge ids of clamped tasks and their fixed outgoing LLRs (±inf)."""
-    pinned = np.full(graph.n_tasks, np.nan)
-    pinned[clamp_tasks] = np.where(clamp_labels == 1, np.inf, -np.inf)
-    per_edge = gather(pinned, graph.by_task)
-    edges = np.flatnonzero(~np.isnan(per_edge))
-    return edges, per_edge[edges]
-
-
 # -- pair-valued sweep pieces ------------------------------------------------
 
 def _pairs_to_llr(pairs: np.ndarray) -> np.ndarray:
@@ -526,45 +521,46 @@ def bp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     probability of label +1, falls below ``tol`` (an exact fixed point
     always counts as converged, so ``tol=0`` runs the full ``k_max`` sweeps
     unless the messages stop moving entirely).  ``clamp_tasks``/
-    ``clamp_labels`` pin the outgoing messages and beliefs of the given
-    tasks to point masses on the given labels, which conditions the run on
-    those labels being known.
+    ``clamp_labels`` condition the run on the given tasks having the given
+    labels: each such task gets the field +inf or -inf, a certain input
+    that its messages and belief carry.  A task clamped to both labels is
+    refused, and evidence that contradicts a clamp (a worker certain of the
+    other label) raises a degeneracy error.
     """
     a = answer_values(answers, graph)
-    if clamp_tasks is None or len(clamp_tasks) == 0:
-        clamp_tasks = clamp_labels = np.empty(0, dtype=np.int64)
-    else:
+    field = np.full(graph.n_tasks, -0.0)
+    if clamp_tasks is not None and len(clamp_tasks):
         clamp_tasks = check_ids(clamp_tasks, graph.n_tasks, "clamp task ids")
-        clamp_labels = check_signs(clamp_labels, "clamp labels")
-        if clamp_labels.shape != clamp_tasks.shape:
+        known = check_signs(clamp_labels, "clamp labels") * np.inf
+        if known.shape != clamp_tasks.shape:
             raise ParameterError("clamp labels must match clamp tasks")
-    margins, _, _, *run = _run(graph, a, prior, k_max, tol, clamp_tasks, clamp_labels)
-    return make_report(margins, *run)
+        field[clamp_tasks] = known
+        clash = clamp_tasks[field[clamp_tasks] != known]
+        if clash.size:
+            raise ParameterError(f"clamp task {clash[0]} is clamped to both labels")
+    return make_report(*_run(graph, a, prior, k_max, tol, field))
 
 
 def _run(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior, k_max: int,
-         tol: float, clamp_tasks: np.ndarray, clamp_labels: np.ndarray,
-         origin: tuple | None = None) -> tuple:
+         tol: float, field: np.ndarray, origin: tuple | None = None) -> tuple:
     """``bp_run``'s sweeps and decode on checked inputs: int64 answers and
-    clamps (int64 task ids and ±1 labels, both empty for none).  Returns the
-    margins, the final worker-to-task LLRs and task-to-worker magnetizations,
-    the sweeps run, whether they converged and the last change.  With
-    ``origin = (caller, edge_ids, task_ids)``, a zero-mass error at edge e
-    or task t of ``graph`` names edge ``edge_ids[e]`` or task
+    each task's field, -0.0 or ±inf for a known label (see ``_task_llrs``).
+    Returns the margins, the sweeps run, whether they converged and the last
+    change.  With ``origin = (caller, edge_ids, task_ids)``, a zero-mass
+    error at edge e or task t of ``graph`` names edge ``edge_ids[e]`` or task
     ``task_ids[t]`` of ``caller``."""
     worker_half = _class_kernel(graph, a, prior)
-    pin_edges, pin_llr = _pinned_edges(graph, clamp_tasks, clamp_labels)
     # The sweeps pass three edge buffers around, so naming the start state
-    # keeps nothing extra alive.  Its LLRs and magnetizations, tanh(0 / 2) = 0,
-    # are one array, which the first sweep reads before it overwrites.
-    spare, x, lam = np.empty(graph.n_edges), np.zeros(graph.n_edges), np.zeros(graph.n_edges)
-    x[pin_edges] = np.tanh(pin_llr / 2.0)
+    # keeps nothing extra alive.  Its LLRs, 0, are also the last worker
+    # magnetizations, which the first sweep reads before it overwrites; the
+    # task magnetizations start at each task's tanh(h / 2).
+    spare, lam = np.empty(graph.n_edges), np.zeros(graph.n_edges)
+    x = gather(np.tanh(field / 2.0), graph.by_task)
 
     def sweep(state):
         nonlocal spare
         lam, x_prev, y_prev = state
-        _, nu = _task_llrs(lam, graph.by_task, out=spare)
-        nu[pin_edges] = pin_llr
+        _, nu = _task_llrs(lam, graph.by_task, field, out=spare)
         _check_edges(nu, graph, "task message", origin)
         x = np.tanh(np.divide(nu, 2.0, out=nu), out=nu)
         dx = _max_change(x, x_prev)
@@ -576,12 +572,11 @@ def _run(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior, k_max: 
         # Changes on the probability scale: |d P(+1)| = |d tanh(llr / 2)| / 2.
         return (lam, x, y), 0.5 * max(dx, dy)
 
-    (lam, x, _), iterations, converged, delta = _iterate(sweep, (lam, x, lam), k_max, tol)
-    total, _ = _task_llrs(lam, graph.by_task, out=spare)
+    (lam, _, _), iterations, converged, delta = _iterate(sweep, (lam, x, lam), k_max, tol)
+    total, _ = _task_llrs(lam, graph.by_task, field, out=spare)
     margins = np.tanh(total / 2.0)
-    margins[clamp_tasks] = clamp_labels
     _check_beliefs(margins, origin)
-    return margins, lam, x, iterations, converged, delta
+    return margins, iterations, converged, delta
 
 
 def _max_change(new: np.ndarray, old: np.ndarray) -> float:

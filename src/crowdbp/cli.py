@@ -78,9 +78,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    if args.k is not None and args.n is None:
+        # Only the tree bound reads --k, and only --n asks for it.
+        raise ParameterError("--k needs --n")
     # Every bound is computed before any is printed, so a bad --n or --k prints none.
+    k = 1 if args.k is None else args.k
     tree = [] if args.n is None else [
-        f"tree_prob_bound {tree_probability_bound(args.n, args.l, args.r, args.k)!r}"]
+        f"tree_prob_bound {tree_probability_bound(args.n, args.l, args.r, k)!r}"]
     mv_bound, kos_bound = theoretical_bounds(args.l, args.r, args.mu, args.q)
     kos = "undefined (below the spectral barrier)" if kos_bound is None else repr(kos_bound)
     print(f"mv_bound {mv_bound!r}", f"kos_bound {kos}", *tree, sep="\n")
@@ -132,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--mu", type=float, required=True)
     p_bounds.add_argument("--q", type=float, required=True)
     p_bounds.add_argument("--n", type=int, default=None)
-    p_bounds.add_argument("--k", type=int, default=1)
+    p_bounds.add_argument("--k", type=int, default=None)
     p_bounds.set_defaults(func=_cmd_bounds)
     return parser
 

@@ -273,9 +273,9 @@ def _decode_batch(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior
     edges and tasks of ``graph``."""
     roots, at_root, regions, edge, tasks, clamped = _batch_forest(graph, blocks)
     depth = max(block[3] for block in blocks)
-    forest_margins, _, _, iterations, _, _ = _run(
-        regions, a[edge], prior, depth // 2 + 2, 0.0, clamped, labels[tasks[clamped]],
-        origin=(graph, edge, tasks))
+    field = np.where(clamped, labels[tasks] * np.inf, -0.0)
+    forest_margins, iterations, _, _ = _run(regions, a[edge], prior, depth // 2 + 2, 0.0,
+                                            field, origin=(graph, edge, tasks))
     margins[roots] = forest_margins[at_root]
     return iterations
 
@@ -284,7 +284,7 @@ def _batch_forest(graph: AssignmentGraph, blocks: list[_Block]) -> tuple:
     """The disjoint union of a batch's region forests, one tree per root.
 
     Returns the batch's roots, their tasks in the union, the union as a
-    graph, its edges' and tasks' ids in ``graph``, and its boundary tasks.
+    graph, its edges' and tasks' ids in ``graph``, and its boundary task mask.
     The caller's BP run then holds none of the arrays that built them.
     """
     n_tasks, n_workers, n_edges = graph.n_tasks, graph.n_workers, graph.n_edges
@@ -301,9 +301,8 @@ def _batch_forest(graph: AssignmentGraph, blocks: list[_Block]) -> tuple:
                                       return_inverse=True)
     regions = AssignmentGraph(task_ids.size, worker_ids.size,
                               np.column_stack((task_of, worker_of)))
-    is_clamped = np.zeros(task_ids.size, dtype=bool)
-    is_clamped[task_of[at_boundary]] = True
-    clamped = np.flatnonzero(is_clamped)
+    clamped = np.zeros(task_ids.size, dtype=bool)
+    clamped[task_of[at_boundary]] = True
     roots = np.concatenate([block[0] for block in blocks])
     at_root = np.searchsorted(task_ids, np.arange(roots.size) * n_tasks + roots)
     return roots, at_root, regions, edge, task_ids % n_tasks, clamped

@@ -205,6 +205,18 @@ class TestClamping:
             cb.bp_run(g, np.array([1, 1, 1]), cb.spammer_hammer(),
                       clamp_tasks=np.array(tasks), clamp_labels=np.ones(len(tasks), int))
 
+    def test_a_task_clamped_to_both_labels_is_refused(self):
+        # The last label used to win: the run reported margin -1 for task 0.
+        g = cb.AssignmentGraph(2, 1, np.array([[0, 0], [1, 0]]))
+        with pytest.raises(cb.ParameterError, match="clamp task 0 "):
+            cb.bp_run(g, np.array([1, 1]), cb.spammer_hammer(),
+                      clamp_tasks=np.array([0, 0]), clamp_labels=np.array([1, -1]))
+        repeated = cb.bp_run(g, np.array([1, 1]), cb.spammer_hammer(),
+                             clamp_tasks=np.array([0, 0]), clamp_labels=np.array([-1, -1]))
+        once = cb.bp_run(g, np.array([1, 1]), cb.spammer_hammer(),
+                         clamp_tasks=np.array([0]), clamp_labels=np.array([-1]))
+        assert repeated.margins.tobytes() == once.margins.tobytes()
+
     @pytest.mark.parametrize("label", [0, 2, -2])
     def test_clamp_labels_outside_plus_minus_one_rejected(self, label):
         # Any label other than 1 used to pin the task to -1.
@@ -229,6 +241,17 @@ class TestDegeneracy:
         with pytest.raises(cb.NumericDegeneracyError, match="edge"):
             cb.bp_run(g, np.array([1, 1]), perfect,
                       clamp_tasks=np.array([0]), clamp_labels=np.array([-1]))
+
+    def test_clamps_that_a_certain_worker_contradicts_name_the_task(self):
+        # A worker always right or always wrong answered +1 on tasks clamped
+        # to +1 and -1: no reliability fits.  The clamps used to override the
+        # beliefs, and the run reported margins (1, -1) as converged.
+        certain = cb.parse_prior_spec("atoms:0=0.5,1=0.5")
+        g = cb.AssignmentGraph(2, 1, np.array([[0, 0], [1, 0]]))
+        with pytest.raises(cb.NumericDegeneracyError,
+                           match="^belief for task 0 has zero mass$"):
+            cb.bp_run(g, np.array([1, 1]), certain,
+                      clamp_tasks=np.array([0, 1]), clamp_labels=np.array([1, -1]))
 
 
 class TestLargeDegrees:

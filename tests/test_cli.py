@@ -390,6 +390,16 @@ class TestBounds:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("k", ["-1", "1"])
+    def test_k_without_n_prints_no_bound(self, capsys, k):
+        # Only the tree bound reads --k: without --n, --k -1 used to go
+        # unread, and both bounds were printed with exit 0.
+        assert main(["bounds", "--l", "5", "--r", "5", "--mu", "0.3", "--q", "0.3",
+                     "--k", k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --k needs --n\n"
+
 
 class TestMalformedInvocations:
     """``python -m crowdbp`` on bad input: the documented exit code and message, no traceback."""

@@ -349,7 +349,7 @@ class TestOracleTask:
         g = cb.AssignmentGraph(3, 3, np.array([[0, 0], [0, 1], [0, 2], [1, 0], [1, 2],
                                                [2, 1], [2, 2]]))
         truth = cb.GroundTruth(np.ones(3, dtype=np.int64), np.full(3, 0.5))
-        with pytest.raises(cb.NumericDegeneracyError, match="^belief for task 1 has zero mass$"):
+        with pytest.raises(cb.NumericDegeneracyError, match="^belief for task 0 has zero mass$"):
             cb.oracle_task_estimate(g, np.array([-1, -1, 1, 1, 1, 1, 1]), certain, truth)
 
     def test_truth_length_validated(self):

@@ -1,6 +1,7 @@
 """The ledger script's fold of parent/change benchmark results."""
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -64,4 +65,32 @@ def test_checkouts_at_unequal_paths_are_refused(tmp_path, capsys):
                      "--out", str(tmp_path / "out.json")])
     assert exit_info.value.code == 2
     assert "differ in length" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def git_checkout(path: Path) -> Path:
+    """A one-commit git repository at ``path`` that tracks ``run.py``."""
+    path.mkdir()
+    (path / "run.py").write_text("print(1)\n")
+    for argv in (["init", "-q"], ["add", "run.py"],
+                 ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", "one"]):
+        subprocess.run(["git", "-C", str(path), *argv], check=True)
+    return path
+
+
+def test_checkouts_with_uncommitted_changes_are_refused(tmp_path, capsys, monkeypatch):
+    parent, change = git_checkout(tmp_path / "a"), git_checkout(tmp_path / "b")
+    # Untracked files leave the measured code as committed.
+    (change / "perfbench-out").mkdir()
+    (change / "perfbench-out" / "record.json").write_text("{}")
+    assert ledger.uncommitted(parent) == ledger.uncommitted(change) == ""
+    (change / "run.py").write_text("print(2)\n")
+    monkeypatch.setattr(ledger, "run_pairs", lambda *args: pytest.fail("a run started"))
+    with pytest.raises(SystemExit) as exit_info:
+        ledger.main(["--parent", str(parent), "--change", str(change),
+                     "--workloads", "file-1m", "--seeds", "1-2", "--change-text", "x",
+                     "--out", str(tmp_path / "out.json")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{change} is not its commit as checked in" in err and "M run.py" in err
     assert not (tmp_path / "out.json").exists()
