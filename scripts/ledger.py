@@ -11,10 +11,10 @@ From the repository root::
 length: the path is part of what a process loads, so unequal paths can move
 peak RSS by more than a change does.  A checkout with uncommitted changes to
 tracked files is refused before any run, so that the commit the ledger
-records is the code that was measured.  For each workload and seed the script runs
-``python3 perfbench/run.py --workload W --seed S --trace 0`` once in each
-checkout, the parent first in even pairs and the change first in odd ones,
-and reads the result line that the run prints last.
+records is the code that was measured.  For each workload and seed the
+script runs ``python3 perfbench/run.py --workload W --seed S --trace 0``
+once in each checkout, the parent first in even pairs and the change first
+in odd ones, and reads the result line that the run prints last.
 
 The ledger keeps, per workload, side and end-to-end metric, the median and
 quartiles over the seeds; in how many pairs the change read lower; and the
@@ -150,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--fresh-seeds needs --claim")
     for checkout in (parent, change):
         if status := uncommitted(checkout):
-            parser.error(f"{checkout} is not its commit as checked in:\n{status}")
+            parser.error(f"{checkout} is not a clean git checkout:\n{status}")
     runs = {name: (args.seeds, run_pairs(parent, change, name, args.seeds))
             for name in args.workloads}
     fresh = None

@@ -92,5 +92,5 @@ def test_checkouts_with_uncommitted_changes_are_refused(tmp_path, capsys, monkey
                      "--out", str(tmp_path / "out.json")])
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
-    assert f"{change} is not its commit as checked in" in err and "M run.py" in err
+    assert f"{change} is not a clean git checkout" in err and "M run.py" in err
     assert not (tmp_path / "out.json").exists()
