@@ -202,6 +202,12 @@ class EstimatorSpec:
               "oracle-task": ("prior", "truth"), "em": ()}
 
     def __post_init__(self) -> None:
+        if self.kind not in self._NEEDS:
+            raise ParameterError(f"unknown estimator kind {self.kind!r}")
+        if self.kind == "ebp":
+            check_count(self.rounds, "rounds", 1)
+        elif self.rounds != 0:
+            raise ParameterError(f"estimator {self.kind!r} takes no rounds, got {self.rounds}")
         check_budget(self.k_max, self.tol)
 
     @classmethod
@@ -212,8 +218,6 @@ class EstimatorSpec:
             if not suffix.isdigit() or int(suffix) < 1:
                 raise ParameterError(f"unknown estimator {name!r}")
             return cls(kind="ebp", rounds=int(suffix), k_max=k_max, tol=tol)
-        if name not in cls._NEEDS:
-            raise ParameterError(f"unknown estimator {name!r}")
         return cls(kind=name, k_max=k_max, tol=tol)
 
     @property
@@ -223,8 +227,6 @@ class EstimatorSpec:
     @property
     def needs(self) -> tuple[str, ...]:
         """The inputs ``run`` reads for this kind: "prior", "truth", "reliabilities"."""
-        if self.kind not in self._NEEDS:
-            raise ParameterError(f"unknown estimator kind {self.kind!r}")
         return self._NEEDS[self.kind]
 
     def run(self, graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,

@@ -214,12 +214,6 @@ def extract_bfs_tree(graph: AssignmentGraph, root: int) -> SpanningTree:
                         region_edges=np.sort(forest.edge[forest.in_region]))
 
 
-# One BFS block of a batch: its roots; per region edge, the root's slot in
-# the block times the graph's edge count plus the edge id, and whether the
-# edge's task is a boundary task; and the block's deepest region depth.
-_Block = tuple[np.ndarray, np.ndarray, np.ndarray, int]
-
-
 def oracle_task_estimate(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
                          prior: ReliabilityPrior, truth: GroundTruth) -> EstimateReport:
     """Per-root exact tree inference with true labels revealed on the boundary.
@@ -231,11 +225,11 @@ def oracle_task_estimate(graph: AssignmentGraph, answers: AnswerMatrix | np.ndar
 
     A revealed boundary task screens off everything beyond it, so each root
     is decoded on its region (see :class:`SpanningTree`) alone.  Roots run
-    the BFS in blocks sized to a fixed visit budget, one BFS per block.
-    Consecutive blocks' region forests then gather into batches of at most
-    a quarter of that budget in edges, and each batch runs BP once on its
-    disjoint forest with the boundary tasks clamped.  Tasks without
-    answers get margin 0.
+    the BFS in blocks sized to a fixed visit budget, one BFS per block, and
+    each region edge is keyed ``root * n_edges + edge``.  Consecutive
+    blocks' keys gather into batches of at most a quarter of that budget,
+    and each batch runs BP once on its disjoint forest of regions with the
+    boundary tasks clamped.  Tasks without answers get margin 0.
     """
     a = answer_values(answers, graph)
     if truth.labels.shape[0] != graph.n_tasks:
@@ -246,66 +240,54 @@ def oracle_task_estimate(graph: AssignmentGraph, answers: AnswerMatrix | np.ndar
     adjacency = _adjacency(graph)
     roots = np.flatnonzero(graph.task_degrees)
     block = max(1, _BLOCK_VISITS // max(1, n_edges + n_tasks + graph.n_workers))
-    batch: list[_Block] = []
+    keys, at_boundary, depth = [], [], 0  # the batch, block by block
     for start in range(0, roots.size, block):
-        block_roots = roots[start:start + block]
-        forest = _bfs_forest(graph, block_roots, adjacency)
+        forest = _bfs_forest(graph, roots[start:start + block], adjacency)
         slot, edge = forest.slot[forest.in_region], forest.edge[forest.in_region]
         # The batch runs before this block would take it past its edge cap.
-        if batch and sum(keys.size for _, keys, _, _ in batch) + edge.size > _BLOCK_VISITS // 4:
-            iterations = max(iterations, _decode_batch(graph, a, prior, truth.labels, batch,
-                                                       margins))
-            batch = []
-        batch.append((block_roots, slot * n_edges + edge,
-                      forest.boundary[slot * n_tasks + graph.edges[edge, 0]],
-                      int(forest.region_depth.max())))
-    if batch:
-        iterations = max(iterations, _decode_batch(graph, a, prior, truth.labels, batch,
-                                                   margins))
+        if keys and sum(map(len, keys)) + edge.size > _BLOCK_VISITS // 4:
+            iterations = max(iterations, _decode_batch(graph, a, prior, truth.labels,
+                                                       (keys, at_boundary, depth), margins))
+            keys, at_boundary, depth = [], [], 0
+        keys.append(roots[start + slot] * n_edges + edge)
+        at_boundary.append(forest.boundary[slot * n_tasks + graph.edges[edge, 0]])
+        depth = max(depth, int(forest.region_depth.max()))
+    if keys:
+        iterations = max(iterations, _decode_batch(graph, a, prior, truth.labels,
+                                                   (keys, at_boundary, depth), margins))
     return make_report(margins, iterations, converged=True, max_delta=0.0)
 
 
 def _decode_batch(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior,
-                  labels: np.ndarray, blocks: list[_Block], margins: np.ndarray) -> int:
-    """Decode a batch of blocks' regions in one run of BP's unchecked core,
-    of as many sweeps as its deepest region needs; write each root's margin
-    into ``margins`` and return the sweeps run.  Zero-mass errors name the
-    edges and tasks of ``graph``."""
-    roots, at_root, regions, edge, tasks, clamped = _batch_forest(graph, blocks)
-    depth = max(block[3] for block in blocks)
-    field = np.where(clamped, labels[tasks] * np.inf, -0.0)
-    forest_margins, iterations, _, _ = _run(regions, a[edge], prior, depth // 2 + 2, 0.0,
-                                            field, origin=(graph, edge, tasks))
-    margins[roots] = forest_margins[at_root]
-    return iterations
-
-
-def _batch_forest(graph: AssignmentGraph, blocks: list[_Block]) -> tuple:
-    """The disjoint union of a batch's region forests, one tree per root.
-
-    Returns the batch's roots, their tasks in the union, the union as a
-    graph, its edges' and tasks' ids in ``graph``, and its boundary task mask.
-    The caller's BP run then holds none of the arrays that built them.
-    """
+                  labels: np.ndarray, batch: tuple, margins: np.ndarray) -> int:
+    """Decode a batch of regions in one run of BP's unchecked core, of as
+    many sweeps as its deepest region needs; write each root's margin into
+    ``margins`` and return the sweeps run.  ``batch`` holds the region
+    edges' keys and their tasks' boundary flags, as lists of arrays, and
+    the deepest region depth.  Zero-mass errors name the edges and tasks
+    of ``graph``."""
+    keys, at_boundary, depth = batch
     n_tasks, n_workers, n_edges = graph.n_tasks, graph.n_workers, graph.n_edges
-    # Number the slots across the batch and go slot by slot in edge order:
-    # each node then sums its edges in the order its own tree would.
-    first_slot = np.cumsum([0] + [block[0].size for block in blocks[:-1]])
-    key = np.concatenate([keys + first * n_edges
-                          for (_, keys, _, _), first in zip(blocks, first_slot)])
+    # Root by root in edge order, each node sums its edges as its own tree would.
+    key = np.concatenate(keys)
     order = np.argsort(key)
-    slot, edge = np.divmod(key[order], n_edges)
-    at_boundary = np.concatenate([block[2] for block in blocks])[order]
-    task_ids, task_of = np.unique(slot * n_tasks + graph.edges[edge, 0], return_inverse=True)
-    worker_ids, worker_of = np.unique(slot * n_workers + graph.edges[edge, 1],
+    root, edge = np.divmod(key[order], n_edges)
+    task_ids, task_of = np.unique(root * n_tasks + graph.edges[edge, 0], return_inverse=True)
+    worker_ids, worker_of = np.unique(root * n_workers + graph.edges[edge, 1],
                                       return_inverse=True)
     regions = AssignmentGraph(task_ids.size, worker_ids.size,
                               np.column_stack((task_of, worker_of)))
+    tasks = task_ids % n_tasks
+    at_root = task_ids // n_tasks == tasks
     clamped = np.zeros(task_ids.size, dtype=bool)
-    clamped[task_of[at_boundary]] = True
-    roots = np.concatenate([block[0] for block in blocks])
-    at_root = np.searchsorted(task_ids, np.arange(roots.size) * n_tasks + roots)
-    return roots, at_root, regions, edge, task_ids % n_tasks, clamped
+    clamped[task_of[np.concatenate(at_boundary)[order]]] = True
+    field = np.where(clamped, labels[tasks] * np.inf, -0.0)
+    # Freed before the BP run, so that its own buffers set the batch's peak.
+    del key, order, root, task_ids, task_of, worker_ids, worker_of, clamped
+    forest_margins, iterations, _, _ = _run(regions, a[edge], prior, depth // 2 + 2, 0.0,
+                                            field, origin=(graph, edge, tasks))
+    margins[tasks[at_root]] = forest_margins[at_root]
+    return iterations
 
 
 def subset_monotonicity_check(graph: AssignmentGraph, prior: ReliabilityPrior,

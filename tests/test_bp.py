@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -253,6 +254,29 @@ class TestDegeneracy:
             cb.bp_run(g, np.array([1, 1]), certain,
                       clamp_tasks=np.array([0, 1]), clamp_labels=np.array([1, -1]))
 
+
+    @pytest.mark.parametrize("k_max,message", [
+        (8, "^belief for task 2 has zero mass$"),
+        (100, r"^worker message on edge 4 \(task 1, worker 2\) has zero mass$"),
+    ], ids=["k8", "k100"])
+    @pytest.mark.xfail(strict=True, raises=cb.NumericDegeneracyError,
+                       reason="loopy BP's messages contradict each other where the exact "
+                              "posterior has mass; the error says zero mass")
+    def test_zero_mass_only_where_the_exact_posterior_has_none(self, k_max, message):
+        # Workers always right (weight 0.111) or always wrong: the exact
+        # marginals are (1/2, 1/2) at every task.  At k_max 1-7 BP decodes,
+        # its margins flipping sign from sweep to sweep; from 8 it raises.
+        g = cb.AssignmentGraph(3, 5, np.array([[0, 0], [0, 2], [0, 3], [0, 4], [1, 2],
+                                               [1, 3], [1, 4], [2, 0], [2, 2]]))
+        answers = np.array([-1, -1, 1, 1, -1, 1, 1, -1, -1])
+        certain = cb.ReliabilityPrior.from_atoms([1.0, 0.0], [0.111, 0.889])
+        np.testing.assert_allclose(cb.brute_force_marginals(g, answers, certain), 0.5, atol=1e-12)
+        try:
+            report = cb.bp_run(g, answers, certain, k_max=k_max)
+        except cb.NumericDegeneracyError as error:
+            assert re.search(message, str(error))
+            raise
+        assert np.all(np.abs(report.margins) <= 1.0)
 
 class TestLargeDegrees:
     """Degrees whose message products underflow a probability-scale product."""

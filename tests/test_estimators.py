@@ -330,9 +330,20 @@ class TestEstimatorSpec:
         assert str(decoder.value) == message
 
     def test_unknown_kind_has_no_needs(self):
-        # Built directly, not through parse, the kind is checked when read.
+        # Built directly, not through parse, the kind is checked when built.
         with pytest.raises(cb.ParameterError, match="unknown estimator kind 'bogus'"):
-            cb.EstimatorSpec("bogus").needs
+            cb.EstimatorSpec("bogus")
+
+    @pytest.mark.parametrize("kind,rounds,message", [
+        ("ebp", 0, "rounds must be an integer >= 1, got 0"),
+        ("ebp", 1.5, "rounds must be an integer >= 1, got 1.5"),
+        ("mv", 3, "estimator 'mv' takes no rounds, got 3"),
+        ("oracle-task", 1, "estimator 'oracle-task' takes no rounds, got 1"),
+    ])
+    def test_rounds_are_checked_when_built(self, kind, rounds, message):
+        with pytest.raises(cb.ParameterError) as refused:
+            cb.EstimatorSpec(kind, rounds=rounds)
+        assert str(refused.value) == message
 
     def test_run_reports_missing_inputs(self):
         g = star_graph(1)

@@ -238,16 +238,27 @@ class TestOracleTask:
         prior = cb.spammer_hammer()
         truth = cb.sample_ground_truth(g, prior, seed=3)
         answers = cb.sample_answers(g, truth, seed=4)
-        depths = []
-        decode = exact._decode_batch
+        # Each block's deepest region, by its first root, and each batch's
+        # blocks' depths with the depth the batch runs to.
+        block_depth, batches = {}, []
+        bfs, decode = exact._bfs_forest, exact._decode_batch
 
-        def recording(graph, a, prior, labels, blocks, margins):
-            depths.append({depth for *_, depth in blocks})
-            return decode(graph, a, prior, labels, blocks, margins)
+        def recording_bfs(graph, roots, adjacency):
+            forest = bfs(graph, roots, adjacency)
+            block_depth[int(roots[0])] = int(forest.region_depth.max())
+            return forest
 
+        def recording(graph, a, prior, labels, batch, margins):
+            keys, _, depth = batch
+            batches.append(({block_depth[int(block.min()) // graph.n_edges] for block in keys},
+                            depth))
+            return decode(graph, a, prior, labels, batch, margins)
+
+        monkeypatch.setattr(exact, "_bfs_forest", recording_bfs)
         monkeypatch.setattr(exact, "_decode_batch", recording)
         got = cb.oracle_task_estimate(g, answers, prior, truth)
-        assert any(4 in batch and max(batch) >= 8 for batch in depths)
+        assert any(4 in depths and max(depths) >= 8 for depths, _ in batches)
+        assert all(depth == max(depths) for depths, depth in batches)
         want = reference_oracle_task_estimate(g, answers, prior, truth)
         np.testing.assert_array_equal(got.labels, want.labels)
         np.testing.assert_allclose(got.margins, want.margins, rtol=0, atol=1e-12)
@@ -351,6 +362,57 @@ class TestOracleTask:
         truth = cb.GroundTruth(np.ones(3, dtype=np.int64), np.full(3, 0.5))
         with pytest.raises(cb.NumericDegeneracyError, match="^belief for task 0 has zero mass$"):
             cb.oracle_task_estimate(g, np.array([-1, -1, 1, 1, 1, 1, 1]), certain, truth)
+
+    def test_zero_mass_in_a_later_block_names_the_callers_edge_and_task(self, monkeypatch):
+        # Ten clean stars of three tasks come first; the contradictory
+        # instances of the tests above follow, so their roots make the last
+        # block of a batch of several.  Each error names what the instance
+        # alone names, shifted to its ids in the caller's graph.
+        certain = cb.parse_prior_spec("atoms:0=0.5,1=0.5")
+        clean = cb.generate_regular_bipartite(30, 1, 3, seed=4)
+        n, m = clean.n_tasks, clean.n_workers
+        clean_truth = cb.sample_ground_truth(clean, certain, seed=5)
+        clean_answers = cb.sample_answers(clean, clean_truth, seed=6).answers
+        k33 = np.array([[t, u] for t in range(3) for u in range(3)])
+        cases = [
+            (k33, np.array([1, 1, 1, 1, 1, 1, -1, 1, 1]), np.array([1.0, 1.0, 0.0]),
+             self.ZERO_MASS),
+            (np.array([[0, 0], [0, 1], [0, 2], [1, 0], [1, 2], [2, 1], [2, 2]]),
+             np.array([-1, -1, 1, 1, 1, 1, 1]), np.full(3, 0.5), "^belief for task 0"),
+        ]
+        for edges, answers, reliabilities, message in cases:
+            bad = cb.AssignmentGraph(3, 3, edges)
+            bad_truth = cb.GroundTruth(np.ones(3, dtype=np.int64), reliabilities)
+            with pytest.raises(cb.NumericDegeneracyError, match=message) as alone:
+                cb.oracle_task_estimate(bad, answers, certain, bad_truth)
+            g = cb.AssignmentGraph(n + 3, m + 3, np.concatenate([clean.edges, edges + [n, m]]))
+            truth = cb.GroundTruth(np.concatenate([clean_truth.labels, bad_truth.labels]),
+                                   np.concatenate([clean_truth.reliabilities, reliabilities]))
+            batches = []
+            decode = exact._decode_batch
+
+            def recording(graph, a, prior, labels, batch, margins):
+                batches.append(batch[0])
+                return decode(graph, a, prior, labels, batch, margins)
+
+            monkeypatch.setattr(exact, "_decode_batch", recording)
+            # Blocks of three roots, the last the instance's own.
+            monkeypatch.setattr(exact, "_BLOCK_VISITS", 3 * (g.n_edges + g.n_tasks + g.n_workers))
+            with pytest.raises(cb.NumericDegeneracyError) as error:
+                cb.oracle_task_estimate(g, np.concatenate([clean_answers, answers]),
+                                        certain, truth)
+            monkeypatch.undo()
+            keys = batches[-1]
+            assert len(keys) >= 2 and keys[-1].min() // g.n_edges == n
+            assert keys[0].max() // g.n_edges < n
+            want = str(alone.value)
+            if "edge" in want:
+                edge, task, worker = map(int, re.findall(r"\d+", want))
+                want = (f"worker message on edge {edge + clean.n_edges} "
+                        f"(task {task + n}, worker {worker + m}) has zero mass")
+            else:
+                want = want.replace("task 0", f"task {n}")
+            assert str(error.value) == want
 
     def test_truth_length_validated(self):
         g = four_cycle()
