@@ -254,7 +254,6 @@ class TestDegeneracy:
             cb.bp_run(g, np.array([1, 1]), certain,
                       clamp_tasks=np.array([0, 1]), clamp_labels=np.array([1, -1]))
 
-
     @pytest.mark.parametrize("k_max,message", [
         (8, "^belief for task 2 has zero mass$"),
         (100, r"^worker message on edge 4 \(task 1, worker 2\) has zero mass$"),
@@ -277,6 +276,7 @@ class TestDegeneracy:
             assert re.search(message, str(error))
             raise
         assert np.all(np.abs(report.margins) <= 1.0)
+
 
 class TestLargeDegrees:
     """Degrees whose message products underflow a probability-scale product."""
