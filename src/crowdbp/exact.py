@@ -20,7 +20,7 @@ import numpy as np
 
 from .bp import EstimateReport, _pm_configs, _run, make_report
 from .errors import NumericDegeneracyError, ParameterError, SizeError, check_ids
-from .graph import AnswerMatrix, AssignmentGraph, GroundTruth, answer_values
+from .graph import AnswerMatrix, AssignmentGraph, GroundTruth, answer_values, column_edges
 from .priors import FactorTable, ReliabilityPrior, _logsumexp
 
 _BRUTE_FORCE_TASK_GUARD = 20
@@ -275,8 +275,7 @@ def _decode_batch(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior
     task_ids, task_of = np.unique(root * n_tasks + graph.edges[edge, 0], return_inverse=True)
     worker_ids, worker_of = np.unique(root * n_workers + graph.edges[edge, 1],
                                       return_inverse=True)
-    regions = AssignmentGraph(task_ids.size, worker_ids.size,
-                              np.column_stack((task_of, worker_of)))
+    regions = AssignmentGraph(task_ids.size, worker_ids.size, column_edges(task_of, worker_of))
     tasks = task_ids % n_tasks
     at_root = task_ids // n_tasks == tasks
     clamped = np.zeros(task_ids.size, dtype=bool)

@@ -9,7 +9,7 @@ settle gets a seeded circulant graph instead.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -26,29 +26,46 @@ _REPAIR_ROUNDS = 1000
 class AssignmentGraph:
     """Bipartite assignment between ``n_tasks`` tasks and ``n_workers`` workers.
 
-    ``edges[e] = (task_id, worker_id)``.  The edge order is canonical: answer
-    vectors and message arrays are indexed by it.  Nodes with no incident
-    edge are allowed.
+    ``edges[e] = (task_id, worker_id)``, an (m, 2) array; any other shape
+    but an empty one raises ``ParameterError``.  The edge order is
+    canonical: answer vectors and message arrays are indexed by it.  Nodes
+    with no incident edge are allowed.
+
+    ``edges`` is a read-only int64 view of the given array, not copied if
+    it is int64 and contiguous, else of a column-major copy.  The
+    generator, the dataset reader and the subsampler build column-major
+    edges: ``by_task`` and ``by_worker`` then key by its columns without a
+    copy, writable because ``np.bincount`` and ``np.take`` copy read-only
+    indices on every call.  Write to neither those keys nor the given
+    array once the graph exists.
     """
 
     n_tasks: int
     n_workers: int
     edges: np.ndarray
+    # The writable array behind ``edges``, whose columns key the groupings.
+    _columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n_tasks = check_count(self.n_tasks, "n_tasks")
         n_workers = check_count(self.n_workers, "n_workers")
-        edges = np.asarray(self.edges).reshape(-1, 2)
+        edges = np.asarray(self.edges)
+        if not edges.size:
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ParameterError(f"edges must have shape (m, 2), got {edges.shape}")
         tasks = check_ids(edges[:, 0], n_tasks, "edge task ids")
         workers = check_ids(edges[:, 1], n_workers, "edge worker ids")
-        edges = np.ascontiguousarray(edges if edges.dtype == np.int64
-                                     else np.column_stack((tasks, workers)))
+        if edges.dtype != np.int64 or not (edges.flags.c_contiguous or edges.flags.f_contiguous):
+            edges = column_edges(tasks, workers)
         if repeated_pairs(tasks, workers, n_tasks, n_workers).size:
             raise ParameterError("duplicate (task, worker) edge")
-        edges.setflags(write=False)
+        view = edges.view()
+        view.setflags(write=False)
         object.__setattr__(self, "n_tasks", n_tasks)
         object.__setattr__(self, "n_workers", n_workers)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", view)
+        object.__setattr__(self, "_columns", edges)
 
     @property
     def n_edges(self) -> int:
@@ -56,11 +73,11 @@ class AssignmentGraph:
 
     @cached_property
     def by_task(self) -> Grouping:
-        return build_grouping(self.edges[:, 0], self.n_tasks)
+        return build_grouping(self._columns[:, 0], self.n_tasks)
 
     @cached_property
     def by_worker(self) -> Grouping:
-        return build_grouping(self.edges[:, 1], self.n_workers)
+        return build_grouping(self._columns[:, 1], self.n_workers)
 
     @cached_property
     def task_degrees(self) -> np.ndarray:
@@ -126,6 +143,12 @@ def repeated_pairs(tasks: np.ndarray, workers: np.ndarray, n_tasks: int,
     return ids[later]
 
 
+def column_edges(tasks: np.ndarray, workers: np.ndarray) -> np.ndarray:
+    """The (m, 2) edge array of two id columns, column-major, so that each
+    column is contiguous and keys a grouping without a copy."""
+    return np.stack((tasks, workers)).T
+
+
 def answer_values(answers: "AnswerMatrix | np.ndarray", graph: AssignmentGraph) -> np.ndarray:
     """The checked int64 answers, one per edge of ``graph`` in edge order, not copied."""
     if not isinstance(answers, AnswerMatrix):
@@ -168,11 +191,13 @@ def generate_regular_bipartite(n_tasks: int, l: int, r: int, seed: int) -> Assig
     """
     n_tasks, l, r, n_workers = _regular_shape(n_tasks, l, r)
     m = n_tasks * l
-    # The stubs are the two columns of the graph's own edge array.
-    edges = np.empty((m, 2), dtype=np.int64)
-    edges.reshape(n_tasks, l, 2)[:, :, 0] = np.arange(n_tasks)[:, None]
-    edges.reshape(n_workers, r, 2)[:, :, 1] = np.arange(n_workers)[:, None]
+    # The stubs are the two columns of the graph's own column-major edge
+    # array.  A reshape of the whole array would copy it, so each contiguous
+    # column is filled through its own reshape.
+    edges = np.empty((m, 2), dtype=np.int64, order="F")
     task_stubs, worker_stubs = edges[:, 0], edges[:, 1]
+    task_stubs.reshape(n_tasks, l)[:] = np.arange(n_tasks)[:, None]
+    worker_stubs.reshape(n_workers, r)[:] = np.arange(n_workers)[:, None]
     rng = rng_from(seed)
     rng.shuffle(worker_stubs)
 

@@ -27,8 +27,8 @@ from .bp import _K_MAX, _TOL, EstimateReport
 from .errors import (CrowdBPError, DataFormatError, ParameterError, SizeError, check_count,
                      check_signs)
 from .estimators import EstimatorSpec
-from .graph import (AnswerMatrix, AssignmentGraph, GroundTruth, _regular_shape, draw_instance,
-                    repeated_pairs)
+from .graph import (AnswerMatrix, AssignmentGraph, GroundTruth, _regular_shape, column_edges,
+                    draw_instance, repeated_pairs)
 from .priors import ReliabilityPrior, empirical_prior, parse_prior_spec
 from .seeding import child_seed, rng_from
 from .theory import theoretical_bounds, theory_iterations, tree_probability_bound
@@ -453,7 +453,7 @@ class _EdgeCsvReader:
         n = self.n_rows
         # The per-row arrays the Dataset keeps come first, so that the
         # allocator does not place them above the temporaries freed below.
-        edges = np.empty((n, 2), dtype=np.int64)
+        edges = np.empty((n, 2), dtype=np.int64, order="F")
         answers = np.empty(n, dtype=np.int64)
         self.columns[0].row_ids(edges[:, 0])
         self.columns[1].row_ids(edges[:, 1])
@@ -801,11 +801,11 @@ def subsample_assignments(dataset: Dataset, l_target: int, seed: int) -> Dataset
         else:
             keep[eids[rng.choice(eids.size, size=l_target, replace=False)]] = True
 
-    kept_edges = graph.edges[keep]
-    kept_workers = np.flatnonzero(np.bincount(kept_edges[:, 1], minlength=graph.n_workers))
+    tasks, workers = graph.edges[keep, 0], graph.edges[keep, 1]
+    kept_workers = np.flatnonzero(np.bincount(workers, minlength=graph.n_workers))
     remap = np.full(graph.n_workers, -1, dtype=np.int64)
     remap[kept_workers] = np.arange(kept_workers.size)
-    new_edges = np.column_stack((kept_edges[:, 0], remap[kept_edges[:, 1]]))
+    new_edges = column_edges(tasks, remap[workers])
     names_w = dataset.worker_names or tuple(map(str, range(graph.n_workers)))
     return Dataset(
         graph=AssignmentGraph(graph.n_tasks, kept_workers.size, new_edges),

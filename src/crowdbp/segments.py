@@ -10,6 +10,11 @@ the node degrees, so each costs O(edges) whatever the degree profile.
 
 The stable sort order and CSR offsets (edges listed node by node) are
 built on first use only, for the callers that walk nodes one at a time.
+
+The keys are C-contiguous, writable int64: ``np.bincount`` and ``np.take``
+copy a read-only index array on every call, 8 bytes per edge each time.
+A contiguous writable int64 array, such as a column of a graph's
+column-major edges, keys a grouping as it is, shared and not copied.
 """
 from __future__ import annotations
 
@@ -37,7 +42,7 @@ class Grouping:
 
 
 def build_grouping(keys: np.ndarray, n_segments: int) -> Grouping:
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    keys = np.require(keys, np.int64, ["C", "W"])
     lengths = np.bincount(keys, minlength=n_segments).astype(np.int64)
     return Grouping(n_segments, keys, lengths)
 

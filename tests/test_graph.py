@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import crowdbp as cb
 from crowdbp import graph as graph_module
 from crowdbp.cli import main
 from crowdbp.seeding import child_seed
+from crowdbp.segments import gather, segment_sum
 from tests.memory import traced_peak
 
 
@@ -18,6 +21,25 @@ class TestAssignmentGraph:
             cb.AssignmentGraph(2, 2, np.array([[0, 0], [0, 0]]))
         with pytest.raises(cb.ParameterError):
             cb.AssignmentGraph(-1, 2, np.empty((0, 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("edges", [
+        [[0, 1, 2], [1, 2, 0]],       # (2, m): read as other pairs by a reshape
+        [0, 1, 2],                    # 1-D of odd length
+        [0, 1, 2, 0],                 # 1-D of even length
+        [[[0, 1]], [[1, 2]]],         # (m, 1, 2)
+        7,
+    ])
+    def test_misshapen_edge_arrays_are_refused_by_shape(self, edges):
+        shape = np.shape(edges)
+        with pytest.raises(cb.ParameterError, match=rf"edges must have shape \(m, 2\), "
+                                                    rf"got {re.escape(str(shape))}"):
+            cb.AssignmentGraph(3, 3, edges)
+
+    @pytest.mark.parametrize("edges", [[], np.empty((0, 2)), np.empty((0, 3), dtype=np.int64)])
+    def test_an_empty_edge_array_is_an_empty_graph(self, edges):
+        g = cb.AssignmentGraph(3, 3, edges)
+        assert g.edges.dtype == np.int64 and g.edges.shape == (0, 2)
+        assert g.task_degrees.tolist() == [0, 0, 0]
 
     def test_pair_keys_that_would_wrap_are_refused(self):
         # 2**24 * 2**40 wraps to 0 in int64, so the two edges would share a key.
@@ -72,6 +94,57 @@ class TestAssignmentGraph:
         g = cb.AssignmentGraph(3, 2, np.array([[0, 0]]))
         assert g.task_degrees.tolist() == [1, 0, 0]
         assert g.worker_degrees.tolist() == [1, 0]
+
+
+def assert_keys_share_the_columns(g):
+    """Both groupings key by ``g.edges``' own columns: writable, not copied."""
+    for side, grouping in ((0, g.by_task), (1, g.by_worker)):
+        assert np.shares_memory(grouping.keys, g.edges[:, side])
+        assert grouping.keys.flags.writeable and grouping.keys.flags.c_contiguous
+    assert not g.edges.flags.writeable
+
+
+class TestSharedColumns:
+    def test_generated_graphs_share_their_columns(self):
+        assert_keys_share_the_columns(cb.generate_regular_bipartite(200, 5, 5, seed=3))
+
+    def test_loaded_and_subsampled_graphs_share_their_columns(self, tmp_path):
+        path = tmp_path / "answers.csv"
+        path.write_text("t0,w0,1\nt0,w1,-1\nt1,w1,1\nt2,w0,1\nt2,w2,-1\n")
+        loaded = cb.load_dataset(str(path))
+        assert_keys_share_the_columns(loaded.graph)
+        assert_keys_share_the_columns(cb.subsample_assignments(loaded, 1, seed=0).graph)
+
+    def test_an_argwhere_array_is_held_without_a_copy(self):
+        edges = np.argwhere(np.eye(4, 3, dtype=bool) | np.eye(4, 3, k=1, dtype=bool))
+        assert edges.flags.f_contiguous and not edges.flags.c_contiguous
+        g = cb.AssignmentGraph(4, 3, edges)
+        assert np.shares_memory(g.edges, edges)
+        assert_keys_share_the_columns(g)
+        with pytest.raises(ValueError, match="read-only"):
+            g.edges[0, 0] = 1
+
+    @pytest.mark.parametrize("order, writable", [("C", True), ("F", False)])
+    def test_other_inputs_get_their_keys_copied_once(self, order, writable):
+        edges = np.array([[0, 0], [0, 1], [1, 1], [2, 0]], order=order)
+        edges.setflags(write=writable)
+        g = cb.AssignmentGraph(3, 2, edges)
+        for grouping in (g.by_task, g.by_worker):
+            assert not np.shares_memory(grouping.keys, edges)
+            assert grouping.keys.flags.writeable and grouping.keys.flags.c_contiguous
+        assert g.by_task.keys.tolist() == [0, 0, 1, 2]
+        assert g.edges.tobytes() == edges.tobytes()
+
+    def test_sums_and_gathers_copy_no_keys(self):
+        # np.bincount and np.take copy a read-only index array on every call:
+        # read-only keys traced one more edge array than the totals here.
+        g = cb.generate_regular_bipartite(100_000, 10, 5, seed=2)
+        values, out = np.ones(g.n_edges), np.empty(g.n_edges)
+        for grouping in (g.by_task, g.by_worker):
+            peak, _ = traced_peak(
+                lambda: gather(segment_sum(values, grouping), grouping, out=out))
+            # The per-node totals, 0.1 edge arrays by task, plus a tenth of one.
+            assert peak < 8 * grouping.n_segments + 0.1 * 8 * g.n_edges
 
 
 class TestRegularGenerator:
