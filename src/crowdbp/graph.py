@@ -31,19 +31,20 @@ class AssignmentGraph:
     canonical: answer vectors and message arrays are indexed by it.  Nodes
     with no incident edge are allowed.
 
-    ``edges`` is a read-only int64 view of the given array, not copied if
-    it is int64 and contiguous, else of a column-major copy.  The
-    generator, the dataset reader and the subsampler build column-major
-    edges: ``by_task`` and ``by_worker`` then key by its columns without a
-    copy, writable because ``np.bincount`` and ``np.take`` copy read-only
-    indices on every call.  Write to neither those keys nor the given
-    array once the graph exists.
+    ``edges`` is the given array, made read-only, if it is int64 and
+    contiguous, else a read-only column-major copy of it.  The generator,
+    the dataset reader and the subsampler build column-major edges:
+    ``by_task`` and ``by_worker`` then key by its columns without a copy,
+    writable because ``np.bincount`` and ``np.take`` copy read-only indices
+    on every call.  Only the given array itself becomes read-only: other
+    views of the same memory, such as its base or a slice taken before,
+    stay writable, and a write through them changes the graph unchecked.
     """
 
     n_tasks: int
     n_workers: int
     edges: np.ndarray
-    # The writable array behind ``edges``, whose columns key the groupings.
+    # A writable view of ``edges``, whose columns key the groupings.
     _columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -60,12 +61,12 @@ class AssignmentGraph:
             edges = column_edges(tasks, workers)
         if repeated_pairs(tasks, workers, n_tasks, n_workers).size:
             raise ParameterError("duplicate (task, worker) edge")
-        view = edges.view()
-        view.setflags(write=False)
+        columns = edges.view()
+        edges.setflags(write=False)
         object.__setattr__(self, "n_tasks", n_tasks)
         object.__setattr__(self, "n_workers", n_workers)
-        object.__setattr__(self, "edges", view)
-        object.__setattr__(self, "_columns", edges)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_columns", columns)
 
     @property
     def n_edges(self) -> int:

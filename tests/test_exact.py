@@ -1,17 +1,16 @@
 import re
-from collections import deque
 
 import numpy as np
 import pytest
 
 import crowdbp as cb
 from crowdbp import exact
-from crowdbp.exact import SpanningTree, extract_bfs_tree
+from crowdbp.exact import extract_bfs_tree
 from tests.conftest import random_atom_prior, random_bipartite_tree, random_prior, random_small_graph
 from tests.gain_reference import exact_conditional_gain
-from tests.khop import khop_subgraph
 from tests.memory import traced_peak
-from tests.oracle_reference import reference_oracle_task_estimate
+from tests.oracle_reference import (khop_subgraph, reference_bfs, reference_oracle_task_estimate,
+                                    reference_region)
 
 
 def path_graph():
@@ -21,64 +20,6 @@ def path_graph():
 
 def four_cycle():
     return cb.AssignmentGraph(2, 2, np.array([[0, 0], [0, 1], [1, 0], [1, 1]]))
-
-
-def reference_bfs(graph: cb.AssignmentGraph, root: int):
-    """Sequential FIFO BFS visiting neighbors in ascending id order."""
-    adj_task = [[] for _ in range(graph.n_tasks)]
-    adj_worker = [[] for _ in range(graph.n_workers)]
-    for eid, (t, u) in enumerate(graph.edges.tolist()):
-        adj_task[t].append((u, eid))
-        adj_worker[u].append((t, eid))
-    for lst in adj_task:
-        lst.sort()
-    for lst in adj_worker:
-        lst.sort()
-    dist_t = {root: 0}
-    dist_w = {}
-    queue = deque([("t", root)])
-    tree = []
-    depth = 0
-    while queue:
-        side, node = queue.popleft()
-        if side == "t":
-            for u, eid in adj_task[node]:
-                if u not in dist_w:
-                    dist_w[u] = dist_t[node] + 1
-                    depth = max(depth, dist_w[u])
-                    tree.append(eid)
-                    queue.append(("w", u))
-        else:
-            for t, eid in adj_worker[node]:
-                if t not in dist_t:
-                    dist_t[t] = dist_w[node] + 1
-                    depth = max(depth, dist_t[t])
-                    tree.append(eid)
-                    queue.append(("t", t))
-    in_tree = set(tree)
-    boundary = sorted({int(graph.edges[eid, 0]) for eid in range(graph.n_edges)
-                       if eid not in in_tree and int(graph.edges[eid, 0]) in dist_t})
-    return (np.sort(np.array(tree, dtype=np.int64)) if tree else np.empty(0, dtype=np.int64),
-            np.array(boundary, dtype=np.int64), depth)
-
-
-def reference_region(graph: cb.AssignmentGraph, tree: SpanningTree) -> np.ndarray:
-    """Tree edges reachable from the root without passing through a boundary task."""
-    boundary = set(tree.boundary_tasks.tolist())
-    adjacent: dict[tuple[str, int], list] = {}
-    for eid in tree.tree_edges.tolist():
-        t, u = graph.edges[eid].tolist()
-        adjacent.setdefault(("t", t), []).append((("w", u), eid))
-        adjacent.setdefault(("w", u), []).append((("t", t), eid))
-    region, seen, stack = [], {("t", tree.root)}, [("t", tree.root)]
-    while stack:
-        for nxt, eid in adjacent.get(stack.pop(), []):
-            if nxt not in seen:
-                seen.add(nxt)
-                region.append(eid)
-                if not (nxt[0] == "t" and nxt[1] in boundary):
-                    stack.append(nxt)
-    return np.array(sorted(region), dtype=np.int64)
 
 
 def oracle_case(rng: np.random.Generator, case: int) -> tuple[str, cb.AssignmentGraph]:
@@ -155,7 +96,7 @@ class TestBfsTree:
             g = random_small_graph(rng, max_tasks=6, max_workers=4, max_edges=18)
             for root in range(g.n_tasks):
                 tree = extract_bfs_tree(g, root)
-                ref_edges, ref_boundary, ref_depth = reference_bfs(g, root)
+                ref_edges, ref_boundary, ref_depth, _, _ = reference_bfs(g, root)
                 np.testing.assert_array_equal(tree.tree_edges, ref_edges)
                 np.testing.assert_array_equal(tree.boundary_tasks, ref_boundary)
                 assert tree.depth == ref_depth
@@ -175,7 +116,7 @@ class TestBfsTree:
             g = random_small_graph(rng, max_tasks=8, max_workers=5, max_edges=24)
             for root in range(g.n_tasks):
                 tree = extract_bfs_tree(g, root)
-                np.testing.assert_array_equal(tree.region_edges, reference_region(g, tree))
+                np.testing.assert_array_equal(tree.region_edges, reference_region(g, root))
 
     def test_other_components_stay_out(self):
         g = cb.AssignmentGraph(2, 2, np.array([[0, 0], [1, 1]]))

@@ -90,6 +90,17 @@ class TestAssignmentGraph:
         np.testing.assert_array_equal(
             g.edges[by_worker.order[by_worker.offsets[1]:by_worker.offsets[2]], 0], [0, 2])
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_the_given_edge_array_becomes_read_only(self, order):
+        # The graph holds this array without a copy; a write to it used to
+        # change the edges to [[0, 0], [1, 7]] and the worker degrees to 8 entries.
+        edges = np.array([[0, 0], [1, 1]], order=order)
+        g = cb.AssignmentGraph(2, 2, edges)
+        with pytest.raises(ValueError, match="assignment destination is read-only"):
+            edges[1, 1] = 7
+        assert g.edges.tolist() == [[0, 0], [1, 1]]
+        assert g.worker_degrees.tolist() == [1, 1]
+
     def test_isolated_nodes_allowed(self):
         g = cb.AssignmentGraph(3, 2, np.array([[0, 0]]))
         assert g.task_degrees.tolist() == [1, 0, 0]
