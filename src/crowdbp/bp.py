@@ -37,13 +37,17 @@ per-worker sums take the whole edge array; the rest of the fold is
 elementwise and runs over fixed-size blocks of edges.  A run reads the
 int64 answers in place, allocates its buffers once and writes every sweep
 into them, so it holds a fixed number of float edge arrays whatever the
-atom count and the sweep count: the magnetizations in both directions, one
-spare, and the logs, which end as the worker messages.  That is four when
-at most one atom has mu != 0 (``sh``), and seven when two or more do
-(``ash``, a Beta prior), whose running maximum and two lanes then span the
-edges.  When the degree classes below split, three more hold the gathered
-magnetizations, the scattered messages and the per-class answers, as
-floats.  The ``naive`` kernel of the pair API below evaluates the
+atom count and the sweep count.  Three rotate: the worker messages, the
+task magnetizations and a free one.  A sweep writes the task messages,
+then their magnetizations, into the free one; the logs that end as the
+new worker messages into the old magnetizations' once their change is
+read; and the change of tanh(lam / 2), a block at a time, into the old
+worker messages', which become the next sweep's free buffer.  That is
+three when at most one atom has mu != 0 (``sh``), and six when two or
+more do (``ash``, a Beta prior), whose running maximum and two lanes then
+span the edges.  When the degree classes below split, three more hold
+each class's logs, its gathered magnetizations and the per-class answers,
+as floats.  The ``naive`` kernel of the pair API below evaluates the
 configuration sum directly and exists as the independent cross-check.
 
 Degree classes: each atom costs a pass over the edges it is applied to,
@@ -165,9 +169,9 @@ def _check_edges(llr: np.ndarray, graph: AssignmentGraph, what: str,
                  origin: tuple | None = None) -> None:
     """NaN marks a message with zero mass on both labels.  The error names
     the edge of ``graph``, or its edge in ``origin`` (see ``_run``)."""
-    bad = np.isnan(llr)
-    if bad.any():
-        idx = int(np.flatnonzero(bad)[0])
+    # One reduction finds a NaN; the mask is built only to name it.
+    if np.isnan(llr.max(initial=-np.inf)):
+        idx = int(np.flatnonzero(np.isnan(llr))[0])
         if origin is not None:
             graph, idx = origin[0], int(origin[1][idx])
         task, worker = graph.edges[idx]
@@ -237,21 +241,24 @@ _CHUNK = 2**14
 
 
 def _fold_rows(atom_mu: np.ndarray) -> int:
-    """Float edge rows of a fold: the logs, which end as the messages, and the
-    running maximum and two lanes when two or more atoms have mu != 0."""
-    return 1 if np.count_nonzero(atom_mu) < 2 else 4
+    """Float edge rows of a fold besides its logs, which end as the messages:
+    the running maximum and two lanes when two or more atoms have mu != 0."""
+    return 0 if np.count_nonzero(atom_mu) < 2 else 3
 
 
-def _worker_llrs(x: np.ndarray, grouping: Grouping, a: np.ndarray,
-                 atom_mu: np.ndarray, atom_w: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _worker_llrs(x: np.ndarray, grouping: Grouping, a: np.ndarray, atom_mu: np.ndarray,
+                 atom_w: np.ndarray, work: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Worker-to-task LLRs from task-to-worker magnetizations ``x``; NaN marks zero mass.
 
     ``grouping`` groups the edges by worker; the rule (``atom_mu``,
     ``atom_w``) must be exact up to every worker's degree.  ``work`` holds
-    at least ``_fold_rows(atom_mu)`` float rows of the edge count; the
-    result is written in the first.
+    at least ``_fold_rows(atom_mu)`` float rows of the edge count.  The
+    logs and then the result go to ``out``, a float edge buffer other than
+    ``x``, or to a new array.
     """
-    logs, starts = work[0], np.flatnonzero(atom_mu)
+    logs = np.empty(x.size) if out is None else out
+    starts = np.flatnonzero(atom_mu)
     if not starts.size:
         return np.multiply(a, _prior_mean_llr(atom_mu, atom_w), out=logs)
     plus, minus = atom_w * (1.0 + atom_mu), atom_w * (1.0 - atom_mu)
@@ -265,7 +272,7 @@ def _worker_llrs(x: np.ndarray, grouping: Grouping, a: np.ndarray,
     for lo in range(0, x.size, _CHUNK):
         at = slice(lo, lo + _CHUNK)
         new_top, loo, *lanes = temp[:, :min(_CHUNK, x.size - lo)]
-        blocks.append((at, new_top, loo, tuple(work[1:4, at]) if full else lanes))
+        blocks.append((at, new_top, loo, tuple(work[:3, at]) if full else lanes))
     # Each atom with mu != 0 takes its logs and their per-worker sums over
     # all edges, then folds in a block at a time with the mu = 0 atoms after it.
     for k0, k1 in zip(starts, [*starts[1:], atom_mu.size]):
@@ -275,8 +282,9 @@ def _worker_llrs(x: np.ndarray, grouping: Grouping, a: np.ndarray,
             np.log1p(logs, out=logs)
         # A factor 1 + y == 0 is counted per worker instead of summed as
         # -inf, so exactly the worker's other edges get a -inf product.
-        zero, n_zero = logs == -np.inf, None
-        if zero.any():
+        zero = n_zero = None
+        if logs.min(initial=0.0) == -np.inf:
+            zero = logs == -np.inf
             logs[zero] = 0.0
             n_zero = np.bincount(grouping.keys[zero], minlength=grouping.n_segments)
         totals = segment_sum(logs, grouping)
@@ -399,8 +407,9 @@ def _class_rules(degrees: np.ndarray, prior: ReliabilityPrior) -> tuple[int, tup
 def _class_kernel(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior):
     """The magnetization worker half, each degree class on its prior's Gauss rule.
 
-    The returned function writes its messages into buffers allocated here,
-    once per run, and returns the same array on every call.
+    The returned function ``(x, out=None)`` writes its messages into
+    ``out``, a float edge buffer other than ``x``, or into a new array, and
+    returns them; its other buffers are allocated here, once per run.
     """
     n_atoms, (atom_mu, atom_w), classes = _class_rules(graph.worker_degrees, prior)
     if [k for k, _, _ in classes] == [n_atoms]:
@@ -421,10 +430,10 @@ def _class_kernel(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior
         # The class's answers are a copy anyway; as floats, each atom's pass
         # multiplies without an int-to-float cast.
         parts.append((edges, grouping, a[edges].astype(np.float64), mu, w, shift))
-    # Each class folds in the leading columns of the same rows, after its
-    # magnetizations are gathered into the last row.
-    work = np.empty((max(_fold_rows(part[3]) for part in parts) + 1, graph.n_edges))
-    return partial(_class_worker_llrs, parts=parts, work=work, lam=np.empty(graph.n_edges))
+    # Each class folds in the leading columns of the same rows, its logs in
+    # the first, after its magnetizations are gathered into the last.
+    work = np.empty((max(_fold_rows(part[3]) for part in parts) + 2, graph.n_edges))
+    return partial(_class_worker_llrs, parts=parts, work=work)
 
 
 def _prior_mean_llr(atom_mu: np.ndarray, atom_w: np.ndarray) -> float:
@@ -440,11 +449,12 @@ def _prior_mean_llr(atom_mu: np.ndarray, atom_w: np.ndarray) -> float:
 
 
 def _class_worker_llrs(x: np.ndarray, parts: list, work: np.ndarray,
-                       lam: np.ndarray) -> np.ndarray:
+                       out: np.ndarray | None = None) -> np.ndarray:
+    lam = np.empty(x.size) if out is None else out
     for edges, grouping, a, atom_mu, atom_w, shift in parts:
         rows = work[:, :edges.size]
         x_class = np.take(x, edges, out=rows[-1], mode="clip")
-        llr = _worker_llrs(x_class, grouping, a, atom_mu, atom_w, rows[:-1])
+        llr = _worker_llrs(x_class, grouping, a, atom_mu, atom_w, rows[1:-1], out=rows[0])
         # The fold has read the magnetizations; their row takes the shift.
         llr += np.multiply(a, shift, out=x_class)
         lam[edges] = llr
@@ -550,30 +560,28 @@ def _run(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior, k_max: 
     error at edge e or task t of ``graph`` names edge ``edge_ids[e]`` or task
     ``task_ids[t]`` of ``caller``."""
     worker_half = _class_kernel(graph, a, prior)
-    # The sweeps pass three edge buffers around, so naming the start state
-    # keeps nothing extra alive.  Its LLRs, 0, are also the last worker
-    # magnetizations, which the first sweep reads before it overwrites; the
-    # task magnetizations start at each task's tanh(h / 2).
-    spare, lam = np.empty(graph.n_edges), np.zeros(graph.n_edges)
+    # The sweeps rotate three edge buffers (see the module docstring), so
+    # naming the start state keeps nothing extra alive.  The LLRs start at 0
+    # and the task magnetizations at each task's tanh(h / 2).
+    free, lam = np.empty(graph.n_edges), np.zeros(graph.n_edges)
     x = gather(np.tanh(field / 2.0), graph.by_task)
 
     def sweep(state):
-        nonlocal spare
-        lam, x_prev, y_prev = state
-        _, nu = _task_llrs(lam, graph.by_task, field, out=spare)
+        nonlocal free
+        lam_prev, x_prev = state
+        _, nu = _task_llrs(lam_prev, graph.by_task, field, out=free)
         _check_edges(nu, graph, "task message", origin)
         x = np.tanh(np.divide(nu, 2.0, out=nu), out=nu)
         dx = _max_change(x, x_prev)
-        lam = worker_half(x)
+        lam = worker_half(x, out=x_prev)
         _check_edges(lam, graph, "worker message", origin)
-        y = np.tanh(np.divide(lam, 2.0, out=x_prev), out=x_prev)
-        dy = _max_change(y, y_prev)
-        spare = y_prev
+        dy = _max_tanh_change(lam, lam_prev)
+        free = lam_prev
         # Changes on the probability scale: |d P(+1)| = |d tanh(llr / 2)| / 2.
-        return (lam, x, y), 0.5 * max(dx, dy)
+        return (lam, x), 0.5 * max(dx, dy)
 
-    (lam, _, _), iterations, converged, delta = _iterate(sweep, (lam, x, lam), k_max, tol)
-    total, _ = _task_llrs(lam, graph.by_task, field, out=spare)
+    (lam, _), iterations, converged, delta = _iterate(sweep, (lam, x), k_max, tol)
+    total, _ = _task_llrs(lam, graph.by_task, field, out=free)
     margins = np.tanh(total / 2.0)
     _check_beliefs(margins, origin)
     return margins, iterations, converged, delta
@@ -583,3 +591,16 @@ def _max_change(new: np.ndarray, old: np.ndarray) -> float:
     """The largest |new - old|, computed over ``old``, which it overwrites."""
     change = np.abs(np.subtract(new, old, out=old), out=old)
     return float(change.max(initial=0.0))
+
+
+def _max_tanh_change(new: np.ndarray, old: np.ndarray) -> float:
+    """The largest |tanh(new / 2) - tanh(old / 2)|, a block of ``_CHUNK`` edges
+    at a time, computed over ``old``, which it overwrites."""
+    change, temp = 0.0, np.empty(min(_CHUNK, new.size))
+    for lo in range(0, new.size, _CHUNK):
+        block = old[lo:lo + _CHUNK]
+        y = temp[:block.size]
+        np.tanh(np.divide(new[lo:lo + _CHUNK], 2.0, out=y), out=y)
+        y_prev = np.tanh(np.divide(block, 2.0, out=block), out=block)
+        change = max(change, _max_change(y, y_prev))
+    return change

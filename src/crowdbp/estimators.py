@@ -45,25 +45,25 @@ def kos_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     drawn from ``seed`` (Karger-Oh-Shah).  Decode: sign of sum_u A_iu y[u->i].
     """
     a = answer_values(answers, graph)
-    # Per run: two scratch edge buffers, and a free one that receives each
-    # step's y while the previous y's buffer takes its place.
-    work = np.empty((2, graph.n_edges))
-    spare = np.empty(graph.n_edges)
+    # Per run: three edge buffers, y and two scratch rows.  Each step's y
+    # takes the second row in place, and the previous y's buffer becomes
+    # that row once the step's change has read it.
+    scratch, free = np.empty(graph.n_edges), np.empty(graph.n_edges)
 
     def step(prev_y):
-        nonlocal spare
-        ay = np.multiply(a, prev_y, out=work[0])
-        x = segment_others(ay, graph.by_task, out=work[1])
-        ax = np.multiply(a, x, out=work[0])
-        y = _unit(segment_others(ax, graph.by_worker, out=work[1]), out=spare, scratch=work[0])
-        spare = prev_y
+        nonlocal free
+        ay = np.multiply(a, prev_y, out=scratch)
+        x = segment_others(ay, graph.by_task, out=free)
+        ax = np.multiply(a, x, out=scratch)
+        y = _unit(segment_others(ax, graph.by_worker, out=free), out=free, scratch=scratch)
+        free = prev_y
         return y, _max_change(y, prev_y)
 
     start = rng_from(seed).standard_normal(graph.n_edges)
     start += 1.0
     y, iterations, converged, delta = _iterate(
-        step, _unit(start, out=start, scratch=work[0]), k_max, tol)
-    scores = segment_sum(np.multiply(a, y, out=work[0]), graph.by_task)
+        step, _unit(start, out=start, scratch=scratch), k_max, tol)
+    scores = segment_sum(np.multiply(a, y, out=scratch), graph.by_task)
     peak = np.abs(scores).max(initial=0.0)
     margins = scores / peak if peak > 0 else scores
     return make_report(margins, iterations, converged, delta)

@@ -1,4 +1,4 @@
-"""The peak of traced allocations during one call."""
+"""The peak of traced allocations during one call, in bytes or in edge arrays."""
 from __future__ import annotations
 
 import tracemalloc
@@ -16,3 +16,10 @@ def traced_peak(fn):
         return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
+
+
+def edge_arrays(fn, graph):
+    """Run ``fn()`` like ``traced_peak``; return its peak in float64 arrays of
+    ``graph``'s edge count, and its result."""
+    peak, result = traced_peak(fn)
+    return peak / (8 * graph.n_edges), result

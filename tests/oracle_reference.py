@@ -21,15 +21,8 @@ from crowdbp.bp import make_report
 from crowdbp.graph import answer_values
 
 
-def reference_bfs(graph: AssignmentGraph, root: int):
-    """Sequential FIFO BFS from a root task, visiting neighbors in ascending id order.
-
-    Returns the tree edge ids and the boundary tasks (the component's tasks
-    on a non-tree edge), both ascending, the depth, and each task's and
-    worker's hop distance from the root, -1 outside its component.
-    """
-    if not 0 <= root < graph.n_tasks:
-        raise ParameterError(f"root {root} out of range")
+def reference_adjacency(graph: AssignmentGraph) -> tuple[list, list]:
+    """Each task's and each worker's (neighbor, edge id) pairs, ascending."""
     adjacent = ([[] for _ in range(graph.n_tasks)], [[] for _ in range(graph.n_workers)])
     for eid, (t, u) in enumerate(graph.edges.tolist()):
         adjacent[0][t].append((u, eid))
@@ -37,6 +30,22 @@ def reference_bfs(graph: AssignmentGraph, root: int):
     for side in adjacent:
         for lst in side:
             lst.sort()
+    return adjacent
+
+
+def reference_bfs(graph: AssignmentGraph, root: int, adjacent: tuple | None = None):
+    """Sequential FIFO BFS from a root task, visiting neighbors in ascending id order.
+
+    ``adjacent`` is ``reference_adjacency(graph)``, built here when not
+    given; a caller that walks from many roots builds it once.  Returns the
+    tree edge ids and the boundary tasks (the component's tasks on a
+    non-tree edge), both ascending, the depth, and each task's and worker's
+    hop distance from the root, -1 outside its component.
+    """
+    if not 0 <= root < graph.n_tasks:
+        raise ParameterError(f"root {root} out of range")
+    if adjacent is None:
+        adjacent = reference_adjacency(graph)
     dist = ([-1] * graph.n_tasks, [-1] * graph.n_workers)
     dist[0][root] = 0
     queue = deque([(0, root)])
@@ -85,8 +94,9 @@ def reference_oracle_task_estimate(graph, answers, prior, truth):
         raise ParameterError("truth labels length does not match graph")
     margins = np.zeros(graph.n_tasks)
     iterations = 0
+    adjacent = reference_adjacency(graph)
     for root in range(graph.n_tasks):
-        tree_edges, boundary, depth, _, _ = reference_bfs(graph, root)
+        tree_edges, boundary, depth, _, _ = reference_bfs(graph, root, adjacent)
         if tree_edges.size == 0:
             continue
         sub = AssignmentGraph(graph.n_tasks, graph.n_workers, graph.edges[tree_edges])

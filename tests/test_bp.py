@@ -12,7 +12,7 @@ from crowdbp.bp import (bp_compute_beliefs, bp_init, bp_update_task_messages,
 from crowdbp.priors import FactorTable
 from tests.conftest import (random_atom_prior, random_bipartite_tree, random_prior,
                             regular_sh_instance, star_graph)
-from tests.memory import traced_peak
+from tests.memory import edge_arrays, traced_peak
 from tests.sweep_reference import reference_bp_run, reference_class_kernel
 from tests.worker_reference import reference_worker_kernel
 
@@ -681,17 +681,18 @@ class TestBufferedSweeps:
             assert (outcome(cb.bp_run, g, answers, prior, k_max=30)
                     == outcome(reference_bp_run, g, answers, prior, k_max=30))
 
-    @pytest.mark.parametrize("spec, edge_arrays", [("sh", 5.5), ("ash", 8.5)])
-    def test_bp_peak_memory_in_edge_arrays(self, spec, edge_arrays):
-        # The allocating sweeps peaked at 15.1 edge arrays here under sh, and
-        # the buffered ones at 8.4 with five fold rows.  The fold keeps one
-        # row, plus the running maximum and the two lanes when two or more
-        # atoms have mu != 0 (ash), and block-sized temporaries.
+    @pytest.mark.parametrize("spec, budget", [("sh", 4.5), ("ash", 7.5), ("beta:2,1", 7.5)])
+    def test_bp_peak_memory_in_edge_arrays(self, spec, budget):
+        # The allocating sweeps peaked at 15.1 edge arrays here under sh, the
+        # buffered ones at 8.4 with five fold rows, and at 5.0 (sh) and 7.9
+        # (ash, Beta) with four rotating buffers.  Three rotate now; the fold
+        # adds the running maximum and the two lanes when two or more atoms
+        # have mu != 0 (ash, a Beta prior), and block-sized temporaries.
         g, answers = regular_sh_instance()
-        peak, report = traced_peak(
-            lambda: cb.bp_run(g, answers, cb.parse_prior_spec(spec), k_max=3, tol=0.0))
+        peak, report = edge_arrays(
+            lambda: cb.bp_run(g, answers, cb.parse_prior_spec(spec), k_max=3, tol=0.0), g)
         assert report.iterations_run == 3
-        assert peak <= edge_arrays * 8 * g.n_edges
+        assert peak <= budget
 
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     def test_bp_matches_the_allocating_sweeps_across_fold_blocks(self, rng, monkeypatch,

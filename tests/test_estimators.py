@@ -11,7 +11,7 @@ from crowdbp import graph as graph_module
 from crowdbp.estimators import _em_e_step, _em_m_step
 from tests.conftest import regular_sh_instance, star_graph
 from tests.em_reference import reference_em_run
-from tests.memory import traced_peak
+from tests.memory import edge_arrays
 from tests.sweep_reference import reference_kos_run
 
 
@@ -125,13 +125,14 @@ class TestKos:
             assert got.converged == want.converged
             assert got.max_delta == want.max_delta
 
-    def test_peak_memory_is_five_edge_arrays(self):
-        # The allocating steps peaked at 8.0 edge arrays here, and the
-        # buffered ones at 5.4 while they copied the answers to floats.
+    def test_peak_memory_is_four_edge_arrays(self):
+        # The allocating steps peaked at 8.0 edge arrays here, the buffered
+        # ones at 5.4 while they copied the answers to floats, and at 4.4 with
+        # a spare buffer beside the two scratch rows.
         g, answers = regular_sh_instance()
-        peak, report = traced_peak(lambda: cb.kos_run(g, answers, k_max=3, tol=0.0))
+        peak, report = edge_arrays(lambda: cb.kos_run(g, answers, k_max=3, tol=0.0), g)
         assert report.iterations_run == 3
-        assert peak <= 5 * 8 * g.n_edges
+        assert peak <= 4
 
     def test_margins_do_not_depend_on_blas_threads(self):
         # Large enough that a threaded BLAS reduction splits the vector.

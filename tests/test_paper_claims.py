@@ -24,7 +24,7 @@ import crowdbp as cb
 from crowdbp import bp
 from crowdbp.graph import answer_values, draw_instance
 from crowdbp.segments import gather
-from tests.oracle_reference import reference_bfs
+from tests.oracle_reference import reference_adjacency, reference_bfs
 
 N_TASKS = 20_000
 
@@ -93,10 +93,11 @@ def test_the_revealed_oracle_is_bp_on_the_clamped_tree_ball(prior):
     # About a quarter of the 6-hop balls are trees: roots come in a seeded
     # order until each depth has had ten.
     trees = [0, 0, 0]
+    adjacent = reference_adjacency(graph)
     for root in np.random.default_rng(1).permutation(graph.n_tasks).tolist():
         if min(trees) >= 10:
             break
-        _, _, _, dist_task, dist_worker = reference_bfs(graph, root)
+        _, _, _, dist_task, dist_worker = reference_bfs(graph, root, adjacent)
         hops = dist_worker[graph.edges[:, 1]]
         for k in (1, 2, 3):
             # A worker within 2k - 1 hops answers tasks within 2k hops only.

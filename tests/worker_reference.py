@@ -5,9 +5,12 @@ where the package gives each degree class its own Gauss rule.  Labels must
 be equal and margins equal within a stated tolerance, and bitwise equal
 wherever every class runs the top rule.  ``reference_worker_kernel`` has the
 signature of ``crowdbp.bp._class_kernel``, so that a test can run ``bp_run``
-on it by patching that name.
+on it by patching that name; the function it returns, like the package's,
+writes its messages into ``out`` when it is given one.
 """
 from __future__ import annotations
+
+import numpy as np
 
 from crowdbp import bp
 from tests.sweep_reference import reference_fold
@@ -15,4 +18,12 @@ from tests.sweep_reference import reference_fold
 
 def reference_worker_kernel(graph, a, prior):
     _, (atom_mu, atom_w), _ = bp._class_rules(graph.worker_degrees, prior)
-    return lambda x: reference_fold(x, graph.by_worker, a, atom_mu, atom_w)
+
+    def worker_half(x, out=None):
+        lam = reference_fold(x, graph.by_worker, a, atom_mu, atom_w)
+        if out is None:
+            return lam
+        np.copyto(out, lam)
+        return out
+
+    return worker_half
