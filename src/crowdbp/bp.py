@@ -35,20 +35,21 @@ counted per worker instead of divided out.  Atoms are folded in one at a
 time under a running per-edge maximum.  Only an atom's logs and their
 per-worker sums take the whole edge array; the rest of the fold is
 elementwise and runs over fixed-size blocks of edges.  A run reads the
-int64 answers in place, allocates its buffers once and writes every sweep
-into them, so it holds a fixed number of float edge arrays whatever the
-atom count and the sweep count.  Three rotate: the worker messages, the
-task magnetizations and a free one.  A sweep writes the task messages,
-then their magnetizations, into the free one; the logs that end as the
-new worker messages into the old magnetizations' once their change is
-read; and the change of tanh(lam / 2), a block at a time, into the old
-worker messages', which become the next sweep's free buffer.  That is
-three when at most one atom has mu != 0 (``sh``), and six when two or
-more do (``ash``, a Beta prior), whose running maximum and two lanes then
-span the edges.  When the degree classes below split, three more hold
-each class's logs, its gathered magnetizations and the per-class answers,
-as floats.  The ``naive`` kernel of the pair API below evaluates the
-configuration sum directly and exists as the independent cross-check.
+int8 or int64 answers in place, allocates its buffers once and writes
+every sweep into them, so it holds a fixed number of float edge arrays
+whatever the atom count and the sweep count.  Three rotate: the worker
+messages, the task magnetizations and a free one.  A sweep writes the
+task messages, then their magnetizations, into the free one; the logs
+that end as the new worker messages into the old magnetizations' once
+their change is read; and the change of tanh(lam / 2), a block at a
+time, into the old worker messages', which become the next sweep's free
+buffer.  That is three when at most one atom has mu != 0 (``sh``), and
+six when two or more do (``ash``, a Beta prior), whose running maximum
+and two lanes then span the edges.  When the degree classes below split,
+two more hold each class's logs and its gathered magnetizations; its
+answers are gathered once per run, in their own dtype.  The ``naive``
+kernel of the pair API below evaluates the configuration sum directly
+and exists as the independent cross-check.
 
 Degree classes: each atom costs a pass over the edges it is applied to,
 but a worker of degree r does not need every atom.  Both lanes of the
@@ -260,7 +261,9 @@ def _worker_llrs(x: np.ndarray, grouping: Grouping, a: np.ndarray, atom_mu: np.n
     logs = np.empty(x.size) if out is None else out
     starts = np.flatnonzero(atom_mu)
     if not starts.size:
-        return np.multiply(a, _prior_mean_llr(atom_mu, atom_w), out=logs)
+        # The dtype keeps NumPy 1's value-based casting from multiplying int8
+        # answers by a Python float in float16.
+        return np.multiply(a, _prior_mean_llr(atom_mu, atom_w), out=logs, dtype=np.float64)
     plus, minus = atom_w * (1.0 + atom_mu), atom_w * (1.0 - atom_mu)
     # Per edge: the largest log leave-one-out product so far and the two
     # lanes sum_mu w (1 ± mu) exp(loo_mu - top).  Until the first atom with
@@ -427,9 +430,7 @@ def _class_kernel(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior
         # the LLR of the prior's mean, up to rounding; the shift makes it the
         # top rule's value, bitwise when the two are within a factor of two.
         shift = prior_mean - _prior_mean_llr(mu, w)
-        # The class's answers are a copy anyway; as floats, each atom's pass
-        # multiplies without an int-to-float cast.
-        parts.append((edges, grouping, a[edges].astype(np.float64), mu, w, shift))
+        parts.append((edges, grouping, a[edges], mu, w, shift))
     # Each class folds in the leading columns of the same rows, its logs in
     # the first, after its magnetizations are gathered into the last.
     work = np.empty((max(_fold_rows(part[3]) for part in parts) + 2, graph.n_edges))
@@ -456,7 +457,7 @@ def _class_worker_llrs(x: np.ndarray, parts: list, work: np.ndarray,
         x_class = np.take(x, edges, out=rows[-1], mode="clip")
         llr = _worker_llrs(x_class, grouping, a, atom_mu, atom_w, rows[1:-1], out=rows[0])
         # The fold has read the magnetizations; their row takes the shift.
-        llr += np.multiply(a, shift, out=x_class)
+        llr += np.multiply(a, shift, out=x_class, dtype=np.float64)  # as in _worker_llrs
         lam[edges] = llr
     return lam
 
@@ -553,8 +554,8 @@ def bp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
 
 def _run(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior, k_max: int,
          tol: float, field: np.ndarray, origin: tuple | None = None) -> tuple:
-    """``bp_run``'s sweeps and decode on checked inputs: int64 answers and
-    each task's field, -0.0 or ±inf for a known label (see ``_task_llrs``).
+    """``bp_run``'s sweeps and decode on checked inputs: int8 or int64 signs
+    and each task's field, -0.0 or ±inf for a known label (see ``_task_llrs``).
     Returns the margins, the sweeps run, whether they converged and the last
     change.  With ``origin = (caller, edge_ids, task_ids)``, a zero-mass
     error at edge e or task t of ``graph`` names edge ``edge_ids[e]`` or task

@@ -3,8 +3,9 @@
 The CLI maps these onto process exit codes: parameter/validation problems
 exit 2, malformed data files exit 3, and numeric degeneracies exit 4.  The
 checks of counts, ids, ±1 signs and probabilities return what they accept
-as int, int64 or float64 (an array of that dtype without a copy).  A whole
-float such as 3.0 passes; a boolean, a fraction or a NaN fails them.
+as int, int64 or float64 (an array of that dtype without a copy), and an
+int8 array of signs as it is.  A whole float such as 3.0 passes; a
+boolean, a fraction or a NaN fails them.
 """
 from __future__ import annotations
 
@@ -56,8 +57,10 @@ def check_ids(values, n: int, name: str) -> np.ndarray:
 
 
 def check_signs(values, name: str) -> np.ndarray:
-    """``values`` as int64 signs, each -1 or +1."""
-    return _checked(values, np.int64, f"{name} must be -1 or +1",
+    """``values`` as signs, each -1 or +1: an int8 array as it is, else as int64."""
+    values = np.asarray(values)
+    return _checked(values, np.int8 if values.dtype == np.int8 else np.int64,
+                    f"{name} must be -1 or +1",
                     lambda signs: ((signs == 1) | (signs == -1)).all())
 
 

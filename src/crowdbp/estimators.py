@@ -169,12 +169,11 @@ def em_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
 
     Initializes the posterior weights from smoothed vote fractions, then
     alternates the posterior (E) and reliability (M) steps until the
-    largest posterior change drops below ``tol``.  Both steps read a float
-    copy of the answers, cheaper than int/float passes, and work in one
-    edge buffer allocated per run.
+    largest posterior change drops below ``tol``.  Both steps read the
+    answers in place and work in one edge buffer allocated per run.
     """
     prior = ReliabilityPrior.from_beta(prior_alpha, prior_beta)
-    a = answer_values(answers, graph).astype(np.float64)
+    a = answer_values(answers, graph)
     plus_votes = segment_sum(a == 1, graph.by_task)
     buffer = np.empty(graph.n_edges)
 

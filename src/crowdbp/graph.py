@@ -104,7 +104,10 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class AnswerMatrix:
-    """One answer in {-1, +1} per edge, aligned with ``AssignmentGraph.edges``."""
+    """One answer in {-1, +1} per edge, aligned with ``AssignmentGraph.edges``.
+
+    An int8 or int64 array of signs is held as it is, any other as int64.
+    """
 
     answers: np.ndarray
 
@@ -151,7 +154,7 @@ def column_edges(tasks: np.ndarray, workers: np.ndarray) -> np.ndarray:
 
 
 def answer_values(answers: "AnswerMatrix | np.ndarray", graph: AssignmentGraph) -> np.ndarray:
-    """The checked int64 answers, one per edge of ``graph`` in edge order, not copied."""
+    """The checked int8 or int64 answers, one per edge of ``graph`` in edge order, not copied."""
     if not isinstance(answers, AnswerMatrix):
         answers = AnswerMatrix(answers)
     if answers.answers.shape != (graph.n_edges,):
@@ -223,15 +226,20 @@ def sample_ground_truth(graph: AssignmentGraph, prior, seed: int) -> GroundTruth
 
 
 def sample_answers(graph: AssignmentGraph, truth: GroundTruth, seed: int) -> AnswerMatrix:
-    """Each edge reports the true label w.p. the worker's reliability, else its flip."""
+    """Each edge reports the true label w.p. the worker's reliability, else its
+    flip; the answers are int8."""
     if truth.labels.shape[0] != graph.n_tasks:
         raise ParameterError("truth labels length does not match graph")
     if truth.reliabilities.shape[0] != graph.n_workers:
         raise ParameterError("reliabilities length does not match graph")
     rng = rng_from(seed)
     correct = rng.random(graph.n_edges) < truth.reliabilities[graph.edges[:, 1]]
-    signs = np.where(correct, 1, -1)
-    return AnswerMatrix(signs * truth.labels[graph.edges[:, 0]])
+    # +1 where the worker is right and -1 where not, in the mask's own bytes.
+    signs = correct.view(np.int8)
+    signs *= 2
+    signs -= 1
+    signs *= truth.labels.astype(np.int8)[graph.edges[:, 0]]
+    return AnswerMatrix(signs)
 
 
 def draw_instance(n_tasks: int, l: int, r: int, prior, seed: int,

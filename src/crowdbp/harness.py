@@ -454,7 +454,7 @@ class _EdgeCsvReader:
         # The per-row arrays the Dataset keeps come first, so that the
         # allocator does not place them above the temporaries freed below.
         edges = np.empty((n, 2), dtype=np.int64, order="F")
-        answers = np.empty(n, dtype=np.int64)
+        answers = np.empty(n, dtype=np.int8)
         self.columns[0].row_ids(edges[:, 0])
         self.columns[1].row_ids(edges[:, 1])
         task_names, task_of, task_rows = _strip_names(self.columns[0])

@@ -48,6 +48,20 @@ def random_small_graph(rng: np.random.Generator, max_tasks: int = 5,
     return cb.AssignmentGraph(nt, nw, np.array(edges))
 
 
+def skewed_graph(rng, n_tasks, max_degree, min_degree=1):
+    """Heavy-tailed worker degrees in [min_degree, max_degree], edges shuffled."""
+    degrees = np.clip(rng.zipf(1.6, size=n_tasks), min_degree, min(max_degree, n_tasks))
+    return graph_of_degrees(rng, n_tasks, degrees)
+
+
+def graph_of_degrees(rng, n_tasks, degrees):
+    """Worker u answers ``degrees[u]`` distinct random tasks; edges shuffled."""
+    edges = np.concatenate([
+        np.column_stack((rng.choice(n_tasks, size=d, replace=False), np.full(d, u)))
+        for u, d in enumerate(degrees)])
+    return cb.AssignmentGraph(n_tasks, degrees.size, edges[rng.permutation(len(edges))])
+
+
 def star_graph(n_workers: int) -> cb.AssignmentGraph:
     """One task answered by ``n_workers`` workers."""
     return cb.AssignmentGraph(1, n_workers, np.array([[0, u] for u in range(n_workers)]))

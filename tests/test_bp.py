@@ -10,8 +10,8 @@ from crowdbp import bp, priors
 from crowdbp.bp import (bp_compute_beliefs, bp_init, bp_update_task_messages,
                         bp_update_worker_messages)
 from crowdbp.priors import FactorTable
-from tests.conftest import (random_atom_prior, random_bipartite_tree, random_prior,
-                            regular_sh_instance, star_graph)
+from tests.conftest import (graph_of_degrees, random_atom_prior, random_bipartite_tree,
+                            random_prior, regular_sh_instance, skewed_graph, star_graph)
 from tests.memory import edge_arrays, traced_peak
 from tests.sweep_reference import reference_bp_run, reference_class_kernel
 from tests.worker_reference import reference_worker_kernel
@@ -397,20 +397,6 @@ class TestLlrCore:
                                              kernel="naive").msg_worker_to_task
             assert np.isfinite(fast).all()
             np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-13)
-
-
-def skewed_graph(rng, n_tasks, max_degree, min_degree=1):
-    """Heavy-tailed worker degrees in [min_degree, max_degree], edges shuffled."""
-    degrees = np.clip(rng.zipf(1.6, size=n_tasks), min_degree, min(max_degree, n_tasks))
-    return graph_of_degrees(rng, n_tasks, degrees)
-
-
-def graph_of_degrees(rng, n_tasks, degrees):
-    """Worker u answers ``degrees[u]`` distinct random tasks; edges shuffled."""
-    edges = np.concatenate([
-        np.column_stack((rng.choice(n_tasks, size=d, replace=False), np.full(d, u)))
-        for u, d in enumerate(degrees)])
-    return cb.AssignmentGraph(n_tasks, degrees.size, edges[rng.permutation(len(edges))])
 
 
 def empirical_atoms(rng, n_atoms):

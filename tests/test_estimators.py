@@ -250,6 +250,14 @@ class TestEm:
         with pytest.raises(cb.ParameterError):
             cb.em_run(g, np.array([1]), prior_alpha=0.0)
 
+    def test_peak_memory_holds_no_float_copy_of_the_answers(self):
+        # Two edge arrays: the step's buffer and a gathered per-task array.
+        # A float copy of the answers beside them peaked at 3.0.
+        g, answers = regular_sh_instance()
+        peak, report = edge_arrays(lambda: cb.em_run(g, answers, k_max=3, tol=0.0), g)
+        assert report.iterations_run == 3
+        assert peak <= 2.5
+
     def test_error_sits_between_chance_informed_extremes(self):
         # Over repeated draws EM should do no worse than majority vote and
         # no better than the true-prior decoder, up to 3 pooled sigma.

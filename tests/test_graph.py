@@ -262,6 +262,16 @@ class TestSampling:
         with pytest.raises(cb.ParameterError, match="reliabilities length"):
             cb.sample_answers(g, truth, seed=0)
 
+    def test_peak_memory_is_about_two_edge_arrays(self):
+        # The uniform draw and the gathered reliabilities are two float edge
+        # arrays, and the flip mask beside them an eighth of one.  Int64
+        # signs, labels and their product peaked at 2.5.
+        g = cb.generate_regular_bipartite(20_000, 10, 5, seed=31)
+        truth = cb.sample_ground_truth(g, cb.spammer_hammer(), seed=32)
+        peak, answers = traced_peak(lambda: cb.sample_answers(g, truth, seed=33))
+        assert answers.answers.dtype == np.int8
+        assert peak / (8 * g.n_edges) <= 2.25
+
     def test_answer_check_takes_no_int64_copy(self):
         # An int64 np.abs of the answers took 9 bytes per edge; each
         # comparison takes one.

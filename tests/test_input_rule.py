@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 import crowdbp as cb
+from crowdbp import bp
 from crowdbp.exact import extract_bfs_tree
 from crowdbp.graph import answer_values
 from crowdbp.priors import FactorTable
+from tests.conftest import skewed_graph
 from tests.gain_reference import exact_conditional_gain
 
 NAN = float("nan")
@@ -36,6 +38,8 @@ def ids(n):
 
 # np.abs leaves the int64 minimum negative, so it is not a sign either.
 SIGNS = (2.5, True, NAN, 0, 2, -2, 1.7, -1.5, np.iinfo(np.int64).min)
+# An int8 array of signs is held as it is, so its own extremes are checked too.
+INT8_SIGNS = (0, 2, 127, -128)
 PROBABILITIES = (2.5, True, NAN, -0.5)
 
 
@@ -59,6 +63,8 @@ RULE_TABLE = [
     ("GroundTruth.reliabilities", lambda v: cb.GroundTruth([1], [v, v]), "reliabilities",
      PROBABILITIES),
     ("AnswerMatrix.answers", lambda v: cb.AnswerMatrix([v, v]), "answers", SIGNS),
+    ("AnswerMatrix.answers-int8", lambda v: cb.AnswerMatrix(np.full(2, v, np.int8)),
+     "answers", INT8_SIGNS),
     ("generate_regular_bipartite.n_tasks",
      lambda v: cb.generate_regular_bipartite(v, 2, 2, 0), "n_tasks", count(1)),
     ("generate_regular_bipartite.l", lambda v: cb.generate_regular_bipartite(4, v, 2, 0), "l",
@@ -68,6 +74,8 @@ RULE_TABLE = [
     ("generate_regular_bipartite.seed",
      lambda v: cb.generate_regular_bipartite(4, 2, 2, v), "seed", count()),
     ("bp_run.answers", lambda v: cb.bp_run(G, np.full(8, v), SH), "answers", SIGNS),
+    ("bp_run.answers-int8", lambda v: cb.bp_run(G, np.full(8, v, np.int8), SH), "answers",
+     INT8_SIGNS),
     ("bp_run.k_max", lambda v: cb.bp_run(G, A, SH, k_max=v), "k_max", count(1)),
     ("bp_run.clamp_tasks", lambda v: cb.bp_run(G, A, SH, clamp_tasks=[v], clamp_labels=[1]),
      "clamp task", ids(4)),
@@ -173,3 +181,71 @@ class TestValidEdgeValues:
         assert answer_values(answers, G) is answers
         edges = G.edges.copy()
         assert np.shares_memory(cb.AssignmentGraph(4, 4, edges).edges, edges)
+
+    def test_int8_arrays_pass_without_a_copy(self):
+        answers = A.astype(np.int8)
+        assert cb.AnswerMatrix(answers).answers is answers
+        assert answer_values(answers, G) is answers
+
+
+def int8_instance(shape, prior):
+    """A small regular or heavy-tailed graph with a truth and answers drawn under ``prior``."""
+    g = (cb.generate_regular_bipartite(60, 4, 4, seed=41) if shape == "regular"
+         else skewed_graph(np.random.default_rng(41), 60, 30))
+    truth = cb.sample_ground_truth(g, prior, seed=42)
+    return g, truth, cb.sample_answers(g, truth, seed=43).answers
+
+
+def assert_same_report(got, want):
+    assert got.margins.tobytes() == want.margins.tobytes()
+    np.testing.assert_array_equal(got.labels, want.labels)
+    assert ((got.iterations_run, got.converged, got.max_delta)
+            == (want.iterations_run, want.converged, want.max_delta))
+
+
+class TestInt8Answers:
+    """int8 answers decode exactly as their int64 values do."""
+
+    @pytest.fixture(autouse=True)
+    def split_degree_classes(self, monkeypatch):
+        # With no per-class cost, bp runs each degree class of the skewed
+        # graph on its own rule, over its own gathered answers.
+        monkeypatch.setattr(bp, "_CLASS_OVERHEAD_EDGES", 0)
+
+    @pytest.mark.parametrize("shape", ["regular", "skewed"])
+    @pytest.mark.parametrize("name,prior", [
+        ("mv", "sh"), ("kos", "sh"), ("em", "sh"), ("bp", "sh"), ("bp", "ash"),
+        ("bp", "beta:2,1"), ("ebp2", "sh"), ("oracle-work", "sh"), ("oracle-task", "ash"),
+        ("oracle-task", "beta:2,1")])
+    def test_every_estimator_decodes_them_as_int64(self, shape, name, prior):
+        prior = cb.parse_prior_spec(prior)
+        g, truth, answers = int8_instance(shape, prior)
+        assert answers.dtype == np.int8
+        spec = cb.EstimatorSpec.parse(name)
+        got, want = (spec.run(g, a, prior=prior, truth=truth, reliabilities=truth.reliabilities)
+                     for a in (answers, answers.astype(np.int64)))
+        assert_same_report(got, want)
+
+    @pytest.mark.parametrize("shape", ["regular", "skewed"])
+    @pytest.mark.parametrize("prior", ["sh", "ash", "beta:2,1"])
+    def test_clamped_bp_decodes_them_as_int64(self, shape, prior):
+        prior = cb.parse_prior_spec(prior)
+        g, truth, answers = int8_instance(shape, prior)
+        tasks = np.arange(0, g.n_tasks, 7)
+        got, want = (cb.bp_run(g, answers.astype(dtype), prior, clamp_tasks=tasks,
+                               clamp_labels=truth.labels[tasks].astype(dtype))
+                     for dtype in (np.int8, np.int64))
+        assert_same_report(got, want)
+
+    def test_sampled_read_and_subsampled_answers_are_int8(self, tmp_path):
+        g, truth, answers = int8_instance("skewed", SH)
+        paths = []
+        for dtype in (np.int8, np.int64):
+            paths.append(tmp_path / f"{np.dtype(dtype).name}.csv")
+            cb.save_dataset(cb.Dataset(g, cb.AnswerMatrix(answers.astype(dtype)),
+                                       truth_labels=truth.labels), str(paths[-1]))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        loaded = cb.load_dataset(str(paths[0]))
+        assert loaded.answers.answers.dtype == np.int8
+        np.testing.assert_array_equal(loaded.answers.answers, answers)
+        assert cb.subsample_assignments(loaded, 2, seed=0).answers.answers.dtype == np.int8
