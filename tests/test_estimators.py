@@ -251,8 +251,9 @@ class TestEm:
             cb.em_run(g, np.array([1]), prior_alpha=0.0)
 
     def test_peak_memory_holds_no_float_copy_of_the_answers(self):
-        # Two edge arrays: the step's buffer and a gathered per-task array.
-        # A float copy of the answers beside them peaked at 3.0.
+        # Two edge arrays: the steps' buffer, and per-worker and per-task
+        # temporaries of about one more.  A float copy of the answers beside
+        # them peaked at 3.0.
         g, answers = regular_sh_instance()
         peak, report = edge_arrays(lambda: cb.em_run(g, answers, k_max=3, tol=0.0), g)
         assert report.iterations_run == 3
