@@ -17,11 +17,14 @@ once in each checkout, the parent first in even pairs and the change first
 in odd ones, and reads the result line that the run prints last.
 
 The ledger keeps, per workload, side and end-to-end metric, the median and
-quartiles over the seeds; in how many pairs the change read lower; and the
-operations that failed, the operations attempted and whether every output
-check held.  With ``--claim`` and ``--fresh-seeds``, the claimed workload is
-run again at seeds not used while the change was written.  The ledger is a
-record, not a gate: a slower change still exits 0.
+quartiles over the seeds; in how many pairs the change read lower; whether
+a gain may be claimed; and the operations that failed, the operations
+attempted and whether every output check held.  A gain may be claimed when
+the change reads lower in at least nine tenths of the pairs (ties count for
+neither) and its median is below the parent's by more than the parent's
+quartile distance.  With ``--claim`` and ``--fresh-seeds``, the claimed
+workload is run again at seeds not used while the change was written.  The
+ledger is a record, not a gate: a slower change still exits 0.
 """
 from __future__ import annotations
 
@@ -96,18 +99,30 @@ def _side(results: list[dict], metrics: list[str]) -> dict:
     return side
 
 
+def gain_holds(parent: list[float], change: list[float]) -> bool:
+    """Whether a lower-is-better metric's paired values show a gain: the change
+    lower in at least nine tenths of the pairs, ties counting for neither, and
+    the medians apart by more than the parent's quartile distance."""
+    lower = sum(c < p for p, c in zip(parent, change))
+    q1, q3 = np.percentile(parent, [25, 75])
+    return bool(10 * lower >= 9 * len(parent)
+                and np.median(parent) - np.median(change) > q3 - q1)
+
+
 def fold(pairs: list[tuple[dict, dict]], seeds: list[int]) -> dict:
     """One workload's ledger entry from its (parent, change) result pairs."""
     metrics = list(pairs[0][0]["metrics"])
     parent, change = [p for p, _ in pairs], [c for _, c in pairs]
-    lower = {name: sum(c["metrics"][name]["value"] < p["metrics"][name]["value"]
-                       for p, c in pairs) for name in metrics}
+    values = {name: ([p["metrics"][name]["value"] for p in parent],
+                     [c["metrics"][name]["value"] for c in change]) for name in metrics}
+    lower = {name: sum(c < p for p, c in zip(*values[name])) for name in metrics}
     return {
         "seeds": [seeds[0], seeds[-1]],
         "pairs": len(pairs),
         "parent": _side(parent, metrics),
         "change": _side(change, metrics),
         "change_lower_in": {name: f"{k}/{len(pairs)}" for name, k in lower.items()},
+        "gain_holds": {name: gain_holds(*values[name]) for name in metrics},
     }
 
 

@@ -28,26 +28,30 @@ mu = 2p - 1 for each support atom p (weight w) of the reliability prior,
     m[u->i](s) ∝ sum_mu w (1 + A_iu mu s) prod_{j != i} (1 + A_ju mu x_j)
 
 which reproduces the literal sum over neighbor label configurations
-weighted by f(c, r) exactly.  The leave-one-out log product is
-S_mu[u] - log(1 + mu A_iu x_i), with S_mu the per-worker sum of those
-logs; factors that are exactly 0 (mu = ±1 against a certain message) are
-counted per worker instead of divided out.  Atoms are folded in one at a
-time under a running per-edge maximum.  Only an atom's logs and their
-per-worker sums take the whole edge array; the rest of the fold is
-elementwise and runs over fixed-size blocks of edges.  A run reads the
-int8 or int64 answers in place, allocates its buffers once and writes
-every sweep into them, so it holds a fixed number of float edge arrays
-whatever the atom count and the sweep count.  Three rotate: the worker
-messages, the task magnetizations and a free one.  A sweep writes the
-task messages, then their magnetizations, into the free one; the logs
-that end as the new worker messages into the old magnetizations' once
-their change is read; and the change of tanh(lam / 2), a block at a
-time, into the old worker messages', which become the next sweep's free
-buffer.  That is three when at most one atom has mu != 0 (``sh``), and
-six when two or more do (``ash``, a Beta prior), whose running maximum
-and two lanes then span the edges.  When the degree classes below split,
-two more hold each class's logs and its gathered magnetizations; its
-answers are gathered once per run, in their own dtype.  The ``naive``
+weighted by f(c, r) exactly.  A sweep keeps the answer-signed
+magnetizations c_j = A_ju x_j, computed once, so that each atom's factors
+are 1 + mu c_j; the sign is exact, so their change between sweeps is
+bitwise that of x.  The leave-one-out log product is
+S_mu[u] - log(1 + mu c_i), with S_mu the per-worker sum of those logs.
+A factor is exactly 0 only for mu = ±1 against a certain message, as
+|c| <= 1, so only such atoms scan for zeros, which are counted per worker
+instead of divided out.  Atoms are folded in one at a time under a
+running per-edge maximum.  Only an atom's logs and their per-worker sums
+take the whole edge array; the rest of the fold is elementwise and runs
+over fixed-size blocks of edges.  A run reads the int8 or int64 answers
+in place, allocates its buffers once and writes every sweep into them, so
+it holds a fixed number of float edge arrays whatever the atom count and
+the sweep count.  Three rotate: the worker messages, the signed
+magnetizations and a free one.  A sweep writes the task messages, then
+their signed magnetizations, into the free one; the logs that end as the
+new worker messages into the old magnetizations' once their change is
+read; and the change of tanh(lam / 2), a block at a time, into the old
+worker messages', which become the next sweep's free buffer.  That is
+three when at most one atom has mu != 0 (``sh``), and six when two or
+more do (``ash``, a Beta prior, ``ebp``'s empirical atoms), whose running
+maximum and two lanes then span the edges.  When the degree classes below
+split, two more hold each class's logs and its gathered magnetizations;
+its answers are gathered once per run, in their own dtype.  The ``naive``
 kernel of the pair API below evaluates the configuration sum directly
 and exists as the independent cross-check.
 
@@ -65,17 +69,18 @@ O(k^2 K) work, so its workers whose k times K exceeds the edge count
 join the atoms' class, which keeps memory O(edges) here too.  A Beta
 prior's rules are leading blocks of its closed-form Jacobi matrix, so it
 takes no such cap.  A class whose saving over the next larger class, in
-atom-edge passes, is below a fixed per-class cost folds into it.  When
-the top rule is left alone on the whole graph it runs with no gather or
-scatter, so regular graphs under ``sh`` (worker degree >= 2) or ``ash``
-(>= 4) and small graphs keep the margins of one fold over the top rule,
-bitwise.  Otherwise each class runs on its own edges, in the
-leading columns of the same buffers, and its messages are shifted so that
-a worker whose other answers carry no information (x = 0) sends the top
-rule's prior-mean LLR, whichever class it is in; a tie between such
-workers stays exact.  That holds bitwise unless the prior's mean is 0,
-where the two rules' values, both rounding, need not lie within a factor
-of two of each other.
+atom-edge passes, is below a fixed per-class cost folds into it.  Each
+class's messages are shifted so that a worker whose other answers carry
+no information (x = 0) sends the top rule's prior-mean LLR, whichever
+class it is in; a tie between such workers stays exact.  That holds
+bitwise unless the prior's mean is 0, where the two rules' values, both
+rounding, need not lie within a factor of two of each other.  When one
+class holds every worker, its rule runs on the whole graph with no gather
+or scatter: the top rule unshifted, so regular graphs under ``sh``
+(worker degree >= 2) or ``ash`` (>= 4) and small graphs keep the margins
+of one fold over the top rule, bitwise, and a smaller rule, as ``ebp``'s
+empirical atoms give a regular graph, shifted in place.  Otherwise each
+class runs on its own edges, in the leading columns of the same buffers.
 
 The pair-valued :class:`BeliefState` API (``bp_init``,
 ``bp_update_*_messages``, ``bp_compute_beliefs``) runs the same core and
@@ -247,23 +252,29 @@ def _fold_rows(atom_mu: np.ndarray) -> int:
     return 0 if np.count_nonzero(atom_mu) < 2 else 3
 
 
-def _worker_llrs(x: np.ndarray, grouping: Grouping, a: np.ndarray, atom_mu: np.ndarray,
-                 atom_w: np.ndarray, work: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Worker-to-task LLRs from task-to-worker magnetizations ``x``; NaN marks zero mass.
+def _worker_llrs(c: np.ndarray, grouping: Grouping, a: np.ndarray, atom_mu: np.ndarray,
+                 atom_w: np.ndarray, work: np.ndarray, out: np.ndarray | None = None,
+                 shift: float | None = None) -> np.ndarray:
+    """Worker-to-task LLRs from the answer-signed task-to-worker magnetizations
+    ``c = a x``; NaN marks zero mass.
 
     ``grouping`` groups the edges by worker; the rule (``atom_mu``,
     ``atom_w``) must be exact up to every worker's degree.  ``work`` holds
     at least ``_fold_rows(atom_mu)`` float rows of the edge count.  The
     logs and then the result go to ``out``, a float edge buffer other than
-    ``x``, or to a new array.
+    ``c``, or to a new array.  A ``shift``, when given, adds ``a * shift``
+    to every message (see ``_class_kernel``).
     """
-    logs = np.empty(x.size) if out is None else out
+    logs = np.empty(c.size) if out is None else out
     starts = np.flatnonzero(atom_mu)
     if not starts.size:
         # The dtype keeps NumPy 1's value-based casting from multiplying int8
         # answers by a Python float in float16.
-        return np.multiply(a, _prior_mean_llr(atom_mu, atom_w), out=logs, dtype=np.float64)
+        np.multiply(a, _prior_mean_llr(atom_mu, atom_w), out=logs, dtype=np.float64)
+        if shift is not None:
+            logs += np.multiply(a, shift, dtype=np.float64)
+        return logs
+    keys, n_workers = grouping.keys, grouping.n_segments
     plus, minus = atom_w * (1.0 + atom_mu), atom_w * (1.0 - atom_mu)
     # Per edge: the largest log leave-one-out product so far and the two
     # lanes sum_mu w (1 ± mu) exp(loo_mu - top).  Until the first atom with
@@ -271,50 +282,52 @@ def _worker_llrs(x: np.ndarray, grouping: Grouping, a: np.ndarray, atom_mu: np.n
     first, full = starts[0], starts.size > 1
     state = (0.0, np.cumsum(plus[:first])[-1], np.cumsum(minus[:first])[-1]) if first else (
         _NO_ATOM_YET, 0.0, 0.0)
-    temp, blocks = np.empty((2 if full else 5, min(_CHUNK, x.size))), []
-    for lo in range(0, x.size, _CHUNK):
+    temp, blocks = np.empty((2 if full else 5, min(_CHUNK, c.size))), []
+    for lo in range(0, c.size, _CHUNK):
         at = slice(lo, lo + _CHUNK)
-        new_top, loo, *lanes = temp[:, :min(_CHUNK, x.size - lo)]
-        blocks.append((at, new_top, loo, tuple(work[:3, at]) if full else lanes))
-    # Each atom with mu != 0 takes its logs and their per-worker sums over
-    # all edges, then folds in a block at a time with the mu = 0 atoms after it.
-    for k0, k1 in zip(starts, [*starts[1:], atom_mu.size]):
-        np.multiply(a, x, out=logs)
-        logs *= atom_mu[k0]
-        with np.errstate(divide="ignore"):
-            np.log1p(logs, out=logs)
-        # A factor 1 + y == 0 is counted per worker instead of summed as
-        # -inf, so exactly the worker's other edges get a -inf product.
-        zero = n_zero = None
-        if logs.min(initial=0.0) == -np.inf:
-            zero = logs == -np.inf
-            logs[zero] = 0.0
-            n_zero = np.bincount(grouping.keys[zero], minlength=grouping.n_segments)
-        totals = segment_sum(logs, grouping)
-        for at, new_top, loo, (top_out, agree_out, disagree_out) in blocks:
-            keys = grouping.keys[at]
-            np.subtract(np.take(totals, keys, out=loo, mode="clip"), logs[at], out=loo)
-            if n_zero is not None:
-                loo[np.take(n_zero, keys, mode="clip") > zero[at]] = -np.inf
-            for k in range(k0, k1):
-                top, agree, disagree = state if k == first else (top_out, agree_out,
-                                                                 disagree_out)
-                loo_k = loo if k == k0 else 0.0
-                np.maximum(top, loo_k, out=new_top)
-                rescale = np.exp(np.subtract(top, new_top, out=top_out), out=top_out)
-                weight = np.exp(np.subtract(loo_k, new_top, out=loo), out=loo)
-                np.multiply(agree, rescale, out=agree_out)
-                np.multiply(disagree, rescale, out=disagree_out)
-                # rescale is spent: its buffer takes each lane's increment in turn.
-                agree_out += np.multiply(plus[k], weight, out=top_out)
-                disagree_out += np.multiply(minus[k], weight, out=top_out)
-                np.copyto(top_out, new_top)
-            if k1 == atom_mu.size:
-                # A lane ratio beyond the float range overflows to an infinite LLR.
-                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        new_top, loo, *lanes = temp[:, :min(_CHUNK, c.size - lo)]
+        blocks.append((at, keys[at], new_top, loo, tuple(work[:3, at]) if full else lanes))
+    # log1p(-1) = -inf is counted below, a lane ratio beyond the float range
+    # overflows to an infinite LLR, and 0 / 0 marks zero mass.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # Each atom with mu != 0 takes its logs and their per-worker sums over
+        # all edges, then folds in a block at a time with the mu = 0 atoms after it.
+        for k0, k1 in zip(starts, [*starts[1:], atom_mu.size]):
+            mu = atom_mu[k0]
+            np.log1p(np.multiply(c, mu, out=logs), out=logs)
+            # A factor 1 + mu c == 0, possible only at |mu| = 1 as |c| <= 1, is
+            # counted per worker instead of summed as -inf, so exactly the
+            # worker's other edges get a -inf product.
+            zero = n_zero = None
+            if abs(mu) >= 1.0 and logs.min(initial=0.0) == -np.inf:
+                zero = logs == -np.inf
+                logs[zero] = 0.0
+                n_zero = np.bincount(keys[zero], minlength=n_workers)
+            totals = np.bincount(keys, weights=logs, minlength=n_workers)
+            for at, block_keys, new_top, loo, (top_out, agree_out, disagree_out) in blocks:
+                np.subtract(totals.take(block_keys, out=loo, mode="clip"), logs[at], out=loo)
+                if n_zero is not None:
+                    loo[n_zero.take(block_keys, mode="clip") > zero[at]] = -np.inf
+                for k in range(k0, k1):
+                    top, agree, disagree = state if k == first else (top_out, agree_out,
+                                                                     disagree_out)
+                    loo_k = loo if k == k0 else 0.0
+                    np.maximum(top, loo_k, out=new_top)
+                    rescale = np.exp(np.subtract(top, new_top, out=top_out), out=top_out)
+                    weight = np.exp(np.subtract(loo_k, new_top, out=loo), out=loo)
+                    np.multiply(agree, rescale, out=agree_out)
+                    np.multiply(disagree, rescale, out=disagree_out)
+                    # rescale is spent: its buffer takes each lane's increment in turn.
+                    agree_out += np.multiply(plus[k], weight, out=top_out)
+                    disagree_out += np.multiply(minus[k], weight, out=top_out)
+                    np.copyto(top_out, new_top)
+                if k1 == atom_mu.size:
                     ratio = np.log(np.divide(agree_out, disagree_out, out=agree_out),
                                    out=agree_out)
-                np.multiply(a[at], ratio, out=logs[at])
+                    np.multiply(a[at], ratio, out=logs[at])
+                    if shift is not None:
+                        # The weights are spent: their buffer takes the shift.
+                        logs[at] += np.multiply(a[at], shift, out=loo, dtype=np.float64)
     return logs
 
 
@@ -410,17 +423,22 @@ def _class_rules(degrees: np.ndarray, prior: ReliabilityPrior) -> tuple[int, tup
 def _class_kernel(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior):
     """The magnetization worker half, each degree class on its prior's Gauss rule.
 
-    The returned function ``(x, out=None)`` writes its messages into
-    ``out``, a float edge buffer other than ``x``, or into a new array, and
-    returns them; its other buffers are allocated here, once per run.
+    The returned function ``(c, out=None)`` reads the answer-signed
+    magnetizations ``c = a x``, writes its messages into ``out``, a float
+    edge buffer other than ``c``, or into a new array, and returns them; its
+    other buffers are allocated here, once per run.
     """
     n_atoms, (atom_mu, atom_w), classes = _class_rules(graph.worker_degrees, prior)
-    if [k for k, _, _ in classes] == [n_atoms]:
-        # The top rule on the whole graph runs with no gather or scatter, so
-        # its margins are bitwise those of one fold over that rule.
-        return partial(_worker_llrs, grouping=graph.by_worker, a=a, atom_mu=atom_mu,
-                       atom_w=atom_w, work=np.empty((_fold_rows(atom_mu), graph.n_edges)))
     prior_mean = _prior_mean_llr(atom_mu, atom_w)
+    if len(classes) == 1:
+        # One class holds every worker with edges: its rule runs on the whole
+        # graph with no gather or scatter.  The top rule's margins are then
+        # bitwise those of one fold over it, and a smaller rule's, shifted as
+        # below, those of the split path.
+        (k, (mu, w), _), = classes
+        return partial(_worker_llrs, grouping=graph.by_worker, a=a, atom_mu=mu, atom_w=w,
+                       work=np.empty((_fold_rows(mu), graph.n_edges)),
+                       shift=None if k == n_atoms else prior_mean - _prior_mean_llr(mu, w))
     parts = []
     for _, (mu, w), members in classes:
         edges = np.flatnonzero(gather(members, graph.by_worker))
@@ -449,16 +467,14 @@ def _prior_mean_llr(atom_mu: np.ndarray, atom_w: np.ndarray) -> float:
         return float(np.log(agree / disagree))
 
 
-def _class_worker_llrs(x: np.ndarray, parts: list, work: np.ndarray,
+def _class_worker_llrs(c: np.ndarray, parts: list, work: np.ndarray,
                        out: np.ndarray | None = None) -> np.ndarray:
-    lam = np.empty(x.size) if out is None else out
+    lam = np.empty(c.size) if out is None else out
     for edges, grouping, a, atom_mu, atom_w, shift in parts:
         rows = work[:, :edges.size]
-        x_class = np.take(x, edges, out=rows[-1], mode="clip")
-        llr = _worker_llrs(x_class, grouping, a, atom_mu, atom_w, rows[1:-1], out=rows[0])
-        # The fold has read the magnetizations; their row takes the shift.
-        llr += np.multiply(a, shift, out=x_class, dtype=np.float64)  # as in _worker_llrs
-        lam[edges] = llr
+        c_class = np.take(c, edges, out=rows[-1], mode="clip")
+        lam[edges] = _worker_llrs(c_class, grouping, a, atom_mu, atom_w, rows[1:-1],
+                                  out=rows[0], shift=shift)
     return lam
 
 
@@ -504,7 +520,7 @@ def bp_update_worker_messages(state: BeliefState, graph: AssignmentGraph,
     a = answer_values(answers, graph)
     x = np.tanh(_pairs_to_llr(state.msg_task_to_worker) / 2.0)
     if kernel == "magnetization":
-        lam = _class_kernel(graph, a, factors.prior)(x)
+        lam = _class_kernel(graph, a, factors.prior)(a * x)
     elif kernel == "naive":
         # The only reader of the literal factor table f(c, r).
         lam = _worker_llrs_naive(x, graph, a, factors)
@@ -563,25 +579,29 @@ def _run(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior, k_max: 
     worker_half = _class_kernel(graph, a, prior)
     # The sweeps rotate three edge buffers (see the module docstring), so
     # naming the start state keeps nothing extra alive.  The LLRs start at 0
-    # and the task magnetizations at each task's tanh(h / 2).
+    # and the answer-signed task magnetizations at each task's tanh(h / 2)
+    # times the answer.
     free, lam = np.empty(graph.n_edges), np.zeros(graph.n_edges)
-    x = gather(np.tanh(field / 2.0), graph.by_task)
+    c = gather(np.tanh(field / 2.0), graph.by_task)
+    c *= a
 
     def sweep(state):
         nonlocal free
-        lam_prev, x_prev = state
+        lam_prev, c_prev = state
         _, nu = _task_llrs(lam_prev, graph.by_task, field, out=free)
         _check_edges(nu, graph, "task message", origin)
-        x = np.tanh(np.divide(nu, 2.0, out=nu), out=nu)
-        dx = _max_change(x, x_prev)
-        lam = worker_half(x, out=x_prev)
+        c = np.tanh(np.divide(nu, 2.0, out=nu), out=nu)
+        c *= a
+        # A sign common to c and c_prev leaves |c - c_prev| bitwise that of x.
+        dx = _max_change(c, c_prev)
+        lam = worker_half(c, out=c_prev)
         _check_edges(lam, graph, "worker message", origin)
         dy = _max_tanh_change(lam, lam_prev)
         free = lam_prev
         # Changes on the probability scale: |d P(+1)| = |d tanh(llr / 2)| / 2.
-        return (lam, x), 0.5 * max(dx, dy)
+        return (lam, c), 0.5 * max(dx, dy)
 
-    (lam, _), iterations, converged, delta = _iterate(sweep, (lam, x), k_max, tol)
+    (lam, _), iterations, converged, delta = _iterate(sweep, (lam, c), k_max, tol)
     total, _ = _task_llrs(lam, graph.by_task, field, out=free)
     margins = np.tanh(total / 2.0)
     _check_beliefs(margins, origin)

@@ -146,18 +146,18 @@ def _em_e_step(graph: AssignmentGraph, a: np.ndarray, p_hat: np.ndarray,
 
 
 def _em_m_step(graph: AssignmentGraph, a: np.ndarray, w: np.ndarray,
-               alpha: float, beta: float, out: np.ndarray | None = None) -> np.ndarray:
+               alpha: float, denom: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Beta-MAP reliability update from soft agreement counts.
 
     An answer's agreement with its task is ``w`` for a = +1 and ``1 - w``
     for a = -1, computed as ``(a == -1) + a * w``, which is exact for both;
-    ``out`` is an optional float edge buffer for it.
+    ``out`` is an optional float edge buffer for it.  ``denom`` is each
+    worker's ``max(alpha + beta - 2 + degree, _P_CLAMP)``, fixed for a run.
     """
     agree = gather(w, graph.by_task, out=out)
     agree *= a
     agree += a == -1
     soft_matches = segment_sum(agree, graph.by_worker)
-    denom = np.maximum(alpha + beta - 2.0 + graph.worker_degrees, _P_CLAMP)
     p_hat = (alpha - 1.0 + soft_matches) / denom
     return np.clip(p_hat, _P_CLAMP, 1.0 - _P_CLAMP)
 
@@ -176,9 +176,10 @@ def em_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     a = answer_values(answers, graph)
     plus_votes = segment_sum(a == 1, graph.by_task)
     buffer = np.empty(graph.n_edges)
+    denom = np.maximum(prior.alpha + prior.beta - 2.0 + graph.worker_degrees, _P_CLAMP)
 
     def step(w):
-        p_hat = _em_m_step(graph, a, w, prior.alpha, prior.beta, out=buffer)
+        p_hat = _em_m_step(graph, a, w, prior.alpha, denom, out=buffer)
         new_w = _em_e_step(graph, a, p_hat, out=buffer)
         return new_w, _max_change(new_w, w)
 

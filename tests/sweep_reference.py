@@ -1,4 +1,5 @@
-"""The allocating bp sweep and kos step: the references for ``bp_run`` and ``kos_run``.
+"""The allocating bp sweep and kos step: the references for ``bp_run``, ``ebp_run``
+and ``kos_run``.
 
 Every half-sweep here builds fresh edge arrays, as the decoders did before
 they kept a fixed set of edge buffers per run and wrote every sweep into
@@ -15,6 +16,7 @@ import numpy as np
 from crowdbp import bp
 from crowdbp.bp import _check_beliefs, _check_edges, _iterate, make_report
 from crowdbp.graph import answer_values
+from crowdbp.priors import empirical_prior, spammer_hammer
 from crowdbp.segments import build_grouping, segment_sum
 from crowdbp.seeding import rng_from
 
@@ -145,6 +147,25 @@ def reference_bp_run(graph, answers, prior, k_max=100, tol=1e-5, *,
         margins[clamp_tasks] = clamp_labels.astype(np.float64)
     _check_beliefs(margins)
     return make_report(margins, iterations, converged, delta)
+
+
+def reference_ebp_prior(graph, a, labels):
+    """The empirical prior of each worker's smoothed agreement with ``labels``."""
+    matches = np.bincount(graph.by_worker.keys, a == labels[graph.by_task.keys],
+                          graph.n_workers)
+    p_hat = (0.25 + matches) / (0.5 + graph.worker_degrees)
+    return empirical_prior(p_hat) if p_hat.size else spammer_hammer()
+
+
+def reference_ebp_run(graph, answers, rounds=2, k_max=100, tol=1e-5):
+    a = answer_values(answers, graph)
+    # Majority vote, ties to +1.
+    labels = np.where(np.bincount(graph.by_task.keys, a, graph.n_tasks) >= 0, 1, -1)
+    for _ in range(rounds):
+        prior = reference_ebp_prior(graph, a, labels)
+        report = reference_bp_run(graph, answers, prior, k_max, tol)
+        labels = report.labels
+    return report
 
 
 def reference_unit(v):

@@ -13,7 +13,7 @@ from crowdbp.priors import FactorTable
 from tests.conftest import (graph_of_degrees, random_atom_prior, random_bipartite_tree,
                             random_prior, regular_sh_instance, skewed_graph, star_graph)
 from tests.memory import edge_arrays, traced_peak
-from tests.sweep_reference import reference_bp_run, reference_class_kernel
+from tests.sweep_reference import reference_bp_run, reference_class_kernel, reference_ebp_prior
 from tests.worker_reference import reference_worker_kernel
 
 
@@ -680,6 +680,19 @@ class TestBufferedSweeps:
         assert report.iterations_run == 3
         assert peak <= budget
 
+    def test_bp_peak_memory_on_one_class_of_a_smaller_rule(self):
+        # ebp's empirical prior has more atoms than the 3 Gauss nodes that
+        # degree 5 needs, so the one class of this (10, 5)-regular graph runs
+        # that rule on the whole graph.  Split off like one of several
+        # classes, with its gather and scatter, it peaked at 11.1.
+        g, answers = regular_sh_instance()
+        a = answers.answers
+        prior = reference_ebp_prior(g, a, cb.majority_vote(g, a).labels)
+        assert [k for k, _ in _classes(prior, g)] == [3]
+        peak, report = edge_arrays(lambda: cb.bp_run(g, answers, prior, k_max=3, tol=0.0), g)
+        assert report.iterations_run == 3
+        assert peak <= 7.5
+
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     def test_bp_matches_the_allocating_sweeps_across_fold_blocks(self, rng, monkeypatch,
                                                                   chunk):
@@ -715,7 +728,7 @@ class TestBufferedSweeps:
                     # x = ±1 on a fifth of the edges: zero factors at every block offset.
                     x = np.where(rng.random(g.n_edges) < 0.2, rng.choice([-1.0, 1.0], g.n_edges),
                                  rng.uniform(-0.9, 0.9, g.n_edges))
-                    np.testing.assert_array_equal(bp._class_kernel(g, a, prior)(x),
+                    np.testing.assert_array_equal(bp._class_kernel(g, a, prior)(a * x),
                                                   reference_class_kernel(g, a, prior)(x))
             infinite += kind == "certain" and clamp_tasks.size > 0 and not isinstance(got, str)
         assert infinite >= 2

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import crowdbp as cb
+from crowdbp import bp
 from crowdbp import graph as graph_module
 from crowdbp.estimators import _em_e_step, _em_m_step
-from tests.conftest import regular_sh_instance, star_graph
+from tests.conftest import regular_sh_instance, skewed_graph, star_graph
 from tests.em_reference import reference_em_run
 from tests.memory import edge_arrays
-from tests.sweep_reference import reference_kos_run
+from tests.sweep_reference import reference_ebp_prior, reference_ebp_run, reference_kos_run
 
 
 def full_bipartite(n_tasks: int, n_workers: int) -> cb.AssignmentGraph:
@@ -174,6 +175,54 @@ class TestEbp:
         with pytest.raises(cb.ParameterError):
             cb.ebp_run(star_graph(1), np.array([1]), rounds=0)
 
+    @staticmethod
+    def diagnostics(report):
+        return (report.margins.tobytes(), report.labels.tobytes(), report.iterations_run,
+                report.converged, report.max_delta)
+
+    @pytest.mark.parametrize("overhead", [0, None])
+    def test_matches_the_allocating_reference(self, rng, monkeypatch, overhead):
+        # Overhead 0 splits the degree classes of these small skewed graphs
+        # under their many-atom empirical priors; the shipped constant keeps
+        # the atoms' class alone on the whole graph.
+        if overhead is not None:
+            monkeypatch.setattr(bp, "_CLASS_OVERHEAD_EDGES", overhead)
+        split = 0
+        for case in range(6):
+            g = skewed_graph(rng, int(rng.integers(40, 120)), 40)
+            a = rng.choice(np.array([-1, 1], dtype=np.int8), size=g.n_edges)
+            prior = reference_ebp_prior(g, a, cb.majority_vote(g, a).labels)
+            split += len(bp._class_rules(g.worker_degrees, prior)[2]) > 1
+            for rounds in (1, 2, 3):
+                kwargs = dict(rounds=rounds, k_max=int(rng.integers(1, 12)),
+                              tol=[0.0, 1e-5][case % 2])
+                assert (self.diagnostics(cb.ebp_run(g, a, **kwargs))
+                        == self.diagnostics(reference_ebp_run(g, a, **kwargs)))
+        assert split == (6 if overhead == 0 else 0)
+
+    def test_matches_the_allocating_reference_on_one_degree_class(self):
+        # Every worker has degree 5 and needs 3 Gauss nodes, fewer than the
+        # empirical prior's atoms: one class runs the smaller rule on the
+        # whole graph, with no gather or scatter, and the reference splits.
+        g, answers = regular_sh_instance(2_000)
+        a = answers.answers
+        n_atoms, _, classes = bp._class_rules(
+            g.worker_degrees, reference_ebp_prior(g, a, cb.majority_vote(g, a).labels))
+        assert [k for k, _, _ in classes] == [3] and n_atoms > 3
+        for rounds in (1, 2, 3):
+            for budget in (dict(k_max=8, tol=0.0), {}):
+                assert (self.diagnostics(cb.ebp_run(g, answers, rounds=rounds, **budget))
+                        == self.diagnostics(reference_ebp_run(g, answers, rounds, **budget)))
+
+    def test_peak_memory_on_one_degree_class(self):
+        # The one class of a regular graph used to gather and scatter the
+        # whole graph through two more float rows, an edge-id array and a
+        # second key array: 11.6 edge arrays.
+        g, answers = regular_sh_instance()
+        peak, report = edge_arrays(lambda: cb.ebp_run(g, answers, rounds=1, k_max=3, tol=0.0), g)
+        assert report.iterations_run == 3
+        assert peak <= 8
+
     def test_checks_raw_answers_once(self, monkeypatch):
         # Each check is one np.isin pass over the answers; majority vote and
         # every round's bp used to repeat it, four passes at two rounds.
@@ -237,7 +286,7 @@ class TestEm:
         # saturates at 1 and is clipped just below it.
         g = cb.AssignmentGraph(5, 1, np.array([[t, 0] for t in range(5)]))
         w = np.ones(5)
-        p_hat = _em_m_step(g, np.ones(5), w, alpha=2.0, beta=1.0)
+        p_hat = _em_m_step(g, np.ones(5), w, alpha=2.0, denom=np.array([2.0 + 1.0 - 2.0 + 5]))
         assert p_hat[0] == pytest.approx(1.0 - 1e-9)
 
     def test_e_step_is_the_log_odds_posterior(self):

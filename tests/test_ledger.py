@@ -30,6 +30,7 @@ def test_fold_medians_quartiles_wins_and_failures():
     assert entry["parent"]["pass_s"] == {"median": 2.3, "q1": 2.15, "q3": 2.45}
     assert entry["change"]["pass_s"] == {"median": 1.65, "q1": 1.575, "q3": 1.9}
     assert entry["change_lower_in"] == {"setup_s": "1/4", "pass_s": "3/4"}
+    assert entry["gain_holds"] == {"setup_s": False, "pass_s": False}
     assert (entry["parent"]["failed"], entry["parent"]["attempted"]) == (0, 16)
     assert (entry["change"]["failed"], entry["change"]["attempted"]) == (1, 16)
     assert entry["parent"]["correct"] and not entry["change"]["correct"]
@@ -45,10 +46,31 @@ def test_ledger_has_bench_18_schema():
     assert out["commits"] == {"parent": "p", "change": "c"}
     assert "commit" not in out["environment"]
     got, want = out["workloads"]["file-1m"], bench_18["workloads"]["file-1m"]
-    assert set(got) == set(want)
+    # The gain rule's verdicts are the one key added since.
+    assert set(got) == set(want) | {"gain_holds"}
     assert set(got["parent"]) == set(want["parent"]) - {"peak_rss_mb"}
     assert out["fresh_seeds"]["file-1m"]["seeds"] == [201, 203]
     assert out["method"] == ledger.METHOD
+
+
+# Ten parent runs at 2.0, 2.1, ..., 2.9 s: quartiles 2.225 and 2.675, 0.45 s apart.
+PARENT = [2.0 + 0.1 * k for k in range(10)]
+
+
+@pytest.mark.parametrize("change, lower, holds", [
+    # 0.5 s lower in nine pairs and tied in one: nine tenths, medians 0.5 s apart.
+    ([*(p - 0.5 for p in PARENT[:9]), PARENT[9]], "9/10", True),
+    # As far apart, but lower in only eight pairs: a rise and a tie miss.
+    ([*(p - 0.5 for p in PARENT[:8]), PARENT[8] + 0.1, PARENT[9]], "8/10", False),
+    # Lower in every pair, but the medians are 0.2 s apart, within the spread.
+    ([p - 0.2 for p in PARENT], "10/10", False),
+])
+def test_gain_rule(change, lower, holds):
+    entry = ledger.fold([(result(p), result(c)) for p, c in zip(PARENT, change)],
+                        list(range(1, 11)))
+    assert entry["change_lower_in"]["pass_s"] == lower
+    assert entry["gain_holds"]["pass_s"] is holds
+    assert ledger.gain_holds(PARENT, change) is holds
 
 
 @pytest.mark.parametrize("text, seeds", [("1-3", [1, 2, 3]), ("7", [7]), ("201-201", [201])])

@@ -45,11 +45,12 @@ def revealed_oracle_totals(graph, answers, prior, truth, depth: int) -> list[np.
     after k worker halves, each task's total LLR is the exact posterior of
     its depth-k tree neighborhood with the labels beyond it revealed.
     """
-    worker_half = bp._class_kernel(graph, answer_values(answers, graph), prior)
+    a = answer_values(answers, graph)
+    worker_half = bp._class_kernel(graph, a, prior)
     x = gather(truth.labels.astype(np.float64), graph.by_task)
     totals = []
     for _ in range(depth):
-        total, nu = bp._task_llrs(worker_half(x), graph.by_task)
+        total, nu = bp._task_llrs(worker_half(a * x), graph.by_task)
         totals.append(total)
         x = np.tanh(nu / 2.0)
     return totals

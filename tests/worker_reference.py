@@ -6,7 +6,8 @@ be equal and margins equal within a stated tolerance, and bitwise equal
 wherever every class runs the top rule.  ``reference_worker_kernel`` has the
 signature of ``crowdbp.bp._class_kernel``, so that a test can run ``bp_run``
 on it by patching that name; the function it returns, like the package's,
-writes its messages into ``out`` when it is given one.
+reads the answer-signed magnetizations ``a * x`` and writes its messages
+into ``out`` when it is given one.
 """
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ from tests.sweep_reference import reference_fold
 def reference_worker_kernel(graph, a, prior):
     _, (atom_mu, atom_w), _ = bp._class_rules(graph.worker_degrees, prior)
 
-    def worker_half(x, out=None):
-        lam = reference_fold(x, graph.by_worker, a, atom_mu, atom_w)
+    def worker_half(c, out=None):
+        lam = reference_fold(a * c, graph.by_worker, a, atom_mu, atom_w)
         if out is None:
             return lam
         np.copyto(out, lam)
