@@ -22,9 +22,15 @@ a gain may be claimed; and the operations that failed, the operations
 attempted and whether every output check held.  A gain may be claimed when
 the change reads lower in at least nine tenths of the pairs (ties count for
 neither) and its median is below the parent's by more than the parent's
-quartile distance.  With ``--claim`` and ``--fresh-seeds``, the claimed
-workload is run again at seeds not used while the change was written.  The
-ledger is a record, not a gate: a slower change still exits 0.
+quartile distance.  It also records the no-regression check on each
+end-to-end metric, whose bound ``BENCHMARK.json`` gives as a fraction of the
+parent's median (0.25 is 25%): ``within_bound`` when the change's median is
+at most the parent's times one plus the bound, and ``unresolved`` when the
+parent's quartile distance exceeds the bound times its median and not every
+change run reads below every parent run.  With ``--claim`` (one of
+``--workloads``) and ``--fresh-seeds``, the claimed workload is run again at
+seeds not used while the change was written.  The ledger is a record, not a
+gate: a slower change still exits 0.
 """
 from __future__ import annotations
 
@@ -35,6 +41,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+# Each end-to-end metric's bound, as a fraction of the parent's median.
+BOUNDS = {metric["name"]: metric["bound"]
+          for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
 METHOD = ("python3 perfbench/run.py --workload W --seed S --trace 0, run from "
           "checkouts of the parent and the change at paths of equal length, one pair per "
@@ -109,6 +120,20 @@ def gain_holds(parent: list[float], change: list[float]) -> bool:
                 and np.median(parent) - np.median(change) > q3 - q1)
 
 
+def within_bound(parent: list[float], change: list[float], bound: float) -> bool:
+    """Whether a lower-is-better metric's change median is at most the
+    parent's median times ``1 + bound``."""
+    return bool(np.median(change) <= np.median(parent) * (1 + bound))
+
+
+def unresolved(parent: list[float], change: list[float], bound: float) -> bool:
+    """Whether the runs spread too widely to tell a move of ``bound``: the
+    parent's quartile distance exceeds ``bound`` times its median, and not
+    every change run reads below every parent run."""
+    q1, median, q3 = np.percentile(parent, [25, 50, 75])
+    return bool(q3 - q1 > bound * median and max(change) >= min(parent))
+
+
 def fold(pairs: list[tuple[dict, dict]], seeds: list[int]) -> dict:
     """One workload's ledger entry from its (parent, change) result pairs."""
     metrics = list(pairs[0][0]["metrics"])
@@ -116,6 +141,7 @@ def fold(pairs: list[tuple[dict, dict]], seeds: list[int]) -> dict:
     values = {name: ([p["metrics"][name]["value"] for p in parent],
                      [c["metrics"][name]["value"] for c in change]) for name in metrics}
     lower = {name: sum(c < p for p, c in zip(*values[name])) for name in metrics}
+    bounded = [name for name in metrics if name in BOUNDS]
     return {
         "seeds": [seeds[0], seeds[-1]],
         "pairs": len(pairs),
@@ -123,6 +149,8 @@ def fold(pairs: list[tuple[dict, dict]], seeds: list[int]) -> dict:
         "change": _side(change, metrics),
         "change_lower_in": {name: f"{k}/{len(pairs)}" for name, k in lower.items()},
         "gain_holds": {name: gain_holds(*values[name]) for name in metrics},
+        "within_bound": {name: within_bound(*values[name], BOUNDS[name]) for name in bounded},
+        "unresolved": {name: unresolved(*values[name], BOUNDS[name]) for name in bounded},
     }
 
 
@@ -163,6 +191,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"checkout paths differ in length: {parent} and {change}")
     if args.fresh_seeds and not args.claim:
         parser.error("--fresh-seeds needs --claim")
+    if args.claim and args.claim not in args.workloads:
+        parser.error(f"--claim {args.claim} is not among --workloads")
     for checkout in (parent, change):
         if status := uncommitted(checkout):
             parser.error(f"{checkout} is not a clean git checkout:\n{status}")

@@ -136,18 +136,31 @@ def _bfs_forest(graph: AssignmentGraph, roots: np.ndarray,
     adjacency, so candidates come out in (slot, parent position, node id)
     order: a node's claim is its first candidate, and the claims, in
     candidate order, are the next level's queue.
+
+    One pass settles the regions too.  A task's tree edges are the edge
+    that claimed it (a root has none) and the edges it claims, so once its
+    level has claimed, it is a boundary task when those fall short of its
+    degree.  An open flag travels with the frontier: the roots are open, a
+    claimed edge lies in the region when its parent is open, and its child
+    is open when that edge lies in the region, unless the child is a
+    boundary task.
     """
-    edges = graph.edges
     n_nodes = (graph.n_tasks, graph.n_workers)
     n_slots = roots.size
     seen = [np.zeros(n_slots * n, dtype=bool) for n in n_nodes]
     # Per (slot, node): the rank of its first candidate among a level's fresh ones.
     first = [np.empty(n_slots * n, dtype=np.int64) for n in n_nodes]
+    boundary = np.zeros(n_slots * n_nodes[0], dtype=bool)
+    depth = np.zeros(n_slots, dtype=np.int64)
+    region_depth = np.zeros(n_slots, dtype=np.int64)
     slot = np.arange(n_slots)
     node = roots
-    seen[0][slot * n_nodes[0] + node] = True
-    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    side = 0
+    own = slot * n_nodes[0] + node  # the frontier's (slot, node) keys
+    seen[0][own] = True
+    is_open = np.ones(n_slots, dtype=bool)
+    # Per level: the tree edges' slots, edge ids and region flags.
+    tree = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))]
+    side = level = 0
     while True:
         offsets, lengths, adj_edge, adj_node = adjacency[side]
         other = 1 - side
@@ -158,46 +171,29 @@ def _bfs_forest(graph: AssignmentGraph, roots: np.ndarray,
         key = np.repeat(slot * n_nodes[other], counts)
         key += adj_node[flat]
         fresh = np.flatnonzero(~seen[other][key])
-        if fresh.size == 0:
-            break
         fresh_key, rank = key[fresh], np.arange(fresh.size)
         first[other][fresh_key] = fresh.size
         np.minimum.at(first[other], fresh_key, rank)
         claim = fresh[first[other][fresh_key] == rank]
-        child = key[claim]
-        seen[other][child] = True
-        slot, node = np.divmod(child, n_nodes[other])
-        levels.append((slot, adj_edge[flat[claim]], child))
+        parent = np.repeat(np.arange(node.size), counts)[claim]  # frontier positions
+        if side == 0:
+            at_boundary = (np.bincount(parent, minlength=node.size) + (level > 0)
+                           < graph.task_degrees[node])
+            boundary[own] = at_boundary
+            # Not in place: the last level's region flags are kept in ``tree``.
+            is_open = is_open & ~at_boundary
+        if claim.size == 0:
+            break
+        own = key[claim]
+        seen[other][own] = True
+        is_open = is_open[parent]
+        slot, node = np.divmod(own, n_nodes[other])
+        level += 1
+        depth[slot] = level
+        region_depth[slot[is_open]] = level
+        tree.append((slot, adj_edge[flat[claim]], is_open))
         side = other
-
-    n_tasks = n_nodes[0]
-    if levels:
-        tree_slot = np.concatenate([level[0] for level in levels])
-        tree_edge = np.concatenate([level[1] for level in levels])
-    else:
-        tree_slot = tree_edge = np.empty(0, dtype=np.int64)
-    tree_degree = np.bincount(tree_slot * n_tasks + edges[tree_edge, 0],
-                              minlength=n_slots * n_tasks)
-    boundary = seen[0] & (tree_degree < np.tile(graph.task_degrees, n_slots))
-
-    # A tree edge lies in its root's region when its parent is open: the
-    # root, a region worker, or a region task that is not a boundary task.
-    is_open = [np.zeros(n_slots * n, dtype=bool) for n in n_nodes]
-    is_open[0][np.arange(n_slots) * n_tasks + roots] = True
-    depth = np.zeros(n_slots, dtype=np.int64)
-    region_depth = np.zeros(n_slots, dtype=np.int64)
-    in_region = []
-    for level, (slot, edge, child) in enumerate(levels):
-        parent_side = level % 2
-        inside = is_open[parent_side][slot * n_nodes[parent_side] + edges[edge, parent_side]]
-        opened = child[inside]
-        if parent_side == 1:
-            opened = opened[~boundary[opened]]
-        is_open[1 - parent_side][opened] = True
-        depth[slot] = level + 1
-        region_depth[slot[inside]] = level + 1
-        in_region.append(inside)
-    in_region = np.concatenate(in_region) if in_region else np.empty(0, dtype=bool)
+    tree_slot, tree_edge, in_region = (np.concatenate(part) for part in zip(*tree))
     return _BfsForest(tree_slot, tree_edge, in_region, boundary, depth, region_depth)
 
 

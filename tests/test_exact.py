@@ -6,11 +6,12 @@ import pytest
 import crowdbp as cb
 from crowdbp import exact
 from crowdbp.exact import extract_bfs_tree
+from crowdbp.graph import draw_instance
 from tests.conftest import random_atom_prior, random_bipartite_tree, random_prior, random_small_graph
 from tests.gain_reference import exact_conditional_gain
 from tests.memory import traced_peak
-from tests.oracle_reference import (khop_subgraph, reference_bfs, reference_oracle_task_estimate,
-                                    reference_region)
+from tests.oracle_reference import (khop_subgraph, reference_adjacency, reference_bfs,
+                                    reference_oracle_task_estimate, reference_region)
 
 
 def path_graph():
@@ -34,6 +35,21 @@ def oracle_case(rng: np.random.Generator, case: int) -> tuple[str, cb.Assignment
     # Sparse ones fall apart into components and leave tasks without answers.
     density = rng.uniform(0.1, 0.3) if case % 5 == 2 else rng.uniform(0.3, 0.8)
     return "random", cb.AssignmentGraph(nt, nw, np.argwhere(rng.random((nt, nw)) < density))
+
+
+def block_trees(graph: cb.AssignmentGraph):
+    """Each root's tree and region depth, from one BFS block of all the roots."""
+    n = graph.n_tasks
+    forest = exact._bfs_forest(graph, np.arange(n), exact._adjacency(graph))
+    for root in range(n):
+        mine = forest.slot == root
+        edge = forest.edge[mine]
+        boundary = forest.boundary.reshape(n, n)[root]
+        tree = exact.SpanningTree(root=root, tree_edges=np.sort(edge),
+                                  boundary_tasks=np.flatnonzero(boundary),
+                                  depth=int(forest.depth[root]),
+                                  region_edges=np.sort(edge[forest.in_region[mine]]))
+        yield tree, int(forest.region_depth[root])
 
 
 class TestBruteForce:
@@ -94,13 +110,14 @@ class TestBfsTree:
     def test_matches_sequential_reference(self, rng):
         for _ in range(30):
             g = random_small_graph(rng, max_tasks=6, max_workers=4, max_edges=18)
-            for root in range(g.n_tasks):
-                tree = extract_bfs_tree(g, root)
-                ref_edges, ref_boundary, ref_depth, _, _ = reference_bfs(g, root)
-                np.testing.assert_array_equal(tree.tree_edges, ref_edges)
-                np.testing.assert_array_equal(tree.boundary_tasks, ref_boundary)
-                assert tree.depth == ref_depth
-                assert root not in tree.boundary_tasks
+            adjacent = reference_adjacency(g)
+            for root, (in_block, _) in enumerate(block_trees(g)):
+                ref_edges, ref_boundary, ref_depth, _, _ = reference_bfs(g, root, adjacent)
+                for tree in (extract_bfs_tree(g, root), in_block):
+                    np.testing.assert_array_equal(tree.tree_edges, ref_edges)
+                    np.testing.assert_array_equal(tree.boundary_tasks, ref_boundary)
+                    assert tree.depth == ref_depth
+                    assert root not in tree.boundary_tasks
 
     def test_region_stops_at_boundary_tasks(self):
         # task1 is clamped (its edge to w1 is a non-tree edge), so the
@@ -114,9 +131,15 @@ class TestBfsTree:
     def test_region_matches_walk_over_the_tree(self, rng):
         for _ in range(60):
             g = random_small_graph(rng, max_tasks=8, max_workers=5, max_edges=24)
-            for root in range(g.n_tasks):
-                tree = extract_bfs_tree(g, root)
-                np.testing.assert_array_equal(tree.region_edges, reference_region(g, root))
+            adjacent = reference_adjacency(g)
+            for root, (in_block, region_depth) in enumerate(block_trees(g)):
+                want = reference_region(g, root)
+                np.testing.assert_array_equal(extract_bfs_tree(g, root).region_edges, want)
+                np.testing.assert_array_equal(in_block.region_edges, want)
+                # An edge's level is its farther end's hop distance.
+                _, _, _, dist_task, dist_worker = reference_bfs(g, root, adjacent)
+                levels = np.maximum(dist_task[g.edges[want, 0]], dist_worker[g.edges[want, 1]])
+                assert region_depth == levels.max(initial=0)
 
     def test_other_components_stay_out(self):
         g = cb.AssignmentGraph(2, 2, np.array([[0, 0], [1, 1]]))
@@ -233,14 +256,15 @@ class TestOracleTask:
         np.testing.assert_allclose(got.margins, want.margins, rtol=0, atol=1e-12)
 
     def test_peak_memory_is_bounded_by_the_block_budget(self):
+        # 1,000 and 6,000 edges under one bound: the block and batch budgets,
+        # not the graph, set the peak (1.4 MB at both sizes).  All the roots
+        # in one block would take several times this.
         prior = cb.spammer_hammer()
-        g = cb.generate_regular_bipartite(200, 15, 5, seed=1)
-        truth = cb.sample_ground_truth(g, prior, seed=2)
-        answers = cb.sample_answers(g, truth, seed=3)
-        g.by_task.offsets, g.by_worker.offsets  # the graph's own, built before tracing
-        peak, _ = traced_peak(lambda: cb.oracle_task_estimate(g, answers, prior, truth))
-        # All 200 roots in one block would take several times this.
-        assert peak < 4_000_000
+        for n_tasks, l in ((200, 5), (400, 15)):
+            g, truth, answers = draw_instance(n_tasks, l, 5, prior, 1)
+            g.by_task.offsets, g.by_worker.offsets  # the graph's own, built before tracing
+            peak, _ = traced_peak(lambda: cb.oracle_task_estimate(g, answers, prior, truth))
+            assert peak < 2_500_000
 
     def test_isolated_root_gets_zero_margin(self):
         g = cb.AssignmentGraph(2, 1, np.array([[1, 0]]))

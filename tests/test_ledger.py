@@ -31,6 +31,8 @@ def test_fold_medians_quartiles_wins_and_failures():
     assert entry["change"]["pass_s"] == {"median": 1.65, "q1": 1.575, "q3": 1.9}
     assert entry["change_lower_in"] == {"setup_s": "1/4", "pass_s": "3/4"}
     assert entry["gain_holds"] == {"setup_s": False, "pass_s": False}
+    assert entry["within_bound"] == {"setup_s": True, "pass_s": True}
+    assert entry["unresolved"] == {"setup_s": False, "pass_s": False}
     assert (entry["parent"]["failed"], entry["parent"]["attempted"]) == (0, 16)
     assert (entry["change"]["failed"], entry["change"]["attempted"]) == (1, 16)
     assert entry["parent"]["correct"] and not entry["change"]["correct"]
@@ -46,8 +48,8 @@ def test_ledger_has_bench_18_schema():
     assert out["commits"] == {"parent": "p", "change": "c"}
     assert "commit" not in out["environment"]
     got, want = out["workloads"]["file-1m"], bench_18["workloads"]["file-1m"]
-    # The gain rule's verdicts are the one key added since.
-    assert set(got) == set(want) | {"gain_holds"}
+    # The gain rule's and the no-regression check's verdicts are the keys added since.
+    assert set(got) == set(want) | {"gain_holds", "within_bound", "unresolved"}
     assert set(got["parent"]) == set(want["parent"]) - {"peak_rss_mb"}
     assert out["fresh_seeds"]["file-1m"]["seeds"] == [201, 203]
     assert out["method"] == ledger.METHOD
@@ -71,6 +73,32 @@ def test_gain_rule(change, lower, holds):
     assert entry["change_lower_in"]["pass_s"] == lower
     assert entry["gain_holds"]["pass_s"] is holds
     assert ledger.gain_holds(PARENT, change) is holds
+
+
+# Ten parent runs at 1.0, 1.2, ..., 2.8 s: quartiles 1.45 and 2.35 around a
+# 1.9 s median, a spread of 47%.
+WIDE = [1.0 + 0.2 * k for k in range(10)]
+
+
+@pytest.mark.parametrize("parent, change, within, unsettled", [
+    # 20% slower in the median, under the 25% bound; PARENT spreads 18%.
+    (PARENT, [1.2 * p for p in PARENT], True, False),
+    # 30% slower in the median, beyond the bound.
+    (PARENT, [1.3 * p for p in PARENT], False, False),
+    # WIDE spreads beyond the bound, and the change's runs overlap it.
+    (WIDE, [p - 0.1 for p in WIDE], True, True),
+    (WIDE, [1.3 * p for p in WIDE], False, True),
+    # As wide, but every change run reads below every parent run.
+    (WIDE, [0.9] * 10, True, False),
+])
+def test_no_regression_check(parent, change, within, unsettled):
+    entry = ledger.fold([(result(p), result(c)) for p, c in zip(parent, change)],
+                        list(range(1, 11)))
+    assert ledger.BOUNDS["pass_s"] == 0.25
+    assert entry["within_bound"]["pass_s"] is within
+    assert entry["unresolved"]["pass_s"] is unsettled
+    assert ledger.within_bound(parent, change, 0.25) is within
+    assert ledger.unresolved(parent, change, 0.25) is unsettled
 
 
 @pytest.mark.parametrize("text, seeds", [("1-3", [1, 2, 3]), ("7", [7]), ("201-201", [201])])
@@ -115,4 +143,17 @@ def test_checkouts_with_uncommitted_changes_are_refused(tmp_path, capsys, monkey
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert f"{change} is not a clean git checkout" in err and "M run.py" in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_claim_outside_the_workloads_is_refused(tmp_path, capsys, monkeypatch):
+    parent, change = git_checkout(tmp_path / "a"), git_checkout(tmp_path / "b")
+    monkeypatch.setattr(ledger, "run_pairs", lambda *args: pytest.fail("a run started"))
+    for extra in ([], ["--fresh-seeds", "201-203"]):
+        with pytest.raises(SystemExit) as exit_info:
+            ledger.main(["--parent", str(parent), "--change", str(change),
+                         "--workloads", "file-1m", "--seeds", "1-2", "--claim", "regular-1m",
+                         *extra, "--change-text", "x", "--out", str(tmp_path / "out.json")])
+        assert exit_info.value.code == 2
+        assert "--claim regular-1m is not among --workloads" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
