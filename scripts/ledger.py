@@ -17,7 +17,9 @@ once in each checkout, the parent first in even pairs and the change first
 in odd ones, and reads the result line that the run prints last.
 
 The ledger keeps, per workload, side and end-to-end metric, the median and
-quartiles over the seeds; in how many pairs the change read lower; whether
+quartiles over the seeds, and the same for each named metric of the run's
+record (``perfbench-out/record-W-seedS-trace0.json``), such as a decoder's
+own throughput; in how many pairs the change read lower; whether
 a gain may be claimed; and the operations that failed, the operations
 attempted and whether every output check held.  A gain may be claimed when
 the change reads lower in at least nine tenths of the pairs (ties count for
@@ -78,8 +80,11 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
         raise RuntimeError(f"{' '.join(argv[1:])} in {checkout} exited {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    record = checkout / "perfbench-out" / f"record-{workload}-seed{seed}-trace0.json"
-    result["environment"] = json.loads(record.read_text())["environment"]
+    record = json.loads((checkout / "perfbench-out" /
+                         f"record-{workload}-seed{seed}-trace0.json").read_text())
+    result["environment"] = record["environment"]
+    result["named_metrics"] = {name: metric["value"]
+                               for name, metric in record["named_metrics"].items()}
     return result
 
 
@@ -97,13 +102,17 @@ def run_pairs(parent: Path, change: Path, workload: str,
     return pairs
 
 
+def _quartiles(values: list[float]) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": round(float(median), 4), "q1": round(float(q1), 4),
+            "q3": round(float(q3), 4)}
+
+
 def _side(results: list[dict], metrics: list[str]) -> dict:
-    side = {}
-    for name in metrics:
-        values = [r["metrics"][name]["value"] for r in results]
-        q1, median, q3 = np.percentile(values, [25, 50, 75])
-        side[name] = {"median": round(float(median), 4), "q1": round(float(q1), 4),
-                      "q3": round(float(q3), 4)}
+    side = {name: _quartiles([r["metrics"][name]["value"] for r in results])
+            for name in metrics}
+    side["named_metrics"] = {name: _quartiles([r["named_metrics"][name] for r in results])
+                             for name in results[0]["named_metrics"]}
     side["failed"] = sum(r["failed"] for r in results)
     side["attempted"] = sum(r["attempted"] for r in results)
     side["correct"] = all(r["correct"] for r in results)

@@ -35,23 +35,24 @@ bitwise that of x.  The leave-one-out log product is
 S_mu[u] - log(1 + mu c_i), with S_mu the per-worker sum of those logs.
 A factor is exactly 0 only for mu = ±1 against a certain message, as
 |c| <= 1, so only such atoms scan for zeros, which are counted per worker
-instead of divided out.  Atoms are folded in one at a time under a
-running per-edge maximum.  Only an atom's logs and their per-worker sums
-take the whole edge array; the rest of the fold is elementwise and runs
-over fixed-size blocks of edges.  A run reads the int8 or int64 answers
-in place, allocates its buffers once and writes every sweep into them, so
-it holds a fixed number of float edge arrays whatever the atom count and
-the sweep count.  Three rotate: the worker messages, the signed
-magnetizations and a free one.  A sweep writes the task messages, then
-their signed magnetizations, into the free one; the logs that end as the
-new worker messages into the old magnetizations' once their change is
-read; and the change of tanh(lam / 2), a block at a time, into the old
-worker messages', which become the next sweep's free buffer.  That is
-three when at most one atom has mu != 0 (``sh``), and six when two or
-more do (``ash``, a Beta prior, ``ebp``'s empirical atoms), whose running
-maximum and two lanes then span the edges.  When the degree classes below
-split, two more hold each class's logs and its gathered magnetizations;
-its answers are gathered once per run, in their own dtype.  The ``naive``
+instead of divided out.  One class of workers (see below) folds its
+atoms in one at a time under a running per-edge maximum; only an atom's
+logs and their per-worker sums take the whole edge array, and the rest of
+the fold is elementwise and runs over fixed-size blocks of edges.  A run
+reads the int8 or int64 answers in place, allocates its buffers once and
+writes every sweep into them, so it holds a fixed number of float edge
+arrays whatever the atom count and the sweep count.  Three rotate: the
+worker messages, the signed magnetizations and a free one.  A sweep writes
+the task messages, then their signed magnetizations, into the free one;
+the logs that end as the new worker messages into the old magnetizations'
+once their change is read; and the change of tanh(lam / 2), a block at a
+time, into the old worker messages', which become the next sweep's free
+buffer.  That is three when at most one atom has mu != 0 (``sh``), and
+six when two or more do (``ash``, a Beta prior, ``ebp``'s empirical
+atoms), whose running maximum and two lanes then span the edges.  Split
+classes add no float edge array: their fold runs in block-sized buffers,
+beside one int64 index of the edges and their answers in their own dtype,
+both listed once per run.  The ``naive``
 kernel of the pair API below evaluates the configuration sum directly
 and exists as the independent cross-check.
 
@@ -80,7 +81,14 @@ or scatter: the top rule unshifted, so regular graphs under ``sh``
 (worker degree >= 2) or ``ash`` (>= 4) and small graphs keep the margins
 of one fold over the top rule, bitwise, and a smaller rule, as ``ebp``'s
 empirical atoms give a regular graph, shifted in place.  Otherwise each
-class runs on its own edges, in the leading columns of the same buffers.
+class lists its edges worker by worker, once per run, and folds a run of
+whole workers at a time, about ``_BLOCK`` atom-edges: per group of atoms,
+one (atoms x edges) block of logs whose per-worker sums are one
+``np.add.reduceat`` and go back to the edges by ``np.repeat``, one exp
+per atom-edge under a per-edge maximum carried from group to group, and a
+non-BLAS ``np.einsum`` that adds the block into the two lanes in atom
+order.  Its sums run in another order than the one-class fold's, so its
+messages agree with it to rounding, not bitwise.
 
 The pair-valued :class:`BeliefState` API (``bp_init``,
 ``bp_update_*_messages``, ``bp_compute_beliefs``) runs the same core and
@@ -98,7 +106,7 @@ from .errors import (NumericDegeneracyError, ParameterError, SizeError, check_bu
                      check_ids, check_signs)
 from .graph import AnswerMatrix, AssignmentGraph, answer_values
 from .priors import FactorTable, ReliabilityPrior
-from .segments import Grouping, build_grouping, gather, segment_others, segment_sum
+from .segments import Grouping, gather, segment_others, segment_sum
 
 _NAIVE_DEGREE_GUARD = 14
 # What running a degree class on its own costs per sweep beyond its atom
@@ -244,6 +252,8 @@ def _task_llrs(lam: np.ndarray, grouping: Grouping, field: np.ndarray | float = 
 # Edges per block of the fold's elementwise steps, whose temporaries are
 # sized to one block.
 _CHUNK = 2**14
+# Atom-edge pairs per block of a split degree class's fold.
+_BLOCK = 2**16
 
 
 def _fold_rows(atom_mu: np.ndarray) -> int:
@@ -426,7 +436,12 @@ def _class_kernel(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior
     The returned function ``(c, out=None)`` reads the answer-signed
     magnetizations ``c = a x``, writes its messages into ``out``, a float
     edge buffer other than ``c``, or into a new array, and returns them; its
-    other buffers are allocated here, once per run.
+    other buffers are allocated here, once per run.  One class runs
+    ``_worker_llrs`` on the whole graph.  Split classes list their edges
+    worker by worker here and fold in ``_class_worker_llrs``, a run of whole
+    workers and a group of atoms at a time (see ``_class_blocks``), in two
+    block buffers: five rows as wide as the widest run, and one of the most
+    atom-edges a group takes, plus a row for the lanes.
     """
     n_atoms, (atom_mu, atom_w), classes = _class_rules(graph.worker_degrees, prior)
     prior_mean = _prior_mean_llr(atom_mu, atom_w)
@@ -434,25 +449,62 @@ def _class_kernel(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior
         # One class holds every worker with edges: its rule runs on the whole
         # graph with no gather or scatter.  The top rule's margins are then
         # bitwise those of one fold over it, and a smaller rule's, shifted as
-        # below, those of the split path.
+        # below, those of the split path to rounding.
         (k, (mu, w), _), = classes
         return partial(_worker_llrs, grouping=graph.by_worker, a=a, atom_mu=mu, atom_w=w,
                        work=np.empty((_fold_rows(mu), graph.n_edges)),
                        shift=None if k == n_atoms else prior_mean - _prior_mean_llr(mu, w))
-    parts = []
+    degrees, order = graph.worker_degrees, graph.by_worker.order
+    parts, block_size, width = [], 0, 0
     for _, (mu, w), members in classes:
-        edges = np.flatnonzero(gather(members, graph.by_worker))
-        compact = np.cumsum(members) - 1
-        grouping = build_grouping(gather(compact, graph.by_worker)[edges], int(members.sum()))
+        # The class's edges worker by worker, so that each worker's edges are
+        # one run: its sums are a reduceat and their way back a repeat.
+        edges = order[np.repeat(members, degrees)]
         # Every rule gives a worker whose other answers carry no information
         # the LLR of the prior's mean, up to rounding; the shift makes it the
         # top rule's value, bitwise when the two are within a factor of two.
         shift = prior_mean - _prior_mean_llr(mu, w)
-        parts.append((edges, grouping, a[edges], mu, w, shift))
-    # Each class folds in the leading columns of the same rows, its logs in
-    # the first, after its magnetizations are gathered into the last.
-    work = np.empty((max(_fold_rows(part[3]) for part in parts) + 2, graph.n_edges))
-    return partial(_class_worker_llrs, parts=parts, work=work)
+        blocks = _class_blocks(degrees[members], mu, w)
+        parts.append((edges, a[edges], mu, shift, blocks))
+        for lo, hi, _, _, groups in blocks:
+            width = max(width, hi - lo)
+            block_size = max(block_size, *(plus.size * (hi - lo) for _, plus, _, _ in groups))
+    return partial(_class_worker_llrs, parts=parts, rows=np.empty((5, width)),
+                   block=np.empty(block_size))
+
+
+def _class_blocks(lengths: np.ndarray, mu: np.ndarray, w: np.ndarray) -> list:
+    """A split class's fold plan over its edges listed worker by worker.
+
+    The edges are cut into runs of whole workers of about ``_BLOCK / K``
+    edges for a K-atom rule, and each run's atoms into groups of at most
+    ``_BLOCK`` atom-edges: one or two groups, more where one worker's
+    edges outgrow the run, and one atom at a time where they outgrow
+    ``_BLOCK``.  Per run: its edge bounds, its workers' starts within it
+    and their edge counts, and its ``_atom_groups``.
+    """
+    ends = np.cumsum(lengths)
+    step = max(1, _BLOCK // mu.size)
+    # A run ends with the first worker whose edges reach the next multiple of step.
+    cuts = np.unique(np.append(np.searchsorted(ends, np.arange(step, ends[-1], step)) + 1,
+                               ends.size))
+    blocks, first = [], 0
+    for last in cuts:
+        lo, hi = (ends[first - 1] if first else 0), ends[last - 1]
+        starts = ends[first:last] - lengths[first:last] - lo
+        blocks.append((int(lo), int(hi), starts, lengths[first:last],
+                       _atom_groups(mu, w, max(1, _BLOCK // (hi - lo)))))
+        first = last
+    return blocks
+
+
+def _atom_groups(mu: np.ndarray, w: np.ndarray, size: int) -> list:
+    """The rule's atoms in groups of ``size``: per group its atoms, the lane
+    coefficients 1 and w (1 ± mu), and whether an atom has |mu| = 1."""
+    plus, minus = w * (1.0 + mu), w * (1.0 - mu)
+    return [(slice(k, k + size), np.append(1.0, plus[k:k + size]),
+             np.append(1.0, minus[k:k + size]), bool(np.any(np.abs(mu[k:k + size]) >= 1.0)))
+            for k in range(0, mu.size, size)]
 
 
 def _prior_mean_llr(atom_mu: np.ndarray, atom_w: np.ndarray) -> float:
@@ -467,14 +519,58 @@ def _prior_mean_llr(atom_mu: np.ndarray, atom_w: np.ndarray) -> float:
         return float(np.log(agree / disagree))
 
 
-def _class_worker_llrs(c: np.ndarray, parts: list, work: np.ndarray,
+def _class_worker_llrs(c: np.ndarray, parts: list, rows: np.ndarray, block: np.ndarray,
                        out: np.ndarray | None = None) -> np.ndarray:
+    """``_worker_llrs`` over split classes, each a run of whole workers at a time.
+
+    Each part is a class's edges listed worker by worker, their answers,
+    its rule's mu, its shift and its ``_class_blocks`` plan; ``rows`` and
+    ``block`` are the buffers ``_class_kernel`` sized for them.
+    """
     lam = np.empty(c.size) if out is None else out
-    for edges, grouping, a, atom_mu, atom_w, shift in parts:
-        rows = work[:, :edges.size]
-        c_class = np.take(c, edges, out=rows[-1], mode="clip")
-        lam[edges] = _worker_llrs(c_class, grouping, a, atom_mu, atom_w, rows[1:-1],
-                                  out=rows[0], shift=shift)
+    # log1p(-1) = -inf is counted below, a lane ratio beyond the float range
+    # overflows to an infinite LLR, and 0 / 0 marks zero mass.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for edges, a, atom_mu, shift, blocks in parts:
+            for lo, hi, starts, lengths, groups in blocks:
+                c_run, top, new_top, agree, disagree = rows[:, :hi - lo]
+                np.take(c, edges[lo:hi], out=c_run, mode="clip")
+                top.fill(_NO_ATOM_YET)
+                agree.fill(0.0)
+                disagree.fill(0.0)
+                for at, plus, minus, certain in groups:
+                    # Rows 1: take the group's logs, then their leave-one-out
+                    # sums, then the weights exp(loo - top); row 0 takes each
+                    # rescaled lane in turn, so that the lanes sum in atom order.
+                    lanes = block[:plus.size * c_run.size].reshape(plus.size, c_run.size)
+                    logs = lanes[1:]
+                    np.log1p(np.multiply(atom_mu[at, None], c_run, out=logs), out=logs)
+                    # A factor 1 + mu c == 0, possible only at |mu| = 1 as |c| <= 1,
+                    # is counted per worker instead of summed as -inf, so exactly
+                    # the worker's other edges get a -inf product.
+                    zero = None
+                    if certain and logs.min(initial=0.0) == -np.inf:
+                        zero = logs == -np.inf
+                        logs[zero] = 0.0
+                        n_zero = np.add.reduceat(zero, starts, axis=1, dtype=np.intp)
+                    sums = np.add.reduceat(logs, starts, axis=1)
+                    np.subtract(np.repeat(sums, lengths, axis=1), logs, out=logs)
+                    if zero is not None:
+                        logs[np.repeat(n_zero, lengths, axis=1) > zero] = -np.inf
+                    np.maximum(top, logs.max(axis=0), out=new_top)
+                    np.exp(np.subtract(logs, new_top, out=logs), out=logs)
+                    rescale = np.exp(np.subtract(top, new_top, out=top), out=top)
+                    np.multiply(agree, rescale, out=lanes[0])
+                    np.einsum("k,ke->e", plus, lanes, out=agree)
+                    np.multiply(disagree, rescale, out=lanes[0])
+                    np.einsum("k,ke->e", minus, lanes, out=disagree)
+                    top, new_top = new_top, top
+                ratio = np.log(np.divide(agree, disagree, out=agree), out=agree)
+                a_run = a[lo:hi]
+                np.multiply(a_run, ratio, out=ratio)
+                # The maximum is spent: its buffer takes the shift.
+                ratio += np.multiply(a_run, shift, out=top, dtype=np.float64)
+                lam[edges[lo:hi]] = ratio
     return lam
 
 

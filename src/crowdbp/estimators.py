@@ -17,7 +17,7 @@ from .errors import ParameterError, check_budget, check_count, check_probabiliti
 from .exact import oracle_task_estimate
 from .graph import AnswerMatrix, AssignmentGraph, answer_values
 from .priors import ReliabilityPrior, empirical_prior, spammer_hammer
-from .segments import gather, segment_others, segment_sum
+from .segments import gather, segment_count, segment_others, segment_sum
 from .seeding import rng_from
 
 _P_CLAMP = 1e-9
@@ -26,8 +26,9 @@ _P_CLAMP = 1e-9
 def majority_vote(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray) -> EstimateReport:
     """Sign of the plain answer sum per task; margin is the mean answer."""
     a = answer_values(answers, graph)
-    scores = segment_sum(a, graph.by_task)
     degrees = graph.task_degrees
+    # The answer sum from the count of +1 answers: the same exact integers.
+    scores = (2 * segment_count(a > 0, graph.by_task) - degrees).astype(np.float64)
     margins = np.divide(scores, degrees, out=np.zeros_like(scores),
                         where=degrees > 0)
     return make_report(margins, iterations_run=0, converged=True, max_delta=0.0)
@@ -98,7 +99,10 @@ def ebp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     labels = majority_vote(graph, answers).labels
     report = None
     for _ in range(rounds):
-        matches = segment_sum(a == gather(labels, graph.by_task), graph.by_worker)
+        # Agreements as the degree less the counted disagreements: the same
+        # exact integers, with no float copy of an edge mask.
+        matches = graph.worker_degrees - segment_count(
+            a != gather(labels.astype(np.int8), graph.by_task), graph.by_worker)
         p_hat = (0.25 + matches) / (0.5 + graph.worker_degrees)
         # With no worker there is nothing to score and no answer for any
         # prior to weigh: every margin is 0.
@@ -174,7 +178,7 @@ def em_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     """
     prior = ReliabilityPrior.from_beta(prior_alpha, prior_beta)
     a = answer_values(answers, graph)
-    plus_votes = segment_sum(a == 1, graph.by_task)
+    plus_votes = segment_count(a == 1, graph.by_task)
     buffer = np.empty(graph.n_edges)
     denom = np.maximum(prior.alpha + prior.beta - 2.0 + graph.worker_degrees, _P_CLAMP)
 

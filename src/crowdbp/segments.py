@@ -4,7 +4,8 @@ Message sweeps repeatedly need "sum the values of the edges incident to
 this node" (:func:`segment_sum`, one ``np.bincount`` over the keys), "give
 every edge its node's value" (:func:`gather`, one ``np.take`` by them) and
 "sum all the other edges of this node" (:func:`segment_others`, the node's
-total minus the edge's own value).  A :class:`Grouping` keeps, for one side
+total minus the edge's own value), and "count this node's selected edges"
+(:func:`segment_count`).  A :class:`Grouping` keeps, for one side
 of the bipartite graph, the node id of every edge in natural edge order plus
 the node degrees, so each costs O(edges) whatever the degree profile.
 
@@ -22,6 +23,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+
+# Edges per step of segment_count, at least.
+_COUNT_STEP = 2**16
 
 
 @dataclass(frozen=True)
@@ -52,6 +57,24 @@ def segment_sum(values: np.ndarray, grouping: Grouping) -> np.ndarray:
     # bincount returns int64 zeros when there are no edges.
     return np.bincount(grouping.keys, weights=np.asarray(values, dtype=np.float64),
                        minlength=grouping.n_segments).astype(np.float64, copy=False)
+
+
+def segment_count(mask: np.ndarray, grouping: Grouping) -> np.ndarray:
+    """Per segment, how many of its edges ``mask`` selects, as int64.
+
+    Weighing by ``mask`` would copy it to a float edge array.  This copies
+    only the selected keys, a step of edges at a time; ``np.compress``
+    selects them 3-4 times as fast as indexing by the mask.  A step spans
+    at least twice the segment count, so adding up the steps' counts costs
+    at most half an add per edge.
+    """
+    n = grouping.n_segments
+    step = max(_COUNT_STEP, 2 * n)
+    counts = np.zeros(n, dtype=np.int64)
+    for lo in range(0, mask.size, step):
+        at = slice(lo, lo + step)
+        counts += np.bincount(np.compress(mask[at], grouping.keys[at]), minlength=n)
+    return counts
 
 
 def gather(values: np.ndarray, grouping: Grouping, out: np.ndarray | None = None) -> np.ndarray:

@@ -79,6 +79,20 @@ def regular_sh_instance(n_tasks: int = 20_000):
     return g, answers
 
 
+def skewed_sh_instance():
+    """A heavy-tailed graph of 211,116 edges whose degree classes split under
+    many-atom priors, with ``sh`` answers.
+
+    Its task and worker keys are built here; the worker-ordered edge list
+    that split classes use is not, so a traced call counts it.
+    """
+    g = skewed_graph(np.random.default_rng(5), 20_000, 100)
+    truth = cb.sample_ground_truth(g, cb.spammer_hammer(), seed=1)
+    answers = cb.sample_answers(g, truth, seed=2)
+    g.by_task.keys, g.by_worker.keys
+    return g, answers
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260815)

@@ -3,8 +3,12 @@ and ``kos_run``.
 
 Every half-sweep here builds fresh edge arrays, as the decoders did before
 they kept a fixed set of edge buffers per run and wrote every sweep into
-them.  The buffered decoders keep the operation order, so margins,
-iteration counts, ``converged`` and ``max_delta`` must be bitwise equal.
+them, and folds every degree class one atom at a time.  Where one class
+holds every worker, the buffered decoders keep the operation order, so
+margins, iteration counts, ``converged`` and ``max_delta`` must be bitwise
+equal; kos is always bitwise.  Where the classes split, bp folds each
+class's atoms in blocks whose sums run in another order, so
+:func:`assert_outcomes_match` allows rounding there: see its docstring.
 
 The degree classes, their Gauss rules and the stop rule are the package's
 own; what is kept here is how each sweep computes its arrays.
@@ -21,6 +25,40 @@ from crowdbp.segments import build_grouping, segment_sum
 from crowdbp.seeding import rng_from
 
 _NO_ATOM_YET = -np.finfo(np.float64).max
+# Margins and max_delta of split degree classes agree with the reference to
+# this absolute tolerance.
+ATOL = 1e-12
+
+
+def split_path(graph, a, prior):
+    """Whether bp's worker half splits ``graph``'s workers into degree classes,
+    read from the kernel it builds."""
+    kernel = bp._class_kernel(graph, np.asarray(a), prior).func
+    assert kernel in (bp._worker_llrs, bp._class_worker_llrs)
+    return kernel is bp._class_worker_llrs
+
+
+def _outcome_bytes(outcome):
+    if isinstance(outcome, str):
+        return outcome
+    return (outcome.margins.tobytes(), outcome.labels.tobytes(), outcome.iterations_run,
+            outcome.converged, outcome.max_delta)
+
+
+def assert_outcomes_match(got, want, split):
+    """Two runs' reports, or their degeneracy error texts, are equal: bitwise
+    where one degree class holds every worker, and where the classes
+    ``split`` the same error text, or margins and ``max_delta`` within
+    ``ATOL``, labels equal wherever |margin| > ``ATOL``, and the same sweep
+    count and ``converged``."""
+    if not split or isinstance(got, str) or isinstance(want, str):
+        assert _outcome_bytes(got) == _outcome_bytes(want)
+        return
+    np.testing.assert_allclose(got.margins, want.margins, rtol=0, atol=ATOL)
+    assert abs(got.max_delta - want.max_delta) <= ATOL
+    decisive = np.abs(want.margins) > ATOL
+    np.testing.assert_array_equal(got.labels[decisive], want.labels[decisive])
+    assert (got.iterations_run, got.converged) == (want.iterations_run, want.converged)
 
 
 def reference_signed_sum(llr, grouping):

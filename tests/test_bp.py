@@ -11,9 +11,11 @@ from crowdbp.bp import (bp_compute_beliefs, bp_init, bp_update_task_messages,
                         bp_update_worker_messages)
 from crowdbp.priors import FactorTable
 from tests.conftest import (graph_of_degrees, random_atom_prior, random_bipartite_tree,
-                            random_prior, regular_sh_instance, skewed_graph, star_graph)
+                            random_prior, regular_sh_instance, skewed_graph, skewed_sh_instance,
+                            star_graph)
 from tests.memory import edge_arrays, traced_peak
-from tests.sweep_reference import reference_bp_run, reference_class_kernel, reference_ebp_prior
+from tests.sweep_reference import (ATOL, assert_outcomes_match, reference_bp_run,
+                                   reference_class_kernel, reference_ebp_prior, split_path)
 from tests.worker_reference import reference_worker_kernel
 
 
@@ -605,13 +607,11 @@ class TestDegreeClasses:
 
 
 def outcome(decoder, *args, **kwargs):
-    """A report's margin bytes and diagnostics, or the degeneracy error it raised."""
+    """A decoder's report, or the text of the degeneracy error it raised."""
     try:
-        report = decoder(*args, **kwargs)
+        return decoder(*args, **kwargs)
     except cb.NumericDegeneracyError as exc:
         return str(exc)
-    return (report.margins.tobytes(), report.iterations_run, report.converged,
-            report.max_delta)
 
 
 class TestBufferedSweeps:
@@ -637,7 +637,8 @@ class TestBufferedSweeps:
     @pytest.mark.parametrize("overhead", [0, None])
     def test_bp_matches_the_allocating_sweeps(self, rng, monkeypatch, overhead):
         # Overhead 0 splits the classes of small graphs; the shipped constant
-        # keeps the atoms' class alone on them.
+        # keeps the atoms' class alone on them.  Split classes match within
+        # the tolerance, one class bitwise.
         if overhead is not None:
             monkeypatch.setattr(bp, "_CLASS_OVERHEAD_EDGES", overhead)
         split = infinite = 0
@@ -653,8 +654,11 @@ class TestBufferedSweeps:
             kwargs = dict(k_max=int(rng.integers(1, 12)), tol=[0.0, 1e-5][case % 3 == 0],
                           clamp_tasks=clamp_tasks, clamp_labels=clamp_labels)
             got = outcome(cb.bp_run, g, a, prior, **kwargs)
-            assert got == outcome(reference_bp_run, g, a, prior, **kwargs)
-            split += len(_classes(prior, g)) > 1
+            split_case = split_path(g, a, prior)
+            assert split_case == (len(_classes(prior, g)) > 1)
+            assert_outcomes_match(got, outcome(reference_bp_run, g, a, prior, **kwargs),
+                                  split_case)
+            split += split_case
             # Clamped certain cases send infinite messages; count those that compared
             # margins, not an error text.
             infinite += kind == "certain" and clamp_tasks.size > 0 and not isinstance(got, str)
@@ -664,8 +668,10 @@ class TestBufferedSweeps:
         g, answers = regular_sh_instance(2_000)
         for prior in ("sh", "ash", "beta:2,1"):
             prior = cb.parse_prior_spec(prior)
-            assert (outcome(cb.bp_run, g, answers, prior, k_max=30)
-                    == outcome(reference_bp_run, g, answers, prior, k_max=30))
+            assert not split_path(g, answers.answers, prior)
+            assert_outcomes_match(outcome(cb.bp_run, g, answers, prior, k_max=30),
+                                  outcome(reference_bp_run, g, answers, prior, k_max=30),
+                                  split=False)
 
     @pytest.mark.parametrize("spec, budget", [("sh", 4.5), ("ash", 7.5), ("beta:2,1", 7.5)])
     def test_bp_peak_memory_in_edge_arrays(self, spec, budget):
@@ -693,18 +699,35 @@ class TestBufferedSweeps:
         assert report.iterations_run == 3
         assert peak <= 7.5
 
+    def test_bp_peak_memory_on_split_classes(self):
+        # Seven degree classes under Beta(2, 1), the top one a 51-node rule.
+        # Each class used to fold in the leading columns of its own logs,
+        # running maximum, two lanes and gathered magnetizations, with a key
+        # array per class: 10.7 edge arrays here.  Folding a run of whole
+        # workers and a group of atoms at a time in block-sized buffers, the
+        # peak is 7.4, the worker-ordered edge list built by the run
+        # included.  One (atoms x edges) array of the top class's 51 atoms
+        # would break the budget.
+        g, answers = skewed_sh_instance()
+        prior = cb.ReliabilityPrior.from_beta(2, 1)
+        peak, report = edge_arrays(lambda: cb.bp_run(g, answers, prior, k_max=3, tol=0.0), g)
+        assert report.iterations_run == 3
+        assert peak <= 8
+        assert len(_classes(prior, g)) > 5 and split_path(g, answers.answers, prior)
+
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     def test_bp_matches_the_allocating_sweeps_across_fold_blocks(self, rng, monkeypatch,
                                                                   chunk):
-        # The fold's elementwise steps run a block of edges at a time; blocks
-        # of 1, 5 and 64 edges split workers and degree classes at every
-        # offset.  certain takes the per-worker count of zero factors, ash
-        # has a mu = 0 atom between two others, sh one atom with mu != 0 after
-        # a mu = 0 one, and the empirical priors 50 to 400 atoms; at one edge
-        # per block, where every atom folds edge by edge, 4 to 8 atoms.
+        # One class's fold runs its elementwise steps a block of edges at a
+        # time; blocks of 1, 5 and 64 edges split workers at every offset.
+        # certain takes the per-worker count of zero factors, ash has a mu = 0
+        # atom between two others, sh one atom with mu != 0 after a mu = 0
+        # one, and the empirical priors 50 to 400 atoms; at one edge per
+        # block, where every atom folds edge by edge, 4 to 8 atoms.  Half the
+        # cases split their classes, whose fold the next test cuts.
         monkeypatch.setattr(bp, "_CHUNK", chunk)
         kinds = ("certain", "ash", "empirical", "sh")
-        infinite = 0
+        infinite = split = 0
         for case in range(16):
             kind = kinds[case % len(kinds)]
             with monkeypatch.context() as patch:
@@ -723,19 +746,73 @@ class TestBufferedSweeps:
                 kwargs = dict(k_max=int(rng.integers(1, 8)), tol=0.0,
                               clamp_tasks=clamp_tasks, clamp_labels=clamp_labels)
                 got = outcome(cb.bp_run, g, a, prior, **kwargs)
-                assert got == outcome(reference_bp_run, g, a, prior, **kwargs)
+                split_case = split_path(g, a, prior)
+                assert split_case == (len(_classes(prior, g)) > 1)
+                assert_outcomes_match(got, outcome(reference_bp_run, g, a, prior, **kwargs),
+                                      split_case)
                 if kind == "certain":
                     # x = ±1 on a fifth of the edges: zero factors at every block offset.
                     x = np.where(rng.random(g.n_edges) < 0.2, rng.choice([-1.0, 1.0], g.n_edges),
                                  rng.uniform(-0.9, 0.9, g.n_edges))
-                    np.testing.assert_array_equal(bp._class_kernel(g, a, prior)(a * x),
-                                                  reference_class_kernel(g, a, prior)(x))
+                    np.testing.assert_allclose(bp._class_kernel(g, a, prior)(a * x),
+                                               reference_class_kernel(g, a, prior)(x),
+                                               rtol=0, atol=ATOL if split_case else 0.0)
             infinite += kind == "certain" and clamp_tasks.size > 0 and not isinstance(got, str)
-        assert infinite >= 2
+            split += split_case
+        assert infinite >= 2 and 0 < split < 16
         no_edges = cb.AssignmentGraph(3, 2, np.empty((0, 2), dtype=np.int64))
         for spec in ("sh", "ash"):
             report = cb.bp_run(no_edges, np.empty(0, dtype=np.int64), cb.parse_prior_spec(spec))
             assert report.margins.tobytes() == np.zeros(3).tobytes()
+
+    @pytest.mark.parametrize("group", [1, 2, 3, None])
+    def test_split_classes_match_across_atom_groups(self, rng, monkeypatch, group):
+        # Split classes fold a run of whole workers and a group of atoms at a
+        # time.  Groups of 1, 2 and 3 atoms, and all atoms in one group, carry
+        # each group's maximum and lanes into the next at every atom offset.
+        # certain (p = 0 and 1) sends infinite messages under clamps and, on
+        # random answers, raises zero-mass errors; ash has a mu = 0 atom
+        # between two others; both run in runs cut at 64 atom-edges, a few
+        # workers each.  The empirical priors have 50 to 400 atoms, so their
+        # graphs are larger: a smaller rule's k times K must fit the edges.
+        monkeypatch.setattr(bp, "_CLASS_OVERHEAD_EDGES", 0)
+        atom_groups, built = bp._atom_groups, []
+
+        def groups(mu, w, size):
+            built.append((mu.size, mu.size if group is None else group))
+            return atom_groups(mu, w, built[-1][1])
+
+        monkeypatch.setattr(bp, "_atom_groups", groups)
+        kinds = ("certain", "certain", "ash", "empirical")
+        infinite = errors = 0
+        for case in range(16):
+            kind = kinds[case % len(kinds)]
+            monkeypatch.setattr(bp, "_BLOCK", 2**16 if kind == "empirical" else 64)
+            g = skewed_graph(rng, int(rng.integers(*((200, 400) if kind == "empirical"
+                                                      else (20, 80)))), 40)
+            a = rng.choice([-1, 1], size=g.n_edges)
+            prior = self.make_prior(rng, kind)
+            clamp_tasks, clamp_labels = random_clamps(rng, g, case // 4)
+            if kind == "certain" and case % 2 == 0:
+                a, clamp_labels = self.truthful(rng, g, prior, clamp_tasks)
+            assert split_path(g, a, prior)
+            kwargs = dict(k_max=int(rng.integers(1, 8)), tol=0.0,
+                          clamp_tasks=clamp_tasks, clamp_labels=clamp_labels)
+            got = outcome(cb.bp_run, g, a, prior, **kwargs)
+            assert_outcomes_match(got, outcome(reference_bp_run, g, a, prior, **kwargs),
+                                  split=True)
+            if kind == "certain":
+                x = np.where(rng.random(g.n_edges) < 0.2, rng.choice([-1.0, 1.0], g.n_edges),
+                             rng.uniform(-0.9, 0.9, g.n_edges))
+                np.testing.assert_allclose(bp._class_kernel(g, a, prior)(a * x),
+                                           reference_class_kernel(g, a, prior)(x),
+                                           rtol=0, atol=ATOL)
+            infinite += kind == "certain" and clamp_tasks.size > 0 and not isinstance(got, str)
+            errors += isinstance(got, str)
+        assert infinite >= 2 and errors >= 2
+        # Every rule was cut as asked, and groups met inside some rule.
+        assert {size for _, size in built} == ({group} if group else {k for k, _ in built})
+        assert any(k > size for k, size in built) == (group is not None)
 
 
 def _classes(prior, g):

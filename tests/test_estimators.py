@@ -10,10 +10,11 @@ import crowdbp as cb
 from crowdbp import bp
 from crowdbp import graph as graph_module
 from crowdbp.estimators import _em_e_step, _em_m_step
-from tests.conftest import regular_sh_instance, skewed_graph, star_graph
+from tests.conftest import regular_sh_instance, skewed_graph, skewed_sh_instance, star_graph
 from tests.em_reference import reference_em_run
 from tests.memory import edge_arrays
-from tests.sweep_reference import reference_ebp_prior, reference_ebp_run, reference_kos_run
+from tests.sweep_reference import (assert_outcomes_match, reference_ebp_prior,
+                                   reference_ebp_run, reference_kos_run, split_path)
 
 
 def full_bipartite(n_tasks: int, n_workers: int) -> cb.AssignmentGraph:
@@ -90,6 +91,18 @@ class TestMajorityVote:
         report = cb.majority_vote(g, np.array([-1]))
         assert report.margins.tolist() == [-1.0, 0.0]
         assert report.labels.tolist() == [-1, 1]
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_peak_memory_is_under_one_edge_array(self, dtype):
+        # Weighing the answers by bincount copied them to floats: 1.10 edge
+        # arrays here.  Counting the +1 answers copies only their keys, a
+        # step at a time: 0.56.
+        g, answers = regular_sh_instance()
+        a = answers.answers.astype(dtype)
+        peak, report = edge_arrays(lambda: cb.majority_vote(g, a), g)
+        assert peak <= 0.6
+        sums = np.bincount(g.by_task.keys, weights=a, minlength=g.n_tasks)
+        assert report.margins.tobytes() == (sums / g.task_degrees).tobytes()
 
 
 class TestKos:
@@ -185,6 +198,7 @@ class TestEbp:
         # Overhead 0 splits the degree classes of these small skewed graphs
         # under their many-atom empirical priors; the shipped constant keeps
         # the atoms' class alone on the whole graph.
+        # Split classes match within the tolerance, one class bitwise.
         if overhead is not None:
             monkeypatch.setattr(bp, "_CLASS_OVERHEAD_EDGES", overhead)
         split = 0
@@ -192,12 +206,14 @@ class TestEbp:
             g = skewed_graph(rng, int(rng.integers(40, 120)), 40)
             a = rng.choice(np.array([-1, 1], dtype=np.int8), size=g.n_edges)
             prior = reference_ebp_prior(g, a, cb.majority_vote(g, a).labels)
-            split += len(bp._class_rules(g.worker_degrees, prior)[2]) > 1
+            split_case = split_path(g, a, prior)
+            assert split_case == (len(bp._class_rules(g.worker_degrees, prior)[2]) > 1)
+            split += split_case
             for rounds in (1, 2, 3):
                 kwargs = dict(rounds=rounds, k_max=int(rng.integers(1, 12)),
                               tol=[0.0, 1e-5][case % 2])
-                assert (self.diagnostics(cb.ebp_run(g, a, **kwargs))
-                        == self.diagnostics(reference_ebp_run(g, a, **kwargs)))
+                assert_outcomes_match(cb.ebp_run(g, a, **kwargs),
+                                      reference_ebp_run(g, a, **kwargs), split_case)
         assert split == (6 if overhead == 0 else 0)
 
     def test_matches_the_allocating_reference_on_one_degree_class(self):
@@ -222,6 +238,18 @@ class TestEbp:
         peak, report = edge_arrays(lambda: cb.ebp_run(g, answers, rounds=1, k_max=3, tol=0.0), g)
         assert report.iterations_run == 3
         assert peak <= 8
+
+    def test_peak_memory_on_split_classes(self):
+        # Six degree classes of the empirical prior's 51 atoms.  Each class
+        # used to fold in five rows of its own, and the agreement counts
+        # copied a mask to floats: 11.0 edge arrays here, 7.0 now.
+        g, answers = skewed_sh_instance()
+        a = answers.answers
+        peak, report = edge_arrays(lambda: cb.ebp_run(g, answers, rounds=1, k_max=3, tol=0.0), g)
+        assert report.iterations_run == 3
+        assert peak <= 8
+        prior = reference_ebp_prior(g, a, cb.majority_vote(g, a).labels)
+        assert len(bp._class_rules(g.worker_degrees, prior)[2]) > 5 and split_path(g, a, prior)
 
     def test_checks_raw_answers_once(self, monkeypatch):
         # Each check is one np.isin pass over the answers; majority vote and

@@ -12,12 +12,15 @@ ledger = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ledger)
 
 
-def result(pass_s, setup_s=0.3, failed=0, attempted=4, correct=True, commit="abc"):
-    """A result line as perfbench/run.py prints it, with the record's environment."""
+def result(pass_s, setup_s=0.3, failed=0, attempted=4, correct=True, commit="abc",
+           answers_per_s=1e5):
+    """A result line as perfbench/run.py prints it, with the record's
+    environment and named metrics."""
     return {"correct": correct, "attempted": attempted, "failed": failed,
             "metrics": {"setup_s": {"value": setup_s, "unit": "s"},
                         "pass_s": {"value": pass_s, "unit": "s"}},
-            "environment": {"cpu_count": 2, "python": "3.11", "commit": commit}}
+            "environment": {"cpu_count": 2, "python": "3.11", "commit": commit},
+            "named_metrics": {"setup_s": setup_s, "ebp2_answers_per_s": answers_per_s}}
 
 
 def test_fold_medians_quartiles_wins_and_failures():
@@ -48,9 +51,10 @@ def test_ledger_has_bench_18_schema():
     assert out["commits"] == {"parent": "p", "change": "c"}
     assert "commit" not in out["environment"]
     got, want = out["workloads"]["file-1m"], bench_18["workloads"]["file-1m"]
-    # The gain rule's and the no-regression check's verdicts are the keys added since.
+    # The gain rule's and the no-regression check's verdicts, and each side's
+    # named metrics, are the keys added since.
     assert set(got) == set(want) | {"gain_holds", "within_bound", "unresolved"}
-    assert set(got["parent"]) == set(want["parent"]) - {"peak_rss_mb"}
+    assert set(got["parent"]) == set(want["parent"]) - {"peak_rss_mb"} | {"named_metrics"}
     assert out["fresh_seeds"]["file-1m"]["seeds"] == [201, 203]
     assert out["method"] == ledger.METHOD
 
@@ -99,6 +103,38 @@ def test_no_regression_check(parent, change, within, unsettled):
     assert entry["unresolved"]["pass_s"] is unsettled
     assert ledger.within_bound(parent, change, 0.25) is within
     assert ledger.unresolved(parent, change, 0.25) is unsettled
+
+
+def test_named_metrics_fold_to_medians_and_quartiles_per_side():
+    # A decoder's own throughput beside the pass time: 1, 2, 3, 4 and 10 to 40
+    # thousand answers per second -> quartiles 1.75, 2.5, 3.25 and 17.5, 25, 32.5.
+    parent = [result(2.0, answers_per_s=1e3 * k) for k in (1, 2, 3, 4)]
+    change = [result(1.0, answers_per_s=1e4 * k) for k in (4, 3, 2, 1)]
+    entry = ledger.fold(list(zip(parent, change)), [1, 2, 3, 4])
+    for side, scale in (("parent", 1e3), ("change", 1e4)):
+        named = entry[side]["named_metrics"]
+        assert set(named) == {"setup_s", "ebp2_answers_per_s"}
+        assert named["ebp2_answers_per_s"] == {"median": 2.5 * scale, "q1": 1.75 * scale,
+                                               "q3": 3.25 * scale}
+        assert named["setup_s"] == {"median": 0.3, "q1": 0.3, "q3": 0.3}
+
+
+def test_a_run_reads_the_named_metrics_of_its_record(tmp_path):
+    # A stand-in benchmark that writes its record and prints its result line.
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, pathlib, sys\n"
+        "w, s = sys.argv[2], sys.argv[4]\n"
+        "out = pathlib.Path('perfbench-out')\n"
+        "out.mkdir(exist_ok=True)\n"
+        "(out / f'record-{w}-seed{s}-trace0.json').write_text(json.dumps({\n"
+        "    'environment': {'cpu_count': 2},\n"
+        "    'named_metrics': {'ebp2_answers_per_s': {'value': 5e4, 'unit': '1/s'}}}))\n"
+        "print('workload line')\n"
+        "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, 'metrics': {}}))\n")
+    got = ledger.run_once(tmp_path, "skewed-real", 3)
+    assert got["named_metrics"] == {"ebp2_answers_per_s": 5e4}
+    assert got["environment"] == {"cpu_count": 2} and got["correct"]
 
 
 @pytest.mark.parametrize("text, seeds", [("1-3", [1, 2, 3]), ("7", [7]), ("201-201", [201])])

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from crowdbp.segments import build_grouping, gather, segment_others, segment_sum
+from crowdbp import segments
+from crowdbp.segments import build_grouping, gather, segment_count, segment_others, segment_sum
 from tests.sweep_reference import reference_segment_loo_log1p
 
 
@@ -45,6 +47,23 @@ def test_sum_and_grouping_match_loop_reference():
                 out = np.empty(m)
                 assert segment_others(per_edge, g, totals=given, out=out) is out
                 np.testing.assert_allclose(out, np.add(expected, shift), atol=1e-12)
+
+
+@pytest.mark.parametrize("step", [1, 3, None])
+def test_count_matches_the_weighted_sum_in_every_step(monkeypatch, step):
+    # Steps span at least twice the segment count: with 1 and 3 a mask is
+    # cut at many offsets, with the shipped step at none.
+    if step is not None:
+        monkeypatch.setattr(segments, "_COUNT_STEP", step)
+    rng = np.random.default_rng(4)
+    for case in range(40):
+        n_seg = int(rng.integers(1, 8))
+        m = int(rng.integers(0, 60)) if case else 0
+        keys = rng.integers(0, n_seg, size=m)
+        mask = rng.random(m) < rng.uniform()
+        counts = segment_count(mask, build_grouping(keys, n_seg))
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, np.bincount(keys, weights=mask, minlength=n_seg))
 
 
 def test_empty_segments_get_identity_elements():

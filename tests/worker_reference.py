@@ -1,13 +1,15 @@
 """The one-rule magnetization worker half: the reference for the degree classes.
 
 Every edge folds in every node of the prior's top rule over the whole graph,
-where the package gives each degree class its own Gauss rule.  Labels must
-be equal and margins equal within a stated tolerance, and bitwise equal
-wherever every class runs the top rule.  ``reference_worker_kernel`` has the
-signature of ``crowdbp.bp._class_kernel``, so that a test can run ``bp_run``
-on it by patching that name; the function it returns, like the package's,
-reads the answer-signed magnetizations ``a * x`` and writes its messages
-into ``out`` when it is given one.
+one atom at a time, where the package gives each degree class its own Gauss
+rule.  Labels must be equal and margins equal within a stated tolerance.
+They are bitwise equal wherever one class holds every worker and runs the
+top rule; split classes fold their atoms in blocks, whose sums run in
+another order.  ``reference_worker_kernel`` has the signature of
+``crowdbp.bp._class_kernel``, so that a test can run ``bp_run`` on it by
+patching that name; the function it returns, like the package's, reads the
+answer-signed magnetizations ``a * x`` and writes its messages into ``out``
+when it is given one.
 """
 from __future__ import annotations
 
