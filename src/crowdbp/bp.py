@@ -2,19 +2,21 @@
 
 Every message is one log-likelihood ratio (LLR), log m(+1) - log m(-1),
 per edge and direction, stored in natural edge order.  Sums over a node's
-edges are one ``np.bincount`` over that side's keys and broadcasts back
-are gathers (see :mod:`.segments`), so a sweep costs O(edges) whatever
-the degree profile.  Sweeps are synchronous: all task-to-worker messages
-from the previous worker-to-task messages, then all worker-to-task
-messages from the fresh task-to-worker ones.  ``bp_run`` checks its
-inputs for ``_run``, the core that the oracle of :mod:`.exact` calls too,
-whose sweep function goes to :func:`_iterate`, the loop and stop rule
-that the kos and EM decoders of :mod:`.estimators` share.
+edges are one ``np.bincount`` over that side's keys, or, where the values
+exist only a block at a time, ``segment_add`` block by block in edge
+order, which gives the same bits; broadcasts back are gathers (see
+:mod:`.segments`).  So a sweep costs O(edges) whatever the degree
+profile.  Sweeps are synchronous: all task-to-worker messages from the
+previous worker-to-task messages, then all worker-to-task messages from
+the fresh task-to-worker ones.  ``bp_run`` checks its inputs for
+``_run``, the core that the oracle of :mod:`.exact` calls too, whose
+sweep function goes to :func:`_iterate`, the loop and stop rule that the
+kos and EM decoders of :mod:`.estimators` share.
 
 Task half: nu[i->u] = L_i - lam[u->i] with L_i = h_i + sum_u lam[u->i].
 The field h_i is -0.0, the exact additive identity, or ±inf for a task
 clamped to a known label.  The positive and negative parts of the sum are
-taken separately, so incoming LLRs that mirror each other cancel to
+summed separately, so incoming LLRs that mirror each other cancel to
 exactly 0 and flipping every answer negates every message bitwise.
 Infinite LLRs (clamps, workers whose reliability prior puts all mass on
 p = 0 or 1) are counted per task rather than subtracted; a message or
@@ -35,26 +37,26 @@ bitwise that of x.  The leave-one-out log product is
 S_mu[u] - log(1 + mu c_i), with S_mu the per-worker sum of those logs.
 A factor is exactly 0 only for mu = ±1 against a certain message, as
 |c| <= 1, so only such atoms scan for zeros, which are counted per worker
-instead of divided out.  One class of workers (see below) folds its
-atoms in one at a time under a running per-edge maximum; only an atom's
-logs and their per-worker sums take the whole edge array, and the rest of
-the fold is elementwise and runs over fixed-size blocks of edges.  A run
-reads the int8 or int64 answers in place, allocates its buffers once and
-writes every sweep into them, so it holds a fixed number of float edge
-arrays whatever the atom count and the sweep count.  Three rotate: the
-worker messages, the signed magnetizations and a free one.  A sweep writes
-the task messages, then their signed magnetizations, into the free one;
-the logs that end as the new worker messages into the old magnetizations'
-once their change is read; and the change of tanh(lam / 2), a block at a
-time, into the old worker messages', which become the next sweep's free
-buffer.  That is three when at most one atom has mu != 0 (``sh``), and
-six when two or more do (``ash``, a Beta prior, ``ebp``'s empirical
-atoms), whose running maximum and two lanes then span the edges.  Split
-classes add no float edge array: their fold runs in block-sized buffers,
-beside one int64 index of the edges and their answers in their own dtype,
-both listed once per run.  The ``naive``
-kernel of the pair API below evaluates the configuration sum directly
-and exists as the independent cross-check.
+instead of divided out.  One class of workers (see below) takes two
+passes over the edges, a block at a time: the first sums each atom's logs
+per worker, the second recomputes each block's logs and folds the atoms
+in one at a time under a running per-edge maximum, in five block rows.
+
+A run reads the int8 or int64 answers in place, allocates its buffers
+once and writes every sweep over them a block at a time, so it holds two
+float edge arrays whatever the atom count and the sweep count: the worker
+messages lam and the signed magnetizations c.  The task half reads lam
+and writes c over its old values, each block once its change is read;
+the worker half reads c and writes lam over its old values, each block
+once the change of tanh(lam / 2) is read.  Block rows, per-task sums and
+one row of per-worker sums per atom with mu != 0 come on top: a fifth of
+an edge array per atom where workers answer five tasks.  Only a sweep in
+which some message is infinite (a clamp, a certain worker) takes whole
+edge arrays in its task half.  Split classes add no float edge array:
+their fold runs in block-sized buffers, beside one int64 index of the
+edges and their answers in their own dtype, both listed once per run.
+The ``naive`` kernel of the pair API below evaluates the configuration
+sum directly and exists as the independent cross-check.
 
 Degree classes: each atom costs a pass over the edges it is applied to,
 but a worker of degree r does not need every atom.  Both lanes of the
@@ -106,18 +108,26 @@ from .errors import (NumericDegeneracyError, ParameterError, SizeError, check_bu
                      check_ids, check_signs)
 from .graph import AnswerMatrix, AssignmentGraph, answer_values
 from .priors import FactorTable, ReliabilityPrior
-from .segments import Grouping, gather, segment_others, segment_sum
+from .segments import (_CHUNK, Grouping, edge_blocks, gather, segment_add, segment_others,
+                       segment_sum)
 
 _NAIVE_DEGREE_GUARD = 14
 # What running a degree class on its own costs per sweep beyond its atom
-# passes, in atom-edge passes (about 15 ns each): the gather and scatter
-# of its edges and numpy's fixed per-call cost (40-60 us), plus building
-# its Gauss rule, spread over the sweeps of a run.  A class that saves
-# less than this over the next larger class is folded into it.
+# passes, in atom-edge passes: the gather and scatter of its edges, about
+# 15 NumPy calls per run of workers and group of atoms (see
+# _class_worker_llrs), plus building its Gauss rule, spread over the sweeps
+# of a run.  A class that saves less than this over the next larger class
+# is folded into it.  The value was set when an atom-edge pass cost about
+# 15 ns, which made it about 150 us.  The split fold now takes about 5.5 ns
+# per atom-edge, so the same overhead is worth more passes than this, and
+# classes split where their cost does not warrant it.  The value is kept:
+# moving it changes which graphs split, and so their margins to rounding.
 _CLASS_OVERHEAD_EDGES = 10_000
 # Start of the running maximum over atoms: finite, so that subtracting it
 # from a -inf log product gives -inf rather than NaN.
 _NO_ATOM_YET = -np.finfo(np.float64).max
+# Atom-edge pairs per block of a split degree class's fold.
+_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -180,12 +190,13 @@ def _iterate(step, state, k_max: int, tol: float) -> tuple[object, int, bool, fl
 # -- LLR core -----------------------------------------------------------------
 
 def _check_edges(llr: np.ndarray, graph: AssignmentGraph, what: str,
-                 origin: tuple | None = None) -> None:
-    """NaN marks a message with zero mass on both labels.  The error names
-    the edge of ``graph``, or its edge in ``origin`` (see ``_run``)."""
+                 origin: tuple | None = None, first: int = 0) -> None:
+    """NaN marks a message with zero mass on both labels.  ``llr`` holds the
+    edges from ``first`` on; the error names the edge of ``graph``, or its
+    edge in ``origin`` (see ``_run``)."""
     # One reduction finds a NaN; the mask is built only to name it.
     if np.isnan(llr.max(initial=-np.inf)):
-        idx = int(np.flatnonzero(np.isnan(llr))[0])
+        idx = first + int(np.flatnonzero(np.isnan(llr))[0])
         if origin is not None:
             graph, idx = origin[0], int(origin[1][idx])
         task, worker = graph.edges[idx]
@@ -203,18 +214,23 @@ def _check_beliefs(belief: np.ndarray, origin: tuple | None = None) -> None:
         raise NumericDegeneracyError(f"belief for task {task} has zero mass")
 
 
-def _signed_sum(llr: np.ndarray, grouping: Grouping,
-                scratch: np.ndarray | None = None) -> np.ndarray:
+def _signed_sum(llr: np.ndarray, grouping: Grouping) -> np.ndarray:
     """Per segment, the positive parts' sum plus the negative parts' sum.
 
     Both parts accumulate in edge order, so a segment whose negative LLRs
     mirror its positive ones (same magnitudes, same relative order; equal
-    magnitudes in any order) sums to exactly 0.  ``scratch`` is an optional
-    float edge buffer for the parts.
+    magnitudes in any order) sums to exactly 0.  Each LLR is added only to
+    its own sign's part, at index 2 key + (llr < 0): adding the other
+    part's ±0 would leave it as it is, since a sum of parts of one sign
+    that starts at +0.0 is never -0.0.  The indices take one block row.
     """
-    pos = segment_sum(np.maximum(llr, 0.0, out=scratch), grouping)
-    neg = segment_sum(np.minimum(llr, 0.0, out=scratch), grouping)
-    return pos + neg
+    temp = np.empty(min(_CHUNK, llr.size), dtype=np.int64)
+    parts = np.zeros(2 * grouping.n_segments)
+    for at in edge_blocks(llr.size, _CHUNK):
+        index = np.left_shift(grouping.keys[at], 1, out=temp[:at.stop - at.start])
+        index += llr[at] < 0.0
+        segment_add(parts, index, llr[at])
+    return parts[0::2] + parts[1::2]
 
 
 def _certain(n_plus: np.ndarray, n_minus: np.ndarray) -> np.ndarray:
@@ -222,21 +238,22 @@ def _certain(n_plus: np.ndarray, n_minus: np.ndarray) -> np.ndarray:
     return np.where(n_plus > 0, np.inf, 0.0) + np.where(n_minus > 0, -np.inf, 0.0)
 
 
-def _task_llrs(lam: np.ndarray, grouping: Grouping, field: np.ndarray | float = -0.0,
-               out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per task the total incoming LLR plus its ``field`` (-0.0 or ±inf); per
-    edge that total minus the edge's own.
+def _task_totals(lam: np.ndarray, grouping: Grouping,
+                 field: np.ndarray | float = -0.0) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per task the total incoming LLR plus its ``field`` (-0.0 or ±inf), and,
+    only where some message is infinite, per edge that total minus the
+    edge's own; ``None`` otherwise.
 
-    NaN marks zero mass.  ``out`` is an optional float edge buffer, other
-    than ``lam``, for the per-edge LLRs; it also serves as the scratch of
-    the sums.
+    NaN marks zero mass.
     """
     with np.errstate(invalid="ignore"):
-        total = _signed_sum(lam, grouping, scratch=out)
+        total = _signed_sum(lam, grouping)
         if np.isfinite(total).all():
             total += field
-            return total, segment_others(lam, grouping, totals=total, out=out)
+            return total, None
         # Certain messages: count the infinities instead of subtracting them.
+        # Only a sweep with an infinite message comes here; it takes whole
+        # edge arrays.
         plus = lam == np.inf
         minus = lam == -np.inf
         finite = np.where(plus | minus, 0.0, lam)
@@ -245,100 +262,140 @@ def _task_llrs(lam: np.ndarray, grouping: Grouping, field: np.ndarray | float = 
         n_minus = segment_sum(minus, grouping) + (field == -np.inf)
         others = np.add(segment_others(finite, grouping, totals=total), _certain(
             segment_others(plus, grouping, totals=n_plus),
-            segment_others(minus, grouping, totals=n_minus)), out=out)
+            segment_others(minus, grouping, totals=n_minus)))
         return total + _certain(n_plus, n_minus), others
 
 
-# Edges per block of the fold's elementwise steps, whose temporaries are
-# sized to one block.
-_CHUNK = 2**14
-# Atom-edge pairs per block of a split degree class's fold.
-_BLOCK = 2**16
+def _task_llrs(lam: np.ndarray, grouping: Grouping,
+               field: np.ndarray | float = -0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Per task the total incoming LLR plus its ``field``; per edge, in a new
+    array, that total minus the edge's own.  NaN marks zero mass."""
+    total, others = _task_totals(lam, grouping, field)
+    if others is None:
+        others = segment_others(lam, grouping, totals=total)
+    return total, others
 
 
-def _fold_rows(atom_mu: np.ndarray) -> int:
-    """Float edge rows of a fold besides its logs, which end as the messages:
-    the running maximum and two lanes when two or more atoms have mu != 0."""
-    return 0 if np.count_nonzero(atom_mu) < 2 else 3
+def _task_half(lam: np.ndarray, c: np.ndarray, a: np.ndarray, graph: AssignmentGraph,
+               field: np.ndarray | float, origin: tuple | None = None) -> float:
+    """Write the task messages' answer-signed magnetizations a tanh(nu / 2)
+    over ``c``, a block at a time, and return their largest change.
+
+    A zero-mass message raises before its block is written.
+    """
+    grouping = graph.by_task
+    total, others = _task_totals(lam, grouping, field)
+    temp, change = np.empty(min(_CHUNK, lam.size)), 0.0
+    for at in edge_blocks(lam.size, _CHUNK):
+        nu = temp[:at.stop - at.start]
+        if others is None:
+            np.subtract(total.take(grouping.keys[at], out=nu, mode="clip"), lam[at], out=nu)
+        else:
+            np.copyto(nu, others[at])
+        _check_edges(nu, graph, "task message", origin, first=at.start)
+        x = np.tanh(np.divide(nu, 2.0, out=nu), out=nu)
+        x *= a[at]
+        # A sign common to the new and old c leaves their change bitwise that of x.
+        change = max(change, _max_change(x, c[at]))
+        c[at] = x
+    return change
+
+
+def _max_change(new: np.ndarray, old: np.ndarray) -> float:
+    """The largest |new - old|, computed over ``old``, which it overwrites."""
+    change = np.abs(np.subtract(new, old, out=old), out=old)
+    return float(change.max(initial=0.0))
+
+
+def _tanh_change(new: np.ndarray, old: np.ndarray, temp: np.ndarray) -> float:
+    """The largest |tanh(new / 2) - tanh(old / 2)|, computed over ``temp`` and
+    ``old``, which it overwrites."""
+    y = np.tanh(np.divide(new, 2.0, out=temp), out=temp)
+    return _max_change(y, np.tanh(np.divide(old, 2.0, out=old), out=old))
 
 
 def _worker_llrs(c: np.ndarray, grouping: Grouping, a: np.ndarray, atom_mu: np.ndarray,
-                 atom_w: np.ndarray, work: np.ndarray, out: np.ndarray | None = None,
-                 shift: float | None = None) -> np.ndarray:
+                 atom_w: np.ndarray, temp: np.ndarray, out: np.ndarray | None = None,
+                 shift: float | None = None) -> np.ndarray | float:
     """Worker-to-task LLRs from the answer-signed task-to-worker magnetizations
     ``c = a x``; NaN marks zero mass.
 
     ``grouping`` groups the edges by worker; the rule (``atom_mu``,
-    ``atom_w``) must be exact up to every worker's degree.  ``work`` holds
-    at least ``_fold_rows(atom_mu)`` float rows of the edge count.  The
-    logs and then the result go to ``out``, a float edge buffer other than
-    ``c``, or to a new array.  A ``shift``, when given, adds ``a * shift``
-    to every message (see ``_class_kernel``).
+    ``atom_w``) must be exact up to every worker's degree.  ``temp`` holds
+    five block rows of at least ``_CHUNK`` floats or of the edge count.
+    Returns the messages in a new array, or, given the previous ones as
+    ``out``, writes the new ones over them and returns the largest change
+    of tanh(llr / 2).  A ``shift``, when given, adds ``a * shift`` to every
+    message (see ``_class_kernel``).
     """
-    logs = np.empty(c.size) if out is None else out
-    starts = np.flatnonzero(atom_mu)
-    if not starts.size:
-        # The dtype keeps NumPy 1's value-based casting from multiplying int8
-        # answers by a Python float in float16.
-        np.multiply(a, _prior_mean_llr(atom_mu, atom_w), out=logs, dtype=np.float64)
-        if shift is not None:
-            logs += np.multiply(a, shift, dtype=np.float64)
-        return logs
+    lam = np.empty(c.size) if out is None else out
     keys, n_workers = grouping.keys, grouping.n_segments
+    starts = np.flatnonzero(atom_mu)
     plus, minus = atom_w * (1.0 + atom_mu), atom_w * (1.0 - atom_mu)
     # Per edge: the largest log leave-one-out product so far and the two
     # lanes sum_mu w (1 ± mu) exp(loo_mu - top).  Until the first atom with
     # mu != 0 every product is 1 and the state is scalar (see _prior_mean_llr).
-    first, full = starts[0], starts.size > 1
-    state = (0.0, np.cumsum(plus[:first])[-1], np.cumsum(minus[:first])[-1]) if first else (
+    first = starts[0] if starts.size else atom_mu.size
+    start = (0.0, np.cumsum(plus[:first])[-1], np.cumsum(minus[:first])[-1]) if first else (
         _NO_ATOM_YET, 0.0, 0.0)
-    temp, blocks = np.empty((2 if full else 5, min(_CHUNK, c.size))), []
-    for lo in range(0, c.size, _CHUNK):
-        at = slice(lo, lo + _CHUNK)
-        new_top, loo, *lanes = temp[:, :min(_CHUNK, c.size - lo)]
-        blocks.append((at, keys[at], new_top, loo, tuple(work[:3, at]) if full else lanes))
+    blocks, change = edge_blocks(c.size, _CHUNK), 0.0
     # log1p(-1) = -inf is counted below, a lane ratio beyond the float range
     # overflows to an infinite LLR, and 0 / 0 marks zero mass.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # Each atom with mu != 0 takes its logs and their per-worker sums over
-        # all edges, then folds in a block at a time with the mu = 0 atoms after it.
-        for k0, k1 in zip(starts, [*starts[1:], atom_mu.size]):
-            mu = atom_mu[k0]
-            np.log1p(np.multiply(c, mu, out=logs), out=logs)
-            # A factor 1 + mu c == 0, possible only at |mu| = 1 as |c| <= 1, is
-            # counted per worker instead of summed as -inf, so exactly the
-            # worker's other edges get a -inf product.
-            zero = n_zero = None
-            if abs(mu) >= 1.0 and logs.min(initial=0.0) == -np.inf:
-                zero = logs == -np.inf
-                logs[zero] = 0.0
-                n_zero = np.bincount(keys[zero], minlength=n_workers)
-            totals = np.bincount(keys, weights=logs, minlength=n_workers)
-            for at, block_keys, new_top, loo, (top_out, agree_out, disagree_out) in blocks:
-                np.subtract(totals.take(block_keys, out=loo, mode="clip"), logs[at], out=loo)
-                if n_zero is not None:
-                    loo[n_zero.take(block_keys, mode="clip") > zero[at]] = -np.inf
+        # First pass: each atom with mu != 0 sums its logs per worker.  A
+        # factor 1 + mu c == 0, possible only at |mu| = 1 as |c| <= 1, is
+        # counted per worker instead of summed as -inf, so exactly the
+        # worker's other edges get a -inf product.
+        sums, n_zero = np.zeros((starts.size, n_workers)), [None] * starts.size
+        for at in blocks:
+            logs = temp[0, :at.stop - at.start]
+            for j, mu in enumerate(atom_mu[starts].tolist()):
+                np.log1p(np.multiply(c[at], mu, out=logs), out=logs)
+                if abs(mu) >= 1.0 and logs.min(initial=0.0) == -np.inf:
+                    zero = logs == -np.inf
+                    logs[zero] = 0.0
+                    if n_zero[j] is None:
+                        n_zero[j] = np.zeros(n_workers, dtype=np.intp)
+                    np.add.at(n_zero[j], keys[at][zero], 1)
+                segment_add(sums[j], keys[at], logs)
+        # Second pass: each block takes every atom's leave-one-out logs and
+        # folds the atoms in order, each with the mu = 0 atoms after it.
+        for at in blocks:
+            loo, top_out, new_top, agree_out, disagree_out = temp[:, :at.stop - at.start]
+            top, agree, disagree = start
+            for j, (k0, k1) in enumerate(zip(starts, [*starts[1:], atom_mu.size])):
+                # The logs take new_top's row until the fold needs it.
+                logs = np.log1p(np.multiply(c[at], atom_mu[k0], out=new_top), out=new_top)
+                if n_zero[j] is not None:
+                    zero = logs == -np.inf
+                    logs[zero] = 0.0
+                np.subtract(sums[j].take(keys[at], out=loo, mode="clip"), logs, out=loo)
+                if n_zero[j] is not None:
+                    loo[n_zero[j].take(keys[at], mode="clip") > zero] = -np.inf
                 for k in range(k0, k1):
-                    top, agree, disagree = state if k == first else (top_out, agree_out,
-                                                                     disagree_out)
                     loo_k = loo if k == k0 else 0.0
                     np.maximum(top, loo_k, out=new_top)
                     rescale = np.exp(np.subtract(top, new_top, out=top_out), out=top_out)
                     weight = np.exp(np.subtract(loo_k, new_top, out=loo), out=loo)
                     np.multiply(agree, rescale, out=agree_out)
                     np.multiply(disagree, rescale, out=disagree_out)
-                    # rescale is spent: its buffer takes each lane's increment in turn.
+                    # rescale is spent: its row takes each lane's increment in turn.
                     agree_out += np.multiply(plus[k], weight, out=top_out)
                     disagree_out += np.multiply(minus[k], weight, out=top_out)
-                    np.copyto(top_out, new_top)
-                if k1 == atom_mu.size:
-                    ratio = np.log(np.divide(agree_out, disagree_out, out=agree_out),
-                                   out=agree_out)
-                    np.multiply(a[at], ratio, out=logs[at])
-                    if shift is not None:
-                        # The weights are spent: their buffer takes the shift.
-                        logs[at] += np.multiply(a[at], shift, out=loo, dtype=np.float64)
-    return logs
+                    top, agree, disagree = new_top, agree_out, disagree_out
+                    top_out, new_top = new_top, top_out
+            ratio = (np.log(np.divide(agree, disagree, out=agree_out), out=agree_out)
+                     if starts.size else _prior_mean_llr(atom_mu, atom_w))
+            # The dtype keeps NumPy 1's value-based casting from multiplying
+            # int8 answers by a scalar in float16.
+            llr = np.multiply(a[at], ratio, out=agree_out, dtype=np.float64)
+            if shift is not None:
+                # The maximum is spent: its row takes the shift.
+                llr += np.multiply(a[at], shift, out=top_out, dtype=np.float64)
+            if out is not None:
+                change = max(change, _tanh_change(llr, lam[at], loo))
+            lam[at] = llr
+    return lam if out is None else change
 
 
 def _worker_llrs_naive(x: np.ndarray, graph: AssignmentGraph, a: np.ndarray,
@@ -434,14 +491,16 @@ def _class_kernel(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior
     """The magnetization worker half, each degree class on its prior's Gauss rule.
 
     The returned function ``(c, out=None)`` reads the answer-signed
-    magnetizations ``c = a x``, writes its messages into ``out``, a float
-    edge buffer other than ``c``, or into a new array, and returns them; its
-    other buffers are allocated here, once per run.  One class runs
-    ``_worker_llrs`` on the whole graph.  Split classes list their edges
-    worker by worker here and fold in ``_class_worker_llrs``, a run of whole
-    workers and a group of atoms at a time (see ``_class_blocks``), in two
-    block buffers: five rows as wide as the widest run, and one of the most
-    atom-edges a group takes, plus a row for the lanes.
+    magnetizations ``c = a x`` and returns its messages in a new array, or,
+    given the previous ones as ``out``, a float edge buffer other than
+    ``c``, writes the new ones over them and returns the largest change of
+    tanh(llr / 2).  Its other buffers are allocated here, once per run.  One
+    class runs ``_worker_llrs`` on the whole graph in five block rows.
+    Split classes list their edges worker by worker here and fold in
+    ``_class_worker_llrs``, a run of whole workers and a group of atoms at
+    a time (see ``_class_blocks``), in two block buffers: five rows as wide
+    as the widest run, and one of the most atom-edges a group takes, plus a
+    row for the lanes.
     """
     n_atoms, (atom_mu, atom_w), classes = _class_rules(graph.worker_degrees, prior)
     prior_mean = _prior_mean_llr(atom_mu, atom_w)
@@ -452,7 +511,7 @@ def _class_kernel(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior
         # below, those of the split path to rounding.
         (k, (mu, w), _), = classes
         return partial(_worker_llrs, grouping=graph.by_worker, a=a, atom_mu=mu, atom_w=w,
-                       work=np.empty((_fold_rows(mu), graph.n_edges)),
+                       temp=np.empty((5, min(_CHUNK, graph.n_edges))),
                        shift=None if k == n_atoms else prior_mean - _prior_mean_llr(mu, w))
     degrees, order = graph.worker_degrees, graph.by_worker.order
     parts, block_size, width = [], 0, 0
@@ -525,9 +584,10 @@ def _class_worker_llrs(c: np.ndarray, parts: list, rows: np.ndarray, block: np.n
 
     Each part is a class's edges listed worker by worker, their answers,
     its rule's mu, its shift and its ``_class_blocks`` plan; ``rows`` and
-    ``block`` are the buffers ``_class_kernel`` sized for them.
+    ``block`` are the buffers ``_class_kernel`` sized for them.  Returns
+    as ``_worker_llrs`` does; each run takes its change before it scatters.
     """
-    lam = np.empty(c.size) if out is None else out
+    lam, change = (np.empty(c.size) if out is None else out), 0.0
     # log1p(-1) = -inf is counted below, a lane ratio beyond the float range
     # overflows to an infinite LLR, and 0 / 0 marks zero mass.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -568,10 +628,14 @@ def _class_worker_llrs(c: np.ndarray, parts: list, rows: np.ndarray, block: np.n
                 ratio = np.log(np.divide(agree, disagree, out=agree), out=agree)
                 a_run = a[lo:hi]
                 np.multiply(a_run, ratio, out=ratio)
-                # The maximum is spent: its buffer takes the shift.
+                # Both maxima are spent: their rows take the shift and the old
+                # messages, and the magnetizations' row the new tanh(llr / 2).
                 ratio += np.multiply(a_run, shift, out=top, dtype=np.float64)
+                if out is not None:
+                    old = np.take(lam, edges[lo:hi], out=new_top, mode="clip")
+                    change = max(change, _tanh_change(ratio, old, c_run))
                 lam[edges[lo:hi]] = ratio
-    return lam
+    return lam if out is None else change
 
 
 # -- pair-valued sweep pieces ------------------------------------------------
@@ -627,7 +691,7 @@ def bp_update_worker_messages(state: BeliefState, graph: AssignmentGraph,
 
 
 def bp_compute_beliefs(state: BeliefState, graph: AssignmentGraph) -> BeliefState:
-    total, _ = _task_llrs(_pairs_to_llr(state.msg_worker_to_task), graph.by_task)
+    total, _ = _task_totals(_pairs_to_llr(state.msg_worker_to_task), graph.by_task)
     _check_beliefs(total)
     return replace(state, beliefs=_llr_to_pairs(total))
 
@@ -651,8 +715,9 @@ def bp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     other label) raises a degeneracy error.
     """
     a = answer_values(answers, graph)
-    field = np.full(graph.n_tasks, -0.0)
+    field = -0.0
     if clamp_tasks is not None and len(clamp_tasks):
+        field = np.full(graph.n_tasks, -0.0)
         clamp_tasks = check_ids(clamp_tasks, graph.n_tasks, "clamp task ids")
         known = check_signs(clamp_labels, "clamp labels") * np.inf
         if known.shape != clamp_tasks.shape:
@@ -665,59 +730,34 @@ def bp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
 
 
 def _run(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior, k_max: int,
-         tol: float, field: np.ndarray, origin: tuple | None = None) -> tuple:
+         tol: float, field: np.ndarray | float, origin: tuple | None = None) -> tuple:
     """``bp_run``'s sweeps and decode on checked inputs: int8 or int64 signs
-    and each task's field, -0.0 or ±inf for a known label (see ``_task_llrs``).
+    and each task's field, -0.0 or ±inf for a known label (see
+    ``_task_totals``), or -0.0 for all.
     Returns the margins, the sweeps run, whether they converged and the last
     change.  With ``origin = (caller, edge_ids, task_ids)``, a zero-mass
     error at edge e or task t of ``graph`` names edge ``edge_ids[e]`` or task
     ``task_ids[t]`` of ``caller``."""
     worker_half = _class_kernel(graph, a, prior)
-    # The sweeps rotate three edge buffers (see the module docstring), so
-    # naming the start state keeps nothing extra alive.  The LLRs start at 0
-    # and the answer-signed task magnetizations at each task's tanh(h / 2)
-    # times the answer.
-    free, lam = np.empty(graph.n_edges), np.zeros(graph.n_edges)
-    c = gather(np.tanh(field / 2.0), graph.by_task)
+    # Two float edge buffers, each written over a block at a time: the
+    # worker messages lam, which start at 0, and the answer-signed task
+    # magnetizations c, which start at each task's tanh(h / 2) times the
+    # answer.  Each half of a sweep reads the other's buffer and takes its
+    # own change against the values it writes over.
+    lam = np.zeros(graph.n_edges)
+    c = gather(np.tanh(np.broadcast_to(field, graph.n_tasks) / 2.0), graph.by_task)
     c *= a
 
-    def sweep(state):
-        nonlocal free
-        lam_prev, c_prev = state
-        _, nu = _task_llrs(lam_prev, graph.by_task, field, out=free)
-        _check_edges(nu, graph, "task message", origin)
-        c = np.tanh(np.divide(nu, 2.0, out=nu), out=nu)
-        c *= a
-        # A sign common to c and c_prev leaves |c - c_prev| bitwise that of x.
-        dx = _max_change(c, c_prev)
-        lam = worker_half(c, out=c_prev)
+    def sweep(_):
+        dx = _task_half(lam, c, a, graph, field, origin)
+        dy = worker_half(c, out=lam)
         _check_edges(lam, graph, "worker message", origin)
-        dy = _max_tanh_change(lam, lam_prev)
-        free = lam_prev
         # Changes on the probability scale: |d P(+1)| = |d tanh(llr / 2)| / 2.
-        return (lam, c), 0.5 * max(dx, dy)
+        return None, 0.5 * max(dx, dy)
 
-    (lam, _), iterations, converged, delta = _iterate(sweep, (lam, c), k_max, tol)
-    total, _ = _task_llrs(lam, graph.by_task, field, out=free)
+    # The state lives in the two buffers; _iterate threads none through.
+    _, iterations, converged, delta = _iterate(sweep, None, k_max, tol)
+    total, _ = _task_totals(lam, graph.by_task, field)
     margins = np.tanh(total / 2.0)
     _check_beliefs(margins, origin)
     return margins, iterations, converged, delta
-
-
-def _max_change(new: np.ndarray, old: np.ndarray) -> float:
-    """The largest |new - old|, computed over ``old``, which it overwrites."""
-    change = np.abs(np.subtract(new, old, out=old), out=old)
-    return float(change.max(initial=0.0))
-
-
-def _max_tanh_change(new: np.ndarray, old: np.ndarray) -> float:
-    """The largest |tanh(new / 2) - tanh(old / 2)|, a block of ``_CHUNK`` edges
-    at a time, computed over ``old``, which it overwrites."""
-    change, temp = 0.0, np.empty(min(_CHUNK, new.size))
-    for lo in range(0, new.size, _CHUNK):
-        block = old[lo:lo + _CHUNK]
-        y = temp[:block.size]
-        np.tanh(np.divide(new[lo:lo + _CHUNK], 2.0, out=y), out=y)
-        y_prev = np.tanh(np.divide(block, 2.0, out=block), out=block)
-        change = max(change, _max_change(y, y_prev))
-    return change

@@ -17,7 +17,7 @@ from .errors import ParameterError, check_budget, check_count, check_probabiliti
 from .exact import oracle_task_estimate
 from .graph import AnswerMatrix, AssignmentGraph, answer_values
 from .priors import ReliabilityPrior, empirical_prior, spammer_hammer
-from .segments import gather, segment_count, segment_others, segment_sum
+from .segments import _CHUNK, edge_blocks, gather, segment_count, segment_sum
 from .seeding import rng_from
 
 _P_CLAMP = 1e-9
@@ -46,36 +46,77 @@ def kos_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     drawn from ``seed`` (Karger-Oh-Shah).  Decode: sign of sum_u A_iu y[u->i].
     """
     a = answer_values(answers, graph)
-    # Per run: three edge buffers, y and two scratch rows.  Each step's y
-    # takes the second row in place, and the previous y's buffer becomes
-    # that row once the step's change has read it.
-    scratch, free = np.empty(graph.n_edges), np.empty(graph.n_edges)
+    tasks, workers = graph.by_task, graph.by_worker
+    # Per run: two float edge buffers, y and a spare, and one block row.  A
+    # step writes a y into the spare, then, in place, a x and the new y.  The
+    # spare holds each whole array that np.bincount sums; only the norm
+    # takes blocks, whose squares it sums as np.sum would (see _pairwise_sum).
+    # The previous y's buffer is the next step's spare.
+    spare, temp = np.empty(graph.n_edges), np.empty(min(_CHUNK, graph.n_edges))
+    blocks = edge_blocks(graph.n_edges, _CHUNK)
 
     def step(prev_y):
-        nonlocal free
-        ay = np.multiply(a, prev_y, out=scratch)
-        x = segment_others(ay, graph.by_task, out=free)
-        ax = np.multiply(a, x, out=scratch)
-        y = _unit(segment_others(ax, graph.by_worker, out=free), out=free, scratch=scratch)
-        free = prev_y
-        return y, _max_change(y, prev_y)
+        nonlocal spare
+        y = np.multiply(a, prev_y, out=spare)
+        task_sums = segment_sum(y, tasks)
+        for at in blocks:
+            x = task_sums.take(tasks.keys[at], out=temp[:at.stop - at.start], mode="clip")
+            np.subtract(x, y[at], out=y[at])
+        y *= a
+        worker_sums = segment_sum(y, workers)
 
-    start = rng_from(seed).standard_normal(graph.n_edges)
-    start += 1.0
-    y, iterations, converged, delta = _iterate(
-        step, _unit(start, out=start, scratch=scratch), k_max, tol)
-    scores = segment_sum(np.multiply(a, y, out=scratch), graph.by_task)
+        def squares(lo, hi):
+            v = worker_sums.take(workers.keys[lo:hi], out=temp[:hi - lo], mode="clip")
+            v = np.subtract(v, y[lo:hi], out=y[lo:hi])
+            return np.sum(np.multiply(v, v, out=temp[:hi - lo]))
+
+        delta = _unit(y, squares, blocks, prev=prev_y)
+        spare = prev_y
+        return y, delta
+
+    y = rng_from(seed).standard_normal(graph.n_edges)
+    y += 1.0
+    _unit(y, lambda lo, hi: np.sum(np.multiply(y[lo:hi], y[lo:hi], out=temp[:hi - lo])),
+          blocks)
+    y, iterations, converged, delta = _iterate(step, y, k_max, tol)
+    scores = segment_sum(np.multiply(a, y, out=spare), tasks)
     peak = np.abs(scores).max(initial=0.0)
     margins = scores / peak if peak > 0 else scores
     return make_report(margins, iterations, converged, delta)
 
 
-def _unit(v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """``v`` scaled to unit L2 norm, or as it is if that is not positive."""
-    # numpy's pairwise sum, not BLAS: the result must not depend on the
-    # number of BLAS threads.
-    norm = np.sqrt(np.sum(np.multiply(v, v, out=scratch)))
-    return np.divide(v, norm if norm > 0 else 1.0, out=out)
+def _pairwise_sum(leaf, n: int, lo: int = 0):
+    """The sum of ``n`` values from ``lo`` on, in ``np.sum``'s own pairwise
+    order: not BLAS's, which depends on the number of BLAS threads.
+
+    ``np.sum`` halves a run of more than 128 values at n2 = n // 2 - (n // 2
+    mod 8) and sums each half the same way.  Each subtree of at most
+    ``_CHUNK`` (>= 128) values is one ``np.sum``, which ``leaf(lo, hi)``
+    takes over the values from ``lo`` to ``hi``; the halves' sums add as
+    NumPy adds them.
+    """
+    if n <= _CHUNK:
+        return leaf(lo, lo + n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(leaf, half, lo) + _pairwise_sum(leaf, n - half, lo + half)
+
+
+def _unit(v: np.ndarray, squares, blocks: list, prev: np.ndarray | None = None) -> float:
+    """Scale ``v`` in place to unit L2 norm, or leave it if that is not positive.
+
+    ``squares(lo, hi)`` is ``np.sum`` of the squares of ``v[lo:hi]``, so that
+    the norm is that of ``np.sum(v * v)`` (see ``_pairwise_sum``).  The
+    division runs over ``blocks``; with ``prev``, each block's largest
+    change against it is taken over ``prev``, which it overwrites, and the
+    largest is returned.
+    """
+    norm = np.sqrt(_pairwise_sum(squares, v.size))
+    scale, change = (norm if norm > 0 else 1.0), 0.0
+    for at in blocks:
+        np.divide(v[at], scale, out=v[at])
+        if prev is not None:
+            change = max(change, _max_change(v[at], prev[at]))
+    return change
 
 
 def ebp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,

@@ -5,7 +5,10 @@ this node" (:func:`segment_sum`, one ``np.bincount`` over the keys), "give
 every edge its node's value" (:func:`gather`, one ``np.take`` by them) and
 "sum all the other edges of this node" (:func:`segment_others`, the node's
 total minus the edge's own value), and "count this node's selected edges"
-(:func:`segment_count`).  A :class:`Grouping` keeps, for one side
+(:func:`segment_count`).  :func:`segment_add` adds the values of a block of
+edges (see :func:`edge_blocks`) into the node sums, so that a sweep can
+build those values one block at a time and sum them in the same bits as
+:func:`segment_sum`.  A :class:`Grouping` keeps, for one side
 of the bipartite graph, the node id of every edge in natural edge order plus
 the node degrees, so each costs O(edges) whatever the degree profile.
 
@@ -27,6 +30,10 @@ import numpy as np
 
 # Edges per step of segment_count, at least.
 _COUNT_STEP = 2**16
+# Edges per block of a block-wise sweep, whose temporaries are sized to one
+# block (bp's fold holds five float rows of it, 320 KB), and per np.add.at
+# call of segment_add.
+_CHUNK = 2**13
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,26 @@ def segment_sum(values: np.ndarray, grouping: Grouping) -> np.ndarray:
     # bincount returns int64 zeros when there are no edges.
     return np.bincount(grouping.keys, weights=np.asarray(values, dtype=np.float64),
                        minlength=grouping.n_segments).astype(np.float64, copy=False)
+
+
+def edge_blocks(n_edges: int, size: int) -> list[slice]:
+    """The edges ``0 .. n_edges - 1`` in order, ``size`` at a time."""
+    return [slice(lo, min(lo + size, n_edges)) for lo in range(0, n_edges, size)]
+
+
+def segment_add(totals: np.ndarray, keys: np.ndarray, values: np.ndarray) -> None:
+    """Add each of ``values`` into the entry of ``totals`` that its key names,
+    in order, ``_CHUNK`` at a time.
+
+    ``np.add.at`` adds them one by one in order, as ``np.bincount`` does,
+    and like it raises no warning on overflow or inf - inf.  So a sweep that
+    adds a grouping's edges a block at a time from edge 0 into float zeros
+    gets :func:`segment_sum`'s sums bitwise: each segment's values added in
+    edge order from +0.0.  Only a block of values need exist at a time.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, keys.size, _CHUNK):
+            np.add.at(totals, keys[lo:lo + _CHUNK], values[lo:lo + _CHUNK])
 
 
 def segment_count(mask: np.ndarray, grouping: Grouping) -> np.ndarray:

@@ -673,13 +673,16 @@ class TestBufferedSweeps:
                                   outcome(reference_bp_run, g, answers, prior, k_max=30),
                                   split=False)
 
-    @pytest.mark.parametrize("spec, budget", [("sh", 4.5), ("ash", 7.5), ("beta:2,1", 7.5)])
+    @pytest.mark.parametrize("spec, budget", [("sh", 2.75), ("ash", 2.75), ("beta:2,1", 3.0)])
     def test_bp_peak_memory_in_edge_arrays(self, spec, budget):
         # The allocating sweeps peaked at 15.1 edge arrays here under sh, the
-        # buffered ones at 8.4 with five fold rows, and at 5.0 (sh) and 7.9
-        # (ash, Beta) with four rotating buffers.  Three rotate now; the fold
-        # adds the running maximum and the two lanes when two or more atoms
-        # have mu != 0 (ash, a Beta prior), and block-sized temporaries.
+        # buffered ones at 8.4 with five fold rows, at 5.0 (sh) and 7.9 (ash,
+        # Beta) with four rotating buffers, and at 3.9 (sh) and 6.8 (ash,
+        # Beta) with three, the fold's running maximum and two lanes spanning
+        # the edges under two or more atoms with mu != 0.  Two buffers are
+        # written over a block at a time now: 2.55 (sh), 2.65 (ash) and 2.85
+        # (Beta), with a row of worker sums per atom with mu != 0 (0.2 here)
+        # and five fold rows of one block.
         g, answers = regular_sh_instance()
         peak, report = edge_arrays(
             lambda: cb.bp_run(g, answers, cb.parse_prior_spec(spec), k_max=3, tol=0.0), g)
@@ -690,14 +693,15 @@ class TestBufferedSweeps:
         # ebp's empirical prior has more atoms than the 3 Gauss nodes that
         # degree 5 needs, so the one class of this (10, 5)-regular graph runs
         # that rule on the whole graph.  Split off like one of several
-        # classes, with its gather and scatter, it peaked at 11.1.
+        # classes, with its gather and scatter, it peaked at 11.1, and at 6.8
+        # with three rotating buffers; 2.85 in two.
         g, answers = regular_sh_instance()
         a = answers.answers
         prior = reference_ebp_prior(g, a, cb.majority_vote(g, a).labels)
         assert [k for k, _ in _classes(prior, g)] == [3]
         peak, report = edge_arrays(lambda: cb.bp_run(g, answers, prior, k_max=3, tol=0.0), g)
         assert report.iterations_run == 3
-        assert peak <= 7.5
+        assert peak <= 3.0
 
     def test_bp_peak_memory_on_split_classes(self):
         # Seven degree classes under Beta(2, 1), the top one a 51-node rule.
@@ -705,14 +709,15 @@ class TestBufferedSweeps:
         # running maximum, two lanes and gathered magnetizations, with a key
         # array per class: 10.7 edge arrays here.  Folding a run of whole
         # workers and a group of atoms at a time in block-sized buffers, the
-        # peak is 7.4, the worker-ordered edge list built by the run
-        # included.  One (atoms x edges) array of the top class's 51 atoms
-        # would break the budget.
+        # peak was 7.4, the worker-ordered edge list built by the run
+        # included, and is 6.2 with two edge buffers for the messages and
+        # magnetizations in place of three.  One (atoms x edges) array of
+        # the top class's 51 atoms would break the budget.
         g, answers = skewed_sh_instance()
         prior = cb.ReliabilityPrior.from_beta(2, 1)
         peak, report = edge_arrays(lambda: cb.bp_run(g, answers, prior, k_max=3, tol=0.0), g)
         assert report.iterations_run == 3
-        assert peak <= 8
+        assert peak <= 6.5
         assert len(_classes(prior, g)) > 5 and split_path(g, answers.answers, prior)
 
     @pytest.mark.parametrize("chunk", [1, 5, 64])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from crowdbp import segments
-from crowdbp.segments import build_grouping, gather, segment_count, segment_others, segment_sum
+from crowdbp.segments import (build_grouping, edge_blocks, gather, segment_add, segment_count,
+                              segment_others, segment_sum)
 from tests.sweep_reference import reference_segment_loo_log1p
 
 
@@ -64,6 +65,50 @@ def test_count_matches_the_weighted_sum_in_every_step(monkeypatch, step):
         counts = segment_count(mask, build_grouping(keys, n_seg))
         assert counts.dtype == np.int64
         np.testing.assert_array_equal(counts, np.bincount(keys, weights=mask, minlength=n_seg))
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64, None])
+def test_block_sums_are_bitwise_bincount(monkeypatch, chunk):
+    # Blocks of 0 to 40 edges, added in edge order into float zeros, with
+    # every block's first edge on one hub node; segment_add splits a block
+    # into calls of _CHUNK edges (all of one block at the shipped value).
+    # Weights span seven orders of magnitude, so a sum in any other order
+    # would differ in its last bits, and some are ±0.0, ±inf or NaN, so
+    # that inf - inf and NaN reach the sums: their bytes match too, and
+    # neither sum warns.
+    if chunk is not None:
+        monkeypatch.setattr(segments, "_CHUNK", chunk)
+    rng = np.random.default_rng(11)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    for case in range(60):
+        n_seg = int(rng.integers(1, 10))
+        lengths = rng.integers(0, 41, size=int(rng.integers(0, 12)))
+        lengths[rng.random(lengths.size) < 0.2] = 0
+        m = int(lengths.sum())
+        keys = rng.integers(0, n_seg, size=m)
+        starts = np.cumsum(lengths) - lengths
+        keys[starts[lengths > 0]] = 0
+        weights = rng.standard_normal(m) * 10.0 ** rng.integers(-3, 4, size=m)
+        special = rng.random(m) < [0.0, 0.05, 0.3][case % 3]
+        weights[special] = rng.choice(specials, size=int(special.sum()))
+        totals = np.zeros(n_seg)
+        for lo, n in zip(starts, lengths):
+            segment_add(totals, keys[lo:lo + n], weights[lo:lo + n])
+        expected = np.bincount(keys, weights=weights, minlength=n_seg)
+        assert totals.tobytes() == expected.astype(np.float64).tobytes()
+        # Over a grouping's keys in edge_blocks, the sums are segment_sum's.
+        g, totals = build_grouping(keys, n_seg), np.zeros(n_seg)
+        for at in edge_blocks(m, int(rng.integers(1, 50))):
+            segment_add(totals, g.keys[at], weights[at])
+        assert totals.tobytes() == segment_sum(weights, g).tobytes()
+
+
+def test_edge_blocks_cover_the_edges_in_order():
+    for n_edges, size in ((0, 4), (1, 4), (8, 4), (9, 4), (5, 1)):
+        blocks = edge_blocks(n_edges, size)
+        assert np.concatenate([np.arange(n_edges)[at] for at in blocks] + [[]]).tolist() == \
+            list(range(n_edges))
+        assert all(0 < at.stop - at.start <= size for at in blocks)
 
 
 def test_empty_segments_get_identity_elements():

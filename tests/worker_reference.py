@@ -8,8 +8,9 @@ top rule; split classes fold their atoms in blocks, whose sums run in
 another order.  ``reference_worker_kernel`` has the signature of
 ``crowdbp.bp._class_kernel``, so that a test can run ``bp_run`` on it by
 patching that name; the function it returns, like the package's, reads the
-answer-signed magnetizations ``a * x`` and writes its messages into ``out``
-when it is given one.
+answer-signed magnetizations ``a * x`` and returns its messages, or, given
+the previous ones as ``out``, writes the new ones over them and returns the
+largest change of tanh(llr / 2).
 """
 from __future__ import annotations
 
@@ -26,7 +27,8 @@ def reference_worker_kernel(graph, a, prior):
         lam = reference_fold(a * c, graph.by_worker, a, atom_mu, atom_w)
         if out is None:
             return lam
+        change = float(np.abs(np.tanh(lam / 2.0) - np.tanh(out / 2.0)).max(initial=0.0))
         np.copyto(out, lam)
-        return out
+        return change
 
     return worker_half
