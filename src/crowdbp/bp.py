@@ -281,7 +281,8 @@ def _task_half(lam: np.ndarray, c: np.ndarray, a: np.ndarray, graph: AssignmentG
     """Write the task messages' answer-signed magnetizations a tanh(nu / 2)
     over ``c``, a block at a time, and return their largest change.
 
-    A zero-mass message raises before its block is written.
+    A zero-mass message, NaN, raises before its block is written: its
+    magnetization is NaN, and so is its block's change.
     """
     grouping = graph.by_task
     total, others = _task_totals(lam, grouping, field)
@@ -292,11 +293,13 @@ def _task_half(lam: np.ndarray, c: np.ndarray, a: np.ndarray, graph: AssignmentG
             np.subtract(total.take(grouping.keys[at], out=nu, mode="clip"), lam[at], out=nu)
         else:
             np.copyto(nu, others[at])
-        _check_edges(nu, graph, "task message", origin, first=at.start)
         x = np.tanh(np.divide(nu, 2.0, out=nu), out=nu)
         x *= a[at]
         # A sign common to the new and old c leaves their change bitwise that of x.
-        change = max(change, _max_change(x, c[at]))
+        block_change = _max_change(x, c[at])
+        if math.isnan(block_change):
+            _check_edges(x, graph, "task message", origin, first=at.start)
+        change = max(change, block_change)
         c[at] = x
     return change
 
@@ -308,8 +311,8 @@ def _max_change(new: np.ndarray, old: np.ndarray) -> float:
 
 
 def _tanh_change(new: np.ndarray, old: np.ndarray, temp: np.ndarray) -> float:
-    """The largest |tanh(new / 2) - tanh(old / 2)|, computed over ``temp`` and
-    ``old``, which it overwrites."""
+    """The largest |tanh(new / 2) - tanh(old / 2)|, NaN if ``new`` has a NaN,
+    computed over ``temp`` and ``old``, which it overwrites."""
     y = np.tanh(np.divide(new, 2.0, out=temp), out=temp)
     return _max_change(y, np.tanh(np.divide(old, 2.0, out=old), out=old))
 
@@ -322,11 +325,12 @@ def _worker_llrs(c: np.ndarray, grouping: Grouping, a: np.ndarray, atom_mu: np.n
 
     ``grouping`` groups the edges by worker; the rule (``atom_mu``,
     ``atom_w``) must be exact up to every worker's degree.  ``temp`` holds
-    five block rows of at least ``_CHUNK`` floats or of the edge count.
+    five block rows, at least one float wide, and the edges run a row's
+    width at a time.
     Returns the messages in a new array, or, given the previous ones as
     ``out``, writes the new ones over them and returns the largest change
-    of tanh(llr / 2).  A ``shift``, when given, adds ``a * shift`` to every
-    message (see ``_class_kernel``).
+    of tanh(llr / 2), NaN if a message is NaN.  A ``shift``, when given,
+    adds ``a * shift`` to every message (see ``_class_kernel``).
     """
     lam = np.empty(c.size) if out is None else out
     keys, n_workers = grouping.keys, grouping.n_segments
@@ -338,7 +342,7 @@ def _worker_llrs(c: np.ndarray, grouping: Grouping, a: np.ndarray, atom_mu: np.n
     first = starts[0] if starts.size else atom_mu.size
     start = (0.0, np.cumsum(plus[:first])[-1], np.cumsum(minus[:first])[-1]) if first else (
         _NO_ATOM_YET, 0.0, 0.0)
-    blocks, change = edge_blocks(c.size, _CHUNK), 0.0
+    blocks, change = edge_blocks(c.size, temp.shape[1]), 0.0
     # log1p(-1) = -inf is counted below, a lane ratio beyond the float range
     # overflows to an infinite LLR, and 0 / 0 marks zero mass.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -386,16 +390,19 @@ def _worker_llrs(c: np.ndarray, grouping: Grouping, a: np.ndarray, atom_mu: np.n
                     top_out, new_top = new_top, top_out
             ratio = (np.log(np.divide(agree, disagree, out=agree_out), out=agree_out)
                      if starts.size else _prior_mean_llr(atom_mu, atom_w))
+            # The weights and the maximum are spent: their rows take the old
+            # messages' tanh(llr / 2), the shift and the new ones' tanh.
+            if out is not None:
+                old = np.tanh(np.divide(lam[at], 2.0, out=loo), out=loo)
             # The dtype keeps NumPy 1's value-based casting from multiplying
             # int8 answers by a scalar in float16.
-            llr = np.multiply(a[at], ratio, out=agree_out, dtype=np.float64)
+            llr = np.multiply(a[at], ratio, out=lam[at], dtype=np.float64)
             if shift is not None:
-                # The maximum is spent: its row takes the shift.
                 llr += np.multiply(a[at], shift, out=top_out, dtype=np.float64)
             if out is not None:
-                change = max(change, _tanh_change(llr, lam[at], loo))
-            lam[at] = llr
-    return lam if out is None else change
+                y = np.tanh(np.divide(llr, 2.0, out=top_out), out=top_out)
+                change = np.maximum(change, _max_change(y, old))
+    return lam if out is None else float(change)
 
 
 def _worker_llrs_naive(x: np.ndarray, graph: AssignmentGraph, a: np.ndarray,
@@ -494,13 +501,14 @@ def _class_kernel(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior
     magnetizations ``c = a x`` and returns its messages in a new array, or,
     given the previous ones as ``out``, a float edge buffer other than
     ``c``, writes the new ones over them and returns the largest change of
-    tanh(llr / 2).  Its other buffers are allocated here, once per run.  One
-    class runs ``_worker_llrs`` on the whole graph in five block rows.
-    Split classes list their edges worker by worker here and fold in
-    ``_class_worker_llrs``, a run of whole workers and a group of atoms at
-    a time (see ``_class_blocks``), in two block buffers: five rows as wide
-    as the widest run, and one of the most atom-edges a group takes, plus a
-    row for the lanes.
+    tanh(llr / 2), NaN if a message is NaN.  Its other buffers are
+    allocated here, once per run.  One class runs ``_worker_llrs`` on the
+    whole graph in five rows of ``_fold_width`` edges.  Split classes list
+    their edges worker by worker here and fold in ``_class_worker_llrs``, a
+    run of whole workers and a group of atoms at a time (see
+    ``_class_blocks``), in two block buffers: five rows as wide as the
+    widest run, and one of the most atom-edges a group takes, plus a row
+    for the lanes.
     """
     n_atoms, (atom_mu, atom_w), classes = _class_rules(graph.worker_degrees, prior)
     prior_mean = _prior_mean_llr(atom_mu, atom_w)
@@ -511,7 +519,7 @@ def _class_kernel(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior
         # below, those of the split path to rounding.
         (k, (mu, w), _), = classes
         return partial(_worker_llrs, grouping=graph.by_worker, a=a, atom_mu=mu, atom_w=w,
-                       temp=np.empty((5, min(_CHUNK, graph.n_edges))),
+                       temp=np.empty((5, _fold_width(graph.n_edges))),
                        shift=None if k == n_atoms else prior_mean - _prior_mean_llr(mu, w))
     degrees, order = graph.worker_degrees, graph.by_worker.order
     parts, block_size, width = [], 0, 0
@@ -530,6 +538,14 @@ def _class_kernel(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior
             block_size = max(block_size, *(plus.size * (hi - lo) for _, plus, _, _ in groups))
     return partial(_class_worker_llrs, parts=parts, rows=np.empty((5, width)),
                    block=np.empty(block_size))
+
+
+def _fold_width(n_edges: int) -> int:
+    """Edges per block of the one-class fold: a 32nd of the edges, but at
+    least a quarter of ``_CHUNK``, so that its NumPy calls run over
+    thousands of edges, and at most ``_CHUNK``.  Its five rows then take at
+    most a sixth of an edge array on graphs of 128k edges or more."""
+    return max(1, min(n_edges, _CHUNK, max(_CHUNK // 4, n_edges // 32)))
 
 
 def _class_blocks(lengths: np.ndarray, mu: np.ndarray, w: np.ndarray) -> list:
@@ -633,9 +649,9 @@ def _class_worker_llrs(c: np.ndarray, parts: list, rows: np.ndarray, block: np.n
                 ratio += np.multiply(a_run, shift, out=top, dtype=np.float64)
                 if out is not None:
                     old = np.take(lam, edges[lo:hi], out=new_top, mode="clip")
-                    change = max(change, _tanh_change(ratio, old, c_run))
+                    change = np.maximum(change, _tanh_change(ratio, old, c_run))
                 lam[edges[lo:hi]] = ratio
-    return lam if out is None else change
+    return lam if out is None else float(change)
 
 
 # -- pair-valued sweep pieces ------------------------------------------------
@@ -751,7 +767,9 @@ def _run(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior, k_max: 
     def sweep(_):
         dx = _task_half(lam, c, a, graph, field, origin)
         dy = worker_half(c, out=lam)
-        _check_edges(lam, graph, "worker message", origin)
+        if math.isnan(dy):
+            # A zero-mass message, NaN, makes the change NaN; name its edge.
+            _check_edges(lam, graph, "worker message", origin)
         # Changes on the probability scale: |d P(+1)| = |d tanh(llr / 2)| / 2.
         return None, 0.5 * max(dx, dy)
 

@@ -31,9 +31,8 @@ import numpy as np
 # Edges per step of segment_count, at least.
 _COUNT_STEP = 2**16
 # Edges per block of a block-wise sweep, whose temporaries are sized to one
-# block (bp's fold holds five float rows of it, 320 KB), and per np.add.at
-# call of segment_add.
-_CHUNK = 2**13
+# block, and per np.add.at call of segment_add.
+_CHUNK = 2**14
 
 
 @dataclass(frozen=True)

@@ -238,6 +238,23 @@ class TestDegeneracy:
         with pytest.raises(cb.NumericDegeneracyError, match="task 0"):
             cb.bp_run(g, np.array([1, 1, -1, -1]), perfect, k_max=1)
 
+    @pytest.mark.parametrize("chunk", [1, None])
+    def test_contradicted_perfect_workers_name_the_first_task_message(self, monkeypatch,
+                                                                      chunk):
+        # In the second sweep each edge of task 1 hears a certain +1 and a
+        # certain -1 from its other workers: the run stops at its task half
+        # and names the first such edge, also where blocks of one edge put
+        # it in a later block than the first.
+        if chunk is not None:
+            monkeypatch.setattr(bp, "_CHUNK", chunk)
+        perfect = cb.ReliabilityPrior.from_atoms([1.0], [1.0])
+        g = cb.AssignmentGraph(2, 5, np.array([[0, 0], [1, 1], [1, 2], [1, 3], [1, 4]]))
+        answers = np.array([1, 1, 1, -1, -1])
+        message = r"^task message on edge 1 \(task 1, worker 1\) has zero mass$"
+        for run in (cb.bp_run, reference_bp_run):
+            with pytest.raises(cb.NumericDegeneracyError, match=message):
+                run(g, answers, perfect, k_max=2)
+
     def test_clamp_contradicting_a_perfect_worker_names_the_edge(self):
         perfect = cb.ReliabilityPrior.from_atoms([1.0], [1.0])
         g = cb.AssignmentGraph(2, 1, np.array([[0, 0], [1, 0]]))
@@ -680,9 +697,9 @@ class TestBufferedSweeps:
         # Beta) with four rotating buffers, and at 3.9 (sh) and 6.8 (ash,
         # Beta) with three, the fold's running maximum and two lanes spanning
         # the edges under two or more atoms with mu != 0.  Two buffers are
-        # written over a block at a time now: 2.55 (sh), 2.65 (ash) and 2.85
+        # written over a block at a time now: 2.54 (sh), 2.59 (ash) and 2.79
         # (Beta), with a row of worker sums per atom with mu != 0 (0.2 here)
-        # and five fold rows of one block.
+        # and five fold rows a 32nd of the edges wide.
         g, answers = regular_sh_instance()
         peak, report = edge_arrays(
             lambda: cb.bp_run(g, answers, cb.parse_prior_spec(spec), k_max=3, tol=0.0), g)
@@ -694,7 +711,7 @@ class TestBufferedSweeps:
         # degree 5 needs, so the one class of this (10, 5)-regular graph runs
         # that rule on the whole graph.  Split off like one of several
         # classes, with its gather and scatter, it peaked at 11.1, and at 6.8
-        # with three rotating buffers; 2.85 in two.
+        # with three rotating buffers; 2.79 in two.
         g, answers = regular_sh_instance()
         a = answers.answers
         prior = reference_ebp_prior(g, a, cb.majority_vote(g, a).labels)

@@ -188,7 +188,7 @@ class TestKos:
         # ones at 5.4 while they copied the answers to floats, at 4.4 with a
         # spare buffer beside the two scratch rows, and at 3.4 with y and two
         # scratch rows.  With y and one spare, and the norm's squares summed a
-        # block at a time, the peak is 2.44.
+        # block at a time, the peak is 2.48.
         g, answers = regular_sh_instance()
         peak, report = edge_arrays(lambda: cb.kos_run(g, answers, k_max=3, tol=0.0), g)
         assert report.iterations_run == 3
@@ -281,7 +281,7 @@ class TestEbp:
         # whole graph through two more float rows, an edge-id array and a
         # second key array: 11.6 edge arrays.  With three rotating buffers
         # and the fold's maximum and lanes spanning the edges it took 7.3,
-        # and with two buffers written over a block at a time, 3.35.
+        # and with two buffers written over a block at a time, 3.30.
         g, answers = regular_sh_instance()
         peak, report = edge_arrays(lambda: cb.ebp_run(g, answers, rounds=1, k_max=3, tol=0.0), g)
         assert report.iterations_run == 3
@@ -291,7 +291,7 @@ class TestEbp:
         # Six degree classes of the empirical prior's 51 atoms.  Each class
         # used to fold in five rows of its own, and the agreement counts
         # copied a mask to floats: 11.0 edge arrays here.  With three
-        # rotating buffers it took 7.0 to 7.7, and with two, 6.45.
+        # rotating buffers it took 7.0 to 7.7, and with two, 6.5.
         g, answers = skewed_sh_instance()
         a = answers.answers
         peak, report = edge_arrays(lambda: cb.ebp_run(g, answers, rounds=1, k_max=3, tol=0.0), g)

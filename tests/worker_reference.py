@@ -10,7 +10,7 @@ another order.  ``reference_worker_kernel`` has the signature of
 patching that name; the function it returns, like the package's, reads the
 answer-signed magnetizations ``a * x`` and returns its messages, or, given
 the previous ones as ``out``, writes the new ones over them and returns the
-largest change of tanh(llr / 2).
+largest change of tanh(llr / 2), NaN if a message is NaN.
 """
 from __future__ import annotations
 
