@@ -335,6 +335,8 @@ def _worker_llrs(c: np.ndarray, grouping: Grouping, a: np.ndarray, atom_mu: np.n
     lam = np.empty(c.size) if out is None else out
     keys, n_workers = grouping.keys, grouping.n_segments
     starts = np.flatnonzero(atom_mu)
+    # Each atom with mu != 0, its mu and the end of the mu = 0 atoms after it.
+    runs = list(zip(starts.tolist(), atom_mu[starts].tolist(), [*starts[1:], atom_mu.size]))
     plus, minus = atom_w * (1.0 + atom_mu), atom_w * (1.0 - atom_mu)
     # Per edge: the largest log leave-one-out product so far and the two
     # lanes sum_mu w (1 ± mu) exp(loo_mu - top).  Until the first atom with
@@ -352,30 +354,31 @@ def _worker_llrs(c: np.ndarray, grouping: Grouping, a: np.ndarray, atom_mu: np.n
         # worker's other edges get a -inf product.
         sums, n_zero = np.zeros((starts.size, n_workers)), [None] * starts.size
         for at in blocks:
-            logs = temp[0, :at.stop - at.start]
-            for j, mu in enumerate(atom_mu[starts].tolist()):
-                np.log1p(np.multiply(c[at], mu, out=logs), out=logs)
+            c_at, keys_at, logs = c[at], keys[at], temp[0, :at.stop - at.start]
+            for j, (_, mu, _) in enumerate(runs):
+                np.log1p(np.multiply(c_at, mu, out=logs), out=logs)
                 if abs(mu) >= 1.0 and logs.min(initial=0.0) == -np.inf:
                     zero = logs == -np.inf
                     logs[zero] = 0.0
                     if n_zero[j] is None:
                         n_zero[j] = np.zeros(n_workers, dtype=np.intp)
-                    np.add.at(n_zero[j], keys[at][zero], 1)
-                segment_add(sums[j], keys[at], logs)
+                    np.add.at(n_zero[j], keys_at[zero], 1)
+                segment_add(sums[j], keys_at, logs)
         # Second pass: each block takes every atom's leave-one-out logs and
         # folds the atoms in order, each with the mu = 0 atoms after it.
         for at in blocks:
+            c_at, keys_at, a_at = c[at], keys[at], a[at]
             loo, top_out, new_top, agree_out, disagree_out = temp[:, :at.stop - at.start]
             top, agree, disagree = start
-            for j, (k0, k1) in enumerate(zip(starts, [*starts[1:], atom_mu.size])):
+            for j, (k0, mu, k1) in enumerate(runs):
                 # The logs take new_top's row until the fold needs it.
-                logs = np.log1p(np.multiply(c[at], atom_mu[k0], out=new_top), out=new_top)
+                logs = np.log1p(np.multiply(c_at, mu, out=new_top), out=new_top)
                 if n_zero[j] is not None:
                     zero = logs == -np.inf
                     logs[zero] = 0.0
-                np.subtract(sums[j].take(keys[at], out=loo, mode="clip"), logs, out=loo)
+                np.subtract(sums[j].take(keys_at, out=loo, mode="clip"), logs, out=loo)
                 if n_zero[j] is not None:
-                    loo[n_zero[j].take(keys[at], mode="clip") > zero] = -np.inf
+                    loo[n_zero[j].take(keys_at, mode="clip") > zero] = -np.inf
                 for k in range(k0, k1):
                     loo_k = loo if k == k0 else 0.0
                     np.maximum(top, loo_k, out=new_top)
@@ -396,9 +399,9 @@ def _worker_llrs(c: np.ndarray, grouping: Grouping, a: np.ndarray, atom_mu: np.n
                 old = np.tanh(np.divide(lam[at], 2.0, out=loo), out=loo)
             # The dtype keeps NumPy 1's value-based casting from multiplying
             # int8 answers by a scalar in float16.
-            llr = np.multiply(a[at], ratio, out=lam[at], dtype=np.float64)
+            llr = np.multiply(a_at, ratio, out=lam[at], dtype=np.float64)
             if shift is not None:
-                llr += np.multiply(a[at], shift, out=top_out, dtype=np.float64)
+                llr += np.multiply(a_at, shift, out=top_out, dtype=np.float64)
             if out is not None:
                 y = np.tanh(np.divide(llr, 2.0, out=top_out), out=top_out)
                 change = np.maximum(change, _max_change(y, old))
@@ -542,10 +545,10 @@ def _class_kernel(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior
 
 def _fold_width(n_edges: int) -> int:
     """Edges per block of the one-class fold: a 32nd of the edges, but at
-    least a quarter of ``_CHUNK``, so that its NumPy calls run over
-    thousands of edges, and at most ``_CHUNK``.  Its five rows then take at
-    most a sixth of an edge array on graphs of 128k edges or more."""
-    return max(1, min(n_edges, _CHUNK, max(_CHUNK // 4, n_edges // 32)))
+    least half of ``_CHUNK``, so that its NumPy calls run over thousands of
+    edges, and at most ``_CHUNK``.  Its five rows then take at most a sixth
+    of an edge array on graphs of 256k edges or more, and a fifth at 200k."""
+    return max(1, min(n_edges, _CHUNK, max(_CHUNK // 2, n_edges // 32)))
 
 
 def _class_blocks(lengths: np.ndarray, mu: np.ndarray, w: np.ndarray) -> list:

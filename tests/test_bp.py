@@ -697,9 +697,9 @@ class TestBufferedSweeps:
         # Beta) with four rotating buffers, and at 3.9 (sh) and 6.8 (ash,
         # Beta) with three, the fold's running maximum and two lanes spanning
         # the edges under two or more atoms with mu != 0.  Two buffers are
-        # written over a block at a time now: 2.54 (sh), 2.59 (ash) and 2.79
+        # written over a block at a time now: 2.59 (sh), 2.65 (ash) and 2.85
         # (Beta), with a row of worker sums per atom with mu != 0 (0.2 here)
-        # and five fold rows a 32nd of the edges wide.
+        # and five fold rows of 8192 edges.
         g, answers = regular_sh_instance()
         peak, report = edge_arrays(
             lambda: cb.bp_run(g, answers, cb.parse_prior_spec(spec), k_max=3, tol=0.0), g)
@@ -711,7 +711,7 @@ class TestBufferedSweeps:
         # degree 5 needs, so the one class of this (10, 5)-regular graph runs
         # that rule on the whole graph.  Split off like one of several
         # classes, with its gather and scatter, it peaked at 11.1, and at 6.8
-        # with three rotating buffers; 2.79 in two.
+        # with three rotating buffers; 2.85 in two.
         g, answers = regular_sh_instance()
         a = answers.answers
         prior = reference_ebp_prior(g, a, cb.majority_vote(g, a).labels)

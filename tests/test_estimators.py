@@ -281,7 +281,7 @@ class TestEbp:
         # whole graph through two more float rows, an edge-id array and a
         # second key array: 11.6 edge arrays.  With three rotating buffers
         # and the fold's maximum and lanes spanning the edges it took 7.3,
-        # and with two buffers written over a block at a time, 3.30.
+        # and with two buffers written over a block at a time, 3.35.
         g, answers = regular_sh_instance()
         peak, report = edge_arrays(lambda: cb.ebp_run(g, answers, rounds=1, k_max=3, tol=0.0), g)
         assert report.iterations_run == 3
