@@ -30,6 +30,7 @@ from .estimators import EstimatorSpec
 from .graph import (AnswerMatrix, AssignmentGraph, GroundTruth, _regular_shape, column_edges,
                     draw_instance, repeated_pairs)
 from .priors import ReliabilityPrior, empirical_prior, parse_prior_spec
+from .segments import edge_blocks
 from .seeding import child_seed, rng_from
 from .theory import theoretical_bounds, theory_iterations, tree_probability_bound
 
@@ -84,11 +85,6 @@ _KEY_BYTES = 32
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 # Line kinds: skipped, comment or directive, split by csv.reader, split on commas.
 _BLANK, _COMMENT, _CSV, _PLAIN = range(4)
-
-
-def _row_blocks(n_rows: int) -> list[slice]:
-    """Slices of at most ``_ROW_BLOCK`` rows that cover ``range(n_rows)`` in order."""
-    return [slice(lo, min(lo + _ROW_BLOCK, n_rows)) for lo in range(0, n_rows, _ROW_BLOCK)]
 
 
 # Odd multipliers, one per key word, that fold a key's words into its lead word.
@@ -461,7 +457,7 @@ class _EdgeCsvReader:
         worker_names, worker_of, worker_rows = _strip_names(self.columns[1])
         for j, remap in ((0, task_of), (1, worker_of)):
             if remap is not None:
-                for rows in _row_blocks(n):
+                for rows in edge_blocks(n, _ROW_BLOCK):
                     edges[rows, j] = remap[edges[rows, j]]
         tokens = {j: self.columns[j].tokens() for j in range(2, self.n_cols)}
         ids = {j: self.columns[j].row_ids() for j in range(2, self.n_cols)}
@@ -479,7 +475,7 @@ class _EdgeCsvReader:
                               f"for alphabet {_ALPHABET_NAMES[alphabets[e]]!r}")
 
         answer_values = values(2)
-        for rows in _row_blocks(n):
+        for rows in edge_blocks(n, _ROW_BLOCK):
             answers[rows] = answer_values[alphabets[rows], ids[2][rows]]
         # (test, message) per check, in the order one line runs them.  A test
         # flags the failing rows of a block of rows; per-row values exist
@@ -558,7 +554,7 @@ def _earliest_failure(checks, n_rows: int) -> tuple[int, str] | None:
     ``checks`` holds (test, message) pairs: a test flags the failing rows of
     a slice of rows, and a message takes a row.
     """
-    for rows in _row_blocks(n_rows):
+    for rows in edge_blocks(n_rows, _ROW_BLOCK):
         failures = []
         for test, message in checks:
             mask = test(rows)
@@ -677,7 +673,7 @@ def write_rows(handle, n_rows: int, columns) -> None:
     ends = [","] * (len(columns) - 1) + ["\n"]
     tables = [_id_table(texts, end) if isinstance(texts, int) else _table(texts, end)
               for (texts, _, _), end in zip(columns, ends)]
-    for rows in _row_blocks(n_rows):
+    for rows in edge_blocks(n_rows, _ROW_BLOCK):
         picks = [(words, starts, ids[rows] if via is None else ids[via[rows]])
                  for (words, starts), (_, ids, via) in zip(tables, columns)]
         if any(starts is not None for _, starts, _ in picks):
