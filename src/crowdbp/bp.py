@@ -19,10 +19,10 @@ clamped to a known label.  The positive and negative parts of the sum are
 summed separately, so incoming LLRs that mirror each other cancel to
 exactly 0 and flipping every answer negates every message bitwise.
 Infinite LLRs (clamps, workers whose reliability prior puts all mass on
-p = 0 or 1) are counted per task rather than subtracted; a message or
-belief whose inputs include both +inf and -inf, as where a certain worker
-contradicts a clamp, has zero mass and raises a degeneracy error naming
-the edge or task.
+p = 0 or 1) are counted per task, in a pass that only a sweep with one
+takes, rather than subtracted; a message or belief whose inputs include
+both +inf and -inf, as where a certain worker contradicts a clamp, has
+zero mass and raises a degeneracy error naming the edge or task.
 
 Worker half: with incoming magnetizations x_j = tanh(nu[j->u] / 2) and
 mu = 2p - 1 for each support atom p (weight w) of the reliability prior,
@@ -50,11 +50,11 @@ and writes c over its old values, each block once its change is read;
 the worker half reads c and writes lam over its old values, each block
 once the change of tanh(lam / 2) is read.  Block rows, per-task sums and
 one row of per-worker sums per atom with mu != 0 come on top: a fifth of
-an edge array per atom where workers answer five tasks.  Only a sweep in
-which some message is infinite (a clamp, a certain worker) takes whole
-edge arrays in its task half.  Split classes add no float edge array:
-their fold runs in block-sized buffers, beside one int64 index of the
-edges and their answers in their own dtype, both listed once per run.
+an edge array per atom where workers answer five tasks, and four more
+per-task rows in a sweep in which some message is infinite.  Split classes
+add no float edge array: their fold runs in block-sized buffers, beside
+one int64 index of the edges and their answers in their own dtype, both
+listed once per run.
 The ``naive`` kernel of the pair API below evaluates the configuration
 sum directly and exists as the independent cross-check.
 
@@ -93,7 +93,8 @@ order.  Its sums run in another order than the one-class fold's, so its
 messages agree with it to rounding, not bitwise.
 
 The pair-valued :class:`BeliefState` API (``bp_init``,
-``bp_update_*_messages``, ``bp_compute_beliefs``) runs the same core and
+``bp_update_*_messages``, ``bp_compute_beliefs``) runs the same core, each
+half-sweep over the whole graph as one block into a fresh buffer, and
 converts between normalized pairs and LLRs at its boundary.
 """
 from __future__ import annotations
@@ -108,8 +109,7 @@ from .errors import (NumericDegeneracyError, ParameterError, SizeError, check_bu
                      check_ids, check_signs)
 from .graph import AnswerMatrix, AssignmentGraph, answer_values
 from .priors import FactorTable, ReliabilityPrior
-from .segments import (_CHUNK, Grouping, edge_blocks, gather, segment_add, segment_others,
-                       segment_sum)
+from .segments import _CHUNK, Grouping, edge_blocks, gather, segment_add
 
 _NAIVE_DEGREE_GUARD = 14
 # What running a degree class on its own costs per sweep beyond its atom
@@ -239,41 +239,49 @@ def _certain(n_plus: np.ndarray, n_minus: np.ndarray) -> np.ndarray:
 
 
 def _task_totals(lam: np.ndarray, grouping: Grouping,
-                 field: np.ndarray | float = -0.0) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per task the total incoming LLR plus its ``field`` (-0.0 or ±inf), and,
-    only where some message is infinite, per edge that total minus the
-    edge's own; ``None`` otherwise.
-
-    NaN marks zero mass.
-    """
+                 field: np.ndarray | float = -0.0) -> tuple[np.ndarray, tuple | None]:
+    """Per task the total incoming LLR plus its ``field`` (-0.0 or ±inf);
+    NaN marks zero mass.  Only where some message is infinite, also per task
+    the sum of its finite LLRs and the counts of its +inf and -inf inputs,
+    the field's included, for ``_task_others``; ``None`` otherwise."""
     with np.errstate(invalid="ignore"):
         total = _signed_sum(lam, grouping)
         if np.isfinite(total).all():
             total += field
             return total, None
-        # Certain messages: count the infinities instead of subtracting them.
-        # Only a sweep with an infinite message comes here; it takes whole
-        # edge arrays.
-        plus = lam == np.inf
-        minus = lam == -np.inf
-        finite = np.where(plus | minus, 0.0, lam)
-        total = _signed_sum(finite, grouping)
-        n_plus = segment_sum(plus, grouping) + (field == np.inf)
-        n_minus = segment_sum(minus, grouping) + (field == -np.inf)
-        others = np.add(segment_others(finite, grouping, totals=total), _certain(
-            segment_others(plus, grouping, totals=n_plus),
-            segment_others(minus, grouping, totals=n_minus)))
-        return total + _certain(n_plus, n_minus), others
+        # Certain messages: a second pass, a block at a time, sums each
+        # task's finite LLRs by sign as _signed_sum does, into parts 0 and 1,
+        # and counts its +inf and -inf ones in parts 2 and 3.
+        n = grouping.n_segments
+        parts = np.zeros(4 * n)
+        for at in edge_blocks(lam.size, _CHUNK):
+            llr = lam[at]
+            infinite = np.isinf(llr)
+            segment_add(parts, (2 * infinite + (llr < 0.0)) * n + grouping.keys[at],
+                        np.where(infinite, 1.0, llr))
+        finite, negative, n_plus, n_minus = parts.reshape(4, n)
+        finite += negative
+        n_plus += field == np.inf
+        n_minus += field == -np.inf
+        return np.add(finite, _certain(n_plus, n_minus), out=total), (finite, n_plus, n_minus)
 
 
-def _task_llrs(lam: np.ndarray, grouping: Grouping,
-               field: np.ndarray | float = -0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Per task the total incoming LLR plus its ``field``; per edge, in a new
-    array, that total minus the edge's own.  NaN marks zero mass."""
-    total, others = _task_totals(lam, grouping, field)
-    if others is None:
-        others = segment_others(lam, grouping, totals=total)
-    return total, others
+def _task_others(total: np.ndarray, certain: tuple | None, lam: np.ndarray,
+                 keys: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per edge of a block keyed by ``keys``, its task's ``_task_totals`` less
+    its own LLR ``lam``, or, where some message is infinite, less its own
+    finite part and infinity count; written over ``out``, which is not
+    ``lam``.  NaN marks zero mass."""
+    if certain is None:
+        return np.subtract(total.take(keys, out=out, mode="clip"), lam, out=out)
+    finite, n_plus, n_minus = certain
+    plus, minus = lam == np.inf, lam == -np.inf
+    np.subtract(finite.take(keys, out=out, mode="clip"), np.where(plus | minus, 0.0, lam),
+                out=out)
+    with np.errstate(invalid="ignore"):
+        out += _certain(n_plus.take(keys, mode="clip") - plus,
+                        n_minus.take(keys, mode="clip") - minus)
+    return out
 
 
 def _task_half(lam: np.ndarray, c: np.ndarray, a: np.ndarray, graph: AssignmentGraph,
@@ -285,14 +293,10 @@ def _task_half(lam: np.ndarray, c: np.ndarray, a: np.ndarray, graph: AssignmentG
     magnetization is NaN, and so is its block's change.
     """
     grouping = graph.by_task
-    total, others = _task_totals(lam, grouping, field)
+    total, certain = _task_totals(lam, grouping, field)
     temp, change = np.empty(min(_CHUNK, lam.size)), 0.0
     for at in edge_blocks(lam.size, _CHUNK):
-        nu = temp[:at.stop - at.start]
-        if others is None:
-            np.subtract(total.take(grouping.keys[at], out=nu, mode="clip"), lam[at], out=nu)
-        else:
-            np.copyto(nu, others[at])
+        nu = _task_others(total, certain, lam[at], grouping.keys[at], temp[:at.stop - at.start])
         x = np.tanh(np.divide(nu, 2.0, out=nu), out=nu)
         x *= a[at]
         # A sign common to the new and old c leaves their change bitwise that of x.
@@ -310,29 +314,20 @@ def _max_change(new: np.ndarray, old: np.ndarray) -> float:
     return float(change.max(initial=0.0))
 
 
-def _tanh_change(new: np.ndarray, old: np.ndarray, temp: np.ndarray) -> float:
-    """The largest |tanh(new / 2) - tanh(old / 2)|, NaN if ``new`` has a NaN,
-    computed over ``temp`` and ``old``, which it overwrites."""
-    y = np.tanh(np.divide(new, 2.0, out=temp), out=temp)
-    return _max_change(y, np.tanh(np.divide(old, 2.0, out=old), out=old))
-
-
-def _worker_llrs(c: np.ndarray, grouping: Grouping, a: np.ndarray, atom_mu: np.ndarray,
-                 atom_w: np.ndarray, temp: np.ndarray, out: np.ndarray | None = None,
-                 shift: float | None = None) -> np.ndarray | float:
-    """Worker-to-task LLRs from the answer-signed task-to-worker magnetizations
-    ``c = a x``; NaN marks zero mass.
+def _worker_llrs(c: np.ndarray, lam: np.ndarray, grouping: Grouping, a: np.ndarray,
+                 atom_mu: np.ndarray, atom_w: np.ndarray, temp: np.ndarray,
+                 shift: float | None = None) -> float:
+    """Write the worker-to-task LLRs from the answer-signed task-to-worker
+    magnetizations ``c = a x`` over the previous ones, ``lam``, and return
+    the largest change of tanh(llr / 2); NaN marks zero mass, in a message
+    and so in the change.
 
     ``grouping`` groups the edges by worker; the rule (``atom_mu``,
     ``atom_w``) must be exact up to every worker's degree.  ``temp`` holds
     five block rows, at least one float wide, and the edges run a row's
-    width at a time.
-    Returns the messages in a new array, or, given the previous ones as
-    ``out``, writes the new ones over them and returns the largest change
-    of tanh(llr / 2), NaN if a message is NaN.  A ``shift``, when given,
-    adds ``a * shift`` to every message (see ``_class_kernel``).
+    width at a time.  A ``shift``, when given, adds ``a * shift`` to every
+    message (see ``_class_kernel``).
     """
-    lam = np.empty(c.size) if out is None else out
     keys, n_workers = grouping.keys, grouping.n_segments
     starts = np.flatnonzero(atom_mu)
     # Each atom with mu != 0, its mu and the end of the mu = 0 atoms after it.
@@ -395,17 +390,15 @@ def _worker_llrs(c: np.ndarray, grouping: Grouping, a: np.ndarray, atom_mu: np.n
                      if starts.size else _prior_mean_llr(atom_mu, atom_w))
             # The weights and the maximum are spent: their rows take the old
             # messages' tanh(llr / 2), the shift and the new ones' tanh.
-            if out is not None:
-                old = np.tanh(np.divide(lam[at], 2.0, out=loo), out=loo)
+            old = np.tanh(np.divide(lam[at], 2.0, out=loo), out=loo)
             # The dtype keeps NumPy 1's value-based casting from multiplying
             # int8 answers by a scalar in float16.
             llr = np.multiply(a_at, ratio, out=lam[at], dtype=np.float64)
             if shift is not None:
                 llr += np.multiply(a_at, shift, out=top_out, dtype=np.float64)
-            if out is not None:
-                y = np.tanh(np.divide(llr, 2.0, out=top_out), out=top_out)
-                change = np.maximum(change, _max_change(y, old))
-    return lam if out is None else float(change)
+            y = np.tanh(np.divide(llr, 2.0, out=top_out), out=top_out)
+            change = np.maximum(change, _max_change(y, old))
+    return float(change)
 
 
 def _worker_llrs_naive(x: np.ndarray, graph: AssignmentGraph, a: np.ndarray,
@@ -500,11 +493,10 @@ def _class_rules(degrees: np.ndarray, prior: ReliabilityPrior) -> tuple[int, tup
 def _class_kernel(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior):
     """The magnetization worker half, each degree class on its prior's Gauss rule.
 
-    The returned function ``(c, out=None)`` reads the answer-signed
-    magnetizations ``c = a x`` and returns its messages in a new array, or,
-    given the previous ones as ``out``, a float edge buffer other than
-    ``c``, writes the new ones over them and returns the largest change of
-    tanh(llr / 2), NaN if a message is NaN.  Its other buffers are
+    The returned function ``(c, lam)`` reads the answer-signed
+    magnetizations ``c = a x``, writes its messages over the previous ones,
+    ``lam``, a float edge buffer other than ``c``, and returns the largest
+    change of tanh(llr / 2), NaN if a message is NaN.  Its other buffers are
     allocated here, once per run.  One class runs ``_worker_llrs`` on the
     whole graph in five rows of ``_fold_width`` edges.  Split classes list
     their edges worker by worker here and fold in ``_class_worker_llrs``, a
@@ -597,16 +589,17 @@ def _prior_mean_llr(atom_mu: np.ndarray, atom_w: np.ndarray) -> float:
         return float(np.log(agree / disagree))
 
 
-def _class_worker_llrs(c: np.ndarray, parts: list, rows: np.ndarray, block: np.ndarray,
-                       out: np.ndarray | None = None) -> np.ndarray:
+def _class_worker_llrs(c: np.ndarray, lam: np.ndarray, parts: list, rows: np.ndarray,
+                       block: np.ndarray) -> float:
     """``_worker_llrs`` over split classes, each a run of whole workers at a time.
 
     Each part is a class's edges listed worker by worker, their answers,
     its rule's mu, its shift and its ``_class_blocks`` plan; ``rows`` and
-    ``block`` are the buffers ``_class_kernel`` sized for them.  Returns
-    as ``_worker_llrs`` does; each run takes its change before it scatters.
+    ``block`` are the buffers ``_class_kernel`` sized for them.  Writes and
+    returns as ``_worker_llrs`` does; each run takes its change before it
+    scatters.
     """
-    lam, change = (np.empty(c.size) if out is None else out), 0.0
+    change = 0.0
     # log1p(-1) = -inf is counted below, a lane ratio beyond the float range
     # overflows to an infinite LLR, and 0 / 0 marks zero mass.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -648,13 +641,14 @@ def _class_worker_llrs(c: np.ndarray, parts: list, rows: np.ndarray, block: np.n
                 a_run = a[lo:hi]
                 np.multiply(a_run, ratio, out=ratio)
                 # Both maxima are spent: their rows take the shift and the old
-                # messages, and the magnetizations' row the new tanh(llr / 2).
+                # messages' tanh(llr / 2), and the magnetizations' row the new.
                 ratio += np.multiply(a_run, shift, out=top, dtype=np.float64)
-                if out is not None:
-                    old = np.take(lam, edges[lo:hi], out=new_top, mode="clip")
-                    change = np.maximum(change, _tanh_change(ratio, old, c_run))
+                old = np.take(lam, edges[lo:hi], out=new_top, mode="clip")
+                old = np.tanh(np.divide(old, 2.0, out=old), out=old)
+                y = np.tanh(np.divide(ratio, 2.0, out=c_run), out=c_run)
+                change = np.maximum(change, _max_change(y, old))
                 lam[edges[lo:hi]] = ratio
-    return lam if out is None else float(change)
+    return float(change)
 
 
 # -- pair-valued sweep pieces ------------------------------------------------
@@ -687,7 +681,9 @@ def bp_update_task_messages(state: BeliefState, graph: AssignmentGraph,
     like the worker half-sweep's.
     """
     answer_values(answers, graph)
-    _, nu = _task_llrs(_pairs_to_llr(state.msg_worker_to_task), graph.by_task)
+    lam = _pairs_to_llr(state.msg_worker_to_task)
+    nu = _task_others(*_task_totals(lam, graph.by_task), lam, graph.by_task.keys,
+                      np.empty(lam.size))
     _check_edges(nu, graph, "task message")
     return replace(state, msg_task_to_worker=_llr_to_pairs(nu))
 
@@ -699,7 +695,8 @@ def bp_update_worker_messages(state: BeliefState, graph: AssignmentGraph,
     a = answer_values(answers, graph)
     x = np.tanh(_pairs_to_llr(state.msg_task_to_worker) / 2.0)
     if kernel == "magnetization":
-        lam = _class_kernel(graph, a, factors.prior)(a * x)
+        lam = np.zeros(graph.n_edges)
+        _class_kernel(graph, a, factors.prior)(a * x, lam)
     elif kernel == "naive":
         # The only reader of the literal factor table f(c, r).
         lam = _worker_llrs_naive(x, graph, a, factors)
@@ -769,7 +766,7 @@ def _run(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior, k_max: 
 
     def sweep(_):
         dx = _task_half(lam, c, a, graph, field, origin)
-        dy = worker_half(c, out=lam)
+        dy = worker_half(c, lam)
         if math.isnan(dy):
             # A zero-mass message, NaN, makes the change NaN; name its edge.
             _check_edges(lam, graph, "worker message", origin)

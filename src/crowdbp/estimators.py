@@ -137,20 +137,23 @@ def ebp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     # Checked once here, not again by majority vote and every round's bp.
     answers = answers if isinstance(answers, AnswerMatrix) else AnswerMatrix(answers)
     a = answer_values(answers, graph)
-    labels = majority_vote(graph, answers).labels
-    report = None
-    for _ in range(rounds):
-        # Agreements as the degree less the counted disagreements: the same
-        # exact integers, with no float copy of an edge mask.
-        matches = graph.worker_degrees - segment_count(
-            a != gather(labels.astype(np.int8), graph.by_task), graph.by_worker)
-        p_hat = (0.25 + matches) / (0.5 + graph.worker_degrees)
-        # With no worker there is nothing to score and no answer for any
-        # prior to weigh: every margin is 0.
-        prior = empirical_prior(p_hat) if p_hat.size else spammer_hammer()
-        report = bp_run(graph, answers, prior, k_max=k_max, tol=tol)
-        labels = report.labels
-    return report
+    # The labels each prior is scored from, and their report, die before its bp runs.
+    prior = _ebp_prior(graph, a, majority_vote(graph, answers).labels)
+    for _ in range(rounds - 1):
+        prior = _ebp_prior(graph, a, bp_run(graph, answers, prior, k_max=k_max, tol=tol).labels)
+    return bp_run(graph, answers, prior, k_max=k_max, tol=tol)
+
+
+def _ebp_prior(graph: AssignmentGraph, a: np.ndarray, labels: np.ndarray) -> ReliabilityPrior:
+    """The empirical prior of every worker's smoothed agreement with ``labels``."""
+    # Agreements as the degree less the counted disagreements: the same
+    # exact integers, with no float copy of an edge mask.
+    matches = graph.worker_degrees - segment_count(
+        a != gather(labels.astype(np.int8), graph.by_task), graph.by_worker)
+    p_hat = (0.25 + matches) / (0.5 + graph.worker_degrees)
+    # With no worker there is nothing to score and no answer for any prior
+    # to weigh: every margin is 0.
+    return empirical_prior(p_hat) if p_hat.size else spammer_hammer()
 
 
 def oracle_work(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,

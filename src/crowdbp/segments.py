@@ -3,13 +3,13 @@
 Message sweeps repeatedly need "sum the values of the edges incident to
 this node" (:func:`segment_sum`, one ``np.bincount`` over the keys), "give
 every edge its node's value" (:func:`gather`, one ``np.take`` by them) and
-"sum all the other edges of this node" (:func:`segment_others`, the node's
-total minus the edge's own value), and "count this node's selected edges"
-(:func:`segment_count`).  :func:`segment_add` adds the values of a block of
-edges (see :func:`edge_blocks`) into the node sums, so that a sweep can
-build those values one block at a time and sum them in the same bits as
-:func:`segment_sum`.  A :class:`Grouping` keeps, for one side
-of the bipartite graph, the node id of every edge in natural edge order plus
+"count this node's selected edges" (:func:`segment_count`).  A sum over
+all the other edges of a node is its total less the edge's own value,
+which a sweep takes a block at a time.  :func:`segment_add` adds the values
+of a block of edges (see :func:`edge_blocks`) into the node sums, so that a
+sweep can build those values one block at a time and sum them in the same
+bits as :func:`segment_sum`.  A :class:`Grouping` keeps, for one side of
+the bipartite graph, the node id of every edge in natural edge order plus
 the node degrees, so each costs O(edges) whatever the degree profile.
 
 The stable sort order and CSR offsets (edges listed node by node) are
@@ -107,12 +107,3 @@ def gather(values: np.ndarray, grouping: Grouping, out: np.ndarray | None = None
     """Per edge, its segment's entry of ``values``, in natural edge order."""
     # The keys are valid; mode="raise" would copy through a temporary.
     return np.take(values, grouping.keys, out=out, mode="clip")
-
-
-def segment_others(values: np.ndarray, grouping: Grouping, totals: np.ndarray | None = None,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Per edge, its segment's total of ``values`` (``totals`` if given) minus its own value."""
-    totals = segment_sum(values, grouping) if totals is None else totals
-    others = gather(totals, grouping, out=out)
-    return np.subtract(others, values, out=others)
-

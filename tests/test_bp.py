@@ -9,6 +9,7 @@ import crowdbp as cb
 from crowdbp import bp, priors
 from crowdbp.bp import (bp_compute_beliefs, bp_init, bp_update_task_messages,
                         bp_update_worker_messages)
+from crowdbp.graph import draw_instance
 from crowdbp.priors import FactorTable
 from tests.conftest import (graph_of_degrees, random_atom_prior, random_bipartite_tree,
                             random_prior, regular_sh_instance, skewed_graph, skewed_sh_instance,
@@ -48,6 +49,31 @@ class TestSweepPieces:
         g = star_graph(2)
         with pytest.raises(cb.ParameterError, match="answers length"):
             bp_update_task_messages(bp_init(g), g, np.ones(99))
+
+    def test_task_half_takes_a_certain_pair_out_of_its_own_edge(self):
+        # Worker 0 is certain of task 0's label: every other edge of task 0
+        # hears it, and edge 0 hears the finite rest.  The LLRs are summed by
+        # sign in edge order, as the sweep sums them, so the pairs are bitwise.
+        g = cb.AssignmentGraph(2, 4, np.array([[0, 0], [0, 1], [0, 2], [1, 2], [1, 3]]))
+        w2t = np.array([[1.0, 0.0], [0.5, 0.5], [0.75, 0.25], [0.6, 0.4], [0.7, 0.3]])
+        out = bp_update_task_messages(replace(bp_init(g), msg_worker_to_task=w2t), g,
+                                      np.ones(5, dtype=int))
+        llr = bp._pairs_to_llr(w2t)
+        task_1 = llr[3] + llr[4]
+        want = bp._llr_to_pairs(np.array([llr[2], np.inf, np.inf, task_1 - llr[3],
+                                          task_1 - llr[4]]))
+        assert out.msg_task_to_worker.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(out.msg_task_to_worker[1:3], [[1.0, 0.0], [1.0, 0.0]])
+
+    def test_task_half_names_the_edge_that_hears_both_certain_labels(self):
+        # Workers 1 and 2 are certain of opposite labels for task 1: each of
+        # them hears the other's, and worker 3 hears both and gets zero mass.
+        g = cb.AssignmentGraph(2, 4, np.array([[0, 0], [0, 1], [1, 1], [1, 2], [1, 3]]))
+        w2t = np.array([[0.7, 0.3], [0.6, 0.4], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        state = replace(bp_init(g), msg_worker_to_task=w2t)
+        with pytest.raises(cb.NumericDegeneracyError,
+                           match=r"^task message on edge 4 \(task 1, worker 3\) has zero mass$"):
+            bp_update_task_messages(state, g, np.ones(5, dtype=int))
 
     def test_beliefs_multiply_all_incoming_pairs(self):
         g = star_graph(2)
@@ -737,6 +763,32 @@ class TestBufferedSweeps:
         assert peak <= 6.5
         assert len(_classes(prior, g)) > 5 and split_path(g, answers.answers, prior)
 
+    def test_bp_peak_memory_with_certain_messages(self, monkeypatch):
+        # Workers always right or always wrong, and every hundredth task
+        # clamped to the truth: from the second sweep on, the task halves
+        # hear infinite messages.  Such a task half used to build the
+        # leave-one-out LLRs of every edge in whole edge arrays: 9.39 edge
+        # arrays here.  Counting the infinities per task and taking each
+        # edge's own out a block at a time, it peaks at 3.93.
+        prior = cb.parse_prior_spec("atoms:1.0=0.8,0.0=0.2")
+        g, truth, answers = draw_instance(40_000, 5, 5, prior, 1)
+        g.by_task.keys, g.by_worker.keys
+        tasks = np.arange(0, g.n_tasks, 100)
+        kwargs = dict(k_max=3, tol=0.0, clamp_tasks=tasks, clamp_labels=truth.labels[tasks])
+        task_totals, certain = bp._task_totals, []
+
+        def spy(*args):
+            totals = task_totals(*args)
+            certain.append(totals[1] is not None)
+            return totals
+
+        monkeypatch.setattr(bp, "_task_totals", spy)
+        peak, report = edge_arrays(lambda: cb.bp_run(g, answers, prior, **kwargs), g)
+        assert report.iterations_run == 3 and any(certain)
+        assert peak <= 4.5
+        want = reference_bp_run(g, answers, prior, **kwargs)
+        assert report.margins.tobytes() == want.margins.tobytes()
+
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     def test_bp_matches_the_allocating_sweeps_across_fold_blocks(self, rng, monkeypatch,
                                                                   chunk):
@@ -776,8 +828,9 @@ class TestBufferedSweeps:
                     # x = ±1 on a fifth of the edges: zero factors at every block offset.
                     x = np.where(rng.random(g.n_edges) < 0.2, rng.choice([-1.0, 1.0], g.n_edges),
                                  rng.uniform(-0.9, 0.9, g.n_edges))
-                    np.testing.assert_allclose(bp._class_kernel(g, a, prior)(a * x),
-                                               reference_class_kernel(g, a, prior)(x),
+                    lam = np.zeros(g.n_edges)
+                    bp._class_kernel(g, a, prior)(a * x, lam)
+                    np.testing.assert_allclose(lam, reference_class_kernel(g, a, prior)(x),
                                                rtol=0, atol=ATOL if split_case else 0.0)
             infinite += kind == "certain" and clamp_tasks.size > 0 and not isinstance(got, str)
             split += split_case
@@ -826,8 +879,9 @@ class TestBufferedSweeps:
             if kind == "certain":
                 x = np.where(rng.random(g.n_edges) < 0.2, rng.choice([-1.0, 1.0], g.n_edges),
                              rng.uniform(-0.9, 0.9, g.n_edges))
-                np.testing.assert_allclose(bp._class_kernel(g, a, prior)(a * x),
-                                           reference_class_kernel(g, a, prior)(x),
+                lam = np.zeros(g.n_edges)
+                bp._class_kernel(g, a, prior)(a * x, lam)
+                np.testing.assert_allclose(lam, reference_class_kernel(g, a, prior)(x),
                                            rtol=0, atol=ATOL)
             infinite += kind == "certain" and clamp_tasks.size > 0 and not isinstance(got, str)
             errors += isinstance(got, str)

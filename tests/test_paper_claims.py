@@ -48,11 +48,12 @@ def revealed_oracle_totals(graph, answers, prior, truth, depth: int) -> list[np.
     a = answer_values(answers, graph)
     worker_half = bp._class_kernel(graph, a, prior)
     x = gather(truth.labels.astype(np.float64), graph.by_task)
-    totals = []
+    lam, totals = np.zeros(graph.n_edges), []
     for _ in range(depth):
-        total, nu = bp._task_llrs(worker_half(a * x), graph.by_task)
+        worker_half(a * x, lam)
+        total, certain = bp._task_totals(lam, graph.by_task)
         totals.append(total)
-        x = np.tanh(nu / 2.0)
+        x = np.tanh(bp._task_others(total, certain, lam, graph.by_task.keys, x) / 2.0)
     return totals
 
 

@@ -308,8 +308,9 @@ class TestFactorTable:
             asked.clear()
             got = bp_update_worker_messages(state, g, a, table).msg_worker_to_task
             assert asked and all(p is prior for p in asked)
-            llr = reference_worker_kernel(g, a.astype(np.float64), prior)(
-                a * np.tanh(bp._pairs_to_llr(state.msg_task_to_worker) / 2))
+            llr = np.zeros(r)
+            reference_worker_kernel(g, a.astype(np.float64), prior)(
+                a * np.tanh(bp._pairs_to_llr(state.msg_task_to_worker) / 2), llr)
             assert got.tobytes() == bp._llr_to_pairs(llr).tobytes()
 
     def test_normalization_holds_for_random_priors(self, rng):

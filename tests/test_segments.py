@@ -3,7 +3,7 @@ import pytest
 
 from crowdbp import segments
 from crowdbp.segments import (build_grouping, edge_blocks, gather, segment_add, segment_count,
-                              segment_others, segment_sum)
+                              segment_sum)
 from tests.sweep_reference import reference_segment_loo_log1p
 
 
@@ -37,17 +37,6 @@ def test_sum_and_grouping_match_loop_reference():
             out = np.empty(m, dtype=per_node.dtype)
             assert gather(per_node, g, out=out) is out
             np.testing.assert_array_equal(out, expected)
-        for per_edge in (values, values > 1.0):
-            expected = [sum(float(per_edge[j]) for j in range(m) if keys[j] == keys[e] and j != e)
-                        for e in range(m)]
-            # Given totals are used as they are: these are one above the sums.
-            totals = reference_reduce(keys, per_edge, n_seg, lambda a, b: a + b, 1.0)
-            for given, shift in ((None, 0.0), (totals, 1.0)):
-                np.testing.assert_allclose(segment_others(per_edge, g, totals=given),
-                                           np.add(expected, shift), atol=1e-12)
-                out = np.empty(m)
-                assert segment_others(per_edge, g, totals=given, out=out) is out
-                np.testing.assert_allclose(out, np.add(expected, shift), atol=1e-12)
 
 
 @pytest.mark.parametrize("step", [1, 3, None])

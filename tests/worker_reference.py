@@ -8,9 +8,9 @@ top rule; split classes fold their atoms in blocks, whose sums run in
 another order.  ``reference_worker_kernel`` has the signature of
 ``crowdbp.bp._class_kernel``, so that a test can run ``bp_run`` on it by
 patching that name; the function it returns, like the package's, reads the
-answer-signed magnetizations ``a * x`` and returns its messages, or, given
-the previous ones as ``out``, writes the new ones over them and returns the
-largest change of tanh(llr / 2), NaN if a message is NaN.
+answer-signed magnetizations ``a * x``, writes its messages over the
+previous ones, ``lam``, and returns the largest change of tanh(llr / 2),
+NaN if a message is NaN.
 """
 from __future__ import annotations
 
@@ -23,12 +23,10 @@ from tests.sweep_reference import reference_fold
 def reference_worker_kernel(graph, a, prior):
     _, (atom_mu, atom_w), _ = bp._class_rules(graph.worker_degrees, prior)
 
-    def worker_half(c, out=None):
-        lam = reference_fold(a * c, graph.by_worker, a, atom_mu, atom_w)
-        if out is None:
-            return lam
-        change = float(np.abs(np.tanh(lam / 2.0) - np.tanh(out / 2.0)).max(initial=0.0))
-        np.copyto(out, lam)
+    def worker_half(c, lam):
+        new = reference_fold(a * c, graph.by_worker, a, atom_mu, atom_w)
+        change = float(np.abs(np.tanh(new / 2.0) - np.tanh(lam / 2.0)).max(initial=0.0))
+        np.copyto(lam, new)
         return change
 
     return worker_half
