@@ -19,10 +19,10 @@ clamped to a known label.  The positive and negative parts of the sum are
 summed separately, so incoming LLRs that mirror each other cancel to
 exactly 0 and flipping every answer negates every message bitwise.
 Infinite LLRs (clamps, workers whose reliability prior puts all mass on
-p = 0 or 1) are counted per task, in a pass that only a sweep with one
-takes, rather than subtracted; a message or belief whose inputs include
-both +inf and -inf, as where a certain worker contradicts a clamp, has
-zero mass and raises a degeneracy error naming the edge or task.
+p = 0 or 1) are counted per task, in the pass that sums the rest, rather
+than subtracted; a message or belief whose inputs include both +inf and
+-inf, as where a certain worker contradicts a clamp, has zero mass and
+raises a degeneracy error naming the edge or task.
 
 Worker half: with incoming magnetizations x_j = tanh(nu[j->u] / 2) and
 mu = 2p - 1 for each support atom p (weight w) of the reliability prior,
@@ -50,8 +50,8 @@ and writes c over its old values, each block once its change is read;
 the worker half reads c and writes lam over its old values, each block
 once the change of tanh(lam / 2) is read.  Block rows, per-task sums and
 one row of per-worker sums per atom with mu != 0 come on top: a fifth of
-an edge array per atom where workers answer five tasks, and four more
-per-task rows in a sweep in which some message is infinite.  Split classes
+an edge array per atom where workers answer five tasks, and two per-task
+count rows in a sweep in which some message is infinite.  Split classes
 add no float edge array: their fold runs in block-sized buffers, beside
 one int64 index of the edges and their answers in their own dtype, both
 listed once per run.
@@ -214,25 +214,6 @@ def _check_beliefs(belief: np.ndarray, origin: tuple | None = None) -> None:
         raise NumericDegeneracyError(f"belief for task {task} has zero mass")
 
 
-def _signed_sum(llr: np.ndarray, grouping: Grouping) -> np.ndarray:
-    """Per segment, the positive parts' sum plus the negative parts' sum.
-
-    Both parts accumulate in edge order, so a segment whose negative LLRs
-    mirror its positive ones (same magnitudes, same relative order; equal
-    magnitudes in any order) sums to exactly 0.  Each LLR is added only to
-    its own sign's part, at index 2 key + (llr < 0): adding the other
-    part's ±0 would leave it as it is, since a sum of parts of one sign
-    that starts at +0.0 is never -0.0.  The indices take one block row.
-    """
-    temp = np.empty(min(_CHUNK, llr.size), dtype=np.int64)
-    parts = np.zeros(2 * grouping.n_segments)
-    for at in edge_blocks(llr.size, _CHUNK):
-        index = np.left_shift(grouping.keys[at], 1, out=temp[:at.stop - at.start])
-        index += llr[at] < 0.0
-        segment_add(parts, index, llr[at])
-    return parts[0::2] + parts[1::2]
-
-
 def _certain(n_plus: np.ndarray, n_minus: np.ndarray) -> np.ndarray:
     """+inf, -inf, 0 or NaN (both signs: zero mass) from infinity counts."""
     return np.where(n_plus > 0, np.inf, 0.0) + np.where(n_minus > 0, -np.inf, 0.0)
@@ -241,29 +222,42 @@ def _certain(n_plus: np.ndarray, n_minus: np.ndarray) -> np.ndarray:
 def _task_totals(lam: np.ndarray, grouping: Grouping,
                  field: np.ndarray | float = -0.0) -> tuple[np.ndarray, tuple | None]:
     """Per task the total incoming LLR plus its ``field`` (-0.0 or ±inf);
-    NaN marks zero mass.  Only where some message is infinite, also per task
-    the sum of its finite LLRs and the counts of its +inf and -inf inputs,
-    the field's included, for ``_task_others``; ``None`` otherwise."""
-    with np.errstate(invalid="ignore"):
-        total = _signed_sum(lam, grouping)
-        if np.isfinite(total).all():
-            total += field
-            return total, None
-        # Certain messages: a second pass, a block at a time, sums each
-        # task's finite LLRs by sign as _signed_sum does, into parts 0 and 1,
-        # and counts its +inf and -inf ones in parts 2 and 3.
-        n = grouping.n_segments
-        parts = np.zeros(4 * n)
+    NaN marks zero mass.  Only where some LLR is infinite or NaN, also per
+    task the sum of its finite LLRs and the counts of its +inf and -inf
+    inputs, the field's included, for ``_task_others``; ``None`` otherwise.
+
+    One pass, a block at a time, adds each LLR into its task's entry of the
+    row of its sign, at (llr < 0) n + key: both rows sum in edge order, so a
+    task whose negative LLRs mirror its positive ones (same magnitudes, same
+    relative order; equal magnitudes in any order) sums to exactly 0, and
+    neither row is ever -0.0.  A block whose sum is not finite adds 0 in
+    place of each infinite LLR and counts it at the same index of two rows.
+    """
+    n = grouping.n_segments
+    parts, counts = np.zeros(2 * n), None
+    temp = np.empty(min(_CHUNK, lam.size), dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
         for at in edge_blocks(lam.size, _CHUNK):
-            llr = lam[at]
-            infinite = np.isinf(llr)
-            segment_add(parts, (2 * infinite + (llr < 0.0)) * n + grouping.keys[at],
-                        np.where(infinite, 1.0, llr))
-        finite, negative, n_plus, n_minus = parts.reshape(4, n)
-        finite += negative
+            llr, index = lam[at], temp[:at.stop - at.start]
+            np.less(llr, 0.0, out=index)
+            index *= n
+            index += grouping.keys[at]
+            if not math.isfinite(llr.sum()):
+                infinite = np.isinf(llr)
+                if counts is None:
+                    counts = np.zeros(2 * n)
+                segment_add(counts, index[infinite], 1.0)
+                llr = np.where(infinite, 0.0, llr)
+            segment_add(parts, index, llr)
+        finite = np.add(parts[:n], parts[n:])
+        del parts, temp  # so that the rows below do not live beside them
+        if counts is None:
+            finite += field
+            return finite, None
+        n_plus, n_minus = counts.reshape(2, n)
         n_plus += field == np.inf
         n_minus += field == -np.inf
-        return np.add(finite, _certain(n_plus, n_minus), out=total), (finite, n_plus, n_minus)
+        return finite + _certain(n_plus, n_minus), (finite, n_plus, n_minus)
 
 
 def _task_others(total: np.ndarray, certain: tuple | None, lam: np.ndarray,
@@ -724,20 +718,23 @@ def bp_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     probability of label +1, falls below ``tol`` (an exact fixed point
     always counts as converged, so ``tol=0`` runs the full ``k_max`` sweeps
     unless the messages stop moving entirely).  ``clamp_tasks``/
-    ``clamp_labels`` condition the run on the given tasks having the given
-    labels: each such task gets the field +inf or -inf, a certain input
-    that its messages and belief carry.  A task clamped to both labels is
-    refused, and evidence that contradicts a clamp (a worker certain of the
-    other label) raises a degeneracy error.
+    ``clamp_labels``, given together, condition the run on the given tasks
+    having the given labels: each such task gets the field +inf or -inf, a
+    certain input that its messages and belief carry.  A task clamped to
+    both labels is refused, and evidence that contradicts a clamp (a worker
+    certain of the other label) raises a degeneracy error.
     """
     a = answer_values(answers, graph)
     field = -0.0
-    if clamp_tasks is not None and len(clamp_tasks):
-        field = np.full(graph.n_tasks, -0.0)
+    if clamp_tasks is not None or clamp_labels is not None:
+        if clamp_tasks is None or clamp_labels is None:
+            raise ParameterError("clamp_tasks and clamp_labels must be given together")
         clamp_tasks = check_ids(clamp_tasks, graph.n_tasks, "clamp task ids")
         known = check_signs(clamp_labels, "clamp labels") * np.inf
         if known.shape != clamp_tasks.shape:
             raise ParameterError("clamp labels must match clamp tasks")
+    if clamp_tasks is not None and clamp_tasks.size:
+        field = np.full(graph.n_tasks, -0.0)
         field[clamp_tasks] = known
         clash = clamp_tasks[field[clamp_tasks] != known]
         if clash.size:

@@ -25,10 +25,10 @@ from numpy.lib.stride_tricks import as_strided
 
 from .bp import _K_MAX, _TOL, EstimateReport
 from .errors import (CrowdBPError, DataFormatError, ParameterError, SizeError, check_count,
-                     check_signs)
+                     check_probabilities, check_signs)
 from .estimators import EstimatorSpec
-from .graph import (AnswerMatrix, AssignmentGraph, GroundTruth, _regular_shape, column_edges,
-                    draw_instance, repeated_pairs)
+from .graph import (AnswerMatrix, AssignmentGraph, GroundTruth, _regular_shape, answer_values,
+                    column_edges, draw_instance, repeated_pairs)
 from .priors import ReliabilityPrior, empirical_prior, parse_prior_spec
 from .segments import edge_blocks
 from .seeding import child_seed, rng_from
@@ -715,10 +715,19 @@ def write_estimates(handle, report: EstimateReport, task_names: tuple[str, ...])
     """Write ``task,label,margin`` rows, one per task in id order.  Tasks
     without names are named by their ids."""
     n_tasks = report.labels.size
+    if task_names:
+        _check_column((len(task_names),), n_tasks, "task names", "task")
     handle.write("task,label,margin\n")
     write_rows(handle, n_tasks, [(_csv_fields(task_names) or n_tasks, np.arange(n_tasks), None),
                                   (_SIGNS, report.labels, None),
                                   (*_spelled(report.margins), None)])
+
+
+def _check_column(shape: tuple, n: int, what: str, node: str) -> None:
+    """Raise ``ParameterError`` unless a column of ``shape`` holds one value per node."""
+    if shape != (n,):
+        raise ParameterError(f"{what} must hold one value per {node}, {n} in all; "
+                             f"got shape {shape}")
 
 
 def _check_names(names: tuple[str, ...], what: str, encoding: str) -> None:
@@ -754,24 +763,35 @@ def _check_names(names: tuple[str, ...], what: str, encoding: str) -> None:
 def save_dataset(dataset: Dataset, path: str) -> None:
     """Write the edge-list CSV; truth/reliability columns when present.
 
-    Names that the locale's encoding cannot hold, or that would load back
-    differently, are refused with ``ParameterError`` before the file is
-    opened.
+    Columns that do not hold one value per edge, task or worker, names that
+    the locale's encoding cannot hold or that would load back differently,
+    reliabilities outside [0, 1] or without truth labels are refused with
+    ``ParameterError`` before the file is opened.
     """
     import locale
 
     graph = dataset.graph
     encoding = locale.getpreferredencoding(False)
-    _check_names(dataset.task_names, "task", encoding)
-    _check_names(dataset.worker_names, "worker", encoding)
     tasks, workers = graph.edges[:, 0], graph.edges[:, 1]
-    columns = [(_csv_fields(dataset.task_names) or graph.n_tasks, tasks, None),
-               (_csv_fields(dataset.worker_names) or graph.n_workers, workers, None),
-               (_SIGNS, dataset.answers.answers, None)]
+    columns = []
+    for names, n, ids, what in ((dataset.task_names, graph.n_tasks, tasks, "task"),
+                                (dataset.worker_names, graph.n_workers, workers, "worker")):
+        if names:
+            _check_column((len(names),), n, f"{what} names", what)
+        _check_names(names, what, encoding)
+        columns.append((_csv_fields(names) or n, ids, None))
+    columns.append((_SIGNS, answer_values(dataset.answers, graph), None))
     if dataset.truth_labels is not None:
-        columns.append((_SIGNS, check_signs(dataset.truth_labels, "truth labels"), tasks))
-        if dataset.reliabilities is not None:
-            columns.append((*_spelled(dataset.reliabilities), workers))
+        truth = check_signs(dataset.truth_labels, "truth labels")
+        _check_column(truth.shape, graph.n_tasks, "truth labels", "task")
+        columns.append((_SIGNS, truth, tasks))
+    if dataset.reliabilities is not None:
+        if dataset.truth_labels is None:
+            raise ParameterError("reliabilities need truth labels: their column comes after "
+                                 "the truth column")
+        reliabilities = check_probabilities(dataset.reliabilities, "reliabilities")
+        _check_column(reliabilities.shape, graph.n_workers, "reliabilities", "worker")
+        columns.append((*_spelled(reliabilities), workers))
     with open(path, "w", encoding=encoding, newline="") as handle:
         handle.write("# alphabet=pm1\n")
         write_rows(handle, graph.n_edges, columns)

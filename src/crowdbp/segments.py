@@ -31,7 +31,7 @@ import numpy as np
 # Edges per step of segment_count, at least.
 _COUNT_STEP = 2**16
 # Edges per block of a block-wise sweep, whose temporaries are sized to one
-# block, and per np.add.at call of segment_add.
+# block; segment_add takes one block per call.
 _CHUNK = 2**14
 
 
@@ -70,9 +70,9 @@ def edge_blocks(n_edges: int, size: int) -> list[slice]:
     return [slice(lo, min(lo + size, n_edges)) for lo in range(0, n_edges, size)]
 
 
-def segment_add(totals: np.ndarray, keys: np.ndarray, values: np.ndarray) -> None:
+def segment_add(totals: np.ndarray, keys: np.ndarray, values: np.ndarray | float) -> None:
     """Add each of ``values`` into the entry of ``totals`` that its key names,
-    in order, ``_CHUNK`` at a time.
+    in order, in one ``np.add.at`` call: a sweep passes a block at a time.
 
     ``np.add.at`` adds them one by one in order, as ``np.bincount`` does,
     and like it raises no warning on overflow or inf - inf.  So a sweep that
@@ -81,8 +81,7 @@ def segment_add(totals: np.ndarray, keys: np.ndarray, values: np.ndarray) -> Non
     edge order from +0.0.  Only a block of values need exist at a time.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, keys.size, _CHUNK):
-            np.add.at(totals, keys[lo:lo + _CHUNK], values[lo:lo + _CHUNK])
+        np.add.at(totals, keys, values)
 
 
 def segment_count(mask: np.ndarray, grouping: Grouping) -> np.ndarray:

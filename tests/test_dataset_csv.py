@@ -1,5 +1,6 @@
 """The bulk dataset CSV reader and writers against their per-line references."""
 import csv
+import dataclasses
 import hashlib
 import io
 import os
@@ -436,6 +437,45 @@ class TestWriters:
         with pytest.raises(cb.ParameterError, match="truth labels must be -1 or \\+1"):
             cb.save_dataset(dataset, str(path))
         assert not path.exists()
+
+    @pytest.mark.parametrize("columns, message", [
+        (dict(truth_labels=[1]), "truth labels must hold one value per task"),
+        (dict(truth_labels=[1, -1, 1]), "truth labels must hold one value per task"),
+        (dict(truth_labels=[1, -1], reliabilities=[0.5]),
+         "reliabilities must hold one value per worker"),
+        (dict(truth_labels=[1, -1], reliabilities=[0.5, 0.9, 0.9]),
+         "reliabilities must hold one value per worker"),
+        (dict(reliabilities=[0.5, 0.9]), "reliabilities need truth labels"),
+        (dict(truth_labels=[1, -1], reliabilities=[0.5, 1.7]), "reliabilities must lie in"),
+        (dict(truth_labels=[1, -1], reliabilities=[np.nan, 0.5]), "reliabilities must lie in"),
+        (dict(task_names=("a",)), "task names must hold one value per task"),
+        (dict(worker_names=("v", "w", "x")), "worker names must hold one value per worker"),
+        (dict(answers=cb.AnswerMatrix(np.array([1, -1]))), "answers length"),
+    ], ids=["short-truth", "long-truth", "short-reliabilities", "long-reliabilities",
+            "reliabilities-without-truth", "reliability-above-1", "nan-reliability",
+            "short-task-names", "long-worker-names", "short-answers"])
+    def test_malformed_columns_are_refused_before_the_file_is_opened(self, tmp_path,
+                                                                     columns, message):
+        # Each used to fail with an IndexError or ValueError after the file
+        # was opened, which kept its header, or to write a file that drops
+        # values or that load_dataset refuses.
+        dataset = cb.Dataset(graph=cb.AssignmentGraph(2, 2, np.array([[0, 0], [1, 0], [1, 1]])),
+                             answers=cb.AnswerMatrix(np.array([1, -1, 1])))
+        dataset = dataclasses.replace(dataset, **columns)
+        path = tmp_path / "columns.csv"
+        with pytest.raises(cb.ParameterError, match=re.escape(message)):
+            cb.save_dataset(dataset, str(path))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("names", [("a",), ("a", "b", "c")])
+    def test_estimates_with_a_name_per_task_or_none(self, names):
+        # Too few names used to write the header and then raise an
+        # IndexError; too many were dropped without a word.
+        report = cb.EstimateReport(np.array([1, -1]), np.array([0.5, -0.5]), 1, True, 0.0)
+        out = io.StringIO()
+        with pytest.raises(cb.ParameterError, match="task names must hold one value per task"):
+            harness.write_estimates(out, report, names)
+        assert out.getvalue() == ""
 
     def test_names_that_only_look_like_comments_round_trip(self, tmp_path):
         dataset = cb.Dataset(

@@ -56,17 +56,12 @@ def test_count_matches_the_weighted_sum_in_every_step(monkeypatch, step):
         np.testing.assert_array_equal(counts, np.bincount(keys, weights=mask, minlength=n_seg))
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 64, None])
-def test_block_sums_are_bitwise_bincount(monkeypatch, chunk):
+def test_block_sums_are_bitwise_bincount():
     # Blocks of 0 to 40 edges, added in edge order into float zeros, with
-    # every block's first edge on one hub node; segment_add splits a block
-    # into calls of _CHUNK edges (all of one block at the shipped value).
-    # Weights span seven orders of magnitude, so a sum in any other order
-    # would differ in its last bits, and some are ±0.0, ±inf or NaN, so
-    # that inf - inf and NaN reach the sums: their bytes match too, and
-    # neither sum warns.
-    if chunk is not None:
-        monkeypatch.setattr(segments, "_CHUNK", chunk)
+    # every block's first edge on one hub node.  Weights span seven orders
+    # of magnitude, so a sum in any other order would differ in its last
+    # bits, and some are ±0.0, ±inf or NaN, so that inf - inf and NaN reach
+    # the sums: their bytes match too, and neither sum warns.
     rng = np.random.default_rng(11)
     specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
     for case in range(60):
