@@ -27,8 +27,8 @@ from .bp import _K_MAX, _TOL, EstimateReport
 from .errors import (CrowdBPError, DataFormatError, ParameterError, SizeError, check_count,
                      check_probabilities, check_signs)
 from .estimators import EstimatorSpec
-from .graph import (AnswerMatrix, AssignmentGraph, GroundTruth, _regular_shape, answer_values,
-                    column_edges, draw_instance, repeated_pairs)
+from .graph import (AnswerMatrix, AssignmentGraph, GroundTruth, _regular_shape, column_edges,
+                    draw_instance, repeated_pairs)
 from .priors import ReliabilityPrior, empirical_prior, parse_prior_spec
 from .segments import edge_blocks
 from .seeding import child_seed, rng_from
@@ -780,7 +780,9 @@ def save_dataset(dataset: Dataset, path: str) -> None:
             _check_column((len(names),), n, f"{what} names", what)
         _check_names(names, what, encoding)
         columns.append((_csv_fields(names) or n, ids, None))
-    columns.append((_SIGNS, answer_values(dataset.answers, graph), None))
+    answers = dataset.answers.answers
+    _check_column(answers.shape, graph.n_edges, "answers", "edge")
+    columns.append((_SIGNS, answers, None))
     if dataset.truth_labels is not None:
         truth = check_signs(dataset.truth_labels, "truth labels")
         _check_column(truth.shape, graph.n_tasks, "truth labels", "task")

@@ -450,7 +450,7 @@ class TestWriters:
         (dict(truth_labels=[1, -1], reliabilities=[np.nan, 0.5]), "reliabilities must lie in"),
         (dict(task_names=("a",)), "task names must hold one value per task"),
         (dict(worker_names=("v", "w", "x")), "worker names must hold one value per worker"),
-        (dict(answers=cb.AnswerMatrix(np.array([1, -1]))), "answers length"),
+        (dict(answers=cb.AnswerMatrix(np.array([1, -1]))), "answers must hold one value per edge"),
     ], ids=["short-truth", "long-truth", "short-reliabilities", "long-reliabilities",
             "reliabilities-without-truth", "reliability-above-1", "nan-reliability",
             "short-task-names", "long-worker-names", "short-answers"])
