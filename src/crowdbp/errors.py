@@ -5,7 +5,8 @@ exit 2, malformed data files exit 3, and numeric degeneracies exit 4.  The
 checks of counts, ids, ±1 signs and probabilities return what they accept
 as int, int64 or float64 (an array of that dtype without a copy), and an
 int8 array of signs as it is.  A whole float such as 3.0 passes; a
-boolean, a fraction or a NaN fails them.
+boolean, a fraction or a NaN fails them, and so does a count beyond the
+float range.
 """
 from __future__ import annotations
 
@@ -36,8 +37,13 @@ class NumericDegeneracyError(CrowdBPError, ArithmeticError):
 
 def check_count(value, name: str, minimum: int = 0) -> int:
     """``value`` as an int of at least ``minimum``."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer() or value < minimum):
+    try:
+        whole = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                 and float(value).is_integer())
+    except OverflowError:
+        raise ParameterError(f"{name} must be an integer >= {minimum} within the float "
+                             "range") from None
+    if not whole or value < minimum:
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value}")
     return int(value)
 

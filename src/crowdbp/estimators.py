@@ -263,7 +263,7 @@ class EstimatorSpec:
         name = name.strip().lower()
         if name.startswith("ebp"):
             suffix = name[len("ebp"):]
-            if not suffix.isdigit() or int(suffix) < 1:
+            if not (suffix.isascii() and suffix.isdigit()) or int(suffix) < 1:
                 raise ParameterError(f"unknown estimator {name!r}")
             return cls(kind="ebp", rounds=int(suffix), k_max=k_max, tol=tol)
         return cls(kind=name, k_max=k_max, tol=tol)

@@ -29,7 +29,8 @@ class AssignmentGraph:
     ``edges[e] = (task_id, worker_id)``, an (m, 2) array; any other shape
     but an empty one raises ``ParameterError``.  The edge order is
     canonical: answer vectors and message arrays are indexed by it.  Nodes
-    with no incident edge are allowed.
+    with no incident edge are allowed; a repeated (task, worker) pair raises
+    ``RepeatedPairsError``, a ``ParameterError``.
 
     ``edges`` is the given array, made read-only, if it is int64 and
     contiguous, else a read-only column-major copy of it.  The generator,
@@ -59,8 +60,9 @@ class AssignmentGraph:
         workers = check_ids(edges[:, 1], n_workers, "edge worker ids")
         if edges.dtype != np.int64 or not (edges.flags.c_contiguous or edges.flags.f_contiguous):
             edges = column_edges(tasks, workers)
-        if repeated_pairs(tasks, workers, n_tasks, n_workers).size:
-            raise ParameterError("duplicate (task, worker) edge")
+        repeats = repeated_pairs(tasks, workers, n_tasks, n_workers)
+        if repeats.size:
+            raise RepeatedPairsError(repeats)
         columns = edges.view()
         edges.setflags(write=False)
         object.__setattr__(self, "n_tasks", n_tasks)
@@ -120,6 +122,15 @@ def _check_pair_keys(n_tasks: int, n_workers: int) -> None:
     if n_tasks * n_workers > 2**63:
         raise SizeError(f"{n_tasks} tasks x {n_workers} workers: (task, worker) "
                         f"pairs do not fit int64 keys")
+
+
+class RepeatedPairsError(ParameterError):
+    """``AssignmentGraph``'s refusal of edges whose (task, worker) pairs
+    repeat; ``ids`` holds the edge ids that ``repeated_pairs`` gives."""
+
+    def __init__(self, ids: np.ndarray) -> None:
+        super().__init__("duplicate (task, worker) edge")
+        self.ids = ids
 
 
 def repeated_pairs(tasks: np.ndarray, workers: np.ndarray, n_tasks: int,
@@ -184,7 +195,9 @@ def generate_regular_bipartite(n_tasks: int, l: int, r: int, seed: int) -> Assig
     count is ``n_tasks * l / r``, which must be integral.  The uniform stub
     pairing almost always contains parallel edges once (l-1)(r-1) is large,
     so duplicates are repaired by swapping the offending worker stubs with
-    uniformly chosen partners until the graph is simple.  Should the budget
+    uniformly chosen partners until the graph is simple.  Each repair round
+    is the constructor's own check: ``AssignmentGraph`` either builds the
+    graph or refuses it with the ids of the stubs to swap.  Should the budget
     run out, as it can near the complete graph, stub p goes to seeded worker
     ``perm[p % n_workers]``: simple, since r <= n_tasks gives l <= n_workers.
 
@@ -206,13 +219,13 @@ def generate_regular_bipartite(n_tasks: int, l: int, r: int, seed: int) -> Assig
     rng.shuffle(worker_stubs)
 
     for _ in range(_REPAIR_ROUNDS):
-        repeats = repeated_pairs(task_stubs, worker_stubs, n_tasks, n_workers)
-        if not repeats.size:
+        try:
             return AssignmentGraph(n_tasks, n_workers, edges)
-        # Swap each later occurrence of a duplicated pair with a random stub.
-        for pos in repeats.tolist():
-            partner = int(rng.integers(m))
-            worker_stubs[pos], worker_stubs[partner] = worker_stubs[partner], worker_stubs[pos]
+        except RepeatedPairsError as refusal:
+            # Swap each later occurrence of a duplicated pair with a random stub.
+            for pos in refusal.ids.tolist():
+                partner = int(rng.integers(m))
+                worker_stubs[pos], worker_stubs[partner] = worker_stubs[partner], worker_stubs[pos]
     worker_stubs[:] = rng.permutation(n_workers)[np.arange(m) % n_workers]
     return AssignmentGraph(n_tasks, n_workers, edges)
 

@@ -24,11 +24,11 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .bp import _K_MAX, _TOL, EstimateReport
-from .errors import (CrowdBPError, DataFormatError, ParameterError, SizeError, check_count,
+from .errors import (CrowdBPError, DataFormatError, ParameterError, check_count,
                      check_probabilities, check_signs)
 from .estimators import EstimatorSpec
-from .graph import (AnswerMatrix, AssignmentGraph, GroundTruth, _regular_shape, column_edges,
-                    draw_instance, repeated_pairs)
+from .graph import (AnswerMatrix, AssignmentGraph, GroundTruth, RepeatedPairsError,
+                    _regular_shape, column_edges, draw_instance)
 from .priors import ReliabilityPrior, empirical_prior, parse_prior_spec
 from .segments import edge_blocks
 from .seeding import child_seed, rng_from
@@ -519,10 +519,8 @@ class _EdgeCsvReader:
         # its pair-key sort.
         try:
             graph = AssignmentGraph(len(task_names), len(worker_names), edges)
-        except SizeError:
-            raise
-        except ParameterError:  # a repeated (task, worker) pair: the first comes first
-            e = int(repeated_pairs(t, w, len(task_names), len(worker_names))[0])
+        except RepeatedPairsError as refusal:  # the first repeated row comes first
+            e = int(refusal.ids[0])
             if failed is None or e <= failed[0]:
                 failed = (e, f"duplicate answer for task {task_names[t[e]]!r}, "
                              f"worker {worker_names[w[e]]!r}")

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import crowdbp as cb
+from crowdbp import graph as graph_module
 
 
 def random_atom_prior(rng: np.random.Generator, max_atoms: int = 3,
@@ -96,3 +97,17 @@ def skewed_sh_instance():
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260815)
+
+
+@pytest.fixture
+def pair_key_searches(monkeypatch) -> list:
+    """One entry per call of ``graph.repeated_pairs`` during the test."""
+    calls = []
+    search = graph_module.repeated_pairs
+
+    def counted(*args):
+        calls.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(graph_module, "repeated_pairs", counted)
+    return calls

@@ -20,6 +20,8 @@ seed = 5
 timing = false
 """
 
+# A 400-digit count, beyond the float range.
+HUGE = "1" + "0" * 400
 BENCH_JSON = {"n_tasks": 12, "sweep_values": [2, 3], "fixed_degree": 3, "prior": "sh",
               "estimators": ["mv", "kos"], "trials": 3, "seed": 5, "timing": False}
 
@@ -425,14 +427,34 @@ class TestMalformedInvocations:
         (["infer", "--data", "bad.csv", "--estimator", "mv"], 3, "data error: line 2: "),
         (["bench", "--config", "fraction.json"], 2, "error: fraction.json: bad n_tasks: "),
         (["bounds", "--l", "0", "--r", "2", "--mu", "0.4", "--q", "0.32"], 2, "error: "),
+        # The third row repeats the first row's pair: the refused graph names it.
+        (["infer", "--data", "repeat.csv", "--estimator", "mv"], 3,
+         "data error: line 3: duplicate answer for task 'a', worker 'w'\n"),
+        # "²" passes str.isdigit, but int refuses it.
+        (["infer", "--data", "data.csv", "--estimator", "ebp²"], 2,
+         "error: unknown estimator 'ebp²'"),
+        # Counts beyond the float range are refused, not overflowed.
+        (["simulate", "--n", "8", "--l", "2", "--r", "2", "--prior", "sh", "--seed", HUGE,
+          "--out", "x.csv"], 2, "error: seed must be"),
+        (["bench", "--config", "huge.json"], 2, "error: huge.json: bad seed: "),
+        (["bench", "--config", "superscript.json"], 2, "error: superscript.json: "),
+        (["bounds", "--l", HUGE, "--r", "2", "--mu", "0.4", "--q", "0.32"], 2,
+         "error: l must be"),
     ], ids=["simulate-seed", "infer-seed", "bench-seed", "infeasible-degrees", "missing-data",
-            "duplicate-answer", "bench-fraction", "bounds-degree"])
+            "duplicate-answer", "bench-fraction", "bounds-degree", "repeated-pair",
+            "estimator-superscript", "simulate-huge-seed", "bench-huge-seed", "bench-superscript",
+            "bounds-huge-l"])
     def test_exit_code_and_message(self, tmp_path, args, code, prefix):
         (tmp_path / "data.csv").write_text("t0,w0,+1\nt0,w1,-1\n")
         (tmp_path / "bad.csv").write_text("t,w,+1\nt,w,-1\n")
+        (tmp_path / "repeat.csv").write_text("a,w,+1\nb,w,-1\na,w,-1\n")
         (tmp_path / "seed.json").write_text(json.dumps({**BENCH_JSON, "seed": -3}))
         (tmp_path / "fraction.json").write_text(json.dumps({**BENCH_JSON, "n_tasks": 12.7}))
+        (tmp_path / "huge.json").write_text(json.dumps({**BENCH_JSON, "seed": int(HUGE)}))
+        (tmp_path / "superscript.json").write_text(
+            json.dumps({**BENCH_JSON, "estimators": ["mv", "ebp²"]}))
         proc = self.run(tmp_path, args)
         assert proc.returncode == code
         assert proc.stderr.startswith(prefix)
         assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "x.csv").exists()

@@ -324,20 +324,27 @@ class TestReaderWork:
         assert_same_outcome(path)
         assert len(calls) == n_cols * blocks
 
-    def test_valid_file_searches_its_pair_keys_once(self, tmp_path, monkeypatch):
-        calls = []
-        search = graph_module.repeated_pairs
-
-        def counted(*args):
-            calls.append(1)
-            return search(*args)
-
-        monkeypatch.setattr(harness, "repeated_pairs", counted)
-        monkeypatch.setattr(graph_module, "repeated_pairs", counted)
+    def test_valid_file_searches_its_pair_keys_once(self, tmp_path, pair_key_searches):
         path = tmp_path / "pairs.csv"
         path.write_text("a,w,+1\nb,w,-1\na,v,+1\n")
         assert cb.load_dataset(str(path)).graph.n_edges == 3
-        assert len(calls) == 1
+        assert len(pair_key_searches) == 1
+
+    @pytest.mark.parametrize("content, message", [
+        ("a,w,+1\nb,w,-1\na,w,+1\nc,w,maybe\n",
+         "line 3: duplicate answer for task 'a', worker 'w'"),
+        ("a,w,+1\nb,w,maybe\na,w,+1\n", "line 2: bad answer 'maybe'"),
+    ], ids=["duplicate-first", "answer-first"])
+    def test_repeated_pair_file_searches_its_pair_keys_once(self, tmp_path, pair_key_searches,
+                                                            content, message):
+        # The constructor's refusal names the repeated rows, so the reader
+        # keeps no search of its own.
+        assert not hasattr(harness, "repeated_pairs")
+        path = tmp_path / "pairs.csv"
+        path.write_text(content)
+        with pytest.raises(cb.DataFormatError, match=f"^{re.escape(message)}"):
+            cb.load_dataset(str(path))
+        assert len(pair_key_searches) == 1
 
     def test_pair_key_overflow_stays_a_size_error(self, tmp_path, monkeypatch):
         def refuse(n_tasks, n_workers):

@@ -439,7 +439,9 @@ class TestEstimatorSpec:
         assert (spec.kind, spec.rounds, spec.k_max, spec.tol) == ("ebp", 2, 7, 1e-3)
         assert spec.name == "ebp2"
 
-    @pytest.mark.parametrize("bad", ["", "ebp", "ebp0", "bp-true", "magic"])
+    # Only ASCII digits count rounds: "²" is a digit to str.isdigit but not
+    # to int, and "١" is an Arabic-Indic one.
+    @pytest.mark.parametrize("bad", ["", "ebp", "ebp0", "bp-true", "magic", "ebp²", "ebp١"])
     def test_parse_rejects_unknown_names(self, bad):
         with pytest.raises(cb.ParameterError):
             cb.EstimatorSpec.parse(bad)

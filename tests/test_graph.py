@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -57,6 +58,18 @@ class TestAssignmentGraph:
         assert graph_module.repeated_pairs(tasks[:2], workers[:2], 3, 2).tolist() == []
         with pytest.raises(cb.SizeError):
             graph_module.repeated_pairs(tasks, workers, 2**32, 2**31 + 1)
+
+    def test_repeated_pairs_are_refused_with_their_ids(self):
+        tasks = np.array([1, 0, 1, 0, 1, 2, 0])
+        workers = np.array([0, 0, 0, 0, 1, 0, 0])
+        with pytest.raises(cb.ParameterError,
+                           match=r"^duplicate \(task, worker\) edge$") as refused:
+            cb.AssignmentGraph(3, 2, np.column_stack((tasks, workers)))
+        assert isinstance(refused.value, graph_module.RepeatedPairsError)
+        assert refused.value.ids.tolist() == [2, 3, 6]
+        np.testing.assert_array_equal(
+            refused.value.ids, graph_module.repeated_pairs(tasks, workers, 3, 2))
+        assert "RepeatedPairsError" not in cb.__all__
 
     def test_repeated_pairs_match_a_plain_reference(self, rng):
         # Few distinct pairs make many repeats, so every lookup path runs,
@@ -187,6 +200,19 @@ class TestRegularGenerator:
         # gathered keys at 5.13.
         peak, g = traced_peak(lambda: cb.generate_regular_bipartite(20_000, 10, 5, seed=1))
         assert peak / (8 * g.n_edges) < 4.6
+
+    @pytest.mark.parametrize("seed, digest", [
+        (1, "55b2ab1c76f6d0757fc2f9f4c0a4f63cb050e5ecee19b677128e0c9a69015643"),
+        (2, "2bcaa2fd75c245d30177104a30a4d24409d12da09c23f6709f556f5d20044eba"),
+        (3, "5b4e912bf725620683aabd36d1f938bb379764a2822427c76710679118510ddf"),
+    ])
+    def test_each_repair_round_is_one_pair_key_search(self, pair_key_searches, seed, digest):
+        # At these seeds one round repairs and the next builds the graph: each
+        # round is the constructor's own search, with none of the generator's.
+        # The digests pin the edges.
+        g = cb.generate_regular_bipartite(100_000, 10, 5, seed)
+        assert len(pair_key_searches) == 2
+        assert hashlib.sha256(g.edges.tobytes()).hexdigest() == digest
 
     def test_parameter_errors(self):
         with pytest.raises(cb.ParameterError):

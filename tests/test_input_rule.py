@@ -28,8 +28,12 @@ EMPTY = np.empty((0, 2), dtype=np.int64)
 DATASET = cb.Dataset(G, cb.AnswerMatrix(A))
 
 
+# Beyond the float range, which the count check compares through.
+HUGE = 10**400
+
+
 def count(minimum=0):
-    return (2.5, True, NAN, minimum - 1)
+    return (2.5, True, NAN, minimum - 1, HUGE)
 
 
 def ids(n):
@@ -139,7 +143,7 @@ RULE_TABLE = [
 
 
 @pytest.mark.parametrize("call,name,value", [
-    pytest.param(call, name, value, id=f"{label}-{value!r}")
+    pytest.param(call, name, value, id=f"{label}-{'10**400' if value is HUGE else repr(value)}")
     for label, call, name, values in RULE_TABLE for value in values])
 def test_bad_value_is_a_parameter_error_naming_the_parameter(call, name, value):
     with pytest.raises(cb.ParameterError, match=name):
