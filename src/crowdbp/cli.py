@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from .bp import _K_MAX, _TOL
-from .errors import DataFormatError, NumericDegeneracyError, ParameterError
+from .errors import DataFormatError, NumericDegeneracyError, ParameterError, check_count
 from .estimators import EstimatorSpec
 from .graph import draw_instance
 from .harness import (Dataset, error_rate, load_dataset, load_experiment_config,
@@ -46,9 +46,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
-    if args.prior is not None and "prior" not in EstimatorSpec.parse(args.estimator).needs:
-        # run_inference reads no prior for it, so the flag would go unread.
-        raise ParameterError(f"estimator {args.estimator!r} takes no --prior")
+    # Every flag is checked before the file is read; only the checks that
+    # need the data, such as bp's reliability column, wait for it.
+    spec = EstimatorSpec.parse(args.estimator, k_max=args.kmax, tol=args.tol)
+    if args.prior is not None:
+        if "prior" not in spec.needs:
+            # run_inference reads no prior for it, so the flag would go unread.
+            raise ParameterError(f"estimator {args.estimator!r} takes no --prior")
+        parse_prior_spec(args.prior)
+    if args.subsample_l is not None:
+        check_count(args.subsample_l, "l_target", 1)
+    # child_seed's check, without deriving: its first call imports numpy.random,
+    # which before the read would add its memory to the reader's peak.
+    check_count(args.seed, "seed")
     dataset = load_dataset(args.data)
     if args.subsample_l is not None:
         dataset = subsample_assignments(dataset, args.subsample_l,

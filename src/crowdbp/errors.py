@@ -6,7 +6,8 @@ checks of counts, ids, ±1 signs and probabilities return what they accept
 as int, int64 or float64 (an array of that dtype without a copy), and an
 int8 array of signs as it is.  A whole float such as 3.0 passes; a
 boolean, a fraction or a NaN fails them, and so does a count beyond the
-float range.
+float range.  A column tied to a graph holds one value per edge, task or
+worker: any other shape, 2-D included, fails ``check_length``.
 """
 from __future__ import annotations
 
@@ -75,6 +76,13 @@ def check_probabilities(values, name: str) -> np.ndarray:
     # min and max carry a NaN through, so that it fails the comparison.
     return _checked(values, np.float64, f"{name} must lie in [0, 1]",
                     lambda p: p.min() >= 0.0 and p.max() <= 1.0)
+
+
+def check_length(shape: tuple, n: int, what: str, node: str) -> None:
+    """Raise ``ParameterError`` unless a column of ``shape`` holds one value per node."""
+    if shape != (n,):
+        raise ParameterError(f"{what} must hold one value per {node}, {n} in all; "
+                             f"got shape {shape}")
 
 
 def _checked(values, dtype, message: str, valid) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bp import _K_MAX, _TOL, EstimateReport, _iterate, _max_change, bp_run, make_report
-from .errors import ParameterError, check_budget, check_count, check_probabilities
+from .errors import ParameterError, check_budget, check_count, check_length, check_probabilities
 from .exact import oracle_task_estimate
 from .graph import AnswerMatrix, AssignmentGraph, answer_values
 from .priors import ReliabilityPrior, empirical_prior, spammer_hammer
@@ -164,8 +164,7 @@ def oracle_work(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     margin is the exact posterior margin tanh(score / 2).
     """
     p = check_probabilities(reliabilities, "reliabilities")
-    if p.shape[0] != graph.n_workers:
-        raise ParameterError("reliabilities length does not match graph")
+    check_length(p.shape, graph.n_workers, "reliabilities", "worker")
     if (p < _P_CLAMP).any() or (p > 1.0 - _P_CLAMP).any():
         warnings.warn("reliabilities at 0 or 1 clamped for log-odds weighting",
                       stacklevel=2)

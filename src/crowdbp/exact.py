@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bp import EstimateReport, _pm_configs, _run, make_report
-from .errors import NumericDegeneracyError, ParameterError, SizeError, check_ids
+from .errors import NumericDegeneracyError, ParameterError, SizeError, check_ids, check_length
 from .graph import AnswerMatrix, AssignmentGraph, GroundTruth, answer_values, column_edges
 from .priors import FactorTable, ReliabilityPrior, _logsumexp
 
@@ -228,8 +228,7 @@ def oracle_task_estimate(graph: AssignmentGraph, answers: AnswerMatrix | np.ndar
     boundary tasks clamped.  Tasks without answers get margin 0.
     """
     a = answer_values(answers, graph)
-    if truth.labels.shape[0] != graph.n_tasks:
-        raise ParameterError("truth labels length does not match graph")
+    check_length(truth.labels.shape, graph.n_tasks, "truth labels", "task")
     n_tasks, n_edges = graph.n_tasks, graph.n_edges
     margins = np.zeros(n_tasks)
     iterations = 0

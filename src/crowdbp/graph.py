@@ -14,8 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (ParameterError, SizeError, check_count, check_ids, check_probabilities,
-                     check_signs)
+from .errors import (ParameterError, SizeError, check_count, check_ids, check_length,
+                     check_probabilities, check_signs)
 from .segments import Grouping, build_grouping
 from .seeding import child_seed, rng_from
 
@@ -168,8 +168,7 @@ def answer_values(answers: "AnswerMatrix | np.ndarray", graph: AssignmentGraph) 
     """The checked int8 or int64 answers, one per edge of ``graph`` in edge order, not copied."""
     if not isinstance(answers, AnswerMatrix):
         answers = AnswerMatrix(answers)
-    if answers.answers.shape != (graph.n_edges,):
-        raise ParameterError("answers length does not match graph")
+    check_length(answers.answers.shape, graph.n_edges, "answers", "edge")
     return answers.answers
 
 
@@ -241,10 +240,8 @@ def sample_ground_truth(graph: AssignmentGraph, prior, seed: int) -> GroundTruth
 def sample_answers(graph: AssignmentGraph, truth: GroundTruth, seed: int) -> AnswerMatrix:
     """Each edge reports the true label w.p. the worker's reliability, else its
     flip; the answers are int8."""
-    if truth.labels.shape[0] != graph.n_tasks:
-        raise ParameterError("truth labels length does not match graph")
-    if truth.reliabilities.shape[0] != graph.n_workers:
-        raise ParameterError("reliabilities length does not match graph")
+    check_length(truth.labels.shape, graph.n_tasks, "truth labels", "task")
+    check_length(truth.reliabilities.shape, graph.n_workers, "reliabilities", "worker")
     rng = rng_from(seed)
     correct = rng.random(graph.n_edges) < truth.reliabilities[graph.edges[:, 1]]
     # +1 where the worker is right and -1 where not, in the mask's own bytes.

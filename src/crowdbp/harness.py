@@ -24,11 +24,11 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .bp import _K_MAX, _TOL, EstimateReport
-from .errors import (CrowdBPError, DataFormatError, ParameterError, check_count,
+from .errors import (CrowdBPError, DataFormatError, ParameterError, check_count, check_length,
                      check_probabilities, check_signs)
 from .estimators import EstimatorSpec
 from .graph import (AnswerMatrix, AssignmentGraph, GroundTruth, RepeatedPairsError,
-                    _regular_shape, column_edges, draw_instance)
+                    _regular_shape, answer_values, column_edges, draw_instance)
 from .priors import ReliabilityPrior, empirical_prior, parse_prior_spec
 from .segments import edge_blocks
 from .seeding import child_seed, rng_from
@@ -54,7 +54,11 @@ class Dataset:
     """An assignment graph with answers and optional truth metadata.
 
     ``task_names``/``worker_names`` map compact integer ids back to the
-    identifiers used in the source file.
+    identifiers used in the source file.  Answers must hold one value per
+    edge, truth labels (±1) one per task, reliabilities (in [0, 1]) one per
+    worker, and names, when given, one per task or worker; any other column
+    raises ``ParameterError``.  The checked truth labels and reliabilities
+    are held as ``check_signs`` and ``check_probabilities`` return them.
     """
 
     graph: AssignmentGraph
@@ -63,6 +67,22 @@ class Dataset:
     reliabilities: np.ndarray | None = None
     task_names: tuple[str, ...] = ()
     worker_names: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        graph = self.graph
+        answer_values(self.answers, graph)
+        if self.truth_labels is not None:
+            labels = check_signs(self.truth_labels, "truth labels")
+            check_length(labels.shape, graph.n_tasks, "truth labels", "task")
+            object.__setattr__(self, "truth_labels", labels)
+        if self.reliabilities is not None:
+            reliabilities = check_probabilities(self.reliabilities, "reliabilities")
+            check_length(reliabilities.shape, graph.n_workers, "reliabilities", "worker")
+            object.__setattr__(self, "reliabilities", reliabilities)
+        for names, n, node in ((self.task_names, graph.n_tasks, "task"),
+                               (self.worker_names, graph.n_workers, "worker")):
+            if names:
+                check_length((len(names),), n, f"{node} names", node)
 
 
 _ALPHABETS = {
@@ -474,9 +494,9 @@ class _EdgeCsvReader:
             return lambda e: (f"bad {what} {tokens[j][ids[j][e]]!r} "
                               f"for alphabet {_ALPHABET_NAMES[alphabets[e]]!r}")
 
-        answer_values = values(2)
+        answer_signs = values(2)
         for rows in edge_blocks(n, _ROW_BLOCK):
-            answers[rows] = answer_values[alphabets[rows], ids[2][rows]]
+            answers[rows] = answer_signs[alphabets[rows], ids[2][rows]]
         # (test, message) per check, in the order one line runs them.  A test
         # flags the failing rows of a block of rows; per-row values exist
         # only a block at a time.
@@ -714,18 +734,11 @@ def write_estimates(handle, report: EstimateReport, task_names: tuple[str, ...])
     without names are named by their ids."""
     n_tasks = report.labels.size
     if task_names:
-        _check_column((len(task_names),), n_tasks, "task names", "task")
+        check_length((len(task_names),), n_tasks, "task names", "task")
     handle.write("task,label,margin\n")
     write_rows(handle, n_tasks, [(_csv_fields(task_names) or n_tasks, np.arange(n_tasks), None),
                                   (_SIGNS, report.labels, None),
                                   (*_spelled(report.margins), None)])
-
-
-def _check_column(shape: tuple, n: int, what: str, node: str) -> None:
-    """Raise ``ParameterError`` unless a column of ``shape`` holds one value per node."""
-    if shape != (n,):
-        raise ParameterError(f"{what} must hold one value per {node}, {n} in all; "
-                             f"got shape {shape}")
 
 
 def _check_names(names: tuple[str, ...], what: str, encoding: str) -> None:
@@ -761,10 +774,10 @@ def _check_names(names: tuple[str, ...], what: str, encoding: str) -> None:
 def save_dataset(dataset: Dataset, path: str) -> None:
     """Write the edge-list CSV; truth/reliability columns when present.
 
-    Columns that do not hold one value per edge, task or worker, names that
-    the locale's encoding cannot hold or that would load back differently,
-    reliabilities outside [0, 1] or without truth labels are refused with
-    ``ParameterError`` before the file is opened.
+    A ``Dataset`` refuses bad columns when it is built.  What the file adds
+    is refused here with ``ParameterError`` before the file is opened:
+    names that the locale's encoding cannot hold or that would load back
+    differently, and reliabilities without truth labels.
     """
     import locale
 
@@ -774,24 +787,16 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     columns = []
     for names, n, ids, what in ((dataset.task_names, graph.n_tasks, tasks, "task"),
                                 (dataset.worker_names, graph.n_workers, workers, "worker")):
-        if names:
-            _check_column((len(names),), n, f"{what} names", what)
         _check_names(names, what, encoding)
         columns.append((_csv_fields(names) or n, ids, None))
-    answers = dataset.answers.answers
-    _check_column(answers.shape, graph.n_edges, "answers", "edge")
-    columns.append((_SIGNS, answers, None))
+    columns.append((_SIGNS, dataset.answers.answers, None))
     if dataset.truth_labels is not None:
-        truth = check_signs(dataset.truth_labels, "truth labels")
-        _check_column(truth.shape, graph.n_tasks, "truth labels", "task")
-        columns.append((_SIGNS, truth, tasks))
+        columns.append((_SIGNS, dataset.truth_labels, tasks))
     if dataset.reliabilities is not None:
         if dataset.truth_labels is None:
             raise ParameterError("reliabilities need truth labels: their column comes after "
                                  "the truth column")
-        reliabilities = check_probabilities(dataset.reliabilities, "reliabilities")
-        _check_column(reliabilities.shape, graph.n_workers, "reliabilities", "worker")
-        columns.append((*_spelled(reliabilities), workers))
+        columns.append((*_spelled(dataset.reliabilities), workers))
     with open(path, "w", encoding=encoding, newline="") as handle:
         handle.write("# alphabet=pm1\n")
         write_rows(handle, graph.n_edges, columns)

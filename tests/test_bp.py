@@ -49,7 +49,7 @@ class TestSweepPieces:
 
     def test_task_half_checks_the_answers(self):
         g = star_graph(2)
-        with pytest.raises(cb.ParameterError, match="answers length"):
+        with pytest.raises(cb.ParameterError, match="answers must hold one value per edge"):
             bp_update_task_messages(bp_init(g), g, np.ones(99))
 
     def test_task_half_takes_a_certain_pair_out_of_its_own_edge(self):

@@ -251,6 +251,21 @@ class TestInfer:
         assert rc == 4
         assert "numeric error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--estimator", "magic"], "unknown estimator kind 'magic'"),
+        (["--estimator", "kos", "--kmax", "0"], "k_max must be an integer >= 1, got 0"),
+        (["--estimator", "kos", "--tol", "nan"], "tol must be non-negative"),
+        (["--estimator", "bp", "--prior", "nope"], "unknown prior spec 'nope'"),
+        (["--estimator", "mv", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+        (["--estimator", "mv", "--subsample-l", "0"], "l_target must be an integer >= 1, got 0"),
+    ], ids=["estimator", "kmax", "tol", "prior", "seed", "subsample-l"])
+    def test_flags_are_checked_before_the_file_is_read(self, tmp_path, capsys, flags, message):
+        # Each was checked only after the whole file had been read, so a
+        # missing file was reported in its place.
+        rc = main(["infer", "--data", str(tmp_path / "missing.csv"), *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestBench:
     def test_stdout_csv(self, tmp_path, capsys):

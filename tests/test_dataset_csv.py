@@ -437,12 +437,11 @@ class TestWriters:
 
     @pytest.mark.parametrize("truth", [[1, 0], [2, 1], [-1, -2]])
     def test_truth_labels_other_than_signs_are_refused(self, tmp_path, truth):
-        dataset = cb.Dataset(graph=cb.AssignmentGraph(2, 1, np.array([[0, 0], [1, 0]])),
-                             answers=cb.AnswerMatrix(np.array([1, -1])),
-                             truth_labels=np.array(truth))
         path = tmp_path / "truth.csv"
         with pytest.raises(cb.ParameterError, match="truth labels must be -1 or \\+1"):
-            cb.save_dataset(dataset, str(path))
+            cb.save_dataset(cb.Dataset(graph=cb.AssignmentGraph(2, 1, np.array([[0, 0], [1, 0]])),
+                                       answers=cb.AnswerMatrix(np.array([1, -1])),
+                                       truth_labels=np.array(truth)), str(path))
         assert not path.exists()
 
     @pytest.mark.parametrize("columns, message", [
@@ -465,13 +464,13 @@ class TestWriters:
                                                                      columns, message):
         # Each used to fail with an IndexError or ValueError after the file
         # was opened, which kept its header, or to write a file that drops
-        # values or that load_dataset refuses.
+        # values or that load_dataset refuses.  The Dataset refuses all but
+        # reliabilities without truth labels when it is built.
         dataset = cb.Dataset(graph=cb.AssignmentGraph(2, 2, np.array([[0, 0], [1, 0], [1, 1]])),
                              answers=cb.AnswerMatrix(np.array([1, -1, 1])))
-        dataset = dataclasses.replace(dataset, **columns)
         path = tmp_path / "columns.csv"
         with pytest.raises(cb.ParameterError, match=re.escape(message)):
-            cb.save_dataset(dataset, str(path))
+            cb.save_dataset(dataclasses.replace(dataset, **columns), str(path))
         assert not path.exists()
 
     @pytest.mark.parametrize("names", [("a",), ("a", "b", "c")])

@@ -42,7 +42,7 @@ def test_wrong_answer_shape_is_a_parameter_error(name, answers):
     # mv, oracle-work and ebp used to fail inside numpy with a bare ValueError.
     g = cb.generate_regular_bipartite(3, 1, 1, seed=0)
     truth = cb.GroundTruth(np.ones(3, dtype=np.int64), np.full(3, 0.8))
-    with pytest.raises(cb.ParameterError, match="answers length"):
+    with pytest.raises(cb.ParameterError, match="answers must hold one value per edge"):
         cb.EstimatorSpec.parse(name).run(g, np.array(answers), prior=cb.spammer_hammer(),
                                          truth=truth, reliabilities=truth.reliabilities)
 

@@ -388,7 +388,7 @@ class TestOracleTask:
     def test_answers_length_validated(self):
         g = four_cycle()
         truth = cb.GroundTruth(np.ones(2, dtype=np.int64), np.full(2, 0.8))
-        with pytest.raises(cb.ParameterError, match="answers length"):
+        with pytest.raises(cb.ParameterError, match="answers must hold one value per edge"):
             cb.oracle_task_estimate(g, np.ones(3, dtype=int), cb.spammer_hammer(), truth)
 
 

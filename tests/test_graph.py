@@ -279,14 +279,19 @@ class TestSampling:
         sigma = np.sqrt(expected * (1 - expected) / g.n_edges)
         assert abs(correct.mean() - expected) < 4 * sigma
 
-    def test_sample_answers_validates_shapes(self):
+    @pytest.mark.parametrize("labels,reliabilities,message", [
+        (np.ones(3, dtype=int), np.full(4, 0.9), "truth labels must hold one value per task"),
+        # 2-D labels used to end in NumPy's unnamed ValueError.
+        (np.ones((4, 1), dtype=int), np.full(4, 0.9),
+         "truth labels must hold one value per task"),
+        (np.ones(4, dtype=int), np.full(3, 0.9), "reliabilities must hold one value per worker"),
+        (np.ones(4, dtype=int), np.full((4, 2), 0.9),
+         "reliabilities must hold one value per worker"),
+    ], ids=["short-labels", "2d-labels", "short-reliabilities", "2d-reliabilities"])
+    def test_sample_answers_validates_shapes(self, labels, reliabilities, message):
         g = cb.generate_regular_bipartite(4, 2, 2, seed=0)
-        truth = cb.GroundTruth(np.ones(3, dtype=int), np.full(4, 0.9))
-        with pytest.raises(cb.ParameterError, match="truth labels length"):
-            cb.sample_answers(g, truth, seed=0)
-        truth = cb.GroundTruth(np.ones(4, dtype=int), np.full(3, 0.9))
-        with pytest.raises(cb.ParameterError, match="reliabilities length"):
-            cb.sample_answers(g, truth, seed=0)
+        with pytest.raises(cb.ParameterError, match=message):
+            cb.sample_answers(g, cb.GroundTruth(labels, reliabilities), seed=0)
 
     def test_peak_memory_is_about_two_edge_arrays(self):
         # The uniform draw and the gathered reliabilities are two float edge

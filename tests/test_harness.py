@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import json
@@ -238,6 +239,19 @@ class TestSubsample:
         with pytest.raises(cb.ParameterError):
             cb.subsample_assignments(dataset, 0, seed=0)
 
+    @pytest.mark.parametrize("columns,message", [
+        (dict(reliabilities=np.full(5, 0.8)), "reliabilities must hold one value per worker"),
+        (dict(worker_names=("a", "b")), "worker names must hold one value per worker"),
+        (dict(truth_labels=np.ones(3, dtype=np.int64)),
+         "truth labels must hold one value per task"),
+    ], ids=["short-reliabilities", "short-worker-names", "short-truth"])
+    def test_columns_of_the_wrong_length_are_refused(self, columns, message):
+        # The first two used to end in a bare IndexError, and the 3 truth
+        # labels of 20 tasks were kept.  The Dataset refuses them when built.
+        dataset, _ = make_sim_dataset()
+        with pytest.raises(cb.ParameterError, match=message):
+            cb.subsample_assignments(dataclasses.replace(dataset, **columns), 2, seed=0)
+
 
 class TestRunInference:
     def test_majority_vote_needs_nothing(self):
@@ -274,6 +288,12 @@ class TestRunInference:
         without, _ = make_sim_dataset(with_truth=False, with_rels=False)
         with pytest.raises(cb.ParameterError, match="reliability"):
             cb.run_inference(without, "oracle-work")
+
+    def test_short_reliability_column_is_refused(self):
+        # bp used to build its empirical prior from the 5 values of 20 workers.
+        dataset, _ = make_sim_dataset()
+        with pytest.raises(cb.ParameterError, match="reliabilities must hold one value per"):
+            cb.run_inference(dataclasses.replace(dataset, reliabilities=np.full(5, 0.8)), "bp")
 
 
 class TestExperimentConfig:

@@ -1,14 +1,18 @@
-"""The one input rule: counts, ids, ±1 signs and probabilities.
+"""The one input rule: counts, ids, ±1 signs, probabilities and lengths.
 
-Every public parameter of those four kinds is fed a fraction, a boolean, a
-NaN and an out-of-range value, and must raise a ``ParameterError`` naming
-it.  Before the rule lived in ``crowdbp.errors``, most of these were
-truncated (1.7 answered +1, clamp task 0.5 clamped task 0), wrapped (id -1
-read the last task), accepted (NaN reliabilities, boolean counts) or ended
-in a ``TypeError`` or NumPy's ``ValueError``.  The test reference
-``exact_conditional_gain`` keeps the package's checks and is held to the
-rule too.
+Every public parameter of the first four kinds is fed a fraction, a
+boolean, a NaN and an out-of-range value, and must raise a
+``ParameterError`` naming it.  Before the rule lived in ``crowdbp.errors``,
+most of these were truncated (1.7 answered +1, clamp task 0.5 clamped task
+0), wrapped (id -1 read the last task), accepted (NaN reliabilities,
+boolean counts) or ended in a ``TypeError`` or NumPy's ``ValueError``.  The
+test reference ``exact_conditional_gain`` keeps the package's checks and is
+held to the rule too.  Every column tied to a graph is fed a short, a long
+and, but for names, a 2-D column, and must raise a ``ParameterError``
+saying that it must hold one value per edge, task or worker.
 """
+import io
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,7 @@ import crowdbp as cb
 from crowdbp import bp
 from crowdbp.exact import extract_bfs_tree
 from crowdbp.graph import answer_values
+from crowdbp.harness import write_estimates
 from crowdbp.priors import FactorTable
 from tests.conftest import skewed_graph
 from tests.gain_reference import exact_conditional_gain
@@ -147,6 +152,58 @@ RULE_TABLE = [
     for label, call, name, values in RULE_TABLE for value in values])
 def test_bad_value_is_a_parameter_error_naming_the_parameter(call, name, value):
     with pytest.raises(cb.ParameterError, match=name):
+        call(value)
+
+
+def columns(n, fill):
+    """A short, a long and a 2-D column of ``fill`` for ``n`` edges, tasks or workers."""
+    return {"short": np.full(n - 1, fill), "long": np.full(n + 1, fill),
+            "2d": np.full((n, 2), fill)}
+
+
+def names(n):
+    """Too few and too many names for ``n`` tasks or workers; names have no 2-D form."""
+    return {"short": tuple(map(str, range(n - 1))), "long": tuple(map(str, range(n + 1)))}
+
+
+REPORT = cb.EstimateReport(np.ones(4, dtype=np.int64), np.ones(4), 0, True, 0.0)
+
+# (column, call with the column, its name, what it holds one value per, bad columns)
+LENGTH_TABLE = [
+    # Each estimator's answers are fed these shapes in test_estimators.py.
+    ("bp_run.answers", lambda v: cb.bp_run(G, v, SH), "answers", "edge", columns(8, 1)),
+    ("sample_answers.labels",
+     lambda v: cb.sample_answers(G, cb.GroundTruth(v, np.full(4, 0.5)), 0), "truth labels",
+     "task", columns(4, 1)),
+    ("sample_answers.reliabilities",
+     lambda v: cb.sample_answers(G, cb.GroundTruth(np.ones(4), v), 0), "reliabilities",
+     "worker", columns(4, 0.5)),
+    ("oracle_task_estimate.labels",
+     lambda v: cb.oracle_task_estimate(G, A, SH, cb.GroundTruth(v, np.full(4, 0.5))),
+     "truth labels", "task", columns(4, 1)),
+    ("oracle_work.reliabilities", lambda v: cb.oracle_work(G, A, v), "reliabilities",
+     "worker", columns(4, 0.5)),
+    ("Dataset.answers", lambda v: cb.Dataset(G, cb.AnswerMatrix(v)), "answers", "edge",
+     columns(8, 1)),
+    ("Dataset.truth_labels", lambda v: cb.Dataset(G, cb.AnswerMatrix(A), truth_labels=v),
+     "truth labels", "task", columns(4, 1)),
+    ("Dataset.reliabilities",
+     lambda v: cb.Dataset(G, cb.AnswerMatrix(A), np.ones(4), reliabilities=v),
+     "reliabilities", "worker", columns(4, 0.5)),
+    ("Dataset.task_names", lambda v: cb.Dataset(G, cb.AnswerMatrix(A), task_names=v),
+     "task names", "task", names(4)),
+    ("Dataset.worker_names", lambda v: cb.Dataset(G, cb.AnswerMatrix(A), worker_names=v),
+     "worker names", "worker", names(4)),
+    ("write_estimates.task_names", lambda v: write_estimates(io.StringIO(), REPORT, v),
+     "task names", "task", names(4)),
+]
+
+
+@pytest.mark.parametrize("call,what,node,value", [
+    pytest.param(call, what, node, value, id=f"{label}-{kind}")
+    for label, call, what, node, values in LENGTH_TABLE for kind, value in values.items()])
+def test_column_of_another_length_is_a_parameter_error(call, what, node, value):
+    with pytest.raises(cb.ParameterError, match=f"^{what} must hold one value per {node}, "):
         call(value)
 
 
