@@ -21,8 +21,9 @@ exactly 0 and flipping every answer negates every message bitwise.
 Infinite LLRs (clamps, workers whose reliability prior puts all mass on
 p = 0 or 1) are counted per task, in the pass that sums the rest, rather
 than subtracted; a message or belief whose inputs include both +inf and
--inf, as where a certain worker contradicts a clamp, has zero mass and
-raises a degeneracy error naming the edge or task.
+-inf, as where a certain worker contradicts a clamp, has zero mass, NaN.
+Either half then returns a NaN change, and ``_run`` raises a degeneracy
+error naming the first NaN edge that half wrote, or the NaN belief's task.
 
 Worker half: with incoming magnetizations x_j = tanh(nu[j->u] / 2) and
 mu = 2p - 1 for each support atom p (weight w) of the reliability prior,
@@ -190,13 +191,13 @@ def _iterate(step, state, k_max: int, tol: float) -> tuple[object, int, bool, fl
 # -- LLR core -----------------------------------------------------------------
 
 def _check_edges(llr: np.ndarray, graph: AssignmentGraph, what: str,
-                 origin: tuple | None = None, first: int = 0) -> None:
-    """NaN marks a message with zero mass on both labels.  ``llr`` holds the
-    edges from ``first`` on; the error names the edge of ``graph``, or its
-    edge in ``origin`` (see ``_run``)."""
+                 origin: tuple | None = None) -> None:
+    """NaN marks a message with zero mass on both labels.  The error names
+    the first such edge of ``graph``, or its edge in ``origin`` (see
+    ``_run``)."""
     # One reduction finds a NaN; the mask is built only to name it.
     if np.isnan(llr.max(initial=-np.inf)):
-        idx = first + int(np.flatnonzero(np.isnan(llr))[0])
+        idx = int(np.flatnonzero(np.isnan(llr))[0])
         if origin is not None:
             graph, idx = origin[0], int(origin[1][idx])
         task, worker = graph.edges[idx]
@@ -278,15 +279,11 @@ def _task_others(total: np.ndarray, certain: tuple | None, lam: np.ndarray,
     return out
 
 
-def _task_half(lam: np.ndarray, c: np.ndarray, a: np.ndarray, graph: AssignmentGraph,
-               field: np.ndarray | float, origin: tuple | None = None) -> float:
+def _task_half(lam: np.ndarray, c: np.ndarray, a: np.ndarray, grouping: Grouping,
+               field: np.ndarray | float) -> float:
     """Write the task messages' answer-signed magnetizations a tanh(nu / 2)
-    over ``c``, a block at a time, and return their largest change.
-
-    A zero-mass message, NaN, raises before its block is written: its
-    magnetization is NaN, and so is its block's change.
-    """
-    grouping = graph.by_task
+    over ``c``, a block at a time, and return their largest change; NaN
+    marks zero mass, in a message and so in the change."""
     total, certain = _task_totals(lam, grouping, field)
     temp, change = np.empty(min(_CHUNK, lam.size)), 0.0
     for at in edge_blocks(lam.size, _CHUNK):
@@ -294,12 +291,9 @@ def _task_half(lam: np.ndarray, c: np.ndarray, a: np.ndarray, graph: AssignmentG
         x = np.tanh(np.divide(nu, 2.0, out=nu), out=nu)
         x *= a[at]
         # A sign common to the new and old c leaves their change bitwise that of x.
-        block_change = _max_change(x, c[at])
-        if math.isnan(block_change):
-            _check_edges(x, graph, "task message", origin, first=at.start)
-        change = max(change, block_change)
+        change = np.maximum(change, _max_change(x, c[at]))
         c[at] = x
-    return change
+    return float(change)
 
 
 def _max_change(new: np.ndarray, old: np.ndarray) -> float:
@@ -762,10 +756,12 @@ def _run(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior, k_max: 
     c *= a
 
     def sweep(_):
-        dx = _task_half(lam, c, a, graph, field, origin)
+        # A zero-mass message, NaN, makes its half's change NaN; name its edge.
+        dx = _task_half(lam, c, a, graph.by_task, field)
+        if math.isnan(dx):
+            _check_edges(c, graph, "task message", origin)
         dy = worker_half(c, lam)
         if math.isnan(dy):
-            # A zero-mass message, NaN, makes the change NaN; name its edge.
             _check_edges(lam, graph, "worker message", origin)
         # Changes on the probability scale: |d P(+1)| = |d tanh(llr / 2)| / 2.
         return None, 0.5 * max(dx, dy)

@@ -57,8 +57,9 @@ class Dataset:
     identifiers used in the source file.  Answers must hold one value per
     edge, truth labels (±1) one per task, reliabilities (in [0, 1]) one per
     worker, and names, when given, one per task or worker; any other column
-    raises ``ParameterError``.  The checked truth labels and reliabilities
-    are held as ``check_signs`` and ``check_probabilities`` return them.
+    raises ``ParameterError``.  Answers are held as an ``AnswerMatrix``, a
+    given one as it is, and the checked truth labels and reliabilities as
+    ``check_signs`` and ``check_probabilities`` return them.
     """
 
     graph: AssignmentGraph
@@ -70,6 +71,8 @@ class Dataset:
 
     def __post_init__(self) -> None:
         graph = self.graph
+        if not isinstance(self.answers, AnswerMatrix):
+            object.__setattr__(self, "answers", AnswerMatrix(self.answers))
         answer_values(self.answers, graph)
         if self.truth_labels is not None:
             labels = check_signs(self.truth_labels, "truth labels")

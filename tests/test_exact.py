@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import crowdbp as cb
-from crowdbp import exact
+from crowdbp import bp, exact
 from crowdbp.exact import extract_bfs_tree
 from crowdbp.graph import draw_instance
 from tests.conftest import random_atom_prior, random_bipartite_tree, random_prior, random_small_graph
@@ -294,6 +294,25 @@ class TestOracleTask:
         certain = cb.ReliabilityPrior.from_atoms([0.0, 1.0], [0.5, 0.5])
         with pytest.raises(cb.NumericDegeneracyError, match=self.ZERO_MASS):
             cb.oracle_task_estimate(g, answers, certain, truth)
+
+    @pytest.mark.parametrize("chunk", [1, None])
+    def test_task_message_with_zero_mass_names_the_callers_edge(self, monkeypatch, chunk):
+        # Under atoms at p = 0 and 1, a region's task hears a certain +1 and a
+        # certain -1 from its other workers: the error comes from a task half
+        # and names the edge of the caller's graph, in blocks of one edge as in
+        # the shipped block.
+        if chunk is not None:
+            monkeypatch.setattr(bp, "_CHUNK", chunk)
+        g = cb.AssignmentGraph(4, 4, np.array([[0, 3], [3, 3], [1, 0], [1, 1], [3, 0], [2, 2],
+                                               [2, 1], [3, 2], [2, 3], [3, 1], [2, 0], [0, 2],
+                                               [1, 2]]))
+        answers = np.array([1, 1, 1, 1, 1, -1, 1, -1, -1, 1, 1, -1, 1])
+        truth = cb.GroundTruth(np.ones(4, dtype=np.int64), np.full(4, 0.5))
+        certain = cb.parse_prior_spec("atoms:0=0.5,1=0.5")
+        with pytest.raises(cb.NumericDegeneracyError,
+                           match=r"^task message on edge 3 \(task 1, worker 1\) has zero mass$"):
+            cb.oracle_task_estimate(g, answers, certain, truth)
+        assert g.edges[3].tolist() == [1, 1]
 
     def test_certain_atoms_decode_consistent_answers_and_name_an_edge_otherwise(self, rng):
         certain = cb.ReliabilityPrior.from_atoms([0.0, 1.0], [0.5, 0.5])

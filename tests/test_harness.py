@@ -191,6 +191,22 @@ class TestDatasetFiles:
             cb.load_dataset(str(path))
         assert fragment in str(info.value)
 
+    def test_raw_answers_subsample_and_save_as_an_answer_matrix(self, tmp_path):
+        # A Dataset built on a bare array of answers used to keep it, and
+        # both calls below ended in an AttributeError on ``.answers``.  A
+        # given AnswerMatrix is kept, not checked again.
+        g = cb.generate_regular_bipartite(4, 2, 2, seed=1)
+        values = np.array([1, -1, 1, 1, -1, 1, 1, -1])
+        matrix = cb.AnswerMatrix(values)
+        raw, wrapped = cb.Dataset(g, values), cb.Dataset(g, matrix)
+        assert wrapped.answers is matrix
+        raw_sub, wrapped_sub = (cb.subsample_assignments(d, 1, 0) for d in (raw, wrapped))
+        np.testing.assert_array_equal(raw_sub.graph.edges, wrapped_sub.graph.edges)
+        np.testing.assert_array_equal(raw_sub.answers.answers, wrapped_sub.answers.answers)
+        cb.save_dataset(raw, str(tmp_path / "raw.csv"))
+        cb.save_dataset(wrapped, str(tmp_path / "wrapped.csv"))
+        assert (tmp_path / "raw.csv").read_bytes() == (tmp_path / "wrapped.csv").read_bytes()
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# alphabet=pm1\n\n")
@@ -532,6 +548,14 @@ class TestRunExperiment:
         mv = [row for row in rows if row.estimator == "mv"]
         assert [(row.l, row.r) for row in mv] == [(3, 9), (8, 9)]
         assert all(row.failures == 0 for row in mv)
+
+    def test_usable_cpus_falls_back_to_the_cpu_count(self, monkeypatch):
+        # Where the platform has no sched_getaffinity, the CPU count is used,
+        # and one CPU where even that is unknown.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert harness._usable_cpus() == os.cpu_count()
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert harness._usable_cpus() == 1
 
     def test_pool_never_exceeds_usable_cpus(self, monkeypatch):
         # A stand-in executor records the pool it was asked for and runs
