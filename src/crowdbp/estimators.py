@@ -48,36 +48,33 @@ def kos_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     a = answer_values(answers, graph)
     tasks, workers = graph.by_task, graph.by_worker
     # Per run: two float edge buffers, y and a spare, and one block row.  A
-    # step writes a y into the spare, then, in place, a x and the new y.  The
-    # spare holds each whole array that np.bincount sums; only the norm
-    # takes blocks, whose squares it sums as np.sum would (see _pairwise_sum).
-    # The previous y's buffer is the next step's spare.
+    # step writes a y into the spare, then, in place and a block at a time
+    # through the row, a x and the new y.  The spare holds each whole array
+    # that np.bincount sums, and the norm is one np.einsum dot over the whole
+    # y, which calls no BLAS.  The previous y's buffer is the next step's spare.
     spare, temp = np.empty(graph.n_edges), np.empty(min(_CHUNK, graph.n_edges))
     blocks = edge_blocks(graph.n_edges, _CHUNK)
+
+    def others(y, grouping):
+        # Over y, each edge's node sum less its own value, a block at a time.
+        sums = segment_sum(y, grouping)
+        for at in blocks:
+            v = sums.take(grouping.keys[at], out=temp[:at.stop - at.start], mode="clip")
+            np.subtract(v, y[at], out=y[at])
 
     def step(prev_y):
         nonlocal spare
         y = np.multiply(a, prev_y, out=spare)
-        task_sums = segment_sum(y, tasks)
-        for at in blocks:
-            x = task_sums.take(tasks.keys[at], out=temp[:at.stop - at.start], mode="clip")
-            np.subtract(x, y[at], out=y[at])
+        others(y, tasks)
         y *= a
-        worker_sums = segment_sum(y, workers)
-
-        def squares(lo, hi):
-            v = worker_sums.take(workers.keys[lo:hi], out=temp[:hi - lo], mode="clip")
-            v = np.subtract(v, y[lo:hi], out=y[lo:hi])
-            return np.sum(np.multiply(v, v, out=temp[:hi - lo]))
-
-        delta = _unit(y, squares, blocks, prev=prev_y)
+        others(y, workers)
+        delta = _unit(y, blocks, prev=prev_y)
         spare = prev_y
         return y, delta
 
     y = rng_from(seed).standard_normal(graph.n_edges)
     y += 1.0
-    _unit(y, lambda lo, hi: np.sum(np.multiply(y[lo:hi], y[lo:hi], out=temp[:hi - lo])),
-          blocks)
+    _unit(y, blocks)
     y, iterations, converged, delta = _iterate(step, y, k_max, tol)
     scores = segment_sum(np.multiply(a, y, out=spare), tasks)
     peak = np.abs(scores).max(initial=0.0)
@@ -85,32 +82,16 @@ def kos_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
     return make_report(margins, iterations, converged, delta)
 
 
-def _pairwise_sum(leaf, n: int, lo: int = 0):
-    """The sum of ``n`` values from ``lo`` on, in ``np.sum``'s own pairwise
-    order: not BLAS's, which depends on the number of BLAS threads.
-
-    ``np.sum`` halves a run of more than 128 values at n2 = n // 2 - (n // 2
-    mod 8) and sums each half the same way.  Each subtree of at most
-    ``_CHUNK`` (>= 128) values is one ``np.sum``, which ``leaf(lo, hi)``
-    takes over the values from ``lo`` to ``hi``; the halves' sums add as
-    NumPy adds them.
-    """
-    if n <= _CHUNK:
-        return leaf(lo, lo + n)
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(leaf, half, lo) + _pairwise_sum(leaf, n - half, lo + half)
-
-
-def _unit(v: np.ndarray, squares, blocks: list, prev: np.ndarray | None = None) -> float:
+def _unit(v: np.ndarray, blocks: list, prev: np.ndarray | None = None) -> float:
     """Scale ``v`` in place to unit L2 norm, or leave it if that is not positive.
 
-    ``squares(lo, hi)`` is ``np.sum`` of the squares of ``v[lo:hi]``, so that
-    the norm is that of ``np.sum(v * v)`` (see ``_pairwise_sum``).  The
-    division runs over ``blocks``; with ``prev``, each block's largest
-    change against it is taken over ``prev``, which it overwrites, and the
-    largest is returned.
+    The norm is the square root of ``np.einsum``'s dot of ``v`` with
+    itself: it calls no BLAS, so it does not depend on the BLAS thread
+    count, and it allocates no edge array.  The division runs over
+    ``blocks``; with ``prev``, each block's largest change against it is
+    taken over ``prev``, which it overwrites, and the largest is returned.
     """
-    norm = np.sqrt(_pairwise_sum(squares, v.size))
+    norm = np.sqrt(np.einsum("i,i->", v, v))
     scale, change = (norm if norm > 0 else 1.0), 0.0
     for at in blocks:
         np.divide(v[at], scale, out=v[at])

@@ -207,11 +207,18 @@ def reference_ebp_run(graph, answers, rounds=2, k_max=100, tol=1e-5):
 
 
 def reference_unit(v):
+    norm = np.sqrt(np.einsum("i,i->", v, v))
+    return v / norm if norm > 0 else v
+
+
+def reference_unit_np_sum(v):
+    """The unit vector as kos took it before its norm became an ``np.einsum``
+    dot: the root of ``np.sum``'s pairwise sum of the squares."""
     norm = np.sqrt(np.sum(v * v))
     return v / norm if norm > 0 else v
 
 
-def reference_kos_run(graph, answers, k_max=100, seed=0, tol=1e-5):
+def reference_kos_run(graph, answers, k_max=100, seed=0, tol=1e-5, unit=reference_unit):
     a = answer_values(answers, graph)
     tasks, workers = graph.by_task, graph.by_worker
 
@@ -219,11 +226,11 @@ def reference_kos_run(graph, answers, k_max=100, seed=0, tol=1e-5):
         ay = a * prev_y
         x = segment_sum(ay, tasks)[tasks.keys] - ay
         ax = a * x
-        y = reference_unit(segment_sum(ax, workers)[workers.keys] - ax)
+        y = unit(segment_sum(ax, workers)[workers.keys] - ax)
         return y, float(np.abs(y - prev_y).max(initial=0.0))
 
     y, iterations, converged, delta = _iterate(
-        step, reference_unit(rng_from(seed).standard_normal(graph.n_edges) + 1.0), k_max, tol)
+        step, unit(rng_from(seed).standard_normal(graph.n_edges) + 1.0), k_max, tol)
     scores = segment_sum(a * y, graph.by_task)
     peak = np.abs(scores).max(initial=0.0)
     margins = scores / peak if peak > 0 else scores

@@ -10,11 +10,13 @@ import crowdbp as cb
 from crowdbp import bp, estimators
 from crowdbp import graph as graph_module
 from crowdbp.estimators import _em_e_step, _em_m_step
+from crowdbp.graph import draw_instance
 from tests.conftest import regular_sh_instance, skewed_graph, skewed_sh_instance, star_graph
 from tests.em_reference import reference_em_run
 from tests.memory import edge_arrays
 from tests.sweep_reference import (assert_outcomes_match, reference_ebp_prior,
-                                   reference_ebp_run, reference_kos_run, split_path)
+                                   reference_ebp_run, reference_kos_run,
+                                   reference_unit_np_sum, split_path)
 
 
 def full_bipartite(n_tasks: int, n_workers: int) -> cb.AssignmentGraph:
@@ -105,6 +107,20 @@ class TestMajorityVote:
         assert report.margins.tobytes() == (sums / g.task_degrees).tobytes()
 
 
+def random_kos_cases(rng):
+    """40 random irregular graphs in shuffled edge order, isolated nodes
+    included, each with answers and kos keywords: a budget, a seed and a
+    tolerance of 0 or 1e-5."""
+    for case in range(40):
+        n_tasks, n_workers = rng.integers(1, 40, size=2)
+        cells = rng.permutation(n_tasks * n_workers)[:rng.integers(1, n_tasks * n_workers + 1)]
+        g = cb.AssignmentGraph(n_tasks, n_workers,
+                               np.column_stack((cells // n_workers, cells % n_workers)))
+        answers = rng.choice([-1, 1], size=g.n_edges, p=[0.3, 0.7])
+        yield g, answers, dict(k_max=int(rng.integers(1, 60)), seed=int(rng.integers(2**32)),
+                               tol=[0.0, 1e-5][case % 2])
+
+
 class TestKos:
     def test_deterministic_given_seed(self, rng):
         g = cb.generate_regular_bipartite(50, 5, 5, seed=4)
@@ -121,17 +137,8 @@ class TestKos:
         np.testing.assert_array_equal(pos.margins, -neg.margins)
 
     def test_matches_allocating_reference_bitwise(self, rng):
-        # Random irregular graphs in shuffled edge order, isolated nodes
-        # included, over several seeds, with both tolerance stops and
-        # fixed budgets.
-        for case in range(40):
-            n_tasks, n_workers = rng.integers(1, 40, size=2)
-            cells = rng.permutation(n_tasks * n_workers)[:rng.integers(1, n_tasks * n_workers + 1)]
-            g = cb.AssignmentGraph(n_tasks, n_workers,
-                                   np.column_stack((cells // n_workers, cells % n_workers)))
-            answers = rng.choice([-1, 1], size=g.n_edges, p=[0.3, 0.7])
-            kwargs = dict(k_max=int(rng.integers(1, 60)), seed=int(rng.integers(2**32)),
-                          tol=[0.0, 1e-5][case % 2])
+        # The reference takes the same np.einsum norm, so every bit matches.
+        for g, answers, kwargs in random_kos_cases(rng):
             got = cb.kos_run(g, answers, **kwargs)
             want = reference_kos_run(g, answers, **kwargs)
             assert got.margins.tobytes() == want.margins.tobytes()
@@ -142,8 +149,8 @@ class TestKos:
     @pytest.mark.parametrize("chunk", [128, 1000])
     def test_matches_allocating_reference_bitwise_across_blocks(self, rng, monkeypatch, chunk):
         # Blocks of 128 and 1000 edges cut the steps' per-block passes and
-        # the norm's pairwise tree at many offsets (the shipped block holds
-        # these graphs whole).
+        # the norm's division at many offsets (the shipped block holds these
+        # graphs whole); the norm's dot always takes the whole y.
         monkeypatch.setattr(estimators, "_CHUNK", chunk)
         for case in range(6):
             g = skewed_graph(rng, int(rng.integers(300, 900)), 60)
@@ -157,38 +164,30 @@ class TestKos:
             assert (got.iterations_run, got.converged, got.max_delta) == (
                 want.iterations_run, want.converged, want.max_delta)
 
-    @pytest.mark.parametrize("chunk", [128, 1000, None])
-    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 127, 128, 129, 2**14 - 1, 2**14, 2**14 + 1,
-                                   2**15 + 3, 10**6])
-    def test_pairwise_leaves_sum_as_np_sum_does(self, monkeypatch, n, chunk):
-        # kos takes its norm's squares a block at a time and adds the blocks'
-        # sums in np.sum's own pairwise tree.  Squares that span fourteen
-        # orders of magnitude make a sum in any other order differ in its
-        # last bits; if NumPy changes its pairwise rule, this fails before
-        # kos's margins drift.
-        if chunk is not None:
-            monkeypatch.setattr(estimators, "_CHUNK", chunk)
-        rng = np.random.default_rng(n)
-        squares = np.square(rng.standard_normal(n) * 10.0 ** rng.uniform(-3.5, 3.5, size=n))
-        leaves = []
-
-        def leaf(lo, hi):
-            leaves.append((lo, hi))
-            return np.sum(squares[lo:hi].copy())
-
-        total = estimators._pairwise_sum(leaf, n)
-        assert np.float64(total).tobytes() == np.sum(squares).tobytes()
-        # The leaves tile the values in order, each within one block.
-        assert [lo for lo, _ in leaves] == [0, *(hi for _, hi in leaves[:-1])]
-        assert leaves[-1][1] == n
-        assert all(hi - lo <= estimators._CHUNK for lo, hi in leaves)
+    def test_keeps_the_np_sum_norms_decisions(self, rng):
+        # The norm was the root of np.sum's pairwise sum of the squares; the
+        # np.einsum dot adds them in another order, so margins move in their
+        # last bits (2.4e-15 at most on these instances) and nothing else:
+        # the rounding bp's split degree classes are allowed.
+        instances = [draw_instance(n, l, r, cb.parse_prior_spec(prior), seed)
+                     for n, l, r, prior, seed in [(20_000, 10, 5, "sh", 101),
+                                                  (20_000, 5, 5, "ash", 1),
+                                                  (20_000, 8, 2, "beta:2,1", 2),
+                                                  (3_000, 3, 3, "sh", 3)]]
+        cases = [*random_kos_cases(rng),
+                 *((g, answers, dict(seed=seed)) for g, _, answers in instances
+                   for seed in (0, 7))]
+        for g, answers, kwargs in cases:
+            got = cb.kos_run(g, answers, **kwargs)
+            want = reference_kos_run(g, answers, **kwargs, unit=reference_unit_np_sum)
+            assert_outcomes_match(got, want, split=True)
 
     def test_peak_memory_is_under_three_edge_arrays(self):
         # The allocating steps peaked at 8.0 edge arrays here, the buffered
         # ones at 5.4 while they copied the answers to floats, at 4.4 with a
         # spare buffer beside the two scratch rows, and at 3.4 with y and two
-        # scratch rows.  With y and one spare, and the norm's squares summed a
-        # block at a time, the peak is 2.48.
+        # scratch rows.  With y and one spare, and the norm an np.einsum dot
+        # that allocates no edge array, the peak is 2.48.
         g, answers = regular_sh_instance()
         peak, report = edge_arrays(lambda: cb.kos_run(g, answers, k_max=3, tol=0.0), g)
         assert report.iterations_run == 3
