@@ -11,12 +11,13 @@ from crowdbp import bp, estimators
 from crowdbp import graph as graph_module
 from crowdbp.estimators import _em_e_step, _em_m_step
 from crowdbp.graph import draw_instance
+from crowdbp.segments import edge_blocks
 from tests.conftest import regular_sh_instance, skewed_graph, skewed_sh_instance, star_graph
 from tests.em_reference import reference_em_run
 from tests.memory import edge_arrays
 from tests.sweep_reference import (assert_outcomes_match, reference_ebp_prior,
                                    reference_ebp_run, reference_kos_run,
-                                   reference_unit_np_sum, split_path)
+                                   reference_unit, reference_unit_np_sum, split_path)
 
 
 def full_bipartite(n_tasks: int, n_workers: int) -> cb.AssignmentGraph:
@@ -181,6 +182,33 @@ class TestKos:
             got = cb.kos_run(g, answers, **kwargs)
             want = reference_kos_run(g, answers, **kwargs, unit=reference_unit_np_sum)
             assert_outcomes_match(got, want, split=True)
+
+    @pytest.mark.parametrize("chunk", [128, 1000, None])
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 127, 128, 129, 2**14 - 1, 2**14, 2**14 + 1,
+                                   2**15 + 3, 10**6])
+    def test_unit_divides_by_one_einsum_dot_across_blocks(self, n, chunk):
+        # kos's norm is the whole vector's np.einsum dot, whatever blocks
+        # divide it and wherever the vector starts in memory.  Values over
+        # seven orders of magnitude make a dot in any other order differ in
+        # its last bits.  The change against prev is written over prev.
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.5, 3.5, size=n)
+        prev = rng.standard_normal(n)
+        blocks = edge_blocks(n, chunk or estimators._CHUNK)
+        want = reference_unit(v)
+        for offset in range(8):
+            got = np.empty(n + offset)[offset:]
+            got[:] = v
+            old = prev.copy()
+            change = estimators._unit(got, blocks, prev=old)
+            assert got.tobytes() == want.tobytes()
+            assert old.tobytes() == np.abs(want - prev).tobytes()
+            assert change == np.abs(want - prev).max(initial=0.0)
+        # A zero vector keeps its values: the scale is 1.
+        zeros, old = np.zeros(n), prev.copy()
+        assert estimators._unit(zeros, blocks, prev=old) == np.abs(prev).max(initial=0.0)
+        assert not zeros.any()
+        assert estimators._unit(zeros, blocks) == 0.0
 
     def test_peak_memory_is_under_three_edge_arrays(self):
         # The allocating steps peaked at 8.0 edge arrays here, the buffered
