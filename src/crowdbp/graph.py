@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (ParameterError, SizeError, check_count, check_ids, check_length,
                      check_probabilities, check_signs)
-from .segments import Grouping, build_grouping
+from .segments import _CHUNK, Grouping, build_grouping, edge_blocks
 from .seeding import child_seed, rng_from
 
 _REPAIR_ROUNDS = 1000
@@ -138,17 +138,58 @@ def repeated_pairs(tasks: np.ndarray, workers: np.ndarray, n_tasks: int,
     """Ids, ascending, of the entries whose (task, worker) pair already
     appeared at a lower id; ``SizeError`` if ``n_tasks * n_workers > 2**63``.
 
+    A pair can repeat only within its task.  So entries listed task by task
+    (task ids that never decrease, as the generator and the dataset reader
+    list them) are checked in blocks of about ``_CHUNK`` entries, each cut
+    where the task id changes, and no temporary is larger than a block, or
+    than one task's entries if it has more.  Entries in any other order,
+    such as a shuffled file's, are checked at once, through one in-place
+    sort of their int64 pair keys.
+    """
+    _check_pair_keys(n_tasks, n_workers)
+    blocks = _task_blocks(tasks)
+    if blocks is None:
+        return _later_repeats(tasks, workers, n_workers)
+    found = [_later_repeats(tasks[at], workers[at], n_workers) + at.start for at in blocks]
+    return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+
+
+def _task_blocks(tasks: np.ndarray) -> list[slice] | None:
+    """Slices of about ``_CHUNK`` entries that cover ``tasks`` in order, each
+    ending at the end of a task's entries; None if the task ids ever decrease."""
+    m = tasks.size
+    for lo in range(0, m - 1, _CHUNK):
+        hi = min(lo + _CHUNK, m - 1)
+        if (tasks[lo + 1:hi + 1] < tasks[lo:hi]).any():
+            return None
+    cuts = [0]
+    while cuts[-1] < m:
+        at = min(cuts[-1] + _CHUNK, m)
+        # Take the rest of the block's last task, a window at a time.
+        last = tasks[at - 1]
+        while at < m:
+            window = tasks[at:at + _CHUNK]
+            step = int(np.searchsorted(window, last, side="right"))
+            at += step
+            if step < window.size:
+                break
+        cuts.append(at)
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _later_repeats(tasks: np.ndarray, workers: np.ndarray, n_workers: int) -> np.ndarray:
+    """``repeated_pairs`` of these entries at once.
+
     One in-place sort of the pair keys, int64 like the ids, settles the
     common case of no repeat; only a repeat builds them again.
     """
-    _check_pair_keys(n_tasks, n_workers)
-    ordered = tasks * n_workers + workers
+    ordered = _pair_keys(tasks, workers, n_workers)
     ordered.sort()
     repeated = ordered[1:][ordered[1:] == ordered[:-1]]
     del ordered
     if not repeated.size:
         return np.empty(0, dtype=np.int64)
-    keys = tasks * n_workers + workers
+    keys = _pair_keys(tasks, workers, n_workers)
     # Not np.isin: its sort path imports numpy.ma, 0.8 MB in every forked bench worker.
     # The gather reuses the positions' buffer; "clip" maps past-the-end to the last key.
     at = np.searchsorted(repeated, keys)
@@ -156,6 +197,14 @@ def repeated_pairs(tasks: np.ndarray, workers: np.ndarray, n_tasks: int,
     later = np.ones(ids.size, dtype=bool)
     later[np.unique(keys[ids], return_index=True)[1]] = False
     return ids[later]
+
+
+def _pair_keys(tasks: np.ndarray, workers: np.ndarray, n_workers: int) -> np.ndarray:
+    """``tasks * n_workers + workers``, summed in the product's buffer:
+    NumPy reuses a temporary in place only from 256 KiB up."""
+    keys = tasks * n_workers
+    keys += workers
+    return keys
 
 
 def column_edges(tasks: np.ndarray, workers: np.ndarray) -> np.ndarray:
@@ -239,17 +288,26 @@ def sample_ground_truth(graph: AssignmentGraph, prior, seed: int) -> GroundTruth
 
 def sample_answers(graph: AssignmentGraph, truth: GroundTruth, seed: int) -> AnswerMatrix:
     """Each edge reports the true label w.p. the worker's reliability, else its
-    flip; the answers are int8."""
+    flip; the answers are int8.
+
+    The uniform draws, the gathered reliabilities and labels and the signs
+    are made ``_CHUNK`` edges at a time: PCG64 gives the same doubles in
+    blocks as in one draw, so the answers do not depend on the block size.
+    """
     check_length(truth.labels.shape, graph.n_tasks, "truth labels", "task")
     check_length(truth.reliabilities.shape, graph.n_workers, "reliabilities", "worker")
     rng = rng_from(seed)
-    correct = rng.random(graph.n_edges) < truth.reliabilities[graph.edges[:, 1]]
-    # +1 where the worker is right and -1 where not, in the mask's own bytes.
-    signs = correct.view(np.int8)
-    signs *= 2
-    signs -= 1
-    signs *= truth.labels.astype(np.int8)[graph.edges[:, 0]]
-    return AnswerMatrix(signs)
+    labels = truth.labels.astype(np.int8)
+    answers = np.empty(graph.n_edges, dtype=np.int8)
+    for at in edge_blocks(graph.n_edges, _CHUNK):
+        # +1 where the worker is right and -1 where not, in the answers' own bytes.
+        signs = answers[at]
+        np.less(rng.random(at.stop - at.start), truth.reliabilities[graph.edges[at, 1]],
+                out=signs.view(bool))
+        signs *= 2
+        signs -= 1
+        signs *= labels[graph.edges[at, 0]]
+    return AnswerMatrix(answers)
 
 
 def draw_instance(n_tasks: int, l: int, r: int, prior, seed: int,

@@ -78,20 +78,43 @@ class TestAssignmentGraph:
             n_tasks, n_workers = int(rng.integers(1, 6)), int(rng.integers(1, 6))
             m = int(rng.integers(0, 40))
             tasks, workers = rng.integers(n_tasks, size=m), rng.integers(n_workers, size=m)
-            seen, expected = set(), []
-            for e, pair in enumerate(zip(tasks.tolist(), workers.tolist())):
-                if pair in seen:
-                    expected.append(e)
-                seen.add(pair)
             repeats = graph_module.repeated_pairs(tasks, workers, n_tasks, n_workers)
-            assert repeats.tolist() == expected
+            assert repeats.tolist() == reference_repeats(tasks, workers)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 64])
+    def test_task_grouped_repeats_match_a_plain_reference(self, monkeypatch, rng, chunk):
+        # Entries listed task by task are checked a block at a time: blocks
+        # end only where the task id changes, so a task with more entries
+        # than a block makes a block of its own.
+        monkeypatch.setattr(graph_module, "_CHUNK", chunk)
+        cases = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 1, 1),
+                 (np.array([0]), np.array([0]), 1, 1),
+                 (np.repeat([0, 1, 2], [3, 150, 2]), np.arange(155) % 7, 3, 7)]
+        for _ in range(100):
+            n_tasks, n_workers = int(rng.integers(1, 8)), int(rng.integers(1, 30))
+            m = int(rng.integers(0, 200))
+            cases.append((np.sort(rng.integers(n_tasks, size=m)),
+                          rng.integers(n_workers, size=m), n_tasks, n_workers))
+        for tasks, workers, n_tasks, n_workers in cases:
+            blocks = graph_module._task_blocks(tasks)
+            bounds = [at.start for at in blocks] + [tasks.size]
+            assert bounds[0] == 0 and all(np.diff(bounds) > 0)
+            assert all(tasks[cut - 1] < tasks[cut] for cut in bounds[1:-1])
+            repeats = graph_module.repeated_pairs(tasks, workers, n_tasks, n_workers)
+            assert repeats.dtype == np.int64
+            assert repeats.tolist() == reference_repeats(tasks, workers)
 
     def test_checks_keep_one_pair_key_per_edge(self):
-        # The pair keys and a sorted copy of them took 17 bytes per edge.
+        # Edges listed task by task, as generated, are checked _CHUNK at a
+        # time: one block's keys and comparisons, 0.76 bytes per edge at 200k
+        # edges.  Shuffled edges are checked at once: one pair key and a
+        # byte of comparisons per edge, 9.  The pair keys and a sorted copy
+        # of them took 17 bytes per edge.
         g = cb.generate_regular_bipartite(20_000, 10, 5, seed=0)
-        edges = g.edges.copy()
-        peak, _ = traced_peak(lambda: cb.AssignmentGraph(g.n_tasks, g.n_workers, edges))
-        assert peak / g.n_edges < 12
+        shuffled = g.edges[np.random.default_rng(1).permutation(g.n_edges)]
+        for edges, bound in ((g.edges.copy(), 1.0), (shuffled, 12)):
+            peak, _ = traced_peak(lambda: cb.AssignmentGraph(g.n_tasks, g.n_workers, edges))
+            assert peak / g.n_edges < bound
 
     def test_degrees_and_adjacency(self):
         g = cb.AssignmentGraph(3, 2, np.array([[0, 0], [0, 1], [1, 0], [2, 1]]))
@@ -118,6 +141,16 @@ class TestAssignmentGraph:
         g = cb.AssignmentGraph(3, 2, np.array([[0, 0]]))
         assert g.task_degrees.tolist() == [1, 0, 0]
         assert g.worker_degrees.tolist() == [1, 0]
+
+
+def reference_repeats(tasks, workers):
+    """The ids of the entries whose (task, worker) pair an earlier entry has."""
+    seen, expected = set(), []
+    for e, pair in enumerate(zip(tasks.tolist(), workers.tolist())):
+        if pair in seen:
+            expected.append(e)
+        seen.add(pair)
+    return expected
 
 
 def assert_keys_share_the_columns(g):
@@ -193,13 +226,14 @@ class TestRegularGenerator:
         np.testing.assert_array_equal(a.edges, b.edges)
         assert not np.array_equal(a.edges, c.edges)
 
-    def test_peak_memory_is_about_five_edge_arrays(self):
-        # The returned edges are two int64 edge arrays, and a repair round's
-        # pair keys and lookups two more.  Pairing two stub arrays and
-        # stacking them peaked at 6.13, and a separate array for the
-        # gathered keys at 5.13.
+    def test_peak_memory_is_about_two_edge_arrays(self):
+        # The returned edges are two int64 edge arrays, and the worker ids
+        # that fill the stubs a fifth of one: 2.20 in all.  A repair round
+        # checks the task-grouped stubs a block at a time.  Pairing two stub
+        # arrays and stacking them peaked at 6.13, a separate array for the
+        # gathered keys at 5.13 and one pair key per edge at 4.13.
         peak, g = traced_peak(lambda: cb.generate_regular_bipartite(20_000, 10, 5, seed=1))
-        assert peak / (8 * g.n_edges) < 4.6
+        assert peak / (8 * g.n_edges) < 2.5
 
     @pytest.mark.parametrize("seed, digest", [
         (1, "55b2ab1c76f6d0757fc2f9f4c0a4f63cb050e5ecee19b677128e0c9a69015643"),
@@ -293,15 +327,36 @@ class TestSampling:
         with pytest.raises(cb.ParameterError, match=message):
             cb.sample_answers(g, cb.GroundTruth(labels, reliabilities), seed=0)
 
-    def test_peak_memory_is_about_two_edge_arrays(self):
-        # The uniform draw and the gathered reliabilities are two float edge
-        # arrays, and the flip mask beside them an eighth of one.  Int64
-        # signs, labels and their product peaked at 2.5.
+    def test_peak_memory_is_the_answers_and_a_block(self):
+        # The int8 answers are an eighth of an edge array; one block's
+        # uniform draw, gathered reliabilities and labels add 0.39 at 200k
+        # edges, 0.51 in all.  Whole-array draws and gathers peaked at
+        # 2.13, and int64 signs, labels and their product at 2.5.
         g = cb.generate_regular_bipartite(20_000, 10, 5, seed=31)
         truth = cb.sample_ground_truth(g, cb.spammer_hammer(), seed=32)
         peak, answers = traced_peak(lambda: cb.sample_answers(g, truth, seed=33))
         assert answers.answers.dtype == np.int8
-        assert peak / (8 * g.n_edges) <= 2.25
+        assert peak / (8 * g.n_edges) < 0.6
+
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    @pytest.mark.parametrize("n_blocks", [0, 1, 2, 3])
+    def test_answers_do_not_depend_on_the_block_size(self, monkeypatch, chunk, n_blocks):
+        # PCG64 gives the same doubles in blocks as in one draw, so the
+        # answers equal one whole-array draw's, byte for byte.
+        chunk = chunk or graph_module._CHUNK
+        monkeypatch.setattr(graph_module, "_CHUNK", chunk)
+        m = (n_blocks - 1) * chunk + max(1, chunk // 2) if n_blocks else 0
+        rng = np.random.default_rng(n_blocks)
+        side = int(np.sqrt(m)) + 2
+        pairs = rng.choice(side * side, size=m, replace=False)
+        g = cb.AssignmentGraph(side, side, np.column_stack(np.divmod(pairs, side)))
+        truth = cb.GroundTruth(rng.choice(np.array([-1, 1]), side), rng.random(side))
+        answers = cb.sample_answers(g, truth, seed=9).answers
+        correct = np.random.default_rng(9).random(m) < truth.reliabilities[g.edges[:, 1]]
+        labels = truth.labels[g.edges[:, 0]]
+        expected = np.where(correct, labels, -labels).astype(np.int8)
+        assert len(graph_module.edge_blocks(m, chunk)) == n_blocks
+        assert answers.dtype == np.int8 and answers.tobytes() == expected.tobytes()
 
     def test_answer_check_takes_no_int64_copy(self):
         # An int64 np.abs of the answers took 9 bytes per edge; each
