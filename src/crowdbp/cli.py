@@ -63,9 +63,11 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     if args.subsample_l is not None:
         dataset = subsample_assignments(dataset, args.subsample_l,
                                         child_seed(args.seed, "subsample"))
+    # Only kos draws from its seed: deriving one for another estimator would
+    # import numpy.random, about 6 MB of resident memory, for nothing.
     report = run_inference(dataset, args.estimator, prior_spec=args.prior,
                            k_max=args.kmax, tol=args.tol,
-                           seed=child_seed(args.seed, "estimator"))
+                           seed=child_seed(args.seed, "estimator") if spec.kind == "kos" else 0)
     with _output(args.out) as handle:
         write_estimates(handle, report, dataset.task_names)
     print(f"iterations {report.iterations_run} converged {report.converged} "

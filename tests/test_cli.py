@@ -94,6 +94,20 @@ class TestInfer:
         float(margin)
         assert "error_rate " in captured.err
 
+    def test_only_kos_derives_its_seed(self, tmp_path):
+        # Deriving a seed imports numpy.random, about 6 MB of resident memory
+        # on top of the reader's; mv's infer peaked that much higher with it.
+        data = simulate(tmp_path)
+        show = ("import sys; from crowdbp.cli import main; main(); "
+                "print('numpy.random' in sys.modules)")
+        for estimator, imported in (("mv", "False"), ("kos", "True")):
+            proc = subprocess.run(
+                [sys.executable, "-c", show, "infer", "--data", str(data), "--estimator",
+                 estimator, "--out", str(tmp_path / "out.csv")],
+                env=TestMalformedInvocations.env(), capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == imported
+
     def test_reports_convergence_on_stderr(self, tmp_path, capsys):
         data = simulate(tmp_path)
         capsys.readouterr()
@@ -422,12 +436,16 @@ class TestMalformedInvocations:
     """``python -m crowdbp`` on bad input: the documented exit code and message, no traceback."""
 
     @staticmethod
-    def run(tmp_path, args):
+    def env():
+        """This process's environment, with the tested package first on the path."""
         src = os.path.dirname(os.path.dirname(cb.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        return dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        return subprocess.run([sys.executable, "-m", "crowdbp", *args], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=120)
+
+    @classmethod
+    def run(cls, tmp_path, args):
+        return subprocess.run([sys.executable, "-m", "crowdbp", *args], cwd=tmp_path,
+                              env=cls.env(), capture_output=True, text=True, timeout=120)
 
     @pytest.mark.parametrize("args,code,prefix", [
         # A negative seed used to end in a ValueError traceback from SeedSequence, exit 1.
