@@ -139,12 +139,12 @@ def repeated_pairs(tasks: np.ndarray, workers: np.ndarray, n_tasks: int,
     appeared at a lower id; ``SizeError`` if ``n_tasks * n_workers > 2**63``.
 
     A pair can repeat only within its task.  So entries listed task by task
-    (task ids that never decrease, as the generator and the dataset reader
-    list them) are checked in blocks of about ``_CHUNK`` entries, each cut
-    where the task id changes, and no temporary is larger than a block, or
-    than one task's entries if it has more.  Entries in any other order,
-    such as a shuffled file's, are checked at once, through one in-place
-    sort of their int64 pair keys.
+    (task ids that never decrease, as the generator lists them and
+    ``crowdbp simulate`` writes them) are checked in blocks of about
+    ``_CHUNK`` entries, each cut where the task id changes, and no temporary
+    is larger than a block, or than one task's entries if it has more.
+    Entries in any other order, such as a shuffled file's, are checked at
+    once, through one in-place sort of their int64 pair keys.
     """
     _check_pair_keys(n_tasks, n_workers)
     blocks = _task_blocks(tasks)
