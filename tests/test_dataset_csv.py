@@ -59,7 +59,10 @@ def field(rng, text):
 
 
 def padded(rng, text):
-    pads = ["", "", "", " ", "\t", "  "]
+    # str.strip's whitespace: ASCII spaces, controls and separators, and
+    # multi-byte characters such as NO-BREAK SPACE and LINE SEPARATOR, which
+    # end no line of a file.
+    pads = ["", "", "", " ", "\t", "  ", "\x0b", "\x0c", "\x1c", "\u00a0", "\u3000", "\u2028"]
     return pads[rng.integers(len(pads))] + text + pads[rng.integers(len(pads))]
 
 
@@ -195,6 +198,31 @@ class TestReaderMatchesPerLineReference:
         path.write_bytes(end.join(["# alphabet=01", "", "a,w,1", "  # x", "b,w,2", ""]).encode())
         assert_same_outcome(path)
         with pytest.raises(cb.DataFormatError, match="^line 5: bad answer '2'"):
+            cb.load_dataset(str(path))
+
+    @pytest.mark.parametrize("block", [40, 301])
+    def test_crlf_across_a_read_block_boundary(self, tmp_path, monkeypatch, block):
+        # The first line is block - 1 characters long, so the first read
+        # ends in its "\r" and the next starts with its "\n": one line end.
+        monkeypatch.setattr(harness, "_READ_BLOCK", block)
+        path = tmp_path / "straddle.csv"
+        first = "a," + "w" * (block - 6) + ",+1"
+        path.write_bytes(f"{first}\r\nb,w,+1\r\n\rc,w,maybe\r\n".encode())
+        assert_same_outcome(path)
+        with pytest.raises(cb.DataFormatError, match="^line 4: bad answer 'maybe'"):
+            cb.load_dataset(str(path))
+
+    @pytest.mark.parametrize("block", [40, 301])
+    def test_lines_longer_than_a_read_block(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(harness, "_READ_BLOCK", block)
+        long = "n" * (3 * block)
+        lines = ["a,w,+1", f"{long},w,-1", f'"{long},x",v,+1', f"# {long}",
+                 f" \u3000{long}\u00a0 ,u,+1", " " * block + "c,w,+1" + "\t" * block,
+                 "\x0c" * (2 * block), "b,w,+1", f"{long},v,maybe"]
+        path = tmp_path / "long.csv"
+        path.write_bytes("\r\n".join(lines).encode())
+        assert_same_outcome(path)
+        with pytest.raises(cb.DataFormatError, match="^line 9: bad answer 'maybe'"):
             cb.load_dataset(str(path))
 
     def test_mixed_line_ends_and_stray_carriage_returns(self, tmp_path):
