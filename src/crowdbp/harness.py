@@ -9,6 +9,7 @@ output.
 from __future__ import annotations
 
 import bisect
+import codecs
 import csv
 import io
 import json
@@ -98,10 +99,25 @@ _SIGNS = ["", "+1", "-1"]
 # The writers pad texts to whole 8-byte words with this byte, which UTF-8 never holds.
 _PAD = 0xFF
 
-# Characters read per block of lines; rows per block of the writers and of
+# Characters read per chunk of text; rows per block of the writers and of
 # the reader's row checks.
 _READ_BLOCK = 1 << 20
 _ROW_BLOCK = 1 << 16
+# str.strip's whitespace beyond ASCII; none lies above U+3000.
+_WIDE_SPACES = "\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B))) + "\u2028\u2029\u202f\u205f\u3000"
+# Per byte: 1 if it is ASCII whitespace that a line's text may hold (a line
+# end it may not); 2 if a character of _WIDE_SPACES may start with it
+# (_HEAD) or end with it (_TAIL).
+_HEAD = np.array([chr(b).isspace() and b not in b"\r\n" for b in range(128)] + [0] * 128,
+                 dtype=np.uint8)
+_TAIL = _HEAD.copy()
+_HEAD[[c.encode()[0] for c in _WIDE_SPACES]] = 2
+_TAIL[[c.encode()[-1] for c in _WIDE_SPACES]] = 2
+# The UTF-8 of _WIDE_SPACES as little-endian integers, by length in bytes.
+_WIDE_KEYS = {n: np.array([int.from_bytes(c.encode(), "little") for c in _WIDE_SPACES
+                           if len(c.encode()) == n], dtype=np.uint64) for n in (2, 3)}
+# ASCII whitespace bytes trimmed from a line's edge before str.strip takes over.
+_TRIM_STEPS = 32
 # Tokens up to this many UTF-8 bytes are their own packed key; longer ones,
 # and those holding a NUL, are numbered and keyed by the number.
 _KEY_BYTES = 32
@@ -149,7 +165,7 @@ def _key_words(values: np.ndarray) -> np.ndarray:
 
 
 class _Column:
-    """The tokens of one CSV column, turned into ids as each block arrives.
+    """The tokens of one CSV column, turned into ids as each chunk arrives.
 
     A token's key depends on its text alone.  A NUL-free token of up to
     ``_KEY_BYTES`` bytes is its own NUL-padded bytes.  Any other token is
@@ -324,8 +340,9 @@ def _csv_split(lines: list[str]) -> tuple[list[list[str]], csv.Error | None]:
     return rows, None
 
 
-def _undecodable_line(data: bytes) -> int | None:
-    """Index of the first line of ``data`` that held an undecodable byte.
+def _undecodable_line(data: bytes, starts: np.ndarray) -> int | None:
+    """Index of the first line of ``data``, whose lines start at ``starts``,
+    that held an undecodable byte.
 
     The file is read with ``errors="surrogateescape"``, which turns each
     such byte into a lone surrogate; decoded text never holds one, and in
@@ -339,7 +356,70 @@ def _undecodable_line(data: bytes) -> int | None:
     hits = np.flatnonzero((raw[:-1] == 0xED) & (raw[1:] >= 0xA0))
     if not hits.size:
         return None
-    return data.count(b"\n", 0, at + int(hits[0]))
+    return int(np.searchsorted(starts, at + int(hits[0]), "right")) - 1
+
+
+def _line_bounds(data: bytes, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each line of ``data`` starts, and where its text stops, before
+    its line end.  Lines end as a text file read with ``newline=""`` ends
+    them: at ``\\n``, ``\\r\\n`` or a lone ``\\r``.  ``raw`` is ``data`` as
+    bytes, running on past its end with a byte that is no line end."""
+    n = len(data)
+    ends = raw[:n] == ord("\n")
+    if b"\r" not in data:
+        stops = np.flatnonzero(ends)
+        after = stops + 1
+    else:
+        returns = raw[:n] == ord("\r")
+        ends[1:] &= ~returns[:-1]  # a "\r\n" ends at its "\r"
+        ends |= returns
+        stops = np.flatnonzero(ends)
+        after = stops + 1
+        after += (raw[stops] == ord("\r")) & (raw[after] == ord("\n"))
+    starts = np.concatenate(([0], after))
+    if starts[-1] < n:  # a last line without a line end
+        return starts, np.append(stops, n)
+    return starts[:-1], stops
+
+
+def _strip_lines(data: bytes, raw: np.ndarray, words: np.ndarray, starts: np.ndarray,
+                 stops: np.ndarray) -> None:
+    """Move the bounds of each line of ``data`` in to its text as
+    ``str.strip`` leaves it.  ``raw`` and ``words`` are ``data`` as by
+    ``_bytes_and_words``.
+
+    Runs of ASCII whitespace at a line's edges are trimmed on the bytes, up
+    to ``_TRIM_STEPS`` bytes an edge.  A line whose edge is still
+    whitespace after that, a longer run or a multi-byte character, is
+    decoded, and ``str.strip`` places its bounds.
+    """
+    if not (_HEAD[raw[starts]] | _TAIL[raw[stops - 1]]).any():
+        return
+    for bounds, edge, table in ((starts, 0, _HEAD), (stops, -1, _TAIL)):
+        lines = np.flatnonzero(table[raw[bounds + edge]] == 1)
+        for _ in range(_TRIM_STEPS):
+            lines = lines[starts[lines] < stops[lines]]
+            if not lines.size:
+                break
+            bounds[lines] += 1 + 2 * edge
+            lines = lines[table[raw[bounds[lines] + edge]] == 1]
+    rest = []
+    for at, table, before in ((starts, _HEAD, 0), (stops, _TAIL, 1)):
+        kinds = table[raw[at - before]]
+        rest.append(np.flatnonzero(kinds == 1))
+        wide = np.flatnonzero(kinds == 2)
+        found = np.zeros(wide.size, dtype=bool)
+        for n, keys in _WIDE_KEYS.items():
+            found |= np.isin(words[at[wide] - n * before] & np.uint64((1 << 8 * n) - 1), keys)
+        rest.append(wide[found])
+    rest = np.unique(np.concatenate(rest))
+    for i, start, stop in zip(rest.tolist(), starts[rest].tolist(), stops[rest].tolist()):
+        text = data[start:stop].decode("utf-8", "surrogatepass")
+        left = text.lstrip()
+        core = left.rstrip()
+        # Whitespace is never a surrogate, so plain UTF-8 measures what went.
+        starts[i] = start + len(text[:len(text) - len(left)].encode())
+        stops[i] = stop - len(left[len(core):].encode())
 
 
 def _first_rows(ids: np.ndarray) -> np.ndarray:
@@ -350,19 +430,22 @@ def _first_rows(ids: np.ndarray) -> np.ndarray:
 class _EdgeCsvReader:
     """Bulk tokenizer and checker behind ``load_dataset``.
 
-    Lines arrive in blocks, and each block is read in one pass.  A line
-    holding ``"`` is split by ``csv.reader`` as if on its own, and
-    its fields are appended to the block's UTF-8 bytes, each after a line
-    break; the other lines are split on the commas that numpy finds in
-    those bytes.  So every token is a span of one buffer, one span table
-    per block gives each column one key array, and how quoted and plain
-    lines interleave costs nothing.  Each column turns its keys into ids
-    as the block arrives (see ``_Column``), so every distinct token is
-    decoded and converted once, and a row keeps only its ids, its alphabet
-    and its line.  A line that fails whatever follows it (unknown alphabet,
-    csv error, wrong column count) ends the reading; the per-row checks
-    then run as array operations over ``_ROW_BLOCK`` rows at a time, and
-    the earliest failing line wins.
+    Text arrives in chunks of whole lines, as UTF-8 bytes, and each chunk
+    is read in one pass.  NumPy finds the line ends and the commas, and
+    trims the whitespace at each line's edges on the bytes; only a comment,
+    a quoted line and a line with a multi-byte character at an edge are
+    decoded.  A line holding ``"`` is split by ``csv.reader`` as if on its
+    own, and its fields are appended to the chunk, each after a line
+    break; the other lines are split on their commas.  So every token is a
+    span of one buffer, one span table per chunk gives each column one key
+    array, and how quoted and plain lines interleave costs nothing.  Each
+    column turns its keys into ids as the chunk arrives (see ``_Column``),
+    so every distinct token is decoded and converted once, and a row keeps
+    only its ids, its alphabet and its line.  A line that fails whatever
+    follows it (undecodable text, unknown alphabet, csv error, wrong column
+    count) ends the reading; the per-row checks then run as array
+    operations over ``_ROW_BLOCK`` rows at a time, and the earliest failing
+    line wins.
     """
 
     def __init__(self, encoding: str) -> None:
@@ -370,26 +453,27 @@ class _EdgeCsvReader:
         self.alphabet = 0
         self.n_cols: int | None = None
         self.n_rows = 0
+        self.line_no = 0  # lines read so far
         self.columns = [_Column() for _ in range(5)]
-        # Per block: its first row, the number of its first line, and each
-        # row's line within the block.
+        # Per chunk: its first row, the number of its first line, and each
+        # row's line within the chunk.
         self.lines: list[tuple[int, int, np.ndarray]] = []
         self.alphabets: list[np.ndarray] = []
         self.stop: DataFormatError | None = None
 
-    def feed(self, block: list[str], line_no: int) -> bool:
-        """Take the lines after ``line_no``; False once a line stopped the file."""
-        # The stripped lines live only while they are joined.
-        data = "\n".join(map(str.strip, block)).encode("utf-8", "surrogatepass")
-        bad = _undecodable_line(data)
-        if bad is not None:
-            if self.feed(block[:bad], line_no):
-                self.stop = DataFormatError(
-                    f"line {line_no + 1 + bad}: not valid {self.encoding} text")
-            return False
+    def feed(self, data: bytes) -> bool:
+        """Take the next lines, UTF-8 ``data`` that ends at a line end unless
+        the file ends; False once a line stopped the file."""
         raw, words = _bytes_and_words(data)
-        stops = np.append(np.flatnonzero(raw == ord("\n")), len(data))
-        starts = np.concatenate(([0], stops[:-1] + 1))
+        starts, stops = _line_bounds(data, raw)
+        n_lines, line_no = starts.size, self.line_no
+        self.line_no += n_lines
+        bad = _undecodable_line(data, starts)
+        if bad is not None:  # the lines before it are read
+            self.stop = DataFormatError(
+                f"line {line_no + 1 + bad}: not valid {self.encoding} text")
+            starts, stops = starts[:bad], stops[:bad]
+        _strip_lines(data, raw, words, starts, stops)
         commas = np.flatnonzero(raw == ord(","))
         quotes = np.flatnonzero(raw == ord('"'))
         kinds = np.select(
@@ -397,10 +481,14 @@ class _EdgeCsvReader:
              (np.searchsorted(quotes, stops) > np.searchsorted(quotes, starts))
              | (stops - starts > csv.field_size_limit())],
             [_BLANK, _COMMENT, _CSV], _PLAIN)
+
+        def text(i: int) -> str:
+            return data[starts[i]:stops[i]].decode("utf-8", "surrogatepass")
+
         # Each check looks only at the lines before the earliest failure so far.
-        end, set_at, set_to = len(block), [], [self.alphabet]
+        end, set_at, set_to = starts.size, [], [self.alphabet]
         for i in np.flatnonzero(kinds == _COMMENT).tolist():
-            body = block[i].strip().lstrip("#").strip()
+            body = text(i).lstrip("#").strip()
             if body.startswith("alphabet="):
                 name = body[len("alphabet="):].strip()
                 if name not in _ALPHABETS:
@@ -412,7 +500,7 @@ class _EdgeCsvReader:
                 set_to.append(_ALPHABET_NAMES.index(name))
         self.alphabet = set_to[-1]
         quoted = np.flatnonzero(kinds[:end] == _CSV)
-        split, error = _csv_split([block[i].strip() for i in quoted.tolist()])
+        split, error = _csv_split(list(map(text, quoted.tolist())))
         if error is not None:
             end = int(quoted[len(split)])
             self.stop = DataFormatError(f"line {line_no + 1 + end}: {error}")
@@ -445,7 +533,7 @@ class _EdgeCsvReader:
         for j in range(self.n_cols):
             self.columns[j].add_spans(data, words, bounds[j] + 1, bounds[j + 1])
         self.lines.append((self.n_rows, line_no + 1,
-                           rows.astype(np.min_scalar_type(len(block)))))
+                           rows.astype(np.min_scalar_type(n_lines))))
         self.alphabets.append(np.array(set_to, dtype=np.int8)[np.searchsorted(set_at, rows)])
         self.n_rows += n
         return self.stop is None
@@ -603,16 +691,33 @@ def load_dataset(path: str) -> Dataset:
     malformed too.  One U+FEFF at the very start of the file, a UTF-8
     byte-order mark, is dropped.
     """
-    line_no = 0
     with open(path, newline="", errors="surrogateescape") as handle:
         reader = _EdgeCsvReader(handle.encoding)
-        while block := handle.readlines(_READ_BLOCK):
-            if not line_no and block[0].startswith("\ufeff"):
-                block[0] = block[0][1:]
-            if not reader.feed(block, line_no):
-                break
-            line_no += len(block)
+        # Up to the chunk that stops the file; no chunk outlives the reading.
+        all(reader.feed(text.encode("utf-8", "surrogatepass")) for text in _line_chunks(handle))
     return reader.dataset(path)
+
+
+def _line_chunks(handle) -> typing.Iterator[str]:
+    """The text of ``handle`` in chunks of whole lines, read ``_READ_BLOCK``
+    characters at a time; only the last chunk may lack a line end.  Each
+    read's unfinished last line is carried into the next chunk, and so is
+    a ``\\r`` that ends a read, which a ``\\n`` may follow.  A line longer
+    than one read takes as many reads as it needs.  One U+FEFF at the very
+    start, a byte-order mark, is dropped."""
+    reads = iter(lambda: handle.read(_READ_BLOCK), "")
+    pieces: list[str] = []  # the unfinished line so far
+    for text in chain([next(reads, "").removeprefix("\ufeff")], reads):
+        end = len(text) - text.endswith("\r")
+        cut = max(text.rfind("\n", 0, end), text.rfind("\r", 0, end)) + 1
+        if not cut:
+            pieces.append(text)
+            continue
+        pieces.append(text[:cut] if cut < len(text) else text)
+        yield "".join(pieces)
+        pieces = [text[cut:]] if cut < len(text) else []
+    if pieces:
+        yield "".join(pieces)
 
 
 def _csv_fields(texts) -> list[str]:
@@ -692,8 +797,11 @@ def write_rows(handle, n_rows: int, columns) -> None:
     ``texts`` are the distinct fields, spelled as csv.writer spells fields
     of a multi-field row, or an int n that stands for the ids below n.
     Each text is laid out once as words, with its separator; a block is one
-    word gather per column and one drop of the pad bytes.
+    word gather per column and one drop of the pad bytes.  A UTF-8 handle
+    takes each block's bytes through its binary buffer, unless they may
+    hold a surrogate, which the handle's error handler decides on.
     """
+    buffer = _utf8_buffer(handle)
     ends = [","] * (len(columns) - 1) + ["\n"]
     tables = [_id_table(texts, end) if isinstance(texts, int) else _table(texts, end)
               for (texts, _, _), end in zip(columns, ends)]
@@ -705,8 +813,23 @@ def write_rows(handle, n_rows: int, columns) -> None:
         else:
             data = np.hstack([words[i] for words, _, i in picks]).view(np.uint8).ravel()
         data = data[data != _PAD]
-        handle.write(str(data, "utf-8", "surrogatepass"))
+        if buffer is None or (data == 0xED).any():  # 0xED may lead a surrogate
+            handle.write(str(data, "utf-8", "surrogatepass"))
+        else:
+            handle.flush()  # the text written so far goes first
+            buffer.write(data)
         del picks, data  # so that no block's arrays live on beside the next
+
+
+def _utf8_buffer(handle):
+    """The binary buffer under text ``handle``, if UTF-8 bytes written there
+    are the bytes the handle would write: it encodes UTF-8, and ``\\n`` is
+    the platform's line end, which a handle opened with ``newline`` None or
+    "" writes as it is.  None otherwise."""
+    buffer = getattr(handle, "buffer", None)
+    if buffer is None or os.linesep != "\n" or codecs.lookup(handle.encoding).name != "utf-8":
+        return None
+    return buffer
 
 
 def _run_on(picks) -> np.ndarray:

@@ -344,6 +344,39 @@ class TestReaderMatchesPerLineReference:
         assert peak < 32_000_000
 
 
+class TestLineEdges:
+    """The reader's byte-level line ends and stripping against text iteration
+    and ``str.strip``."""
+
+    # Whitespace of each kind, a run longer than the reader trims on the
+    # bytes, and characters that share a first or last UTF-8 byte with
+    # multi-byte whitespace.
+    PIECES = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u1680", "\u2000",
+              "\u200a", "\u2028", "\u2029", "\u202f", "\u205f", "\u3000",
+              " " * (harness._TRIM_STEPS + 1), "a", ",", "ü", "\x80", "\u1681", "\u2010",
+              "\u200b", "\u2f80", "\u3042", "\u3080", "€", "\U0001f600"]
+
+    def test_multi_byte_whitespace_is_str_strips(self):
+        wide = [c for c in map(chr, range(0x80, 0x110000)) if c.isspace()]
+        assert "".join(wide) == harness._WIDE_SPACES
+
+    def test_line_bounds_match_str_strip(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            lines = ["".join(rng.choice(self.PIECES, size=int(rng.integers(0, 6))))
+                     for _ in range(int(rng.integers(1, 30)))]
+            text = "".join(line + str(end)
+                           for line, end in zip(lines, rng.choice(LINE_ENDS, size=len(lines))))
+            if rng.random() < 0.3:  # a last line without a line end
+                text = text.rstrip("\r\n")
+            data = text.encode()
+            raw, words = harness._bytes_and_words(data)
+            starts, stops = harness._line_bounds(data, raw)
+            harness._strip_lines(data, raw, words, starts, stops)
+            got = [data[start:stop].decode() for start, stop in zip(starts, stops)]
+            assert got == [line.strip() for line in io.StringIO(text, newline="")]
+
+
 class TestReaderWork:
     @pytest.mark.parametrize("n_cols, task", [
         (3, lambda i: f'"t,{i}"' if i % 2 else f"t{i}"),
@@ -356,7 +389,7 @@ class TestReaderWork:
         path = tmp_path / "alternating.csv"
         path.write_text("\n".join(rows) + "\n")
         with open(path, newline="") as handle:
-            blocks = sum(1 for _ in iter(lambda: handle.readlines(harness._READ_BLOCK), []))
+            blocks = sum(1 for _ in harness._line_chunks(handle))
         calls = []
         add_spans = harness._Column.add_spans
         monkeypatch.setattr(harness._Column, "add_spans",
@@ -420,6 +453,26 @@ class TestWriters:
             "4585b3cf0ad4352596f3ee9ac36b0f53831192370ae7e8ceb7ab8dbdefb9ab1a")
         assert hashlib.sha256(labels.read_bytes()).hexdigest() == (
             "647528853bf5e5b76a79478874c8471dcbd8a886bc2c4df42383f8bcbe635fc8")
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-16"])
+    def test_byte_writes_match_text_writes(self, tmp_path, monkeypatch, encoding):
+        # Blocks of two rows: those with a Hangul name, whose UTF-8 lead byte
+        # 0xED may lead a surrogate, go through the text handle; a UTF-8
+        # handle takes the others' bytes after the text written before them.
+        monkeypatch.setattr(harness, "_ROW_BLOCK", 2)
+        names = ("a", "b", "\ud55c", "c,d", "e", "f", "g", "\ud7a3", "h")
+        report = cb.EstimateReport(np.arange(9) % 2 * 2 - 1, np.linspace(-1, 1, 9), 1, True, 0.0)
+        text = io.StringIO()
+        harness.write_estimates(text, report, names)
+        path = tmp_path / "estimates.csv"
+        with open(path, "w", encoding=encoding, newline="") as handle:
+            harness.write_estimates(handle, report, names)
+            handle.write("end\n")
+        assert path.read_bytes() == (text.getvalue() + "end\n").encode(encoding)
+        # A lone surrogate stays the handle's to refuse.
+        with open(path, "w", encoding=encoding, newline="") as handle, \
+                pytest.raises(UnicodeEncodeError):
+            harness.write_estimates(handle, report, names[:8] + ("\udce9",))
 
     def test_bulk_writer_matches_per_row_csv_writer(self, tmp_path):
         dataset = tricky_dataset()
