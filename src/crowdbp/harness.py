@@ -104,7 +104,8 @@ _PAD = 0xFF
 _READ_BLOCK = 1 << 20
 _ROW_BLOCK = 1 << 16
 # str.strip's whitespace beyond ASCII; none lies above U+3000.
-_WIDE_SPACES = "\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B))) + "\u2028\u2029\u202f\u205f\u3000"
+_WIDE_SPACES = ("\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B)))
+                + "\u2028\u2029\u202f\u205f\u3000")
 # Per byte: 1 if it is ASCII whitespace that a line's text may hold (a line
 # end it may not); 2 if a character of _WIDE_SPACES may start with it
 # (_HEAD) or end with it (_TAIL).
@@ -171,7 +172,7 @@ class _Column:
     ``_KEY_BYTES`` bytes is its own NUL-padded bytes.  Any other token is
     numbered in ``numbers`` and keyed by the byte 0xFF, which UTF-8 text
     never holds, followed by its number.  ``table`` holds the distinct keys
-    seen so far, sorted.  Each block's keys are sorted once and looked up
+    seen so far, sorted.  Each chunk's keys are sorted once and looked up
     in it; those it lacks are merged in and take the next ids in order of
     first appearance.  A row keeps only its id, in the narrowest unsigned
     type that holds the ids so far, so a column of a few distinct tokens
@@ -181,8 +182,8 @@ class _Column:
     def __init__(self) -> None:
         self.table = np.empty(0, dtype=np.uint64)    # distinct keys as ``_sortable`` values, sorted
         self.table_ids = np.empty(0, dtype=np.int64)  # the id of each key in ``table``
-        self.ids: list[np.ndarray] = []          # per block, each row's id
-        self.first_rows: list[np.ndarray] = []   # per block, the row where each new id appears
+        self.ids: list[np.ndarray] = []          # per chunk, each row's id
+        self.first_rows: list[np.ndarray] = []   # per chunk, the row where each new id appears
         self.n_rows = 0
         self.numbers: dict[bytes, int] = {}    # UTF-8 of the numbered tokens, in arrival order
 
@@ -271,7 +272,7 @@ class _Column:
 
     def row_ids(self, out: np.ndarray | None = None) -> np.ndarray:
         """Each row's id, in ``out`` if given; the column gives up its
-        blocks one at a time."""
+        chunks' ids one at a time."""
         if out is None:
             out = np.empty(self.n_rows, dtype=self.ids[-1].dtype)
         lo = 0
@@ -430,22 +431,22 @@ def _first_rows(ids: np.ndarray) -> np.ndarray:
 class _EdgeCsvReader:
     """Bulk tokenizer and checker behind ``load_dataset``.
 
-    Text arrives in chunks of whole lines, as UTF-8 bytes, and each chunk
-    is read in one pass.  NumPy finds the line ends and the commas, and
-    trims the whitespace at each line's edges on the bytes; only a comment,
-    a quoted line and a line with a multi-byte character at an edge are
-    decoded.  A line holding ``"`` is split by ``csv.reader`` as if on its
-    own, and its fields are appended to the chunk, each after a line
-    break; the other lines are split on their commas.  So every token is a
-    span of one buffer, one span table per chunk gives each column one key
-    array, and how quoted and plain lines interleave costs nothing.  Each
-    column turns its keys into ids as the chunk arrives (see ``_Column``),
-    so every distinct token is decoded and converted once, and a row keeps
-    only its ids, its alphabet and its line.  A line that fails whatever
-    follows it (undecodable text, unknown alphabet, csv error, wrong column
-    count) ends the reading; the per-row checks then run as array
-    operations over ``_ROW_BLOCK`` rows at a time, and the earliest failing
-    line wins.
+    Text arrives in chunks of whole lines, as UTF-8 bytes, and each chunk is
+    read in one pass.  NumPy finds the line ends and the commas, and trims
+    the whitespace at each line's edges on the bytes; only comments, quoted
+    lines and the rare line whose edges the bytes leave open (see
+    ``_strip_lines``) are decoded.  A line holding ``"`` is split by
+    ``csv.reader`` as if on its own, and its fields are appended to the
+    chunk, each after a line break; the other lines are split on their
+    commas.  So every token is a span of one buffer, one span table per
+    chunk gives each column one key array, and how quoted and plain lines
+    interleave costs nothing.  Each column turns its keys into ids as the
+    chunk arrives (see ``_Column``), so every distinct token is decoded and
+    converted once, and a row keeps only its ids, its alphabet and its line.
+    A line that fails whatever follows it (undecodable text, unknown
+    alphabet, csv error, wrong column count) ends the reading; the per-row
+    checks then run as array operations over ``_ROW_BLOCK`` rows at a time,
+    and the earliest failing line wins.
     """
 
     def __init__(self, encoding: str) -> None:
