@@ -506,8 +506,11 @@ class _EdgeCsvReader:
             end = int(quoted[len(split)])
             self.stop = DataFormatError(f"line {line_no + 1 + end}: {error}")
         rows = np.flatnonzero(kinds[:end] >= _CSV)
-        first = np.searchsorted(commas, starts[rows])
-        fields = np.searchsorted(commas, stops[rows]) - first + 1
+        # Commas before each line's end; between one line's end and the
+        # next line's start lie only whitespace and line ends.
+        before = np.searchsorted(commas, stops)
+        first = np.concatenate(([0], before[:-1]))[rows]
+        fields = before[rows] - first + 1
         is_csv = kinds[rows] == _CSV
         fields[is_csv] = list(map(len, split))
         numbers = line_no + 1 + rows
