@@ -99,8 +99,8 @@ _SIGNS = ["", "+1", "-1"]
 # The writers pad texts to whole 8-byte words with this byte, which UTF-8 never holds.
 _PAD = 0xFF
 
-# Characters read per chunk of text; rows per block of the writers and of
-# the reader's row checks.
+# UTF-8 bytes per chunk of lines that the reader takes in one pass, at
+# least; rows per block of the writers and of the reader's row checks.
 _READ_BLOCK = 1 << 20
 _ROW_BLOCK = 1 << 16
 # str.strip's whitespace beyond ASCII; none lies above U+3000.
@@ -697,31 +697,42 @@ def load_dataset(path: str) -> Dataset:
     """
     with open(path, newline="", errors="surrogateescape") as handle:
         reader = _EdgeCsvReader(handle.encoding)
-        # Up to the chunk that stops the file; no chunk outlives the reading.
-        all(reader.feed(text.encode("utf-8", "surrogatepass")) for text in _line_chunks(handle))
+        all(map(reader.feed, _line_chunks(handle)))  # up to the chunk that stops the file
     return reader.dataset(path)
 
 
-def _line_chunks(handle) -> typing.Iterator[str]:
-    """The text of ``handle`` in chunks of whole lines, read ``_READ_BLOCK``
-    characters at a time; only the last chunk may lack a line end.  Each
-    read's unfinished last line is carried into the next chunk, and so is
-    a ``\\r`` that ends a read, which a ``\\n`` may follow.  A line longer
-    than one read takes as many reads as it needs.  One U+FEFF at the very
-    start, a byte-order mark, is dropped."""
-    reads = iter(lambda: handle.read(_READ_BLOCK), "")
-    pieces: list[str] = []  # the unfinished line so far
+def _line_chunks(handle) -> typing.Iterator[bytes]:
+    """The text of ``handle`` as UTF-8, in chunks of whole lines of at
+    least ``_READ_BLOCK`` bytes; only the last chunk may be shorter or lack
+    a line end.  The text is read and encoded a quarter of that many
+    characters at a time: reads as large as a chunk left the allocator a
+    heap of freed chunk-sized buffers, and the reader's peak resident
+    memory a few MiB higher.  Each chunk ends at the last line end of a
+    read; a ``\\r`` that ends a read stays for the next chunk, as a
+    ``\\n`` may follow it.  A line longer than a chunk takes as many reads
+    as it needs.  One U+FEFF at the very start, a byte-order mark, is
+    dropped."""
+    reads = iter(lambda: handle.read(-(-_READ_BLOCK // 4)), "")
+    pieces: list[bytes | memoryview] = []  # what was read since the last chunk
+    size = 0
     for text in chain([next(reads, "").removeprefix("\ufeff")], reads):
-        end = len(text) - text.endswith("\r")
-        cut = max(text.rfind("\n", 0, end), text.rfind("\r", 0, end)) + 1
-        if not cut:
-            pieces.append(text)
+        data = text.encode("utf-8", "surrogatepass")
+        del text
+        size += len(data)
+        end = len(data) - data.endswith(b"\r")
+        cut = max(data.rfind(b"\n", 0, end), data.rfind(b"\r", 0, end)) + 1
+        if size < _READ_BLOCK or not cut:
+            pieces.append(data)
             continue
-        pieces.append(text[:cut] if cut < len(text) else text)
-        yield "".join(pieces)
-        pieces = [text[cut:]] if cut < len(text) else []
-    if pieces:
-        yield "".join(pieces)
+        pieces.append(memoryview(data)[:cut])
+        chunk = b"".join(pieces)
+        pieces = [data[cut:]]
+        size = len(pieces[0])
+        del data
+        yield chunk
+        del chunk
+    if size:
+        yield b"".join(pieces)
 
 
 def _csv_fields(texts) -> list[str]:

@@ -201,15 +201,18 @@ class TestReaderMatchesPerLineReference:
             cb.load_dataset(str(path))
 
     @pytest.mark.parametrize("block", [40, 301])
-    def test_crlf_across_a_read_block_boundary(self, tmp_path, monkeypatch, block):
-        # The first line is block - 1 characters long, so the first read
-        # ends in its "\r" and the next starts with its "\n": one line end.
+    def test_crlf_across_a_read_boundary(self, tmp_path, monkeypatch, block):
+        # The text is read a quarter block at a time.  The fourth read ends
+        # in line 2's "\r", and the fifth starts with its "\n": one line
+        # end, though the first chunk is cut after line 1 at that read.
         monkeypatch.setattr(harness, "_READ_BLOCK", block)
+        read = -(-block // 4)
+        second = "b," + "w" * (4 * read - 14) + ",+1"
         path = tmp_path / "straddle.csv"
-        first = "a," + "w" * (block - 6) + ",+1"
-        path.write_bytes(f"{first}\r\nb,w,+1\r\n\rc,w,maybe\r\n".encode())
+        path.write_bytes(f"a,w,+1\r\n{second}\r\nc,w,+1\r\n\rd,w,maybe\r\n".encode())
+        assert path.read_bytes()[4 * read - 1:4 * read + 1] == b"\r\n"
         assert_same_outcome(path)
-        with pytest.raises(cb.DataFormatError, match="^line 4: bad answer 'maybe'"):
+        with pytest.raises(cb.DataFormatError, match="^line 5: bad answer 'maybe'"):
             cb.load_dataset(str(path))
 
     @pytest.mark.parametrize("block", [40, 301])
