@@ -9,7 +9,6 @@ output.
 from __future__ import annotations
 
 import bisect
-import codecs
 import csv
 import io
 import json
@@ -812,11 +811,8 @@ def write_rows(handle, n_rows: int, columns) -> None:
     ``texts`` are the distinct fields, spelled as csv.writer spells fields
     of a multi-field row, or an int n that stands for the ids below n.
     Each text is laid out once as words, with its separator; a block is one
-    word gather per column and one drop of the pad bytes.  A UTF-8 handle
-    takes each block's bytes through its binary buffer, unless they may
-    hold a surrogate, which the handle's error handler decides on.
+    word gather per column and one drop of the pad bytes.
     """
-    buffer = _utf8_buffer(handle)
     ends = [","] * (len(columns) - 1) + ["\n"]
     tables = [_id_table(texts, end) if isinstance(texts, int) else _table(texts, end)
               for (texts, _, _), end in zip(columns, ends)]
@@ -828,23 +824,8 @@ def write_rows(handle, n_rows: int, columns) -> None:
         else:
             data = np.hstack([words[i] for words, _, i in picks]).view(np.uint8).ravel()
         data = data[data != _PAD]
-        if buffer is None or (data == 0xED).any():  # 0xED may lead a surrogate
-            handle.write(str(data, "utf-8", "surrogatepass"))
-        else:
-            handle.flush()  # the text written so far goes first
-            buffer.write(data)
+        handle.write(str(data, "utf-8", "surrogatepass"))
         del picks, data  # so that no block's arrays live on beside the next
-
-
-def _utf8_buffer(handle):
-    """The binary buffer under text ``handle``, if UTF-8 bytes written there
-    are the bytes the handle would write: it encodes UTF-8, and ``\\n`` is
-    the platform's line end, which a handle opened with ``newline`` None or
-    "" writes as it is.  None otherwise."""
-    buffer = getattr(handle, "buffer", None)
-    if buffer is None or os.linesep != "\n" or codecs.lookup(handle.encoding).name != "utf-8":
-        return None
-    return buffer
 
 
 def _run_on(picks) -> np.ndarray:

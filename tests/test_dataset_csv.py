@@ -457,26 +457,6 @@ class TestWriters:
         assert hashlib.sha256(labels.read_bytes()).hexdigest() == (
             "647528853bf5e5b76a79478874c8471dcbd8a886bc2c4df42383f8bcbe635fc8")
 
-    @pytest.mark.parametrize("encoding", ["utf-8", "utf-16"])
-    def test_byte_writes_match_text_writes(self, tmp_path, monkeypatch, encoding):
-        # Blocks of two rows: those with a Hangul name, whose UTF-8 lead byte
-        # 0xED may lead a surrogate, go through the text handle; a UTF-8
-        # handle takes the others' bytes after the text written before them.
-        monkeypatch.setattr(harness, "_ROW_BLOCK", 2)
-        names = ("a", "b", "\ud55c", "c,d", "e", "f", "g", "\ud7a3", "h")
-        report = cb.EstimateReport(np.arange(9) % 2 * 2 - 1, np.linspace(-1, 1, 9), 1, True, 0.0)
-        text = io.StringIO()
-        harness.write_estimates(text, report, names)
-        path = tmp_path / "estimates.csv"
-        with open(path, "w", encoding=encoding, newline="") as handle:
-            harness.write_estimates(handle, report, names)
-            handle.write("end\n")
-        assert path.read_bytes() == (text.getvalue() + "end\n").encode(encoding)
-        # A lone surrogate stays the handle's to refuse.
-        with open(path, "w", encoding=encoding, newline="") as handle, \
-                pytest.raises(UnicodeEncodeError):
-            harness.write_estimates(handle, report, names[:8] + ("\udce9",))
-
     def test_bulk_writer_matches_per_row_csv_writer(self, tmp_path):
         dataset = tricky_dataset()
         bulk, per_row = tmp_path / "bulk.csv", tmp_path / "per_row.csv"
