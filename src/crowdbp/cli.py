@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inf = sub.add_parser("infer", help="estimate labels for a dataset")
     p_inf.add_argument("--data", required=True)
     p_inf.add_argument("--estimator", required=True,
-                       help="mv | kos | bp | ebp1 | ebp2 | oracle-work | oracle-task | em")
+                       help="mv | kos | bp | ebp<k> | oracle-work | oracle-task | em")
     p_inf.add_argument("--prior", default=None)
     p_inf.add_argument("--kmax", type=int, default=_K_MAX)
     p_inf.add_argument("--tol", type=float, default=_TOL)

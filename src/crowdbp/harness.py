@@ -122,8 +122,6 @@ _TRIM_STEPS = 32
 # and those holding a NUL, are numbered and keyed by the number.
 _KEY_BYTES = 32
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
-# Line kinds: skipped, comment or directive, split by csv.reader, split on commas.
-_BLANK, _COMMENT, _CSV, _PLAIN = range(4)
 
 
 # Odd multipliers, one per key word, that fold a key's words into its lead word.
@@ -382,19 +380,16 @@ def _line_bounds(data: bytes, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts[:-1], stops
 
 
-def _strip_lines(data: bytes, raw: np.ndarray, words: np.ndarray, starts: np.ndarray,
-                 stops: np.ndarray) -> None:
-    """Move the bounds of each line of ``data`` in to its text as
-    ``str.strip`` leaves it.  ``raw`` and ``words`` are ``data`` as by
-    ``_bytes_and_words``.
-
-    Runs of ASCII whitespace at a line's edges are trimmed on the bytes, up
-    to ``_TRIM_STEPS`` bytes an edge.  A line whose edge is still
-    whitespace after that, a longer run or a multi-byte character, is
-    decoded, and ``str.strip`` places its bounds.
-    """
+def _strip_lines(raw: np.ndarray, words: np.ndarray, starts: np.ndarray,
+                 stops: np.ndarray) -> np.ndarray:
+    """Move the bounds of each line in past the runs of ASCII whitespace at
+    its edges, up to ``_TRIM_STEPS`` bytes an edge.  ``raw`` and ``words``
+    are the text as by ``_bytes_and_words``.  Returns a mask of the lines
+    whose edge is still whitespace, a longer run or a multi-byte character,
+    which ``str.strip`` must finish."""
+    open_edge = np.zeros(starts.size, dtype=bool)
     if not (_HEAD[raw[starts]] | _TAIL[raw[stops - 1]]).any():
-        return
+        return open_edge
     for bounds, edge, table in ((starts, 0, _HEAD), (stops, -1, _TAIL)):
         lines = np.flatnonzero(table[raw[bounds + edge]] == 1)
         for _ in range(_TRIM_STEPS):
@@ -403,23 +398,14 @@ def _strip_lines(data: bytes, raw: np.ndarray, words: np.ndarray, starts: np.nda
                 break
             bounds[lines] += 1 + 2 * edge
             lines = lines[table[raw[bounds[lines] + edge]] == 1]
-    rest = []
     for at, table, before in ((starts, _HEAD, 0), (stops, _TAIL, 1)):
         kinds = table[raw[at - before]]
-        rest.append(np.flatnonzero(kinds == 1))
+        open_edge |= kinds == 1
         wide = np.flatnonzero(kinds == 2)
-        found = np.zeros(wide.size, dtype=bool)
         for n, keys in _WIDE_KEYS.items():
-            found |= np.isin(words[at[wide] - n * before] & np.uint64((1 << 8 * n) - 1), keys)
-        rest.append(wide[found])
-    rest = np.unique(np.concatenate(rest))
-    for i, start, stop in zip(rest.tolist(), starts[rest].tolist(), stops[rest].tolist()):
-        text = data[start:stop].decode("utf-8", "surrogatepass")
-        left = text.lstrip()
-        core = left.rstrip()
-        # Whitespace is never a surrogate, so plain UTF-8 measures what went.
-        starts[i] = start + len(text[:len(text) - len(left)].encode())
-        stops[i] = stop - len(left[len(core):].encode())
+            open_edge[wide] |= np.isin(words[at[wide] - n * before]
+                                       & np.uint64((1 << 8 * n) - 1), keys)
+    return open_edge & (starts < stops)
 
 
 def _first_rows(ids: np.ndarray) -> np.ndarray:
@@ -432,13 +418,14 @@ class _EdgeCsvReader:
 
     Text arrives in chunks of whole lines, as UTF-8 bytes, and each chunk is
     read in one pass.  NumPy finds the line ends and the commas, and trims
-    the whitespace at each line's edges on the bytes; only comments, quoted
-    lines and the rare line whose edges the bytes leave open (see
-    ``_strip_lines``) are decoded.  A line holding ``"`` is split by
-    ``csv.reader`` as if on its own, and its fields are appended to the
-    chunk, each after a line break; the other lines are split on their
-    commas.  So every token is a span of one buffer, one span table per
-    chunk gives each column one key array, and how quoted and plain lines
+    the ASCII whitespace at each line's edges on the bytes.  A plain line
+    is then split on its commas.  Every other line (an edge the trim left
+    open, see ``_strip_lines``, a leading ``#``, a ``"``, or more bytes
+    than ``csv.field_size_limit()``) is decoded and ``str.strip``ped: it is
+    then blank, a comment or directive, or a row split by ``csv.reader`` as
+    if on its own, whose fields are appended to the chunk, each after a
+    line break.  So every token is a span of one buffer, one span table per
+    chunk gives each column one key array, and how plain and other lines
     interleave costs nothing.  Each column turns its keys into ids as the
     chunk arrives (see ``_Column``), so every distinct token is decoded and
     converted once, and a row keeps only its ids, its alphabet and its line.
@@ -473,22 +460,23 @@ class _EdgeCsvReader:
             self.stop = DataFormatError(
                 f"line {line_no + 1 + bad}: not valid {self.encoding} text")
             starts, stops = starts[:bad], stops[:bad]
-        _strip_lines(data, raw, words, starts, stops)
         commas = np.flatnonzero(raw == ord(","))
         quotes = np.flatnonzero(raw == ord('"'))
-        kinds = np.select(
-            [starts == stops, raw[starts] == ord("#"),
-             (np.searchsorted(quotes, stops) > np.searchsorted(quotes, starts))
-             | (stops - starts > csv.field_size_limit())],
-            [_BLANK, _COMMENT, _CSV], _PLAIN)
-
-        def text(i: int) -> str:
-            return data[starts[i]:stops[i]].decode("utf-8", "surrogatepass")
-
+        # The lines the bytes cannot settle are read as load_dataset_per_line
+        # reads every line; the others are rows split on their commas.
+        decoded = (_strip_lines(raw, words, starts, stops) | (raw[starts] == ord("#"))
+                   | (np.searchsorted(quotes, stops) > np.searchsorted(quotes, starts))
+                   | (stops - starts > csv.field_size_limit()))
         # Each check looks only at the lines before the earliest failure so far.
-        end, set_at, set_to = starts.size, [], [self.alphabet]
-        for i in np.flatnonzero(kinds == _COMMENT).tolist():
-            body = text(i).lstrip("#").strip()
+        end, set_at, set_to, csv_at, csv_lines = starts.size, [], [self.alphabet], [], []
+        for i in np.flatnonzero(decoded).tolist():
+            line = data[starts[i]:stops[i]].decode("utf-8", "surrogatepass").strip()
+            if not line.startswith("#"):
+                if line:
+                    csv_at.append(i)
+                    csv_lines.append(line)
+                continue
+            body = line.lstrip("#").strip()
             if body.startswith("alphabet="):
                 name = body[len("alphabet="):].strip()
                 if name not in _ALPHABETS:
@@ -499,18 +487,19 @@ class _EdgeCsvReader:
                 set_at.append(i)
                 set_to.append(_ALPHABET_NAMES.index(name))
         self.alphabet = set_to[-1]
-        quoted = np.flatnonzero(kinds[:end] == _CSV)
-        split, error = _csv_split(list(map(text, quoted.tolist())))
+        split, error = _csv_split(csv_lines)
         if error is not None:
-            end = int(quoted[len(split)])
+            end = csv_at[len(split)]
             self.stop = DataFormatError(f"line {line_no + 1 + end}: {error}")
-        rows = np.flatnonzero(kinds[:end] >= _CSV)
+        is_row = ~decoded & (starts < stops)
+        is_row[csv_at] = True
+        rows = np.flatnonzero(is_row[:end])
         # Commas before each line's end; between one line's end and the
         # next line's start lie only whitespace and line ends.
         before = np.searchsorted(commas, stops)
         first = np.concatenate(([0], before[:-1]))[rows]
         fields = before[rows] - first + 1
-        is_csv = kinds[rows] == _CSV
+        is_csv = decoded[rows]
         fields[is_csv] = list(map(len, split))
         numbers = line_no + 1 + rows
         n = self._check_fields(fields, numbers)

@@ -204,6 +204,13 @@ class TestInfer:
         rc = main(["infer", "--data", str(data), "--estimator", "wat"])
         assert rc == 2
 
+    def test_help_names_any_ebp_round_count(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["infer", "--help"])
+        assert "ebp<k>" in capsys.readouterr().out
+        data = simulate(tmp_path)
+        assert main(["infer", "--data", str(data), "--estimator", "ebp3"]) == 0
+
     def test_negative_tol_exit_2(self, tmp_path, capsys):
         # kos used to accept it and exit 0.
         data = simulate(tmp_path)

@@ -228,6 +228,29 @@ class TestReaderMatchesPerLineReference:
         with pytest.raises(cb.DataFormatError, match="^line 9: bad answer 'maybe'"):
             cb.load_dataset(str(path))
 
+    @pytest.mark.parametrize("block", [harness._READ_BLOCK, 40])
+    def test_open_edges_before_every_line_kind(self, tmp_path, monkeypatch, block):
+        # Runs the byte trim takes whole and one byte longer, and multi-byte
+        # whitespace, in front of a comment, a directive, a quoted first
+        # field and a whitespace-only line.
+        monkeypatch.setattr(harness, "_READ_BLOCK", block)
+        pads = [" " * harness._TRIM_STEPS, " " * (harness._TRIM_STEPS + 1), "\u3000", "\u00a0"]
+        lines = ["a,w,+1"]
+        for i, pad in enumerate(pads):
+            lines += [f"{pad}# note {i}", f"{pad}# alphabet=01", f'{pad}"t,{i}",w,1',
+                      f"{pad} \t", f"b{i},w,0", f"{pad}#  alphabet=pm1", f"c{i},w,-1"]
+        path = tmp_path / "open.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert_same_outcome(path)
+        loaded = cb.load_dataset(str(path))
+        assert loaded.task_names[:4] == ("a", "t,0", "b0", "c0")
+        assert loaded.answers.answers.tolist() == [1] + [1, -1, -1] * len(pads)
+        for pad in pads:
+            path.write_text("\n".join(lines + [f"{pad}# alphabet=spam", "d,w,+1"]) + "\n")
+            assert_same_outcome(path)
+            with pytest.raises(cb.DataFormatError, match=f"^line {len(lines) + 1}: unknown"):
+                cb.load_dataset(str(path))
+
     def test_mixed_line_ends_and_stray_carriage_returns(self, tmp_path):
         path = tmp_path / "mixed.csv"
         path.write_bytes(b"a,w,+1\r\r\nb,w,+1\n\rc,w,-1\r\n\r\nd,w,+1,extra\r")
@@ -375,16 +398,22 @@ class TestLineEdges:
             data = text.encode()
             raw, words = harness._bytes_and_words(data)
             starts, stops = harness._line_bounds(data, raw)
-            harness._strip_lines(data, raw, words, starts, stops)
+            open_edge = harness._strip_lines(raw, words, starts, stops)
             got = [data[start:stop].decode() for start, stop in zip(starts, stops)]
-            assert got == [line.strip() for line in io.StringIO(text, newline="")]
+            want = [line.strip() for line in io.StringIO(text, newline="")]
+            # The trim only ever takes whitespace; str.strip finishes each
+            # line it flags, and only those.
+            assert [line.strip() for line in got] == want
+            assert open_edge.tolist() == [a != b for a, b in zip(got, want)]
 
 
 class TestReaderWork:
     @pytest.mark.parametrize("n_cols, task", [
         (3, lambda i: f'"t,{i}"' if i % 2 else f"t{i}"),
         (5, lambda i: f"t{i}\0" if i % 2 else f"t{i}"),
-    ], ids=["quoted", "nul"])
+        (4, lambda i: ("\u3000" if i % 4 == 1 else " " * (harness._TRIM_STEPS + 1)) + f"t{i}"
+         if i % 2 else f"t{i}"),
+    ], ids=["quoted", "nul", "padded"])
     def test_interleaved_line_kinds_cost_one_span_table_per_block(
             self, tmp_path, monkeypatch, n_cols, task):
         rows = [",".join([task(i), f"w{i % 7}", "+1", "-1", "0.5"][:n_cols])
