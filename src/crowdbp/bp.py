@@ -85,13 +85,21 @@ or scatter: the top rule unshifted, so regular graphs under ``sh``
 of one fold over the top rule, bitwise, and a smaller rule, as ``ebp``'s
 empirical atoms give a regular graph, shifted in place.  Otherwise each
 class lists its edges worker by worker, once per run, and folds a run of
-whole workers at a time, about ``_BLOCK`` atom-edges: per group of atoms,
-one (atoms x edges) block of logs whose per-worker sums are one
-``np.add.reduceat`` and go back to the edges by ``np.repeat``, one exp
-per atom-edge under a per-edge maximum carried from group to group, and a
-non-BLAS ``np.einsum`` that adds the block into the two lanes in atom
-order.  Its sums run in another order than the one-class fold's, so its
-messages agree with it to rounding, not bitwise.
+whole workers at a time.  The run lays its edges on a grid whose columns
+are chunks of at most 16 of one worker's edges (``_chunk_plan``), and per
+group of atoms with mu != 0, at most ``_BLOCK`` grid cells times atoms,
+forms the factors f = 1 + mu c in one block.  A chunk's product is one
+reduction over the grid's rows, so a worker's log sum S over an atom
+takes one log per 16 factors: a nonzero factor lies in [2**-53, 2], so 16
+of them neither underflow nor overflow.  The worker's weights exp(S - M),
+under its largest S so far, carried from group to group, cost one exp per
+worker and atom rather than per atom-edge.  An edge's two lanes, sum w
+(1 ± mu) exp(S - M) / f, are then one reciprocal and one non-BLAS
+``np.einsum`` per atom-edge: dividing by the edge's own factor takes it
+out of the product, as the one-class fold's subtraction of its log does.
+Its sums run in another order than the one-class fold's, so its messages
+agree with it to rounding, not bitwise; an edge whose worker's other
+answers all have x = 0 sends the prior-mean LLR exactly in both.
 
 The pair-valued :class:`BeliefState` API (``bp_init``,
 ``bp_update_*_messages``, ``bp_compute_beliefs``) runs the same core, each
@@ -115,20 +123,31 @@ from .segments import _CHUNK, Grouping, edge_blocks, gather, segment_add
 _NAIVE_DEGREE_GUARD = 14
 # What running a degree class on its own costs per sweep beyond its atom
 # passes, in atom-edge passes: the gather and scatter of its edges, about
-# 15 NumPy calls per run of workers and group of atoms (see
-# _class_worker_llrs), plus building its Gauss rule, spread over the sweeps
-# of a run.  A class that saves less than this over the next larger class
-# is folded into it.  The value was set when an atom-edge pass cost about
-# 15 ns, which made it about 150 us.  The split fold now takes about 5.5 ns
-# per atom-edge, so the same overhead is worth more passes than this, and
-# classes split where their cost does not warrant it.  The value is kept:
-# moving it changes which graphs split, and so their margins to rounding.
+# 35 NumPy calls per run of workers and 20 per group of atoms (see
+# _class_worker_llrs), plus building its Gauss rule and grid, spread over
+# the sweeps of a run.  A class that saves less than this over the next
+# larger class is folded into it.  The value was set when an atom-edge pass
+# cost about 15 ns, which made it about 150 us.  The split fold now takes
+# about 3.5 ns per atom-edge (2 vCPUs, shared host), so the same overhead
+# is worth about three times as many passes as this, and classes split
+# where their cost does not warrant it.  The value is kept: moving it
+# changes which graphs split, and so their margins to rounding.
 _CLASS_OVERHEAD_EDGES = 10_000
 # Start of the running maximum over atoms: finite, so that subtracting it
 # from a -inf log product gives -inf rather than NaN.
 _NO_ATOM_YET = -np.finfo(np.float64).max
-# Atom-edge pairs per block of a split degree class's fold.
+# Floats per block of a split degree class's fold: a group's factors, its
+# atoms times its run's grid cells, and its chunks' products.
 _BLOCK = 2**16
+# What a split class's weights exp(S - M) <= 1 are multiplied by: 2**865,
+# about e**600, so that weights down to about 1300 nats below the largest
+# stay normal floats, which the CPU multiplies at full speed, while a lane of
+# weights over factors of at least 2**-53 stays below e**650 for up to 10**6
+# atoms.  A power of two scales the lanes without rounding them.
+_LIFT = 2.0**865
+# Factors per product in a split class's log sums.  A nonzero factor 1 + mu c
+# lies in [2**-53, 2], so a product of 16 neither underflows nor overflows.
+_FACTORS = 16
 
 
 @dataclass(frozen=True)
@@ -487,11 +506,11 @@ def _class_kernel(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior
     change of tanh(llr / 2), NaN if a message is NaN.  Its other buffers are
     allocated here, once per run.  One class runs ``_worker_llrs`` on the
     whole graph in five rows of ``_fold_width`` edges.  Split classes list
-    their edges worker by worker here and fold in ``_class_worker_llrs``, a
-    run of whole workers and a group of atoms at a time (see
-    ``_class_blocks``), in two block buffers: five rows as wide as the
-    widest run, and one of the most atom-edges a group takes, plus a row
-    for the lanes.
+    their edges worker by worker here, each run's in the order of its grid,
+    and fold in ``_class_worker_llrs``, a run of whole workers and a group
+    of atoms at a time (see ``_class_blocks``), in two buffers: five rows as
+    wide as the widest run's grid, and one block for a group's factors and
+    its chunks' products.
     """
     n_atoms, (atom_mu, atom_w), classes = _class_rules(graph.worker_degrees, prior)
     prior_mean = _prior_mean_llr(atom_mu, atom_w)
@@ -507,18 +526,23 @@ def _class_kernel(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior
     degrees, order = graph.worker_degrees, graph.by_worker.order
     parts, block_size, width = [], 0, 0
     for _, (mu, w), members in classes:
-        # The class's edges worker by worker, so that each worker's edges are
-        # one run: its sums are a reduceat and their way back a repeat.
+        # The class's edges worker by worker, so that each run holds whole
+        # workers; each run's are then listed in its grid's order.
         edges = order[np.repeat(members, degrees)]
+        blocks = _class_blocks(edges, degrees[members], mu, w)
         # Every rule gives a worker whose other answers carry no information
         # the LLR of the prior's mean, up to rounding; the shift makes it the
         # top rule's value, bitwise when the two are within a factor of two.
         shift = prior_mean - _prior_mean_llr(mu, w)
-        blocks = _class_blocks(degrees[members], mu, w)
-        parts.append((edges, a[edges], mu, shift, blocks))
-        for lo, hi, _, _, groups in blocks:
-            width = max(width, hi - lo)
-            block_size = max(block_size, *(plus.size * (hi - lo) for _, plus, _, _ in groups))
+        # The mu = 0 atoms' factors are all 1 and their log sums 0: they start
+        # each worker's maximum at 0 and add their weight to its lanes last.
+        still = mu == 0.0
+        start = (0.0, np.cumsum(w[still])[-1] * _LIFT) if still.any() else (_NO_ATOM_YET, 0.0)
+        parts.append((edges, a[edges], shift, _prior_mean_llr(mu, w), start, blocks))
+        for _, _, slots, sizes, _, _, _, groups in blocks:
+            width = max(width, slots * sizes.size)
+            block_size = max([block_size, *(moving.size * (slots + 1) * sizes.size
+                                            for moving, _, _ in groups)])
     return partial(_class_worker_llrs, parts=parts, rows=np.empty((5, width)),
                    block=np.empty(block_size))
 
@@ -531,37 +555,80 @@ def _fold_width(n_edges: int) -> int:
     return max(1, min(n_edges, _CHUNK, max(_CHUNK // 2, n_edges // 32)))
 
 
-def _class_blocks(lengths: np.ndarray, mu: np.ndarray, w: np.ndarray) -> list:
-    """A split class's fold plan over its edges listed worker by worker.
+def _class_blocks(edges: np.ndarray, lengths: np.ndarray, mu: np.ndarray,
+                  w: np.ndarray) -> list:
+    """A split class's fold plan over its ``edges`` listed worker by worker.
 
     The edges are cut into runs of whole workers of about ``_BLOCK / K``
-    edges for a K-atom rule, and each run's atoms into groups of at most
-    ``_BLOCK`` atom-edges: one or two groups, more where one worker's
-    edges outgrow the run, and one atom at a time where they outgrow
-    ``_BLOCK``.  Per run: its edge bounds, its workers' starts within it
-    and their edge counts, and its ``_atom_groups``.
+    edges for a K-atom rule, and each run's listing is put in the order of
+    its ``_chunk_plan`` grid, in place.  Each run takes its atoms with mu !=
+    0 in groups whose factors and chunk products fit ``_BLOCK`` floats: one
+    or two groups, more where one worker's edges outgrow the run, and one
+    atom at a time where they outgrow ``_BLOCK``.  Per run: its edge bounds,
+    its grid's slot count, each chunk's size, each worker's chunk count and
+    first chunk, whether the grid's pads all trail its edges, and its
+    ``_atom_groups``.
     """
     ends = np.cumsum(lengths)
     step = max(1, _BLOCK // mu.size)
     # A run ends with the first worker whose edges reach the next multiple of step.
     cuts = np.unique(np.append(np.searchsorted(ends, np.arange(step, ends[-1], step)) + 1,
                                ends.size))
-    blocks, first = [], 0
+    moving = mu != 0.0
+    blocks, first, groups = [], 0, {}
     for last in cuts:
         lo, hi = (ends[first - 1] if first else 0), ends[last - 1]
-        starts = ends[first:last] - lengths[first:last] - lo
-        blocks.append((int(lo), int(hi), starts, lengths[first:last],
-                       _atom_groups(mu, w, max(1, _BLOCK // (hi - lo)))))
+        order, slots, sizes, counts = _chunk_plan(lengths[first:last])
+        edges[lo:hi] = edges[lo:hi][order]
+        # The pads all trail the edges where every slot but the last is full
+        # and the last slot's cells are the leading chunks'.
+        trailing = bool(sizes.min() >= slots - 1 and (np.diff(sizes) <= 0).all())
+        # Runs whose groups are the same size share them.
+        size = max(1, _BLOCK // (slots * sizes.size + sizes.size))
+        if size not in groups:
+            groups[size] = _atom_groups(mu[moving], w[moving], size)
+        blocks.append((int(lo), int(hi), slots, sizes, counts, np.cumsum(counts) - counts,
+                       trailing, groups[size]))
         first = last
     return blocks
 
 
+def _chunk_plan(lengths: np.ndarray) -> tuple:
+    """The grid on which a run of workers with ``lengths`` edges multiplies
+    its factors, at most ``_FACTORS`` to a product.
+
+    For a chunk length s, worker u's r edges form n = ceil(r / s) chunks,
+    chunk j holding its edges j, j + n, j + 2n, ...  The chunks, worker by
+    worker, are the grid's columns, and its rows, or slots, are as many as
+    the longest chunk's edges: slot i holds each chunk's i-th edge, and a
+    cell past a chunk's end is a pad, whose factor is 1.  So each chunk's
+    product is one reduction over the slots, and a lone worker's edges keep
+    their order, its pads trailing.  A cell costs about what a chunk's log
+    and sum cost, so s minimizes (s + 1) times the chunk count.
+
+    Returns the run's edges in grid order, as offsets into the run; the slot
+    count; each chunk's size, as int8; and each worker's chunk count.
+    """
+    options = np.arange(1, _FACTORS + 1)[:, None]
+    values, repeats = np.unique(lengths, return_counts=True)
+    cost = (options[:, 0] + 1) * (-(-values // options) * repeats).sum(axis=1)
+    # The longest chunks of the least cost.
+    s = _FACTORS - int(np.argmin(cost[::-1]))
+    n = -(-lengths // s)
+    worker = np.repeat(np.arange(lengths.size), n)
+    j = np.arange(worker.size) - (np.cumsum(n) - n)[worker]
+    sizes = -(-(lengths[worker] - j) // n[worker])
+    slots = int(sizes.max())
+    grid = np.arange(slots)[:, None]
+    order = ((np.cumsum(lengths) - lengths)[worker] + j + grid * n[worker])[sizes > grid]
+    return order, slots, sizes.astype(np.int8), n
+
+
 def _atom_groups(mu: np.ndarray, w: np.ndarray, size: int) -> list:
-    """The rule's atoms in groups of ``size``: per group its atoms, the lane
-    coefficients 1 and w (1 ± mu), and whether an atom has |mu| = 1."""
-    plus, minus = w * (1.0 + mu), w * (1.0 - mu)
-    return [(slice(k, k + size), np.append(1.0, plus[k:k + size]),
-             np.append(1.0, minus[k:k + size]), bool(np.any(np.abs(mu[k:k + size]) >= 1.0)))
+    """The rule's atoms in groups of ``size``: per group their mu, the lane
+    coefficients w (1 ± mu) as two rows, and whether an atom has |mu| = 1."""
+    lanes = np.stack((w * (1.0 + mu), w * (1.0 - mu)))
+    return [(mu[k:k + size], lanes[:, k:k + size], bool(np.any(np.abs(mu[k:k + size]) >= 1.0)))
             for k in range(0, mu.size, size)]
 
 
@@ -581,62 +648,133 @@ def _class_worker_llrs(c: np.ndarray, lam: np.ndarray, parts: list, rows: np.nda
                        block: np.ndarray) -> float:
     """``_worker_llrs`` over split classes, each a run of whole workers at a time.
 
-    Each part is a class's edges listed worker by worker, their answers,
-    its rule's mu, its shift and its ``_class_blocks`` plan; ``rows`` and
-    ``block`` are the buffers ``_class_kernel`` sized for them.  Writes and
-    returns as ``_worker_llrs`` does; each run takes its change before it
-    scatters.
+    Each part is a class's edges in the order of its ``_class_blocks`` plan,
+    their answers, its shift, its rule's prior-mean LLR, the maximum its mu
+    = 0 atoms start each worker at and the lanes they add (see
+    ``_class_kernel``), and the plan; ``rows`` and ``block`` are the buffers
+    ``_class_kernel`` sized for them.  Writes and returns as
+    ``_worker_llrs`` does; each run takes its change before it scatters.
+
+    A run lays its magnetizations c on its grid (see ``_chunk_plan``), 0 on
+    the pads.  Per group of atoms with mu != 0, the factors f = 1 + mu c
+    fill one (cells x atoms) block.  Worker u's log sums S_u = sum log f
+    take one log per chunk's product; its weights B_u = exp(S_u - M_u) sit
+    under M_u, its largest S_u so far, lifted by ``_LIFT``.  A cell's lanes,
+    sum w (1 ± mu) B_u / f, are then one reciprocal or divide and one
+    non-BLAS einsum per cell and atom, added to its earlier groups' lanes
+    rescaled to the new maximum.  An edge whose worker's other answers all
+    have c = 0 sends the rule's prior-mean LLR, as the one-class fold's
+    exact leave-one-out sum does.
     """
     change = 0.0
-    # log1p(-1) = -inf is counted below, a lane ratio beyond the float range
+    # A zero factor is counted below, a lane ratio beyond the float range
     # overflows to an infinite LLR, and 0 / 0 marks zero mass.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for edges, a, atom_mu, shift, blocks in parts:
-            for lo, hi, starts, lengths, groups in blocks:
-                c_run, top, new_top, agree, disagree = rows[:, :hi - lo]
-                np.take(c, edges[lo:hi], out=c_run, mode="clip")
-                top.fill(_NO_ATOM_YET)
-                agree.fill(0.0)
-                disagree.fill(0.0)
-                for at, plus, minus, certain in groups:
-                    # Rows 1: take the group's logs, then their leave-one-out
-                    # sums, then the weights exp(loo - top); row 0 takes each
-                    # rescaled lane in turn, so that the lanes sum in atom order.
-                    lanes = block[:plus.size * c_run.size].reshape(plus.size, c_run.size)
-                    logs = lanes[1:]
-                    np.log1p(np.multiply(atom_mu[at, None], c_run, out=logs), out=logs)
-                    # A factor 1 + mu c == 0, possible only at |mu| = 1 as |c| <= 1,
-                    # is counted per worker instead of summed as -inf, so exactly
-                    # the worker's other edges get a -inf product.
+        for edges, a, shift, prior_mean, (top0, lane0), blocks in parts:
+            for lo, hi, slots, sizes, counts, first, trailing, groups in blocks:
+                cells, n = slots * sizes.size, hi - lo
+                c_run, lanes, fresh = rows[0, :cells], rows[1:3, :cells], rows[3:5, :cells]
+                # The lanes by slot and chunk, whose worker is each column's.
+                columns = lanes.reshape(2, slots, sizes.size)
+                if trailing:
+                    at = slice(0, n)
+                    c_run[n:] = 0.0
+                else:
+                    at = np.flatnonzero(sizes > np.arange(slots)[:, None])
+                    c_run.fill(0.0)
+                c_run[at] = c.take(edges[lo:hi], mode="clip")
+                if not groups:
+                    lanes.fill(0.0)
+                top, zeros = np.full(counts.size, top0), []
+                for g, (mu, coef, certain) in enumerate(groups):
+                    f = block[:mu.size * cells].reshape(cells, mu.size)
+                    products = block[mu.size * cells:mu.size * (cells + sizes.size)]
+                    np.einsum("e,k->ek", c_run, mu, out=f)
+                    f += 1.0
+                    # A factor 1 + mu c == 0, possible only at |mu| = 1 as
+                    # |c| <= 1, is counted per worker and multiplied as 1.
+                    # Its atom gives the worker's other edges nothing, and its
+                    # own edge, where it is the one zero, the sum of the
+                    # worker's other logs, which may dwarf M_u: that edge
+                    # takes its own maximum in _add_zero_edges.
                     zero = None
-                    if certain and logs.min(initial=0.0) == -np.inf:
-                        zero = logs == -np.inf
-                        logs[zero] = 0.0
-                        n_zero = np.add.reduceat(zero, starts, axis=1, dtype=np.intp)
-                    sums = np.add.reduceat(logs, starts, axis=1)
-                    np.subtract(np.repeat(sums, lengths, axis=1), logs, out=logs)
+                    if certain and f.min() == 0.0:
+                        zero = f == 0.0
+                        f[zero] = 1.0
+                    np.multiply.reduce(f.reshape(slots, -1), axis=0, out=products)
+                    logs = np.log(products, out=products).reshape(sizes.size, mu.size)
+                    sums = np.add.reduceat(logs, first, axis=0)
                     if zero is not None:
-                        logs[np.repeat(n_zero, lengths, axis=1) > zero] = -np.inf
-                    np.maximum(top, logs.max(axis=0), out=new_top)
-                    np.exp(np.subtract(logs, new_top, out=logs), out=logs)
-                    rescale = np.exp(np.subtract(top, new_top, out=top), out=top)
-                    np.multiply(agree, rescale, out=lanes[0])
-                    np.einsum("k,ke->e", plus, lanes, out=agree)
-                    np.multiply(disagree, rescale, out=lanes[0])
-                    np.einsum("k,ke->e", minus, lanes, out=disagree)
-                    top, new_top = new_top, top
+                        n_zero = np.add.reduceat(np.add.reduce(
+                            zero.reshape(slots, -1), axis=0, dtype=np.intp).reshape(
+                                sizes.size, mu.size), first, axis=0)
+                        cell, atom = np.nonzero(zero)
+                        worker = np.repeat(np.arange(counts.size), counts)[cell % sizes.size]
+                        one = n_zero[worker, atom] == 1
+                        cell, worker, atom = cell[one], worker[one], atom[one]
+                        zeros.append((cell, worker, sums[worker, atom], coef[:, atom]))
+                        sums[n_zero > 0] = -np.inf
+                    new_top = np.maximum(top, sums.max(axis=1))
+                    weights = np.exp(np.subtract(sums, new_top[:, None], out=sums), out=sums)
+                    weights *= _LIFT
+                    if counts.size == 1:
+                        # One worker's weights go into the lane coefficients.
+                        np.reciprocal(f, out=f)
+                        coef = coef * weights
+                    else:
+                        grid = f.reshape(slots, sizes.size, mu.size)
+                        np.divide(np.repeat(weights, counts, axis=0), grid, out=grid)
+                    if g:
+                        if (new_top != top).any():
+                            columns *= np.repeat(np.exp(top - new_top), counts)
+                        lanes += np.einsum("ek,lk->le", f, coef, out=fresh)
+                    else:
+                        np.einsum("ek,lk->le", f, coef, out=lanes)
+                    top = new_top
+                if lane0:
+                    columns += np.repeat(lane0 * np.exp(top0 - top), counts)
+                if zeros:
+                    _add_zero_edges(lanes, top, zeros)
+                agree, disagree = lanes
                 ratio = np.log(np.divide(agree, disagree, out=agree), out=agree)
+                # Cells whose worker's other edges all have c = 0.
+                informed = c_run != 0.0
+                if counts.size > 1:
+                    informed = informed.reshape(slots, -1)
+                    others = np.repeat(np.add.reduceat(informed.sum(axis=0), first), counts)
+                    ratio.reshape(slots, -1)[others - informed == 0] = prior_mean
+                elif np.count_nonzero(informed) <= 1:
+                    ratio[informed if informed.any() else slice(None)] = prior_mean
                 a_run = a[lo:hi]
-                np.multiply(a_run, ratio, out=ratio)
-                # Both maxima are spent: their rows take the shift and the old
+                llr = np.multiply(a_run, ratio[at], out=fresh[0, :n])
+                # The other rows are spent: they take the shift and the old
                 # messages' tanh(llr / 2), and the magnetizations' row the new.
-                ratio += np.multiply(a_run, shift, out=top, dtype=np.float64)
-                old = np.take(lam, edges[lo:hi], out=new_top, mode="clip")
+                llr += np.multiply(a_run, shift, out=fresh[1, :n], dtype=np.float64)
+                old = np.take(lam, edges[lo:hi], out=fresh[1, :n], mode="clip")
                 old = np.tanh(np.divide(old, 2.0, out=old), out=old)
-                y = np.tanh(np.divide(ratio, 2.0, out=c_run), out=c_run)
+                y = np.tanh(np.divide(llr, 2.0, out=c_run[:n]), out=c_run[:n])
                 change = np.maximum(change, _max_change(y, old))
-                lam[edges[lo:hi]] = ratio
+                lam[edges[lo:hi]] = llr
     return float(change)
+
+
+def _add_zero_edges(lanes: np.ndarray, top: np.ndarray, zeros: list) -> None:
+    """Add to ``lanes``, which hold each cell's lanes under its worker's
+    maximum in ``top``, the atoms for which the cell's edge holds its
+    worker's one zero factor: per such atom the cell, its worker, the log
+    sum of the worker's other factors and the lane coefficients, as
+    ``_class_worker_llrs`` lists them.  Each such cell takes the larger of
+    its maximum and those sums."""
+    cell, worker, sums, coef = (np.concatenate(part, axis=-1) for part in zip(*zeros))
+    at, inverse = np.unique(cell, return_inverse=True)
+    old_top = np.empty(at.size)
+    old_top[inverse] = top[worker]
+    new_top = old_top.copy()
+    np.maximum.at(new_top, inverse, sums)
+    lanes[:, at] *= np.exp(old_top - new_top)
+    terms = coef * (np.exp(sums - new_top[inverse]) * _LIFT)
+    for lane, term in zip(lanes, terms):
+        np.add.at(lane, at[inverse], term)
 
 
 # -- pair-valued sweep pieces ------------------------------------------------

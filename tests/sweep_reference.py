@@ -3,12 +3,15 @@ and ``kos_run``.
 
 Every half-sweep here builds fresh edge arrays, as the decoders did before
 they kept a fixed set of edge buffers per run and wrote every sweep into
-them, and folds every degree class one atom at a time.  Where one class
-holds every worker, the buffered decoders keep the operation order, so
-margins, iteration counts, ``converged`` and ``max_delta`` must be bitwise
-equal; kos is always bitwise.  Where the classes split, bp folds each
-class's atoms in blocks whose sums run in another order, so
-:func:`assert_outcomes_match` allows rounding there: see its docstring.
+them, and folds every degree class one atom at a time, each edge's
+leave-one-out log product its worker's sum of logs less its own.  Where
+one class holds every worker, the buffered decoders keep the operation
+order, so margins, iteration counts, ``converged`` and ``max_delta`` must
+be bitwise equal; kos is always bitwise.  Where the classes split, bp
+takes each worker's log sums from products of up to 16 factors, weighs
+the atoms per worker and divides each edge's own factor out, so its sums
+run in another order and :func:`assert_outcomes_match` allows rounding
+there: see its docstring.
 
 The degree classes, their Gauss rules and the stop rule are the package's
 own; what is kept here is how each sweep computes its arrays.

@@ -840,8 +840,10 @@ class TestBufferedSweeps:
         # array per class: 10.7 edge arrays here.  Folding a run of whole
         # workers and a group of atoms at a time in block-sized buffers, the
         # peak was 7.4, the worker-ordered edge list built by the run
-        # included, and is 6.2 with two edge buffers for the messages and
-        # magnetizations in place of three.  One (atoms x edges) array of
+        # included, and 6.2 with two edge buffers for the messages and
+        # magnetizations in place of three.  Folding through per-worker
+        # weights on each run's chunk grid, with the factors and the chunks'
+        # products in one block, it is 6.16.  One (atoms x edges) array of
         # the top class's 51 atoms would break the budget.
         g, answers = skewed_sh_instance()
         prior = cb.ReliabilityPrior.from_beta(2, 1)
@@ -978,6 +980,106 @@ class TestBufferedSweeps:
         # Every rule was cut as asked, and groups met inside some rule.
         assert {size for _, size in built} == ({group} if group else {k for k, _ in built})
         assert any(k > size for k, size in built) == (group is not None)
+
+
+class TestSplitFold:
+    """The split classes' fold: per-worker log sums over a product grid, then per-edge lanes."""
+
+    @pytest.mark.parametrize("block", [None, 2**12])
+    def test_prolific_workers_match_the_reference(self, rng, monkeypatch, block):
+        # Workers of 400 to 1,000 answers under an empirical prior of 200 to
+        # 400 atoms: each such worker is a run of its own, and at 2**12 grid
+        # cells per block its atoms split into many groups, whose maxima and
+        # lanes carry from group to group.
+        if block is not None:
+            monkeypatch.setattr(bp, "_BLOCK", block)
+        for case in range(4):
+            degrees = np.concatenate([rng.integers(400, 1001, size=3),
+                                      np.minimum(rng.zipf(1.6, size=600), 60)])
+            g = graph_of_degrees(rng, 1200, rng.permutation(degrees))
+            prior = empirical_atoms(rng, int(rng.integers(200, 401)))
+            a = rng.choice([-1, 1], size=g.n_edges)
+            assert split_path(g, a, prior)
+            top = bp._class_kernel(g, a, prior).keywords["parts"][-1][-1]
+            assert max(hi - lo for lo, hi, *_ in top) >= 400
+            if block is not None:
+                assert max(len(groups) for *_, groups in top) > 10
+            x = rng.uniform(-1.0, 1.0, g.n_edges)
+            lam = np.zeros(g.n_edges)
+            bp._class_kernel(g, a, prior)(a * x, lam)
+            want = reference_class_kernel(g, a, prior)(x)
+            assert np.isfinite(want).all()
+            np.testing.assert_allclose(lam, want, rtol=0, atol=ATOL)
+
+    def test_a_certain_atom_does_not_scale_away_the_others(self, monkeypatch):
+        # Worker 0 answers all 3,000 tasks, each of which one worker of degree
+        # 1 answers too.  At x = 0.999 the certain atom's log sum tops the
+        # others' by more than 745 nats, but the one x = -1 zeroes its factor
+        # everywhere except at that edge.  A maximum taken over every atom's
+        # sum, zero or not, sends 0 / 0 on the other 2,999 edges.
+        monkeypatch.setattr(bp, "_CLASS_OVERHEAD_EDGES", 0)
+        n = 3000
+        tasks = np.arange(n)
+        g = cb.AssignmentGraph(n, n + 1, np.concatenate([
+            np.column_stack((tasks, np.zeros(n, dtype=np.int64))),
+            np.column_stack((tasks, tasks + 1))]))
+        prior = cb.parse_prior_spec("atoms:1.0=0.3,0.7=0.3,0.5=0.4")
+        a = np.ones(g.n_edges, dtype=np.int64)
+        assert split_path(g, a, prior)
+        x = np.full(g.n_edges, 0.999)
+        contradicted = 1234
+        x[contradicted] = -1.0
+        lam = np.zeros(g.n_edges)
+        bp._class_kernel(g, a, prior)(a * x, lam)
+        want = reference_class_kernel(g, a, prior)(x)
+        worker0 = np.arange(n)
+        assert not np.isnan(lam).any()
+        assert np.isfinite(want[worker0[worker0 != contradicted]]).all()
+        assert want[contradicted] == np.inf
+        np.testing.assert_allclose(lam[worker0], want[worker0], rtol=0, atol=ATOL)
+
+    def test_a_class_whose_rule_has_only_mu_zero_takes_no_block(self, rng, monkeypatch):
+        # Beta(2, 2)'s one-node rule sits at mu = 0: the one-answer workers'
+        # class has no atom that takes factors, and its lanes are its weight.
+        monkeypatch.setattr(bp, "_CLASS_OVERHEAD_EDGES", 0)
+        prior = cb.ReliabilityPrior.from_beta(2, 2)
+        g = skewed_graph(rng, 60, 40)
+        a = rng.choice([-1, 1], size=g.n_edges)
+        (k, (mu, _), _), *_ = bp._class_rules(g.worker_degrees, prior)[2]
+        assert k == 1 and mu.tolist() == [0.0] and split_path(g, a, prior)
+        x = rng.uniform(-1.0, 1.0, g.n_edges)
+        lam = np.zeros(g.n_edges)
+        bp._class_kernel(g, a, prior)(a * x, lam)
+        np.testing.assert_allclose(lam, reference_class_kernel(g, a, prior)(x), rtol=0, atol=ATOL)
+
+    def test_grid_chunks_cover_each_workers_edges_once(self, rng):
+        # A run's grid: slot i of column t holds chunk t's i-th edge.  Each
+        # chunk lies within one worker and holds at most _FACTORS edges, in
+        # order; the columns go worker by worker, and together they list the
+        # run's edges once.  Workers of 1, 16 and 17 edges sit at a chunk's
+        # bounds.
+        for case in range(30):
+            lengths = rng.permutation(np.concatenate([
+                [1, 16, 17], rng.integers(1, 60, size=int(rng.integers(0, 8)))]))
+            if case % 3 == 0:
+                lengths = lengths[:1]
+            order, slots, sizes, counts = bp._chunk_plan(lengths)
+            assert 1 <= slots <= bp._FACTORS
+            np.testing.assert_array_equal(np.sort(order), np.arange(lengths.sum()))
+            owner = np.repeat(np.arange(lengths.size), lengths)
+            cells = np.flatnonzero(sizes > np.arange(slots)[:, None])
+            column = cells % sizes.size
+            workers = []
+            for t in range(sizes.size):
+                edges = order[column == t]
+                assert edges.size == sizes[t] and 1 <= edges.size <= slots
+                assert (owner[edges] == owner[edges[0]]).all() and (np.diff(edges) > 0).all()
+                workers.append(owner[edges[0]])
+            np.testing.assert_array_equal(workers, np.repeat(np.arange(lengths.size), counts))
+            if lengths.size == 1:
+                # One worker keeps its edges in place, its pads trailing.
+                np.testing.assert_array_equal(order, np.arange(lengths[0]))
+                np.testing.assert_array_equal(cells, np.arange(lengths[0]))
 
 
 def _classes(prior, g):
