@@ -571,10 +571,13 @@ def _class_blocks(edges: np.ndarray, lengths: np.ndarray, mu: np.ndarray,
     """
     ends = np.cumsum(lengths)
     step = max(1, _BLOCK // mu.size)
-    # A run ends with the first worker whose edges reach the next multiple of step.
-    cuts = np.unique(np.append(np.searchsorted(ends, np.arange(step, ends[-1], step)) + 1,
-                               ends.size))
+    # A run ends with the first worker whose edges reach the next multiple of
+    # step.  The cuts ascend, so dropping repeats takes one comparison; a plain
+    # np.unique would import numpy.ma on its first call, tens of ms.
+    cuts = np.append(np.searchsorted(ends, np.arange(step, ends[-1], step)) + 1, ends.size)
+    cuts = cuts[np.append(cuts[1:] != cuts[:-1], True)]
     moving = mu != 0.0
+    n_moving = int(moving.sum())
     blocks, first, groups = [], 0, {}
     for last in cuts:
         lo, hi = (ends[first - 1] if first else 0), ends[last - 1]
@@ -582,13 +585,15 @@ def _class_blocks(edges: np.ndarray, lengths: np.ndarray, mu: np.ndarray,
         edges[lo:hi] = edges[lo:hi][order]
         # The pads all trail the edges where every slot but the last is full
         # and the last slot's cells are the leading chunks'.
-        trailing = bool(sizes.min() >= slots - 1 and (np.diff(sizes) <= 0).all())
-        # Runs whose groups are the same size share them.
-        size = max(1, _BLOCK // (slots * sizes.size + sizes.size))
-        if size not in groups:
-            groups[size] = _atom_groups(mu[moving], w[moving], size)
+        trailing = bool(sizes.min() >= slots - 1 and (sizes[:-1] >= sizes[1:]).all())
+        # As few groups as fit the block, of balanced sizes; runs that take
+        # as many groups share them.
+        count = -(-n_moving // max(1, _BLOCK // ((slots + 1) * sizes.size)))
+        if count not in groups:
+            groups[count] = _atom_groups(mu[moving], w[moving],
+                                         max(1, -(-n_moving // max(1, count))))
         blocks.append((int(lo), int(hi), slots, sizes, counts, np.cumsum(counts) - counts,
-                       trailing, groups[size]))
+                       trailing, groups[count]))
         first = last
     return blocks
 
@@ -610,7 +615,7 @@ def _chunk_plan(lengths: np.ndarray) -> tuple:
     count; each chunk's size, as int8; and each worker's chunk count.
     """
     options = np.arange(1, _FACTORS + 1)[:, None]
-    values, repeats = np.unique(lengths, return_counts=True)
+    values, repeats = np.unique(lengths, return_counts=True) if lengths.size > 1 else (lengths, 1)
     cost = (options[:, 0] + 1) * (-(-values // options) * repeats).sum(axis=1)
     # The longest chunks of the least cost.
     s = _FACTORS - int(np.argmin(cost[::-1]))
