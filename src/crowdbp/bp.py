@@ -128,10 +128,11 @@ _NAIVE_DEGREE_GUARD = 14
 # the sweeps of a run.  A class that saves less than this over the next
 # larger class is folded into it.  The value was set when an atom-edge pass
 # cost about 15 ns, which made it about 150 us.  The split fold now takes
-# about 3.5 ns per atom-edge (2 vCPUs, shared host), so the same overhead
-# is worth about three times as many passes as this, and classes split
-# where their cost does not warrant it.  The value is kept: moving it
-# changes which graphs split, and so their margins to rounding.
+# about 4 ns per atom-edge on skewed-real's ebp2 priors (2 vCPUs, shared
+# host), so the same overhead is worth about four times as many passes as
+# this, and classes split where their cost does not warrant it.  The value
+# is kept: moving it changes which graphs split, and so their margins to
+# rounding.
 _CLASS_OVERHEAD_EDGES = 10_000
 # Start of the running maximum over atoms: finite, so that subtracting it
 # from a -inf log product gives -inf rather than NaN.
@@ -533,12 +534,12 @@ def _class_kernel(graph: AssignmentGraph, a: np.ndarray, prior: ReliabilityPrior
         # Every rule gives a worker whose other answers carry no information
         # the LLR of the prior's mean, up to rounding; the shift makes it the
         # top rule's value, bitwise when the two are within a factor of two.
-        shift = prior_mean - _prior_mean_llr(mu, w)
+        class_mean = _prior_mean_llr(mu, w)
         # The mu = 0 atoms' factors are all 1 and their log sums 0: they start
         # each worker's maximum at 0 and add their weight to its lanes last.
         still = mu == 0.0
         start = (0.0, np.cumsum(w[still])[-1] * _LIFT) if still.any() else (_NO_ATOM_YET, 0.0)
-        parts.append((edges, a[edges], shift, _prior_mean_llr(mu, w), start, blocks))
+        parts.append((edges, a[edges], prior_mean - class_mean, class_mean, start, blocks))
         for _, _, slots, sizes, _, _, _, groups in blocks:
             width = max(width, slots * sizes.size)
             block_size = max([block_size, *(moving.size * (slots + 1) * sizes.size

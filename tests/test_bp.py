@@ -841,10 +841,12 @@ class TestBufferedSweeps:
         # workers and a group of atoms at a time in block-sized buffers, the
         # peak was 7.4, the worker-ordered edge list built by the run
         # included, and 6.2 with two edge buffers for the messages and
-        # magnetizations in place of three.  Folding through per-worker
-        # weights on each run's chunk grid, with the factors and the chunks'
-        # products in one block, it is 6.16.  One (atoms x edges) array of
-        # the top class's 51 atoms would break the budget.
+        # magnetizations in place of three; about 0.6 of that was numpy.ma,
+        # which the plan's first plain np.unique imported in a fresh
+        # process.  Folding through per-worker weights on each run's chunk
+        # grid, with the factors and the chunks' products in one block, and
+        # with no np.unique, it is 5.5.  One (atoms x edges) array of the top
+        # class's 51 atoms would break the budget.
         g, answers = skewed_sh_instance()
         prior = cb.ReliabilityPrior.from_beta(2, 1)
         peak, report = edge_arrays(lambda: cb.bp_run(g, answers, prior, k_max=3, tol=0.0), g)
@@ -1057,10 +1059,11 @@ class TestSplitFold:
         # chunk lies within one worker and holds at most _FACTORS edges, in
         # order; the columns go worker by worker, and together they list the
         # run's edges once.  Workers of 1, 16 and 17 edges sit at a chunk's
-        # bounds.
+        # bounds, and one of hundreds takes many chunks.
         for case in range(30):
             lengths = rng.permutation(np.concatenate([
-                [1, 16, 17], rng.integers(1, 60, size=int(rng.integers(0, 8)))]))
+                [1, 16, 17, rng.integers(100, 1001)],
+                rng.integers(1, 60, size=int(rng.integers(0, 8)))]))
             if case % 3 == 0:
                 lengths = lengths[:1]
             order, slots, sizes, counts = bp._chunk_plan(lengths)
