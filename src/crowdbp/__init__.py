@@ -17,10 +17,10 @@ from .estimators import (EstimatorSpec, ebp_run, em_run, kos_run, majority_vote,
 from .exact import brute_force_marginals, oracle_task_estimate, subset_monotonicity_check
 from .graph import (AnswerMatrix, AssignmentGraph, GroundTruth,
                     generate_regular_bipartite, sample_answers, sample_ground_truth)
-from .harness import (CSV_COLUMNS, Dataset, ExperimentConfig, MetricsRow, error_rate,
-                      load_dataset, load_experiment_config, nearest_feasible_n,
-                      run_experiment, run_inference, save_dataset, subsample_assignments,
-                      write_metrics_csv)
+from .experiment import (CSV_COLUMNS, ExperimentConfig, MetricsRow, error_rate,
+                         load_experiment_config, nearest_feasible_n, run_experiment,
+                         write_metrics_csv)
+from .harness import Dataset, load_dataset, run_inference, save_dataset, subsample_assignments
 from .priors import (ReliabilityPrior, adversary_spammer_hammer, empirical_prior,
                      parse_prior_spec, spammer_hammer)
 from .seeding import child_seed, rng_from

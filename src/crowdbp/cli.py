@@ -16,9 +16,9 @@ from .bp import _K_MAX, _TOL
 from .errors import DataFormatError, NumericDegeneracyError, ParameterError, check_count
 from .estimators import EstimatorSpec
 from .graph import draw_instance
-from .harness import (Dataset, error_rate, load_dataset, load_experiment_config,
-                      run_experiment, run_inference, save_dataset, subsample_assignments,
-                      write_estimates, write_metrics_csv)
+from .experiment import error_rate, load_experiment_config, run_experiment, write_metrics_csv
+from .harness import (Dataset, load_dataset, run_inference, save_dataset, subsample_assignments,
+                      write_estimates)
 from .priors import parse_prior_spec
 from .seeding import child_seed
 from .theory import theoretical_bounds, tree_probability_bound

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import crowdbp as cb
-from crowdbp import graph as graph_module, harness
+from crowdbp import experiment, graph as graph_module
 from tests.test_dataset_csv import assert_same_outcome
 
 def csv_text(rows) -> str:
@@ -24,7 +24,7 @@ def csv_text(rows) -> str:
 
 
 needs_pool = pytest.mark.skipif(
-    harness._usable_cpus() < 2 or "fork" not in multiprocessing.get_all_start_methods(),
+    experiment._usable_cpus() < 2 or "fork" not in multiprocessing.get_all_start_methods(),
     reason="trial processes need two usable CPUs and the fork start method")
 
 
@@ -492,7 +492,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_infeasible_later_point_fails_before_any_trial(self, monkeypatch, threads):
         ran = []
-        monkeypatch.setattr(harness, "_run_trial", lambda *args: ran.append(args))
+        monkeypatch.setattr(experiment, "_run_trial", lambda *args: ran.append(args))
         cfg = self.tiny_config(sweep="r", sweep_values=(3, 5), fixed_degree=2,
                                threads=threads)
         with pytest.raises(cb.ParameterError, match="l=2, r=5"):
@@ -512,7 +512,7 @@ class TestRunExperiment:
     def test_point_the_generator_refuses_fails_before_any_trial(
             self, monkeypatch, threads, overrides, point, reason, error):
         ran = []
-        monkeypatch.setattr(harness, "_run_trial", lambda *args: ran.append(args))
+        monkeypatch.setattr(experiment, "_run_trial", lambda *args: ran.append(args))
         with pytest.raises(cb.ParameterError) as info:
             cb.run_experiment(self.tiny_config(threads=threads, **overrides))
         message = str(info.value)
@@ -533,12 +533,12 @@ class TestRunExperiment:
                 g = cb.generate_regular_bipartite(nudged, l, r, seed=0)
             except cb.ParameterError as refused:
                 with pytest.raises(cb.ParameterError) as planned:
-                    harness._sweep_points(config)
+                    experiment._sweep_points(config)
                 assert type(planned.value) is type(refused)
                 assert str(refused) in str(planned.value)
                 continue
             assert (g.task_degrees == l).all() and (g.worker_degrees == r).all()
-            assert harness._sweep_points(config) == [(nudged, l, r)]
+            assert experiment._sweep_points(config) == [(nudged, l, r)]
 
     def test_dense_sweep_runs_every_point(self):
         # At r = 9 on 9 tasks, l = 8 is the complete bipartite graph, which
@@ -553,9 +553,9 @@ class TestRunExperiment:
         # Where the platform has no sched_getaffinity, the CPU count is used,
         # and one CPU where even that is unknown.
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert harness._usable_cpus() == os.cpu_count()
+        assert experiment._usable_cpus() == os.cpu_count()
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert harness._usable_cpus() == 1
+        assert experiment._usable_cpus() == 1
 
     def test_pool_never_exceeds_usable_cpus(self, monkeypatch):
         # A stand-in executor records the pool it was asked for and runs
