@@ -86,13 +86,22 @@ class ExperimentConfig:
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
-    """Read a config file: JSON object or flat ``key = value`` lines."""
+    """Read a config file: JSON object or flat ``key = value`` lines.
+
+    One U+FEFF at the very start, a byte-order mark, is dropped.  Text
+    that the locale's encoding cannot decode and a key given twice are
+    refused.
+    """
     with open(path) as handle:
-        text = handle.read()
+        try:
+            text = handle.read().removeprefix("\ufeff")
+        except UnicodeDecodeError as exc:
+            raise ParameterError(
+                f"{path}: config is not valid {handle.encoding} text: {exc}") from None
     stripped = text.strip()
     if stripped.startswith("{"):
         try:
-            raw = json.loads(stripped)
+            raw = json.loads(stripped, object_pairs_hook=lambda pairs: _unique_keys(pairs, path))
         except json.JSONDecodeError as exc:
             raise ParameterError(f"{path}: bad JSON config: {exc}") from exc
     else:
@@ -104,8 +113,20 @@ def load_experiment_config(path: str) -> ExperimentConfig:
             if "=" not in line:
                 raise ParameterError(f"{path}:{line_no}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in raw:
+                raise ParameterError(f"{path}:{line_no}: repeated config key {key!r}")
             raw[key] = value
     return _config_from_dict(raw, path)
+
+
+def _unique_keys(pairs: list[tuple[str, object]], source: str) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is refused."""
+    raw = {}
+    for key, value in pairs:
+        if key in raw:
+            raise ParameterError(f"{source}: repeated config key {key!r}")
+        raw[key] = value
+    return raw
 
 
 def _config_from_dict(raw: dict, source: str) -> ExperimentConfig:

@@ -315,6 +315,26 @@ class TestBench:
         cfg.write_text(BENCH_CONFIG + "mystery = 1\n")
         assert main(["bench", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("text", [BENCH_CONFIG, json.dumps(BENCH_JSON)],
+                             ids=["flat", "json"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys, text):
+        # The mark used to join the first key (flat) or hide the JSON object.
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert main(["bench", "--config", str(plain)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["bench", "--config", str(marked)]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_undecodable_config_exit_2(self, tmp_path, capsys):
+        # The decode error used to end the run in a traceback with exit 1.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(BENCH_CONFIG.encode() + b"# \xff\n")
+        assert main(["bench", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: config is not valid ") and "0xff" in err
+
     def test_out_key_in_config_exit_2(self, tmp_path, capsys):
         # Only --out chooses the file; the config key used to write there.
         cfg, target = tmp_path / "cfg.txt", tmp_path / "x.csv"
@@ -354,7 +374,7 @@ class TestBench:
         ("timing", json.dumps({**BENCH_JSON, "timing": 5})),
         ("adjust_n", json.dumps({**BENCH_JSON, "adjust_n": None})),
         ("tol", json.dumps({**BENCH_JSON, "tol": True})),
-        ("timing", BENCH_CONFIG + "timing = 5\n"),
+        ("timing", BENCH_CONFIG.replace("timing = false", "timing = 5")),
     ], ids=["tol-abc", "sweep_values-2", "n_tasks-null", "prior-5", "estimators-5",
             "n_tasks-12.7", "trials-true", "sweep_values-3.5", "seed-false",
             "timing-5", "adjust_n-null", "tol-true", "timing-5-flat"])

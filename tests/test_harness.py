@@ -396,6 +396,21 @@ seed = 7
         with pytest.raises(cb.ParameterError, match="unknown config key"):
             cb.load_experiment_config(str(path))
 
+    def test_repeated_key_rejected(self, tmp_path):
+        # The last of the two values used to be taken silently.
+        path = tmp_path / "cfg.txt"
+        path.write_text(self.FLAT + "trials = 3\n")
+        with pytest.raises(cb.ParameterError) as info:
+            cb.load_experiment_config(str(path))
+        assert str(info.value) == f"{path}:11: repeated config key 'trials'"
+
+    def test_repeated_json_key_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"n_tasks": 30, ' + self.as_json()[1:])
+        with pytest.raises(cb.ParameterError) as info:
+            cb.load_experiment_config(str(path))
+        assert str(info.value) == f"{path}: repeated config key 'n_tasks'"
+
     def test_missing_keys_reported(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("n_tasks = 12\n")
