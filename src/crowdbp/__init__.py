@@ -6,7 +6,7 @@ sum-product belief propagation on the task-worker graph, the classical
 baselines (majority vote, agreement-weighted message passing, EM,
 bootstrapped BP, known-reliability weighting), exact small-instance
 references and the clamped-spanning-tree oracle, plus a simulator,
-analytic bounds and a benchmark harness with a CLI.
+analytic bounds, dataset files and seeded benchmark sweeps with a CLI.
 """
 
 from .bp import EstimateReport, bp_run, decode_labels

@@ -218,7 +218,7 @@ def em_run(graph: AssignmentGraph, answers: AnswerMatrix | np.ndarray,
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """A named estimator and the knobs the harness threads through, checked when built."""
+    """A named estimator and the knobs run_inference and the sweeps pass it, checked when built."""
 
     kind: str
     rounds: int = 0
