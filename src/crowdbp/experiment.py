@@ -97,7 +97,7 @@ def load_experiment_config(path: str) -> ExperimentConfig:
             text = handle.read().removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise ParameterError(
-                f"{path}: config is not valid {handle.encoding} text: {exc}") from None
+                f"{path}: config is not valid {handle.encoding} text: {exc}") from exc
     stripped = text.strip()
     if stripped.startswith("{"):
         try:
